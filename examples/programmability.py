@@ -5,7 +5,10 @@
 versions were significantly harder to develop" -- because the programmer
 must derive *where every element goes*.  This example implements the 3-D
 FFT transpose both ways at toy scale and prints the code each paradigm
-actually requires, then runs both to show they agree.
+actually requires, then runs both to show they agree.  In both versions
+``yield from`` marks every point where the paper's blocking call may
+stall (a page fault, a barrier, a receive): the simulated processor
+hands control back to the engine exactly there.
 
 Run:  python examples/programmability.py
 """
@@ -43,10 +46,11 @@ def tmk_transpose(proc):
     klo, khi = slab(tmk.pid, tmk.nprocs, N3)
     a_slab = field()[ilo:ihi]
     # The entire communication logic:
-    b.write((slice(None), slice(ilo, ihi), slice(None)),
-            a_slab.transpose(2, 0, 1))
-    tmk.barrier(0)
-    return np.asarray(b.read((slice(klo, khi), slice(None), slice(None)))).copy()
+    yield from b.write((slice(None), slice(ilo, ihi), slice(None)),
+                       a_slab.transpose(2, 0, 1))
+    yield from tmk.barrier(0)
+    mine = yield from b.read((slice(klo, khi), slice(None), slice(None)))
+    return mine.copy()
 
 
 # ----------------------------------------------------------------------
@@ -73,9 +77,9 @@ def pvm_transpose(proc):
         block = a_slab[:, :, pklo:pkhi].transpose(2, 0, 1)
         buf = pvm.initsend()
         buf.pkdcplx(np.ascontiguousarray(block).reshape(-1))
-        pvm.send(p, 1, buf)
+        yield from pvm.send(p, 1, buf)
     for _ in range(n - 1):
-        got = pvm.recv(-1, 1)
+        got = yield from pvm.recv(-1, 1)
         silo, sihi = slab(got.src, n, N1)
         count = (khi - klo) * (sihi - silo) * N2
         out[:, silo:sihi, :] = got.upkdcplx(count).reshape(

@@ -28,14 +28,15 @@ def main():
         data = tmk.shared_array("data", (1024,), np.int64)
         if tmk.pid == 0:
             # Producer: fill both pages, then release through the lock.
-            tmk.lock_acquire(0)
-            data[slice(0, 1024)] = np.arange(1024)
-            tmk.lock_release(0)
-        tmk.barrier(0)
+            yield from tmk.lock_acquire(0)
+            yield from data.write(slice(0, 1024), np.arange(1024))
+            yield from tmk.lock_release(0)
+        yield from tmk.barrier(0)
         # Consumers: the barrier carried write notices; the first touch
         # of each invalidated page faults and fetches the diffs.
-        checksum = int(np.asarray(data.read(slice(0, 1024))).sum())
-        tmk.barrier(1)
+        values = yield from data.read(slice(0, 1024))
+        checksum = int(values.sum())
+        yield from tmk.barrier(1)
         return checksum
 
     result = cluster.run(program)

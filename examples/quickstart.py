@@ -37,11 +37,13 @@ def tmk_main(proc):
     partial = int((values * values).sum())
     proc.compute(values.size * WORK_CPU)
 
-    tmk.lock_acquire(0)                       # Tmk_lock_acquire
-    total.set(0, int(total.get(0)) + partial)
-    tmk.lock_release(0)                       # Tmk_lock_release
-    tmk.barrier(0)                            # Tmk_barrier
-    return int(total.get(0))                  # everyone reads the result
+    yield from tmk.lock_acquire(0)            # Tmk_lock_acquire
+    so_far = yield from total.get(0)
+    yield from total.set(0, int(so_far) + partial)
+    yield from tmk.lock_release(0)            # Tmk_lock_release
+    yield from tmk.barrier(0)                 # Tmk_barrier
+    result = yield from total.get(0)          # everyone reads the result
+    return int(result)
 
 
 # ----------------------------------------------------------------------
@@ -57,16 +59,17 @@ def pvm_main(proc):
     if pvm.mytid == 0:
         total = partial
         for _ in range(pvm.nprocs - 1):
-            buf = pvm.recv(-1, tag=1)         # pvm_recv
+            buf = yield from pvm.recv(-1, tag=1)  # pvm_recv
             total += int(buf.upklong(1)[0])   # pvm_upklong
         out = pvm.initsend()                  # pvm_initsend
         out.pklong([total])                   # pvm_pklong
-        pvm.bcast(2, out)                     # pvm_mcast to everyone
+        yield from pvm.bcast(2, out)          # pvm_mcast to everyone
         return total
     buf = pvm.initsend()
     buf.pklong([partial])
-    pvm.send(0, 1, buf)                       # pvm_send
-    return int(pvm.recv(0, 2).upklong(1)[0])
+    yield from pvm.send(0, 1, buf)            # pvm_send
+    buf = yield from pvm.recv(0, 2)
+    return int(buf.upklong(1)[0])
 
 
 def main():

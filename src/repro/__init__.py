@@ -22,7 +22,7 @@ the same cache.  The layers underneath:
 
 from typing import Any
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 #: The curated public surface.  Everything here is importable directly
 #: from ``repro`` and resolved lazily (PEP 562), so ``import repro``

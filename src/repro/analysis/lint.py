@@ -5,8 +5,8 @@ to use explicit synchronization") has a few failure modes the runtime
 cannot always catch, because they produce *stale values* rather than
 crashes.  This AST pass flags them in application source:
 
-* **DSM001** -- a view obtained from ``SharedArray.read``/``read_racy``
-  (or by subscripting a shared array) is used after a synchronization
+* **DSM001** -- a view obtained from ``yield from`` a
+  ``SharedArray.read``/``read_racy`` is used after a synchronization
   operation (``barrier``/``lock_acquire``/``lock_release``) without
   being re-read.  A DSM moves data only at synchronization; a cached
   view is the register-allocated stale copy the paper warns about.
@@ -20,6 +20,15 @@ crashes.  This AST pass flags them in application source:
 * **DSM004** -- a view escapes into an object attribute.  Attributes
   outlive the synchronization scope of the function, so the runtime
   cannot tell when the cached view goes stale.
+* **DSM005** -- a blocking runtime call whose generator is built and
+  dropped: an expression statement or plain assignment whose value is
+  ``tmk.barrier(0)`` / ``arr.write(k, v)`` / ``pvm.recv()`` *without*
+  ``yield from``.  Every blocking operation is a generator the engine's
+  trampoline must drive; the bare call silently does nothing.  Covers
+  the synchronization methods on any receiver, the ``SharedArray``
+  accessors on a tracked shared-array name, and the message calls on a
+  receiver chain ending in ``pvm``; ``return tmk.barrier(0)`` from a
+  helper (the caller delegates) is fine.
 
 The pass is a per-function linear scan in source order; loop bodies are
 processed twice so a synchronization at the bottom of a loop staleness-
@@ -45,6 +54,10 @@ SYNC_METHODS = {"barrier", "lock_acquire", "lock_release"}
 VIEW_METHODS = {"read", "read_racy"}
 #: Method names whose result is a shared array handle.
 ALLOC_METHODS = {"shared_array", "array_at"}
+#: Blocking accessors of a shared array handle (generators).
+ARRAY_METHODS = VIEW_METHODS | {"write", "add", "get", "get_racy", "set"}
+#: Blocking message-passing calls (generators) on a ``pvm`` endpoint.
+PVM_METHODS = {"send", "recv", "nrecv", "probe", "mcast"}
 
 
 @dataclass(frozen=True)
@@ -114,21 +127,34 @@ class _FunctionLinter:
     # ------------------------------------------------------------------
     def _is_view_expr(self, expr: ast.expr) -> bool:
         """Does this expression yield a shared-memory view?"""
-        if isinstance(expr, ast.Call):
-            return _method_name(expr) in VIEW_METHODS
-        if isinstance(expr, ast.Subscript):
-            value = expr.value
-            return isinstance(value, ast.Name) and value.id in self.shared
+        if isinstance(expr, ast.YieldFrom):
+            call = expr.value
+            return (isinstance(call, ast.Call)
+                    and _method_name(call) in VIEW_METHODS)
         if isinstance(expr, ast.Name):
             return expr.id in self.views
         return False
 
-    def _is_shared_expr(self, expr: ast.expr) -> bool:
-        if isinstance(expr, ast.Call):
-            return _method_name(expr) in ALLOC_METHODS
-        if isinstance(expr, ast.Name):
-            return expr.id in self.shared
-        return False
+    def _check_undelegated(self, value: Optional[ast.expr]) -> None:
+        """DSM005 on a statement's value: a bare blocking call."""
+        if not (isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Attribute)):
+            return
+        method = value.func.attr
+        receiver = value.func.value
+        # The last link of the receiver chain: ``pvm`` / ``proc.pvm``.
+        tail = (receiver.id if isinstance(receiver, ast.Name)
+                else getattr(receiver, "attr", None))
+        if not (method in SYNC_METHODS
+                or (method in ARRAY_METHODS and isinstance(receiver, ast.Name)
+                    and receiver.id in self.shared)
+                or (method in PVM_METHODS and tail == "pvm")):
+            return
+        self._report(
+            "DSM005", value,
+            f"{method}() builds a generator that is never driven; write "
+            f"'yield from ...{method}(...)' -- every blocking runtime "
+            "call must be delegated to the engine")
 
     # ------------------------------------------------------------------
     # Expression scan: uses, syncs, direct construction
@@ -213,6 +239,7 @@ class _FunctionLinter:
                              ast.ClassDef)):
             return  # nested definitions are linted separately
         if isinstance(stmt, ast.Assign):
+            self._check_undelegated(stmt.value)
             self._scan_expr(stmt.value)
             for target in stmt.targets:
                 self._bind(target, stmt.value)
@@ -235,6 +262,7 @@ class _FunctionLinter:
                                          lineno=stmt.lineno,
                                          col_offset=stmt.col_offset))
         elif isinstance(stmt, ast.Expr):
+            self._check_undelegated(stmt.value)
             self._scan_expr(stmt.value)
         elif isinstance(stmt, (ast.Return, ast.Raise)):
             self._scan_expr(getattr(stmt, "value", None)

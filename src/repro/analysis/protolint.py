@@ -11,10 +11,10 @@ produce hangs or non-reproducible runs rather than crashes:
   reply would deadlock.
 * **PRT002** -- a handler is registered for a category that is never
   sent: dead protocol surface, usually a renamed category constant.
-* **PRT003** -- a blocking call (``.wait()`` / ``.block()``) is reachable
-  from a registered message handler through same-class method calls.
-  Handlers run in event context on the receiving processor; blocking
-  there wedges the engine.
+* **PRT003** -- a blocking effect (``.wait()`` / ``Block(...)``) is
+  reachable from a registered message handler through same-class method
+  calls.  Handlers run in event context on the receiving processor;
+  blocking there wedges the engine.
 * **PRT004** -- a blocking synchronization (``barrier``/``recv``/
   ``.wait()``) between ``lock_acquire`` and ``lock_release`` in one
   function: a classic simulated-lock-order deadlock shape.
@@ -57,7 +57,6 @@ _CONST_NAME = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
 _PROTOCOL_DIRS = ("sim/", "tmk/", "ivy/", "scabd/", "pvm/")
 #: Send-shaped calls: ``<chan>.send(src, dst, CATEGORY, payload, nbytes)``
 _SEND_ATTRS = {"send", "forward"}
-_BLOCKING_ATTRS = {"wait", "block"}
 #: Blocking synchronization illegal while holding a simulated lock.
 _SYNC_WHILE_LOCKED = {"barrier", "recv", "wait"}
 _WALL_CLOCK_TIME = {"time", "perf_counter", "monotonic", "process_time"}
@@ -66,16 +65,14 @@ _RANDOM_FNS = {"random", "randrange", "randint", "choice", "choices",
                "expovariate", "getrandbits", "seed"}
 
 
-def _sync_name(attr: str) -> str:
-    """Normalize a blocking-call attribute name.
-
-    The runtime exposes every blocking primitive twice: ``foo`` (the
-    thread-backend wrapper) and ``foo_g`` (the generator the coro
-    trampoline drives).  Both block the simulated processor identically,
-    so the lints treat ``wait_g``/``barrier_g``/``recv_g``/... exactly
-    like their undecorated forms.
-    """
-    return attr[:-2] if attr.endswith("_g") else attr
+def _is_blocking(node: ast.AST) -> Optional[str]:
+    """``".wait()"`` / ``"Block()"`` if ``node`` builds a blocking effect."""
+    if isinstance(node, ast.Call):
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "wait":
+            return ".wait()"
+        if isinstance(node.func, ast.Name) and node.func.id == "Block":
+            return "Block()"
+    return None
 
 
 def _is_protocol_path(path: str) -> bool:
@@ -183,13 +180,12 @@ def _lint_handler_blocking(tree: ast.Module, path: str,
                     frontier.append(node.func.attr)
         for name in sorted(reachable):
             for node in ast.walk(methods[name]):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and _sync_name(node.func.attr) in _BLOCKING_ATTRS):
+                blocking = _is_blocking(node)
+                if blocking is not None:
                     findings.append(LintFinding(
                         path=path, line=node.lineno, col=node.col_offset,
                         code="PRT003",
-                        message=f"blocking call .{node.func.attr}() in "
+                        message=f"blocking {blocking} in "
                                 f"{cls.name}.{name}, reachable from a "
                                 "registered message handler; handlers run "
                                 "in event context and must never block"))
@@ -208,7 +204,7 @@ def _lint_sync_under_lock(tree: ast.Module, path: str,
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 continue
-            attr = _sync_name(node.func.attr)
+            attr = node.func.attr
             if attr == "lock_acquire":
                 held = node
             elif attr == "lock_release":

@@ -138,21 +138,18 @@ class RunConfig:
     #: ``InvariantViolation`` mid-run.  Pure observation -- results and
     #: times are identical with or without it.
     invariants: bool = False
-    #: Execution backend: ``"threads"`` (one host thread per simulated
-    #: processor) or ``"coro"`` (cooperative continuations driven by a
-    #: run-to-block trampoline; required past a few hundred nodes).  The
-    #: two are byte-identical, so the cache key deliberately ignores this.
-    engine: str = "threads"
     #: Page-ops kernel backend: ``"pure"`` (reference), ``"numpy"``
     #: (vectorized default), or ``"compiled"`` (C extension; falls back
     #: to numpy when unbuilt).  All backends are byte-identical
-    #: (enforced by tests/kernels/), so the cache key ignores this too.
+    #: (enforced by tests/kernels/), so the cache key ignores this.
     kernels: str = "numpy"
 
+    #: Read-only constant, not a field (no ``__init__`` argument, not
+    #: serialized, ignored in old JSON): there is one engine.  Kept for
+    #: benchmarks/e2e; remove with the next benchmark-archetype PR.
+    engine = "coro"
+
     def __post_init__(self) -> None:
-        if self.engine not in ("threads", "coro"):
-            raise ValueError(
-                f"engine must be 'threads' or 'coro', got {self.engine!r}")
         from repro.kernels import KERNEL_CHOICES
         if self.kernels not in KERNEL_CHOICES:
             raise ValueError(
@@ -196,7 +193,6 @@ class RunConfig:
             "cost": _jsonify(self.cost),
             "replication": _jsonify(self.replication),
             "invariants": self.invariants,
-            "engine": self.engine,
             "kernels": self.kernels,
         }
 
@@ -217,7 +213,6 @@ class RunConfig:
             replication=_dataclass_from_json(ReplicationConfig,
                                              data.get("replication")),
             invariants=bool(data.get("invariants", False)),
-            engine=data.get("engine", "threads"),
             kernels=data.get("kernels", "numpy"),
         )
 
@@ -351,13 +346,9 @@ def cache_key(config: RunConfig) -> str:
     # Key on the *resolved* cost constants only, so an explicit default
     # cost model and cost=None produce the same key.
     config_material.pop("cost")
-    # The two execution backends are byte-identical (enforced by
-    # tests/sim/test_engine_equivalence.py), so a record computed on one
-    # backend serves requests for the other.
-    config_material.pop("engine", None)
-    # Same for the kernel backends: every backend computes identical
-    # diffs (enforced by tests/kernels/), so the choice is a host-side
-    # speed knob, not part of the run's identity.
+    # Every kernel backend computes identical diffs (enforced by
+    # tests/kernels/), so the choice is a host-side speed knob, not part
+    # of the run's identity.
     config_material.pop("kernels", None)
     material = {
         "kind": "run",
@@ -427,7 +418,7 @@ def _execute(config: RunConfig, store: Optional[ResultCache],
         faults=config.faults, analysis=config.analysis,
         recovery=config.recovery, obs=config.obs, cost=config.cost,
         replication=config.replication, invariants=config.invariants,
-        engine=config.engine, kernels=config.kernels)
+        kernels=config.kernels)
     seq = harness.seq_time(config.experiment, config.preset)
     recovery = None
     if par.recovery is not None:

@@ -235,27 +235,27 @@ def tmk_main(proc, params: BhParams):
     smass = tmk.shared_array("bh_mass", (n,), np.float64)
     if tmk.pid == 0:
         pos0, vel0, mass0 = initial_state(params)
-        yield from spos.write_g((slice(None), slice(None)), pos0)
-        yield from svel.write_g((slice(None), slice(None)), vel0)
-        yield from smass.write_g(slice(0, n), mass0)
-    yield from tmk.barrier_g(0)
+        yield from spos.write((slice(None), slice(None)), pos0)
+        yield from svel.write((slice(None), slice(None)), vel0)
+        yield from smass.write(slice(0, n), mass0)
+    yield from tmk.barrier(0)
     bid = 1
     for step in range(params.steps):
         if step == params.warmup and tmk.pid == 0:
             proc.cluster.start_measurement(proc)
         # MakeTree: read every shared body, build private cells.
-        pos = yield from spos.read_g((slice(None), slice(None)))
+        pos = yield from spos.read((slice(None), slice(None)))
         pos = np.asarray(pos)
-        mass = yield from smass.read_g(slice(0, n))
+        mass = yield from smass.read(slice(0, n))
         mass = np.asarray(mass)
         tree = make_tree(pos, mass)
         proc.compute(n * BUILD_CPU)
-        yield from tmk.barrier_g(bid); bid += 1
+        yield from tmk.barrier(bid); bid += 1
         # Get_my_bodies (costzones) + force computation (no sync).
         mine = costzone_partition(tree, tmk.pid, tmk.nprocs)
         acc, interactions = compute_forces(tree, pos, mass, mine)
         proc.compute(interactions * INT_CPU)
-        yield from tmk.barrier_g(bid); bid += 1
+        yield from tmk.barrier(bid); bid += 1
         # Update my (memory-scattered) bodies, run by run -- the per-page
         # access pattern the paper's false-sharing analysis describes.
         runs = contiguous_runs(mine)
@@ -263,7 +263,7 @@ def tmk_main(proc, params: BhParams):
         at = 0
         for lo, hi in runs:
             k = hi - lo
-            band = yield from svel.read_g((slice(lo, hi), slice(None)))
+            band = yield from svel.read((slice(lo, hi), slice(None)))
             new_vel[at: at + k] = band
             at += k
         new_vel += acc * _DT
@@ -271,12 +271,12 @@ def tmk_main(proc, params: BhParams):
         at = 0
         for lo, hi in runs:
             k = hi - lo
-            yield from svel.write_g((slice(lo, hi), slice(None)),
-                                    new_vel[at: at + k])
-            yield from spos.write_g((slice(lo, hi), slice(None)),
-                                    new_pos[at: at + k])
+            yield from svel.write((slice(lo, hi), slice(None)),
+                                  new_vel[at: at + k])
+            yield from spos.write((slice(lo, hi), slice(None)),
+                                  new_pos[at: at + k])
             at += k
-        yield from tmk.barrier_g(bid); bid += 1
+        yield from tmk.barrier(bid); bid += 1
         last = (mine, new_pos)
     if tmk.pid == 0:
         proc.cluster.stop_measurement(proc)
@@ -311,9 +311,9 @@ def pvm_main(proc, params: BhParams):
             buf = pvm.initsend()
             buf.pkdouble(pos[mine].reshape(-1))
             buf.pkdouble(vel[mine].reshape(-1))
-            yield from pvm.bcast_g(_TAG_BODIES, buf)
+            yield from pvm.bcast(_TAG_BODIES, buf)
             for _ in range(nprocs - 1):
-                got = yield from pvm.recv_g(-1, _TAG_BODIES)
+                got = yield from pvm.recv(-1, _TAG_BODIES)
                 theirs = costzone_partition(tree, got.src, nprocs)
                 pos[theirs] = got.upkdouble(theirs.size * 3).reshape(-1, 3)
                 vel[theirs] = got.upkdouble(theirs.size * 3).reshape(-1, 3)

@@ -186,7 +186,7 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
                  replication: Optional[ReplicationConfig] = None,
                  scheduler: Optional[Any] = None,
                  invariants: bool = False,
-                 engine: str = "threads",
+                 engine: str = "coro",
                  kernels: str = "numpy") -> ParallelResult:
     """Run one application on a fresh simulated cluster.
 
@@ -228,17 +228,16 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
     accounting: a default-scheduled run with invariants on computes
     byte-identical results.
 
-    ``engine`` selects the execution backend: ``"threads"`` (one host
-    thread per simulated processor, the historical default) or ``"coro"``
-    (cooperative continuations on one host thread -- required past a few
-    hundred simulated processors).  Both produce byte-identical results.
+    ``engine`` accepts only ``"coro"`` (there is one engine); kept for
+    benchmarks/e2e; remove with the next benchmark-archetype PR.
 
     ``kernels`` selects the page-ops kernel backend (``"pure"``,
-    ``"numpy"``, or ``"compiled"``; see ``repro.kernels``).  Like the
-    engine, it is a host-side execution detail: every backend computes
-    byte-identical diffs, so results, traffic, and virtual times do not
-    depend on it.
+    ``"numpy"``, or ``"compiled"``; see ``repro.kernels``).  It is a
+    host-side execution detail: every backend computes byte-identical
+    diffs, so results, traffic, and virtual times do not depend on it.
     """
+    if engine != "coro":
+        raise ValueError(f"engine must be 'coro', got {engine!r}")
     spec = get_app(app) if isinstance(app, str) else app
     if system not in ("tmk", "pvm", "ivy"):
         raise ValueError(
@@ -268,7 +267,7 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
         total_procs = nprocs + (replication.replicas if mask else 0)
         cluster = Cluster(total_procs, config=ClusterConfig(
             cost=cost, trace=trace, faults=plan, recovery=recovery, obs=obs,
-            scheduler=scheduler, engine=engine, kernels=kernels))
+            scheduler=scheduler, kernels=kernels))
         sanitizer = None
         scabd_system = None
         if mask:

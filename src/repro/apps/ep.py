@@ -113,19 +113,19 @@ _B_START, _B_DONE = 0, 1
 def tmk_main(proc, params: EpParams):
     tmk = proc.tmk
     shared = tmk.shared_array("ep_counts", (NUM_ANNULI,), np.int64)
-    yield from tmk.barrier_g(_B_START)
+    yield from tmk.barrier(_B_START)
     if tmk.pid == 0:
         proc.cluster.start_measurement(proc)
     local = np.zeros(NUM_ANNULI, dtype=np.int64)
     for block in range(tmk.pid, params.nblocks, tmk.nprocs):
         local += generate_block(params, block)
         proc.compute(_block_cost(params))
-    yield from tmk.lock_acquire_g(_LOCK)
-    yield from shared.add_g(slice(0, NUM_ANNULI), local)
-    yield from tmk.lock_release_g(_LOCK)
-    yield from tmk.barrier_g(_B_DONE)
+    yield from tmk.lock_acquire(_LOCK)
+    yield from shared.add(slice(0, NUM_ANNULI), local)
+    yield from tmk.lock_release(_LOCK)
+    yield from tmk.barrier(_B_DONE)
     if tmk.pid == 0:
-        counts = yield from shared.read_g()
+        counts = yield from shared.read()
         return counts.tolist()
     return None
 
@@ -146,12 +146,12 @@ def pvm_main(proc, params: EpParams):
         proc.compute(_block_cost(params))
     if pvm.mytid == 0:
         for _ in range(pvm.nprocs - 1):
-            buf = yield from pvm.recv_g(-1, _TAG_COUNTS)
+            buf = yield from pvm.recv(-1, _TAG_COUNTS)
             counts += buf.upklong(NUM_ANNULI)
         return counts.tolist()
     buf = pvm.initsend()
     buf.pklong(counts)
-    yield from pvm.send_g(0, _TAG_COUNTS, buf)
+    yield from pvm.send(0, _TAG_COUNTS, buf)
     return None
 
 

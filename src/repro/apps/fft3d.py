@@ -144,24 +144,24 @@ def tmk_main(proc, params: FftParams):
     bid = [100]
 
     def next_barrier():
-        yield from tmk.barrier_g(bid[0])
+        yield from tmk.barrier(bid[0])
         bid[0] += 1
 
     def transpose_a_to_b(a_slab: np.ndarray):
         """a_slab is (i, j, k); write (k, i, j) slices; read my k-slab."""
-        yield from shared_b.write_g((slice(None), slice(ilo, ihi), slice(None)),
-                                    a_slab.transpose(2, 0, 1))
+        yield from shared_b.write((slice(None), slice(ilo, ihi), slice(None)),
+                                  a_slab.transpose(2, 0, 1))
         yield from next_barrier()
-        block = yield from shared_b.read_g(
+        block = yield from shared_b.read(
             (slice(klo, khi), slice(None), slice(None)))
         return np.asarray(block).copy()
 
     def transpose_b_to_a(b_slab: np.ndarray):
         """b_slab is (k, i, j); write (i, k, j) slices; read my i-slab."""
-        yield from shared_a2.write_g((slice(None), slice(klo, khi), slice(None)),
-                                     b_slab.transpose(1, 0, 2))
+        yield from shared_a2.write((slice(None), slice(klo, khi), slice(None)),
+                                   b_slab.transpose(1, 0, 2))
         yield from next_barrier()
-        block = yield from shared_a2.read_g(
+        block = yield from shared_a2.read(
             (slice(ilo, ihi), slice(None), slice(None)))
         return np.asarray(block).copy()
 
@@ -230,9 +230,9 @@ def _pvm_transpose(pvm, proc, local: np.ndarray, my_lo: int,
         block = local[:, :, plo:phi].transpose(2, 1, 0)
         buf = pvm.initsend()
         buf.pkdcplx(np.ascontiguousarray(block).reshape(-1))
-        yield from pvm.send_g(p, tag, buf)
+        yield from pvm.send(p, tag, buf)
     for _ in range(n - 1):
-        got = yield from pvm.recv_g(-1, tag)
+        got = yield from pvm.recv(-1, tag)
         slo, shi = slab(got.src, n, src_extent)
         count = (dhi - dlo) * n_mid * (shi - slo)
         out[:, :, slo:shi] = got.upkdcplx(count).reshape(

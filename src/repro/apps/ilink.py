@@ -174,9 +174,9 @@ def tmk_main(proc, params: IlinkParams):
     if me == 0:
         dense = np.zeros(L)
         dense[ped.first_nonzeros] = ped.first_values
-        yield from parent.write_g(slice(0, L), dense)
-        yield from pidx.write_g(slice(0, params.nonzeros), ped.first_nonzeros)
-    yield from tmk.barrier_g(0)
+        yield from parent.write(slice(0, L), dense)
+        yield from pidx.write(slice(0, params.nonzeros), ped.first_nonzeros)
+    yield from tmk.barrier(0)
     if me == 0:
         proc.cluster.start_measurement(proc)
     loglik = 0.0
@@ -185,11 +185,11 @@ def tmk_main(proc, params: IlinkParams):
         # Everyone reads the parent's nonzeros; page-granular faults fetch
         # whole pages, i.e. also the elements assigned to other processors
         # (the paper's false-sharing observation).
-        indices = yield from pidx.read_g(slice(0, params.nonzeros))
+        indices = yield from pidx.read(slice(0, params.nonzeros))
         indices = np.asarray(indices)
         share = assigned(indices, me, n)
         my_idx = indices[share]
-        full = yield from parent.read_g(slice(0, L))
+        full = yield from parent.read(slice(0, L))
         my_vals = np.asarray(full)[my_idx]
         out, cost = ped.contribution(family, my_idx, my_vals)
         proc.compute(cost)
@@ -198,25 +198,25 @@ def tmk_main(proc, params: IlinkParams):
         mask = ped.masks[family]
         row = np.zeros(L)
         row[mask] = out
-        yield from contrib.write_g((slice(me, me + 1), slice(None)),
-                                   row[None, :])
-        yield from tmk.barrier_g(bid); bid += 1
+        yield from contrib.write((slice(me, me + 1), slice(None)),
+                                 row[None, :])
+        yield from tmk.barrier(bid); bid += 1
         if me == 0:
             # Master sums the contributions and re-initializes the bank
             # for the next family (the diff-accumulation source).
             posterior = np.zeros(mask.size)
             for w in range(n):
-                wrow = yield from contrib.read_g((slice(w, w + 1),
-                                                  slice(None)))
+                wrow = yield from contrib.read((slice(w, w + 1),
+                                                slice(None)))
                 posterior += np.asarray(wrow).reshape(-1)[mask]
             proc.compute(params.genarray_len * INIT_CPU)
             indices, values, ll = ped.reduce_family(family, posterior)
             loglik += ll
             dense = np.zeros(L)
             dense[indices] = values
-            yield from parent.write_g(slice(0, L), dense)
-            yield from pidx.write_g(slice(0, params.nonzeros), indices)
-        yield from tmk.barrier_g(bid); bid += 1
+            yield from parent.write(slice(0, L), dense)
+            yield from pidx.write(slice(0, params.nonzeros), indices)
+        yield from tmk.barrier(bid); bid += 1
     return loglik if me == 0 else None
 
 
@@ -243,20 +243,20 @@ def pvm_main(proc, params: IlinkParams):
                 buf.pkint([int(share.sum())])
                 buf.pklong(indices[share])
                 buf.pkdouble(values[share])
-                yield from pvm.send_g(w, _TAG_WORK, buf)
+                yield from pvm.send(w, _TAG_WORK, buf)
             share = assigned(indices, 0, n)
             posterior, cost = ped.contribution(family, indices[share],
                                                values[share])
             proc.compute(cost)
             for _ in range(n - 1):
-                got = yield from pvm.recv_g(-1, _TAG_CONTRIB)
+                got = yield from pvm.recv(-1, _TAG_CONTRIB)
                 posterior = posterior + got.upkdouble(params.mask_size)
             proc.compute(params.genarray_len * INIT_CPU)
             indices, values, ll = ped.reduce_family(family, posterior)
             loglik += ll
         return loglik
     for family in range(params.families):
-        got = yield from pvm.recv_g(0, _TAG_WORK)
+        got = yield from pvm.recv(0, _TAG_WORK)
         count = int(got.upkint(1)[0])
         my_idx = got.upklong(count)
         my_vals = got.upkdouble(count)
@@ -264,7 +264,7 @@ def pvm_main(proc, params: IlinkParams):
         proc.compute(cost)
         buf = pvm.initsend()
         buf.pkdouble(out)
-        yield from pvm.send_g(0, _TAG_CONTRIB, buf)
+        yield from pvm.send(0, _TAG_CONTRIB, buf)
     return None
 
 

@@ -142,35 +142,35 @@ def tmk_main(proc, params: IsParams):
     # Per-iteration updater counter, on its own page, same lock.
     meta = tmk.shared_array("is_meta", (1,), np.int32)
     keys = block_keys(params, tmk.pid, tmk.nprocs)
-    yield from tmk.barrier_g(0)
+    yield from tmk.barrier(0)
     if tmk.pid == 0:
         proc.cluster.start_measurement(proc)
     checksum = 0
     for it in range(params.iterations):
         private = count_keys(keys, params.bmax)
         proc.compute(count_cost(params, keys.size))
-        yield from tmk.lock_acquire_g(_LOCK_BUCKETS)
-        updater = yield from meta.get_g(0)
+        yield from tmk.lock_acquire(_LOCK_BUCKETS)
+        updater = yield from meta.get(0)
         if int(updater) == 0:
             # First updater of this iteration overwrites the stale counts
             # (the "complete overwrite" the paper's diff-accumulation
             # analysis describes).
-            yield from shared.write_g(slice(0, params.bmax), private)
+            yield from shared.write(slice(0, params.bmax), private)
         else:
-            yield from shared.add_g(slice(0, params.bmax), private)
-        updater = yield from meta.get_g(0)
-        yield from meta.set_g(0, (int(updater) + 1) % tmk.nprocs)
+            yield from shared.add(slice(0, params.bmax), private)
+        updater = yield from meta.get(0)
+        yield from meta.set(0, (int(updater) + 1) % tmk.nprocs)
         proc.compute(params.bmax * BUCKET_CPU)
-        yield from tmk.lock_release_g(_LOCK_BUCKETS)
-        yield from tmk.barrier_g(1 + it)
+        yield from tmk.lock_release(_LOCK_BUCKETS)
+        yield from tmk.barrier(1 + it)
         # Benign race: ranking uses the barrier-time snapshot while the
         # next iteration's first updater may already be overwriting the
         # counts.  Under LRC those writes cannot reach this copy before
         # the next barrier, so every processor ranks the same values.
-        buckets = yield from shared.read_racy_g(slice(0, params.bmax))
+        buckets = yield from shared.read_racy(slice(0, params.bmax))
         checksum += rank_checksum(buckets, keys)
         proc.compute(rank_cost(params, keys.size))
-    final = yield from shared.read_g(slice(0, params.bmax))
+    final = yield from shared.read(slice(0, params.bmax))
     final = final.copy()
     return final.tolist(), checksum
 
@@ -196,24 +196,24 @@ def pvm_main(proc, params: IsParams):
         if n == 1:
             buckets = private
         elif me == n - 1:
-            got = yield from pvm.recv_g(me - 1, _TAG_CHAIN)
+            got = yield from pvm.recv(me - 1, _TAG_CHAIN)
             buckets = got.upkint(params.bmax).astype(np.int32) + private
             proc.compute(params.bmax * BUCKET_CPU)
             buf = pvm.initsend()
             buf.pkint(buckets)
-            yield from pvm.mcast_g(
+            yield from pvm.mcast(
                 [p for p in range(n) if p != me], _TAG_FINAL, buf)
         else:
             if me == 0:
                 partial = private
             else:
-                got = yield from pvm.recv_g(me - 1, _TAG_CHAIN)
+                got = yield from pvm.recv(me - 1, _TAG_CHAIN)
                 partial = got.upkint(params.bmax).astype(np.int32) + private
                 proc.compute(params.bmax * BUCKET_CPU)
             buf = pvm.initsend()
             buf.pkint(partial)
-            yield from pvm.send_g(me + 1, _TAG_CHAIN, buf)
-            got = yield from pvm.recv_g(n - 1, _TAG_FINAL)
+            yield from pvm.send(me + 1, _TAG_CHAIN, buf)
+            got = yield from pvm.recv(n - 1, _TAG_FINAL)
             buckets = got.upkint(params.bmax).astype(np.int32)
         checksum += rank_checksum(buckets, keys)
         proc.compute(rank_cost(params, keys.size))

@@ -124,61 +124,61 @@ def tmk_main(proc, params: QsortParams):
     # top-of-queue index and outstanding-task count, one page.
     meta = tmk.shared_array("qs_meta", (2,), np.int32)
     if tmk.pid == 0:
-        yield from arr.write_g(slice(0, params.nkeys), initial_keys(params))
-        yield from queue.write_g((slice(0, 1), slice(None)),
-                                 [[0, params.nkeys]])
-        yield from meta.write_g(slice(0, 2), [1, 1])  # qtop=1, outstanding=1
-    yield from tmk.barrier_g(0)
+        yield from arr.write(slice(0, params.nkeys), initial_keys(params))
+        yield from queue.write((slice(0, 1), slice(None)),
+                               [[0, params.nkeys]])
+        yield from meta.write(slice(0, 2), [1, 1])  # qtop=1, outstanding=1
+    yield from tmk.barrier(0)
     if tmk.pid == 0:
         proc.cluster.start_measurement(proc)
     while True:
-        yield from tmk.lock_acquire_g(_LOCK_QUEUE)
-        counters = yield from meta.read_g(slice(0, 2))
+        yield from tmk.lock_acquire(_LOCK_QUEUE)
+        counters = yield from meta.read(slice(0, 2))
         qtop, outstanding = (int(v) for v in counters)
         if outstanding == 0:
-            yield from tmk.lock_release_g(_LOCK_QUEUE)
+            yield from tmk.lock_release(_LOCK_QUEUE)
             break
         if qtop == 0:
-            yield from tmk.lock_release_g(_LOCK_QUEUE)
+            yield from tmk.lock_release(_LOCK_QUEUE)
             proc.compute(POLL_BACKOFF)
             continue
-        task = yield from queue.read_g((slice(qtop - 1, qtop), slice(None)))
+        task = yield from queue.read((slice(qtop - 1, qtop), slice(None)))
         lo, hi = (int(v) for v in task.reshape(-1))
-        yield from meta.set_g(0, qtop - 1)
-        yield from tmk.lock_release_g(_LOCK_QUEUE)
+        yield from meta.set(0, qtop - 1)
+        yield from tmk.lock_release(_LOCK_QUEUE)
 
         k = hi - lo
         if k <= params.threshold:
-            values = yield from arr.read_g(slice(lo, hi))
+            values = yield from arr.read(slice(lo, hi))
             values = values.copy()
-            yield from arr.write_g(slice(lo, hi), np.sort(values, kind="stable"))
+            yield from arr.write(slice(lo, hi), np.sort(values, kind="stable"))
             proc.compute(bubble_cost(k))
-            yield from tmk.lock_acquire_g(_LOCK_QUEUE)
-            left = yield from meta.get_g(1)
-            yield from meta.set_g(1, int(left) - 1)
-            yield from tmk.lock_release_g(_LOCK_QUEUE)
+            yield from tmk.lock_acquire(_LOCK_QUEUE)
+            left = yield from meta.get(1)
+            yield from meta.set(1, int(left) - 1)
+            yield from tmk.lock_release(_LOCK_QUEUE)
         else:
-            values = yield from arr.read_g(slice(lo, hi))
+            values = yield from arr.read(slice(lo, hi))
             values = values.copy()
             rearranged, eq_lo, eq_hi = partition(values)
-            yield from arr.write_g(slice(lo, hi), rearranged)
+            yield from arr.write(slice(lo, hi), rearranged)
             proc.compute(partition_cost(k))
-            yield from tmk.lock_acquire_g(_LOCK_QUEUE)
-            qtop = yield from meta.get_g(0)
+            yield from tmk.lock_acquire(_LOCK_QUEUE)
+            qtop = yield from meta.get(0)
             qtop = int(qtop)
             if qtop + 2 > MAX_QUEUE:
                 raise RuntimeError("work queue overflow")
-            yield from queue.write_g((slice(qtop, qtop + 2), slice(None)),
-                                     [[lo, lo + eq_lo], [lo + eq_hi, hi]])
-            left = yield from meta.get_g(1)
-            yield from meta.write_g(slice(0, 2), [qtop + 2, int(left) + 1])
-            yield from tmk.lock_release_g(_LOCK_QUEUE)
-    yield from tmk.barrier_g(1)
+            yield from queue.write((slice(qtop, qtop + 2), slice(None)),
+                                   [[lo, lo + eq_lo], [lo + eq_hi, hi]])
+            left = yield from meta.get(1)
+            yield from meta.write(slice(0, 2), [qtop + 2, int(left) + 1])
+            yield from tmk.lock_release(_LOCK_QUEUE)
+    yield from tmk.barrier(1)
     # Out-of-band result collection: each processor's copy of the pages it
     # holds valid is not the full array, so only processor 0 re-reads it.
     if tmk.pid == 0:
         proc.cluster.stop_measurement(proc)
-        out = yield from arr.read_g(slice(0, params.nkeys))
+        out = yield from arr.read(slice(0, params.nkeys))
         return out.copy()
     return None
 
@@ -221,13 +221,13 @@ def _master(proc, params: QsortParams):
         buf = pvm.initsend()
         buf.pkint([lo, hi])
         buf.pkint(arr[lo:hi])
-        yield from pvm.send_g(slave, _TAG_WORK, buf)
+        yield from pvm.send(slave, _TAG_WORK, buf)
 
     def poll():
         """Drain arrivals and serve waiting slaves (the master half of the
         time-shared master+slave pair on this processor)."""
         while True:
-            buf = yield from pvm.nrecv_g(-1, -1)
+            buf = yield from pvm.nrecv(-1, -1)
             if buf is None:
                 break
             if buf.tag == _TAG_REQ:
@@ -244,10 +244,10 @@ def _master(proc, params: QsortParams):
             while pending:
                 buf = pvm.initsend()
                 buf.pkint([0])
-                yield from pvm.send_g(pending.pop(0), _TAG_DONE, buf)
+                yield from pvm.send(pending.pop(0), _TAG_DONE, buf)
                 done_sent += 1
             if done_sent < n - 1:
-                buf = yield from pvm.recv_g(-1, _TAG_REQ)
+                buf = yield from pvm.recv(-1, _TAG_REQ)
                 buf.upkint(1)
                 pending.append(buf.src)
             continue
@@ -269,7 +269,7 @@ def _master(proc, params: QsortParams):
                 outstanding += 1
         elif not queue:
             # Work is all in flight; block for the next result.
-            buf = yield from pvm.recv_g(-1, -1)
+            buf = yield from pvm.recv(-1, -1)
             if buf.tag == _TAG_REQ:
                 buf.upkint(1)
                 pending.append(buf.src)
@@ -283,8 +283,8 @@ def _slave(proc, params: QsortParams):
     while True:
         buf = pvm.initsend()
         buf.pkint([pvm.mytid])
-        yield from pvm.send_g(0, _TAG_REQ, buf)
-        reply = yield from pvm.recv_g(0, -1)
+        yield from pvm.send(0, _TAG_REQ, buf)
+        reply = yield from pvm.recv(0, -1)
         if reply.tag == _TAG_DONE:
             reply.upkint(1)
             return
@@ -298,13 +298,13 @@ def _slave(proc, params: QsortParams):
             values = np.sort(values, kind="stable")
             proc.compute(bubble_cost(k))
             out.pkint(values)
-            yield from pvm.send_g(0, _TAG_LEAF, out)
+            yield from pvm.send(0, _TAG_LEAF, out)
         else:
             rearranged, eq_lo, eq_hi = partition(values)
             proc.compute(partition_cost(k))
             out.pkint([eq_lo, eq_hi])
             out.pkint(rearranged)
-            yield from pvm.send_g(0, _TAG_SPLIT, out)
+            yield from pvm.send(0, _TAG_SPLIT, out)
 
 
 def pvm_main(proc, params: QsortParams):

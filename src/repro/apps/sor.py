@@ -150,29 +150,29 @@ def tmk_main(proc, params: SorParams):
         # Master initialization (the paper notes this TreadMarks/PVM
         # difference; the excluded first iteration absorbs it).
         init = initial_array(params)
-        yield from red.write_g((slice(None), slice(None)), init)
-        yield from black.write_g((slice(None), slice(None)), init)
-    yield from tmk.barrier_g(0)
+        yield from red.write((slice(None), slice(None)), init)
+        yield from black.write((slice(None), slice(None)), init)
+    yield from tmk.barrier(0)
     lo, hi = band(tmk.pid, tmk.nprocs, params.rows)
     for it in range(params.iterations):
         target, src = (red, black) if it % 2 == 0 else (black, red)
         glo = max(lo - 1, 0)
         ghi = min(hi + 1, params.rows)
-        src_rows = yield from src.read_g((slice(glo, ghi), slice(None)))
+        src_rows = yield from src.read((slice(glo, ghi), slice(None)))
         new, cost = phase_kernel(src_rows, lo, hi, params.rows)
         proc.compute(cost)
         first = max(lo, 1)
         last = min(hi, params.rows - 1)
         if last > first:
-            yield from target.write_g(
+            yield from target.write(
                 (slice(first, last), slice(1, params.width - 1)), new)
-        yield from tmk.barrier_g(1 + it)
+        yield from tmk.barrier(1 + it)
         if it == 0 and tmk.pid == 0:
             proc.cluster.start_measurement(proc)
     # Each processor returns its own band (local, valid pages -- no
     # traffic); the harness stitches them outside the simulated program.
-    red_band = yield from red.read_g((slice(lo, hi), slice(None)))
-    black_band = yield from black.read_g((slice(lo, hi), slice(None)))
+    red_band = yield from red.read((slice(lo, hi), slice(None)))
+    black_band = yield from black.read((slice(lo, hi), slice(None)))
     return (lo, hi, red_band.copy(), black_band.copy())
 
 
@@ -203,16 +203,16 @@ def pvm_main(proc, params: SorParams):
         if me > 0:
             buf = pvm.initsend()
             buf.pkdouble(target[off])
-            yield from pvm.send_g(me - 1, _TAG_UP, buf)
+            yield from pvm.send(me - 1, _TAG_UP, buf)
         if me < n - 1:
             buf = pvm.initsend()
             buf.pkdouble(target[off + (hi - lo) - 1])
-            yield from pvm.send_g(me + 1, _TAG_DOWN, buf)
+            yield from pvm.send(me + 1, _TAG_DOWN, buf)
         if me > 0:
-            got = yield from pvm.recv_g(me - 1, _TAG_DOWN)
+            got = yield from pvm.recv(me - 1, _TAG_DOWN)
             target[off - 1] = got.upkdouble(params.width)
         if me < n - 1:
-            got = yield from pvm.recv_g(me + 1, _TAG_UP)
+            got = yield from pvm.recv(me + 1, _TAG_UP)
             target[off + (hi - lo)] = got.upkdouble(params.width)
 
     for it in range(params.iterations):

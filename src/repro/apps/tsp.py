@@ -337,35 +337,35 @@ class _SharedTourState:
         self.stack = tmk.shared_array("tsp_stack", (slots + 1,), np.int32)
         self.best = tmk.shared_array("tsp_best", (1,), np.int32)
 
-    def init_master_g(self, dist: np.ndarray):
+    def init_master(self, dist: np.ndarray):
         params = self.params
-        yield from self.best.set_g(0, greedy_tour_cost(dist))
+        yield from self.best.set(0, greedy_tour_cost(dist))
         # All slots free except slot 0, which holds the root tour.
         count = params.pool_slots - 1
-        yield from self.stack.set_g(0, count)
-        yield from self.stack.write_g(
+        yield from self.stack.set(0, count)
+        yield from self.stack.write(
             slice(1, count + 1),
             np.arange(params.pool_slots - 1, 0, -1, dtype=np.int32))
         row = np.zeros(params.ncities + 2, dtype=np.int32)
         row[0] = 1  # path length
         row[1] = 0  # cost
         row[2] = 0  # city 0
-        yield from self.pool.write_g((slice(0, 1), slice(None)), row[None, :])
-        yield from self.queue.write_g(
+        yield from self.pool.write((slice(0, 1), slice(None)), row[None, :])
+        yield from self.queue.write(
             (slice(0, 2), slice(None)),
             np.array([[1, 0],
                       [_prio(1, lower_bound(dist, [0], 0)), 0]],
                      dtype=np.int32))
 
     # -- under the queue lock -------------------------------------------
-    def pop_best_entry_g(self):
+    def pop_best_entry(self):
         """Pop the entry with the smallest packed priority key (deepest
         partial tour, then lowest bound); returns (bound, slot)."""
-        size = yield from self.queue.get_g((0, 0))
+        size = yield from self.queue.get((0, 0))
         size = int(size)
         if size == 0:
             return None
-        entries = yield from self.queue.read_g(
+        entries = yield from self.queue.read(
             (slice(1, size + 1), slice(None)))
         col0 = entries[:, 0]
         cand = np.flatnonzero(col0 == col0.min())
@@ -376,67 +376,67 @@ class _SharedTourState:
         key, slot = entries[idx].tolist()
         last = entries[size - 1]
         if idx != size - 1:
-            yield from self.queue.write_g(
+            yield from self.queue.write(
                 (slice(idx + 1, idx + 2), slice(None)), last[None, :])
-        yield from self.queue.set_g((0, 0), size - 1)
+        yield from self.queue.set((0, 0), size - 1)
         return _prio_bound(key), slot
 
-    def read_tour_g(self, slot: int):
-        row = yield from self.pool.read_g(
+    def read_tour(self, slot: int):
+        row = yield from self.pool.read(
             (slice(slot, slot + 1), slice(None)))
         row = row.reshape(-1)
         length, cost = int(row[0]), int(row[1])
         return row[2: 2 + length].tolist(), cost
 
-    def free_slot_g(self, slot: int):
-        count = yield from self.stack.get_g(0)
+    def free_slot(self, slot: int):
+        count = yield from self.stack.get(0)
         count = int(count)
-        yield from self.stack.set_g(count + 1, slot)
-        yield from self.stack.set_g(0, count + 1)
+        yield from self.stack.set(count + 1, slot)
+        yield from self.stack.set(0, count + 1)
 
-    def alloc_slot_g(self):
-        count = yield from self.stack.get_g(0)
+    def alloc_slot(self):
+        count = yield from self.stack.get(0)
         count = int(count)
         if count == 0:
             raise RuntimeError("tour pool exhausted")
-        slot = yield from self.stack.get_g(count)
+        slot = yield from self.stack.get(count)
         slot = int(slot)
-        yield from self.stack.set_g(0, count - 1)
+        yield from self.stack.set(0, count - 1)
         return slot
 
-    def push_tour_g(self, path: List[int], cost: int, bound: int):
-        slot = yield from self.alloc_slot_g()
+    def push_tour(self, path: List[int], cost: int, bound: int):
+        slot = yield from self.alloc_slot()
         row = np.zeros(self.params.ncities + 2, dtype=np.int32)
         row[0] = len(path)
         row[1] = cost
         row[2: 2 + len(path)] = path
-        yield from self.pool.write_g((slice(slot, slot + 1), slice(None)),
-                                     row[None, :])
-        size = yield from self.queue.get_g((0, 0))
+        yield from self.pool.write((slice(slot, slot + 1), slice(None)),
+                                   row[None, :])
+        size = yield from self.queue.get((0, 0))
         size = int(size)
         key = _prio(len(path), bound)
-        yield from self.queue.write_g(
+        yield from self.queue.write(
             (slice(size + 1, size + 2), slice(None)),
             np.array([[key, slot]], dtype=np.int32))
-        yield from self.queue.set_g((0, 0), size + 1)
+        yield from self.queue.set((0, 0), size + 1)
 
 
-def _tmk_get_tour_g(tmk, proc, state: _SharedTourState, dist: np.ndarray,
-                    min_out: np.ndarray):
+def _tmk_get_tour(tmk, proc, state: _SharedTourState, dist: np.ndarray,
+                  min_out: np.ndarray):
     """The shared-memory get_tour, guarded by the queue lock."""
     params = state.params
-    yield from tmk.lock_acquire_g(_LOCK_QUEUE)
+    yield from tmk.lock_acquire(_LOCK_QUEUE)
     try:
         while True:
-            entry = yield from state.pop_best_entry_g()
+            entry = yield from state.pop_best_entry()
             if entry is None:
                 return None
             bound, slot = entry
-            path, cost = yield from state.read_tour_g(slot)
-            yield from state.free_slot_g(slot)
+            path, cost = yield from state.read_tour(slot)
+            yield from state.free_slot(slot)
             # Benign race: the bound is written under _LOCK_BEST, which
             # this path does not hold; a stale value only weakens pruning.
-            best = yield from state.best.get_racy_g(0)
+            best = yield from state.best.get_racy(0)
             best = int(best)
             if bound >= best:
                 continue
@@ -453,11 +453,11 @@ def _tmk_get_tour_g(tmk, proc, state: _SharedTourState, dist: np.ndarray,
                 nbound = ncost + slack
                 if nbound >= best:
                     continue
-                yield from state.push_tour_g(path + [city], ncost, nbound)
+                yield from state.push_tour(path + [city], ncost, nbound)
                 extensions += 1
             proc.compute(extensions * EXTEND_CPU)
     finally:
-        yield from tmk.lock_release_g(_LOCK_QUEUE)
+        yield from tmk.lock_release(_LOCK_QUEUE)
 
 
 def tmk_main(proc, params: TspParams):
@@ -466,29 +466,29 @@ def tmk_main(proc, params: TspParams):
     min_out = min_out_edges(dist)
     state = _SharedTourState(tmk, params)
     if tmk.pid == 0:
-        yield from state.init_master_g(dist)
-    yield from tmk.barrier_g(0)
+        yield from state.init_master(dist)
+    yield from tmk.barrier(0)
     if tmk.pid == 0:
         proc.cluster.start_measurement(proc)
     while True:
-        tour = yield from _tmk_get_tour_g(tmk, proc, state, dist, min_out)
+        tour = yield from _tmk_get_tour(tmk, proc, state, dist, min_out)
         if tour is None:
             break
         path, cost = tour
         # Prune against the possibly-stale local copy of the bound
         # (benign race: the definitive check at the update is locked).
-        local_best = yield from state.best.get_racy_g(0)
+        local_best = yield from state.best.get_racy(0)
         local_best = int(local_best)
         nbest, ntour, nodes = recursive_solve(dist, path, cost, local_best)
         proc.compute(nodes * NODE_CPU)
         if nbest < local_best:
-            yield from tmk.lock_acquire_g(_LOCK_BEST)
-            current = yield from state.best.get_g(0)
+            yield from tmk.lock_acquire(_LOCK_BEST)
+            current = yield from state.best.get(0)
             if nbest < int(current):
-                yield from state.best.set_g(0, nbest)
-            yield from tmk.lock_release_g(_LOCK_BEST)
-    yield from tmk.barrier_g(1)
-    final = yield from state.best.get_g(0)
+                yield from state.best.set(0, nbest)
+            yield from tmk.lock_release(_LOCK_BEST)
+    yield from tmk.barrier(1)
+    final = yield from state.best.get(0)
     return int(final)
 
 
@@ -534,18 +534,18 @@ def _pvm_master(proc, params: TspParams):
         out = pvm.initsend()
         if tour is None:
             out.pkint([0])
-            yield from pvm.send_g(buf.src, _TAG_DONE, out)
+            yield from pvm.send(buf.src, _TAG_DONE, out)
             done_sent += 1
         else:
             path, pcost = tour
             out.pkint([len(path), pcost, best])
             out.pkint(path)
-            yield from pvm.send_g(buf.src, _TAG_TOUR, out)
+            yield from pvm.send(buf.src, _TAG_TOUR, out)
         return True
 
     def poll():
         while True:
-            buf = yield from pvm.nrecv_g(-1, -1)
+            buf = yield from pvm.nrecv(-1, -1)
             if buf is None:
                 return
             yield from handle(buf)
@@ -554,7 +554,7 @@ def _pvm_master(proc, params: TspParams):
         # Drain whatever has arrived, then do a unit of the master's own
         # slave work (time-shared with request service) if the queue still
         # has promising tours.
-        buf = yield from pvm.nrecv_g(-1, -1)
+        buf = yield from pvm.nrecv(-1, -1)
         if buf is not None:
             yield from handle(buf)
             continue
@@ -566,7 +566,7 @@ def _pvm_master(proc, params: TspParams):
             yield from compute_polled(proc, nodes * NODE_CPU, poll)
             best = min(best, nbest)
         else:
-            buf = yield from pvm.recv_g(-1, -1)
+            buf = yield from pvm.recv(-1, -1)
             yield from handle(buf)
     return best
 
@@ -578,8 +578,8 @@ def _pvm_slave(proc, params: TspParams):
     while True:
         buf = pvm.initsend()
         buf.pkint([pvm.mytid])
-        yield from pvm.send_g(0, _TAG_REQ, buf)
-        reply = yield from pvm.recv_g(0, -1)
+        yield from pvm.send(0, _TAG_REQ, buf)
+        reply = yield from pvm.recv(0, -1)
         if reply.tag == _TAG_DONE:
             reply.upkint(1)
             return
@@ -592,7 +592,7 @@ def _pvm_slave(proc, params: TspParams):
             best = nbest
             out = pvm.initsend()
             out.pkint([best])
-            yield from pvm.send_g(0, _TAG_BEST, out)
+            yield from pvm.send(0, _TAG_BEST, out)
 
 
 def pvm_main(proc, params: TspParams):

@@ -154,36 +154,36 @@ def tmk_main(proc, params: WaterParams):
     lo, hi = chunk(tmk.pid, tmk.nprocs, n)
     vel = np.zeros((hi - lo, 3))
     if tmk.pid == 0:
-        yield from pos.write_g((slice(None), slice(None)),
-                               initial_positions(params))
-    yield from tmk.barrier_g(0)
+        yield from pos.write((slice(None), slice(None)),
+                             initial_positions(params))
+    yield from tmk.barrier(0)
     if tmk.pid == 0:
         proc.cluster.start_measurement(proc)
     bid = 1
     for _ in range(params.steps):
         # Owners zero their force rows for the new step.
-        yield from shf.write_g((slice(lo, hi), slice(None)), 0.0)
-        yield from tmk.barrier_g(bid); bid += 1
+        yield from shf.write((slice(lo, hi), slice(None)), 0.0)
+        yield from tmk.barrier(bid); bid += 1
         # Force phase: read the displacements (faults on remote chunks),
         # accumulate into a private copy.
-        local_pos = yield from pos.read_g((slice(None), slice(None)))
+        local_pos = yield from pos.read((slice(None), slice(None)))
         local_pos = np.asarray(local_pos)
         forces, cost = window_forces(local_pos, lo, hi)
         proc.compute(cost)
         # Add contributions to each touched owner's rows under its lock.
         for owner, olo, ohi in owners_touched(lo, hi, tmk.nprocs, n):
-            yield from tmk.lock_acquire_g(owner)
-            yield from shf.add_g((slice(olo, ohi), slice(None)),
-                                 forces[olo:ohi])
-            yield from tmk.lock_release_g(owner)
-        yield from tmk.barrier_g(bid); bid += 1
+            yield from tmk.lock_acquire(owner)
+            yield from shf.add((slice(olo, ohi), slice(None)),
+                               forces[olo:ohi])
+            yield from tmk.lock_release(owner)
+        yield from tmk.barrier(bid); bid += 1
         # Update phase: owners read their final forces (may fault again)
         # and write their displacements.
-        final = yield from shf.read_g((slice(lo, hi), slice(None)))
+        final = yield from shf.read((slice(lo, hi), slice(None)))
         vel += final * _DT
-        yield from pos.add_g((slice(lo, hi), slice(None)), vel * _DT)
-        yield from tmk.barrier_g(bid); bid += 1
-    band = yield from pos.read_g((slice(lo, hi), slice(None)))
+        yield from pos.add((slice(lo, hi), slice(None)), vel * _DT)
+        yield from tmk.barrier(bid); bid += 1
+    band = yield from pos.read((slice(lo, hi), slice(None)))
     return lo, hi, np.asarray(band).copy()
 
 
@@ -213,10 +213,10 @@ def pvm_main(proc, params: WaterParams):
         for p in needs_my_pos:
             buf = pvm.initsend()
             buf.pkdouble(pos[lo:hi].reshape(-1))
-            yield from pvm.send_g(p, _TAG_POS, buf)
+            yield from pvm.send(p, _TAG_POS, buf)
         senders = sorted({p for p, _, _ in targets})
         for p in senders:
-            got = yield from pvm.recv_g(p, _TAG_POS)
+            got = yield from pvm.recv(p, _TAG_POS)
             plo, phi = chunk(p, nprocs, n)
             pos[plo:phi] = got.upkdouble((phi - plo) * 3).reshape(-1, 3)
         forces, cost = window_forces(pos, lo, hi)
@@ -226,10 +226,10 @@ def pvm_main(proc, params: WaterParams):
             buf = pvm.initsend()
             buf.pkint([olo, ohi])
             buf.pkdouble(forces[olo:ohi].reshape(-1))
-            yield from pvm.send_g(p, _TAG_FORCE, buf)
+            yield from pvm.send(p, _TAG_FORCE, buf)
         total = forces[lo:hi].copy()
         for _ in range(len(needs_my_pos)):
-            got = yield from pvm.recv_g(-1, _TAG_FORCE)
+            got = yield from pvm.recv(-1, _TAG_FORCE)
             header = got.upkint(2)
             olo, ohi = int(header[0]), int(header[1])
             total[olo - lo: ohi - lo] += got.upkdouble(

@@ -172,7 +172,6 @@ def run_cached(exp_id: str, system: str, nprocs: int,
                cost: Optional[CostModel] = None,
                replication: Optional[ReplicationConfig] = None,
                invariants: bool = False,
-               engine: str = "threads",
                kernels: str = "numpy") -> base.ParallelResult:
     """One parallel run, memoized in-process, with its result verified
     against the sequential version (every bench run is also a correctness
@@ -189,7 +188,7 @@ def run_cached(exp_id: str, system: str, nprocs: int,
     if obs is not None and not obs.enabled:
         obs = None
     key = (exp_id, preset, system, nprocs, faults, analysis, recovery, obs,
-           cost, replication, invariants, engine, kernels)
+           cost, replication, invariants, kernels)
     if key not in _PAR_CACHE:
         exp = EXPERIMENTS[exp_id]
         result = base.run_parallel(exp.app, system, nprocs,
@@ -197,8 +196,7 @@ def run_cached(exp_id: str, system: str, nprocs: int,
                                    faults=faults,
                                    analysis=analysis, recovery=recovery,
                                    obs=obs, replication=replication,
-                                   invariants=invariants, engine=engine,
-                                   kernels=kernels)
+                                   invariants=invariants, kernels=kernels)
         seq = _seq(exp_id, preset)
         spec = base.get_app(exp.app)
         if not spec.verify(result.result, seq.result):

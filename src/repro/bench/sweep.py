@@ -51,7 +51,6 @@ def sweep_configs(experiments: Optional[Sequence[str]] = None,
                   systems: Sequence[str] = ("tmk", "pvm"),
                   nprocs: Sequence[int] = (8,),
                   preset: str = "bench",
-                  engine: str = "coro",
                   kernels: str = "compiled") -> List[RunConfig]:
     """The standard run grid: experiments x systems x processor counts.
 
@@ -59,11 +58,10 @@ def sweep_configs(experiments: Optional[Sequence[str]] = None,
     paper configurations, in figure order -- with the default arguments
     that is the 24-run grid behind the figures and tables.
 
-    The sweep defaults to the fastest execution stack -- the ``coro``
-    engine and the ``compiled`` kernels (which silently falls back to
-    numpy when the extension is not built).  Both knobs are host-side
-    only: every engine/kernels combination produces byte-identical
-    results and shares one cache key, so a sweep run with one stack
+    The sweep defaults to the fastest kernels, ``compiled`` (which
+    silently falls back to numpy when the extension is not built).  The
+    knob is host-side only: every kernel backend produces byte-identical
+    results and shares one cache key, so a sweep run with one backend
     serves warm reads for any other.
     """
     from repro.api import RunConfig
@@ -75,7 +73,7 @@ def sweep_configs(experiments: Optional[Sequence[str]] = None,
             raise ValueError(f"unknown experiment {exp_id!r} "
                              f"(have: {', '.join(harness.EXPERIMENTS)})")
     return [RunConfig(experiment=exp_id, system=system, nprocs=n,
-                      preset=preset, engine=engine, kernels=kernels)
+                      preset=preset, kernels=kernels)
             for exp_id in experiments
             for system in systems
             for n in nprocs]

@@ -93,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach the runtime protocol-invariant monitors "
                           "(repro.verify): a broken coherence rule aborts "
                           "the run with the violated rule and both events")
-    run.add_argument("--engine", choices=("threads", "coro"),
-                     default="threads",
-                     help="execution backend: 'threads' (one host thread "
-                          "per simulated processor) or 'coro' (cooperative "
-                          "continuations; byte-identical results, scales "
-                          "to 1024 nodes)")
     run.add_argument("--kernels", choices=("pure", "numpy", "compiled"),
                      default="numpy",
                      help="page-ops kernel backend (repro.kernels): 'pure' "
@@ -162,10 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-dir", default=None,
                        help="result cache directory (default: "
                             "$REPRO_CACHE_DIR or <repo>/.repro_cache)")
-    sweep.add_argument("--engine", choices=("threads", "coro"),
-                       default="coro",
-                       help="execution backend for the sweep's runs "
-                            "(default: coro, the faster one)")
     sweep.add_argument("--kernels", choices=("pure", "numpy", "compiled"),
                        default="compiled",
                        help="page-ops kernel backend (default: compiled, "
@@ -311,8 +301,7 @@ def cmd_run(experiment: str, system: str, nprocs: int, preset: str,
             false_sharing: bool = False,
             checkpoint_every: float = 0.0,
             ft_mode: str = "rollback", replicas: int = 3,
-            invariants: bool = False, engine: str = "threads",
-            kernels: str = "numpy") -> str:
+            invariants: bool = False, kernels: str = "numpy") -> str:
     from repro import api
     from repro.bench import harness
     from repro.bench.analysis import decompose, render_breakdown
@@ -364,7 +353,7 @@ def cmd_run(experiment: str, system: str, nprocs: int, preset: str,
                            nprocs=nprocs, preset=preset, faults=faults,
                            analysis=analysis, recovery=recovery,
                            replication=replication, invariants=invariants,
-                           engine=engine, kernels=kernels)
+                           kernels=kernels)
     try:
         # want_parallel: the report below needs the live run (stats
         # buckets, sanitizer, mechanism breakdown), not just the summary.
@@ -503,14 +492,14 @@ def cmd_sweep(experiments: List[str], systems: str, nprocs: str,
               preset: str, jobs: Optional[int], no_cache: bool,
               cache_dir: Optional[str],
               json_out: Optional[str] = None,
-              engine: str = "coro", kernels: str = "compiled") -> str:
+              kernels: str = "compiled") -> str:
     from repro.bench import sweep as sweep_mod
     system_list = tuple(s.strip() for s in systems.split(",") if s.strip())
     counts = tuple(int(v) for v in nprocs.split(","))
     try:
         configs = sweep_mod.sweep_configs(experiments, systems=system_list,
                                           nprocs=counts, preset=preset,
-                                          engine=engine, kernels=kernels)
+                                          kernels=kernels)
     except ValueError as exc:
         raise SystemExit(str(exc))
     if jobs is None:
@@ -654,8 +643,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       false_sharing=args.false_sharing_report,
                       checkpoint_every=args.checkpoint_interval,
                       ft_mode=args.ft_mode, replicas=args.replicas,
-                      invariants=args.invariants, engine=args.engine,
-                      kernels=args.kernels))
+                      invariants=args.invariants, kernels=args.kernels))
     elif args.command == "verify":
         print(cmd_verify(args.experiment, system=args.system,
                          nprocs=args.nprocs, preset=args.preset,
@@ -667,7 +655,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(cmd_sweep(args.experiment, args.systems, args.nprocs,
                         args.preset, args.jobs, args.no_cache,
                         args.cache_dir, json_out=args.json,
-                        engine=args.engine, kernels=args.kernels))
+                        kernels=args.kernels))
     elif args.command == "serve":
         return cmd_serve(args.host, args.port, args.workers,
                          args.queue_depth, args.deadline_ms,

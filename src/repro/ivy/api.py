@@ -64,26 +64,14 @@ class Ivy:
         return self.proc.cluster.nprocs
 
     # ------------------------------------------------------------------
-    def barrier(self, bid: int) -> None:
-        self.barriers.barrier(bid)
+    def barrier(self, bid: int):
+        yield from self.barriers.barrier(bid)
 
-    def barrier_g(self, bid: int):
-        """Generator form of :meth:`barrier` (coro-backend convention)."""
-        yield from self.barriers.barrier_g(bid)
+    def lock_acquire(self, lock: int):
+        yield from self.locks.acquire(lock)
 
-    def lock_acquire(self, lock: int) -> None:
-        self.locks.acquire(lock)
-
-    def lock_acquire_g(self, lock: int):
-        """Generator form of :meth:`lock_acquire`."""
-        yield from self.locks.acquire_g(lock)
-
-    def lock_release(self, lock: int) -> None:
-        self.locks.release(lock)
-
-    def lock_release_g(self, lock: int):
-        """Generator form of :meth:`lock_release`."""
-        yield from self.locks.release_g(lock)
+    def lock_release(self, lock: int):
+        yield from self.locks.release(lock)
 
     # ------------------------------------------------------------------
     def malloc(self, nbytes: int, align: int | None = None) -> int:

@@ -110,31 +110,19 @@ class IvyCore:
     # ------------------------------------------------------------------
     # Application-facing access checks (same interface SharedArray uses)
     # ------------------------------------------------------------------
-    def ensure_valid_range(self, start: int, nbytes: int) -> None:
-        self.proc.drive(self.ensure_valid_range_g(start, nbytes))
+    def ensure_valid_range(self, start: int, nbytes: int):
+        yield from self._ensure([(start, nbytes)], want_write=False)
 
-    def ensure_writable_range(self, start: int, nbytes: int) -> None:
-        self.proc.drive(self.ensure_writable_range_g(start, nbytes))
+    def ensure_writable_range(self, start: int, nbytes: int):
+        yield from self._ensure([(start, nbytes)], want_write=True)
 
-    def ensure_valid_runs(self, runs) -> None:
-        self.proc.drive(self._ensure_g(runs, want_write=False))
+    def ensure_valid_runs(self, runs):
+        yield from self._ensure(runs, want_write=False)
 
-    def ensure_writable_runs(self, runs) -> None:
-        self.proc.drive(self._ensure_g(runs, want_write=True))
+    def ensure_writable_runs(self, runs):
+        yield from self._ensure(runs, want_write=True)
 
-    def ensure_valid_range_g(self, start: int, nbytes: int):
-        yield from self._ensure_g([(start, nbytes)], want_write=False)
-
-    def ensure_writable_range_g(self, start: int, nbytes: int):
-        yield from self._ensure_g([(start, nbytes)], want_write=True)
-
-    def ensure_valid_runs_g(self, runs):
-        yield from self._ensure_g(runs, want_write=False)
-
-    def ensure_writable_runs_g(self, runs):
-        yield from self._ensure_g(runs, want_write=True)
-
-    def _ensure_g(self, runs, want_write: bool):
+    def _ensure(self, runs, want_write: bool):
         """Acquire every page the access touches, atomically.
 
         While a fault for one page blocks, an already-acquired page of
@@ -151,7 +139,7 @@ class IvyCore:
             clean = True
             for page in pages:
                 if self.state[page] < floor:
-                    yield from self._fault_g(page, want_write=want_write)
+                    yield from self._fault(page, want_write=want_write)
                     clean = False
             if clean:
                 return
@@ -162,7 +150,7 @@ class IvyCore:
     # ------------------------------------------------------------------
     # Faulting side
     # ------------------------------------------------------------------
-    def _fault_g(self, page: int, want_write: bool):
+    def _fault(self, page: int, want_write: bool):
         proc = self.proc
         yield YIELD
         if want_write:
@@ -182,7 +170,7 @@ class IvyCore:
             t = self.udp.send(self.pid, manager, CAT_REQUEST, request,
                               _REQ_BYTES, t_ready=proc.now)
             proc.set_now(t)
-        payload = yield from box.wait_g(f"ivy page {page}")
+        payload = yield from box.wait(f"ivy page {page}")
         data, granted_write = payload
         if data is not None:
             view = self.pt.page_view(page)

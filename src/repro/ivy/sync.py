@@ -66,11 +66,7 @@ class IvyLocks:
             self._state[lock] = state
         return state
 
-    def acquire(self, lock: int) -> None:
-        return self.proc.drive(self.acquire_g(lock))
-
-    def acquire_g(self, lock: int):
-        """Generator form of :meth:`acquire` (coro-backend convention)."""
+    def acquire(self, lock: int):
         proc = self.proc
         yield YIELD
         state = self._lock_state(lock)
@@ -92,17 +88,13 @@ class IvyLocks:
             t = self.core.udp.send(self.pid, manager, CAT_LOCK_REQ, request,
                                    _SYNC_BYTES, t_ready=proc.now)
             proc.set_now(t)
-        yield from box.wait_g(f"ivy lock {lock}")
+        yield from box.wait(f"ivy lock {lock}")
         self.wait_time += proc.now - t0
         state.awaiting = False
         state.owns = True
         state.holding = True
 
-    def release(self, lock: int) -> None:
-        return self.proc.drive(self.release_g(lock))
-
-    def release_g(self, lock: int):
-        """Generator form of :meth:`release` (coro-backend convention)."""
+    def release(self, lock: int):
         proc = self.proc
         yield YIELD
         state = self._lock_state(lock)
@@ -178,11 +170,7 @@ class IvyBarrier:
         proc.register(CAT_BAR_ARRIVE, self._on_arrival)
         proc.register(CAT_BAR_DEPART, self._on_departure)
 
-    def barrier(self, bid: int) -> None:
-        return self.proc.drive(self.barrier_g(bid))
-
-    def barrier_g(self, bid: int):
-        """Generator form of :meth:`barrier` (coro-backend convention)."""
+    def barrier(self, bid: int):
         proc = self.proc
         yield YIELD
         proc.compute(_LOCAL_CPU)

@@ -94,38 +94,26 @@ class Pvm:
         self.proc.compute(self.proc.cluster.cost.initsend_cpu)
         return SendBuffer(fmt)
 
-    def send(self, dest: int, tag: int, buf: SendBuffer) -> None:
+    def send(self, dest: int, tag: int, buf: SendBuffer):
         """Dispatch ``buf`` to ``dest`` (non-blocking, pvm_send)."""
-        return self.proc.drive(self.send_g(dest, tag, buf))
+        yield from self._send_frozen(dest, tag, buf._freeze(), buf.fmt,
+                                     buf.nbytes, buf.nitems)
 
-    def send_g(self, dest: int, tag: int, buf: SendBuffer):
-        """Generator form of :meth:`send` (coro-backend convention)."""
-        yield from self._send_frozen_g(dest, tag, buf._freeze(), buf.fmt,
-                                       buf.nbytes, buf.nitems)
-
-    def mcast(self, dests: Sequence[int], tag: int, buf: SendBuffer) -> None:
+    def mcast(self, dests: Sequence[int], tag: int, buf: SendBuffer):
         """Send to several destinations (pvm_mcast): one message each."""
-        return self.proc.drive(self.mcast_g(dests, tag, buf))
-
-    def mcast_g(self, dests: Sequence[int], tag: int, buf: SendBuffer):
-        """Generator form of :meth:`mcast`."""
         segments = buf._freeze()
         nbytes, nitems = buf.nbytes, buf.nitems
         for dest in dests:
-            yield from self._send_frozen_g(dest, tag, segments, buf.fmt,
-                                           nbytes, nitems)
+            yield from self._send_frozen(dest, tag, segments, buf.fmt,
+                                         nbytes, nitems)
 
-    def bcast(self, tag: int, buf: SendBuffer) -> None:
+    def bcast(self, tag: int, buf: SendBuffer):
         """Send to every *other* processor."""
-        self.mcast([p for p in range(self.nprocs) if p != self.mytid], tag, buf)
-
-    def bcast_g(self, tag: int, buf: SendBuffer):
-        """Generator form of :meth:`bcast`."""
-        yield from self.mcast_g(
+        yield from self.mcast(
             [p for p in range(self.nprocs) if p != self.mytid], tag, buf)
 
-    def _send_frozen_g(self, dest: int, tag: int, segments, fmt: DataFormat,
-                       nbytes: int, nitems: int):
+    def _send_frozen(self, dest: int, tag: int, segments, fmt: DataFormat,
+                     nbytes: int, nitems: int):
         if not (0 <= dest < self.nprocs):
             raise PvmError(f"bad destination tid {dest}")
         if dest == self.mytid:
@@ -193,12 +181,8 @@ class Pvm:
                 return self._inbox.pop(i)
         return None
 
-    def recv(self, src: int = -1, tag: int = -1) -> ReceiveBuffer:
+    def recv(self, src: int = -1, tag: int = -1):
         """Blocking receive (pvm_recv); wildcards with ``-1``."""
-        return self.proc.drive(self.recv_g(src, tag))
-
-    def recv_g(self, src: int = -1, tag: int = -1):
-        """Generator form of :meth:`recv` (coro-backend convention)."""
         proc = self.proc
         yield YIELD
         obs = proc.obs
@@ -218,12 +202,8 @@ class Pvm:
             obs.end(proc.now, proc.pid)
         return buf
 
-    def nrecv(self, src: int = -1, tag: int = -1) -> Optional[ReceiveBuffer]:
+    def nrecv(self, src: int = -1, tag: int = -1):
         """Non-blocking receive (pvm_nrecv): ``None`` if nothing matched."""
-        return self.proc.drive(self.nrecv_g(src, tag))
-
-    def nrecv_g(self, src: int = -1, tag: int = -1):
-        """Generator form of :meth:`nrecv`."""
         proc = self.proc
         yield YIELD
         msg = self._take(src, tag)
@@ -231,12 +211,8 @@ class Pvm:
             return None
         return self._consume(msg)
 
-    def probe(self, src: int = -1, tag: int = -1) -> bool:
+    def probe(self, src: int = -1, tag: int = -1):
         """True if a matching message has arrived (pvm_probe)."""
-        return self.proc.drive(self.probe_g(src, tag))
-
-    def probe_g(self, src: int = -1, tag: int = -1):
-        """Generator form of :meth:`probe`."""
         yield YIELD
         return any(self._matches(m, src, tag) for m in self._inbox)
 

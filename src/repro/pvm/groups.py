@@ -17,7 +17,7 @@ process.  All group traffic is ordinary PVM-accounted messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 import numpy as np
 
@@ -81,9 +81,6 @@ class PvmGroups:
         return 0
 
     def _rpc(self, op: str, *args):
-        return self.proc.drive(self._rpc_g(op, *args))
-
-    def _rpc_g(self, op: str, *args):
         proc = self.proc
         yield YIELD
         box = proc.mailbox()
@@ -92,13 +89,13 @@ class PvmGroups:
             proc.compute(20e-6)
             reply = self._handle(op, proc.pid, *args)
             if reply is _DEFERRED:
-                reply = yield from box.wait_g(f"deferred {op}")
+                reply = yield from box.wait(f"deferred {op}")
             return reply
         t = self._tcp.send(proc.pid, self._server, _CAT_REQUEST,
                            (box, op, proc.pid, args), _CONTROL_BYTES,
                            t_ready=proc.now)
         proc.set_now(t)
-        result = yield from box.wait_g(f"group server reply to {op}")
+        result = yield from box.wait(f"group server reply to {op}")
         return result
 
     def _serve(self, delivery: Delivery) -> None:
@@ -175,30 +172,18 @@ class PvmGroups:
     # ------------------------------------------------------------------
     # Public API (the pvm_* group calls)
     # ------------------------------------------------------------------
-    def joingroup(self, name: str) -> int:
+    def joingroup(self, name: str):
         """Join ``name``; returns this task's instance number."""
-        return self.proc.drive(self.joingroup_g(name))
-
-    def joingroup_g(self, name: str):
-        """Generator form of :meth:`joingroup` (coro-backend convention)."""
-        inst = yield from self._rpc_g("join", name)
+        inst = yield from self._rpc("join", name)
         self._instances[name] = inst
         return inst
 
-    def lvgroup(self, name: str) -> None:
-        return self.proc.drive(self.lvgroup_g(name))
-
-    def lvgroup_g(self, name: str):
-        """Generator form of :meth:`lvgroup`."""
-        yield from self._rpc_g("leave", name)
+    def lvgroup(self, name: str):
+        yield from self._rpc("leave", name)
         self._instances.pop(name, None)
 
-    def gsize(self, name: str) -> int:
-        return self.proc.drive(self.gsize_g(name))
-
-    def gsize_g(self, name: str):
-        """Generator form of :meth:`gsize`."""
-        size = yield from self._rpc_g("size", name)
+    def gsize(self, name: str):
+        size = yield from self._rpc("size", name)
         return size
 
     def getinst(self, name: str) -> int:
@@ -206,20 +191,12 @@ class PvmGroups:
             raise GroupError(f"not a member of {name!r}")
         return self._instances[name]
 
-    def members(self, name: str) -> tuple:
-        return self.proc.drive(self.members_g(name))
-
-    def members_g(self, name: str):
-        """Generator form of :meth:`members`."""
-        out = yield from self._rpc_g("members", name)
+    def members(self, name: str):
+        out = yield from self._rpc("members", name)
         return out
 
-    def barrier(self, name: str, count: int) -> None:
+    def barrier(self, name: str, count: int):
         """Block until ``count`` members of ``name`` have called barrier."""
-        return self.proc.drive(self.barrier_g(name, count))
-
-    def barrier_g(self, name: str, count: int):
-        """Generator form of :meth:`barrier` (coro-backend convention)."""
         if name not in self._instances:
             raise GroupError(f"barrier on {name!r} before joingroup")
         proc = self.proc
@@ -230,16 +207,16 @@ class PvmGroups:
             result = self._handle("barrier", proc.pid, name, count,
                                   reply_to=(box, proc.now))
             if result is _DEFERRED:
-                yield from box.wait_g(f"group barrier {name!r}")
+                yield from box.wait(f"group barrier {name!r}")
             return
         t = self._tcp.send(proc.pid, self._server, _CAT_REQUEST,
                            (box, "barrier", proc.pid, (name, count)),
                            _CONTROL_BYTES, t_ready=proc.now)
         proc.set_now(t)
-        yield from box.wait_g(f"group barrier {name!r}")
+        yield from box.wait(f"group barrier {name!r}")
 
     # -- data-plane collectives ------------------------------------------
-    def _send_data_g(self, dst: int, payload, nbytes: int):
+    def _send_data(self, dst: int, payload, nbytes: int):
         proc = self.proc
         yield YIELD
         t = self._tcp.send(proc.pid, dst, _CAT_DATA, payload, nbytes,
@@ -252,7 +229,7 @@ class PvmGroups:
             self._data_waiting = False
             self.proc.unblock(delivery.arrival + delivery.recv_cpu)
 
-    def _recv_data_g(self):
+    def _recv_data(self):
         proc = self.proc
         yield YIELD
         while not self._data_queue:
@@ -265,73 +242,55 @@ class PvmGroups:
         return delivery.payload
 
     def reduce(self, name: str, values, op: str = "sum",
-               root_instance: int = 0) -> Optional[np.ndarray]:
+               root_instance: int = 0):
         """pvm_reduce: combine members' arrays at the root instance.
 
         Returns the combined array at the root, ``None`` elsewhere.
         """
-        return self.proc.drive(self.reduce_g(name, values, op, root_instance))
-
-    def reduce_g(self, name: str, values, op: str = "sum",
-                 root_instance: int = 0):
-        """Generator form of :meth:`reduce` (coro-backend convention)."""
         if op not in _REDUCERS:
             raise GroupError(f"unknown reduction {op!r}")
-        members = yield from self.members_g(name)
+        members = yield from self.members(name)
         root = members[root_instance]
         values = np.asarray(values)
         if self.proc.pid == root:
             out = values.copy()
             for _ in range(len(members) - 1):
-                _, arr = yield from self._recv_data_g()
+                _, arr = yield from self._recv_data()
                 out = _REDUCERS[op](out, arr)
             return out
-        yield from self._send_data_g(root, (self.proc.pid, values.copy()),
-                                     values.nbytes)
+        yield from self._send_data(root, (self.proc.pid, values.copy()),
+                                   values.nbytes)
         return None
 
-    def gather(self, name: str, values,
-               root_instance: int = 0) -> Optional[List[np.ndarray]]:
+    def gather(self, name: str, values, root_instance: int = 0):
         """pvm_gather: concatenate members' arrays at the root, ordered
         by instance number."""
-        return self.proc.drive(self.gather_g(name, values, root_instance))
-
-    def gather_g(self, name: str, values, root_instance: int = 0):
-        """Generator form of :meth:`gather`."""
-        members = yield from self.members_g(name)
+        members = yield from self.members(name)
         root = members[root_instance]
         values = np.asarray(values)
         if self.proc.pid == root:
             parts = {self.proc.pid: values.copy()}
             for _ in range(len(members) - 1):
-                pid, arr = yield from self._recv_data_g()
+                pid, arr = yield from self._recv_data()
                 parts[pid] = arr
             return [parts[pid] for pid in members]
-        yield from self._send_data_g(root, (self.proc.pid, values.copy()),
-                                     values.nbytes)
+        yield from self._send_data(root, (self.proc.pid, values.copy()),
+                                   values.nbytes)
         return None
 
-    def bcast(self, name: str, values) -> np.ndarray:
+    def bcast(self, name: str, values):
         """pvm_bcast from this member to the whole group; every member
         (including the sender) returns the array."""
-        return self.proc.drive(self.bcast_g(name, values))
-
-    def bcast_g(self, name: str, values):
-        """Generator form of :meth:`bcast`."""
-        members = yield from self.members_g(name)
+        members = yield from self.members(name)
         values = np.asarray(values)
         for pid in members:
             if pid != self.proc.pid:
-                yield from self._send_data_g(
+                yield from self._send_data(
                     pid, (self.proc.pid, values.copy()), values.nbytes)
         return values.copy()
 
-    def recv_bcast(self) -> np.ndarray:
-        return self.proc.drive(self.recv_bcast_g())
-
-    def recv_bcast_g(self):
-        """Generator form of :meth:`recv_bcast`."""
-        _, arr = yield from self._recv_data_g()
+    def recv_bcast(self):
+        _, arr = yield from self._recv_data()
         return arr
 
 

@@ -166,40 +166,28 @@ class ScAbd:
         return self.system.nclients
 
     # ------------------------------------------------------------------
-    def barrier(self, bid: int) -> None:
-        return self.proc.drive(self.barrier_g(bid))
-
-    def barrier_g(self, bid: int):
-        """Generator form of :meth:`barrier` (coro-backend convention)."""
+    def barrier(self, bid: int):
         proc = self.proc
         obs = proc.obs
         if obs is not None:
             obs.begin(proc.now, proc.pid, "barrier", B_STALL_SYNC,
                       f"bid={bid}")
-        yield from self.barriers.barrier_g(bid)
+        yield from self.barriers.barrier(bid)
         if obs is not None:
             obs.end(proc.now, proc.pid)
 
-    def lock_acquire(self, lock: int) -> None:
-        return self.proc.drive(self.lock_acquire_g(lock))
-
-    def lock_acquire_g(self, lock: int):
-        """Generator form of :meth:`lock_acquire`."""
+    def lock_acquire(self, lock: int):
         proc = self.proc
         obs = proc.obs
         if obs is not None:
             obs.begin(proc.now, proc.pid, "lock_acquire", B_STALL_SYNC,
                       f"lock={lock}")
-        yield from self.locks.acquire_g(lock)
+        yield from self.locks.acquire(lock)
         if obs is not None:
             obs.end(proc.now, proc.pid)
 
-    def lock_release(self, lock: int) -> None:
-        self.locks.release(lock)
-
-    def lock_release_g(self, lock: int):
-        """Generator form of :meth:`lock_release`."""
-        yield from self.locks.release_g(lock)
+    def lock_release(self, lock: int):
+        yield from self.locks.release(lock)
 
     # ------------------------------------------------------------------
     def malloc(self, nbytes: int, align: int | None = None) -> int:
@@ -237,8 +225,7 @@ def _replica_main(proc: "Processor"):
 
     All replica work happens in message handlers; this generator body only
     exists so the processor has a clock to charge service time to.  The
-    engine retires it once every application thread has finished (it works
-    identically on both backends: the bootstrap drives the generator).
+    engine retires it once every application thread has finished.
     """
     while True:
         yield Block("scabd replica idle", None)

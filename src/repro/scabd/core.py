@@ -172,31 +172,19 @@ class ScAbdCore:
     # ------------------------------------------------------------------
     # Application-facing access checks (same interface SharedArray uses)
     # ------------------------------------------------------------------
-    def ensure_valid_range(self, start: int, nbytes: int) -> None:
-        self.proc.drive(self.ensure_valid_range_g(start, nbytes))
+    def ensure_valid_range(self, start: int, nbytes: int):
+        yield from self._ensure([(start, nbytes)], want_write=False)
 
-    def ensure_writable_range(self, start: int, nbytes: int) -> None:
-        self.proc.drive(self.ensure_writable_range_g(start, nbytes))
+    def ensure_writable_range(self, start: int, nbytes: int):
+        yield from self._ensure([(start, nbytes)], want_write=True)
 
-    def ensure_valid_runs(self, runs) -> None:
-        self.proc.drive(self._ensure_g(runs, want_write=False))
+    def ensure_valid_runs(self, runs):
+        yield from self._ensure(runs, want_write=False)
 
-    def ensure_writable_runs(self, runs) -> None:
-        self.proc.drive(self._ensure_g(runs, want_write=True))
+    def ensure_writable_runs(self, runs):
+        yield from self._ensure(runs, want_write=True)
 
-    def ensure_valid_range_g(self, start: int, nbytes: int):
-        yield from self._ensure_g([(start, nbytes)], want_write=False)
-
-    def ensure_writable_range_g(self, start: int, nbytes: int):
-        yield from self._ensure_g([(start, nbytes)], want_write=True)
-
-    def ensure_valid_runs_g(self, runs):
-        yield from self._ensure_g(runs, want_write=False)
-
-    def ensure_writable_runs_g(self, runs):
-        yield from self._ensure_g(runs, want_write=True)
-
-    def _ensure_g(self, runs, want_write: bool):
+    def _ensure(self, runs, want_write: bool):
         """Acquire every page the access touches, atomically (see
         :meth:`repro.ivy.core.IvyCore._ensure` for the retry rationale)."""
         floor = WRITE if want_write else READ
@@ -206,7 +194,7 @@ class ScAbdCore:
             clean = True
             for page in pages:
                 if self.state[page] < floor:
-                    yield from self._fault_g(page, want_write=want_write)
+                    yield from self._fault(page, want_write=want_write)
                     clean = False
             if clean:
                 return
@@ -217,7 +205,7 @@ class ScAbdCore:
     # ------------------------------------------------------------------
     # Faulting side
     # ------------------------------------------------------------------
-    def _fault_g(self, page: int, want_write: bool):
+    def _fault(self, page: int, want_write: bool):
         proc = self.proc
         yield YIELD
         if want_write:
@@ -237,11 +225,11 @@ class ScAbdCore:
             t = self.udp.send(self.pid, home, CAT_REQUEST, request,
                               _REQ_BYTES, t_ready=proc.now)
             proc.set_now(t)
-        granted_write, _tag = yield from box.wait_g(f"scabd page {page}")
+        granted_write, _tag = yield from box.wait(f"scabd page {page}")
         if self.state[page] == INVALID:
             # No valid local copy: fetch the committed version from a
             # majority of the replica set.
-            tag, data = yield from self._quorum_read_g(page)
+            tag, data = yield from self._quorum_read(page)
             view = self.pt.page_view(page)
             if data is not None:
                 view[:] = np.frombuffer(data, dtype=np.uint8)
@@ -262,7 +250,7 @@ class ScAbdCore:
         box, body = delivery.payload
         box.put(body, delivery.arrival + delivery.recv_cpu)
 
-    def _quorum_read_g(self, page: int):
+    def _quorum_read(self, page: int):
         """Read the page from a majority of live replicas (blocks)."""
         proc = self.proc
         live = self.system.live_replicas()
@@ -283,7 +271,7 @@ class ScAbdCore:
                                    (page, self.pid, collector),
                                    _REQ_BYTES, t_ready=t)
         proc.set_now(t)
-        tag, data = yield from collector.box.wait_g(
+        tag, data = yield from collector.box.wait(
             f"scabd quorum read page {page}")
         if obs is not None:
             obs.end(proc.now, self.pid)

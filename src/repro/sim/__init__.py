@@ -4,7 +4,7 @@ This subpackage provides the execution environment that stands in for the
 paper's physical testbed (8 HP-735 workstations on a 100 Mbit/s FDDI ring):
 
 * :mod:`repro.sim.engine` -- deterministic virtual-time scheduler running one
-  simulated processor (a Python thread) at a time.
+  simulated processor (a generator continuation) at a time.
 * :mod:`repro.sim.network` -- shared-medium FDDI link model with UDP and TCP
   endpoints, fragmentation and contention.
 * :mod:`repro.sim.cluster` -- the ``Cluster``/``Processor`` harness on which
@@ -20,7 +20,7 @@ paper's physical testbed (8 HP-735 workstations on a 100 Mbit/s FDDI ring):
 """
 
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import (Engine, EngineDeadlock, SimAborted, SimThread,
+from repro.sim.engine import (Engine, EngineDeadlock, SimAborted, SimTask,
                               ThreadKilled)
 from repro.sim.cluster import Cluster, ClusterConfig, Processor
 from repro.sim.faults import FaultDecision, FaultPlan, TransportError
@@ -47,7 +47,7 @@ __all__ = [
     "RecoveryManager",
     "RecoveryReport",
     "SimAborted",
-    "SimThread",
+    "SimTask",
     "StatKey",
     "TcpChannel",
     "ThreadKilled",

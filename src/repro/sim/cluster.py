@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.core import Obs, ObsConfig
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import Block, Engine, SimThread
+from repro.sim.engine import Block, Engine, SimTask
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Delivery, Network
 from repro.sim.recovery import RecoveryConfig, RecoveryManager
@@ -56,8 +56,8 @@ class Mailbox:
         if self._waiting:
             self.proc.unblock(time)
 
-    def wait_g(self, reason: str):
-        """Generator form of :meth:`wait` (coro-backend convention)."""
+    def wait(self, reason: str):
+        """Block until filled; advances the caller's clock to arrival time."""
         if self._value is _EMPTY:
             self._waiting = True
             yield Block(reason, self.waiting_on)
@@ -68,10 +68,6 @@ class Mailbox:
             self.proc.set_now(self._time)
         return self._value
 
-    def wait(self, reason: str) -> Any:
-        """Block until filled; advances the caller's clock to arrival time."""
-        return self.proc.drive(self.wait_g(reason))
-
 
 class Processor:
     """One simulated workstation."""
@@ -79,7 +75,7 @@ class Processor:
     def __init__(self, cluster: "Cluster", pid: int) -> None:
         self.cluster = cluster
         self.pid = pid
-        self.thread: Optional[SimThread] = None
+        self.thread: Optional[SimTask] = None
         self._handlers: Dict[str, Callable[[Delivery], None]] = {}
         #: Runtime attachment points, set by the TreadMarks / PVM layers.
         self.tmk: Any = None
@@ -122,25 +118,6 @@ class Processor:
         self.thread.advance(dt)
         if self._profiler is not None:
             self._profiler.on_advance(self.pid, dt)
-
-    def yield_point(self) -> None:
-        """Let every causally-earlier event/thread run first."""
-        assert self.thread is not None
-        self.thread.yield_point()
-
-    def block(self, reason: str, waiting_on: Optional[str] = None) -> float:
-        assert self.thread is not None
-        return self.thread.block(reason, waiting_on=waiting_on)
-
-    def drive(self, gen) -> Any:
-        """Run an effect-yielding generator to completion (thread backend).
-
-        Blocking wrapper APIs execute their single-source generator cores
-        through this; on the coro backend it raises, directing callers to
-        the ``yield from``-able ``*_g`` form instead.
-        """
-        assert self.thread is not None
-        return self.thread.drive(gen)
 
     def unblock(self, wake_time: float) -> None:
         assert self.thread is not None
@@ -239,10 +216,6 @@ class ClusterConfig:
     #: Tie-break strategy among equal-virtual-time ready threads (see
     #: ``repro.sim.engine.Scheduler``); None = historical lowest-tid pick.
     scheduler: Optional[Any] = None
-    #: Execution backend: ``"threads"`` (host thread per processor, the
-    #: historical default) or ``"coro"`` (generator continuations; scales
-    #: to thousands of processors).  Semantics are byte-identical.
-    engine: str = "threads"
     #: Page-op kernel backend (``repro.kernels``): ``"pure"``, ``"numpy"``
     #: (default), or ``"compiled"`` (falls back to numpy when unbuilt).
     #: Host-side speed only; every backend is byte-identical.
@@ -274,8 +247,7 @@ class Cluster:
         from repro.kernels import get_backend
         self.kernels = get_backend(config.kernels)
         self.engine = Engine(watchdog_events=config.watchdog_events,
-                             scheduler=config.scheduler,
-                             backend=config.engine)
+                             scheduler=config.scheduler)
         self.stats = MessageStats()
         self.net = Network(self.engine, self.cost, self.stats,
                            faults=self.faults, trace=self.trace)

@@ -1,60 +1,55 @@
 """Deterministic virtual-time execution engine.
 
-The engine multiplexes *simulated processors* onto a single host thread of
-execution.  Exactly one simulated entity runs at a time; whenever it
-reaches a *yield point* (any runtime operation: page fault, lock, barrier,
-message send/receive) control returns to the scheduler, which always resumes
-the runnable entity with the smallest virtual time.  Because interaction
-between processors happens only through posted events (message arrivals),
-this "smallest-time-first" policy yields bit-for-bit deterministic runs
-independent of host thread scheduling.
+The engine multiplexes *simulated processors* onto the one host thread
+that calls :meth:`Engine.run`.  Each processor is a cheap *continuation*
+(:class:`SimTask`): its body is a generator, and every blocking runtime
+operation (page fault, lock, barrier, message send/receive) is expressed
+as a yielded **effect** that a run-to-block trampoline interprets:
 
-Two *backends* implement the simulated processor:
+* :data:`YIELD` -- let every causally-earlier event and processor run,
+  then resume;
+* :class:`Block` -- suspend until another entity calls
+  :meth:`Engine.unblock`; the ``yield`` evaluates to the wake-up time.
 
-* ``backend="threads"`` -- each processor is a real Python thread
-  (:class:`SimThread`) running ordinary blocking application code, parked
-  and resumed through a pair of :class:`threading.Event` handshakes.  One
-  host thread per processor caps practical cluster sizes near the paper's
-  8 nodes.
-* ``backend="coro"`` -- each processor is a cheap *continuation*
-  (:class:`SimTask`): its body is a generator and every blocking runtime
-  operation is expressed as a yielded **effect** (:data:`YIELD` or
-  :class:`Block`) that a run-to-block trampoline inside the engine loop
-  interprets.  No host threads, no handshakes -- thousands of simulated
-  processors cost only their suspended generator frames.
+Runtime layers compose these with ``yield from`` (``yield from
+tmk.barrier(0)``), so a simulated processor costs only its suspended
+generator frames -- thousands fit in one process.
 
-Both backends implement identical scheduling semantics -- virtual-clock
-tie-break order, the :class:`Scheduler` hook, watchdog/deadlock
-diagnostics, and kill/crash unwinding -- so a program produces
-byte-identical traces and results on either (asserted by
-``tests/sim/test_engine_equivalence.py``).
+The trampoline always resumes the runnable entity with the smallest
+virtual time.  Two kinds of schedulable entities exist:
 
-Two kinds of schedulable entities exist:
-
-* **threads/tasks** -- simulated processors, each with its own virtual
-  ``clock`` that advances when the processor performs local computation
-  (:meth:`SimThread.advance`) or blocks waiting for an event;
+* **tasks** -- simulated processors, each with its own virtual ``clock``
+  that advances when the processor performs local computation
+  (:meth:`SimTask.advance`) or blocks waiting for an event.  READY tasks
+  sit in a heap of ``(clock, tid, task)`` snapshots; a snapshot whose
+  clock went stale (a service charge bumped a READY task) is repaired
+  lazily at the top of the heap, which is sound because clocks only
+  ever increase;
 * **events** -- ``(time, callback)`` pairs posted by the network layer to
-  model message arrival.  Event callbacks run in the scheduler's host thread
+  model message arrival.  Event callbacks run inline in the trampoline
   and typically invoke runtime-level request handlers (the analogue of
-  TreadMarks' SIGIO-driven servicing), wake blocked threads, or post further
-  events.
+  TreadMarks' SIGIO-driven servicing), wake blocked tasks, or post
+  further events.  Events win virtual-time ties against tasks.
 
-A thread may run ahead of the global minimum virtual time during pure local
-computation; causal correctness is preserved because every runtime operation
-yields *before* acting, so all events and runnable threads with earlier
-virtual times execute first.
+Because processors interact only through posted events, and ties are
+broken by (clock, tid) or the pluggable :class:`Scheduler`, runs are
+bit-for-bit deterministic (pinned by ``tests/sim/golden_engine.json``
+and ``tests/obs/golden_traces.json``).
+
+A task may run ahead of the global minimum virtual time during pure local
+computation; causal correctness is preserved because every runtime
+operation yields *before* acting, so all events and runnable tasks with
+earlier virtual times execute first.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
 __all__ = ["Block", "Engine", "EngineDeadlock", "Scheduler", "SimAborted",
-           "SimTask", "SimThread", "ThreadKilled", "YIELD"]
+           "SimTask", "ThreadKilled", "YIELD"]
 
 
 class EngineDeadlock(RuntimeError):
@@ -104,18 +99,18 @@ class _YieldEffect:
 
 
 #: Effect: give every causally-earlier event/thread a chance to run, then
-#: resume.  The generator equivalent of :meth:`SimThread.yield_point` --
-#: runtime code written in generator form does ``yield YIELD``.
+#: resume.  Every runtime operation does ``yield YIELD`` *before* acting.
 YIELD = _YieldEffect()
 
 
 class Block:
     """Effect: suspend until another entity calls :meth:`Engine.unblock`.
 
-    The generator equivalent of :meth:`SimThread.block`: runtime code in
-    generator form does ``wake = yield Block(reason, waiting_on)`` and
+    Runtime code does ``wake = yield Block(reason, waiting_on)`` and
     receives the wake-up virtual time (the clock has already been advanced
-    to ``max(clock, wake_time)``), exactly like the blocking call.
+    to ``max(clock, wake_time)``).  ``waiting_on`` optionally names the
+    wake dependency (which peer or service is expected to unblock this
+    thread) for deadlock reports.
     """
 
     __slots__ = ("reason", "waiting_on")
@@ -126,12 +121,6 @@ class Block:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Block({self.reason!r}, waiting_on={self.waiting_on!r})"
-
-
-# How a parked SimTask re-enters its generator at the next dispatch.
-_RESUME_START = 0   # first dispatch: create the generator, send(None)
-_RESUME_YIELD = 1   # parked at a YIELD effect
-_RESUME_BLOCK = 2   # parked at a Block effect
 
 
 class Scheduler:
@@ -147,30 +136,25 @@ class Scheduler:
     The default ``Engine(scheduler=None)`` fast path never consults a
     scheduler and reproduces the historical (clock, tid) policy exactly.
     ``repro.verify.schedule`` builds replayable and randomized strategies
-    on top of this hook to explore the schedule space.  The hook sees the
-    same tie sets on both engine backends.
+    on top of this hook to explore the schedule space.
     """
 
-    def pick(self, ready: "list[SimThread]") -> "SimThread":
+    def pick(self, ready: "list[SimTask]") -> "SimTask":
         """Return the thread to run next; default = lowest tid."""
         return ready[0]
 
 
-class SimThread:
-    """A simulated processor's execution context (thread backend).
+class SimTask:
+    """A simulated processor's execution context.
 
-    Wraps a host :class:`threading.Thread` plus a virtual clock.  All
-    scheduling handshakes go through :class:`Engine`; application code should
-    only ever touch :attr:`clock` indirectly via the runtime layers.
-
-    Bodies may be plain blocking functions or generator functions yielding
-    :data:`YIELD`/:class:`Block` effects; a generator body is driven by
-    :meth:`drive`, which maps each effect back onto the blocking
-    primitives, so both styles produce identical schedules.
+    A cheap continuation: the body is a generator function whose generator
+    is stepped by the engine's trampoline; each yielded effect parks the
+    task (READY after :data:`YIELD`, BLOCKED after :class:`Block`) with no
+    host thread underneath.  Application code should only ever touch
+    :attr:`clock` indirectly via the runtime layers.
     """
 
     __slots__ = (
-        "engine",
         "tid",
         "name",
         "clock",
@@ -178,8 +162,8 @@ class SimThread:
         "block_reason",
         "waiting_on",
         "_fn",
-        "_go",
-        "_host",
+        "_gen",
+        "_resumes_block",
         "result",
         "exception",
         "_wake_time",
@@ -188,9 +172,8 @@ class SimThread:
         "_stop",
     )
 
-    def __init__(self, engine: "Engine", tid: int, name: str, clock: float,
+    def __init__(self, tid: int, name: str, clock: float,
                  fn: Callable[[], Any], daemon: bool = False):
-        self.engine = engine
         self.tid = tid
         self.name = name
         self.clock = clock
@@ -201,7 +184,10 @@ class SimThread:
         #: thread_dump() so deadlock and watchdog reports name the edge.
         self.waiting_on: Optional[str] = None
         self._fn = fn
-        self._go = threading.Event()
+        self._gen: Optional[Generator] = None
+        #: True while parked at a Block effect (the resume sends the
+        #: wake-up time), False while parked at YIELD.
+        self._resumes_block = False
         self.result: Any = None
         self.exception: Optional[BaseException] = None
         self._wake_time: float = clock
@@ -211,195 +197,6 @@ class SimThread:
         #: gracefully and unwound.
         self.daemon = daemon
         self._stop = False
-        self._host = threading.Thread(
-            target=self._bootstrap, name=f"sim:{name}", daemon=True)
-
-    # ------------------------------------------------------------------
-    # Host-thread body
-    # ------------------------------------------------------------------
-    def _bootstrap(self) -> None:
-        self._go.wait()
-        self._go.clear()
-        try:
-            if self.engine._aborting:
-                raise SimAborted()
-            result = self._fn()
-            if isinstance(result, GeneratorType):
-                # Generator-convention body (the coro backend's native
-                # form): drive it against the blocking primitives so both
-                # backends execute the same effect sequence.
-                result = self.drive(result)
-            self.result = result
-        except SimAborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - report any failure
-            self.exception = exc
-        finally:
-            self.state = _DONE
-            obs = self.engine.obs
-            if obs is not None:
-                obs.instant(self.clock, self.tid,
-                            "thread_killed" if self._killed else "thread_done")
-            self.engine._back.set()
-
-    # ------------------------------------------------------------------
-    # Called from within the simulated thread
-    # ------------------------------------------------------------------
-    def advance(self, dt: float) -> None:
-        """Charge ``dt`` virtual seconds of local computation."""
-        if dt < 0:
-            raise ValueError(f"negative time advance: {dt!r}")
-        self.clock += dt
-
-    def yield_point(self) -> None:
-        """Return control to the scheduler until it is this thread's turn.
-
-        Every runtime operation calls this *before* acting so that all
-        causally-earlier events and threads execute first.
-        """
-        self.state = _READY
-        self.engine._back.set()
-        self._go.wait()
-        self._go.clear()
-        if self.engine._aborting:
-            raise SimAborted()
-        if self._killed:
-            raise ThreadKilled()
-        if self._stop:
-            raise SimAborted()
-        self.state = _RUNNING
-
-    def block(self, reason: str, waiting_on: Optional[str] = None) -> float:
-        """Suspend until another entity calls :meth:`Engine.unblock`.
-
-        ``waiting_on`` optionally names the wake dependency (which peer or
-        service is expected to unblock this thread) for deadlock reports.
-        Returns the wake-up virtual time; the clock has already been advanced
-        to ``max(clock, wake_time)``.
-        """
-        # A pending kill/stop must unwind here, not after the wake: the
-        # killer (or the daemon-retire sweep) has already run, so nobody
-        # is left to unblock a thread that parks *after* being told to go.
-        if self._killed:
-            raise ThreadKilled()
-        if self._stop:
-            raise SimAborted()
-        self.state = _BLOCKED
-        self.block_reason = reason
-        self.waiting_on = waiting_on
-        self.engine._back.set()
-        self._go.wait()
-        self._go.clear()
-        if self.engine._aborting:
-            raise SimAborted()
-        if self._killed:
-            raise ThreadKilled()
-        if self._stop:
-            raise SimAborted()
-        self.state = _RUNNING
-        self.block_reason = None
-        self.waiting_on = None
-        if self._wake_time > self.clock:
-            self.clock = self._wake_time
-        return self.clock
-
-    def drive(self, gen: Generator) -> Any:
-        """Run an effect-yielding generator to completion, blocking in this
-        host thread at each effect.
-
-        This is how blocking wrapper APIs (``tmk.barrier``, ``pvm.recv``,
-        ``SharedArray.read``) execute their generator-form cores on the
-        thread backend, and how a generator-convention application body
-        runs: each :data:`YIELD` maps to :meth:`yield_point`, each
-        :class:`Block` to :meth:`block`.  Exceptions raised by the
-        primitives (:class:`ThreadKilled`, :class:`SimAborted`) are thrown
-        *into* the generator so its ``finally`` blocks unwind.
-        """
-        try:
-            effect = gen.send(None)
-            while True:
-                try:
-                    if effect is YIELD:
-                        self.yield_point()
-                        value = None
-                    elif type(effect) is Block:
-                        value = self.block(effect.reason, effect.waiting_on)
-                    else:
-                        raise RuntimeError(
-                            f"{self.name}: unknown effect {effect!r} "
-                            "yielded to the engine")
-                except BaseException as exc:  # noqa: BLE001 - re-thrown
-                    effect = gen.throw(exc)
-                else:
-                    effect = gen.send(value)
-        except StopIteration as stop:
-            return stop.value
-
-    @property
-    def done(self) -> bool:
-        """True once this thread has run (or been unwound) to completion."""
-        return self.state == _DONE
-
-    @property
-    def killed(self) -> bool:
-        """True if this thread was (or is being) killed by a node crash."""
-        return self._killed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<SimThread {self.name} tid={self.tid} state={self.state} "
-                f"clock={self.clock:.6f} reason={self.block_reason!r}>")
-
-
-class SimTask:
-    """A simulated processor's execution context (coro backend).
-
-    A cheap continuation: the body is a generator function whose generator
-    is stepped by the engine's trampoline; each yielded effect parks the
-    task (READY after :data:`YIELD`, BLOCKED after :class:`Block`) with no
-    host thread underneath.  The public surface mirrors
-    :class:`SimThread` -- ``tid``/``name``/``clock``/``state``/
-    ``block_reason``/``waiting_on``/``result``/``exception``/``daemon``/
-    ``advance``/``done``/``killed`` -- so schedulers, recovery, the
-    observability layers, and diagnostics treat both backends uniformly.
-    """
-
-    __slots__ = (
-        "engine",
-        "tid",
-        "name",
-        "clock",
-        "state",
-        "block_reason",
-        "waiting_on",
-        "_fn",
-        "_gen",
-        "_resume",
-        "result",
-        "exception",
-        "_wake_time",
-        "_killed",
-        "daemon",
-        "_stop",
-    )
-
-    def __init__(self, engine: "Engine", tid: int, name: str, clock: float,
-                 fn: Callable[[], Any], daemon: bool = False):
-        self.engine = engine
-        self.tid = tid
-        self.name = name
-        self.clock = clock
-        self.state = _NEW
-        self.block_reason: Optional[str] = None
-        self.waiting_on: Optional[str] = None
-        self._fn = fn
-        self._gen: Optional[Generator] = None
-        self._resume = _RESUME_START
-        self.result: Any = None
-        self.exception: Optional[BaseException] = None
-        self._wake_time: float = clock
-        self._killed = False
-        self.daemon = daemon
-        self._stop = False
 
     # ------------------------------------------------------------------
     def advance(self, dt: float) -> None:
@@ -407,24 +204,6 @@ class SimTask:
         if dt < 0:
             raise ValueError(f"negative time advance: {dt!r}")
         self.clock += dt
-
-    def yield_point(self) -> None:
-        raise RuntimeError(
-            f"{self.name}: blocking yield_point() on the coro backend -- "
-            "continuation bodies must use the generator convention "
-            "('yield YIELD' / the runtime's *_g form via 'yield from')")
-
-    def block(self, reason: str, waiting_on: Optional[str] = None) -> float:
-        raise RuntimeError(
-            f"{self.name}: blocking block({reason!r}) on the coro backend -- "
-            "continuation bodies must use the generator convention "
-            "('yield Block(...)' / the runtime's *_g form via 'yield from')")
-
-    def drive(self, gen: Generator) -> Any:
-        gen.close()
-        raise RuntimeError(
-            f"{self.name}: blocking runtime call on the coro backend -- "
-            "use the generator form (*_g) via 'yield from' instead")
 
     @property
     def done(self) -> bool:
@@ -441,8 +220,8 @@ class SimTask:
 
         Follows the ``yield from`` delegation chain to the frame that
         actually yielded the current effect, e.g.
-        ``"barrier_g (barrier.py:154)"`` -- the coro backend's answer to
-        "where is this processor parked?" in deadlock dumps.
+        ``"barrier (barrier.py:154)"`` -- the answer to "where is this
+        processor parked?" in deadlock dumps.
         """
         gen = self._gen
         if gen is None or gen.gi_frame is None:
@@ -463,26 +242,13 @@ class SimTask:
 
 
 class Engine:
-    """Virtual-time scheduler for simulated threads/tasks and message events.
-
-    ``backend`` selects the execution substrate: ``"threads"`` (host thread
-    per processor, the historical default) or ``"coro"`` (generator
-    continuations on a trampoline, scaling to thousands of processors).
-    Scheduling semantics are identical; see the module docstring.
-    """
+    """Virtual-time scheduler for simulated threads and message events."""
 
     def __init__(self, watchdog_events: int = 1_000_000,
-                 scheduler: Optional[Scheduler] = None,
-                 backend: str = "threads") -> None:
-        if backend not in ("threads", "coro"):
-            raise ValueError(
-                f"engine backend must be 'threads' or 'coro', got {backend!r}")
-        self.backend = backend
-        self._threads: list[Any] = []
+                 scheduler: Optional[Scheduler] = None) -> None:
+        self._threads: list[SimTask] = []
         self._events: list[tuple[float, int, Callable[[], None]]] = []
         self._event_seq = 0
-        self._back = threading.Event()
-        self._aborting = False
         self._running = False
         #: Observability facade (repro.obs.core.Obs) or None; set by the
         #: cluster so thread lifecycle events land on the timeline.
@@ -499,13 +265,13 @@ class Engine:
         #: Tie-break strategy among equal-clock READY threads, or None for
         #: the historical lowest-tid policy (the byte-identical fast path).
         self.scheduler = scheduler
-        # Coro-backend ready queue: a heap of (clock, tid, task) snapshots.
-        # An entry's clock can go stale (service charges bump READY tasks'
-        # clocks); since clocks only ever increase, a stale entry is fixed
-        # lazily at the top of the heap (pop + re-push at the true clock).
+        # Ready queue: a heap of (clock, tid, task) snapshots.  An entry's
+        # clock can go stale (service charges bump READY tasks' clocks);
+        # since clocks only ever increase, a stale entry is fixed lazily at
+        # the top of the heap (pop + re-push at the true clock).
         self._ready: list[tuple[float, int, SimTask]] = []
-        # Live-entity counters so the coro loop avoids the O(n) all-done /
-        # app-done scans per dispatch that the (small) thread backend does.
+        # Live-entity counters so the loop avoids O(n) all-done / app-done
+        # scans per dispatch.
         self._live_total = 0
         self._live_app = 0
 
@@ -513,16 +279,15 @@ class Engine:
     # Setup
     # ------------------------------------------------------------------
     def spawn(self, name: str, fn: Callable[[], Any], clock: float = 0.0,
-              daemon: bool = False) -> Any:
+              daemon: bool = False) -> SimTask:
         """Register a simulated thread; it starts when :meth:`run` executes.
 
-        Returns a :class:`SimThread` or :class:`SimTask` depending on the
-        engine backend; both expose the same public surface.
+        ``fn()`` returns the body's generator (a plain function that never
+        blocks may return its result directly).
         """
         if self._running:
             raise RuntimeError("cannot spawn threads while engine is running")
-        cls = SimTask if self.backend == "coro" else SimThread
-        th = cls(self, len(self._threads), name, clock, fn, daemon=daemon)
+        th = SimTask(len(self._threads), name, clock, fn, daemon=daemon)
         self._threads.append(th)
         return th
 
@@ -536,22 +301,20 @@ class Engine:
         self._event_seq += 1
         heapq.heappush(self._events, (time, self._event_seq, fn))
 
-    def unblock(self, thread: Any, wake_time: float) -> None:
+    def unblock(self, thread: SimTask, wake_time: float) -> None:
         """Make a blocked thread runnable again at ``wake_time``.
 
         The woken entity competes for dispatch at its *old* clock (the
-        wake-time bump happens when it actually resumes) -- identical on
-        both backends.
+        wake-time bump happens when it actually resumes).
         """
         if thread.state != _BLOCKED:
             raise RuntimeError(
                 f"unblock of non-blocked thread {thread.name} ({thread.state})")
         thread._wake_time = wake_time
         thread.state = _READY
-        if self.backend == "coro":
-            heapq.heappush(self._ready, (thread.clock, thread.tid, thread))
+        heapq.heappush(self._ready, (thread.clock, thread.tid, thread))
 
-    def kill(self, thread: Any, wake_time: float) -> bool:
+    def kill(self, thread: SimTask, wake_time: float) -> bool:
         """Kill one simulated thread (node crash) at virtual ``wake_time``.
 
         The thread unwinds with :class:`ThreadKilled` at its next runtime
@@ -566,7 +329,7 @@ class Engine:
             self.unblock(thread, wake_time)
         return True
 
-    def stop(self, thread: Any, wake_time: float) -> bool:
+    def stop(self, thread: SimTask, wake_time: float) -> bool:
         """Gracefully stop one simulated thread at virtual ``wake_time``.
 
         Unlike :meth:`kill` this is not a crash: the thread unwinds with a
@@ -597,9 +360,9 @@ class Engine:
         """One line per thread: name, tid, state, clock, block reason and
         wake dependency (who must act for the thread to wake).
 
-        On the coro backend each parked continuation additionally names its
-        innermost suspended frame, so a deadlock report reads
-        ``P3 ... blocked ... in barrier_g (barrier.py:154)``.
+        Each parked continuation additionally names its innermost
+        suspended frame, so a deadlock report reads
+        ``P3 ... blocked ... in barrier (barrier.py:154)``.
         """
         parts = []
         for t in self._threads:
@@ -608,7 +371,7 @@ class Engine:
                 line += f" reason={t.block_reason}"
             if t.waiting_on:
                 line += f" waiting_on={t.waiting_on}"
-            if isinstance(t, SimTask) and t.state in (_READY, _BLOCKED):
+            if t.state in (_READY, _BLOCKED):
                 frame = t.frame_description()
                 if frame is not None:
                     line += f" in {frame}"
@@ -616,7 +379,7 @@ class Engine:
         return "; ".join(parts)
 
     # ------------------------------------------------------------------
-    # Scheduler loop (runs in the host's calling thread)
+    # The trampoline (runs in the host's calling thread)
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Drive the simulation until every thread finishes.
@@ -628,147 +391,23 @@ class Engine:
             raise RuntimeError("engine is already running")
         self._running = True
         try:
-            if self.backend == "coro":
-                self._live_total = self._live_app = 0
-                for th in self._threads:
-                    if th.state == _NEW:
-                        th.state = _READY
-                        heapq.heappush(self._ready,
-                                       (th.clock, th.tid, th))
-                    if th.state != _DONE:
-                        self._live_total += 1
-                        if not th.daemon:
-                            self._live_app += 1
-                try:
-                    self._loop_coro()
-                except BaseException:
-                    self._abort_coro()
-                    raise
-            else:
-                for th in self._threads:
-                    if th.state == _NEW:
-                        th.state = _READY
-                        th._host.start()
-                try:
-                    self._loop()
-                except BaseException:
-                    self._abort()
-                    raise
+            self._live_total = self._live_app = 0
+            for th in self._threads:
+                if th.state == _NEW:
+                    th.state = _READY
+                    heapq.heappush(self._ready, (th.clock, th.tid, th))
+                if th.state != _DONE:
+                    self._live_total += 1
+                    if not th.daemon:
+                        self._live_app += 1
+            try:
+                self._loop()
+            except BaseException:
+                self._abort()
+                raise
         finally:
             self._running = False
 
-    def _loop(self) -> None:
-        # The scheduler is the simulator's inner loop: it runs once per
-        # yield point and once per event.  Everything below is a single
-        # pass over the (small) thread list with local bindings -- no
-        # intermediate ready-list allocation, no repeated attribute
-        # lookups, and the done/failed/ready scans folded into one.
-        threads = self._threads
-        events = self._events
-        heappop = heapq.heappop
-        back = self._back
-        scheduler = self.scheduler
-        while True:
-            # One pass: surface failures, detect completion, and find the
-            # ready thread with the smallest (clock, tid).  Iteration is in
-            # tid order, so keeping the first strict minimum preserves the
-            # historical (clock, tid) tie-break exactly.
-            next_thread = None
-            all_done = True
-            app_done = True
-            for t in threads:
-                if t.exception is not None:
-                    exc = t.exception
-                    t.exception = None
-                    raise exc
-                state = t.state
-                if state != _DONE:
-                    all_done = False
-                    if not t.daemon:
-                        app_done = False
-                    if state == _READY and (next_thread is None
-                                            or t.clock < next_thread.clock):
-                        next_thread = t
-
-            if app_done and not all_done:
-                # Application threads finished but daemon threads (replica
-                # servers) are still parked: retire them so they unwind
-                # before the trailing-event drain below.
-                stopped = False
-                for t in threads:
-                    if t.daemon and t.state != _DONE and not t._stop:
-                        self.stop(t, t.clock)
-                        stopped = True
-                if stopped:
-                    continue
-
-            if all_done:
-                # Drain in-flight events (e.g. messages still on the wire)
-                # so trailing deliveries and their CPU charges complete.
-                while events:
-                    _, _, fn = heappop(events)
-                    fn()
-                if all(t.state == _DONE for t in threads):
-                    return
-                continue
-
-            # Pick the schedulable entity with the smallest virtual time;
-            # events win ties so request handlers run before threads proceed.
-            if events and (next_thread is None
-                           or events[0][0] <= next_thread.clock):
-                if next_thread is None:
-                    self._blocked_events += 1
-                    if self._blocked_events > self.watchdog_events:
-                        raise EngineDeadlock(
-                            f"watchdog: {self._blocked_events} consecutive "
-                            "events processed while every thread was "
-                            f"blocked: {self.thread_dump()}")
-                else:
-                    self._blocked_events = 0
-                time, _, fn = heappop(events)
-                if time > self.horizon:
-                    self.horizon = time
-                fn()
-                continue
-
-            if next_thread is None:
-                raise EngineDeadlock(
-                    "all simulated threads blocked with no pending events: "
-                    + self.thread_dump())
-
-            if scheduler is not None:
-                # A choice point exists only when several READY threads are
-                # tied at the minimal clock; the event-vs-thread tie policy
-                # (events win) is fixed and never explored.
-                tie_clock = next_thread.clock
-                ties = [t for t in threads
-                        if t.state == _READY and t.clock == tie_clock]
-                if len(ties) > 1:
-                    next_thread = scheduler.pick(ties)
-
-            self._blocked_events = 0
-            if next_thread.clock > self.horizon:
-                self.horizon = next_thread.clock
-            back.clear()
-            next_thread.state = _RUNNING
-            next_thread._go.set()
-            back.wait()
-
-    def _abort(self) -> None:
-        """Unwind all live simulated threads after a failure."""
-        self._aborting = True
-        for th in self._threads:
-            if th.state not in (_DONE, _NEW):
-                self._back.clear()
-                th._go.set()
-                self._back.wait()
-        for th in self._threads:
-            if th._host.is_alive():
-                th._host.join(timeout=5.0)
-
-    # ------------------------------------------------------------------
-    # Coro backend: ready-queue helpers and the trampoline loop
-    # ------------------------------------------------------------------
     def _peek_ready(self) -> Optional[SimTask]:
         """The READY task with the smallest (clock, tid), without popping.
 
@@ -794,7 +433,7 @@ class Engine:
             return task
         return None
 
-    def _loop_coro(self) -> None:
+    def _loop(self) -> None:
         events = self._events
         heappop = heapq.heappop
         scheduler = self.scheduler
@@ -825,7 +464,7 @@ class Engine:
             next_task = self._peek_ready()
 
             # Events win virtual-time ties so request handlers run before
-            # threads proceed -- identical to the thread backend.
+            # threads proceed.
             if events and (next_task is None
                            or events[0][0] <= next_task.clock):
                 if next_task is None:
@@ -849,6 +488,9 @@ class Engine:
                     + self.thread_dump())
 
             if scheduler is not None:
+                # A choice point exists only when several READY threads are
+                # tied at the minimal clock; the event-vs-thread tie policy
+                # (events win) is fixed and never explored.
                 tie_clock = next_task.clock
                 ties = [t for t in threads
                         if t.state == _READY and t.clock == tie_clock]
@@ -869,28 +511,24 @@ class Engine:
     def _step(self, task: SimTask) -> None:
         """Resume one continuation and run it to its next effect.
 
-        Reproduces the thread backend's primitive semantics exactly:
+        Kill/stop semantics (pinned by the golden suites):
 
         * first dispatch runs the body's prefix even when the task is
-          already marked killed (only an engine-wide abort short-circuits),
-          because a host thread's bootstrap checks only ``_aborting``;
-        * resuming from :data:`YIELD` checks abort -> killed -> stop and
-          throws before touching the clock;
-        * resuming from :class:`Block` performs the same checks *before*
-          the wake-time bump, so a killed task unwinds at its old clock;
+          already marked killed -- it unwinds at its first effect;
+        * resuming from either effect checks killed -> stop and throws
+          *before* the wake-time bump, so a killed task unwinds at its
+          old clock;
         * a :class:`Block` effect from a task already marked killed/stopped
-          raises synchronously (the thread backend's ``block()`` entry
-          check), while a :data:`YIELD` effect always parks first and
-          raises at the next dispatch.
+          raises synchronously -- the killer (or the daemon-retire sweep)
+          has already run, so nobody is left to unblock a task that parks
+          *after* being told to go -- while a :data:`YIELD` effect always
+          parks first and raises at the next dispatch.
         """
         task.state = _RUNNING
         throw: Optional[BaseException] = None
         send_value: Any = None
         gen = task._gen
         if gen is None:
-            if self._aborting:
-                self._finish(task)
-                return
             try:
                 result = task._fn()
             except SimAborted:
@@ -907,26 +545,16 @@ class Engine:
                 self._finish(task)
                 return
             task._gen = gen = result
-        elif task._resume == _RESUME_YIELD:
-            if self._aborting:
-                throw = SimAborted()
-            elif task._killed:
-                throw = ThreadKilled()
-            elif task._stop:
-                throw = SimAborted()
-        else:  # _RESUME_BLOCK
-            if self._aborting:
-                throw = SimAborted()
-            elif task._killed:
-                throw = ThreadKilled()
-            elif task._stop:
-                throw = SimAborted()
-            else:
-                task.block_reason = None
-                task.waiting_on = None
-                if task._wake_time > task.clock:
-                    task.clock = task._wake_time
-                send_value = task.clock
+        elif task._killed:
+            throw = ThreadKilled()
+        elif task._stop:
+            throw = SimAborted()
+        elif task._resumes_block:
+            task.block_reason = None
+            task.waiting_on = None
+            if task._wake_time > task.clock:
+                task.clock = task._wake_time
+            send_value = task.clock
 
         while True:
             try:
@@ -950,7 +578,7 @@ class Engine:
             send_value = None
             if effect is YIELD:
                 task.state = _READY
-                task._resume = _RESUME_YIELD
+                task._resumes_block = False
                 heapq.heappush(self._ready, (task.clock, task.tid, task))
                 return
             if type(effect) is Block:
@@ -963,7 +591,7 @@ class Engine:
                 task.state = _BLOCKED
                 task.block_reason = effect.reason
                 task.waiting_on = effect.waiting_on
-                task._resume = _RESUME_BLOCK
+                task._resumes_block = True
                 return
             throw = RuntimeError(
                 f"{task.name}: unknown effect {effect!r} yielded to the "
@@ -981,17 +609,13 @@ class Engine:
             obs.instant(task.clock, task.tid,
                         "thread_killed" if task._killed else "thread_done")
 
-    def _abort_coro(self) -> None:
+    def _abort(self) -> None:
         """Unwind all live continuations after a failure.
 
-        Mirrors the thread backend's abort handshake: every live task is
-        resumed once with :class:`SimAborted` thrown into its generator (so
-        ``finally`` blocks run), then marked done.  Tasks that never ran
-        (no generator yet) are finished without executing their body, like
-        a host thread whose bootstrap sees ``_aborting`` before calling
-        the function.
+        Every live task gets :class:`SimAborted` thrown into its generator
+        (so ``finally`` blocks run) and is marked done.  Tasks that never
+        ran (no generator yet) are finished without executing their body.
         """
-        self._aborting = True
         for task in self._threads:
             if task.state in (_DONE, _NEW):
                 continue

@@ -140,27 +140,15 @@ class Tmk:
     # ------------------------------------------------------------------
     # Synchronization
     # ------------------------------------------------------------------
-    def barrier(self, bid: int) -> None:
+    def barrier(self, bid: int):
         """Stall until every processor reaches barrier ``bid``."""
-        self.barriers.barrier(bid)
+        yield from self.barriers.barrier(bid)
 
-    def barrier_g(self, bid: int):
-        """Generator form of :meth:`barrier` (coro-backend convention)."""
-        yield from self.barriers.barrier_g(bid)
+    def lock_acquire(self, lock: int):
+        yield from self.locks.acquire(lock)
 
-    def lock_acquire(self, lock: int) -> None:
-        self.locks.acquire(lock)
-
-    def lock_acquire_g(self, lock: int):
-        """Generator form of :meth:`lock_acquire`."""
-        yield from self.locks.acquire_g(lock)
-
-    def lock_release(self, lock: int) -> None:
-        self.locks.release(lock)
-
-    def lock_release_g(self, lock: int):
-        """Generator form of :meth:`lock_release`."""
-        yield from self.locks.release_g(lock)
+    def lock_release(self, lock: int):
+        yield from self.locks.release(lock)
 
     # ------------------------------------------------------------------
     # Shared memory

@@ -89,11 +89,7 @@ class BarrierSubsystem:
     # ------------------------------------------------------------------
     # Application interface
     # ------------------------------------------------------------------
-    def barrier(self, bid: int) -> None:
-        return self.proc.drive(self.barrier_g(bid))
-
-    def barrier_g(self, bid: int):
-        """Generator form of :meth:`barrier` (coro-backend convention)."""
+    def barrier(self, bid: int):
         proc = self.proc
         yield YIELD
         self.core.close_interval()
@@ -113,25 +109,25 @@ class BarrierSubsystem:
         if monitor is not None:
             monitor.on_barrier_arrive(self.pid, bid, proc.now)
         if self.pid == self.manager:
-            yield from self._manager_arrive_g(bid, t_arrive)
+            yield from self._manager_arrive(bid, t_arrive)
         else:
-            yield from self._client_arrive_g(bid, t_arrive)
+            yield from self._client_arrive(bid, t_arrive)
         self.wait_time += proc.now - t_arrive
         self.episodes_completed += 1
         if obs is not None:
             obs.end(proc.now, self.pid)
-        yield from self._run_post_departure_g()
+        yield from self._run_post_departure()
         if sanitizer is not None:
             sanitizer.on_barrier_depart(self.pid, bid)
         if monitor is not None:
             monitor.on_barrier_depart(self.pid, bid, proc.now)
 
-    def _run_post_departure_g(self):
+    def _run_post_departure(self):
         """Execute any GC/checkpoint instruction the departure carried."""
         validate, floor, checkpoint = self._post_departure
         self._post_departure = (False, None, False)
         if validate:
-            yield from self.core.validate_all_pending_g()
+            yield from self.core.validate_all_pending()
             self.gc_runs += 1
         if floor is not None:
             self.core.drop_below(floor)
@@ -146,7 +142,7 @@ class BarrierSubsystem:
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
-    def _client_arrive_g(self, bid: int, t_arrive: float):
+    def _client_arrive(self, bid: int, t_arrive: float):
         proc = self.proc
         records = self.core.records_since(self._last_barrier_vc)
         arrival = BarrierArrival(barrier=bid, pid=self.pid,
@@ -195,7 +191,7 @@ class BarrierSubsystem:
     def _episode(self, bid: int) -> _Episode:
         return self._episodes.setdefault(bid, _Episode())
 
-    def _manager_arrive_g(self, bid: int, t_arrive: float):
+    def _manager_arrive(self, bid: int, t_arrive: float):
         proc = self.proc
         episode = self._episode(bid)
         episode.manager_arrived = True
@@ -346,7 +342,7 @@ class TreeBarrierSubsystem(BarrierSubsystem):
             "waiting_departure": False,
         })
 
-    def barrier_g(self, bid: int):
+    def barrier(self, bid: int):
         proc = self.proc
         yield YIELD
         self.core.close_interval()
@@ -461,7 +457,7 @@ class TreeBarrierSubsystem(BarrierSubsystem):
         if obs is not None:
             obs.end(proc.now, self.pid)
         proc.trace("barrier_depart", f"bid={bid} tree")
-        yield from self._run_post_departure_g()
+        yield from self._run_post_departure()
         if sanitizer is not None:
             sanitizer.on_barrier_depart(self.pid, bid)
         if monitor is not None:
@@ -527,7 +523,7 @@ class DisseminationBarrierSubsystem(BarrierSubsystem):
         self._waiting_key: Optional[Tuple[int, int, int]] = None
         proc.register(CAT_DISS_ROUND, self._on_round)
 
-    def barrier_g(self, bid: int):
+    def barrier(self, bid: int):
         proc = self.proc
         yield YIELD
         self.core.close_interval()

@@ -345,26 +345,17 @@ class LrcCore:
                     return False
         return True
 
-    def ensure_valid_runs(self, runs) -> None:
+    def ensure_valid_runs(self, runs):
         """Validate every page the access touches (LRC pages are never
         stolen, so run-by-run handling is race-free)."""
-        return self.proc.drive(self.ensure_valid_runs_g(runs))
-
-    def ensure_valid_runs_g(self, runs):
         for start, nbytes in runs:
-            yield from self.ensure_valid_range_g(start, nbytes)
+            yield from self.ensure_valid_range(start, nbytes)
 
-    def ensure_writable_runs(self, runs) -> None:
-        return self.proc.drive(self.ensure_writable_runs_g(runs))
-
-    def ensure_writable_runs_g(self, runs):
+    def ensure_writable_runs(self, runs):
         for start, nbytes in runs:
-            yield from self.ensure_writable_range_g(start, nbytes)
+            yield from self.ensure_writable_range(start, nbytes)
 
-    def ensure_valid_range(self, start: int, nbytes: int) -> None:
-        return self.proc.drive(self.ensure_valid_range_g(start, nbytes))
-
-    def ensure_valid_range_g(self, start: int, nbytes: int):
+    def ensure_valid_range(self, start: int, nbytes: int):
         pt = self.pt
         if nbytes <= 0:
             return
@@ -379,18 +370,15 @@ class LrcCore:
         valid = pt.valid
         for page in range(first, last + 1):
             if not valid[page]:
-                yield from self._fault_g(page)
+                yield from self._fault(page)
 
-    def ensure_writable_range(self, start: int, nbytes: int) -> None:
+    def ensure_writable_range(self, start: int, nbytes: int):
         """Validate and twin every page in the range before a write."""
-        return self.proc.drive(self.ensure_writable_range_g(start, nbytes))
-
-    def ensure_writable_range_g(self, start: int, nbytes: int):
         pt = self.pt
         valid = pt.valid
         for page in pt.pages_for_range(start, nbytes):
             if not valid[page]:
-                yield from self._fault_g(page)
+                yield from self._fault(page)
             if not pt.has_twin(page):
                 obs = self.proc.obs
                 if obs is not None:
@@ -401,7 +389,7 @@ class LrcCore:
                 if obs is not None:
                     obs.end(self.proc.now, self.pid)
 
-    def _fault_g(self, page: int):
+    def _fault(self, page: int):
         """Bring an invalidated page up to date by fetching missing diffs.
 
         Under eager RC, new notices for this page can arrive *while the
@@ -422,13 +410,13 @@ class LrcCore:
         proc.compute(self.cost.fault_cpu)
         t_fault_start = proc.now
         while self.pending.get(page):
-            yield from self._fetch_round_g(page)
+            yield from self._fetch_round(page)
         self.pt.validate(page)
         self.fault_wait_time += proc.now - t_fault_start
         if obs is not None:
             obs.end(proc.now, self.pid)
 
-    def _fetch_round_g(self, page: int):
+    def _fetch_round(self, page: int):
         """One request/response/apply round for a page's pending notices."""
         proc = self.proc
         obs = proc.obs
@@ -474,7 +462,7 @@ class LrcCore:
         entries: Dict[IntervalId, Tuple[Tuple[int, ...], Diff]] = {}
         satisfied = set()
         for box in boxes:
-            response: DiffResponse = yield from box.wait_g(
+            response: DiffResponse = yield from box.wait(
                 f"diffs for page {page}")
             for iid, ivc, diff in response.entries:
                 entries.setdefault(iid, (ivc, diff))
@@ -533,17 +521,14 @@ class LrcCore:
     # ------------------------------------------------------------------
     # Garbage collection (TmkConfig.gc_every)
     # ------------------------------------------------------------------
-    def validate_all_pending(self) -> int:
+    def validate_all_pending(self):
         """Fault in every invalid page (GC phase 1: once everyone has done
         this, diffs below the global minimum vector time are dead).
         Returns the number of pages validated."""
-        return self.proc.drive(self.validate_all_pending_g())
-
-    def validate_all_pending_g(self):
         pages = sorted(self.pending)
         for page in pages:
             if not self.pt.is_valid(page):
-                yield from self._fault_g(page)
+                yield from self._fault(page)
         return len(pages)
 
     def drop_below(self, floor: Tuple[int, ...]) -> int:

@@ -96,11 +96,7 @@ class LockSubsystem:
     # ------------------------------------------------------------------
     # Application interface
     # ------------------------------------------------------------------
-    def acquire(self, lock: int) -> None:
-        return self.proc.drive(self.acquire_g(lock))
-
-    def acquire_g(self, lock: int):
-        """Generator form of :meth:`acquire` (coro-backend convention)."""
+    def acquire(self, lock: int):
         proc = self.proc
         yield YIELD
         self.core.close_interval()
@@ -144,7 +140,7 @@ class LockSubsystem:
             proc.set_now(t_free)
             if obs is not None:
                 obs.end(proc.now, self.pid)
-        grant: LockGrant = yield from box.wait_g(f"grant of lock {lock}")
+        grant: LockGrant = yield from box.wait(f"grant of lock {lock}")
         self.wait_time += proc.now - t_wait_start
         self.core.merge(grant.records, grant.vc, piggybacked=grant.diffs)
         state.awaiting = False
@@ -158,11 +154,7 @@ class LockSubsystem:
         if self.core.sanitizer is not None:
             self.core.sanitizer.on_lock_acquired(self.pid, lock, grant)
 
-    def release(self, lock: int) -> None:
-        return self.proc.drive(self.release_g(lock))
-
-    def release_g(self, lock: int):
-        """Generator form of :meth:`release` (coro-backend convention)."""
+    def release(self, lock: int):
         proc = self.proc
         yield YIELD
         state = self._lock_state(lock)
@@ -406,7 +398,7 @@ class McsLockSubsystem(LockSubsystem):
     # ------------------------------------------------------------------
     # Application interface (remote-acquire path replaced)
     # ------------------------------------------------------------------
-    def acquire_g(self, lock: int):
+    def acquire(self, lock: int):
         proc = self.proc
         yield YIELD
         self.core.close_interval()
@@ -450,7 +442,7 @@ class McsLockSubsystem(LockSubsystem):
             proc.set_now(t_free)
             if obs is not None:
                 obs.end(proc.now, self.pid)
-            tail: McsTail = yield from swap_box.wait_g(
+            tail: McsTail = yield from swap_box.wait(
                 f"tail of lock {lock}")
             predecessor = tail.predecessor
         if predecessor == self.pid:
@@ -470,7 +462,7 @@ class McsLockSubsystem(LockSubsystem):
         proc.set_now(t_free)
         if obs is not None:
             obs.end(proc.now, self.pid)
-        grant: LockGrant = yield from grant_box.wait_g(
+        grant: LockGrant = yield from grant_box.wait(
             f"grant of lock {lock}")
         self.wait_time += proc.now - t_wait_start
         self.core.merge(grant.records, grant.vc, piggybacked=grant.diffs)

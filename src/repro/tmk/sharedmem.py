@@ -8,10 +8,13 @@ sharing behave identically; only the trap mechanism differs (DESIGN.md
 section 2).
 
 Application discipline (enforced by returning read-only views): reads go
-through ``read``/``__getitem__``, writes through ``write``/``__setitem__``/
-``add``.  A view obtained before a synchronization operation must be
-re-read afterwards, just as a real DSM program must not cache shared values
-in registers across synchronization.
+through ``read``, writes through ``write``/``add``.  Every accessor may
+fault and therefore block, so each is a generator the caller delegates to
+(``rows = yield from arr.read(key)``); there is no subscript sugar,
+because ``arr[key]`` cannot yield to the engine.  A view obtained before
+a synchronization operation must be re-read afterwards, just as a real
+DSM program must not cache shared values in registers across
+synchronization.
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ class SharedArray:
         # __array_interface__ dict is built -- all three were top entries
         # in the access-path profile.  Byte runs are identical to what
         # the general path below computes.  Raw keys are accepted (this
-        # is what _read_g/write_g pass); anything the fast paths do not
+        # is what _read/write pass); anything the fast paths do not
         # recognize is normalized and handled generally.
         tkey = type(key)
         if tkey is int:
@@ -273,20 +276,16 @@ class SharedArray:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def read(self, key: Any = slice(None)) -> np.ndarray:
-        """Read access: faults in any invalid page, returns a read-only view."""
-        return self.tmk.core.proc.drive(self._read_g(key, racy=False))
+    def read(self, key: Any = slice(None)):
+        """Read access: faults in any invalid page, returns a read-only view.
 
-    def read_g(self, key: Any = slice(None)):
-        """Generator form of :meth:`read` (coro-backend convention).
-
-        Returns the generator directly (``yield from`` accepts any
-        iterable), avoiding one delegating generator per read -- reads
-        are the single most frequent shared-memory operation.
+        Returns the inner generator directly (``yield from`` accepts any
+        iterable), avoiding one delegating generator frame per read --
+        reads are the single most frequent shared-memory operation.
         """
-        return self._read_g(key, racy=False)
+        return self._read(key, racy=False)
 
-    def read_racy(self, key: Any = slice(None)) -> np.ndarray:
+    def read_racy(self, key: Any = slice(None)):
         """Annotated intentionally-unsynchronized read.
 
         Identical to :meth:`read` in faults, messages, and cost; the only
@@ -295,11 +294,7 @@ class SharedArray:
         exempts it from the happens-before check.  The false-sharing
         analyzer still records it.
         """
-        return self.tmk.core.proc.drive(self._read_g(key, racy=True))
-
-    def read_racy_g(self, key: Any = slice(None)):
-        """Generator form of :meth:`read_racy`."""
-        return self._read_g(key, racy=True)
+        return self._read(key, racy=True)
 
     def _core_capabilities(self, core: Any) -> Tuple[Any, ...]:
         """(core, runs_all_valid, runs_all_writable, piecewise) memoized
@@ -313,14 +308,14 @@ class SharedArray:
                 getattr(core, "prefers_piecewise_writes", False))
         return caps
 
-    def _read_g(self, key: Any, racy: bool):
+    def _read(self, key: Any, racy: bool):
         runs = self._touched_runs(key)
         core = self.tmk.core
         # Fast path (LRC only): a synchronous all-valid check skips the
         # per-run generator chain for the fault-free common case.
         check = self._core_capabilities(core)[1]
         if check is None or not check(runs):
-            yield from core.ensure_valid_runs_g(runs)
+            yield from core.ensure_valid_runs(runs)
         sanitizer = getattr(core, "sanitizer", None)
         if sanitizer is not None:
             sanitizer.on_access(core, runs, write=False, racy=racy)
@@ -332,14 +327,7 @@ class SharedArray:
 
     def get(self, key: Any):
         """Read one element (Python scalar)."""
-        value = self.read(key)
-        if isinstance(value, np.ndarray):
-            raise TypeError(f"get() with non-scalar index {key!r}")
-        return value
-
-    def get_g(self, key: Any):
-        """Generator form of :meth:`get`."""
-        value = yield from self.read_g(key)
+        value = yield from self.read(key)
         if isinstance(value, np.ndarray):
             raise TypeError(f"get() with non-scalar index {key!r}")
         return value
@@ -347,25 +335,15 @@ class SharedArray:
     def get_racy(self, key: Any):
         """Read one element without synchronization (annotated benign
         race; see :meth:`read_racy`)."""
-        value = self.read_racy(key)
+        value = yield from self.read_racy(key)
         if isinstance(value, np.ndarray):
             raise TypeError(f"get_racy() with non-scalar index {key!r}")
         return value
-
-    def get_racy_g(self, key: Any):
-        """Generator form of :meth:`get_racy`."""
-        value = yield from self.read_racy_g(key)
-        if isinstance(value, np.ndarray):
-            raise TypeError(f"get_racy() with non-scalar index {key!r}")
-        return value
-
-    def __getitem__(self, key: Any):
-        return self.read(key)
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def write(self, key: Any, values: Any) -> None:
+    def write(self, key: Any, values: Any):
         """Write access: validates + twins every covered page, then stores.
 
         Single-writer cores (IVY) set ``prefers_piecewise_writes``: a
@@ -373,10 +351,6 @@ class SharedArray:
         under momentary ownership -- like real per-store traps -- because
         holding many contended pages simultaneously can livelock.
         """
-        return self.tmk.core.proc.drive(self.write_g(key, values))
-
-    def write_g(self, key: Any, values: Any):
-        """Generator form of :meth:`write`."""
         runs = self._touched_runs(key)
         core = self.tmk.core
         _, _, check, piecewise = self._core_capabilities(core)
@@ -384,15 +358,15 @@ class SharedArray:
         if sanitizer is not None:
             sanitizer.on_access(core, runs, write=True)
         if piecewise:
-            done = yield from self._piecewise_write_g(self._normalize(key),
-                                                      runs, values)
+            done = yield from self._piecewise_write(self._normalize(key),
+                                                    runs, values)
             if done:
                 return
         if check is None or not check(runs):
-            yield from core.ensure_writable_runs_g(runs)
+            yield from core.ensure_writable_runs(runs)
         self._view[key] = values
 
-    def _piecewise_write_g(self, norm: Any, runs: list, values: Any):
+    def _piecewise_write(self, norm: Any, runs: list, values: Any):
         """Store run by run, page piece by page piece.  Returns False when
         the selection shape rules it out (negative strides, fancy index
         in caller-defined order), letting the caller fall back."""
@@ -418,29 +392,18 @@ class SharedArray:
             end = start + nbytes
             while pos < end:
                 piece = min(end, (pos // page + 1) * page) - pos
-                yield from core.ensure_writable_range_g(pos, piece)
+                yield from core.ensure_writable_range(pos, piece)
                 mem[pos: pos + piece] = flat[at: at + piece]
                 at += piece
                 pos += piece
         return True
 
-    def set(self, key: Any, value: Any) -> None:
+    def set(self, key: Any, value: Any):
         """Write one element (alias of write for symmetric style)."""
-        self.write(key, value)
+        yield from self.write(key, value)
 
-    def set_g(self, key: Any, value: Any):
-        """Generator form of :meth:`set`."""
-        yield from self.write_g(key, value)
-
-    def __setitem__(self, key: Any, values: Any) -> None:
-        self.write(key, values)
-
-    def add(self, key: Any, values: Any) -> None:
+    def add(self, key: Any, values: Any):
         """Read-modify-write: ``self[key] += values`` with full fault checks."""
-        return self.tmk.core.proc.drive(self.add_g(key, values))
-
-    def add_g(self, key: Any, values: Any):
-        """Generator form of :meth:`add`."""
         runs = self._touched_runs(key)
         core = self.tmk.core
         check = self._core_capabilities(core)[2]
@@ -450,7 +413,7 @@ class SharedArray:
             # (prior reads and writes alike), so one write event suffices.
             sanitizer.on_access(core, runs, write=True)
         if check is None or not check(runs):
-            yield from core.ensure_writable_runs_g(runs)
+            yield from core.ensure_writable_runs(runs)
         self._view[key] += values
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
-from repro.sim.engine import Scheduler, SimThread
+from repro.sim.engine import Scheduler, SimTask
 
 __all__ = ["RandomWalkScheduler", "RecordingScheduler"]
 
@@ -43,7 +43,7 @@ class RecordingScheduler(Scheduler):
         #: Number of tied candidates at each choice point.
         self.counts: List[int] = []
 
-    def pick(self, ready: List[SimThread]) -> SimThread:
+    def pick(self, ready: List[SimTask]) -> SimTask:
         i = len(self.trace)
         choice = self.choices[i] if i < len(self.choices) else 0
         if not 0 <= choice < len(ready):
@@ -62,7 +62,7 @@ class RandomWalkScheduler(Scheduler):
         self.trace: List[int] = []
         self.counts: List[int] = []
 
-    def pick(self, ready: List[SimThread]) -> SimThread:
+    def pick(self, ready: List[SimTask]) -> SimTask:
         choice = self._rng.randrange(len(ready))
         self.trace.append(choice)
         self.counts.append(len(ready))

@@ -96,7 +96,7 @@ class Core:
         proc.register(CAT_A, self._on_a)
         self.udp.send(0, 1, CAT_A, None, 32)
     def _on_a(self, d):
-        self.proc.block("oops")
+        yield Block("oops")
 '''
         assert "PRT003" in codes(lint_source(src, "x.py"))
 
@@ -108,9 +108,9 @@ class Core:
         proc.register(CAT_A, self._on_a)
         self.udp.send(0, 1, CAT_A, None, 32)
     def _on_a(self, d):
-        self._helper()
+        yield from self._helper()
     def _helper(self):
-        box.wait("nested")
+        yield from box.wait("nested")
 '''
         findings = lint_source(src, "x.py")
         assert "PRT003" in codes(findings)
@@ -125,7 +125,7 @@ class Core:
     def _on_a(self, d):
         pass
     def request(self):
-        box.wait("request path may block")
+        yield from box.wait("request path may block")
 '''
         assert lint_source(src, "x.py") == []
 
@@ -134,18 +134,18 @@ class TestSyncUnderLock:
     def test_barrier_while_holding_lock(self):
         src = '''
 def body(tmk):
-    tmk.lock_acquire(0)
-    tmk.barrier(1)
-    tmk.lock_release(0)
+    yield from tmk.lock_acquire(0)
+    yield from tmk.barrier(1)
+    yield from tmk.lock_release(0)
 '''
         assert codes(lint_source(src, "x.py")) == ["PRT004"]
 
     def test_release_before_sync_is_fine(self):
         src = '''
 def body(tmk):
-    tmk.lock_acquire(0)
-    tmk.lock_release(0)
-    tmk.barrier(1)
+    yield from tmk.lock_acquire(0)
+    yield from tmk.lock_release(0)
+    yield from tmk.barrier(1)
 '''
         assert lint_source(src, "x.py") == []
 

@@ -63,9 +63,9 @@ class TestShadowMap:
 def _racy_writers(proc):
     tmk = proc.tmk
     arr = tmk.shared_array("x", (16,), np.float64)
-    tmk.barrier(0)
-    arr.write(0, float(tmk.pid))  # everyone writes element 0: WW race
-    tmk.barrier(1)
+    yield from tmk.barrier(0)
+    yield from arr.write(0, float(tmk.pid))  # everyone writes element 0: WW race
+    yield from tmk.barrier(1)
 
 
 class TestDetection:
@@ -90,12 +90,12 @@ class TestDetection:
         def main(proc):
             tmk = proc.tmk
             arr = tmk.shared_array("x", (16,), np.float64)
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             if tmk.pid == 0:
-                arr.write(0, 1.0)
+                yield from arr.write(0, 1.0)
             else:
-                arr.read(0)
-            tmk.barrier(1)
+                yield from arr.read(0)
+            yield from tmk.barrier(1)
 
         san, _ = san_run(main, nprocs=2)
         assert len(san.findings) == 1
@@ -106,10 +106,10 @@ class TestDetection:
         def main(proc):
             tmk = proc.tmk
             arr = tmk.shared_array("x", (16,), np.float64)
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             for _ in range(5):  # same racy pair every iteration
-                arr.write(0, float(tmk.pid))
-            tmk.barrier(1)
+                yield from arr.write(0, float(tmk.pid))
+            yield from tmk.barrier(1)
 
         san, _ = san_run(main, nprocs=2)
         assert len(san.findings) == 1
@@ -118,9 +118,9 @@ class TestDetection:
         def main(proc):
             tmk = proc.tmk
             arr = tmk.shared_array("x", (16,), np.float64)
-            tmk.barrier(0)
-            arr.write(tmk.pid, 1.0)  # disjoint elements of one page
-            tmk.barrier(1)
+            yield from tmk.barrier(0)
+            yield from arr.write(tmk.pid, 1.0)  # disjoint elements of one page
+            yield from tmk.barrier(1)
 
         san, _ = san_run(main, config=AnalysisConfig(race_check="strict"))
         assert not san.findings
@@ -134,13 +134,13 @@ class TestPrecision:
         def main(proc):
             tmk = proc.tmk
             arr = tmk.shared_array("x", (16,), np.float64)
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             if tmk.pid == 0:
-                arr.write(0, 1.0)
-            tmk.barrier(1)
+                yield from arr.write(0, 1.0)
+            yield from tmk.barrier(1)
             if tmk.pid == 1:
-                arr.write(0, 2.0)
-            tmk.barrier(2)
+                yield from arr.write(0, 2.0)
+            yield from tmk.barrier(2)
 
         san, _ = san_run(main, nprocs=2,
                          config=AnalysisConfig(race_check="strict"))
@@ -150,13 +150,13 @@ class TestPrecision:
         def main(proc):
             tmk = proc.tmk
             arr = tmk.shared_array("ctr", (1,), np.int64)
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             for _ in range(3):
-                tmk.lock_acquire(0)
-                arr.add(0, 1)
-                tmk.lock_release(0)
-            tmk.barrier(1)
-            return int(arr.get(0))
+                yield from tmk.lock_acquire(0)
+                yield from arr.add(0, 1)
+                yield from tmk.lock_release(0)
+            yield from tmk.barrier(1)
+            return int((yield from arr.get(0)))
 
         san, result = san_run(main, config=AnalysisConfig(race_check="strict"))
         assert not san.findings
@@ -170,12 +170,12 @@ class TestPrecision:
         def main(proc):
             tmk = proc.tmk
             arr = tmk.shared_array("x", (16,), np.float64)
-            tmk.barrier(0)
-            arr.get(0)                   # everyone reads, nobody writes
-            tmk.barrier(1)
+            yield from tmk.barrier(0)
+            yield from arr.get(0)                   # everyone reads, nobody writes
+            yield from tmk.barrier(1)
             if tmk.pid == 0:
-                arr.write(0, 1.0)        # ordered by barrier 1
-            tmk.barrier(2)
+                yield from arr.write(0, 1.0)        # ordered by barrier 1
+            yield from tmk.barrier(2)
 
         san, _ = san_run(main, config=AnalysisConfig(race_check="strict"))
         assert not san.findings
@@ -187,30 +187,30 @@ class TestPrecision:
             tmk = proc.tmk
             arr = tmk.shared_array("x", (16,), np.float64)
             flag = tmk.shared_array("flag", (2,), np.int64)
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             if tmk.pid == 0:
-                arr.write(0, 42.0)
-                tmk.lock_acquire(0)
-                flag.set(0, 1)
-                tmk.lock_release(0)
+                yield from arr.write(0, 42.0)
+                yield from tmk.lock_acquire(0)
+                yield from flag.set(0, 1)
+                yield from tmk.lock_release(0)
             elif tmk.pid == 1:
                 while True:
-                    tmk.lock_acquire(0)
-                    ready = int(flag.get(0))
-                    tmk.lock_release(0)
+                    yield from tmk.lock_acquire(0)
+                    ready = int((yield from flag.get(0)))
+                    yield from tmk.lock_release(0)
                     if ready:
                         break
-                tmk.lock_acquire(1)
-                flag.set(1, 1)
-                tmk.lock_release(1)
+                yield from tmk.lock_acquire(1)
+                yield from flag.set(1, 1)
+                yield from tmk.lock_release(1)
             else:
                 while True:
-                    tmk.lock_acquire(1)
-                    ready = int(flag.get(1))
-                    tmk.lock_release(1)
+                    yield from tmk.lock_acquire(1)
+                    ready = int((yield from flag.get(1)))
+                    yield from tmk.lock_release(1)
                     if ready:
                         break
-                return float(arr.get(0))
+                return float((yield from arr.get(0)))
 
         san, result = san_run(main, nprocs=3,
                               config=AnalysisConfig(race_check="strict"))
@@ -221,14 +221,14 @@ class TestPrecision:
         def main(proc):
             tmk = proc.tmk
             best = tmk.shared_array("best", (1,), np.int64)
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             if tmk.pid == 0:
-                tmk.lock_acquire(0)
-                best.set(0, 7)
-                tmk.lock_release(0)
+                yield from tmk.lock_acquire(0)
+                yield from best.set(0, 7)
+                yield from tmk.lock_release(0)
             else:
-                best.get_racy(0)  # declared benign: no finding
-            tmk.barrier(1)
+                yield from best.get_racy(0)  # declared benign: no finding
+            yield from tmk.barrier(1)
 
         san, _ = san_run(main, config=AnalysisConfig(race_check="strict"))
         assert not san.findings
@@ -237,14 +237,14 @@ class TestPrecision:
         def main(proc):
             tmk = proc.tmk
             best = tmk.shared_array("best", (1,), np.int64)
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             if tmk.pid == 0:
-                tmk.lock_acquire(0)
-                best.set(0, 7)
-                tmk.lock_release(0)
+                yield from tmk.lock_acquire(0)
+                yield from best.set(0, 7)
+                yield from tmk.lock_release(0)
             else:
-                best.get(0)
-            tmk.barrier(1)
+                yield from best.get(0)
+            yield from tmk.barrier(1)
 
         san, _ = san_run(main)
         assert san.findings

@@ -30,15 +30,13 @@ class TestSweepConfigs:
         assert len(configs) == 4
         assert configs[0] == RunConfig(experiment="fig01", system="tmk",
                                        nprocs=2, preset="tiny",
-                                       engine="coro", kernels="compiled")
+                                       kernels="compiled")
 
     def test_default_grid_uses_fast_stack(self):
         configs = sweep_configs(["fig01"])
-        assert all(c.engine == "coro" and c.kernels == "compiled"
-                   for c in configs)
-        slow = sweep_configs(["fig01"], engine="threads", kernels="pure")
-        assert all(c.engine == "threads" and c.kernels == "pure"
-                   for c in slow)
+        assert all(c.kernels == "compiled" for c in configs)
+        slow = sweep_configs(["fig01"], kernels="pure")
+        assert all(c.kernels == "pure" for c in slow)
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):

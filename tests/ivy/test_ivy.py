@@ -28,9 +28,9 @@ class TestProtocolBasics:
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
             if tmk.pid == 0:
-                data[slice(0, 512)] = 7
-            tmk.barrier(0)
-            return int(data.get(100))
+                yield from data.write(slice(0, 512), 7)
+            yield from tmk.barrier(0)
+            return int((yield from data.get(100)))
 
         res, _ = ivy_run(main, nprocs=3)
         assert res.results == [7, 7, 7]
@@ -39,12 +39,12 @@ class TestProtocolBasics:
         def main(proc):
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
-            data.read(slice(0, 512))          # everyone caches a copy
-            tmk.barrier(0)
+            yield from data.read(slice(0, 512))          # everyone caches a copy
+            yield from tmk.barrier(0)
             if tmk.pid == 1:
-                data[slice(0, 512)] = 5       # invalidates the others
-            tmk.barrier(1)
-            return int(data.get(0)), int(proc.tmk.core.state[
+                yield from data.write(slice(0, 512), 5)       # invalidates the others
+            yield from tmk.barrier(1)
+            return int((yield from data.get(0))), int(proc.tmk.core.state[
                 data.addr // 4096])
 
         res, cluster = ivy_run(main, nprocs=4)
@@ -58,11 +58,11 @@ class TestProtocolBasics:
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
             if tmk.pid == 0:
-                data.set(0, 1)   # a single word changes...
-            tmk.barrier(0)
+                yield from data.set(0, 1)   # a single word changes...
+            yield from tmk.barrier(0)
             if tmk.pid == 1:
-                data.get(0)      # ...but the reader pays a full page
-            tmk.barrier(1)
+                yield from data.get(0)      # ...but the reader pays a full page
+            yield from tmk.barrier(1)
 
         _, cluster = ivy_run(main, nprocs=2)
         page_bytes = cluster.stats.get("ivy", "ivy_page").bytes
@@ -73,10 +73,10 @@ class TestProtocolBasics:
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
             if tmk.pid == 0:
-                data.set(0, 1)           # P0 owns the page (WRITE)
-                tmk.barrier(0)
+                yield from data.set(0, 1)           # P0 owns the page (WRITE)
+                yield from tmk.barrier(0)
                 return None
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             return None
 
         # Single processor: the manager upgrades its own page locally.
@@ -92,9 +92,9 @@ class TestProtocolBasics:
             data = tmk.shared_array("d", (512,), np.int64)
             half = slice(0, 256) if tmk.pid == 0 else slice(256, 512)
             for it in range(5):
-                data.add(half, 1)
-                tmk.barrier(it)
-            return int(np.asarray(data.read(slice(0, 512))).sum())
+                yield from data.add(half, 1)
+                yield from tmk.barrier(it)
+            return int(np.asarray((yield from data.read(slice(0, 512)))).sum())
 
         res, cluster = ivy_run(main, nprocs=2)
         assert all(r == 512 * 5 for r in res.results)
@@ -145,22 +145,22 @@ class TestConsistencyModelDifference:
         tmk = proc.tmk
         data = tmk.shared_array("d", (512,), np.int64)
         if tmk.pid == 0:
-            tmk.lock_acquire(0)
-            data[slice(0, 512)] = 1
-            tmk.lock_release(0)
-        tmk.barrier(0)
+            yield from tmk.lock_acquire(0)
+            yield from data.write(slice(0, 512), 1)
+            yield from tmk.lock_release(0)
+        yield from tmk.barrier(0)
         if tmk.pid == 0:
             # Race ahead into the "next iteration" and overwrite.
-            tmk.lock_acquire(0)
-            data[slice(0, 512)] = 2
-            tmk.lock_release(0)
-            tmk.barrier(1)
+            yield from tmk.lock_acquire(0)
+            yield from data.write(slice(0, 512), 2)
+            yield from tmk.lock_release(0)
+            yield from tmk.barrier(1)
             return None
         # The slow processor reads "iteration 0's" value after barrier 0,
         # with no synchronization ordering it before P0's second write.
         proc.compute(0.05)
-        value = int(data.get(0))
-        tmk.barrier(1)
+        value = int((yield from data.get(0)))
+        yield from tmk.barrier(1)
         return value
 
     def test_lazy_rc_reads_pre_acquire_value(self):

@@ -29,9 +29,8 @@ NPROCS = 4
 OBS = ObsConfig(timeline=True, profile=True)
 
 
-def fingerprint(exp_id: str, system: str, engine: str = "threads") -> dict:
-    run = harness.run_cached(exp_id, system, NPROCS, "tiny", obs=OBS,
-                             engine=engine)
+def fingerprint(exp_id: str, system: str) -> dict:
+    run = harness.run_cached(exp_id, system, NPROCS, "tiny", obs=OBS)
     return {
         "digest": run.timeline.digest(),
         "time_us": round(run.time * 1e6, 3),
@@ -40,8 +39,8 @@ def fingerprint(exp_id: str, system: str, engine: str = "threads") -> dict:
     }
 
 
-def all_fingerprints(engine: str = "threads") -> dict:
-    return {f"{exp_id}/{system}": fingerprint(exp_id, system, engine)
+def all_fingerprints() -> dict:
+    return {f"{exp_id}/{system}": fingerprint(exp_id, system)
             for exp_id in harness.EXPERIMENTS
             for system in ("tmk", "pvm")}
 
@@ -87,17 +86,6 @@ def test_golden_traces():
     if lines:
         pytest.fail("golden trace mismatch "
                     "(REPRO_UPDATE_GOLDEN=1 regenerates if intentional):\n  "
-                    + "\n  ".join(lines))
-
-
-def test_golden_traces_on_coro_backend():
-    """The continuation backend matches the *same* golden file: every
-    one of the twelve configurations, both systems, is byte-identical
-    to the thread backend's pinned fingerprints at nprocs<=8."""
-    golden = json.loads(GOLDEN_PATH.read_text())
-    lines = diff_lines(golden, all_fingerprints(engine="coro"))
-    if lines:
-        pytest.fail("coro backend diverged from the golden traces:\n  "
                     + "\n  ".join(lines))
 
 

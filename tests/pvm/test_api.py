@@ -6,6 +6,7 @@ import pytest
 from repro.pvm.api import PvmError, attach_pvm
 from repro.pvm.buffers import DataFormat
 from repro.sim.cluster import Cluster
+from repro.sim.engine import YIELD
 
 
 def pvm_run(fn, nprocs=2, route="direct"):
@@ -21,9 +22,9 @@ class TestSendRecv:
             if pvm.mytid == 0:
                 buf = pvm.initsend()
                 buf.pkint([10, 20])
-                pvm.send(1, 5, buf)
+                yield from pvm.send(1, 5, buf)
                 return None
-            got = pvm.recv(0, 5)
+            got = yield from pvm.recv(0, 5)
             return got.upkint(2).tolist()
 
         res, _ = pvm_run(main)
@@ -36,10 +37,10 @@ class TestSendRecv:
                 proc.compute(0.5)  # send late
                 buf = pvm.initsend()
                 buf.pkint([1])
-                pvm.send(1, 1, buf)
+                yield from pvm.send(1, 1, buf)
                 return None
             t0 = proc.now
-            pvm.recv(0, 1)
+            yield from pvm.recv(0, 1)
             return proc.now - t0
 
         res, _ = pvm_run(main)
@@ -51,11 +52,11 @@ class TestSendRecv:
             if pvm.mytid != 0:
                 buf = pvm.initsend()
                 buf.pkint([pvm.mytid])
-                pvm.send(0, 100 + pvm.mytid, buf)
+                yield from pvm.send(0, 100 + pvm.mytid, buf)
                 return None
             seen = set()
             for _ in range(3):
-                got = pvm.recv(-1, -1)
+                got = yield from pvm.recv(-1, -1)
                 seen.add((got.src, got.tag, int(got.upkint(1)[0])))
             return sorted(seen)
 
@@ -69,9 +70,12 @@ class TestSendRecv:
                 for i in range(20):
                     buf = pvm.initsend()
                     buf.pkint([i])
-                    pvm.send(1, 9, buf)
+                    yield from pvm.send(1, 9, buf)
                 return None
-            return [int(pvm.recv(0, 9).upkint(1)[0]) for _ in range(20)]
+            got = []
+            for _ in range(20):
+                got.append(int((yield from pvm.recv(0, 9)).upkint(1)[0]))
+            return got
 
         res, _ = pvm_run(main)
         assert res.results[1] == list(range(20))
@@ -80,7 +84,7 @@ class TestSendRecv:
         def main(proc):
             buf = proc.pvm.initsend()
             buf.pkint([1])
-            proc.pvm.send(proc.pvm.mytid, 0, buf)
+            yield from proc.pvm.send(proc.pvm.mytid, 0, buf)
 
         with pytest.raises(PvmError, match="self"):
             pvm_run(main, nprocs=1)
@@ -89,7 +93,7 @@ class TestSendRecv:
         def main(proc):
             buf = proc.pvm.initsend()
             buf.pkint([1])
-            proc.pvm.send(99, 0, buf)
+            yield from proc.pvm.send(99, 0, buf)
 
         with pytest.raises(PvmError, match="destination"):
             pvm_run(main)
@@ -100,13 +104,13 @@ class TestNonBlocking:
         def main(proc):
             pvm = proc.pvm
             if pvm.mytid == 1:
-                early = pvm.nrecv(0, 1)
+                early = yield from pvm.nrecv(0, 1)
                 proc.compute(1.0)
-                late = pvm.nrecv(0, 1)
+                late = yield from pvm.nrecv(0, 1)
                 return early is None, late is not None
             buf = pvm.initsend()
             buf.pkint([1])
-            pvm.send(1, 1, buf)
+            yield from pvm.send(1, 1, buf)
             return None
 
         res, _ = pvm_run(main)
@@ -118,13 +122,13 @@ class TestNonBlocking:
             if pvm.mytid == 0:
                 buf = pvm.initsend()
                 buf.pkint([7])
-                pvm.send(1, 3, buf)
+                yield from pvm.send(1, 3, buf)
                 return None
             proc.compute(1.0)
-            assert pvm.probe(0, 3)
-            assert pvm.probe(0, 3)  # still there
-            got = pvm.recv(0, 3)
-            assert not pvm.probe(0, 3)
+            assert (yield from pvm.probe(0, 3))
+            assert (yield from pvm.probe(0, 3))  # still there
+            got = yield from pvm.recv(0, 3)
+            assert not (yield from pvm.probe(0, 3))
             return int(got.upkint(1)[0])
 
         res, _ = pvm_run(main)
@@ -137,10 +141,10 @@ class TestNonBlocking:
                 for _ in range(4):
                     buf = pvm.initsend()
                     buf.pkint([0])
-                    pvm.send(1, 2, buf)
+                    yield from pvm.send(1, 2, buf)
                 return None
             proc.compute(1.0)
-            proc.yield_point()
+            yield YIELD
             return pvm.pending()
 
         res, _ = pvm_run(main)
@@ -154,12 +158,12 @@ class TestCollectives:
             if pvm.mytid == 0:
                 buf = pvm.initsend()
                 buf.pkint([42])
-                pvm.mcast([1, 2], 7, buf)
+                yield from pvm.mcast([1, 2], 7, buf)
                 return None
             if pvm.mytid in (1, 2):
-                return int(pvm.recv(0, 7).upkint(1)[0])
+                return int((yield from pvm.recv(0, 7)).upkint(1)[0])
             proc.compute(0.001)
-            return pvm.nrecv(-1, -1) is None
+            return (yield from pvm.nrecv(-1, -1)) is None
 
         res, cluster = pvm_run(main, nprocs=4)
         assert res.results[1] == 42 and res.results[2] == 42
@@ -173,9 +177,9 @@ class TestCollectives:
             if pvm.mytid == 2:
                 buf = pvm.initsend()
                 buf.pkdouble([3.14])
-                pvm.bcast(8, buf)
+                yield from pvm.bcast(8, buf)
                 return None
-            return float(pvm.recv(2, 8).upkdouble(1)[0])
+            return float((yield from pvm.recv(2, 8)).upkdouble(1)[0])
 
         res, _ = pvm_run(main, nprocs=4)
         assert res.results[0] == pytest.approx(3.14)
@@ -189,9 +193,9 @@ class TestAccounting:
             if pvm.mytid == 0:
                 buf = pvm.initsend()
                 buf.pkdouble(np.zeros(1000))
-                pvm.send(1, 1, buf)
+                yield from pvm.send(1, 1, buf)
                 return None
-            pvm.recv(0, 1)
+            yield from pvm.recv(0, 1)
             return None
 
         _, cluster = pvm_run(main)
@@ -206,9 +210,9 @@ class TestAccounting:
                 if pvm.mytid == 0:
                     buf = pvm.initsend(fmt)
                     buf.pkdouble(np.zeros(100000))
-                    pvm.send(1, 1, buf)
+                    yield from pvm.send(1, 1, buf)
                     return proc.now
-                pvm.recv(0, 1)
+                yield from pvm.recv(0, 1)
                 return proc.now
 
             res, _ = pvm_run(main)
@@ -223,9 +227,9 @@ class TestAccounting:
             if pvm.mytid == 0:
                 buf = pvm.initsend()
                 buf.pkdouble(np.zeros(10000))
-                pvm.send(1, 1, buf)
+                yield from pvm.send(1, 1, buf)
                 return None
-            pvm.recv(0, 1)
+            yield from pvm.recv(0, 1)
             return proc.now
 
         direct, _ = pvm_run(main, route="direct")

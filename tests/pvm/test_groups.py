@@ -21,7 +21,7 @@ class TestMembership:
             g = proc.groups
             # Deterministic join order via staggered compute.
             proc.compute(0.001 * proc.pid)
-            return g.joingroup("workers")
+            return (yield from g.joingroup("workers"))
 
         res, _ = group_run(main)
         assert sorted(res.results) == [0, 1, 2, 3]
@@ -29,8 +29,8 @@ class TestMembership:
     def test_rejoin_returns_same_instance(self):
         def main(proc):
             g = proc.groups
-            first = g.joingroup("g")
-            second = g.joingroup("g")
+            first = yield from g.joingroup("g")
+            second = yield from g.joingroup("g")
             return first == second
 
         res, _ = group_run(main, nprocs=2)
@@ -39,9 +39,9 @@ class TestMembership:
     def test_gsize_and_members(self):
         def main(proc):
             g = proc.groups
-            g.joingroup("g")
-            g.barrier("g", proc.cluster.nprocs)
-            return g.gsize("g"), len(g.members("g"))
+            yield from g.joingroup("g")
+            yield from g.barrier("g", proc.cluster.nprocs)
+            return (yield from g.gsize("g")), len((yield from g.members("g")))
 
         res, _ = group_run(main, nprocs=3)
         assert all(r == (3, 3) for r in res.results)
@@ -49,14 +49,14 @@ class TestMembership:
     def test_leave_shrinks_group(self):
         def main(proc):
             g = proc.groups
-            g.joingroup("g")
-            g.barrier("g", proc.cluster.nprocs)
+            yield from g.joingroup("g")
+            yield from g.barrier("g", proc.cluster.nprocs)
             if proc.pid == 1:
-                g.lvgroup("g")
+                yield from g.lvgroup("g")
             proc.compute(0.01)
             if proc.pid == 0:
                 proc.compute(0.01)
-                return g.gsize("g")
+                return (yield from g.gsize("g"))
             return None
 
         res, _ = group_run(main, nprocs=3)
@@ -74,10 +74,10 @@ class TestGroupBarrier:
     def test_barrier_synchronizes(self):
         def main(proc):
             g = proc.groups
-            g.joingroup("g")
+            yield from g.joingroup("g")
             proc.compute(0.01 * (proc.pid + 1))
             before = proc.now
-            g.barrier("g", proc.cluster.nprocs)
+            yield from g.barrier("g", proc.cluster.nprocs)
             return before, proc.now
 
         res, _ = group_run(main)
@@ -87,16 +87,16 @@ class TestGroupBarrier:
     def test_barrier_without_join_rejected(self):
         def main(proc):
             with pytest.raises(GroupError):
-                proc.groups.barrier("g", 1)
+                yield from proc.groups.barrier("g", 1)
 
         group_run(main, nprocs=1)
 
     def test_repeated_barriers(self):
         def main(proc):
             g = proc.groups
-            g.joingroup("g")
+            yield from g.joingroup("g")
             for _ in range(5):
-                g.barrier("g", proc.cluster.nprocs)
+                yield from g.barrier("g", proc.cluster.nprocs)
             return True
 
         res, _ = group_run(main)
@@ -107,8 +107,8 @@ class TestGroupBarrier:
         (the same shape as TreadMarks' barrier)."""
         def main(proc):
             g = proc.groups
-            g.joingroup("g")
-            g.barrier("g", proc.cluster.nprocs)
+            yield from g.joingroup("g")
+            yield from g.barrier("g", proc.cluster.nprocs)
 
         _, cluster = group_run(main, nprocs=4)
         requests = cluster.stats.get("pvm", "pvm_grp_request").messages
@@ -122,10 +122,10 @@ class TestCollectives:
     def test_reduce_sum(self):
         def main(proc):
             g = proc.groups
-            g.joingroup("g")
-            g.barrier("g", proc.cluster.nprocs)
-            out = g.reduce("g", np.full(8, proc.pid + 1), op="sum")
-            g.barrier("g", proc.cluster.nprocs)
+            yield from g.joingroup("g")
+            yield from g.barrier("g", proc.cluster.nprocs)
+            out = yield from g.reduce("g", np.full(8, proc.pid + 1), op="sum")
+            yield from g.barrier("g", proc.cluster.nprocs)
             return None if out is None else out.tolist()
 
         res, _ = group_run(main)
@@ -137,10 +137,10 @@ class TestCollectives:
     def test_reduce_ops(self, op, expected):
         def main(proc):
             g = proc.groups
-            g.joingroup("g")
-            g.barrier("g", proc.cluster.nprocs)
-            out = g.reduce("g", np.array([float(proc.pid + 1)]), op=op)
-            g.barrier("g", proc.cluster.nprocs)
+            yield from g.joingroup("g")
+            yield from g.barrier("g", proc.cluster.nprocs)
+            out = yield from g.reduce("g", np.array([float(proc.pid + 1)]), op=op)
+            yield from g.barrier("g", proc.cluster.nprocs)
             return None if out is None else float(out[0])
 
         res, _ = group_run(main)
@@ -149,9 +149,9 @@ class TestCollectives:
     def test_reduce_unknown_op(self):
         def main(proc):
             g = proc.groups
-            g.joingroup("g")
+            yield from g.joingroup("g")
             with pytest.raises(GroupError):
-                g.reduce("g", np.zeros(1), op="median")
+                yield from g.reduce("g", np.zeros(1), op="median")
 
         group_run(main, nprocs=1)
 
@@ -159,10 +159,10 @@ class TestCollectives:
         def main(proc):
             g = proc.groups
             proc.compute(0.001 * proc.pid)  # join in pid order
-            g.joingroup("g")
-            g.barrier("g", proc.cluster.nprocs)
-            parts = g.gather("g", np.full(2, proc.pid))
-            g.barrier("g", proc.cluster.nprocs)
+            yield from g.joingroup("g")
+            yield from g.barrier("g", proc.cluster.nprocs)
+            parts = yield from g.gather("g", np.full(2, proc.pid))
+            yield from g.barrier("g", proc.cluster.nprocs)
             if parts is None:
                 return None
             return [int(p[0]) for p in parts]
@@ -174,11 +174,11 @@ class TestCollectives:
         def main(proc):
             g = proc.groups
             proc.compute(0.001 * proc.pid)
-            g.joingroup("g")
-            g.barrier("g", proc.cluster.nprocs)
+            yield from g.joingroup("g")
+            yield from g.barrier("g", proc.cluster.nprocs)
             if proc.pid == 2:
-                return g.bcast("g", np.arange(4)).tolist()
-            return g.recv_bcast().tolist()
+                return (yield from g.bcast("g", np.arange(4))).tolist()
+            return (yield from g.recv_bcast()).tolist()
 
         res, _ = group_run(main)
         assert all(r == [0, 1, 2, 3] for r in res.results)

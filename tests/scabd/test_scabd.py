@@ -67,9 +67,9 @@ class TestProtocolBasics:
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
             if tmk.pid == 0:
-                data[slice(0, 512)] = 7
-            tmk.barrier(0)
-            return int(data.get(100))
+                yield from data.write(slice(0, 512), 7)
+            yield from tmk.barrier(0)
+            return int((yield from data.get(100)))
 
         res, cluster = scabd_run(main, nclients=3, replicas=3)
         assert res.results[:3] == [7, 7, 7]
@@ -88,12 +88,12 @@ class TestProtocolBasics:
         def main(proc):
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
-            data.read(slice(0, 512))          # everyone caches a copy
-            tmk.barrier(0)
+            yield from data.read(slice(0, 512))          # everyone caches a copy
+            yield from tmk.barrier(0)
             if tmk.pid == 1:
-                data[slice(0, 512)] = 5       # invalidates the others
-            tmk.barrier(1)
-            return int(data.get(0))
+                yield from data.write(slice(0, 512), 5)       # invalidates the others
+            yield from tmk.barrier(1)
+            return int((yield from data.get(0)))
 
         res, cluster = scabd_run(main, nclients=3, replicas=3)
         assert res.results[:3] == [5, 5, 5]
@@ -106,9 +106,9 @@ class TestProtocolBasics:
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
             if tmk.pid == 0:
-                data[slice(0, 512)] = 3
-            tmk.barrier(0)
-            return int(data.get(9))
+                yield from data.write(slice(0, 512), 3)
+            yield from tmk.barrier(0)
+            return int((yield from data.get(9)))
 
         res, cluster = scabd_run(main, nclients=2, replicas=3)
         assert res.results[:2] == [3, 3]
@@ -129,9 +129,9 @@ class TestProtocolBasics:
             data = tmk.shared_array("d", (512,), np.int64)
             for round_no in range(3):
                 if tmk.pid == round_no % 2:
-                    data[slice(0, 512)] = round_no
-                tmk.barrier(round_no)
-            return int(data.get(0))
+                    yield from data.write(slice(0, 512), round_no)
+                yield from tmk.barrier(round_no)
+            return int((yield from data.get(0)))
 
         res, cluster = scabd_run(main, nclients=2, replicas=3)
         assert res.results[:2] == [2, 2]

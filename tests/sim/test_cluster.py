@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.engine import YIELD
 from repro.sim.network import UdpChannel
 from repro.sim.trace import Trace
 
@@ -60,13 +61,13 @@ class TestMailbox:
             proc.register("req", serve)
             proc.register("resp", lambda d: d.payload[0].put(
                 d.payload[1], d.arrival))
-            proc.yield_point()
+            yield YIELD
             if proc.pid == 0:
                 box = proc.mailbox()
                 udp.send(0, 1, "req", (box, 21), 16, t_ready=proc.now)
                 # The responder itself replies through the network in real
                 # protocols; here put() happens directly in the handler.
-                assert box.wait("answer") == 42
+                assert (yield from box.wait("answer")) == 42
                 return proc.now
             proc.compute(0.001)
             return None
@@ -91,7 +92,7 @@ class TestMailbox:
         def main(proc):
             box = proc.mailbox()
             box.put("early", 5.0)
-            value = box.wait("never blocks")
+            value = yield from box.wait("never blocks")
             assert value == "early"
             return proc.now
 
@@ -107,7 +108,7 @@ class TestMeasurementWindow:
 
         def main(proc):
             proc.register("m", lambda d: seen.append(d))
-            proc.yield_point()
+            yield YIELD
             if proc.pid == 0:
                 t = udp.send(0, 1, "m", None, 1000, t_ready=proc.now)
                 proc.set_now(t)
@@ -128,7 +129,7 @@ class TestMeasurementWindow:
 
         def main(proc):
             proc.register("m", lambda d: None)
-            proc.yield_point()
+            yield YIELD
             if proc.pid == 0:
                 t = udp.send(0, 1, "m", None, 100, t_ready=proc.now)
                 proc.set_now(t)

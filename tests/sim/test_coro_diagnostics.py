@@ -1,9 +1,8 @@
-"""Deadlock diagnostics on the continuation backend.
+"""Deadlock diagnostics for parked continuations.
 
-The thread backend's deadlock dumps named host threads; a parked
-*continuation* has no host thread, so the coro backend must instead name
-the task, its block reason, its wake dependency, and -- following the
-``yield from`` delegation chain -- the innermost suspended frame.  A
+A parked *continuation* has no host thread to name, so a deadlock dump
+names the task, its block reason, its wake dependency, and -- following
+the ``yield from`` delegation chain -- the innermost suspended frame.  A
 1024-node deadlock report is only useful if it says *where* each
 processor is parked.
 """
@@ -19,7 +18,7 @@ def waiter_body():
 
 
 def test_deadlock_dump_names_continuation_and_dependency():
-    engine = Engine(backend="coro")
+    engine = Engine()
     engine.spawn("P0", waiter_body)
     with pytest.raises(EngineDeadlock) as exc:
         engine.run()
@@ -42,7 +41,7 @@ def test_deadlock_dump_follows_yield_from_chain():
     def outer_body():
         yield from inner_wait()
 
-    engine = Engine(backend="coro")
+    engine = Engine()
     engine.spawn("P0", outer_body)
     with pytest.raises(EngineDeadlock) as exc:
         engine.run()
@@ -54,7 +53,7 @@ def _mismatched_barriers(proc, params):
     tmk = proc.tmk
     # P0 waits at barrier 0 while everyone else waits at barrier 1:
     # a classic app-level deadlock.
-    yield from tmk.barrier_g(0 if tmk.pid == 0 else 1)
+    yield from tmk.barrier(0 if tmk.pid == 0 else 1)
 
 
 def test_app_level_deadlock_names_runtime_frame():
@@ -67,15 +66,16 @@ def test_app_level_deadlock_names_runtime_frame():
                    pvm_main=_mismatched_barriers,
                    verify=lambda a, b: True)
     with pytest.raises(EngineDeadlock) as exc:
-        base.run_parallel(spec, "tmk", 4, None, engine="coro")
+        base.run_parallel(spec, "tmk", 4, None)
     dump = str(exc.value)
     assert "reason=barrier" in dump
     # Every parked continuation names the suspended runtime frame.
-    assert "_g (" in dump or "wait (" in dump
+    assert "in _manager_arrive (barrier.py" in dump
+    assert "in _client_arrive (barrier.py" in dump
 
 
 def test_thread_dump_lists_every_state():
-    engine = Engine(backend="coro")
+    engine = Engine()
 
     def quick():
         return 1

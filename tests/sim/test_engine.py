@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.sim.engine import Engine, EngineDeadlock
+from repro.sim.engine import YIELD, Block, Engine, EngineDeadlock
 
 
 def run_threads(*fns, clocks=None):
-    """Spawn one thread per function, run, return the SimThreads."""
+    """Spawn one thread per function, run, return the SimTasks."""
     engine = Engine()
     threads = []
     for i, fn in enumerate(fns):
@@ -14,6 +14,11 @@ def run_threads(*fns, clocks=None):
         threads.append(engine.spawn(f"t{i}", fn, clock=clock))
     engine.run()
     return engine, threads
+
+
+def blocker(reason):
+    """A simulated thread body that parks on one Block effect."""
+    yield Block(reason)
 
 
 class TestBasics:
@@ -64,9 +69,8 @@ class TestScheduling:
 
         def make(name):
             def body():
-                th = next(t for t in engine._threads if t.name == name)
                 order.append(name)
-                th.yield_point()
+                yield YIELD
                 order.append(name)
             return body
 
@@ -97,7 +101,7 @@ class TestScheduling:
         def body():
             th = engine._threads[0]
             th.advance(5.0)
-            th.yield_point()
+            yield YIELD
             order.append("thread")
 
         engine.spawn("a", body)
@@ -139,9 +143,8 @@ class TestBlocking:
         log = []
 
         def body():
-            th = engine._threads[0]
             log.append("blocking")
-            wake = th.block("wait for event")
+            wake = yield Block("wait for event")
             log.append(f"woke at {wake}")
 
         th = engine.spawn("a", body)
@@ -156,7 +159,7 @@ class TestBlocking:
         def body():
             th = engine._threads[0]
             th.advance(10.0)
-            th.block("wait")
+            yield Block("wait")
 
         th = engine.spawn("a", body)
         engine.post(1.0, lambda: engine.unblock(th, 1.0))
@@ -165,14 +168,14 @@ class TestBlocking:
 
     def test_deadlock_detected(self):
         engine = Engine()
-        engine.spawn("a", lambda: engine._threads[0].block("forever"))
+        engine.spawn("a", lambda: blocker("forever"))
         with pytest.raises(EngineDeadlock, match="forever"):
             engine.run()
 
     def test_deadlock_message_names_all_blocked(self):
         engine = Engine()
-        engine.spawn("a", lambda: engine._threads[0].block("reason-a"))
-        engine.spawn("b", lambda: engine._threads[1].block("reason-b"))
+        engine.spawn("a", lambda: blocker("reason-a"))
+        engine.spawn("b", lambda: blocker("reason-b"))
         with pytest.raises(EngineDeadlock) as exc:
             engine.run()
         assert "reason-a" in str(exc.value)
@@ -198,7 +201,7 @@ class TestFailures:
 
     def test_other_threads_unwound_after_failure(self):
         engine = Engine()
-        blocked = engine.spawn("b", lambda: engine._threads[0].block("x"))
+        blocked = engine.spawn("b", lambda: blocker("x"))
 
         def boom():
             raise RuntimeError("boom")
@@ -206,8 +209,8 @@ class TestFailures:
         engine.spawn("a", boom)
         with pytest.raises(RuntimeError, match="boom"):
             engine.run()
-        # The blocked thread's host thread must have been joined.
-        assert not blocked._host.is_alive()
+        # The blocked thread was unwound, not left parked.
+        assert blocked.done
 
     def test_cannot_run_twice_concurrently(self):
         engine = Engine()
@@ -238,7 +241,7 @@ class TestDaemons:
 
         def daemon():
             while True:
-                engine._threads[0].block("idle service loop")
+                yield Block("idle service loop")
 
         engine.spawn("svc", daemon, daemon=True)
         app = engine.spawn("app", lambda: engine._threads[1].advance(1.0))
@@ -255,7 +258,7 @@ class TestDaemons:
 
         def daemon():
             while True:
-                engine._threads[1].block("parked after stop")
+                yield Block("parked after stop")
 
         engine.spawn("app", lambda: None)  # finishes without yielding
         engine.spawn("svc", daemon, daemon=True)
@@ -268,7 +271,7 @@ class TestDaemons:
 
         def daemon():
             while True:
-                engine._threads[0].block("idle")
+                yield Block("idle")
 
         def app():
             engine._threads[1].advance(0.5)
@@ -293,7 +296,7 @@ class TestDeterminism:
                     for step in range(5):
                         th.advance(0.1 * ((i + step) % 3 + 1))
                         trace.append((i, round(th.clock, 6)))
-                        th.yield_point()
+                        yield YIELD
                 return body
 
             for i in range(4):
@@ -318,7 +321,7 @@ class TestSchedulerHook:
                     for _ in range(3):
                         order.append(i)
                         th.advance(0.5)
-                        th.yield_point()
+                        yield YIELD
                 return body
 
             for i in range(3):
@@ -368,8 +371,7 @@ class TestDeadlockDiagnostics:
         engine = Engine()
 
         def body():
-            engine._threads[0].block("waiting for grant",
-                                     waiting_on="P1 (manager)")
+            yield Block("waiting for grant", waiting_on="P1 (manager)")
 
         engine.spawn("stuck", body)
         with pytest.raises(EngineDeadlock) as err:
@@ -382,7 +384,7 @@ class TestDeadlockDiagnostics:
         engine = Engine()
 
         def blocker():
-            engine._threads[0].block("brief wait", waiting_on="the poker")
+            yield Block("brief wait", waiting_on="the poker")
 
         def poker():
             th = engine._threads[1]
@@ -406,7 +408,7 @@ class TestWatchdog:
             engine.post(engine.horizon + 1.0, repost)
 
         def body():
-            engine._threads[0].block("starved", waiting_on="nobody")
+            yield Block("starved", waiting_on="nobody")
 
         engine.spawn("starved", body)
         engine.post(0.0, repost)
@@ -427,7 +429,7 @@ class TestWatchdog:
             for i in range(10):
                 engine.post(th.clock, lambda i=i: fired.append(i))
                 th.advance(0.1)
-                th.yield_point()
+                yield YIELD
 
         engine.spawn("busy", body)
         engine.run()
@@ -437,23 +439,28 @@ class TestWatchdog:
 class TestAbortUnwind:
     def test_abort_unwinds_all_live_threads(self):
         engine = Engine()
+        unwound = []
 
         def failer():
             engine._threads[0].advance(0.5)
+            yield YIELD  # let the bystander run and park first
             raise RuntimeError("boom")
 
         def bystander():
-            engine._threads[1].block("waiting forever")
+            try:
+                yield Block("waiting forever")
+            finally:
+                unwound.append("bystander")
 
         engine.spawn("failer", failer)
         engine.spawn("bystander", bystander)
         with pytest.raises(RuntimeError, match="boom"):
             engine.run()
         # Every simulated thread (including the blocked bystander) is
-        # unwound and its host thread has exited.
+        # unwound through its ``finally`` blocks.
         for th in engine._threads:
             assert th.state == "done"
-            assert not th._host.is_alive()
+        assert unwound == ["bystander"]
 
     def test_run_reentry_from_inside_rejected(self):
         engine = Engine()

@@ -1,19 +1,18 @@
 """Property-based invariants of the ready-queue / trampoline core.
 
-The coro backend replaces "host scheduler + one lock-step handoff per
-thread" with an explicit ready heap whose entries can go stale (a READY
-task's clock may be bumped by service charges before it is dispatched).
-These properties pin what the heap must preserve under arbitrary
-programs of advances, yields, blocks, wakes, and kills:
+The engine keeps READY tasks in an explicit heap whose entries can go
+stale (a READY task's clock may be bumped by service charges before it
+is dispatched).  These properties pin what the heap must preserve under
+arbitrary programs of advances, yields, blocks, wakes, and kills:
 
 * every continuation runs exactly once per wakeup -- none lost, none
   double-run;
 * dispatch order is by (virtual clock, tid), so the clock observed at
   quantum starts is globally non-decreasing;
-* the thread backend and the coro backend produce the *same* execution,
-  step for step;
+* every block is answered by exactly one wake or kill, and a killed
+  task unwinds while parked;
 * a recorded tie-break schedule replays to the identical run (the
-  schedule-explorer round trip) on the coro backend.
+  schedule-explorer round trip).
 
 Clock values are drawn from a small pool on purpose: equal-clock ties
 are exactly where the ready queue, the tie-break hook, and the stale-
@@ -61,7 +60,7 @@ class TestYieldPrograms:
     @settings(max_examples=60, deadline=None)
     def test_no_lost_or_double_run_continuations(self, program):
         log = []
-        engine = Engine(backend="coro")
+        engine = Engine()
         _spawn_program(engine, program, log)
         engine.run()
         # Every (tid, step) quantum ran exactly once; every task finished.
@@ -80,23 +79,11 @@ class TestYieldPrograms:
         """The engine always dispatches the minimal-clock entity, and
         clocks only grow: quantum-start clocks are non-decreasing."""
         log = []
-        engine = Engine(backend="coro")
+        engine = Engine()
         _spawn_program(engine, program, log)
         engine.run()
         clocks = [e[3] for e in log if e[0] == "run"]
         assert all(a <= b for a, b in zip(clocks, clocks[1:]))
-
-    @given(program=_PROGRAMS)
-    @settings(max_examples=60, deadline=None)
-    def test_backends_execute_identically(self, program):
-        logs = []
-        for backend in ("threads", "coro"):
-            log = []
-            engine = Engine(backend=backend)
-            _spawn_program(engine, program, log)
-            engine.run()
-            logs.append(log)
-        assert logs[0] == logs[1]
 
 
 class TestBlockWakeKill:
@@ -107,53 +94,49 @@ class TestBlockWakeKill:
     def test_wakes_and_kills_identical_and_complete(self, program,
                                                     wake_order, killed):
         """Each task advances, blocks, and is later woken or killed by a
-        posted event; no continuation is lost either way, and the thread
-        and coro backends agree step for step."""
+        posted event; no continuation is lost either way."""
         killed &= set(range(len(program)))
-        logs = []
-        for backend in ("threads", "coro"):
-            log = []
-            engine = Engine(backend=backend)
-            threads = []
+        log = []
+        engine = Engine()
+        threads = []
 
-            def make(tid, ops):
-                def body():
-                    th = threads[tid]
-                    for step, dt in enumerate(ops):
-                        log.append(("run", tid, step, th.clock))
-                        th.advance(dt)
-                        yield YIELD
-                    wake = yield Block("test-wait", waiting_on="driver")
-                    log.append(("woke", tid, wake, th.clock))
-                    log.append(("done", tid, th.clock))
-                return body
-
-            for tid, ops in enumerate(program):
-                threads.append(engine.spawn(f"t{tid}", make(tid, ops)))
-            # All wake/kill events land at t >= 1000.0, far past any
-            # advance total, so every task has parked by then.  The
-            # permutation varies the wake order; kills replace wakes.
-            for tid in range(len(program)):
-                when = 1000.0 + wake_order[tid % len(wake_order)] + tid
+        def make(tid, ops):
+            def body():
                 th = threads[tid]
-                if tid in killed:
-                    engine.post(when, lambda th=th, t=when:
-                                engine.kill(th, t))
-                else:
-                    engine.post(when, lambda th=th, t=when:
-                                engine.unblock(th, t))
-            engine.run()
-            for tid, th in enumerate(threads):
-                if tid in killed:
-                    assert th.killed
-                    assert th.state == "done"
-                else:
-                    assert th.state == "done" and not th.killed
-            logs.append(log)
-        assert logs[0] == logs[1]
-        # Killed tasks unwound while parked: no woke/done entries.
-        done = {e[1] for e in logs[0] if e[0] == "done"}
-        assert done == set(range(len(program))) - killed
+                for step, dt in enumerate(ops):
+                    log.append(("run", tid, step, th.clock))
+                    th.advance(dt)
+                    yield YIELD
+                wake = yield Block("test-wait", waiting_on="driver")
+                log.append(("woke", tid, wake, th.clock))
+                log.append(("done", tid, th.clock))
+            return body
+
+        for tid, ops in enumerate(program):
+            threads.append(engine.spawn(f"t{tid}", make(tid, ops)))
+        # All wake/kill events land at t >= 1000.0, far past any advance
+        # total, so every task has parked by then.  The permutation
+        # varies the wake order; kills replace wakes.
+        wake_at = {}
+        for tid in range(len(program)):
+            when = 1000.0 + wake_order[tid % len(wake_order)] + tid
+            th = threads[tid]
+            if tid in killed:
+                engine.post(when, lambda th=th, t=when: engine.kill(th, t))
+            else:
+                wake_at[tid] = when
+                engine.post(when, lambda th=th, t=when:
+                            engine.unblock(th, t))
+        engine.run()
+        for tid, th in enumerate(threads):
+            assert th.state == "done"
+            assert th.killed == (tid in killed)
+        # Every woken task resumed exactly once, at its wake time; killed
+        # tasks unwound while parked: no woke/done entries.
+        woke = [(e[1], e[2]) for e in log if e[0] == "woke"]
+        assert sorted(woke) == sorted(wake_at.items())
+        done = [e[1] for e in log if e[0] == "done"]
+        assert sorted(done) == sorted(set(range(len(program))) - killed)
 
 
 class TestScheduleReplay:
@@ -164,10 +147,10 @@ class TestScheduleReplay:
         recorded tie-break trace replays to the identical run."""
         walk = RandomWalkScheduler(seed)
         first = base.run_parallel("sor", "tmk", 4, SorParams.tiny(),
-                                  scheduler=walk, engine="coro")
+                                  scheduler=walk)
         replay = RecordingScheduler(walk.trace)
         second = base.run_parallel("sor", "tmk", 4, SorParams.tiny(),
-                                   scheduler=replay, engine="coro")
+                                   scheduler=replay)
         assert replay.trace == walk.trace
         assert replay.counts == walk.counts
         assert second.time == first.time

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.costmodel import CostModel
-from repro.sim.engine import Engine, EngineDeadlock
+from repro.sim.engine import YIELD, Block, Engine, EngineDeadlock
 from repro.sim.faults import FaultPlan, TransportError
 from repro.sim.network import Link, TcpChannel, UdpChannel
 from repro.sim.trace import Trace
@@ -177,7 +177,7 @@ def _send_many(cluster, inbox, count=20, nbytes=200):
 
     def main(proc):
         proc.register("msg", lambda d: inbox.append(d.payload))
-        proc.yield_point()
+        yield YIELD
         if proc.pid == 0:
             for i in range(count):
                 t = udp.send(0, 1, "msg", i, nbytes, t_ready=proc.now)
@@ -244,10 +244,10 @@ class TestReliableUdp:
 
         def main(proc):
             proc.register("msg", lambda d: None)
-            proc.yield_point()
+            yield YIELD
             if proc.pid == 0:
                 udp.send(0, 1, "msg", "x", 100, t_ready=proc.now)
-                proc.mailbox().wait("reply that never comes")
+                yield from proc.mailbox().wait("reply that never comes")
             else:
                 proc.compute(10.0)
 
@@ -263,7 +263,7 @@ class TestTcpFaults:
 
         def main(proc):
             proc.register("msg", lambda d: arrivals.append(d.arrival))
-            proc.yield_point()
+            yield YIELD
             if proc.pid == 0:
                 tcp.send(0, 1, "msg", None, nbytes, t_ready=proc.now)
             proc.compute(2.0)
@@ -310,7 +310,7 @@ class TestPartitionHold:
 
         def main(proc):
             proc.register("msg", lambda d: inbox.append(d.payload))
-            proc.yield_point()
+            yield YIELD
             if proc.pid == 0:
                 t = udp.send(0, 1, "msg", "hello", 200, t_ready=proc.now)
                 proc.set_now(t)
@@ -356,11 +356,11 @@ class TestPartitionHold:
 
         def main(proc):
             proc.register("msg", lambda d: None)
-            proc.yield_point()
+            yield YIELD
             if proc.pid == 0:
                 proc.set_now(1e-3)  # send after the crash: all drops
                 udp.send(0, 1, "msg", "x", 100, t_ready=proc.now)
-                proc.mailbox().wait("reply that never comes")
+                yield from proc.mailbox().wait("reply that never comes")
             else:
                 proc.compute(10.0)
 
@@ -377,7 +377,7 @@ class TestPartitionHold:
 
         def main(proc):
             proc.register("msg", lambda d: None)
-            proc.yield_point()
+            yield YIELD
             if proc.pid == 0:
                 udp.send(0, 1, "msg", "x", 100, t_ready=proc.now)
                 cancelled.append(cluster.net.cancel_pending_to(1))
@@ -398,7 +398,7 @@ class TestPartitionHold:
 
         def main(proc):
             proc.register("msg", lambda d: arrivals.append(d.arrival))
-            proc.yield_point()
+            yield YIELD
             if proc.pid == 0:
                 tcp.send(0, 1, "msg", None, 1000, t_ready=proc.now)
             proc.compute(2.0)
@@ -424,7 +424,7 @@ class TestPartitionHold:
 
         def main(proc):
             proc.register("msg", lambda d: arrivals.append(d.arrival))
-            proc.yield_point()
+            yield YIELD
             if proc.pid == 0:
                 tcp.send(0, 1, "msg", None, 1000, t_ready=proc.now)
             proc.compute(2.0)
@@ -437,6 +437,11 @@ class TestPartitionHold:
                          "retransmit"]
         hold, = trace.of_kind("partition_hold")
         assert "until=0.100000" in hold.detail
+
+
+def blocker(reason):
+    """A simulated thread body that parks on one Block effect."""
+    yield Block(reason)
 
 
 class TestDiagnostics:
@@ -459,14 +464,14 @@ class TestDiagnostics:
         def repost(t):
             engine.post(t + 1e-3, lambda: repost(t + 1e-3))
 
-        engine.spawn("stuck", lambda: engine._threads[0].block("lost reply"))
+        engine.spawn("stuck", lambda: blocker("lost reply"))
         engine.post(0.0, lambda: repost(0.0))
         with pytest.raises(EngineDeadlock, match="watchdog"):
             engine.run()
 
     def test_deadlock_dump_lists_tid_state_clock(self):
         engine = Engine()
-        engine.spawn("a", lambda: engine._threads[0].block("waiting on b"))
+        engine.spawn("a", lambda: blocker("waiting on b"))
         with pytest.raises(EngineDeadlock) as exc:
             engine.run()
         msg = str(exc.value)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.costmodel import CostModel
+from repro.sim.engine import YIELD
 from repro.sim.network import Link, TcpChannel, UdpChannel
 
 
@@ -55,7 +56,7 @@ def _echo_cluster(nprocs=2, cost=None):
 
     def main(proc):
         proc.register("msg", lambda d: inbox.append(d))
-        proc.yield_point()
+        yield YIELD
 
     return cluster, inbox, main
 
@@ -68,7 +69,7 @@ class TestUdpChannel:
         def main0(proc):
             proc.register("msg", lambda d: inbox.append(d))
             if proc.pid == 0:
-                proc.yield_point()
+                yield YIELD
                 udp.send(0, 1, "msg", "hello", 100, t_ready=proc.now)
             proc.compute(0.01)
 
@@ -87,7 +88,7 @@ class TestUdpChannel:
         def main0(proc):
             proc.register("msg", lambda d: inbox.append(d))
             if proc.pid == 0:
-                proc.yield_point()
+                yield YIELD
                 udp.send(0, 1, "msg", None, nbytes, t_ready=proc.now)
             proc.compute(0.01)
 
@@ -104,7 +105,7 @@ class TestUdpChannel:
         def main0(proc):
             proc.register("msg", lambda d: None)
             if proc.pid == 0:
-                proc.yield_point()
+                yield YIELD
                 t0 = proc.now
                 t1 = udp.send(0, 1, "msg", None, cost.udp_mtu * 2,
                               t_ready=t0)
@@ -125,7 +126,7 @@ class TestTcpChannel:
         def main0(proc):
             proc.register("msg", lambda d: inbox.append(d))
             if proc.pid == 0:
-                proc.yield_point()
+                yield YIELD
                 tcp.send(0, 1, "msg", None, nbytes, t_ready=proc.now)
             proc.compute(0.1)
 
@@ -145,7 +146,7 @@ class TestTcpChannel:
             def main0(proc, channel=channel):
                 proc.register("msg", lambda d: inbox.append(d))
                 if proc.pid == 0:
-                    proc.yield_point()
+                    yield YIELD
                     channel.send(0, 1, "msg", None, nbytes, t_ready=proc.now)
                 proc.compute(1.0)
 
@@ -162,7 +163,7 @@ class TestDeliveryOrdering:
         def main0(proc):
             proc.register("msg", lambda d: inbox.append(d.payload))
             if proc.pid == 0:
-                proc.yield_point()
+                yield YIELD
                 for i in range(10):
                     t = udp.send(0, 1, "msg", i, 50, t_ready=proc.now)
                     proc.set_now(t)
@@ -177,7 +178,7 @@ class TestDeliveryOrdering:
 
         def main0(proc):
             if proc.pid == 0:
-                proc.yield_point()
+                yield YIELD
                 udp.send(0, 1, "no_handler", None, 10, t_ready=proc.now)
             proc.compute(0.01)
 

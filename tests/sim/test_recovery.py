@@ -15,7 +15,7 @@ from repro.apps.sor import SorParams
 from repro.apps.tsp import TspParams
 from repro.apps.water import WaterParams
 from repro.sim.cluster import Cluster, ClusterConfig
-from repro.sim.engine import Engine, ThreadKilled
+from repro.sim.engine import YIELD, Block, Engine, ThreadKilled
 from repro.sim.faults import FaultPlan
 from repro.sim.recovery import (Checkpoint, NodeFailure, RecoveryConfig,
                                 RecoveryReport, plan_recovery)
@@ -48,7 +48,7 @@ class TestEngineKill:
             for i in range(10):
                 th.advance(1.0)
                 steps.append(i)
-                th.yield_point()
+                yield YIELD
 
         th = engine.spawn("victim", victim)
         engine.post(2.5, lambda: engine.kill(th, 2.5))
@@ -60,7 +60,7 @@ class TestEngineKill:
         engine = Engine()
 
         def sleeper():
-            engine._threads[0].block("forever")
+            yield Block("forever")
             raise AssertionError("unreachable")  # pragma: no cover
 
         th = engine.spawn("sleeper", sleeper)
@@ -86,7 +86,7 @@ class TestEngineKill:
             try:
                 while True:
                     th.advance(1.0)
-                    th.yield_point()
+                    yield YIELD
             except Exception:  # noqa: BLE001
                 raise AssertionError("caught the kill")  # pragma: no cover
 
@@ -108,7 +108,7 @@ class TestFailureDetector:
         tmk = proc.tmk
         for it in range(40):
             proc.compute(5e-3)
-            tmk.barrier(it)
+            yield from tmk.barrier(it)
         return proc.pid
 
     def test_crash_before_barrier_detected(self):
@@ -126,7 +126,7 @@ class TestFailureDetector:
         # P1 computes less, so it is blocked inside the episode when killed.
         def app(proc):
             proc.compute(1e-3 if proc.pid == 1 else 20e-3)
-            proc.tmk.barrier(0)
+            yield from proc.tmk.barrier(0)
 
         cluster = tmk_cluster(3, faults=crash_plan((1, 10e-3)))
         with pytest.raises(NodeFailure) as info:
@@ -136,9 +136,9 @@ class TestFailureDetector:
     def test_crash_after_all_barriers_detected(self):
         # Dies after its last barrier but before finishing its tail work.
         def app(proc):
-            proc.tmk.barrier(0)
+            yield from proc.tmk.barrier(0)
             proc.compute(1.0)
-            proc.tmk.barrier(1)
+            yield from proc.tmk.barrier(1)
 
         cluster = tmk_cluster(3, faults=crash_plan((2, 0.5)))
         with pytest.raises(NodeFailure) as info:
@@ -186,13 +186,13 @@ class TestCrashHoldingLock:
         def app(proc, lock=lock):
             tmk = proc.tmk
             if proc.pid == 1:
-                tmk.lock_acquire(lock)
+                yield from tmk.lock_acquire(lock)
                 proc.compute(1.0)  # killed in here at t=0.1
-                tmk.lock_release(lock)
+                yield from tmk.lock_release(lock)
             else:
                 proc.compute(0.3)
-                tmk.lock_acquire(lock)  # forwarded to the dead holder
-                tmk.lock_release(lock)
+                yield from tmk.lock_acquire(lock)  # forwarded to the dead holder
+                yield from tmk.lock_release(lock)
 
         cluster = tmk_cluster(2, faults=crash_plan((1, 0.1)))
         with pytest.raises(NodeFailure) as info:
@@ -203,9 +203,9 @@ class TestCrashHoldingLock:
         def app(proc):
             tmk = proc.tmk
             if proc.pid == 1:
-                tmk.lock_acquire(0)
+                yield from tmk.lock_acquire(0)
                 proc.compute(1.0)
-                tmk.lock_release(0)
+                yield from tmk.lock_release(0)
             else:
                 proc.compute(1.0)
 
@@ -426,12 +426,12 @@ class TestPvmDetection:
         def app(proc):
             pvm = proc.pvm
             if proc.pid == 0:
-                pvm.recv(src=1, tag=7)  # P1 dies before sending
+                yield from pvm.recv(src=1, tag=7)  # P1 dies before sending
             else:
                 proc.compute(1.0)
                 buf = pvm.initsend()
                 buf.pkint([1])
-                pvm.send(0, 7, buf)
+                yield from pvm.send(0, 7, buf)
 
         cluster = Cluster(2, config=ClusterConfig(
             faults=crash_plan((1, 0.1))))

@@ -1,7 +1,7 @@
-"""Scale smoke: the continuation backend past the paper's 8 workstations.
+"""Scale smoke: the simulator past the paper's 8 workstations.
 
 The paper stopped at 8 nodes because that is how many DECstations were
-on the ATM switch; the coro backend exists to ask "what would TreadMarks
+on the ATM switch; cheap continuations let us ask "what would TreadMarks
 versus PVM look like at 64, 256, 1024?".  These tests pin that the
 machinery actually *works* up there -- results still verify against the
 sequential run, wall-clock stays within a CI budget, and the scalable
@@ -33,7 +33,7 @@ def scale_params(nprocs):
 def run_scaled(system, nprocs, **kw):
     start = time.monotonic()
     result = base.run_parallel("sor", system, nprocs, scale_params(nprocs),
-                               engine="coro", **kw)
+                               **kw)
     wall = time.monotonic() - start
     return result, wall
 
@@ -82,7 +82,7 @@ class TestBarrierRaceClean:
     @pytest.mark.parametrize("kind", ("central", "tree", "dissemination"))
     def test_barrier_race_clean_under_strict(self, kind):
         result = base.run_parallel(
-            "sor", "tmk", 8, SorParams.tiny(), engine="coro",
+            "sor", "tmk", 8, SorParams.tiny(),
             tmk_config=TmkConfig(barrier_kind=kind),
             analysis=AnalysisConfig(race_check="strict"))
         assert result.sanitizer is not None

@@ -9,7 +9,7 @@ class TestBarrierMessages:
     def test_two_n_minus_one_messages_per_episode(self, tmk_run, nprocs):
         """"The number of messages sent in a barrier is 2*(n-1).""" """"""
         def main(proc):
-            proc.tmk.barrier(0)
+            yield from proc.tmk.barrier(0)
 
         res = tmk_run(main, nprocs=nprocs)
         arrivals = res.stats.get("tmk", "barrier_arrival").messages
@@ -20,7 +20,7 @@ class TestBarrierMessages:
     def test_single_processor_barrier_free(self, tmk_run):
         def main(proc):
             for i in range(5):
-                proc.tmk.barrier(i)
+                yield from proc.tmk.barrier(i)
             return proc.tmk.barriers.episodes_completed
 
         res = tmk_run(main, nprocs=1)
@@ -31,7 +31,7 @@ class TestBarrierMessages:
         """Barrier ids are reused across loop iterations."""
         def main(proc):
             for _ in range(10):
-                proc.tmk.barrier(7)
+                yield from proc.tmk.barrier(7)
             return proc.tmk.barriers.episodes_completed
 
         res = tmk_run(main, nprocs=4)
@@ -45,7 +45,7 @@ class TestBarrierSynchronization:
             tmk = proc.tmk
             proc.compute(0.01 * (proc.pid + 1))
             t_before = proc.now
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             return t_before, proc.now
 
         res = tmk_run(main, nprocs=4)
@@ -57,9 +57,9 @@ class TestBarrierSynchronization:
         def main(proc):
             tmk = proc.tmk
             data = tmk.shared_array("d", (8, 256), np.int64)
-            data[(slice(tmk.pid, tmk.pid + 1), slice(None))] = tmk.pid + 1
-            tmk.barrier(0)
-            return data.read((slice(None), slice(None))).sum(axis=1).tolist()
+            yield from data.write((slice(tmk.pid, tmk.pid + 1), slice(None)), tmk.pid + 1)
+            yield from tmk.barrier(0)
+            return (yield from data.read((slice(None), slice(None)))).sum(axis=1).tolist()
 
         res = tmk_run(main, nprocs=8)
         expected = [(p + 1) * 256 for p in range(8)]
@@ -73,9 +73,9 @@ class TestBarrierSynchronization:
             cell = tmk.shared_array("c", (1,), np.int64)
             for step in range(6):
                 if step % tmk.nprocs == tmk.pid:
-                    cell.set(0, int(cell.get(0)) + 1)
-                tmk.barrier(step)
-            return int(cell.get(0))
+                    yield from cell.set(0, int((yield from cell.get(0))) + 1)
+                yield from tmk.barrier(step)
+            return int((yield from cell.get(0)))
 
         res = tmk_run(main, nprocs=3)
         assert res.results == [6, 6, 6]
@@ -86,13 +86,13 @@ class TestBarrierSynchronization:
         def main_manager_late(proc):
             if proc.tmk.pid == 0:
                 proc.compute(0.05)
-            proc.tmk.barrier(0)
+            yield from proc.tmk.barrier(0)
             return proc.now
 
         def main_manager_early(proc):
             if proc.tmk.pid != 0:
                 proc.compute(0.05)
-            proc.tmk.barrier(0)
+            yield from proc.tmk.barrier(0)
             return proc.now
 
         for main in (main_manager_late, main_manager_early):
@@ -108,10 +108,10 @@ class TestBarrierConsistencyPropagation:
             tmk = proc.tmk
             data = tmk.shared_array("d", (64,), np.int64)
             if tmk.pid == 1:
-                data[slice(0, 64)] = 42
-            tmk.barrier(0)
+                yield from data.write(slice(0, 64), 42)
+            yield from tmk.barrier(0)
             if tmk.pid == 2:
-                return int(data.get(0))
+                return int((yield from data.get(0)))
             return None
 
         res = tmk_run(main, nprocs=3)
@@ -121,9 +121,9 @@ class TestBarrierConsistencyPropagation:
         """Barriers without intervening writes ship no write notices."""
         def main(proc):
             tmk = proc.tmk
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             before = proc.cluster.stats.get("tmk", "barrier_departure").bytes
-            tmk.barrier(1)
+            yield from tmk.barrier(1)
             after = proc.cluster.stats.get("tmk", "barrier_departure").bytes
             return after - before
 

@@ -17,13 +17,13 @@ class TestInvalidateProtocol:
             tmk = proc.tmk
             data = tmk.shared_array("d", (2048,), np.int64)  # 4 pages
             if tmk.pid == 0:
-                data[slice(0, 2048)] = 5
-            tmk.barrier(0)
+                yield from data.write(slice(0, 2048), 5)
+            yield from tmk.barrier(0)
             if tmk.pid == 1:
                 before = tmk.fault_count
-                data.read(slice(0, 512))   # one page
+                yield from data.read(slice(0, 512))   # one page
                 one_page = tmk.fault_count - before
-                data.read(slice(0, 2048))  # the remaining three
+                yield from data.read(slice(0, 2048))  # the remaining three
                 total = tmk.fault_count - before
                 return one_page, total
             return None
@@ -37,9 +37,9 @@ class TestInvalidateProtocol:
             tmk = proc.tmk
             data = tmk.shared_array("d", (8192,), np.int64)  # 16 pages
             if tmk.pid == 0:
-                data[slice(0, 8192)] = 1
-            tmk.barrier(0)
-            tmk.barrier(1)
+                yield from data.write(slice(0, 8192), 1)
+            yield from tmk.barrier(0)
+            yield from tmk.barrier(1)
             return None
 
         res = tmk_run(main, nprocs=2)
@@ -54,20 +54,20 @@ class TestInvalidateProtocol:
             data = tmk.shared_array("d", (64,), np.int64)
             flag = tmk.shared_array("f", (1,), np.int64)
             if tmk.pid == 0:
-                data[slice(0, 64)] = 1
-                tmk.barrier(0)
+                yield from data.write(slice(0, 64), 1)
+                yield from tmk.barrier(0)
                 # Write again WITHOUT any synchronization afterwards.
-                tmk.lock_acquire(0)
-                data[slice(0, 64)] = 2
-                tmk.lock_release(0)
-                tmk.barrier(1)
+                yield from tmk.lock_acquire(0)
+                yield from data.write(slice(0, 64), 2)
+                yield from tmk.lock_release(0)
+                yield from tmk.barrier(1)
                 return None
-            tmk.barrier(0)
-            first = int(data.get(0))   # sees the barrier-published value
-            tmk.barrier(1)
+            yield from tmk.barrier(0)
+            first = int((yield from data.get(0)))   # sees the barrier-published value
+            yield from tmk.barrier(1)
             # P0's locked write happened before barrier 1, so it is now
             # visible; but between barrier 0 and 1 the old value was legal.
-            second = int(data.get(0))
+            second = int((yield from data.get(0)))
             return first, second
 
         res = tmk_run(main, nprocs=2)
@@ -82,9 +82,9 @@ class TestMultipleWriter:
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)  # exactly 1 page
             lo = tmk.pid * 128
-            data[slice(lo, lo + 128)] = tmk.pid + 1
-            tmk.barrier(0)
-            return data.read(slice(0, 512)).sum()
+            yield from data.write(slice(lo, lo + 128), tmk.pid + 1)
+            yield from tmk.barrier(0)
+            return (yield from data.read(slice(0, 512))).sum()
 
         res = tmk_run(main, nprocs=4)
         expected = sum((p + 1) * 128 for p in range(4))
@@ -97,11 +97,11 @@ class TestMultipleWriter:
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)  # 1 page
             if tmk.pid < 3:
-                data[slice(tmk.pid * 64, tmk.pid * 64 + 64)] = 1
-            tmk.barrier(0)
+                yield from data.write(slice(tmk.pid * 64, tmk.pid * 64 + 64), 1)
+            yield from tmk.barrier(0)
             if tmk.pid == 3:
                 before = proc.cluster.stats.get("tmk", "diff_request").messages
-                data.read(slice(0, 512))
+                yield from data.read(slice(0, 512))
                 return proc.cluster.stats.get(
                     "tmk", "diff_request").messages - before
             return None
@@ -116,14 +116,14 @@ class TestMultipleWriter:
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
             for turn in range(3):
-                tmk.lock_acquire(1)
+                yield from tmk.lock_acquire(1)
                 if tmk.pid == turn:
-                    data[slice(turn * 64, turn * 64 + 64)] = turn + 1
-                tmk.lock_release(1)
-                tmk.barrier(turn)
+                    yield from data.write(slice(turn * 64, turn * 64 + 64), turn + 1)
+                yield from tmk.lock_release(1)
+                yield from tmk.barrier(turn)
             if tmk.pid == 3:
                 before = proc.cluster.stats.get("tmk", "diff_request").messages
-                data.read(slice(0, 512))
+                yield from data.read(slice(0, 512))
                 return proc.cluster.stats.get(
                     "tmk", "diff_request").messages - before
             return None
@@ -141,11 +141,11 @@ class TestDiffAccumulation:
         def main(proc):
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
-            tmk.barrier(0)
-            tmk.lock_acquire(0)
-            data[slice(0, 512)] = tmk.pid + 1
-            tmk.lock_release(0)
-            tmk.barrier(1)
+            yield from tmk.barrier(0)
+            yield from tmk.lock_acquire(0)
+            yield from data.write(slice(0, 512), tmk.pid + 1)
+            yield from tmk.lock_release(0)
+            yield from tmk.barrier(1)
             return None
 
         res = tmk_run(main, nprocs=nprocs, config=config)
@@ -169,11 +169,11 @@ class TestDiffAccumulation:
         def main(proc):
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
-            tmk.lock_acquire(0)
-            data.add(slice(0, 512), 1)
-            tmk.lock_release(0)
-            tmk.barrier(0)
-            return int(data.get(0))
+            yield from tmk.lock_acquire(0)
+            yield from data.add(slice(0, 512), 1)
+            yield from tmk.lock_release(0)
+            yield from tmk.barrier(0)
+            return int((yield from data.get(0)))
 
         res = tmk_run(main, nprocs=8, config=config)
         assert all(r == 8 for r in res.results)
@@ -187,11 +187,11 @@ class TestEmptyDiffs:
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.float64)
             if tmk.pid == 0:
-                data[slice(0, 512)] = 0.0  # writes zeros over zeros
-            tmk.barrier(0)
+                yield from data.write(slice(0, 512), 0.0)  # writes zeros over zeros
+            yield from tmk.barrier(0)
             if tmk.pid == 1:
-                data.read(slice(0, 512))
-            tmk.barrier(1)
+                yield from data.read(slice(0, 512))
+            yield from tmk.barrier(1)
             return None
 
         res = tmk_run(main, nprocs=2)
@@ -208,10 +208,10 @@ class TestDiagnostics:
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
             if tmk.pid == 0:
-                data[slice(0, 512)] = 1
-            tmk.barrier(0)
+                yield from data.write(slice(0, 512), 1)
+            yield from tmk.barrier(0)
             if tmk.pid == 1:
-                data.read(slice(0, 512))
+                yield from data.read(slice(0, 512))
             return (tmk.fault_count, tmk.barrier_wait_time,
                     tmk.lock_wait_time)
 

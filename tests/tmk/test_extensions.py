@@ -27,11 +27,11 @@ def migratory_counter(rounds=4):
         tmk = proc.tmk
         data = tmk.shared_array("d", (512,), np.int64)
         for it in range(rounds):
-            tmk.lock_acquire(0)
-            data.add(slice(0, 512), 1)
-            tmk.lock_release(0)
-            tmk.barrier(it)
-        return int(data.get(0))
+            yield from tmk.lock_acquire(0)
+            yield from data.add(slice(0, 512), 1)
+            yield from tmk.lock_release(0)
+            yield from tmk.barrier(it)
+        return int((yield from data.get(0)))
     return main
 
 
@@ -82,20 +82,20 @@ class TestPiggyback:
             a = tmk.shared_array("a", (512,), np.int64)
             b = tmk.shared_array("b", (512,), np.int64)
             if tmk.pid == 0:
-                a[slice(0, 512)] = 7       # via barrier notices
-            tmk.barrier(0)
+                yield from a.write(slice(0, 512), 7)       # via barrier notices
+            yield from tmk.barrier(0)
             if tmk.pid == 1:
-                tmk.lock_acquire(0)
-                b[slice(0, 512)] = 9
-                tmk.lock_release(0)
-            tmk.barrier(1)
+                yield from tmk.lock_acquire(0)
+                yield from b.write(slice(0, 512), 9)
+                yield from tmk.lock_release(0)
+            yield from tmk.barrier(1)
             if tmk.pid == 2:
-                tmk.lock_acquire(0)        # grant piggybacks b's diff
-                value = int(a.get(0)) + int(b.get(0))  # a still faults
-                tmk.lock_release(0)
-                tmk.barrier(2)
+                yield from tmk.lock_acquire(0)        # grant piggybacks b's diff
+                value = int((yield from a.get(0))) + int((yield from b.get(0)))  # a still faults
+                yield from tmk.lock_release(0)
+                yield from tmk.barrier(2)
                 return value
-            tmk.barrier(2)
+            yield from tmk.barrier(2)
             return None
 
         res, _ = run(main, nprocs=3, piggyback_budget=1 << 16)
@@ -125,16 +125,16 @@ class TestEagerRC:
             data = tmk.shared_array("d", (512,), np.int64)
             if tmk.pid == 0:
                 # Write the left half, release eagerly.
-                tmk.lock_acquire(0)
-                data[slice(0, 256)] = 1
-                tmk.lock_release(0)
+                yield from tmk.lock_acquire(0)
+                yield from data.write(slice(0, 256), 1)
+                yield from tmk.lock_release(0)
             else:
                 # Concurrently write the right half of the SAME page; the
                 # eager notice lands mid-interval.
-                data[slice(256, 512)] = 2
+                yield from data.write(slice(256, 512), 2)
                 proc.compute(0.01)
-            tmk.barrier(0)
-            return int(np.asarray(data.read(slice(0, 512))).sum())
+            yield from tmk.barrier(0)
+            return int(np.asarray((yield from data.read(slice(0, 512)))).sum())
 
         res, _ = run(main, nprocs=2, protocol="eager")
         assert all(r == 256 * 1 + 256 * 2 for r in res.results)
@@ -145,9 +145,9 @@ class TestEagerRC:
             data = tmk.shared_array("d", (640,), np.int64)
             for rnd in range(4):
                 lo = ((proc.pid + rnd) % 5) * 128
-                data.add(slice(lo, lo + 128), rnd + 1)
-                tmk.barrier(rnd)
-            return np.asarray(data.read(slice(0, 640))).copy()
+                yield from data.add(slice(lo, lo + 128), rnd + 1)
+                yield from tmk.barrier(rnd)
+            return np.asarray((yield from data.read(slice(0, 640)))).copy()
 
         res, _ = run(main, nprocs=5, protocol="eager")
         expected = np.zeros(640, dtype=np.int64)
@@ -179,9 +179,9 @@ class TestGarbageCollection:
             tmk = proc.tmk
             data = tmk.shared_array("d", (4096,), np.int64)  # 8 pages
             if tmk.pid == 0:
-                data[slice(0, 4096)] = 1
+                yield from data.write(slice(0, 4096), 1)
             for it in range(4):
-                tmk.barrier(it)
+                yield from tmk.barrier(it)
             # Nobody ever reads data... except GC validated it.
             return tmk.core.pt.invalid_pages()
 

@@ -26,8 +26,8 @@ class TestLocalFastPath:
             tmk = proc.tmk
             lock = tmk.pid  # lock managed by (and owned by) this processor
             for _ in range(10):
-                tmk.lock_acquire(lock)
-                tmk.lock_release(lock)
+                yield from tmk.lock_acquire(lock)
+                yield from tmk.lock_release(lock)
             return tmk.locks.local_acquires
 
         res = tmk_run(main, nprocs=2)
@@ -36,15 +36,15 @@ class TestLocalFastPath:
 
     def test_recursive_acquire_rejected(self, tmk_run):
         def main(proc):
-            proc.tmk.lock_acquire(0)
-            proc.tmk.lock_acquire(0)
+            yield from proc.tmk.lock_acquire(0)
+            yield from proc.tmk.lock_acquire(0)
 
         with pytest.raises(RuntimeError, match="recursive"):
             tmk_run(main)
 
     def test_release_unheld_rejected(self, tmk_run):
         def main(proc):
-            proc.tmk.lock_release(0)
+            yield from proc.tmk.lock_release(0)
 
         with pytest.raises(RuntimeError, match="unheld"):
             tmk_run(main)
@@ -57,9 +57,9 @@ class TestRemoteAcquire:
         def main(proc):
             tmk = proc.tmk
             if tmk.pid == 1:
-                tmk.lock_acquire(0)  # managed by P0
-                tmk.lock_release(0)
-            tmk.barrier(0)
+                yield from tmk.lock_acquire(0)  # managed by P0
+                yield from tmk.lock_release(0)
+            yield from tmk.barrier(0)
 
         res = tmk_run(main, nprocs=2)
         assert res.stats.get("tmk", "lock_request").messages == 1
@@ -71,13 +71,13 @@ class TestRemoteAcquire:
         def main(proc):
             tmk = proc.tmk
             if tmk.pid == 1:
-                tmk.lock_acquire(0)
-                tmk.lock_release(0)
-            tmk.barrier(0)
+                yield from tmk.lock_acquire(0)
+                yield from tmk.lock_release(0)
+            yield from tmk.barrier(0)
             if tmk.pid == 2:
-                tmk.lock_acquire(0)
-                tmk.lock_release(0)
-            tmk.barrier(1)
+                yield from tmk.lock_acquire(0)
+                yield from tmk.lock_release(0)
+            yield from tmk.barrier(1)
 
         res = tmk_run(main, nprocs=3)
         assert res.stats.get("tmk", "lock_request").messages == 2
@@ -92,12 +92,12 @@ class TestRemoteAcquire:
             tmk = proc.tmk
             delta = None
             if tmk.pid == 1:
-                tmk.lock_acquire(0)
+                yield from tmk.lock_acquire(0)
                 before = lock_traffic(proc.cluster.stats)
-                tmk.lock_release(0)
+                yield from tmk.lock_release(0)
                 after = lock_traffic(proc.cluster.stats)
                 delta = after - before
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             return delta
 
         res = tmk_run(main, nprocs=2, trace=trace)
@@ -108,11 +108,11 @@ class TestRemoteAcquire:
             tmk = proc.tmk
             counter = tmk.shared_array("c", (1,), np.int64)
             for _ in range(5):
-                tmk.lock_acquire(3)
-                counter.set(0, int(counter.get(0)) + 1)
-                tmk.lock_release(3)
-            tmk.barrier(0)
-            return int(counter.get(0))
+                yield from tmk.lock_acquire(3)
+                yield from counter.set(0, int((yield from counter.get(0))) + 1)
+                yield from tmk.lock_release(3)
+            yield from tmk.barrier(0)
+            return int((yield from counter.get(0)))
 
         res = tmk_run(main, nprocs=4)
         assert res.results[0] == 20  # no lost updates
@@ -124,13 +124,13 @@ class TestRemoteAcquire:
             order = tmk.shared_array("order", (64,), np.int32)
             slot = tmk.shared_array("slot", (1,), np.int32)
             for _ in range(4):
-                tmk.lock_acquire(1)
-                i = int(slot.get(0))
-                order.set(i, tmk.pid + 1)
-                slot.set(0, i + 1)
-                tmk.lock_release(1)
-            tmk.barrier(0)
-            return order.read(slice(0, 32)).tolist()
+                yield from tmk.lock_acquire(1)
+                i = int((yield from slot.get(0)))
+                yield from order.set(i, tmk.pid + 1)
+                yield from slot.set(0, i + 1)
+                yield from tmk.lock_release(1)
+            yield from tmk.barrier(0)
+            return (yield from order.read(slice(0, 32))).tolist()
 
         res = tmk_run(main, nprocs=8)
         values = res.results[0]
@@ -145,15 +145,15 @@ class TestNoticePiggybacking:
             tmk = proc.tmk
             data = tmk.shared_array("d", (1024,), np.int64)
             if tmk.pid == 0:
-                tmk.lock_acquire(0)
-                data[slice(0, 1024)] = 7
-                tmk.lock_release(0)
-                tmk.barrier(0)
+                yield from tmk.lock_acquire(0)
+                yield from data.write(slice(0, 1024), 7)
+                yield from tmk.lock_release(0)
+                yield from tmk.barrier(0)
                 return None
-            tmk.barrier(0)
-            tmk.lock_acquire(0)
-            value = int(data.get(5))
-            tmk.lock_release(0)
+            yield from tmk.barrier(0)
+            yield from tmk.lock_acquire(0)
+            value = int((yield from data.get(5)))
+            yield from tmk.lock_release(0)
             return value
 
         res = tmk_run(main, nprocs=2)
@@ -165,15 +165,15 @@ class TestNoticePiggybacking:
             tmk = proc.tmk
             data = tmk.shared_array("d", (512,), np.int64)
             if tmk.pid == 0:
-                data[slice(0, 512)] = 1
-            tmk.barrier(0)
-            data.read()  # fault once
-            tmk.barrier(1)
+                yield from data.write(slice(0, 512), 1)
+            yield from tmk.barrier(0)
+            yield from data.read()  # fault once
+            yield from tmk.barrier(1)
             before = proc.cluster.stats.get("tmk", "diff_request").messages
-            tmk.lock_acquire(2)
-            data.read()
-            tmk.lock_release(2)
-            tmk.barrier(2)
+            yield from tmk.lock_acquire(2)
+            yield from data.read()
+            yield from tmk.lock_release(2)
+            yield from tmk.barrier(2)
             after = proc.cluster.stats.get("tmk", "diff_request").messages
             return after - before
 
@@ -191,17 +191,17 @@ class TestOrphanedLockReclaim:
         def main(proc):
             tmk = proc.tmk
             if tmk.pid == 1:
-                tmk.lock_acquire(0)  # chain at the manager now ends at P1
-                tmk.lock_release(0)
-            tmk.barrier(0)
+                yield from tmk.lock_acquire(0)  # chain at the manager now ends at P1
+                yield from tmk.lock_release(0)
+            yield from tmk.barrier(0)
             reclaimed = []
             if tmk.pid == 0:  # manager declares P1 dead
                 reclaimed = tmk.locks.reclaim(1)
-            tmk.barrier(1)
+            yield from tmk.barrier(1)
             if tmk.pid == 2:
-                tmk.lock_acquire(0)  # must not be forwarded to "dead" P1
-                tmk.lock_release(0)
-            tmk.barrier(2)
+                yield from tmk.lock_acquire(0)  # must not be forwarded to "dead" P1
+                yield from tmk.lock_release(0)
+            yield from tmk.barrier(2)
             return reclaimed
 
         res = tmk_run(main, nprocs=3)
@@ -217,9 +217,9 @@ class TestOrphanedLockReclaim:
         def main(proc):
             tmk = proc.tmk
             if tmk.pid == 1:
-                tmk.lock_acquire(0)
-                tmk.lock_release(0)
-            tmk.barrier(0)
+                yield from tmk.lock_acquire(0)
+                yield from tmk.lock_release(0)
+            yield from tmk.barrier(0)
             if tmk.pid == 0:
                 return tmk.locks.reclaim(2)  # P2 never touched lock 0
             return None
@@ -236,15 +236,15 @@ class TestOrphanedLockReclaim:
             tmk = proc.tmk
             if tmk.pid == 0:
                 from repro.tmk.protocol import LockRequest
-                tmk.lock_acquire(0)
+                yield from tmk.lock_acquire(0)
                 state = tmk.locks._lock_state(0)
                 state.waiter = LockRequest(
                     lock=0, requester=1, vc=tuple(tmk.core.vc),
                     reply=proc.mailbox())
                 tmk.locks.reclaim(1)
                 assert state.waiter is None
-                tmk.lock_release(0)
-            tmk.barrier(0)
+                yield from tmk.lock_release(0)
+            yield from tmk.barrier(0)
 
         res = tmk_run(main, nprocs=2)
         assert res.stats.get("tmk", "lock_grant").messages == 0

@@ -25,35 +25,35 @@ class TestHappensBeforeChains:
             a = tmk.shared_array("a", (64,), np.int64)
             b = tmk.shared_array("b", (64,), np.int64)
             if tmk.pid == 0:
-                tmk.lock_acquire(0)
-                a[slice(0, 64)] = 11
-                tmk.lock_release(0)
-                tmk.barrier(9)
+                yield from tmk.lock_acquire(0)
+                yield from a.write(slice(0, 64), 11)
+                yield from tmk.lock_release(0)
+                yield from tmk.barrier(9)
                 return None
             if tmk.pid == 1:
                 # Poll until P0's value is visible under the lock.
                 while True:
-                    tmk.lock_acquire(0)
-                    seen = int(a.get(0))
-                    tmk.lock_release(0)
+                    yield from tmk.lock_acquire(0)
+                    seen = int((yield from a.get(0)))
+                    yield from tmk.lock_release(0)
                     if seen == 11:
                         break
                     proc.compute(1e-3)
-                tmk.lock_acquire(1)
-                b[slice(0, 64)] = 22
-                tmk.lock_release(1)
-                tmk.barrier(9)
+                yield from tmk.lock_acquire(1)
+                yield from b.write(slice(0, 64), 22)
+                yield from tmk.lock_release(1)
+                yield from tmk.barrier(9)
                 return None
             # P2: wait for P1's release through lock 1.
             while True:
-                tmk.lock_acquire(1)
-                seen_b = int(b.get(0))
-                tmk.lock_release(1)
+                yield from tmk.lock_acquire(1)
+                seen_b = int((yield from b.get(0)))
+                yield from tmk.lock_release(1)
                 if seen_b == 22:
                     break
                 proc.compute(1e-3)
-            value_a = int(a.get(0))  # transitively guaranteed
-            tmk.barrier(9)
+            value_a = int((yield from a.get(0)))  # transitively guaranteed
+            yield from tmk.barrier(9)
             return value_a
 
         res = tmk_run(main, nprocs=3)
@@ -65,9 +65,10 @@ class TestHappensBeforeChains:
         def main(proc):
             tmk = proc.tmk
             data = tmk.shared_array("d", (8, 64), np.int64)
-            data[(slice(tmk.pid, tmk.pid + 1), slice(None))] = tmk.pid + 100
-            tmk.barrier(0)
-            return [int(data.get((p, 0))) for p in range(tmk.nprocs)]
+            yield from data.write((slice(tmk.pid, tmk.pid + 1), slice(None)), tmk.pid + 100)
+            yield from tmk.barrier(0)
+            column = yield from data.read((slice(None), 0))
+            return [int(v) for v in column]
 
         res = tmk_run(main, nprocs=8)
         for row in res.results:
@@ -107,15 +108,15 @@ def test_drf_programs_match_sequential_interpretation(program):
         data = tmk.shared_array("d", (cells,), np.int64)
         for rnd, (locked, value, perm) in enumerate(rounds):
             if locked:
-                tmk.lock_acquire(0)
-                data.add(slice(0, cells), value)
-                tmk.lock_release(0)
+                yield from tmk.lock_acquire(0)
+                yield from data.add(slice(0, cells), value)
+                yield from tmk.lock_release(0)
             else:
                 part = perm[proc.pid % 5]
                 lo = part * 128
-                data.add(slice(lo, lo + 128), value)
-            tmk.barrier(rnd)
-        return np.asarray(data.read(slice(0, cells))).copy()
+                yield from data.add(slice(lo, lo + 128), value)
+            yield from tmk.barrier(rnd)
+        return np.asarray((yield from data.read(slice(0, cells)))).copy()
 
     cluster = Cluster(nprocs)
     attach_tmk(cluster, TmkConfig(segment_bytes=1 << 19))

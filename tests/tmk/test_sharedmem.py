@@ -49,8 +49,8 @@ class TestSharedArrayAccess:
     def test_write_then_read_roundtrip(self, tmk_run):
         def main(proc):
             arr = proc.tmk.shared_array("a", (100,), np.float64)
-            arr[slice(0, 100)] = np.arange(100.0)
-            return float(np.sum(arr.read()))
+            yield from arr.write(slice(0, 100), np.arange(100.0))
+            return float(np.sum((yield from arr.read())))
 
         res = tmk_run(main)
         assert res.results[0] == sum(range(100))
@@ -58,7 +58,7 @@ class TestSharedArrayAccess:
     def test_read_returns_readonly_view(self, tmk_run):
         def main(proc):
             arr = proc.tmk.shared_array("a", (10,), np.int64)
-            view = arr.read()
+            view = yield from arr.read()
             try:
                 view[0] = 1
                 return "writable"
@@ -70,25 +70,25 @@ class TestSharedArrayAccess:
     def test_element_get_set(self, tmk_run):
         def main(proc):
             arr = proc.tmk.shared_array("a", (16,), np.int32)
-            arr.set(3, 99)
-            return int(arr.get(3))
+            yield from arr.set(3, 99)
+            return int((yield from arr.get(3)))
 
         assert tmk_run(main).results[0] == 99
 
     def test_add_is_read_modify_write(self, tmk_run):
         def main(proc):
             arr = proc.tmk.shared_array("a", (4,), np.int64)
-            arr[slice(0, 4)] = [1, 2, 3, 4]
-            arr.add(slice(0, 4), 10)
-            return arr.read().tolist()
+            yield from arr.write(slice(0, 4), [1, 2, 3, 4])
+            yield from arr.add(slice(0, 4), 10)
+            return (yield from arr.read()).tolist()
 
         assert tmk_run(main).results[0] == [11, 12, 13, 14]
 
     def test_2d_row_slices(self, tmk_run):
         def main(proc):
             arr = proc.tmk.shared_array("m", (8, 16), np.float64)
-            arr[(slice(2, 4), slice(None))] = 5.0
-            return float(arr.read((slice(None), slice(None))).sum())
+            yield from arr.write((slice(2, 4), slice(None)), 5.0)
+            return float((yield from arr.read((slice(None), slice(None)))).sum())
 
         assert tmk_run(main).results[0] == 5.0 * 2 * 16
 
@@ -96,8 +96,8 @@ class TestSharedArrayAccess:
         def main(proc):
             arr = proc.tmk.shared_array("m", (64, 3), np.float64)
             idx = np.array([3, 4, 10, 60])
-            arr[(idx, slice(None))] = 1.0
-            return float(arr.read((slice(None), slice(None))).sum())
+            yield from arr.write((idx, slice(None)), 1.0)
+            return float((yield from arr.read((slice(None), slice(None)))).sum())
 
         assert tmk_run(main).results[0] == 4 * 3
 
@@ -106,9 +106,9 @@ class TestSharedArrayAccess:
             tmk = proc.tmk
             arr = tmk.shared_array("shared", (2048,), np.int64)
             if tmk.pid == 0:
-                arr[slice(0, 2048)] = np.arange(2048)
-            tmk.barrier(0)
-            return int(arr.read(slice(1024, 2048)).sum())
+                yield from arr.write(slice(0, 2048), np.arange(2048))
+            yield from tmk.barrier(0)
+            return int((yield from arr.read(slice(1024, 2048))).sum())
 
         res = tmk_run(main, nprocs=3)
         expected = sum(range(1024, 2048))
@@ -183,7 +183,7 @@ class TestTouchedRuns:
         def main(proc):
             # 4 "planes" of exactly one page each.
             arr = proc.tmk.shared_array("b", (4, 4096 // 8), np.float64)
-            arr[(slice(None), slice(0, 8))] = 1.0
+            yield from arr.write((slice(None), slice(0, 8)), 1.0)
             return sorted(proc.tmk.core.pt.dirty_pages())
 
         dirty = tmk_run(main).results[0]
@@ -192,7 +192,7 @@ class TestTouchedRuns:
     def test_single_page_write_twins_one_page(self, tmk_run):
         def main(proc):
             arr = proc.tmk.shared_array("b", (4, 4096 // 8), np.float64)
-            arr[(slice(1, 2), slice(None))] = 1.0
+            yield from arr.write((slice(1, 2), slice(None)), 1.0)
             return sorted(proc.tmk.core.pt.dirty_pages())
 
         assert tmk_run(main).results[0] == [1]
@@ -206,7 +206,7 @@ class TestReadOnlyViews:
     def _assert_readonly(self, tmk_run, reader):
         def main(proc):
             arr = proc.tmk.shared_array("a", (8, 8), np.float64)
-            view = reader(arr)
+            view = yield from reader(arr)
             assert isinstance(view, np.ndarray)
             return bool(view.flags.writeable)
 
@@ -223,7 +223,16 @@ class TestReadOnlyViews:
             tmk_run, lambda a: a.read((slice(None), slice(0, 4))))
 
     def test_getitem(self, tmk_run):
-        self._assert_readonly(tmk_run, lambda a: a[slice(2, 5)])
+        """Subscripting cannot block, so it is not an access path at all:
+        it fails loudly instead of handing out an unchecked view."""
+        def main(proc):
+            arr = proc.tmk.shared_array("a", (8, 8), np.float64)
+            with pytest.raises(TypeError):
+                arr[slice(2, 5)]
+            with pytest.raises(TypeError):
+                arr[0] = 1.0
+
+        tmk_run(main)
 
     def test_read_racy(self, tmk_run):
         self._assert_readonly(tmk_run, lambda a: a.read_racy())
@@ -235,8 +244,8 @@ class TestReadOnlyViews:
     def test_get_scalar_is_a_value_not_a_view(self, tmk_run):
         def main(proc):
             arr = proc.tmk.shared_array("a", (8,), np.float64)
-            arr.set(2, 5.0)
-            value = arr.get(2)
+            yield from arr.set(2, 5.0)
+            value = yield from arr.get(2)
             return np.isscalar(value) or np.asarray(value).ndim == 0
 
         assert tmk_run(main).results[0]
@@ -244,7 +253,7 @@ class TestReadOnlyViews:
     def test_view_does_not_leak_writability_via_base(self, tmk_run):
         def main(proc):
             arr = proc.tmk.shared_array("a", (8,), np.float64)
-            view = arr.read()[1:3]  # derived view of the returned view
+            view = (yield from arr.read())[1:3]  # derived view of the returned view
             return bool(view.flags.writeable)
 
         assert tmk_run(main).results[0] is False
@@ -259,8 +268,8 @@ class TestPiecewiseWrite:
         def main(proc):
             proc.tmk.core.prefers_piecewise_writes = True
             arr = proc.tmk.shared_array("p", shape, np.float64)
-            arr[key] = values
-            return arr.read().copy()
+            yield from arr.write(key, values)
+            return (yield from arr.read()).copy()
 
         return tmk_run(main, nprocs=nprocs).results[0]
 
@@ -332,11 +341,11 @@ class TestPiecewiseWrite:
         def main(proc):
             tmk = proc.tmk
             arr = tmk.shared_array("p", (1024,), np.float64)
-            tmk.barrier(0)
+            yield from tmk.barrier(0)
             lo = tmk.pid * 256
-            arr[slice(lo, lo + 256)] = float(tmk.pid + 1)
-            tmk.barrier(1)
-            return arr.read().copy()
+            yield from arr.write(slice(lo, lo + 256), float(tmk.pid + 1))
+            yield from tmk.barrier(1)
+            return (yield from arr.read()).copy()
 
         cluster = Cluster(4, config=ClusterConfig(trace=Trace()))
         attach_ivy(cluster, IvyConfig(segment_bytes=1 << 20))

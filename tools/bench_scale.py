@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Scale sweep on the continuation backend; emit BENCH_scale.json.
+"""Scale sweep past the paper's 8 nodes; emit BENCH_scale.json.
 
-The paper's testbed stopped at 8 workstations.  The coro engine removes
-the host-thread ceiling, so this sweep asks the paper's question at 16,
+The paper's testbed stopped at 8 workstations.  A simulated processor is
+a cheap continuation, so this sweep asks the paper's question at 16,
 64, 256, and 1024 nodes: red/black SOR (the paper's best DSM case) on
 TreadMarks versus PVM, with the TreadMarks runs repeated under the
 centralized (flat) barrier and the combining-tree barrier.  Recorded per
@@ -19,7 +19,7 @@ as the CI regression gate for the engine itself:
         --check-baseline BENCH_scale.json               # gate (20%)
 
 ``--check-baseline`` re-measures the 64-node slice and fails (exit 1)
-if its total coro wall-clock regresses more than 20% (plus a small
+if its total wall-clock regresses more than 20% (plus a small
 absolute slack for scheduler noise) against the committed baseline.
 """
 
@@ -51,7 +51,7 @@ def one_run(system, nprocs, barrier="central"):
         kw["tmk_config"] = TmkConfig(barrier_kind=barrier)
     started = time.perf_counter()
     result = base.run_parallel("sor", system, nprocs, scale_params(nprocs),
-                               engine="coro", **kw)
+                               **kw)
     wall = time.perf_counter() - started
     return {
         "system": system,
@@ -127,11 +127,10 @@ def main():
                         help="gate wall-clock against a committed report")
     args = parser.parse_args()
 
-    print(f"scale sweep: sor on coro up to {args.max_nodes} nodes")
+    print(f"scale sweep: sor up to {args.max_nodes} nodes")
     runs = sweep(args.max_nodes)
     report = {
         "app": "sor",
-        "engine": "coro",
         "params": "rows=4*nprocs, width=96, iterations=4",
         "node_counts": [n for n in NODE_COUNTS if n <= args.max_nodes],
         "runs": runs,

@@ -14,8 +14,8 @@ Three measurements:
   runner are not mistaken for a parallel-speedup claim.
 
 The sweep measurement goes through ``sweep_configs``'s defaults -- the
-coro engine and the compiled kernels (built here first; silently falls
-back to numpy when the toolchain cannot build it) -- so the committed
+compiled kernels (built here first; silently falls back to numpy when
+the toolchain cannot build it) -- so the committed
 numbers track the fastest stack a fresh checkout can reach.
 
 Run:   python tools/bench_sweep.py [--out BENCH_sweep.json]
