@@ -66,20 +66,28 @@ class SorParams:
         return cls(rows=2048, width=768, iterations=51, nonzero=nonzero)
 
 
-def initial_array(params: SorParams) -> np.ndarray:
-    """Initial contents of one color array."""
-    grid = np.zeros((params.rows, params.width), dtype=np.float64)
+def initial_rows(params: SorParams, lo: int, hi: int) -> np.ndarray:
+    """Rows ``[lo, hi)`` of one color array's initial contents, built
+    without the rest of the grid (a PVM rank initializes only its band)."""
+    grid = np.zeros((hi - lo, params.width), dtype=np.float64)
     if params.nonzero:
         # Deterministic, everywhere-nonzero, changes every iteration.
-        i = np.arange(params.rows)[:, None]
+        i = np.arange(lo, hi)[:, None]
         j = np.arange(params.width)[None, :]
         grid[:] = 1.0 + 0.001 * ((i * 31 + j * 17) % 97)
     else:
-        grid[0, :] = 1.0
-        grid[-1, :] = 1.0
+        if lo == 0 < hi:
+            grid[0, :] = 1.0
+        if hi == params.rows > lo:
+            grid[-1, :] = 1.0
         grid[:, 0] = 1.0
         grid[:, -1] = 1.0
     return grid
+
+
+def initial_array(params: SorParams) -> np.ndarray:
+    """Initial contents of one color array."""
+    return initial_rows(params, 0, params.rows)
 
 
 def band(pid: int, nprocs: int, rows: int) -> Tuple[int, int]:
@@ -192,9 +200,8 @@ def pvm_main(proc, params: SorParams):
     ghi = min(hi + 1, params.rows)
     # Each processor initializes its own band plus ghost rows locally
     # ("data is initialized in a distributed manner in the PVM version").
-    full_init = initial_array(params)
-    red = full_init[glo:ghi].copy()
-    black = full_init[glo:ghi].copy()
+    red = initial_rows(params, glo, ghi)
+    black = red.copy()
     off = lo - glo  # index of row `lo` within the local arrays
 
     def exchange(target: np.ndarray):

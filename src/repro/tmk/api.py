@@ -24,6 +24,7 @@ import numpy as np
 from repro.tmk.barrier import (BarrierSubsystem, DisseminationBarrierSubsystem,
                                TreeBarrierSubsystem)
 from repro.tmk.consistency import LrcCore
+from repro.tmk.intervals import NoticeIndex
 from repro.tmk.locks import LockSubsystem, McsLockSubsystem
 from repro.tmk.sharedmem import SharedArray, SharedHeap
 
@@ -97,6 +98,9 @@ class TmkSystem:
         self.cluster = cluster
         self.config = config
         self.heap = SharedHeap(config.segment_bytes, cluster.cost.page_size)
+        #: Every write notice of the run, filed once by its creator; each
+        #: processor reads it through its own knowledge (host-side only).
+        self.notices = NoticeIndex()
         self.barrier_manager = config.barrier_manager
         if (config.barrier_kind == "dissemination"
                 and cluster.recovery is not None

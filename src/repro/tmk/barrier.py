@@ -46,6 +46,8 @@ class _Episode:
     """Manager-side state for one barrier episode."""
 
     arrivals: List[Tuple[BarrierArrival, float]] = field(default_factory=list)
+    #: ``dedup_key`` of every arrival counted so far.
+    seen: set = field(default_factory=set)
     #: Set once the manager's own thread has arrived (and blocked).
     manager_arrived: bool = False
     manager_wake: Optional[object] = None  # the manager's Processor, when blocked
@@ -220,13 +222,13 @@ class BarrierSubsystem:
         service = delivery.recv_cpu + self.cost.interrupt_cpu
         self.proc.charge_service(service)
         episode = self._episode(arrival.barrier)
-        if any(a.dedup_key() == arrival.dedup_key()
-               for a, _ in episode.arrivals):
+        key = arrival.dedup_key()
+        if key in episode.seen:
             # Re-delivered arrival (each processor arrives once per
             # episode): counting it twice would release the barrier early.
-            self.proc.trace("dup_suppress",
-                            f"barrier_arrival key={arrival.dedup_key()}")
+            self.proc.trace("dup_suppress", f"barrier_arrival key={key}")
             return
+        episode.seen.add(key)
         obs = self.proc.obs
         if obs is not None:
             obs.instant(delivery.arrival, self.pid, "barrier_arrival",

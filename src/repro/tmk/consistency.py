@@ -3,9 +3,14 @@
 One :class:`LrcCore` per processor.  It owns:
 
 * the processor's paged copy of the shared segment (:class:`PageTable`);
-* its vector time and the set of interval records it knows about;
+* its vector time and the interval records it knows about, one list per
+  creator (a creator's seqs are contiguous: write-free intervals make no
+  record, and every sender ships a suffix of what it knows);
 * *pending write notices*: for each invalidated page, the intervals whose
-  diffs have not yet been fetched;
+  diffs have not yet been fetched.  They are not stored: the run's one
+  :class:`NoticeIndex` (``system.notices``) files each record once, by
+  its creator, and ``_pending`` derives a page's set at fault time from
+  this processor's knowledge and its per-page ``_applied`` cursor;
 * the *diff cache*: every diff this processor created or received.  The
   protocol invariant -- "if a processor has modified a page during an
   interval then it must have all the diffs of all intervals that precede
@@ -26,7 +31,7 @@ simulated processors can run ahead of one another in virtual time.
 
 from __future__ import annotations
 
-import bisect
+from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.obs.core import B_PROTOCOL, B_STALL_DATA, B_WIRE
@@ -82,14 +87,14 @@ class LrcCore:
         #: Vector time: ``vc[p]`` = number of closed intervals of p this
         #: processor has seen (own entry: number of own closed intervals).
         self.vc: List[int] = [0] * self.nprocs
-        self.known: Dict[IntervalId, IntervalRecord] = {}
-        #: Per-creator records in seq order (for records_since), plus the
-        #: parallel seq vectors so records_since can bisect without
-        #: rebuilding a key list per call (it runs at every acquire).
-        self._by_creator: List[List[IntervalRecord]] = [[] for _ in range(self.nprocs)]
-        self._seqs: List[List[int]] = [[] for _ in range(self.nprocs)]
-        #: page -> {interval id -> record} awaiting a diff fetch.
-        self.pending: Dict[int, Dict[IntervalId, IntervalRecord]] = {}
+        #: Known records per creator, contiguous in seq; ``_next[c]`` is
+        #: the first seq of creator c not known, so record ``(c, s)`` is
+        #: ``known[c][s - _next[c]]`` (GC drops from the front).
+        self.known: List[List[IntervalRecord]] = [[] for _ in range(self.nprocs)]
+        self._next: List[int] = [0] * self.nprocs
+        #: page -> {writer -> first seq not applied}: with ``_next``, the
+        #: window of ``system.notices`` still awaiting a diff fetch.
+        self._applied: Dict[int, Dict[int, int]] = defaultdict(dict)
         #: (interval id, page) -> diff, never evicted (TreadMarks GC elided).
         self.diff_cache: Dict[Tuple[IntervalId, int], Diff] = {}
         #: Locally-created diffs whose creation CPU has not been charged
@@ -136,23 +141,22 @@ class LrcCore:
         diffs = make_diffs(dirty, [self.pt.page_view(p) for p in dirty],
                            [self.pt.twin(p) for p in dirty],
                            backend=self.kernels)
+        record = IntervalRecord(creator=self.pid, seq=seq,
+                                vc=tuple(self.vc), pages=tuple(dirty))
         for page, diff in zip(dirty, diffs):
             self.pt.drop_twin(page)
-            self.diff_cache[((self.pid, seq), page)] = diff
+            self.diff_cache[(record.id, page)] = diff
             # CPU accounting is deferred to first service: real TreadMarks
             # creates a diff lazily, when it is first requested, so pages
             # whose diffs nobody fetches cost no diffing time.  (The diff
             # *contents* are pinned here; see the eager-creation note in
             # the module docstring.)
-            self._uncharged.add(((self.pid, seq), page))
-        record = IntervalRecord(creator=self.pid, seq=seq,
-                                vc=tuple(self.vc), pages=tuple(dirty))
+            self._uncharged.add((record.id, page))
         if self.monitor is not None:
             self.monitor.on_interval_close(self.pid, record, tuple(dirty),
                                            self.proc.now)
-        self.known[record.id] = record
-        self._by_creator[self.pid].append(record)
-        self._seqs[self.pid].append(record.seq)
+        self._learn(record)
+        self.system.notices.add(record)
         self.vc[self.pid] = seq + 1
         if self._trace.enabled:
             self.proc.trace("interval_close", f"seq={seq} pages={list(dirty)}")
@@ -188,37 +192,43 @@ class LrcCore:
         record = notice.record
         service = delivery.recv_cpu + self.cost.interrupt_cpu
         self.proc.charge_service(service)
-        rid = (record.creator, record.seq)
-        if rid in self.known:
+        if not self._learn(record):
             return
-        self.known[rid] = record
-        creator_list = self._by_creator[record.creator]
-        if creator_list and record.seq <= creator_list[-1].seq:
-            raise AssertionError(
-                f"P{self.pid}: out-of-order eager notice {rid}")
-        creator_list.append(record)
-        self._seqs[record.creator].append(record.seq)
-        for page in record.pages:
-            if self.pt.is_valid(page):
-                self.pt.invalidate(page, allow_dirty=True)
-            self.pending.setdefault(page, {})[rid] = record
+        self.pt.invalidate_pages(record.pages, allow_dirty=True)
         # Only the sender's own entry advances: per-pair FIFO guarantees
         # we hold all of its earlier records; third-party knowledge still
         # flows through synchronization.
         if notice.creator_count > self.vc[record.creator]:
             self.vc[record.creator] = notice.creator_count
 
+    def _learn(self, record: IntervalRecord) -> bool:
+        """File ``record`` under its creator; False if already known."""
+        behind = record.seq - self._next[record.creator]
+        if behind < 0:
+            return False
+        if behind:
+            raise AssertionError(
+                f"P{self.pid}: out-of-order interval record {record.id}")
+        self.known[record.creator].append(record)
+        self._next[record.creator] += 1
+        return True
+
     def records_since(self, their_vc: Tuple[int, ...]) -> List[IntervalRecord]:
         """All known records the holder of ``their_vc`` has not seen."""
         out: List[IntervalRecord] = []
-        for creator in range(self.nprocs):
-            records = self._by_creator[creator]
-            if not records:
-                continue
-            # Records are stored in seq order; find the first unseen one.
-            start = bisect.bisect_left(self._seqs[creator], their_vc[creator])
-            out.extend(records[start:])
+        for records, seen, nxt in zip(self.known, their_vc, self._next):
+            # Seqs are contiguous, so the unseen ones are the last few.
+            if seen < nxt:
+                out.extend(records[seen - nxt:])
         return out
+
+    def _pending(self, page: int,
+                 take: bool = False) -> Dict[IntervalId, IntervalRecord]:
+        """Write notices for ``page`` this processor knows of but whose
+        diffs it has not applied; ``take`` marks them all as being
+        applied now.  Derived, so compute it once per fetch round."""
+        return self.system.notices.pending(
+            page, self.pid, self._next, self._applied[page], take)
 
     def merge(self, records: List[IntervalRecord],
               their_vc: Tuple[int, ...],
@@ -237,32 +247,18 @@ class LrcCore:
         revalidated on the spot, saving the later fault round trip.
         """
         vc_before = tuple(self.vc)
-        touched_pages = set()
-        for record in sorted(records, key=lambda r: r.seq):
-            creator, seq = record.creator, record.seq
-            rid = (creator, seq)
-            if rid in self.known:
-                continue
-            self.known[rid] = record
-            creator_list = self._by_creator[creator]
-            if creator_list and seq <= creator_list[-1].seq:
-                raise AssertionError(
-                    f"P{self.pid}: out-of-order interval record {rid}")
-            creator_list.append(record)
-            self._seqs[creator].append(seq)
-            if creator == self.pid:
-                continue
-            for page in record.pages:
-                if self.pt.is_valid(page):
-                    self.pt.invalidate(page, allow_dirty=self.eager)
-                self.pending.setdefault(page, {})[rid] = record
-                touched_pages.add(page)
+        learn, pid = self._learn, self.pid
+        fresh = [r for r in records if learn(r) and r.creator != pid]
+        for record in fresh:
+            self.pt.invalidate_pages(record.pages, self.eager)
         self.vc = list(vc_max(self.vc, their_vc))
         if self.monitor is not None:
             self.monitor.on_merge(self.pid, records, their_vc, vc_before,
                                   tuple(self.vc), self.proc.now)
         if piggybacked:
-            self._apply_piggybacked(touched_pages, piggybacked)
+            self._apply_piggybacked(
+                {page for record in fresh for page in record.pages},
+                piggybacked)
 
     def _apply_piggybacked(self, pages: set, piggybacked: Dict) -> None:
         """Patch and revalidate pages fully satisfied by grant data."""
@@ -270,7 +266,7 @@ class LrcCore:
         for (iid, page), diff in piggybacked.items():
             by_page.setdefault(page, {})[iid] = diff
         for page in sorted(pages):
-            needed = self.pending.get(page)
+            needed = self._pending(page)
             if not needed:
                 continue
             available = by_page.get(page, {})
@@ -299,7 +295,7 @@ class LrcCore:
             self.proc.compute(cpu)
             if obs is not None:
                 obs.end(self.proc.now, self.pid)
-            del self.pending[page]
+            self._pending(page, take=True)
             self.pt.validate(page)
             self.piggyback_hits += 1
             if self._trace.enabled:
@@ -399,7 +395,8 @@ class LrcCore:
         """
         proc = self.proc
         yield YIELD
-        if not self.pending.get(page):
+        needed = self._pending(page, take=True)
+        if not needed:
             raise AssertionError(
                 f"P{self.pid}: page {page} invalid with no pending notices")
         self.fault_count += 1
@@ -409,18 +406,20 @@ class LrcCore:
                       f"page={page}")
         proc.compute(self.cost.fault_cpu)
         t_fault_start = proc.now
-        while self.pending.get(page):
-            yield from self._fetch_round(page)
+        while needed:
+            yield from self._fetch_round(page, needed)
+            # Lazy RC learns nothing while a fault waits.
+            needed = self.eager and self._pending(page, take=True)
         self.pt.validate(page)
         self.fault_wait_time += proc.now - t_fault_start
         if obs is not None:
             obs.end(proc.now, self.pid)
 
-    def _fetch_round(self, page: int):
+    def _fetch_round(self, page: int,
+                     needed: Dict[IntervalId, IntervalRecord]):
         """One request/response/apply round for a page's pending notices."""
         proc = self.proc
         obs = proc.obs
-        needed = self.pending.pop(page)
         if self._trace.enabled:
             proc.trace("page_fault", f"page={page} intervals={sorted(needed)}")
         if obs is not None:
@@ -525,7 +524,7 @@ class LrcCore:
         """Fault in every invalid page (GC phase 1: once everyone has done
         this, diffs below the global minimum vector time are dead).
         Returns the number of pages validated."""
-        pages = sorted(self.pending)
+        pages = sorted(self.pt.invalid_pages())
         for page in pages:
             if not self.pt.is_valid(page):
                 yield from self._fault(page)
@@ -539,14 +538,10 @@ class LrcCore:
         for key in dead:
             del self.diff_cache[key]
             self._uncharged.discard(key)
-        for creator in range(self.nprocs):
-            kept = [r for r in self._by_creator[creator]
-                    if r.seq >= floor[creator]]
-            for record in self._by_creator[creator]:
-                if record.seq < floor[creator]:
-                    self.known.pop(record.id, None)
-            self._by_creator[creator] = kept
-            self._seqs[creator] = [r.seq for r in kept]
+        for records, nxt, cut in zip(self.known, self._next, floor):
+            # ``records`` holds seqs [nxt - len(records), nxt).
+            del records[:max(0, cut - (nxt - len(records)))]
+        self.system.notices.prune(floor)
         if self._trace.enabled:
             self.proc.trace("gc", f"dropped {len(dead)} diffs, floor={floor}")
         return len(dead)
@@ -568,7 +563,9 @@ class LrcCore:
                 self._uncharged.discard((iid, request.page))
                 create_cpu += (self.cost.diff_create_cpu
                                + self.cost.page_size * self.cost.diff_scan_byte_cpu)
-            entries.append((iid, self.known[iid].vc, diff))
+            creator, seq = iid
+            record = self.known[creator][seq - self._next[creator]]
+            entries.append((iid, record.vc, diff))
         covers = None
         if self.system.config.coalesce_diffs and len(entries) > 1:
             # Ablation: compose accumulated diffs before shipping (the

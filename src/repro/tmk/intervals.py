@@ -10,12 +10,14 @@ lock grants and barrier departures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "IntervalId",
     "IntervalRecord",
+    "NoticeIndex",
     "access_seen",
     "covers",
     "dominant_writers",
@@ -36,10 +38,11 @@ class IntervalRecord:
     vc: Tuple[int, ...]
     #: Pages written during the interval (the write notices).
     pages: Tuple[int, ...]
+    #: ``(creator, seq)``, precomputed: it keys every diff and request.
+    id: IntervalId = field(init=False, repr=False, compare=False)
 
-    @property
-    def id(self) -> IntervalId:
-        return (self.creator, self.seq)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "id", (self.creator, self.seq))
 
     def precedes(self, other: "IntervalRecord") -> bool:
         """True if this interval happens-before ``other``.
@@ -56,9 +59,79 @@ class IntervalRecord:
         return (self.vc, self.creator)
 
 
+class NoticeIndex:
+    """Every write notice of one run, filed once: page -> creator -> records.
+
+    The creator appends each interval record here when it closes the
+    interval; no other processor ever files it again.  A processor's
+    *pending* notices for a page are derived on demand as "indexed records
+    it knows and has not applied", so the index is a host-side
+    acceleration only: what a processor sees is filtered by its own
+    knowledge (which still travels in messages), and consulting the index
+    never charges time or sends anything.
+    """
+
+    def __init__(self) -> None:
+        #: page -> creator -> (seqs, records): that creator's records
+        #: naming the page, in seq order, and their seqs to bisect on (a
+        #: lock-based program can be far behind a writer's newest record).
+        self._pages: Dict[int, Dict[int, Tuple[List[int],
+                                               List[IntervalRecord]]]] = {}
+        self._floor: Sequence[int] = ()
+
+    def add(self, record: IntervalRecord) -> None:
+        pages = self._pages
+        creator, seq = record.id
+        for page in record.pages:
+            by_creator = pages.get(page)
+            if by_creator is None:
+                pages[page] = {creator: ([seq], [record])}
+            elif creator in by_creator:
+                seqs, records = by_creator[creator]
+                seqs.append(seq)
+                records.append(record)
+            else:
+                by_creator[creator] = ([seq], [record])
+
+    def pending(self, page: int, pid: int, known: Sequence[int],
+                applied: Dict[int, int],
+                take: bool = False) -> Dict[IntervalId, IntervalRecord]:
+        """Foreign records naming ``page`` with ``applied[c] <= seq <
+        known[c]``: known to processor ``pid``, diff not yet applied.
+
+        ``applied`` is the processor's cursor for the page (per writer,
+        the first seq not applied); ``take`` advances it past everything
+        returned -- the caller is about to apply them all.
+        """
+        out: Dict[IntervalId, IntervalRecord] = {}
+        for creator, (seqs, records) in self._pages.get(page, {}).items():
+            hi = known[creator]
+            lo = applied.get(creator, 0)
+            if lo >= hi:
+                continue
+            if take:
+                applied[creator] = hi
+            if creator != pid:
+                start = bisect_left(seqs, lo)
+                for record in records[start:bisect_left(seqs, hi, start)]:
+                    out[record.id] = record
+        return out
+
+    def prune(self, floor: Sequence[int]) -> None:
+        """GC: forget records below ``floor`` (applied everywhere).  Every
+        processor drops at the same floor; only the first call works."""
+        if floor == self._floor:
+            return
+        self._floor = floor
+        for by_creator in self._pages.values():
+            for creator, (seqs, records) in by_creator.items():
+                cut = bisect_left(seqs, floor[creator])
+                del seqs[:cut], records[:cut]
+
+
 def vc_max(a: Iterable[int], b: Iterable[int]) -> Tuple[int, ...]:
     """Component-wise maximum of two vector timestamps."""
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def access_seen(observer_vc, creator: int, seq: int) -> bool:

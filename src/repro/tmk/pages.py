@@ -1,7 +1,9 @@
 """Per-processor paged view of the shared address space.
 
-Each processor holds a private copy of the whole shared segment plus
-per-page state:
+Each processor maps a private copy of the whole shared segment -- demand
+zero, so the host pays (memory and start-up time) only for the pages the
+processor actually touches, not for ``segment_bytes`` -- plus per-page
+state:
 
 * ``valid`` -- the local copy may be read (an invalidated page must fault
   and fetch diffs first);
@@ -24,11 +26,24 @@ measurable in profiles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+import mmap
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
 __all__ = ["PageTable"]
+
+
+def _demand_zero(nbytes: int) -> np.ndarray:
+    """``nbytes`` zero bytes the host backs page by page at first touch
+    (an anonymous private mapping; the array keeps the mapping alive).
+    ``np.zeros`` can memset the whole block when the allocator serves it
+    from the heap -- 128 simulated nodes x a 16 MB segment."""
+    if not nbytes or not hasattr(mmap, "MAP_ANONYMOUS"):
+        return np.zeros(nbytes, dtype=np.uint8)
+    return np.frombuffer(
+        mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
+        dtype=np.uint8)
 
 
 class PageTable:
@@ -40,7 +55,7 @@ class PageTable:
         self.page_size = page_size
         self.npages = size_bytes // page_size
         #: The processor's private copy of the shared segment.
-        self.mem = np.zeros(size_bytes, dtype=np.uint8)
+        self.mem = _demand_zero(size_bytes)
         #: One byte per page; truthy = readable.  Kernel ``fault_scan``
         #: consumes this buffer directly.
         self.valid = bytearray(b"\x01" * self.npages)
@@ -84,6 +99,17 @@ class PageTable:
                 f"invalidating dirty page {page}: interval must close before "
                 "write notices are processed")
         self.valid[page] = 0
+
+    def invalidate_pages(self, pages: Sequence[int],
+                         allow_dirty: bool = False) -> None:
+        """:meth:`invalidate` for one interval record's write notices."""
+        if self._twins and not allow_dirty:
+            for page in pages:
+                if page in self._twins:
+                    self.invalidate(page)  # raises: the page is dirty
+        valid = self.valid
+        for page in pages:
+            valid[page] = 0
 
     def validate(self, page: int) -> None:
         self.valid[page] = 1

@@ -66,11 +66,8 @@ CAT_MCS_LINK = "mcs_link"
 def notice_bytes(records: List[IntervalRecord], cost: "CostModel",
                  nprocs: int) -> int:
     """Accounted size of a batch of interval records (write notices)."""
-    total = 0
-    for record in records:
-        total += cost.vector_time_bytes * nprocs
-        total += cost.write_notice_bytes * len(record.pages)
-    return total
+    return (len(records) * cost.vector_time_bytes * nprocs
+            + cost.write_notice_bytes * sum(len(r.pages) for r in records))
 
 
 @dataclass

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.apps import base
-from repro.apps.sor import (SorParams, band, initial_array, phase_kernel,
-                            ELEM_CPU, ZERO_EXTRA_CPU)
+from repro.apps.sor import (SorParams, band, initial_array, initial_rows,
+                            phase_kernel, ELEM_CPU, ZERO_EXTRA_CPU)
 
 
 class TestKernel:
@@ -25,6 +25,17 @@ class TestKernel:
     def test_nonzero_init_everywhere_nonzero(self):
         grid = initial_array(SorParams.tiny(nonzero=True))
         assert np.count_nonzero(grid) == grid.size
+
+    @pytest.mark.parametrize("nonzero", (False, True))
+    def test_initial_rows_is_a_slice_of_initial_array(self, nonzero):
+        """A PVM rank builds only its band: byte-identical to the slice."""
+        params = SorParams(rows=13, width=10, iterations=1, nonzero=nonzero)
+        full = initial_array(params)
+        for lo in range(params.rows + 1):
+            for hi in range(lo, params.rows + 1):
+                rows = initial_rows(params, lo, hi)
+                assert rows.tobytes() == full[lo:hi].tobytes()
+                assert rows.shape == (hi - lo, params.width)
 
     def test_kernel_matches_manual_stencil(self):
         params = SorParams(rows=6, width=8, iterations=1)

@@ -11,6 +11,8 @@ the (interesting, divergent) virtual times themselves; those live in
 """
 
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -87,6 +89,39 @@ class TestBarrierRaceClean:
             analysis=AnalysisConfig(race_check="strict"))
         assert result.sanitizer is not None
         assert not result.sanitizer.findings
+
+
+#: Two back-to-back 256-node runs; prints the process's peak RSS in KB.
+_RSS_PROBE = """
+import gc, resource
+from repro.apps import base
+from repro.apps.sor import SorParams
+for _ in range(2):
+    base.run_parallel("sor", "tmk", 256,
+                      SorParams(rows=1024, width=96, iterations=4))
+    gc.collect()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestHostMemory:
+    def test_node_costs_the_pages_it_touches(self):
+        """256 nodes x SOR's default 16 MB segment is 4 GB of address
+        space, of which each node touches a few pages.  The page table
+        maps it demand-zero, so the host pays for the touched pages only.
+        The probe runs twice under the allocator settings the benchmark
+        pins (large blocks served from the heap, never trimmed): that is
+        where a zero-filled heap segment is memset on reuse and the same
+        probe peaked at 4.2 GB; it now peaks near 70 MB."""
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
+                   MALLOC_MMAP_THRESHOLD_=str(32 << 20),
+                   MALLOC_TRIM_THRESHOLD_=str(1 << 40))
+        out = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=4 * BUDGET)
+        peak_mb = int(out.stdout.split()[-1]) / 1024
+        assert peak_mb < 1024, f"peak RSS {peak_mb:.0f} MB"
 
 
 @pytest.mark.slow

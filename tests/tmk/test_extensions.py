@@ -190,10 +190,22 @@ class TestGarbageCollection:
         assert all(p.tmk.barriers.gc_runs > 0 for p in cluster.procs)
 
     def test_records_pruned(self):
+        _, unbounded = run(migratory_counter(rounds=10))
         _, cluster = run(migratory_counter(rounds=10), gc_every=2)
-        for p in cluster.procs:
-            known = len(p.tmk.core.known)
-            assert known < 10 * cluster.nprocs  # pruned below full history
+
+        def known(c):
+            return [sum(map(len, p.tmk.core.known)) for p in c.procs]
+
+        # Pruned below full history, per node and in the shared index.
+        assert max(known(unbounded)) == 10 * cluster.nprocs
+        assert max(known(cluster)) < 10 * cluster.nprocs
+
+        def indexed(c):
+            return sum(len(seqs)
+                       for by_creator in c.procs[0].tmk.system.notices._pages.values()
+                       for seqs, _ in by_creator.values())
+
+        assert indexed(cluster) < indexed(unbounded)
 
     def test_gc_interacts_with_eager(self):
         res, _ = run(migratory_counter(rounds=6), gc_every=2,

@@ -1,7 +1,9 @@
 """Unit tests for the per-processor page table."""
 
+import numpy as np
 import pytest
 
+from repro.kernels import get_backend
 from repro.tmk.pages import PageTable
 
 
@@ -32,6 +34,42 @@ class TestLayout:
         assert list(pt.pages_for_range(100, 0)) == []
 
 
+class TestDemandZeroBacking:
+    """``mem`` is an anonymous mapping, not a zero-filled heap block: it
+    must behave like the ``np.zeros`` array it replaced."""
+
+    def test_fresh_table_reads_all_zero(self):
+        pt = PageTable(64 * 4096, 4096)
+        assert pt.mem.dtype == np.uint8 and pt.mem.flags.writeable
+        assert not pt.mem.any()
+        assert not pt.page_view(63).any()
+
+    def test_twin_and_view_on_the_backing(self, pt):
+        pt.page_view(5)[10] = 3
+        pt.make_twin(5)
+        pt.page_view(5)[10] = 4
+        assert pt.twin(5)[10] == 3 and pt.mem[5 * 4096 + 10] == 4
+        assert pt.twin(5).base is None  # a real copy, not a view of mem
+
+    @pytest.mark.parametrize("backend", ("pure", "numpy", "compiled"))
+    def test_kernels_accept_the_backing(self, pt, backend):
+        kernels = get_backend(backend)
+        assert list(kernels.fault_scan(pt.valid, 0, pt.npages)) == []
+        pt.invalidate(6)
+        assert list(kernels.fault_scan(pt.valid, 0, pt.npages)) == [6]
+        pt.make_twin(2)
+        pt.page_view(2)[100:108] = 9
+        runs = kernels.make_diff(pt.page_view(2), pt.twin(2))
+        other = PageTable(8 * 4096, 4096)
+        kernels.apply_diff(other.page_view(2), runs)
+        assert np.array_equal(other.page_view(2), pt.page_view(2))
+
+    def test_empty_segment(self):
+        pt = PageTable(0, 4096)
+        assert pt.npages == 0 and pt.mem.size == 0
+        assert pt.invalid_pages() == set() and pt.dirty_pages() == []
+
+
 class TestValidity:
     def test_initially_all_valid(self, pt):
         assert all(pt.is_valid(p) for p in range(pt.npages))
@@ -49,6 +87,16 @@ class TestValidity:
         pt.make_twin(1)
         with pytest.raises(AssertionError, match="dirty"):
             pt.invalidate(1)
+
+
+    def test_invalidate_pages_is_invalidate_per_page(self, pt):
+        pt.invalidate_pages((1, 4, 5))
+        assert pt.invalid_pages() == {1, 4, 5}
+        pt.make_twin(2)
+        with pytest.raises(AssertionError, match="dirty"):
+            pt.invalidate_pages((0, 2))
+        pt.invalidate_pages((0, 2), allow_dirty=True)  # eager RC
+        assert pt.invalid_pages() == {0, 1, 2, 4, 5} and pt.has_twin(2)
 
 
 class TestTwins:

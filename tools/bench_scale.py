@@ -8,10 +8,15 @@ TreadMarks versus PVM, with the TreadMarks runs repeated under the
 centralized (flat) barrier and the combining-tree barrier.  Recorded per
 run: virtual time, message count, wire kbytes, and host wall-clock.
 
-The virtual times chart the crossover story -- TreadMarks' flat barrier
-manager serializes 2n messages per episode and falls off a cliff while
-PVM's neighbour exchanges stay flat -- and the wall-clock numbers double
-as the CI regression gate for the engine itself:
+The virtual times chart the crossover story -- TreadMarks falls off a
+cliff while PVM's neighbour exchanges stay flat.  The cause is neither
+the flat manager's 2n messages nor page-granularity sharing but the
+write-notice metadata in barrier departures: every interval record is
+accounted with a full vector time and each of n nodes is handed ~n of
+them per episode (O(n^3) bytes; at 256 nodes 98.9 % of all bytes are
+``barrier_departure``, and diff traffic is below PVM's total), which is
+why the tree barrier does not help.  The wall-clock numbers double as
+the CI regression gate for the engine itself:
 
     python tools/bench_scale.py                         # full sweep
     python tools/bench_scale.py --max-nodes 64          # CI slice
