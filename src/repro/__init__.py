@@ -35,10 +35,6 @@ __all__ = [
     "sweep_configs",
     "ResultCache",
     "EXPERIMENTS",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "__version__",
 ]
 
@@ -50,10 +46,6 @@ _LAZY = {
     "sweep_configs": ("repro.bench.sweep", "sweep_configs"),
     "ResultCache": ("repro.bench.cache", "ResultCache"),
     "EXPERIMENTS": ("repro.bench.harness", "EXPERIMENTS"),
-    "KernelBackend": ("repro.kernels", "KernelBackend"),
-    "available_backends": ("repro.kernels", "available_backends"),
-    "get_backend": ("repro.kernels", "get_backend"),
-    "register_backend": ("repro.kernels", "register_backend"),
 }
 
 

@@ -37,6 +37,7 @@ from repro.analysis.races import AnalysisConfig
 from repro.bench.cache import (ResultCache, cache_key_from_material,
                                canonical_json, default_cache,
                                source_fingerprint)
+from repro.kernels import get_backend
 from repro.obs.core import ObsConfig
 from repro.scabd.config import ReplicationConfig
 from repro.sim.costmodel import CostModel
@@ -138,23 +139,16 @@ class RunConfig:
     #: ``InvariantViolation`` mid-run.  Pure observation -- results and
     #: times are identical with or without it.
     invariants: bool = False
-    #: Page-ops kernel backend: ``"pure"`` (reference), ``"numpy"``
-    #: (vectorized default), or ``"compiled"`` (C extension; falls back
-    #: to numpy when unbuilt).  All backends are byte-identical
-    #: (enforced by tests/kernels/), so the cache key ignores this.
-    kernels: str = "numpy"
 
-    #: Read-only constant, not a field (no ``__init__`` argument, not
-    #: serialized, ignored in old JSON): there is one engine.  Kept for
-    #: benchmarks/e2e; remove with the next benchmark-archetype PR.
+    #: Read-only constants, not fields (no ``__init__`` argument, not
+    #: serialized, ignored in old JSON): there is one engine, and the
+    #: page-op backend is whatever ``repro.kernels.get_backend()``
+    #: observes.  Kept for benchmarks/e2e; remove both with the next
+    #: benchmark-archetype PR.
     engine = "coro"
+    kernels = get_backend().name
 
     def __post_init__(self) -> None:
-        from repro.kernels import KERNEL_CHOICES
-        if self.kernels not in KERNEL_CHOICES:
-            raise ValueError(
-                f"kernels must be one of {KERNEL_CHOICES}, "
-                f"got {self.kernels!r}")
         if self.system not in _SYSTEMS:
             raise ValueError(
                 f"system must be one of {_SYSTEMS}, got {self.system!r}")
@@ -193,7 +187,6 @@ class RunConfig:
             "cost": _jsonify(self.cost),
             "replication": _jsonify(self.replication),
             "invariants": self.invariants,
-            "kernels": self.kernels,
         }
 
     @classmethod
@@ -213,7 +206,6 @@ class RunConfig:
             replication=_dataclass_from_json(ReplicationConfig,
                                              data.get("replication")),
             invariants=bool(data.get("invariants", False)),
-            kernels=data.get("kernels", "numpy"),
         )
 
 
@@ -346,10 +338,6 @@ def cache_key(config: RunConfig) -> str:
     # Key on the *resolved* cost constants only, so an explicit default
     # cost model and cost=None produce the same key.
     config_material.pop("cost")
-    # Every kernel backend computes identical diffs (enforced by
-    # tests/kernels/), so the choice is a host-side speed knob, not part
-    # of the run's identity.
-    config_material.pop("kernels", None)
     material = {
         "kind": "run",
         "schema_version": RESULT_SCHEMA_VERSION,
@@ -417,8 +405,7 @@ def _execute(config: RunConfig, store: Optional[ResultCache],
         config.experiment, config.system, config.nprocs, config.preset,
         faults=config.faults, analysis=config.analysis,
         recovery=config.recovery, obs=config.obs, cost=config.cost,
-        replication=config.replication, invariants=config.invariants,
-        kernels=config.kernels)
+        replication=config.replication, invariants=config.invariants)
     seq = harness.seq_time(config.experiment, config.preset)
     recovery = None
     if par.recovery is not None:

@@ -187,7 +187,7 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
                  scheduler: Optional[Any] = None,
                  invariants: bool = False,
                  engine: str = "coro",
-                 kernels: str = "numpy") -> ParallelResult:
+                 kernels: Optional[str] = None) -> ParallelResult:
     """Run one application on a fresh simulated cluster.
 
     ``system`` is ``"tmk"``, ``"pvm"``, or ``"ivy"`` (the sequentially-
@@ -231,10 +231,11 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
     ``engine`` accepts only ``"coro"`` (there is one engine); kept for
     benchmarks/e2e; remove with the next benchmark-archetype PR.
 
-    ``kernels`` selects the page-ops kernel backend (``"pure"``,
-    ``"numpy"``, or ``"compiled"``; see ``repro.kernels``).  It is a
-    host-side execution detail: every backend computes byte-identical
-    diffs, so results, traffic, and virtual times do not depend on it.
+    ``kernels`` names the page-ops kernel backend (``repro.kernels``).
+    None = best available; a name is for tests and the frozen benchmark
+    -- the one seam left for substituting the ``pure`` reference.  Every
+    backend computes byte-identical diffs, so results, traffic, and
+    virtual times do not depend on it.
     """
     if engine != "coro":
         raise ValueError(f"engine must be 'coro', got {engine!r}")

@@ -13,10 +13,11 @@ Runs are memoized per process so Table 2 and the figures share the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.analysis.races import AnalysisConfig
 from repro.apps import base
+from repro.obs.core import ObsConfig
 from repro.scabd.config import ReplicationConfig
 from repro.sim.costmodel import CostModel
 from repro.sim.faults import FaultPlan
@@ -35,10 +36,8 @@ __all__ = [
     "EXPERIMENTS",
     "Experiment",
     "clear_cache",
-    "messages_at",
     "run_cached",
     "seq_time",
-    "speedup_series",
 ]
 
 #: The processor counts the paper's figures sweep.
@@ -171,8 +170,7 @@ def run_cached(exp_id: str, system: str, nprocs: int,
                obs: Optional[ObsConfig] = None,
                cost: Optional[CostModel] = None,
                replication: Optional[ReplicationConfig] = None,
-               invariants: bool = False,
-               kernels: str = "numpy") -> base.ParallelResult:
+               invariants: bool = False) -> base.ParallelResult:
     """One parallel run, memoized in-process, with its result verified
     against the sequential version (every bench run is also a correctness
     check -- including lossy and crash/recovery runs, whose results must
@@ -188,7 +186,7 @@ def run_cached(exp_id: str, system: str, nprocs: int,
     if obs is not None and not obs.enabled:
         obs = None
     key = (exp_id, preset, system, nprocs, faults, analysis, recovery, obs,
-           cost, replication, invariants, kernels)
+           cost, replication, invariants)
     if key not in _PAR_CACHE:
         exp = EXPERIMENTS[exp_id]
         result = base.run_parallel(exp.app, system, nprocs,
@@ -196,7 +194,7 @@ def run_cached(exp_id: str, system: str, nprocs: int,
                                    faults=faults,
                                    analysis=analysis, recovery=recovery,
                                    obs=obs, replication=replication,
-                                   invariants=invariants, kernels=kernels)
+                                   invariants=invariants)
         seq = _seq(exp_id, preset)
         spec = base.get_app(exp.app)
         if not spec.verify(result.result, seq.result):
@@ -205,25 +203,3 @@ def run_cached(exp_id: str, system: str, nprocs: int,
                 "does not match the sequential run")
         _PAR_CACHE[key] = result
     return _PAR_CACHE[key]
-
-
-def speedup_series(exp_id: str, system: str,
-                   nprocs_list: Sequence[int] = NPROCS_SERIES,
-                   preset: str = "bench") -> List[float]:
-    """Speedups over the sequential run (one of the paper's curves).
-
-    Reads through the persistent result cache via :mod:`repro.api`, so
-    re-rendering a figure after a warm sweep simulates nothing.
-    """
-    from repro import api
-    return api.speedup_series(exp_id, system, nprocs_list, preset)
-
-
-def messages_at(exp_id: str, system: str, nprocs: int = 8,
-                preset: str = "bench") -> Tuple[int, float]:
-    """(messages, kilobytes) for one system at ``nprocs`` (Table 2).
-
-    Reads through the persistent result cache via :mod:`repro.api`.
-    """
-    from repro import api
-    return api.messages_at(exp_id, system, nprocs, preset)

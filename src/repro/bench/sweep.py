@@ -50,19 +50,12 @@ def default_jobs() -> int:
 def sweep_configs(experiments: Optional[Sequence[str]] = None,
                   systems: Sequence[str] = ("tmk", "pvm"),
                   nprocs: Sequence[int] = (8,),
-                  preset: str = "bench",
-                  kernels: str = "compiled") -> List[RunConfig]:
+                  preset: str = "bench") -> List[RunConfig]:
     """The standard run grid: experiments x systems x processor counts.
 
     ``experiments=None`` (or the single id ``"all"``) means all twelve
     paper configurations, in figure order -- with the default arguments
     that is the 24-run grid behind the figures and tables.
-
-    The sweep defaults to the fastest kernels, ``compiled`` (which
-    silently falls back to numpy when the extension is not built).  The
-    knob is host-side only: every kernel backend produces byte-identical
-    results and shares one cache key, so a sweep run with one backend
-    serves warm reads for any other.
     """
     from repro.api import RunConfig
     from repro.bench import harness
@@ -73,7 +66,7 @@ def sweep_configs(experiments: Optional[Sequence[str]] = None,
             raise ValueError(f"unknown experiment {exp_id!r} "
                              f"(have: {', '.join(harness.EXPERIMENTS)})")
     return [RunConfig(experiment=exp_id, system=system, nprocs=n,
-                      preset=preset, kernels=kernels)
+                      preset=preset)
             for exp_id in experiments
             for system in systems
             for n in nprocs]

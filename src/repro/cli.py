@@ -93,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach the runtime protocol-invariant monitors "
                           "(repro.verify): a broken coherence rule aborts "
                           "the run with the violated rule and both events")
-    run.add_argument("--kernels", choices=("pure", "numpy", "compiled"),
-                     default="numpy",
-                     help="page-ops kernel backend (repro.kernels): 'pure' "
-                          "(reference), 'numpy' (vectorized, default), or "
-                          "'compiled' (C extension; falls back to numpy "
-                          "when unbuilt) -- byte-identical results")
     add_fault_flags(run)
 
     verify = sub.add_parser(
@@ -156,11 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-dir", default=None,
                        help="result cache directory (default: "
                             "$REPRO_CACHE_DIR or <repo>/.repro_cache)")
-    sweep.add_argument("--kernels", choices=("pure", "numpy", "compiled"),
-                       default="compiled",
-                       help="page-ops kernel backend (default: compiled, "
-                            "falling back to numpy when the extension is "
-                            "not built; run tools/build_kernels.py)")
     sweep.add_argument("--json", metavar="OUT.json", default=None,
                        help="also write the full sweep report as JSON")
 
@@ -286,6 +275,15 @@ def fault_plan(loss_rate: float, fault_seed: int,
 # ----------------------------------------------------------------------
 # Command bodies (return the text they print, for testability)
 # ----------------------------------------------------------------------
+def kernels_line() -> str:
+    """The page-op backend this process observed (there is no flag)."""
+    from repro.kernels import get_backend
+    name = get_backend().name
+    if name != "compiled":
+        name += " (C extension not built; python tools/build_kernels.py)"
+    return f"kernels: {name}"
+
+
 def cmd_list() -> str:
     from repro.bench import harness
     rows = [f"{'id':<8}{'figure':<8}{'label':<14}{'bench size':<40}",
@@ -301,7 +299,7 @@ def cmd_run(experiment: str, system: str, nprocs: int, preset: str,
             false_sharing: bool = False,
             checkpoint_every: float = 0.0,
             ft_mode: str = "rollback", replicas: int = 3,
-            invariants: bool = False, kernels: str = "numpy") -> str:
+            invariants: bool = False) -> str:
     from repro import api
     from repro.bench import harness
     from repro.bench.analysis import decompose, render_breakdown
@@ -352,8 +350,7 @@ def cmd_run(experiment: str, system: str, nprocs: int, preset: str,
     config = api.RunConfig(experiment=experiment, system=system,
                            nprocs=nprocs, preset=preset, faults=faults,
                            analysis=analysis, recovery=recovery,
-                           replication=replication, invariants=invariants,
-                           kernels=kernels)
+                           replication=replication, invariants=invariants)
     try:
         # want_parallel: the report below needs the live run (stats
         # buckets, sanitizer, mechanism breakdown), not just the summary.
@@ -374,6 +371,7 @@ def cmd_run(experiment: str, system: str, nprocs: int, preset: str,
     run = result.parallel
     rows = [
         f"{exp.label} / {system} / {nprocs} processors ({preset} preset)",
+        kernels_line(),
         "",
         f"sequential time   {result.seq_time:10.2f} virtual s",
         f"parallel time     {result.time:10.2f} virtual s",
@@ -491,15 +489,13 @@ def cmd_verify(experiment: Optional[str], system: str = "tmk",
 def cmd_sweep(experiments: List[str], systems: str, nprocs: str,
               preset: str, jobs: Optional[int], no_cache: bool,
               cache_dir: Optional[str],
-              json_out: Optional[str] = None,
-              kernels: str = "compiled") -> str:
+              json_out: Optional[str] = None) -> str:
     from repro.bench import sweep as sweep_mod
     system_list = tuple(s.strip() for s in systems.split(",") if s.strip())
     counts = tuple(int(v) for v in nprocs.split(","))
     try:
         configs = sweep_mod.sweep_configs(experiments, systems=system_list,
-                                          nprocs=counts, preset=preset,
-                                          kernels=kernels)
+                                          nprocs=counts, preset=preset)
     except ValueError as exc:
         raise SystemExit(str(exc))
     if jobs is None:
@@ -507,7 +503,7 @@ def cmd_sweep(experiments: List[str], systems: str, nprocs: str,
     report = sweep_mod.run_sweep(configs, jobs=jobs,
                                  use_cache=not no_cache,
                                  cache_dir=cache_dir)
-    text = report.render()
+    text = report.render() + "\n" + kernels_line()
     if json_out is not None:
         import json as json_mod
         with open(json_out, "w", encoding="utf-8") as fh:
@@ -536,7 +532,7 @@ def cmd_serve(host: str, port: int, workers: int, queue_depth: int,
         await server.start()
         print(f"serving on http://{config.host}:{server.port} "
               f"(workers={workers}, queue={queue_depth}, "
-              f"cache={server.cache_dir}"
+              f"cache={server.cache_dir}, {kernels_line()}"
               + (", chaos injection ENABLED" if chaos else "") + ")",
               flush=True)
         try:
@@ -552,14 +548,15 @@ def cmd_serve(host: str, port: int, workers: int, queue_depth: int,
 
 
 def cmd_figure(experiment: str, nprocs: str, preset: str) -> str:
+    from repro import api
     from repro.bench import harness
     from repro.bench.figures import render_figure
     if experiment not in harness.EXPERIMENTS:
         raise SystemExit(f"unknown experiment {experiment!r}")
     exp = harness.EXPERIMENTS[experiment]
     counts = tuple(int(v) for v in nprocs.split(","))
-    tmk = harness.speedup_series(experiment, "tmk", counts, preset)
-    pvm = harness.speedup_series(experiment, "pvm", counts, preset)
+    tmk = api.speedup_series(experiment, "tmk", counts, preset)
+    pvm = api.speedup_series(experiment, "pvm", counts, preset)
     return render_figure(
         f"Figure {exp.figure}: {exp.label} "
         f"({harness.size_string(exp, preset)})", counts, tmk, pvm)
@@ -643,7 +640,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       false_sharing=args.false_sharing_report,
                       checkpoint_every=args.checkpoint_interval,
                       ft_mode=args.ft_mode, replicas=args.replicas,
-                      invariants=args.invariants, kernels=args.kernels))
+                      invariants=args.invariants))
     elif args.command == "verify":
         print(cmd_verify(args.experiment, system=args.system,
                          nprocs=args.nprocs, preset=args.preset,
@@ -654,8 +651,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "sweep":
         print(cmd_sweep(args.experiment, args.systems, args.nprocs,
                         args.preset, args.jobs, args.no_cache,
-                        args.cache_dir, json_out=args.json,
-                        kernels=args.kernels))
+                        args.cache_dir, json_out=args.json))
     elif args.command == "serve":
         return cmd_serve(args.host, args.port, args.workers,
                          args.queue_depth, args.deadline_ms,

@@ -11,13 +11,11 @@ change (``run_parallel(..., system="ivy")``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.ivy.core import IvyCore
 from repro.ivy.sync import IvyBarrier, IvyLocks
-from repro.tmk.sharedmem import SharedArray, SharedHeap
+from repro.tmk.sharedmem import DsmEndpoint, DsmSystem
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster, Processor
@@ -32,32 +30,18 @@ class IvyConfig:
     segment_bytes: int = 1 << 23
 
 
-class IvySystem:
+class IvySystem(DsmSystem):
     """Cluster-global IVY state: the shared heap layout."""
 
-    def __init__(self, cluster: "Cluster", config: IvyConfig) -> None:
-        if config.segment_bytes % cluster.cost.page_size:
-            raise ValueError("segment size must be a multiple of the page size")
-        self.cluster = cluster
-        self.config = config
-        self.heap = SharedHeap(config.segment_bytes, cluster.cost.page_size)
 
-
-class Ivy:
+class Ivy(DsmEndpoint):
     """Per-processor IVY endpoint; interface-compatible with ``Tmk``."""
 
     def __init__(self, proc: "Processor", system: IvySystem) -> None:
-        self.proc = proc
-        self.system = system
+        super().__init__(proc, system)
         self.core = IvyCore(proc, system)
         self.locks = IvyLocks(proc, self.core)
         self.barriers = IvyBarrier(proc, self.core)
-        self._arrays: Dict[str, SharedArray] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
 
     @property
     def nprocs(self) -> int:
@@ -74,34 +58,9 @@ class Ivy:
         yield from self.locks.release(lock)
 
     # ------------------------------------------------------------------
-    def malloc(self, nbytes: int, align: int | None = None) -> int:
-        return self.system.heap.malloc(nbytes, align)
-
-    def array_at(self, addr: int, shape: Tuple[int, ...], dtype) -> SharedArray:
-        return SharedArray(self, addr, shape, np.dtype(dtype))
-
-    def shared_array(self, name: str, shape: Tuple[int, ...], dtype,
-                     align: int | None = None) -> SharedArray:
-        arr = self._arrays.get(name)
-        if arr is None:
-            addr = self.system.heap.named(name, tuple(shape),
-                                          np.dtype(dtype), align)
-            arr = SharedArray(self, addr, tuple(shape), np.dtype(dtype))
-            self._arrays[name] = arr
-        return arr
-
-    # ------------------------------------------------------------------
     @property
     def fault_count(self) -> int:
         return self.core.read_faults + self.core.write_faults
-
-    @property
-    def lock_wait_time(self) -> float:
-        return self.locks.wait_time
-
-    @property
-    def barrier_wait_time(self) -> float:
-        return self.barriers.wait_time
 
 
 def attach_ivy(cluster: "Cluster",

@@ -1,88 +1,57 @@
-"""repro.kernels -- pluggable page-op kernels behind a frozen interface.
+"""repro.kernels -- the page-op kernels behind a frozen interface.
 
 The DSM hot path (diff creation, diff application, twin comparison,
 fault checks) is expressed as six pure functions over raw byte buffers
 (:mod:`repro.kernels.interface`).  Three backends implement them:
 
 - ``pure``     -- the pure-Python reference; canonical semantics.
-- ``numpy``    -- vectorized; the default.
-- ``compiled`` -- optional C extension; falls back to ``numpy`` when the
-  extension has not been built (``tools/build_kernels.py`` builds it).
+- ``numpy``    -- vectorized diff creation and fault scan (the other
+  three ops are ``pure``'s); the fast path where no C compiler exists.
+- ``compiled`` -- the C extension ``tools/build_kernels.py`` builds.
 
-Backend choice is a host-side optimization only: every backend is
-byte-identical to ``pure`` (asserted by ``tests/kernels``), so simulated
-results, golden traces, and cache keys never depend on it.
+Which one a run uses is observed, not configured:
+:func:`get_backend` with no argument returns ``compiled`` when the
+extension imports and ``numpy`` otherwise.  A name is for tests (which
+substitute the ``pure`` reference) and the frozen benchmark.  Every
+backend is byte-identical to ``pure`` (asserted by ``tests/kernels``),
+so simulated results, golden traces, and cache keys never depend on it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Optional
 
-from repro.kernels import numpy_backend, pure
+from repro.kernels import compiled, numpy_backend, pure
 from repro.kernels.interface import RUN_HEADER_BYTES, WORD, KernelBackend, Runs
 
 __all__ = [
-    "KERNEL_CHOICES",
     "KernelBackend",
     "RUN_HEADER_BYTES",
     "Runs",
     "WORD",
-    "available_backends",
     "get_backend",
-    "register_backend",
 ]
 
-#: Names accepted by ``RunConfig.kernels`` / ``--kernels``.
-KERNEL_CHOICES: Tuple[str, ...] = ("pure", "numpy", "compiled")
+#: The fastest backend this process can run, fixed at import.
+_BEST = compiled.BACKEND if compiled.BACKEND is not None \
+    else numpy_backend.BACKEND
 
-#: The backend used when nothing is specified.
-DEFAULT_BACKEND = "numpy"
-
-_REGISTRY: Dict[str, KernelBackend] = {
+_BY_NAME = {
     "pure": pure.BACKEND,
     "numpy": numpy_backend.BACKEND,
+    # Unbuilt, the name resolves like None does, so asking is always safe.
+    "compiled": _BEST,
 }
 
 
-def get_backend(name: str = DEFAULT_BACKEND) -> KernelBackend:
-    """Resolve a backend by name.
-
-    ``compiled`` falls back to ``numpy`` when the extension is unbuilt,
-    so requesting it is always safe; any other unknown name raises.
-    """
-    backend = _REGISTRY.get(name)
-    if backend is not None:
-        return backend
-    if name == "compiled":
-        from repro.kernels import compiled
-
-        if compiled.BACKEND is not None:
-            _REGISTRY["compiled"] = compiled.BACKEND
-            return compiled.BACKEND
-        return _REGISTRY["numpy"]
-    raise ValueError(
-        f"unknown kernels backend {name!r}; choose from {sorted(available_backends())}"
-    )
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names that :func:`get_backend` accepts right now.
-
-    ``compiled`` is always listed (it resolves to ``numpy`` if unbuilt),
-    plus anything added via :func:`register_backend`.
-    """
-    names = set(_REGISTRY) | set(KERNEL_CHOICES)
-    return tuple(sorted(names))
-
-
-def register_backend(backend: KernelBackend) -> None:
-    """Register a custom backend under ``backend.name``.
-
-    Re-registering a built-in name is rejected; custom backends are
-    subject to the same byte-identity contract as the built-ins.
-    """
-    if not isinstance(backend, KernelBackend):
-        raise TypeError("register_backend expects a KernelBackend")
-    if backend.name in ("pure", "numpy", "compiled"):
-        raise ValueError(f"cannot replace built-in backend {backend.name!r}")
-    _REGISTRY[backend.name] = backend
+def get_backend(name: Optional[str] = None) -> KernelBackend:
+    """None = best available; a name is for tests and the frozen
+    benchmark.  An unknown name raises ``ValueError``."""
+    if name is None:
+        return _BEST
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown kernels backend {name!r}; "
+            f"choose from {sorted(_BY_NAME)}") from None

@@ -3,8 +3,8 @@
  * Mirrors the pure-Python reference in repro/kernels/pure.py exactly --
  * word-granular (4-byte) run detection with memcmp, in-place patching,
  * byte-equality twin compare, and an invalid-page scan.  Built on demand
- * by tools/build_kernels.py; the registry falls back to the numpy
- * backend when this module is absent, so nothing imports it directly.
+ * by tools/build_kernels.py; get_backend() picks the numpy backend
+ * when this module is absent, so only compiled.py imports it.
  */
 
 #define PY_SSIZE_T_CLEAN

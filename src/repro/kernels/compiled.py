@@ -3,8 +3,8 @@
 ``_ckernels`` is a hand-written C extension (``_ckernels.c``) built on
 demand by ``tools/build_kernels.py`` -- it is *not* part of a normal
 checkout, and this module degrades gracefully when it is absent:
-:data:`BACKEND` is ``None`` and the registry silently falls back to the
-numpy backend.  When the extension is present, every function is a
+:data:`BACKEND` is ``None`` and ``get_backend()`` observes that and
+returns the numpy backend.  When the extension is present, every function is a
 direct C implementation of the ``pure`` contract (memcmp word compares,
 memcpy patches), verified byte-identical by ``tests/kernels``.
 """
@@ -21,7 +21,7 @@ BACKEND: Optional[KernelBackend]
 
 try:
     from repro.kernels import _ckernels  # type: ignore[attr-defined]
-except ImportError:  # extension not built -- registry falls back to numpy
+except ImportError:  # extension not built -- get_backend() picks numpy
     BACKEND = None
 else:
     BACKEND = KernelBackend(

@@ -1,4 +1,4 @@
-"""The vectorized numpy backend (the default).
+"""The vectorized numpy backend: the fast path where no C compiler exists.
 
 Run detection is ``np.flatnonzero`` on word inequality plus boundary
 arithmetic on the index vector; no per-word Python.  The batch variant
@@ -7,6 +7,11 @@ the changed-word scan, *and* the run segmentation are each a single
 numpy call for the entire interval close -- the per-page fixed cost
 that made the old stacked implementation a wash (0.98x) is paid once
 per batch instead of once per page.
+
+Only the three ops numpy wins are defined here.  ``apply_diff`` /
+``apply_diff_batch`` are memoryview writes numpy cannot improve on, and
+``np.array_equal`` loses to a bytes compare on a 4 KB page (2.17 vs
+0.91 us, BENCH_kernels.json), so those three are ``pure``'s functions.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.kernels import pure
 from repro.kernels.interface import WORD, KernelBackend, Runs
 
 __all__ = ["BACKEND"]
@@ -91,32 +97,6 @@ def make_diff_batch(currents: Sequence, twins: Sequence) -> List[Runs]:
     return out
 
 
-def apply_diff(page_view, runs: Runs) -> int:
-    # A memoryview write per run beats frombuffer + ndarray setitem.
-    view = memoryview(page_view).cast("B")
-    written = 0
-    for offset, data in runs:
-        n = len(data)
-        view[offset: offset + n] = data
-        written += n
-    return written
-
-
-def apply_diff_batch(page_view, runs_list: Sequence[Runs]) -> int:
-    view = memoryview(page_view).cast("B")
-    written = 0
-    for runs in runs_list:
-        for offset, data in runs:
-            n = len(data)
-            view[offset: offset + n] = data
-            written += n
-    return written
-
-
-def twin_compare(current, twin) -> bool:
-    return bool(np.array_equal(current, twin))
-
-
 def fault_scan(valid, lo: int, hi: int) -> List[int]:
     if hi - lo <= _SCAN_LOOP_MAX:
         return [page for page in range(lo, hi) if not valid[page]]
@@ -128,8 +108,8 @@ BACKEND = KernelBackend(
     name="numpy",
     make_diff=make_diff,
     make_diff_batch=make_diff_batch,
-    apply_diff=apply_diff,
-    apply_diff_batch=apply_diff_batch,
-    twin_compare=twin_compare,
+    apply_diff=pure.apply_diff,
+    apply_diff_batch=pure.apply_diff_batch,
+    twin_compare=pure.twin_compare,
     fault_scan=fault_scan,
 )

@@ -16,16 +16,14 @@ shows up where it is *paid*, in the clients' quorum waits and in the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.obs.core import B_STALL_SYNC
 from repro.sim.engine import Block
 from repro.scabd.config import ReplicationConfig
 from repro.scabd.core import ScAbdCore, ScAbdReplica
 from repro.ivy.sync import IvyBarrier, IvyLocks
-from repro.tmk.sharedmem import SharedArray, SharedHeap
+from repro.tmk.sharedmem import DsmEndpoint, DsmSystem
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster, Processor
@@ -63,21 +61,18 @@ class ReplicationReport:
         return len(self.masked_nodes)
 
 
-class ScAbdSystem:
+class ScAbdSystem(DsmSystem):
     """Cluster-global SC-ABD state: heap layout, replica set, liveness."""
 
     def __init__(self, cluster: "Cluster", config: ScAbdConfig,
                  replication: ReplicationConfig) -> None:
-        if config.segment_bytes % cluster.cost.page_size:
-            raise ValueError("segment size must be a multiple of the page size")
+        super().__init__(cluster, config)
         nclients = cluster.nprocs - replication.replicas
         if nclients < 1:
             raise ValueError(
                 f"cluster of {cluster.nprocs} cannot host "
                 f"{replication.replicas} replica servers and still have "
                 "an application processor")
-        self.cluster = cluster
-        self.config = config
         self.replication = replication
         self.nclients = nclients
         #: Pids of the dedicated page-replica servers.
@@ -87,7 +82,6 @@ class ScAbdSystem:
         self.dead: set[int] = set()
         #: (node, t_crash, t_detect) per masked crash, in masking order.
         self.masked: List[Tuple[int, float, float]] = []
-        self.heap = SharedHeap(config.segment_bytes, cluster.cost.page_size)
         self.replicas: List[ScAbdReplica] = []
         self.endpoints: List["ScAbd"] = []
 
@@ -139,24 +133,17 @@ class ScAbdSystem:
         return out
 
 
-class ScAbd:
+class ScAbd(DsmEndpoint):
     """Per-client SC-ABD endpoint; interface-compatible with ``Tmk``."""
 
     def __init__(self, proc: "Processor", system: ScAbdSystem) -> None:
-        self.proc = proc
-        self.system = system
+        super().__init__(proc, system)
         self.core = ScAbdCore(proc, system)
         # Sync managers span only the client ranks: a lock manager or
         # barrier master on a replica server could crash and be masked,
         # which would strand the synchronization state with it.
         self.locks = IvyLocks(proc, self.core, nprocs=system.nclients)
         self.barriers = IvyBarrier(proc, self.core, nprocs=system.nclients)
-        self._arrays: Dict[str, SharedArray] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
 
     @property
     def nprocs(self) -> int:
@@ -190,34 +177,9 @@ class ScAbd:
         yield from self.locks.release(lock)
 
     # ------------------------------------------------------------------
-    def malloc(self, nbytes: int, align: int | None = None) -> int:
-        return self.system.heap.malloc(nbytes, align)
-
-    def array_at(self, addr: int, shape: Tuple[int, ...], dtype) -> SharedArray:
-        return SharedArray(self, addr, shape, np.dtype(dtype))
-
-    def shared_array(self, name: str, shape: Tuple[int, ...], dtype,
-                     align: int | None = None) -> SharedArray:
-        arr = self._arrays.get(name)
-        if arr is None:
-            addr = self.system.heap.named(name, tuple(shape),
-                                          np.dtype(dtype), align)
-            arr = SharedArray(self, addr, tuple(shape), np.dtype(dtype))
-            self._arrays[name] = arr
-        return arr
-
-    # ------------------------------------------------------------------
     @property
     def fault_count(self) -> int:
         return self.core.read_faults + self.core.write_faults
-
-    @property
-    def lock_wait_time(self) -> float:
-        return self.locks.wait_time
-
-    @property
-    def barrier_wait_time(self) -> float:
-        return self.barriers.wait_time
 
 
 def _replica_main(proc: "Processor"):

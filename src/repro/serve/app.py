@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.bench.cache import ResultCache, canonical_json, default_cache_dir
+from repro.kernels import get_backend
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
 from repro.serve.http import (HttpError, Request, Response, read_request,
@@ -210,6 +211,7 @@ class ReproServer:
             "breaker": self.breaker.state,
             "inflight": self.pool.inflight,
             "flights": len(self.flights),
+            "kernels": get_backend().name,
         }), headers=[("X-Repro-Served", "ops")])
 
     def _metrics_response(self) -> Response:

@@ -216,10 +216,10 @@ class ClusterConfig:
     #: Tie-break strategy among equal-virtual-time ready threads (see
     #: ``repro.sim.engine.Scheduler``); None = historical lowest-tid pick.
     scheduler: Optional[Any] = None
-    #: Page-op kernel backend (``repro.kernels``): ``"pure"``, ``"numpy"``
-    #: (default), or ``"compiled"`` (falls back to numpy when unbuilt).
+    #: Page-op kernel backend (``repro.kernels``).  None = best
+    #: available; a name is for tests and the frozen benchmark.
     #: Host-side speed only; every backend is byte-identical.
-    kernels: str = "numpy"
+    kernels: Optional[str] = None
 
 
 class Cluster:

@@ -17,16 +17,14 @@ calls."  Shared data is accessed through :class:`SharedArray` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.tmk.barrier import (BarrierSubsystem, DisseminationBarrierSubsystem,
                                TreeBarrierSubsystem)
 from repro.tmk.consistency import LrcCore
 from repro.tmk.intervals import NoticeIndex
 from repro.tmk.locks import LockSubsystem, McsLockSubsystem
-from repro.tmk.sharedmem import SharedArray, SharedHeap
+from repro.tmk.sharedmem import DsmEndpoint, DsmSystem
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster, Processor
@@ -89,15 +87,11 @@ class TmkConfig:
                 "the barrier manager's)")
 
 
-class TmkSystem:
+class TmkSystem(DsmSystem):
     """Cluster-global TreadMarks state: heap layout and manager maps."""
 
     def __init__(self, cluster: "Cluster", config: TmkConfig) -> None:
-        if config.segment_bytes % cluster.cost.page_size:
-            raise ValueError("segment size must be a multiple of the page size")
-        self.cluster = cluster
-        self.config = config
-        self.heap = SharedHeap(config.segment_bytes, cluster.cost.page_size)
+        super().__init__(cluster, config)
         #: Every write notice of the run, filed once by its creator; each
         #: processor reads it through its own knowledge (host-side only).
         self.notices = NoticeIndex()
@@ -114,12 +108,11 @@ class TmkSystem:
         return lock % self.cluster.nprocs
 
 
-class Tmk:
+class Tmk(DsmEndpoint):
     """Per-processor TreadMarks endpoint (``proc.tmk``)."""
 
     def __init__(self, proc: "Processor", system: TmkSystem) -> None:
-        self.proc = proc
-        self.system = system
+        super().__init__(proc, system)
         self.core = LrcCore(proc, system)
         lock_cls = (McsLockSubsystem if system.config.lock_kind == "mcs"
                     else LockSubsystem)
@@ -130,12 +123,6 @@ class Tmk:
             "dissemination": DisseminationBarrierSubsystem,
         }[system.config.barrier_kind]
         self.barriers = barrier_cls(proc, self.core, system)
-        self._arrays: Dict[str, SharedArray] = {}
-
-    # ------------------------------------------------------------------
-    @property
-    def pid(self) -> int:
-        return self.proc.pid
 
     @property
     def nprocs(self) -> int:
@@ -154,44 +141,9 @@ class Tmk:
     def lock_release(self, lock: int):
         yield from self.locks.release(lock)
 
-    # ------------------------------------------------------------------
-    # Shared memory
-    # ------------------------------------------------------------------
-    def malloc(self, nbytes: int, align: int | None = None) -> int:
-        """Raw shared allocation; returns the segment address."""
-        return self.system.heap.malloc(nbytes, align)
-
-    def array_at(self, addr: int, shape: Tuple[int, ...],
-                 dtype) -> SharedArray:
-        """A typed shared window over an existing allocation."""
-        return SharedArray(self, addr, shape, np.dtype(dtype))
-
-    def shared_array(self, name: str, shape: Tuple[int, ...], dtype,
-                     align: int | None = None) -> SharedArray:
-        """Named idempotent allocation: every processor calling with the
-        same name receives a window onto the same shared bytes."""
-        arr = self._arrays.get(name)
-        if arr is None:
-            addr = self.system.heap.named(name, tuple(shape), np.dtype(dtype),
-                                          align)
-            arr = SharedArray(self, addr, tuple(shape), np.dtype(dtype))
-            self._arrays[name] = arr
-        return arr
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
     @property
     def fault_count(self) -> int:
         return self.core.fault_count
-
-    @property
-    def lock_wait_time(self) -> float:
-        return self.locks.wait_time
-
-    @property
-    def barrier_wait_time(self) -> float:
-        return self.barriers.wait_time
 
 
 def attach_tmk(cluster: "Cluster",

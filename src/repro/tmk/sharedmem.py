@@ -24,9 +24,10 @@ from typing import TYPE_CHECKING, Any, Dict, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.cluster import Cluster, Processor
     from repro.tmk.api import Tmk
 
-__all__ = ["SharedArray", "SharedHeap"]
+__all__ = ["DsmEndpoint", "DsmSystem", "SharedArray", "SharedHeap"]
 
 
 class SharedHeap:
@@ -430,3 +431,64 @@ class SharedArray:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<SharedArray addr={self.addr:#x} shape={self.shape} "
                 f"dtype={self.dtype}>")
+
+
+class DsmSystem:
+    """Cluster-global state every page-based runtime starts from: the
+    shared heap layout (``config`` carries ``segment_bytes``)."""
+
+    def __init__(self, cluster: "Cluster", config: Any) -> None:
+        if config.segment_bytes % cluster.cost.page_size:
+            raise ValueError("segment size must be a multiple of the page size")
+        self.cluster = cluster
+        self.config = config
+        self.heap = SharedHeap(config.segment_bytes, cluster.cost.page_size)
+
+
+class DsmEndpoint:
+    """The part of ``proc.tmk`` that is the same on every page-based
+    runtime (TreadMarks, IVY, SC-ABD): identity, allocation, and the
+    wait-time diagnostics.  Subclasses supply ``core``, ``locks`` and
+    ``barriers`` plus whatever differs (``nprocs``, ``fault_count``,
+    the synchronization calls)."""
+
+    locks: Any
+    barriers: Any
+
+    def __init__(self, proc: "Processor", system: DsmSystem) -> None:
+        self.proc = proc
+        self.system = system
+        self._arrays: Dict[str, SharedArray] = {}
+
+    @property
+    def pid(self) -> int:
+        return self.proc.pid
+
+    def malloc(self, nbytes: int, align: int | None = None) -> int:
+        """Raw shared allocation; returns the segment address."""
+        return self.system.heap.malloc(nbytes, align)
+
+    def array_at(self, addr: int, shape: Tuple[int, ...],
+                 dtype) -> SharedArray:
+        """A typed shared window over an existing allocation."""
+        return SharedArray(self, addr, shape, np.dtype(dtype))
+
+    def shared_array(self, name: str, shape: Tuple[int, ...], dtype,
+                     align: int | None = None) -> SharedArray:
+        """Named idempotent allocation: every processor calling with the
+        same name receives a window onto the same shared bytes."""
+        arr = self._arrays.get(name)
+        if arr is None:
+            addr = self.system.heap.named(name, tuple(shape), np.dtype(dtype),
+                                          align)
+            arr = SharedArray(self, addr, tuple(shape), np.dtype(dtype))
+            self._arrays[name] = arr
+        return arr
+
+    @property
+    def lock_wait_time(self) -> float:
+        return self.locks.wait_time
+
+    @property
+    def barrier_wait_time(self) -> float:
+        return self.barriers.wait_time

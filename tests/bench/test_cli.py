@@ -6,6 +6,7 @@ from repro.apps.ep import EpParams
 from repro.bench import harness
 from repro.cli import (build_parser, cmd_figure, cmd_list, cmd_profile,
                        cmd_run, cmd_sweep, cmd_table, cmd_trace, main)
+from repro.kernels import get_backend
 
 
 @pytest.fixture
@@ -114,6 +115,16 @@ class TestParser:
         assert args.jobs == 3 and args.no_cache
         assert args.json == "out.json"
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig01", "--kernels", "numpy"],
+        ["sweep", "fig01", "--kernels", "pure"],
+    ])
+    def test_kernels_is_not_a_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "--kernels" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_mentions_all_experiments(self):
@@ -124,6 +135,7 @@ class TestCommands:
     def test_run_tmk_includes_breakdown(self, tiny_ep):
         text = cmd_run("fig01", "tmk", 2, "bench")
         assert "speedup" in text
+        assert f"kernels: {get_backend().name}" in text.splitlines()[1]
         assert "Time decomposition" in text
         assert "barrier_arrival" in text
 

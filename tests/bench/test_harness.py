@@ -1,7 +1,11 @@
 """Tests for the experiment harness (registry, caching, series)."""
 
+import typing
+
 import pytest
 
+from repro import api
+from repro.apps import base
 from repro.apps.ep import EpParams
 from repro.bench import harness
 
@@ -62,7 +66,8 @@ class TestCaching:
             EpParams(log2_pairs=20), EpParams.paper(), exp.size_note)
         harness.EXPERIMENTS["fig01"] = tiny
         try:
-            series = harness.speedup_series("fig01", "pvm", (1, 2, 4))
+            series = api.speedup_series("fig01", "pvm", (1, 2, 4),
+                                        use_cache=False)
             assert series[0] == pytest.approx(1.0, rel=0.05)
             assert series[0] < series[1] < series[2]
         finally:
@@ -79,3 +84,9 @@ class TestCaching:
             assert run.result is not None
         finally:
             harness.EXPERIMENTS["fig01"] = exp
+
+
+@pytest.mark.parametrize("fn", [harness.run_cached, base.run_parallel,
+                                api.run])
+def test_signature_annotations_resolve(fn):
+    assert typing.get_type_hints(fn)

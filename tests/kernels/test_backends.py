@@ -12,10 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import (KERNEL_CHOICES, WORD, KernelBackend,
-                           available_backends, get_backend,
-                           register_backend)
-from repro.kernels import pure
+from repro.kernels import WORD, KernelBackend, get_backend
+from repro.kernels import compiled, numpy_backend, pure
 
 PURE = get_backend("pure")
 
@@ -23,7 +21,7 @@ PURE = get_backend("pure")
 #: extension is not built, "compiled" resolves to numpy and the suite
 #: degrades to comparing pure vs numpy (still a real check).
 BACKENDS = {get_backend(name).name: get_backend(name)
-            for name in KERNEL_CHOICES}
+            for name in ("pure", "numpy", "compiled")}
 
 PAGE_WORDS = 32
 PAGE_BYTES = PAGE_WORDS * WORD
@@ -155,7 +153,7 @@ class TestFaultScan:
 
 class TestRegistry:
     def test_choices_resolve(self):
-        for name in KERNEL_CHOICES:
+        for name in ("pure", "numpy", "compiled", None):
             assert isinstance(get_backend(name), KernelBackend)
 
     def test_unknown_name_rejected(self):
@@ -168,22 +166,20 @@ class TestRegistry:
         backend = get_backend("compiled")
         assert backend.name in ("compiled", "numpy")
 
-    def test_available_backends_superset_of_choices(self):
-        assert set(KERNEL_CHOICES) <= set(available_backends())
+    def test_selection_is_observed(self):
+        # None = the best backend this process can import; nothing sets it.
+        built = compiled.BACKEND is not None
+        assert get_backend().name == ("compiled" if built else "numpy")
+        assert get_backend() is get_backend("compiled")
+        assert get_backend("pure") is pure.BACKEND
 
-    def test_register_rejects_builtin_names(self):
-        with pytest.raises(ValueError, match="built-in"):
-            register_backend(KernelBackend(
-                name="numpy", make_diff=pure.BACKEND.make_diff,
-                make_diff_batch=pure.BACKEND.make_diff_batch,
-                apply_diff=pure.BACKEND.apply_diff,
-                apply_diff_batch=pure.BACKEND.apply_diff_batch,
-                twin_compare=pure.BACKEND.twin_compare,
-                fault_scan=pure.BACKEND.fault_scan))
-
-    def test_register_rejects_non_backend(self):
-        with pytest.raises(TypeError):
-            register_backend(object())
+    def test_numpy_defines_only_the_ops_it_wins(self):
+        numpy = numpy_backend.BACKEND
+        assert numpy.apply_diff is pure.apply_diff
+        assert numpy.apply_diff_batch is pure.apply_diff_batch
+        assert numpy.twin_compare is pure.twin_compare
+        for op in ("make_diff", "make_diff_batch", "fault_scan"):
+            assert getattr(numpy, op) is not getattr(pure.BACKEND, op)
 
 
 class TestCompiledExtension:

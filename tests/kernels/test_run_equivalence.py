@@ -1,25 +1,28 @@
 """Whole-run byte-identity across kernel backends.
 
-The kernel backend is a host-side speed knob: a run on ``pure``,
-``numpy``, or ``compiled`` must produce the same protocol trace, the
-same virtual times, the same wire accounting, and the same application
-results, byte for byte.  That property is what lets the cache key ignore
-the backend entirely -- a record computed with one backend serves warm
-reads for every other.
+The kernel backend is a host-side detail the process observes: a run on
+``pure``, ``numpy``, or ``compiled`` must produce the same protocol
+trace, the same virtual times, the same wire accounting, and the same
+application results, byte for byte.  That property is what lets the
+backend be no part of a run's configuration or cache key -- a record
+computed on one host serves warm reads on every other.
 """
 
 import numpy as np
 import pytest
 
-import repro.api as api
 from repro.api import RunConfig
 from repro.apps import base
 from repro.apps.sor import SorParams
 from repro.apps.tsp import TspParams
-from repro.kernels import KERNEL_CHOICES
+from repro.kernels import compiled, get_backend
 from repro.sim.trace import Trace
 
 NPROCS = 4
+#: None is what every real caller passes; the names go through the one
+#: seam left for substituting a backend, ``run_parallel(kernels=)``.
+NAMES = ("pure", "numpy", None) + (
+    ("compiled",) if compiled.BACKEND is not None else ())
 
 
 def _same(a, b):
@@ -44,7 +47,7 @@ def run_one(app, params, kernels):
 ])
 def test_backends_byte_identical_end_to_end(app, params):
     reference, ref_trace = run_one(app, params, "pure")
-    for name in KERNEL_CHOICES[1:]:
+    for name in NAMES[1:]:
         result, trace = run_one(app, params, name)
         assert [str(e) for e in trace.events] \
             == [str(e) for e in ref_trace.events], name
@@ -54,16 +57,14 @@ def test_backends_byte_identical_end_to_end(app, params):
         assert _same(result.result, reference.result), name
 
 
-def test_cache_key_ignores_kernels():
-    keys = {api.cache_key(RunConfig("fig01", "tmk", NPROCS, "tiny",
-                                    kernels=name))
-            for name in KERNEL_CHOICES}
-    assert len(keys) == 1
-
-
 def test_kernels_round_trips_and_validates():
-    cfg = RunConfig("fig01", kernels="compiled")
+    """``kernels`` is no longer a setting: not an argument, not
+    serialized, and old JSON that carries it (or ``engine``) still loads."""
+    with pytest.raises(TypeError):
+        RunConfig("fig01", kernels="compiled")
+    cfg = RunConfig.from_json(
+        {"experiment": "fig01", "kernels": "pure", "engine": "threads"})
+    assert cfg == RunConfig("fig01")
+    assert "kernels" not in cfg.to_json()
     assert RunConfig.from_json(cfg.to_json()) == cfg
-    assert RunConfig.from_json({"experiment": "fig01"}).kernels == "numpy"
-    with pytest.raises(ValueError, match="kernels"):
-        RunConfig("fig01", kernels="fortran")
+    assert RunConfig.kernels == cfg.kernels == get_backend().name

@@ -11,9 +11,10 @@ when the extension is built) across the six frozen page-ops:
 * **dense**  -- one long contiguous dirty region per page (SOR-like
   boundary-row writes).
 
+The report is cross-backend evidence (which ops each backend wins), not
+a gate: host time is compared only by ``benchmarks/e2e/run.py``.
+
 Run:   python tools/bench_kernels.py [--out BENCH_kernels.json]
-Gate:  python tools/bench_kernels.py --out /tmp/fresh.json \\
-           --check-baseline BENCH_kernels.json    # fail on >20% regression
 """
 
 import argparse
@@ -26,10 +27,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 PAGE_SIZE = 4096
 PAGES = 64
-#: Regression tolerance for --check-baseline: 20% plus a fixed slack so
-#: sub-microsecond ops on noisy CI runners do not trip the gate.
-TOLERANCE = 0.20
-SLACK_US = 3.0
 
 
 def build_workload(kind, rng):
@@ -96,13 +93,13 @@ def bench_backend(backend, currents, twins, rounds):
 
 def measure(rounds):
     import numpy as np
-    from repro.kernels import KERNEL_CHOICES, get_backend
+    from repro.kernels import get_backend
 
     rng = np.random.default_rng(1995)
     workloads = {kind: build_workload(kind, rng)
                  for kind in ("sparse", "dense")}
     backends = {}
-    for name in KERNEL_CHOICES:
+    for name in ("pure", "numpy", "compiled"):
         backend = get_backend(name)
         if backend.name != name:
             continue  # compiled unbuilt: resolves to numpy, skip the dup
@@ -112,36 +109,11 @@ def measure(rounds):
     return backends
 
 
-def check_baseline(report, baseline_path):
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
-    ok = True
-    for name, kinds in baseline.get("backends", {}).items():
-        fresh_kinds = report["backends"].get(name)
-        if fresh_kinds is None:
-            print(f"note: backend {name!r} unavailable here; skipping")
-            continue
-        for kind, ops in kinds.items():
-            for op, committed in ops.items():
-                fresh = fresh_kinds[kind][op]
-                limit = committed * (1.0 + TOLERANCE) + SLACK_US
-                if fresh > limit:
-                    ok = False
-                    print(f"REGRESSION {name}/{kind}/{op}: "
-                          f"{fresh:.3f}us vs baseline {committed:.3f}us "
-                          f"(limit {limit:.3f}us)")
-    print("kernel perf gate:", "OK" if ok else "FAILED")
-    return ok
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=os.path.join(
         os.path.dirname(__file__), "..", "BENCH_kernels.json"))
     parser.add_argument("--rounds", type=int, default=50)
-    parser.add_argument("--check-baseline", metavar="PATH",
-                        help="gate per-op latency against a committed "
-                             "report (20% + slack)")
     args = parser.parse_args()
 
     report = {
@@ -156,10 +128,6 @@ def main():
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(report, indent=2, sort_keys=True))
-
-    if args.check_baseline and not check_baseline(report,
-                                                  args.check_baseline):
-        return 1
     return 0
 
 

@@ -11,6 +11,7 @@ Run:  python tools/generate_experiments.py [output-path]
 import sys
 import time
 
+from repro import api
 from repro.bench import harness, paper, tables
 from repro.bench.figures import render_series_table
 
@@ -133,8 +134,8 @@ def main(out_path="EXPERIMENTS.md"):
     ]
 
     for exp_id, exp in harness.EXPERIMENTS.items():
-        tmk = harness.speedup_series(exp_id, "tmk", nprocs)
-        pvm = harness.speedup_series(exp_id, "pvm", nprocs)
+        tmk = api.speedup_series(exp_id, "tmk", nprocs)
+        pvm = api.speedup_series(exp_id, "pvm", nprocs)
         checks = paper.check_experiment(exp_id)
         status = "all checks PASS" if all(c.passed for c in checks) \
             else "SOME CHECKS FAIL"
