@@ -15,6 +15,7 @@ went (detection latency, lost work re-executed, checkpoint restore).
 
 from _common import PRESET, emit
 
+from repro.api import RunConfig
 from repro.bench import harness
 from repro.sim.faults import FaultPlan
 from repro.sim.recovery import RecoveryConfig
@@ -34,9 +35,9 @@ def test_ablation_checkpoint(benchmark, capsys):
     seq = harness.seq_time("fig02", PRESET)  # SOR-Zero: barrier-heavy
 
     benchmark.pedantic(
-        lambda: harness.run_cached("fig02", "tmk", NPROCS, PRESET,
-                                   faults=CRASH,
-                                   recovery=_recovery(INTERVALS[1])),
+        lambda: harness.run_cached(RunConfig(
+            "fig02", "tmk", NPROCS, PRESET, faults=CRASH,
+            recovery=_recovery(INTERVALS[1]))),
         rounds=1, iterations=1)
 
     rows = [
@@ -49,13 +50,13 @@ def test_ablation_checkpoint(benchmark, capsys):
     ]
     runs = {}
     for system in ("tmk", "pvm"):
-        clean = harness.run_cached("fig02", system, NPROCS, PRESET)
+        clean = harness.run_cached(RunConfig("fig02", system, NPROCS, PRESET))
         rows.append(f"{system:>8}{'none':>7}{seq / clean.time:>9.2f}"
                     f"{'-':>8}{'-':>9}{'-':>8}{'-':>10}")
         for interval in INTERVALS:
-            run = harness.run_cached("fig02", system, NPROCS, PRESET,
-                                     faults=CRASH,
-                                     recovery=_recovery(interval))
+            run = harness.run_cached(RunConfig(
+                "fig02", system, NPROCS, PRESET, faults=CRASH,
+                recovery=_recovery(interval)))
             runs[(system, interval)] = run
             report = run.recovery
             ckpt = run.stats.recovery().get("checkpoint")

@@ -11,6 +11,7 @@ compiler integration; ``TmkConfig.coalesce_diffs`` implements it.
 from _common import PRESET, emit
 
 from repro.apps import base
+from repro.api import RunConfig
 from repro.bench import harness
 from repro.tmk.api import TmkConfig
 
@@ -20,7 +21,7 @@ def test_ablation_diff_coalescing(benchmark, capsys):
     params = harness.params_for(exp, PRESET)
     spec = base.get_app(exp.app)
 
-    default = harness.run_cached("fig05", "tmk", 8, PRESET)
+    default = harness.run_cached(RunConfig("fig05", "tmk", 8, PRESET))
     coalesced = benchmark.pedantic(
         lambda: base.run_parallel(
             exp.app, "tmk", 8, params,

@@ -11,6 +11,7 @@ of each PVM run.
 from _common import PRESET, emit
 
 from repro.apps import base
+from repro.api import RunConfig
 from repro.bench import harness
 from repro.sim.costmodel import CostModel
 
@@ -28,7 +29,7 @@ def test_ablation_ring_contention(benchmark, capsys):
         exp = harness.EXPERIMENTS[exp_id]
         params = harness.params_for(exp, PRESET)
         seq = harness.seq_time(exp_id, PRESET)
-        shared = harness.run_cached(exp_id, "pvm", 8, PRESET)
+        shared = harness.run_cached(RunConfig(exp_id, "pvm", 8, PRESET))
         if exp_id == "fig11":
             private = benchmark.pedantic(
                 lambda: base.run_parallel(exp.app, "pvm", 8, params,

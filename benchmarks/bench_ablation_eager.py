@@ -11,6 +11,7 @@ not they will ever touch the data).
 from _common import PRESET, emit
 
 from repro.apps import base
+from repro.api import RunConfig
 from repro.bench import harness
 from repro.tmk.api import TmkConfig
 
@@ -28,7 +29,7 @@ def test_ablation_eager_release_consistency(benchmark, capsys):
         params = harness.params_for(exp, PRESET)
         spec = base.get_app(exp.app)
         seq = harness.seq_time(exp_id, PRESET)
-        lazy = harness.run_cached(exp_id, "tmk", 8, PRESET)
+        lazy = harness.run_cached(RunConfig(exp_id, "tmk", 8, PRESET))
         config = TmkConfig(segment_bytes=spec.segment_bytes,
                            protocol="eager")
         if exp_id == "fig08":

@@ -11,6 +11,7 @@ lazy notices remove almost all of it.
 from _common import PRESET, emit
 
 from repro.apps import base
+from repro.api import RunConfig
 from repro.bench import harness
 
 
@@ -26,7 +27,7 @@ def test_ablation_ivy_vs_treadmarks(benchmark, capsys):
         exp = harness.EXPERIMENTS[exp_id]
         params = harness.params_for(exp, PRESET)
         seq = harness.seq_time(exp_id, PRESET)
-        tmk = harness.run_cached(exp_id, "tmk", 8, PRESET)
+        tmk = harness.run_cached(RunConfig(exp_id, "tmk", 8, PRESET))
         if exp_id == "fig08":
             ivy = benchmark.pedantic(
                 lambda: base.run_parallel(exp.app, "ivy", 8, params),

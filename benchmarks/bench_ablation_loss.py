@@ -15,6 +15,7 @@ the run gets slower, never wrong.
 
 from _common import PRESET, emit
 
+from repro.api import RunConfig
 from repro.bench import harness
 from repro.sim.faults import FaultPlan
 
@@ -32,8 +33,8 @@ def test_ablation_loss(benchmark, capsys):
     seq = harness.seq_time("fig02", PRESET)  # SOR-Zero: barrier-heavy
 
     benchmark.pedantic(
-        lambda: harness.run_cached("fig02", "tmk", NPROCS, PRESET,
-                                   faults=_plan(LOSS_RATES[-1])),
+        lambda: harness.run_cached(RunConfig(
+            "fig02", "tmk", NPROCS, PRESET, faults=_plan(LOSS_RATES[-1]))),
         rounds=1, iterations=1)
 
     rows = [
@@ -46,8 +47,8 @@ def test_ablation_loss(benchmark, capsys):
     runs = {}
     for system in ("tmk", "pvm"):
         for loss in LOSS_RATES:
-            run = harness.run_cached("fig02", system, NPROCS, PRESET,
-                                     faults=_plan(loss))
+            run = harness.run_cached(RunConfig(
+                "fig02", system, NPROCS, PRESET, faults=_plan(loss)))
             runs[(system, loss)] = run
             rel = run.stats.reliability(system)
             retrans = rel.get("retransmit")

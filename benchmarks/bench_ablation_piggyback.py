@@ -10,6 +10,7 @@ workloads (IS, TSP) it removes fault round trips.
 from _common import PRESET, emit
 
 from repro.apps import base
+from repro.api import RunConfig
 from repro.bench import harness
 from repro.tmk.api import TmkConfig
 
@@ -30,7 +31,7 @@ def test_ablation_grant_piggybacking(benchmark, capsys):
         params = harness.params_for(exp, PRESET)
         spec = base.get_app(exp.app)
         seq = harness.seq_time(exp_id, PRESET)
-        plain = harness.run_cached(exp_id, "tmk", 8, PRESET)
+        plain = harness.run_cached(RunConfig(exp_id, "tmk", 8, PRESET))
         config = TmkConfig(segment_bytes=spec.segment_bytes,
                            piggyback_budget=_BUDGET)
         if exp_id == "fig05":

@@ -10,6 +10,7 @@ This bench quantifies that choice on IS-Small (latency-sensitive chain).
 from _common import PRESET, emit
 
 from repro.apps import base
+from repro.api import RunConfig
 from repro.bench import harness
 
 
@@ -17,7 +18,7 @@ def test_ablation_pvm_routing(benchmark, capsys):
     exp = harness.EXPERIMENTS["fig04"]  # IS-Small
     params = harness.params_for(exp, PRESET)
 
-    direct = harness.run_cached("fig04", "pvm", 8, PRESET)
+    direct = harness.run_cached(RunConfig("fig04", "pvm", 8, PRESET))
     routed = benchmark.pedantic(
         lambda: base.run_parallel(exp.app, "pvm", 8, params,
                                   pvm_route="daemon"),

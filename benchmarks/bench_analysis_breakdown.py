@@ -14,19 +14,21 @@ diff-request round trips, false sharing, diff accumulation).
 from _common import PRESET, emit
 
 from repro.analysis import AnalysisConfig
+from repro.api import RunConfig
 from repro.bench import harness
 from repro.bench.analysis import decompose, render_breakdown
 from repro.obs import ObsConfig, build_profile, render_profile
 
 
 def test_analysis_time_decomposition(benchmark, capsys):
-    benchmark.pedantic(lambda: harness.run_cached("fig06", "tmk", 8, PRESET),
-                       rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: harness.run_cached(RunConfig("fig06", "tmk", 8, PRESET)),
+        rounds=1, iterations=1)
     reports = []
     shares = {}
     for exp_id in ("fig06", "fig02", "fig05"):
         exp = harness.EXPERIMENTS[exp_id]
-        run = harness.run_cached(exp_id, "tmk", 8, PRESET)
+        run = harness.run_cached(RunConfig(exp_id, "tmk", 8, PRESET))
         breakdown = decompose(run)
         shares[exp_id] = breakdown
         reports.append(render_breakdown(
@@ -52,16 +54,16 @@ def test_causal_breakdown_all_configs(benchmark, capsys):
     obs = ObsConfig(profile=True)
     fs = AnalysisConfig(false_sharing=True)
     benchmark.pedantic(
-        lambda: harness.run_cached("fig08", "tmk", 8, PRESET,
-                                   analysis=fs, obs=obs),
+        lambda: harness.run_cached(RunConfig(
+            "fig08", "tmk", 8, PRESET, analysis=fs, obs=obs)),
         rounds=1, iterations=1)
     reports = []
     profiles = {}
     for exp_id, exp in harness.EXPERIMENTS.items():
         for system in ("tmk", "pvm"):
             analysis = fs if system == "tmk" else None
-            run = harness.run_cached(exp_id, system, 8, PRESET,
-                                     analysis=analysis, obs=obs)
+            run = harness.run_cached(RunConfig(
+                exp_id, system, 8, PRESET, analysis=analysis, obs=obs))
             profile = build_profile(
                 run, label=f"{exp.label} ({PRESET}, 8 procs)")
             profiles[(exp_id, system)] = profile

@@ -30,10 +30,12 @@ disk cache for later summary-level readers.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.races import AnalysisConfig
+from repro.apps.base import check_options
 from repro.bench.cache import (ResultCache, cache_key_from_material,
                                canonical_json, default_cache,
                                source_fingerprint)
@@ -49,6 +51,7 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "cache_key",
+    "lookup",
     "messages_at",
     "run",
     "seq_time",
@@ -59,9 +62,6 @@ __all__ = [
 #: cache).  Bump on any incompatible field change; old cached records
 #: then read as misses.
 RESULT_SCHEMA_VERSION = 2
-
-_SYSTEMS = ("tmk", "pvm", "ivy")
-_PRESETS = ("tiny", "bench", "paper")
 
 
 # ----------------------------------------------------------------------
@@ -86,20 +86,27 @@ def _retuple(value: Any) -> Any:
     return value
 
 
-def _dataclass_from_json(cls: type, data: Optional[Dict[str, Any]]) -> Any:
-    if data is None:
+def _from_json(hint: Any, value: Any) -> Any:
+    """One JSON value back to what the field's type hint says."""
+    if value is None:
         return None
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        if cls is FaultPlan and f.name == "categories":
-            value = frozenset(value) if value is not None else None
-        else:
-            value = _retuple(value)
-        kwargs[f.name] = value
-    return cls(**kwargs)
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    if dataclasses.is_dataclass(hint):
+        return _dataclass_from_json(hint, value)
+    if typing.get_origin(hint) is frozenset:
+        return frozenset(value)
+    if hint in (int, bool):
+        return hint(value)
+    return _retuple(value)
+
+
+def _dataclass_from_json(cls: type, data: Dict[str, Any]) -> Any:
+    """Rebuild ``cls`` from its :func:`_jsonify` form: fields absent from
+    ``data`` keep their defaults, keys that are not fields are ignored."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{f.name: _from_json(hints[f.name], data[f.name])
+                  for f in dataclasses.fields(cls) if f.name in data})
 
 
 # ----------------------------------------------------------------------
@@ -149,64 +156,41 @@ class RunConfig:
     kernels = get_backend().name
 
     def __post_init__(self) -> None:
-        if self.system not in _SYSTEMS:
-            raise ValueError(
-                f"system must be one of {_SYSTEMS}, got {self.system!r}")
-        if self.preset not in _PRESETS:
-            raise ValueError(
-                f"preset must be one of {_PRESETS}, got {self.preset!r}")
+        """The one admission point: a config that constructs will run.
+
+        Every surface (CLI, ``repro serve``, the sweep and their worker
+        processes) builds a ``RunConfig`` and only translates this
+        ``ValueError``; nothing below re-derives any of it.
+        """
+        from repro.bench import harness
+        harness.experiment(self.experiment)
+        if self.preset not in harness.PRESETS:
+            raise ValueError(f"preset must be one of {harness.PRESETS}, "
+                             f"got {self.preset!r}")
         if self.nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {self.nprocs}")
-        if self.analysis is not None and self.analysis.enabled \
-                and self.system != "tmk":
-            raise ValueError("the sanitizer requires system='tmk'")
-        if self.replication is not None:
-            if self.system != "tmk":
+        check_options(self.system, self.analysis, self.recovery,
+                      self.replication)
+        # Replica servers are pids nprocs .. nprocs+replicas-1, appended
+        # after the application ranks, and are legitimate crash targets.
+        replicas = self.replication.replicas if self.replication else 0
+        for node, _ in (self.faults.crash_at if self.faults else ()):
+            if node >= self.nprocs + replicas:
                 raise ValueError(
-                    "replication (failure masking) requires system='tmk'")
-            if self.analysis is not None and self.analysis.enabled:
-                raise ValueError(
-                    "the sanitizer cannot run under quorum replication")
-            if self.recovery is not None \
-                    and self.recovery.checkpoint_interval > 0:
-                raise ValueError(
-                    "masking and rollback are alternatives: replication "
-                    "cannot be combined with checkpointing")
+                    f"crash node {node} out of range: the run has "
+                    f"{self.nprocs + replicas} processors"
+                    + (f" ({self.nprocs} application + {replicas} replica)"
+                       if replicas else ""))
 
     # ------------------------------------------------------------------
+    # Both directions derive from ``dataclasses.fields`` and the type
+    # hints: a new option is a new field, nothing to list here.
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "experiment": self.experiment,
-            "system": self.system,
-            "nprocs": self.nprocs,
-            "preset": self.preset,
-            "faults": _jsonify(self.faults),
-            "recovery": _jsonify(self.recovery),
-            "analysis": _jsonify(self.analysis),
-            "obs": _jsonify(self.obs),
-            "cost": _jsonify(self.cost),
-            "replication": _jsonify(self.replication),
-            "invariants": self.invariants,
-        }
+        return _jsonify(self)
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "RunConfig":
-        return cls(
-            experiment=data["experiment"],
-            system=data.get("system", "tmk"),
-            nprocs=int(data.get("nprocs", 8)),
-            preset=data.get("preset", "bench"),
-            faults=_dataclass_from_json(FaultPlan, data.get("faults")),
-            recovery=_dataclass_from_json(RecoveryConfig,
-                                          data.get("recovery")),
-            analysis=_dataclass_from_json(AnalysisConfig,
-                                          data.get("analysis")),
-            obs=_dataclass_from_json(ObsConfig, data.get("obs")),
-            cost=_dataclass_from_json(CostModel, data.get("cost")),
-            replication=_dataclass_from_json(ReplicationConfig,
-                                             data.get("replication")),
-            invariants=bool(data.get("invariants", False)),
-        )
+        return _dataclass_from_json(cls, data)
 
 
 # ----------------------------------------------------------------------
@@ -379,33 +363,40 @@ def run(config: RunConfig, *, use_cache: bool = True,
       per process, and every parallel result is verified against the
       sequential run -- then stores the record for future sessions.
     """
-    if config.experiment == "all":
-        raise ValueError("run() takes a single experiment id; "
-                         "use repro.bench.sweep for batches")
     store = (cache if cache is not None else default_cache()) \
         if use_cache else None
     key: Optional[str] = None
-    if store is not None:
-        key = cache_key(config)
-        if not want_parallel:
-            payload = store.get(key)
-            if payload is not None:
-                try:
-                    return RunResult.from_json(payload, cached=True,
-                                               cache_key=key)
-                except (KeyError, ValueError):
-                    pass  # corrupt/old entry: recompute below
+    if store is not None and not want_parallel:
+        key, hit = lookup(config, store)
+        if hit is not None:
+            return hit
     return _execute(config, store, key)
+
+
+def lookup(config: RunConfig, cache: Optional[ResultCache] = None
+           ) -> Tuple[str, Optional[RunResult]]:
+    """The cache-hit half of :func:`run`: ``(cache key, stored record)``.
+
+    The record is ``None`` when nothing is stored under the key or the
+    entry is corrupt / from an older schema (the caller recomputes, and
+    passes the key on so the source tree is fingerprinted once).
+    """
+    store = cache if cache is not None else default_cache()
+    key = cache_key(config)
+    payload = store.get(key)
+    if payload is not None:
+        try:
+            return key, RunResult.from_json(payload, cached=True,
+                                            cache_key=key)
+        except (KeyError, ValueError):
+            pass
+    return key, None
 
 
 def _execute(config: RunConfig, store: Optional[ResultCache],
              key: Optional[str]) -> RunResult:
     from repro.bench import harness
-    par = harness.run_cached(
-        config.experiment, config.system, config.nprocs, config.preset,
-        faults=config.faults, analysis=config.analysis,
-        recovery=config.recovery, obs=config.obs, cost=config.cost,
-        replication=config.replication, invariants=config.invariants)
+    par = harness.run_cached(config)
     seq = harness.seq_time(config.experiment, config.preset)
     recovery = None
     if par.recovery is not None:

@@ -35,13 +35,18 @@ __all__ = [
     "APPS",
     "AppSpec",
     "ParallelResult",
+    "SYSTEMS",
     "SeqMeter",
     "SeqResult",
+    "check_options",
     "get_app",
     "register",
     "run_parallel",
     "run_sequential",
 ]
+
+#: The runtimes a run can name (``"ivy"`` runs the TreadMarks programs).
+SYSTEMS = ("tmk", "pvm", "ivy")
 
 
 def compute_polled(proc, total: float, poll, chunk: float = 5e-3):
@@ -166,6 +171,34 @@ def get_app(name: str) -> AppSpec:
 # ----------------------------------------------------------------------
 # Runners
 # ----------------------------------------------------------------------
+def check_options(system: str,
+                  analysis: Optional[AnalysisConfig] = None,
+                  recovery: Optional[RecoveryConfig] = None,
+                  replication: Optional[ReplicationConfig] = None) -> None:
+    """Which run options combine -- stated once, for every surface.
+
+    :class:`repro.api.RunConfig` calls this at construction (so the CLI,
+    ``repro serve`` and the sweep only translate its ``ValueError``) and
+    :func:`run_parallel` calls it for its direct callers.
+    """
+    if system not in SYSTEMS:
+        raise ValueError(f"system must be one of {SYSTEMS}, got {system!r}")
+    sanitizing = analysis is not None and analysis.enabled
+    masking = replication is not None
+    for option, wanted in (("the sanitizer", sanitizing),
+                           ("replication (failure masking)", masking)):
+        # Both need the LRC synchronization events / the tmk programs.
+        if wanted and system != "tmk":
+            raise ValueError(
+                f"{option} requires system='tmk', got {system!r}")
+    if masking and sanitizing:
+        raise ValueError("the sanitizer cannot run under quorum replication")
+    if masking and recovery is not None and recovery.checkpoint_interval > 0:
+        raise ValueError(
+            "masking and rollback are alternatives: replication cannot be "
+            "combined with checkpointing (checkpoint_interval > 0)")
+
+
 def run_sequential(app: AppSpec | str, params: Any) -> SeqResult:
     """The uninstrumented single-machine run (Table 1 baseline)."""
     spec = get_app(app) if isinstance(app, str) else app
@@ -198,9 +231,9 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
     check needs the LRC synchronization events); it observes but never
     charges, so accounting is identical with or without it.
 
-    ``recovery`` configures checkpointing and the failure detector; it
-    defaults on (detection only) whenever the fault plan schedules a
-    permanent crash.  When a crash is detected mid-run, the run rolls
+    ``recovery`` configures checkpointing and the failure detector; the
+    cluster defaults it on (detection only) when the fault plan schedules
+    a permanent crash.  When a crash is detected mid-run, the run rolls
     back and re-executes with the failed rank restarted on a spare host
     (the deterministic simulator makes restore-and-replay equivalent to
     a fresh run), the recovery cost is added to the measured time, and
@@ -240,35 +273,24 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
     if engine != "coro":
         raise ValueError(f"engine must be 'coro', got {engine!r}")
     spec = get_app(app) if isinstance(app, str) else app
-    if system not in ("tmk", "pvm", "ivy"):
-        raise ValueError(
-            f"system must be 'tmk', 'pvm' or 'ivy', got {system!r}")
+    check_options(system, analysis, recovery, replication)
     if analysis is not None and not analysis.enabled:
         analysis = None
-    if analysis is not None and system != "tmk":
-        raise ValueError(f"the sanitizer requires system='tmk', got {system!r}")
     if obs is not None and not obs.enabled:
         obs = None
     mask = replication is not None
-    if mask and system != "tmk":
-        raise ValueError(
-            f"replication (failure masking) requires system='tmk', "
-            f"got {system!r}")
-    if mask and analysis is not None:
-        raise ValueError("the sanitizer cannot run under quorum replication")
-    if mask and recovery is not None and recovery.checkpoint_interval > 0:
-        raise ValueError(
-            "masking and rollback are alternatives: replication cannot be "
-            "combined with checkpointing (checkpoint_interval > 0)")
-    if recovery is None and faults is not None and faults.crash_at:
-        recovery = RecoveryConfig()
-    report = RecoveryReport() if (recovery is not None and not mask) else None
+    report = None
     plan = faults
     while True:
         total_procs = nprocs + (replication.replicas if mask else 0)
         cluster = Cluster(total_procs, config=ClusterConfig(
             cost=cost, trace=trace, faults=plan, recovery=recovery, obs=obs,
             scheduler=scheduler, kernels=kernels))
+        if report is None and cluster.recovery is not None and not mask:
+            # Given, or defaulted by the cluster for a scheduled crash;
+            # either way the re-executions below keep the same detector.
+            recovery = cluster.recovery.config
+            report = RecoveryReport()
         sanitizer = None
         scabd_system = None
         if mask:
@@ -340,12 +362,3 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
         timeline=cluster.obs.timeline if cluster.obs is not None else None,
         profiler=cluster.obs.profiler if cluster.obs is not None else None,
     )
-
-
-def verify_against_sequential(app: AppSpec | str, params: Any,
-                              system: str, nprocs: int) -> bool:
-    """Convenience used throughout the test suite."""
-    spec = get_app(app) if isinstance(app, str) else app
-    seq = run_sequential(spec, params)
-    par = run_parallel(spec, system, nprocs, params)
-    return spec.verify(par.result, seq.result)

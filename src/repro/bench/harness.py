@@ -13,15 +13,12 @@ Runs are memoized per process so Table 2 and the figures share the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.analysis.races import AnalysisConfig
+# Module object only (for the ``run_cached`` annotation): repro.api
+# imports this package, so its names are looked up at call time.
+from repro import api
 from repro.apps import base
-from repro.obs.core import ObsConfig
-from repro.scabd.config import ReplicationConfig
-from repro.sim.costmodel import CostModel
-from repro.sim.faults import FaultPlan
-from repro.sim.recovery import RecoveryConfig
 from repro.apps.barnes_hut import BhParams
 from repro.apps.ep import EpParams
 from repro.apps.fft3d import FftParams
@@ -35,13 +32,18 @@ from repro.apps.water import WaterParams
 __all__ = [
     "EXPERIMENTS",
     "Experiment",
+    "PRESETS",
     "clear_cache",
+    "experiment",
     "run_cached",
     "seq_time",
 ]
 
 #: The processor counts the paper's figures sweep.
 NPROCS_SERIES = (1, 2, 3, 4, 5, 6, 7, 8)
+
+#: Problem-size presets every experiment carries (see :func:`params_for`).
+PRESETS = ("tiny", "bench", "paper")
 
 
 @dataclass(frozen=True)
@@ -117,16 +119,23 @@ _add(Experiment("fig12", "ILINK", "ilink", 12,
                 tiny_params=IlinkParams.tiny()))
 
 
+def experiment(exp_id: str) -> Experiment:
+    """Look an experiment id up; the one "unknown experiment" message
+    every surface (RunConfig, CLI, serve, sweep) reports."""
+    try:
+        return EXPERIMENTS[exp_id]
+    except KeyError:
+        raise ValueError(f"unknown experiment {exp_id!r}; "
+                         f"try: {', '.join(EXPERIMENTS)}") from None
+
+
 def params_for(exp: Experiment, preset: str = "bench") -> Any:
-    if preset == "bench":
-        return exp.bench_params
-    if preset == "paper":
-        return exp.paper_params
-    if preset == "tiny":
-        if exp.tiny_params is None:
-            raise ValueError(f"{exp.exp_id} has no tiny parameterization")
-        return exp.tiny_params
-    raise ValueError(f"unknown preset {preset!r}")
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}")
+    params = getattr(exp, f"{preset}_params")
+    if params is None:
+        raise ValueError(f"{exp.exp_id} has no {preset} parameterization")
+    return params
 
 
 def size_string(exp: Experiment, preset: str = "bench") -> str:
@@ -141,7 +150,7 @@ def size_string(exp: Experiment, preset: str = "bench") -> str:
 # Cached runners
 # ----------------------------------------------------------------------
 _SEQ_CACHE: Dict[Tuple[str, str], base.SeqResult] = {}
-_PAR_CACHE: Dict[Tuple[str, str, str, int], base.ParallelResult] = {}
+_PAR_CACHE: Dict[api.RunConfig, base.ParallelResult] = {}
 
 
 def clear_cache() -> None:
@@ -162,44 +171,30 @@ def _seq(exp_id: str, preset: str) -> base.SeqResult:
     return _SEQ_CACHE[key]
 
 
-def run_cached(exp_id: str, system: str, nprocs: int,
-               preset: str = "bench",
-               faults: Optional[FaultPlan] = None,
-               analysis: Optional[AnalysisConfig] = None,
-               recovery: Optional[RecoveryConfig] = None,
-               obs: Optional[ObsConfig] = None,
-               cost: Optional[CostModel] = None,
-               replication: Optional[ReplicationConfig] = None,
-               invariants: bool = False) -> base.ParallelResult:
-    """One parallel run, memoized in-process, with its result verified
-    against the sequential version (every bench run is also a correctness
-    check -- including lossy and crash/recovery runs, whose results must
-    match the fault-free ones).
+def run_cached(config: api.RunConfig) -> base.ParallelResult:
+    """One parallel run, memoized in-process by its (frozen) config, with
+    its result verified against the sequential version (every bench run
+    is also a correctness check -- including lossy and crash/recovery
+    runs, whose results must match the fault-free ones).
 
     This is the *live* runner: it returns the full ParallelResult with
     stats buckets, endpoints, sanitizer, and profiler attached.  Most
     callers want :func:`repro.api.run` instead, which reads through the
     persistent on-disk cache and returns the versioned summary record.
     """
-    if analysis is not None and not analysis.enabled:
-        analysis = None
-    if obs is not None and not obs.enabled:
-        obs = None
-    key = (exp_id, preset, system, nprocs, faults, analysis, recovery, obs,
-           cost, replication, invariants)
-    if key not in _PAR_CACHE:
-        exp = EXPERIMENTS[exp_id]
-        result = base.run_parallel(exp.app, system, nprocs,
-                                   params_for(exp, preset), cost=cost,
-                                   faults=faults,
-                                   analysis=analysis, recovery=recovery,
-                                   obs=obs, replication=replication,
-                                   invariants=invariants)
-        seq = _seq(exp_id, preset)
-        spec = base.get_app(exp.app)
-        if not spec.verify(result.result, seq.result):
+    if config not in _PAR_CACHE:
+        exp = EXPERIMENTS[config.experiment]
+        # A new run option is one RunConfig field plus one keyword here.
+        result = base.run_parallel(
+            exp.app, config.system, config.nprocs,
+            params_for(exp, config.preset), cost=config.cost,
+            faults=config.faults, analysis=config.analysis,
+            recovery=config.recovery, obs=config.obs,
+            replication=config.replication, invariants=config.invariants)
+        seq = _seq(config.experiment, config.preset)
+        if not base.get_app(exp.app).verify(result.result, seq.result):
             raise AssertionError(
-                f"{exp_id} ({system}, {nprocs} procs): parallel result "
-                "does not match the sequential run")
-        _PAR_CACHE[key] = result
-    return _PAR_CACHE[key]
+                f"{config.experiment} ({config.system}, {config.nprocs} "
+                "procs): parallel result does not match the sequential run")
+        _PAR_CACHE[config] = result
+    return _PAR_CACHE[config]

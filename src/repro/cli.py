@@ -303,54 +303,27 @@ def cmd_run(experiment: str, system: str, nprocs: int, preset: str,
     from repro import api
     from repro.bench import harness
     from repro.bench.analysis import decompose, render_breakdown
-    if experiment not in harness.EXPERIMENTS:
-        raise SystemExit(f"unknown experiment {experiment!r}; "
-                         f"try: {', '.join(harness.EXPERIMENTS)}")
-    analysis = None
+    from repro.sim.recovery import NodeFailure, RecoveryConfig
+    analysis = replication = recovery = None
     if race_check != "off" or false_sharing:
-        if system != "tmk":
-            raise SystemExit("--race-check/--false-sharing-report require "
-                             "--system tmk")
         from repro.analysis import AnalysisConfig
         analysis = AnalysisConfig(race_check=race_check,
                                   false_sharing=false_sharing)
-    from repro.sim.recovery import NodeFailure
-    replication = None
-    if ft_mode == "mask":
-        if system != "tmk":
-            raise SystemExit("--ft-mode mask requires --system tmk")
-        if checkpoint_every:
-            raise SystemExit("--ft-mode mask has no rollback: drop "
-                             "--checkpoint-interval (masking and "
-                             "checkpointing are alternatives)")
-        if analysis is not None:
-            raise SystemExit("--race-check/--false-sharing-report cannot "
-                             "run under --ft-mode mask")
-        from repro.scabd import ReplicationConfig
-        try:
-            replication = ReplicationConfig(replicas=replicas)
-        except ValueError as exc:
-            raise SystemExit(f"bad --replicas: {exc}")
-    recovery = None
-    #: In mask mode the crash targets may be replica servers: pids
-    #: nprocs .. nprocs+replicas-1, appended after the application ranks.
-    crash_range = nprocs + (replicas if replication is not None else 0)
-    for node, _ in (faults.crash_at if faults is not None else ()):
-        if node >= crash_range:
-            raise SystemExit(
-                f"--crash node {node} out of range: the run has "
-                f"{crash_range} processors"
-                + (f" ({nprocs} application + {replicas} replica)"
-                   if replication is not None else ""))
-    if replication is None and (
-            checkpoint_every or (faults is not None and faults.crash_at)):
-        from repro.sim.recovery import RecoveryConfig
+    if checkpoint_every:
         recovery = RecoveryConfig(checkpoint_interval=checkpoint_every)
+    try:
+        if ft_mode == "mask":
+            from repro.scabd import ReplicationConfig
+            replication = ReplicationConfig(replicas=replicas)
+        # RunConfig is the validator: flags only translate into it.
+        config = api.RunConfig(experiment=experiment, system=system,
+                               nprocs=nprocs, preset=preset, faults=faults,
+                               analysis=analysis, recovery=recovery,
+                               replication=replication,
+                               invariants=invariants)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     exp = harness.EXPERIMENTS[experiment]
-    config = api.RunConfig(experiment=experiment, system=system,
-                           nprocs=nprocs, preset=preset, faults=faults,
-                           analysis=analysis, recovery=recovery,
-                           replication=replication, invariants=invariants)
     try:
         # want_parallel: the report below needs the live run (stats
         # buckets, sanitizer, mechanism breakdown), not just the summary.
@@ -451,12 +424,9 @@ def cmd_verify(experiment: Optional[str], system: str = "tmk",
         raise SystemExit("nothing to do: give an experiment id and/or "
                          "--lint")
     if experiment is not None:
-        if experiment not in harness.EXPERIMENTS:
-            raise SystemExit(f"unknown experiment {experiment!r}; "
-                             f"try: {', '.join(harness.EXPERIMENTS)}")
         from repro.verify import explore_app
-        exp = harness.EXPERIMENTS[experiment]
         try:
+            exp = harness.experiment(experiment)
             params = harness.params_for(exp, preset)
         except ValueError as exc:
             raise SystemExit(str(exc))
@@ -551,9 +521,10 @@ def cmd_figure(experiment: str, nprocs: str, preset: str) -> str:
     from repro import api
     from repro.bench import harness
     from repro.bench.figures import render_figure
-    if experiment not in harness.EXPERIMENTS:
-        raise SystemExit(f"unknown experiment {experiment!r}")
-    exp = harness.EXPERIMENTS[experiment]
+    try:
+        exp = harness.experiment(experiment)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     counts = tuple(int(v) for v in nprocs.split(","))
     tmk = api.speedup_series(experiment, "tmk", counts, preset)
     pvm = api.speedup_series(experiment, "pvm", counts, preset)
@@ -600,30 +571,29 @@ def cmd_trace(app: str, nprocs: int, limit: int, faults=None,
 
 def cmd_profile(experiment: str, system: str, nprocs: int,
                 preset: str) -> str:
+    from repro import api
+    from repro.analysis import AnalysisConfig
     from repro.bench import harness
     from repro.obs import ObsConfig, build_profile, render_profile
-    if experiment == "all":
-        exp_ids = list(harness.EXPERIMENTS)
-    elif experiment in harness.EXPERIMENTS:
-        exp_ids = [experiment]
-    else:
-        raise SystemExit(f"unknown experiment {experiment!r}; "
-                         f"try: all, {', '.join(harness.EXPERIMENTS)}")
+    exp_ids = list(harness.EXPERIMENTS) if experiment == "all" \
+        else [experiment]
     systems = ("tmk", "pvm") if system == "both" else (system,)
-    obs = ObsConfig(profile=True)
     sections = []
     for exp_id in exp_ids:
-        exp = harness.EXPERIMENTS[exp_id]
         for sysname in systems:
-            analysis = None
-            if sysname == "tmk":
-                # The false-sharing tracker feeds the mechanism breakdown.
-                from repro.analysis import AnalysisConfig
-                analysis = AnalysisConfig(false_sharing=True)
-            run = harness.run_cached(exp_id, sysname, nprocs, preset,
-                                     analysis=analysis, obs=obs)
+            try:
+                # The false-sharing tracker feeds tmk's mechanism breakdown.
+                config = api.RunConfig(
+                    experiment=exp_id, system=sysname, nprocs=nprocs,
+                    preset=preset, obs=ObsConfig(profile=True),
+                    analysis=(AnalysisConfig(false_sharing=True)
+                              if sysname == "tmk" else None))
+            except ValueError as exc:
+                raise SystemExit(str(exc))
+            label = harness.EXPERIMENTS[exp_id].label
             profile = build_profile(
-                run, label=f"{exp.label} ({preset}, {nprocs} procs)")
+                harness.run_cached(config),
+                label=f"{label} ({preset}, {nprocs} procs)")
             sections.append(render_profile(profile))
     return "\n\n".join(sections)
 

@@ -137,21 +137,6 @@ class Obs:
             self.profiler.note_fetch_round(pid, total_bytes, union_bytes)
 
     # ------------------------------------------------------------------
-    # Clock-advance hooks (installed in Processor's primitives)
-    # ------------------------------------------------------------------
-    def on_compute(self, pid: int, dt: float) -> None:
-        if self.profiler is not None:
-            self.profiler.on_advance(pid, dt)
-
-    def on_set_now(self, pid: int, dt: float) -> None:
-        if self.profiler is not None:
-            self.profiler.on_advance(pid, dt)
-
-    def on_service(self, pid: int, dt: float) -> None:
-        if self.profiler is not None:
-            self.profiler.on_service(pid, dt)
-
-    # ------------------------------------------------------------------
     # Run lifecycle
     # ------------------------------------------------------------------
     def on_measurement_start(self, procs: Sequence["Processor"],

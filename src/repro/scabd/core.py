@@ -172,12 +172,6 @@ class ScAbdCore:
     # ------------------------------------------------------------------
     # Application-facing access checks (same interface SharedArray uses)
     # ------------------------------------------------------------------
-    def ensure_valid_range(self, start: int, nbytes: int):
-        yield from self._ensure([(start, nbytes)], want_write=False)
-
-    def ensure_writable_range(self, start: int, nbytes: int):
-        yield from self._ensure([(start, nbytes)], want_write=True)
-
     def ensure_valid_runs(self, runs):
         yield from self._ensure(runs, want_write=False)
 

@@ -34,7 +34,7 @@ import hashlib
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.cache import ResultCache, canonical_json, default_cache_dir
 from repro.kernels import get_backend
@@ -48,8 +48,9 @@ from repro.serve.singleflight import SingleFlight
 
 __all__ = ["ReproServer"]
 
-_SYSTEMS = ("tmk", "pvm", "ivy")
-_PRESETS = ("tiny", "bench", "paper")
+#: Largest cluster one request may ask for (the server's own ceiling;
+#: everything else about a run's validity is ``RunConfig``'s call).
+_MAX_NPROCS = 64
 
 
 class _BadRequest(Exception):
@@ -259,7 +260,8 @@ class ReproServer:
 
     @staticmethod
     def _int_param(request: Request, name: str, default: int, *,
-                   minimum: int = 1, maximum: int = 100000) -> int:
+                   minimum: Optional[int] = None,
+                   maximum: int = 100000) -> int:
         raw = request.query.get(name)
         if raw is None:
             return default
@@ -267,14 +269,28 @@ class ReproServer:
             value = int(raw)
         except ValueError:
             raise _BadRequest(f"bad {name} {raw!r}")
-        if not minimum <= value <= maximum:
-            raise _BadRequest(
-                f"{name} must be in [{minimum}, {maximum}], got {value}")
+        if minimum is not None and value < minimum:
+            raise _BadRequest(f"{name} must be >= {minimum}, got {value}")
+        if value > maximum:
+            raise _BadRequest(f"{name} must be <= {maximum}, got {value}")
         return value
+
+    @staticmethod
+    def _nprocs_list(request: Request) -> Tuple[str, List[int]]:
+        raw = request.query.get("nprocs", "1,2,4,8")
+        try:
+            counts = [int(v) for v in raw.split(",") if v.strip()]
+        except ValueError:
+            counts = []
+        if not counts or max(counts) > _MAX_NPROCS:
+            raise _BadRequest(f"bad nprocs list {raw!r}")
+        return raw, counts
 
     @staticmethod
     def _choice(request: Request, name: str, default: str,
                 choices: Tuple[str, ...]) -> str:
+        """An endpoint's own narrowing of a parameter (``/figure`` has no
+        tiny preset, ``/profile`` takes ``system=both``)."""
         value = request.query.get(name, default)
         if value not in choices:
             raise _BadRequest(
@@ -282,16 +298,19 @@ class ReproServer:
         return value
 
     @staticmethod
-    def _experiment(request: Request) -> str:
-        exp = request.query.get("experiment")
-        if not exp:
+    def _admit(request: Request, *, system: str, nprocs: int,
+               preset: str) -> Any:
+        """The request's run point as a ``RunConfig`` -- the validator.
+        Its ``ValueError`` is the 400 body; nothing is re-derived here."""
+        from repro import api
+        experiment = request.query.get("experiment")
+        if not experiment:
             raise _BadRequest("missing ?experiment=")
-        from repro.bench import harness
-        if exp not in harness.EXPERIMENTS:
-            raise _BadRequest(
-                f"unknown experiment {exp!r} "
-                f"(have: {', '.join(harness.EXPERIMENTS)})")
-        return exp
+        try:
+            return api.RunConfig(experiment=experiment, system=system,
+                                 nprocs=nprocs, preset=preset)
+        except ValueError as exc:
+            raise _BadRequest(str(exc))
 
     @staticmethod
     def _logical_key(request: Request) -> str:
@@ -403,6 +422,18 @@ class ReproServer:
                                    classification=classification,
                                    cache_state="miss")
 
+    async def _compute_uncached(self, request: Request,
+                                payload: Dict[str, Any]) -> Response:
+        """Endpoints with no disk-cache read of their own: the cold path,
+        coalesced and degraded by the logical request."""
+        deadline_s = self._deadline_seconds(request)
+        inject = self._injection(request)
+        if inject is not None:
+            payload["inject"] = inject
+        logical = self._logical_key(request)
+        return await self._compute(request, logical, logical, payload,
+                                   deadline_s)
+
     async def _run_flight(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """The leader's computation (shared by every coalesced waiter)."""
         try:
@@ -428,32 +459,24 @@ class ReproServer:
     # ------------------------------------------------------------------
     async def _run_endpoint(self, request: Request) -> Response:
         from repro import api
-        experiment = self._experiment(request)
-        system = self._choice(request, "system", "tmk", _SYSTEMS)
-        nprocs = self._int_param(request, "nprocs", 8, maximum=64)
-        preset = self._choice(request, "preset", "bench", _PRESETS)
+        query = request.query
+        config = self._admit(
+            request, system=query.get("system", "tmk"),
+            nprocs=self._int_param(request, "nprocs", 8,
+                                   maximum=_MAX_NPROCS),
+            preset=query.get("preset", "bench"))
         deadline_s = self._deadline_seconds(request)
         inject = self._injection(request)
-        try:
-            config = api.RunConfig(experiment=experiment, system=system,
-                                   nprocs=nprocs, preset=preset)
-        except ValueError as exc:
-            raise _BadRequest(str(exc))
         logical = self._logical_key(request)
-        key = api.cache_key(config)
         if inject is None:
-            payload = self.cache.get(key)
-            if payload is not None:
-                try:
-                    result = api.RunResult.from_json(payload, cached=True,
-                                                     cache_key=key)
-                except (KeyError, ValueError):
-                    result = None
-                if result is not None:
-                    return self._respond_fresh(
-                        request, logical, result.to_json_bytes(),
-                        "application/json", classification="fresh",
-                        cache_state="hit")
+            key, result = api.lookup(config, self.cache)
+            if result is not None:
+                return self._respond_fresh(
+                    request, logical, result.to_json_bytes(),
+                    "application/json", classification="fresh",
+                    cache_state="hit")
+        else:
+            key = api.cache_key(config)
         task_payload = {"kind": "run", "config": config.to_json()}
         if inject is not None:
             task_payload["inject"] = inject
@@ -461,63 +484,36 @@ class ReproServer:
                                    deadline_s)
 
     async def _speedup_endpoint(self, request: Request) -> Response:
-        experiment = self._experiment(request)
-        system = self._choice(request, "system", "tmk", _SYSTEMS)
-        preset = self._choice(request, "preset", "bench", _PRESETS)
-        raw = request.query.get("nprocs", "1,2,4,8")
-        try:
-            nprocs_list = [int(v) for v in raw.split(",") if v.strip()]
-        except ValueError:
-            raise _BadRequest(f"bad nprocs list {raw!r}")
-        if not nprocs_list or any(not 1 <= n <= 64 for n in nprocs_list):
-            raise _BadRequest(f"bad nprocs list {raw!r}")
-        deadline_s = self._deadline_seconds(request)
-        inject = self._injection(request)
-        logical = self._logical_key(request)
-        payload = {"kind": "speedup", "experiment": experiment,
-                   "system": system, "nprocs_list": nprocs_list,
-                   "preset": preset}
-        if inject is not None:
-            payload["inject"] = inject
-        return await self._compute(request, logical, logical, payload,
-                                   deadline_s)
+        query = request.query
+        system = query.get("system", "tmk")
+        preset = query.get("preset", "bench")
+        _, nprocs_list = self._nprocs_list(request)
+        for n in nprocs_list:
+            self._admit(request, system=system, nprocs=n, preset=preset)
+        return await self._compute_uncached(request, {
+            "kind": "speedup", "experiment": query["experiment"],
+            "system": system, "nprocs_list": nprocs_list, "preset": preset})
 
     async def _figure_endpoint(self, request: Request) -> Response:
-        experiment = self._experiment(request)
         preset = self._choice(request, "preset", "bench",
                               ("bench", "paper"))
-        nprocs_csv = request.query.get("nprocs", "1,2,4,8")
-        try:
-            parsed = [int(v) for v in nprocs_csv.split(",")]
-        except ValueError:
-            raise _BadRequest(f"bad nprocs list {nprocs_csv!r}")
-        if not parsed or any(not 1 <= n <= 64 for n in parsed):
-            raise _BadRequest(f"bad nprocs list {nprocs_csv!r}")
-        deadline_s = self._deadline_seconds(request)
-        inject = self._injection(request)
-        logical = self._logical_key(request)
-        payload = {"kind": "figure", "experiment": experiment,
-                   "nprocs_csv": nprocs_csv, "preset": preset}
-        if inject is not None:
-            payload["inject"] = inject
-        return await self._compute(request, logical, logical, payload,
-                                   deadline_s)
+        nprocs_csv, nprocs_list = self._nprocs_list(request)
+        for n in nprocs_list:
+            self._admit(request, system="tmk", nprocs=n, preset=preset)
+        return await self._compute_uncached(request, {
+            "kind": "figure", "experiment": request.query["experiment"],
+            "nprocs_csv": nprocs_csv, "preset": preset})
 
     async def _profile_endpoint(self, request: Request) -> Response:
-        experiment = self._experiment(request)
         system = self._choice(request, "system", "both",
                               ("tmk", "pvm", "both"))
-        nprocs = self._int_param(request, "nprocs", 8, maximum=64)
-        preset = self._choice(request, "preset", "tiny", _PRESETS)
-        deadline_s = self._deadline_seconds(request)
-        inject = self._injection(request)
-        logical = self._logical_key(request)
-        payload = {"kind": "profile", "experiment": experiment,
-                   "system": system, "nprocs": nprocs, "preset": preset}
-        if inject is not None:
-            payload["inject"] = inject
-        return await self._compute(request, logical, logical, payload,
-                                   deadline_s)
+        nprocs = self._int_param(request, "nprocs", 8, maximum=_MAX_NPROCS)
+        preset = request.query.get("preset", "tiny")
+        self._admit(request, system="tmk" if system == "both" else system,
+                    nprocs=nprocs, preset=preset)
+        return await self._compute_uncached(request, {
+            "kind": "profile", "experiment": request.query["experiment"],
+            "system": system, "nprocs": nprocs, "preset": preset})
 
     async def _trace_endpoint(self, request: Request) -> Response:
         app = request.query.get("app")
@@ -528,14 +524,8 @@ class ReproServer:
             base.get_app(app)
         except (KeyError, ValueError) as exc:
             raise _BadRequest(str(exc))
-        nprocs = self._int_param(request, "nprocs", 2, maximum=64)
-        limit = self._int_param(request, "limit", 60)
-        deadline_s = self._deadline_seconds(request)
-        inject = self._injection(request)
-        logical = self._logical_key(request)
-        payload = {"kind": "trace", "app": app, "nprocs": nprocs,
-                   "limit": limit}
-        if inject is not None:
-            payload["inject"] = inject
-        return await self._compute(request, logical, logical, payload,
-                                   deadline_s)
+        nprocs = self._int_param(request, "nprocs", 2, minimum=1,
+                                 maximum=_MAX_NPROCS)
+        limit = self._int_param(request, "limit", 60, minimum=1)
+        return await self._compute_uncached(request, {
+            "kind": "trace", "app": app, "nprocs": nprocs, "limit": limit})

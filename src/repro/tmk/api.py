@@ -38,8 +38,6 @@ class TmkConfig:
 
     #: Size of the shared segment each processor mirrors.
     segment_bytes: int = 1 << 23
-    #: Which processor manages barrier episodes (TreadMarks: processor 0).
-    barrier_manager: int = 0
     #: Ablation: compose accumulated diffs into one before shipping (the
     #: paper's proposed remedy for diff accumulation on migratory data).
     coalesce_diffs: bool = False
@@ -95,7 +93,6 @@ class TmkSystem(DsmSystem):
         #: Every write notice of the run, filed once by its creator; each
         #: processor reads it through its own knowledge (host-side only).
         self.notices = NoticeIndex()
-        self.barrier_manager = config.barrier_manager
         if (config.barrier_kind == "dissemination"
                 and cluster.recovery is not None
                 and cluster.recovery.config.checkpoint_interval > 0):

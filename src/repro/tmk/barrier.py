@@ -40,6 +40,9 @@ __all__ = ["BarrierSubsystem", "DisseminationBarrierSubsystem",
 #: CPU cost of the local bookkeeping at a barrier (no-communication part).
 _LOCAL_BARRIER_CPU = 10e-6
 
+#: The barrier manager / tree root (TreadMarks: processor 0).
+_MANAGER = 0
+
 
 @dataclass
 class _Episode:
@@ -54,7 +57,14 @@ class _Episode:
 
 
 class BarrierSubsystem:
-    """Per-processor barrier logic."""
+    """Per-processor barrier logic.
+
+    :meth:`barrier` is the one episode skeleton (release at arrival,
+    acquire at departure, the observers' hooks); a topology supplies
+    :meth:`_rendezvous` and its ``_detail`` suffix for span details.
+    """
+
+    _detail = ""
 
     def __init__(self, proc: "Processor", core: "LrcCore",
                  system: "TmkSystem") -> None:
@@ -64,7 +74,6 @@ class BarrierSubsystem:
         self.pid = proc.pid
         self.cost = proc.cluster.cost
         self.nprocs = proc.cluster.nprocs
-        self.manager = system.barrier_manager
         #: The manager's vector time as of the last departure -- the
         #: client's estimate of what the manager already knows.
         self._last_barrier_vc: Tuple[int, ...] = (0,) * self.nprocs
@@ -103,17 +112,14 @@ class BarrierSubsystem:
         obs = proc.obs
         if obs is not None:
             obs.begin(proc.now, self.pid, "barrier", B_STALL_SYNC,
-                      f"bid={bid}")
+                      f"bid={bid}{self._detail}")
         sanitizer = self.core.sanitizer
         if sanitizer is not None:
             sanitizer.on_barrier_arrive(self.pid, bid)
         monitor = self.core.monitor
         if monitor is not None:
             monitor.on_barrier_arrive(self.pid, bid, proc.now)
-        if self.pid == self.manager:
-            yield from self._manager_arrive(bid, t_arrive)
-        else:
-            yield from self._client_arrive(bid, t_arrive)
+        yield from self._rendezvous(bid, t_arrive)
         self.wait_time += proc.now - t_arrive
         self.episodes_completed += 1
         if obs is not None:
@@ -123,6 +129,13 @@ class BarrierSubsystem:
             sanitizer.on_barrier_depart(self.pid, bid)
         if monitor is not None:
             monitor.on_barrier_depart(self.pid, bid, proc.now)
+
+    def _rendezvous(self, bid: int, t_arrive: float):
+        """Meet every other processor and merge what they wrote; returns
+        a generator (here the role's own, with no frame in between)."""
+        if self.pid == _MANAGER:
+            return self._manager_arrive(bid, t_arrive)
+        return self._client_arrive(bid)
 
     def _run_post_departure(self):
         """Execute any GC/checkpoint instruction the departure carried."""
@@ -144,7 +157,7 @@ class BarrierSubsystem:
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
-    def _client_arrive(self, bid: int, t_arrive: float):
+    def _client_arrive(self, bid: int):
         proc = self.proc
         records = self.core.records_since(self._last_barrier_vc)
         arrival = BarrierArrival(barrier=bid, pid=self.pid,
@@ -152,16 +165,16 @@ class BarrierSubsystem:
         obs = proc.obs
         if obs is not None:
             obs.begin(proc.now, self.pid, "send", B_WIRE,
-                      f"barrier_arrival->P{self.manager}")
+                      f"barrier_arrival->P{_MANAGER}")
         t_free = self.core.udp.send(
-            self.pid, self.manager, CAT_BARRIER_ARRIVAL, arrival,
+            self.pid, _MANAGER, CAT_BARRIER_ARRIVAL, arrival,
             arrival.nbytes(self.cost, self.nprocs), t_ready=proc.now)
         proc.set_now(t_free)
         if obs is not None:
             obs.end(proc.now, self.pid)
         self._waiting = True
         yield Block(f"barrier {bid}",
-                    f"P{self.manager} (barrier manager)")
+                    f"P{_MANAGER} (barrier manager)")
         self._waiting = False
         departure = self._departure
         self._departure = None
@@ -309,24 +322,21 @@ class TreeBarrierSubsystem(BarrierSubsystem):
     what any subtree member lacks; merging a known record again is a
     no-op, so correctness needs no per-member bookkeeping.
 
-    The root (the configured barrier manager) still makes the coordinated
+    The root (processor 0, the barrier manager) still makes the coordinated
     checkpoint decision, exactly like the central manager.  GC is not
     supported (validated in :class:`~repro.tmk.api.TmkConfig`).
     """
 
+    _detail = " tree"
+
     def __init__(self, proc: "Processor", core: "LrcCore",
                  system: "TmkSystem") -> None:
         super().__init__(proc, core, system)
-        n = self.nprocs
-        pos = (self.pid - self.manager) % n
-        self._pos = pos
-        if pos == 0:
-            self._parent: Optional[int] = None
-        else:
-            self._parent = (((pos - 1) // _TREE_ARITY) + self.manager) % n
-        first = _TREE_ARITY * pos + 1
-        self._children = [(p + self.manager) % n
-                          for p in range(first, min(first + _TREE_ARITY, n))]
+        self._parent: Optional[int] = (
+            (self.pid - 1) // _TREE_ARITY if self.pid != _MANAGER else None)
+        first = _TREE_ARITY * self.pid + 1
+        self._children = list(range(first, min(first + _TREE_ARITY,
+                                               self.nprocs)))
         #: bid -> number of episodes of that barrier this node completed.
         self._episode_no: Dict[int, int] = {}
         #: (bid, episode) -> in-flight episode state.
@@ -344,26 +354,9 @@ class TreeBarrierSubsystem(BarrierSubsystem):
             "waiting_departure": False,
         })
 
-    def barrier(self, bid: int):
+    def _rendezvous(self, bid: int, t_arrive: float):
         proc = self.proc
-        yield YIELD
-        self.core.close_interval()
-        proc.compute(_LOCAL_BARRIER_CPU)
-        t_arrive = proc.now
-        if self.nprocs == 1:
-            self.episodes_completed += 1
-            return
         obs = proc.obs
-        if obs is not None:
-            obs.begin(proc.now, self.pid, "barrier", B_STALL_SYNC,
-                      f"bid={bid} tree")
-        sanitizer = self.core.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_barrier_arrive(self.pid, bid)
-        monitor = self.core.monitor
-        if monitor is not None:
-            monitor.on_barrier_arrive(self.pid, bid, proc.now)
-
         episode = self._episode_no.get(bid, 0)
         self._episode_no[bid] = episode + 1
         state = self._tree_state(bid, episode)
@@ -454,16 +447,7 @@ class TreeBarrierSubsystem(BarrierSubsystem):
 
         self._last_barrier_vc = tuple(self.core.vc)
         del self._tree[(bid, episode)]
-        self.wait_time += proc.now - t_arrive
-        self.episodes_completed += 1
-        if obs is not None:
-            obs.end(proc.now, self.pid)
         proc.trace("barrier_depart", f"bid={bid} tree")
-        yield from self._run_post_departure()
-        if sanitizer is not None:
-            sanitizer.on_barrier_depart(self.pid, bid)
-        if monitor is not None:
-            monitor.on_barrier_depart(self.pid, bid, proc.now)
 
     # -- handlers ------------------------------------------------------
     def _on_tree_arrival(self, delivery: Delivery) -> None:
@@ -511,6 +495,8 @@ class DisseminationBarrierSubsystem(BarrierSubsystem):
     and :class:`~repro.tmk.api.TmkSystem`.
     """
 
+    _detail = " dissemination"
+
     def __init__(self, proc: "Processor", core: "LrcCore",
                  system: "TmkSystem") -> None:
         super().__init__(proc, core, system)
@@ -525,26 +511,9 @@ class DisseminationBarrierSubsystem(BarrierSubsystem):
         self._waiting_key: Optional[Tuple[int, int, int]] = None
         proc.register(CAT_DISS_ROUND, self._on_round)
 
-    def barrier(self, bid: int):
+    def _rendezvous(self, bid: int, t_arrive: float):
         proc = self.proc
-        yield YIELD
-        self.core.close_interval()
-        proc.compute(_LOCAL_BARRIER_CPU)
-        t_arrive = proc.now
-        if self.nprocs == 1:
-            self.episodes_completed += 1
-            return
         obs = proc.obs
-        if obs is not None:
-            obs.begin(proc.now, self.pid, "barrier", B_STALL_SYNC,
-                      f"bid={bid} dissemination")
-        sanitizer = self.core.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_barrier_arrive(self.pid, bid)
-        monitor = self.core.monitor
-        if monitor is not None:
-            monitor.on_barrier_arrive(self.pid, bid, proc.now)
-
         episode = self._episode_no.get(bid, 0)
         self._episode_no[bid] = episode + 1
         n = self.nprocs
@@ -583,15 +552,7 @@ class DisseminationBarrierSubsystem(BarrierSubsystem):
             self.core.merge(incoming.records, incoming.vc)
 
         self._last_barrier_vc = tuple(self.core.vc)
-        self.wait_time += proc.now - t_arrive
-        self.episodes_completed += 1
-        if obs is not None:
-            obs.end(proc.now, self.pid)
         proc.trace("barrier_depart", f"bid={bid} dissemination")
-        if sanitizer is not None:
-            sanitizer.on_barrier_depart(self.pid, bid)
-        if monitor is not None:
-            monitor.on_barrier_depart(self.pid, bid, proc.now)
 
     def _on_round(self, delivery: Delivery) -> None:
         msg: DissRound = delivery.payload

@@ -344,46 +344,42 @@ class LrcCore:
     def ensure_valid_runs(self, runs):
         """Validate every page the access touches (LRC pages are never
         stolen, so run-by-run handling is race-free)."""
+        pt = self.pt
+        psize = pt.page_size
+        valid = pt.valid
         for start, nbytes in runs:
-            yield from self.ensure_valid_range(start, nbytes)
+            if nbytes <= 0:
+                continue
+            first = start // psize
+            last = (start + nbytes - 1) // psize
+            # Fast path: one kernel scan instead of a per-page Python
+            # loop.  Only the all-valid outcome may short-circuit -- once
+            # a fault yields, eager-RC notices can invalidate *later*
+            # pages of the range while we wait, so the slow path
+            # re-checks each page.
+            if not self.kernels.fault_scan(valid, first, last + 1):
+                continue
+            for page in range(first, last + 1):
+                if not valid[page]:
+                    yield from self._fault(page)
 
     def ensure_writable_runs(self, runs):
+        """Validate and twin every page the access touches."""
+        pt = self.pt
+        valid = pt.valid
         for start, nbytes in runs:
-            yield from self.ensure_writable_range(start, nbytes)
-
-    def ensure_valid_range(self, start: int, nbytes: int):
-        pt = self.pt
-        if nbytes <= 0:
-            return
-        first = start // pt.page_size
-        last = (start + nbytes - 1) // pt.page_size
-        # Fast path: one kernel scan instead of a per-page Python loop.
-        # Only the all-valid outcome may short-circuit -- once a fault
-        # yields, eager-RC notices can invalidate *later* pages of the
-        # range while we wait, so the slow path re-checks each page.
-        if not self.kernels.fault_scan(pt.valid, first, last + 1):
-            return
-        valid = pt.valid
-        for page in range(first, last + 1):
-            if not valid[page]:
-                yield from self._fault(page)
-
-    def ensure_writable_range(self, start: int, nbytes: int):
-        """Validate and twin every page in the range before a write."""
-        pt = self.pt
-        valid = pt.valid
-        for page in pt.pages_for_range(start, nbytes):
-            if not valid[page]:
-                yield from self._fault(page)
-            if not pt.has_twin(page):
-                obs = self.proc.obs
-                if obs is not None:
-                    obs.begin(self.proc.now, self.pid, "twin", B_PROTOCOL,
-                              f"page={page}")
-                self.pt.make_twin(page)
-                self.proc.compute(self.cost.twin_cpu)
-                if obs is not None:
-                    obs.end(self.proc.now, self.pid)
+            for page in pt.pages_for_range(start, nbytes):
+                if not valid[page]:
+                    yield from self._fault(page)
+                if not pt.has_twin(page):
+                    obs = self.proc.obs
+                    if obs is not None:
+                        obs.begin(self.proc.now, self.pid, "twin",
+                                  B_PROTOCOL, f"page={page}")
+                    pt.make_twin(page)
+                    self.proc.compute(self.cost.twin_cpu)
+                    if obs is not None:
+                        obs.end(self.proc.now, self.pid)
 
     def _fault(self, page: int):
         """Bring an invalidated page up to date by fetching missing diffs.

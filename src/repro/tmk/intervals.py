@@ -54,10 +54,6 @@ class IntervalRecord:
             return self.seq < other.seq
         return other.vc[self.creator] > self.seq
 
-    def sort_key(self) -> Tuple[Tuple[int, ...], int]:
-        """Total order consistent with happens-before (for diff application)."""
-        return (self.vc, self.creator)
-
 
 class NoticeIndex:
     """Every write notice of one run, filed once: page -> creator -> records.

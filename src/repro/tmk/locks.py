@@ -62,7 +62,14 @@ class _HolderState:
 
 
 class LockSubsystem:
-    """Per-processor lock logic (manager + holder + acquirer roles)."""
+    """Per-processor lock logic (manager + holder + acquirer roles).
+
+    :meth:`acquire` is the one acquire skeleton (local re-acquire fast
+    path, grant merge, the observers' hooks); a protocol supplies
+    :meth:`_request_grant` and its ``_detail`` suffix for span details.
+    """
+
+    _detail = ""
 
     def __init__(self, proc: "Processor", core: "LrcCore",
                  system: "TmkSystem") -> None:
@@ -118,19 +125,38 @@ class LockSubsystem:
                 self.core.sanitizer.on_lock_acquired(self.pid, lock)
             return
 
-        box = proc.mailbox()
-        request = LockRequest(lock=lock, requester=self.pid,
-                              vc=tuple(self.core.vc), reply=box)
-        manager = self.system.lock_manager(lock)
         state.awaiting = True
         t_wait_start = proc.now
         if obs is not None:
             obs.begin(proc.now, self.pid, "lock_acquire", B_STALL_SYNC,
-                      f"lock={lock}")
+                      f"lock={lock}{self._detail}")
+        grant: LockGrant = yield from self._request_grant(lock)
+        self.wait_time += proc.now - t_wait_start
+        self.core.merge(grant.records, grant.vc, piggybacked=grant.diffs)
+        state.awaiting = False
+        state.owns = True
+        state.holding = True
+        if obs is not None:
+            obs.end(proc.now, self.pid)
+        proc.trace("lock_acquire",
+                   f"lock={lock} from=P{grant.granter}{self._detail} "
+                   f"notices={sum(len(r.pages) for r in grant.records)}")
+        if self.core.sanitizer is not None:
+            self.core.sanitizer.on_lock_acquired(self.pid, lock, grant)
+
+    def _request_grant(self, lock: int):
+        """Ask for the lock; returns the generator that waits for (and
+        returns) its grant -- the mailbox's own, no frame in between."""
+        proc = self.proc
+        box = proc.mailbox()
+        request = LockRequest(lock=lock, requester=self.pid,
+                              vc=tuple(self.core.vc), reply=box)
+        manager = self.system.lock_manager(lock)
         if manager == self.pid:
             # We manage this lock: route straight to the last requester.
             self._route(request, at=proc.now, charge_thread=True)
         else:
+            obs = proc.obs
             if obs is not None:
                 obs.begin(proc.now, self.pid, "send", B_WIRE,
                           f"lock_request->P{manager}")
@@ -140,19 +166,7 @@ class LockSubsystem:
             proc.set_now(t_free)
             if obs is not None:
                 obs.end(proc.now, self.pid)
-        grant: LockGrant = yield from box.wait(f"grant of lock {lock}")
-        self.wait_time += proc.now - t_wait_start
-        self.core.merge(grant.records, grant.vc, piggybacked=grant.diffs)
-        state.awaiting = False
-        state.owns = True
-        state.holding = True
-        if obs is not None:
-            obs.end(proc.now, self.pid)
-        proc.trace("lock_acquire",
-                   f"lock={lock} from=P{grant.granter} "
-                   f"notices={sum(len(r.pages) for r in grant.records)}")
-        if self.core.sanitizer is not None:
-            self.core.sanitizer.on_lock_acquired(self.pid, lock, grant)
+        return box.wait(f"grant of lock {lock}")
 
     def release(self, lock: int):
         proc = self.proc
@@ -377,6 +391,8 @@ class McsLockSubsystem(LockSubsystem):
     remain byte-identical to the seed.
     """
 
+    _detail = " mcs"
+
     def __init__(self, proc: "Processor", core: "LrcCore",
                  system: "TmkSystem") -> None:
         super().__init__(proc, core, system)
@@ -398,33 +414,9 @@ class McsLockSubsystem(LockSubsystem):
     # ------------------------------------------------------------------
     # Application interface (remote-acquire path replaced)
     # ------------------------------------------------------------------
-    def acquire(self, lock: int):
+    def _request_grant(self, lock: int):
         proc = self.proc
-        yield YIELD
-        self.core.close_interval()
-        state = self._lock_state(lock)
-        self.acquires += 1
-        if state.holding:
-            raise RuntimeError(f"P{self.pid}: recursive acquire of lock {lock}")
         obs = proc.obs
-        if state.owns:
-            # Last holder re-acquiring: free, no messages, no new notices.
-            state.holding = True
-            proc.compute(_LOCAL_LOCK_CPU)
-            self.local_acquires += 1
-            proc.trace("lock_acquire", f"lock={lock} local")
-            if obs is not None:
-                obs.instant(proc.now, self.pid, "lock_local",
-                            f"lock={lock}")
-            if self.core.sanitizer is not None:
-                self.core.sanitizer.on_lock_acquired(self.pid, lock)
-            return
-
-        state.awaiting = True
-        t_wait_start = proc.now
-        if obs is not None:
-            obs.begin(proc.now, self.pid, "lock_acquire", B_STALL_SYNC,
-                      f"lock={lock} mcs")
         manager = self.system.lock_manager(lock)
         if manager == self.pid:
             # We manage this lock: the tail swap is a local operation.
@@ -462,20 +454,7 @@ class McsLockSubsystem(LockSubsystem):
         proc.set_now(t_free)
         if obs is not None:
             obs.end(proc.now, self.pid)
-        grant: LockGrant = yield from grant_box.wait(
-            f"grant of lock {lock}")
-        self.wait_time += proc.now - t_wait_start
-        self.core.merge(grant.records, grant.vc, piggybacked=grant.diffs)
-        state.awaiting = False
-        state.owns = True
-        state.holding = True
-        if obs is not None:
-            obs.end(proc.now, self.pid)
-        proc.trace("lock_acquire",
-                   f"lock={lock} from=P{grant.granter} mcs "
-                   f"notices={sum(len(r.pages) for r in grant.records)}")
-        if self.core.sanitizer is not None:
-            self.core.sanitizer.on_lock_acquired(self.pid, lock, grant)
+        return (yield from grant_box.wait(f"grant of lock {lock}"))
 
     # ------------------------------------------------------------------
     # Crash recovery

@@ -264,16 +264,6 @@ class SharedArray:
         runs.append((run_start, run_end - run_start))
         return runs
 
-    def _range_of(self, key: Any) -> Tuple[int, int]:
-        """Envelope byte range (first to last touched byte) of a selection;
-        kept for size reporting and tests."""
-        runs = self._touched_runs(key)
-        if not runs:
-            return self.addr, 0
-        start = min(r[0] for r in runs)
-        end = max(r[0] + r[1] for r in runs)
-        return start, end - start
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
@@ -393,7 +383,7 @@ class SharedArray:
             end = start + nbytes
             while pos < end:
                 piece = min(end, (pos // page + 1) * page) - pos
-                yield from core.ensure_writable_range(pos, piece)
+                yield from core.ensure_writable_runs(((pos, piece),))
                 mem[pos: pos + piece] = flat[at: at + piece]
                 at += piece
                 pos += piece

@@ -1,0 +1,207 @@
+"""A run is admitted once: ``RunConfig`` is the only validator.
+
+One table of rejected requests; every surface that can express a row --
+``RunConfig(...)``, ``RunConfig.from_json(...)``, ``repro run ...`` and
+``GET /run?...`` -- must fail with the *same* message (``ValueError`` /
+``SystemExit`` / 400).  Plus the pins that keep the single spelling
+honest: ``to_json()`` bytes and cache keys recorded at the parent commit
+(hand-written codec, 11-parameter ``run_cached``), and the one-parameter
+``run_cached`` signature.
+"""
+
+import asyncio
+import hashlib
+import inspect
+import json
+
+import pytest
+
+from repro import api
+from repro.analysis import AnalysisConfig
+from repro.apps.ep import EpParams
+from repro.bench import harness
+from repro.bench.cache import ResultCache, canonical_json
+from repro.bench.sweep import sweep_configs
+from repro.cli import main
+from repro.obs import ObsConfig
+from repro.scabd import ReplicationConfig
+from repro.serve import ReproServer, ServeConfig
+from repro.serve.http import read_response, render_request
+from repro.sim.costmodel import CostModel
+from repro.sim.faults import FaultPlan
+from repro.sim.recovery import RecoveryConfig
+
+KNOWN = ", ".join(f"fig{n:02d}" for n in range(1, 13))
+CRASH_7 = FaultPlan(crash_at=((7, 0.5),))
+
+#: (id, RunConfig kwargs, message, ``repro run`` argv or None, /run query
+#: or None) -- None where the surface cannot spell the request (argparse
+#: ``choices`` stop an unknown system/preset before ``cmd_run``; the
+#: serve query has no fault/analysis parameters).
+REJECTED = [
+    ("unknown-experiment", dict(experiment="nope"),
+     f"unknown experiment 'nope'; try: {KNOWN}",
+     ["nope"], "experiment=nope"),
+    ("unknown-system", dict(experiment="fig02", system="mpi"),
+     "system must be one of ('tmk', 'pvm', 'ivy'), got 'mpi'",
+     None, "experiment=fig02&system=mpi"),
+    ("unknown-preset", dict(experiment="fig02", preset="huge"),
+     "preset must be one of ('tiny', 'bench', 'paper'), got 'huge'",
+     None, "experiment=fig02&preset=huge"),
+    ("nprocs-zero", dict(experiment="fig02", nprocs=0),
+     "nprocs must be >= 1, got 0",
+     ["fig02", "--nprocs", "0"], "experiment=fig02&nprocs=0"),
+    ("sanitizer-on-pvm",
+     dict(experiment="fig02", system="pvm",
+          analysis=AnalysisConfig(race_check="strict")),
+     "the sanitizer requires system='tmk', got 'pvm'",
+     ["fig02", "--system", "pvm", "--race-check", "strict"], None),
+    ("replication-on-pvm",
+     dict(experiment="fig02", system="pvm",
+          replication=ReplicationConfig()),
+     "replication (failure masking) requires system='tmk', got 'pvm'",
+     ["fig02", "--system", "pvm", "--ft-mode", "mask"], None),
+    ("replication-with-sanitizer",
+     dict(experiment="fig02", replication=ReplicationConfig(),
+          analysis=AnalysisConfig(false_sharing=True)),
+     "the sanitizer cannot run under quorum replication",
+     ["fig02", "--ft-mode", "mask", "--false-sharing-report"], None),
+    ("replication-with-checkpointing",
+     dict(experiment="fig02", replication=ReplicationConfig(),
+          recovery=RecoveryConfig(checkpoint_interval=0.25)),
+     "masking and rollback are alternatives: replication cannot be "
+     "combined with checkpointing (checkpoint_interval > 0)",
+     ["fig02", "--ft-mode", "mask", "--checkpoint-interval", "0.25"], None),
+    ("crash-node-beyond-nprocs",
+     dict(experiment="fig02", nprocs=4, faults=CRASH_7),
+     "crash node 7 out of range: the run has 4 processors",
+     ["fig02", "--nprocs", "4", "--crash", "7@0.5"], None),
+    ("crash-node-beyond-replicas",
+     dict(experiment="fig02", nprocs=4, faults=CRASH_7,
+          replication=ReplicationConfig(replicas=3)),
+     "crash node 7 out of range: the run has 7 processors "
+     "(4 application + 3 replica)",
+     ["fig02", "--nprocs", "4", "--crash", "7@0.5", "--ft-mode", "mask"],
+     None),
+]
+
+ROWS = pytest.mark.parametrize(
+    "kwargs, message, argv, query",
+    [pytest.param(*row[1:], id=row[0]) for row in REJECTED])
+
+
+@ROWS
+def test_rejected_at_construction(kwargs, message, argv, query):
+    with pytest.raises(ValueError) as exc:
+        api.RunConfig(**kwargs)
+    assert str(exc.value) == message
+
+
+@ROWS
+def test_rejected_from_json(kwargs, message, argv, query):
+    wire = json.loads(json.dumps(
+        {name: api._jsonify(value) for name, value in kwargs.items()}))
+    with pytest.raises(ValueError) as exc:
+        api.RunConfig.from_json(wire)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [pytest.param(row[3], row[2], id=row[0]) for row in REJECTED if row[3]])
+def test_rejected_by_cli(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["run"] + argv)
+    assert str(exc.value) == message
+
+
+def test_rejected_by_serve(tmp_path):
+    expected = {query: message for _, _, message, _, query in REJECTED
+                if query is not None}
+
+    async def scenario():
+        server = ReproServer(ServeConfig(port=0, workers=1),
+                             cache_dir=str(tmp_path))
+        await server.start(prewarm=False)
+        try:
+            for query, message in expected.items():
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(render_request("GET", "/run?" + query))
+                await writer.drain()
+                response = await asyncio.wait_for(read_response(reader), 30)
+                writer.close()
+                assert response.status == 400, query
+                assert json.loads(response.body) == {"error": message}
+        finally:
+            await server.stop()
+
+    assert len(expected) == 4
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# One spelling: pins recorded at the parent commit (8869607)
+# ----------------------------------------------------------------------
+ALL_OPTIONS = api.RunConfig(
+    experiment="fig02", system="tmk", nprocs=3, preset="tiny",
+    faults=FaultPlan(seed=7, loss=0.1,
+                     categories=frozenset({"diff_req", "lock_req"}),
+                     window=(0.0, 1.5), slow_nodes=((1, 2.0),),
+                     crash_at=((1, 0.5),)),
+    recovery=RecoveryConfig(checkpoint_interval=0.25),
+    analysis=AnalysisConfig(race_check="report", false_sharing=True),
+    obs=ObsConfig(timeline=True, cap=64),
+    cost=CostModel(udp_mtu=1500),
+    invariants=True)
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_to_json_and_cache_key_bytes_are_the_parents(monkeypatch):
+    # The key covers the source tree, which this very PR edits: pin it
+    # with the fingerprint held fixed, as it was when recording.
+    monkeypatch.setattr(api, "source_fingerprint", lambda: "pinned")
+    configs = sweep_configs() + [ALL_OPTIONS]
+    assert len(configs) == 25
+    assert _sha256(canonical_json(c.to_json()) for c in configs) == \
+        "bf6130194fe730d4cc9ac804300a7c97a91d5c37e54ff5995fdd00a0f074c1a5"
+    assert _sha256(api.cache_key(c) for c in configs) == \
+        "801eb430a9e255e6f72e5e6ed88777dfab836d7e68fda9a7ce376cc4063c25e9"
+    assert api.cache_key(ALL_OPTIONS) == \
+        "d0f56e884db6e0bf9059355e913151dd99bdcb0acdc0167c98fa290fe05c805e"
+
+
+def test_all_options_round_trip_through_the_wire():
+    wire = json.loads(json.dumps(ALL_OPTIONS.to_json()))
+    assert api.RunConfig.from_json(wire) == ALL_OPTIONS
+
+
+def test_run_cached_takes_exactly_the_config():
+    assert list(inspect.signature(harness.run_cached).parameters) == \
+        ["config"]
+
+
+def test_cold_run_puts_once_and_lookup_finds_it(tmp_path, monkeypatch):
+    exp = harness.EXPERIMENTS["fig01"]
+    monkeypatch.setitem(harness.EXPERIMENTS, "fig01", harness.Experiment(
+        exp.exp_id, exp.label, exp.app, exp.figure, EpParams.tiny(),
+        EpParams.tiny(), exp.size_note))
+    harness.clear_cache()
+    puts = []
+    real_put = ResultCache.put
+    monkeypatch.setattr(
+        ResultCache, "put",
+        lambda self, key, payload: (puts.append(key),
+                                    real_put(self, key, payload))[1])
+    cache = ResultCache(tmp_path)
+    config = api.RunConfig(experiment="fig01", nprocs=2)
+    assert api.lookup(config, cache) == (api.cache_key(config), None)
+    cold = api.run(config, cache=cache)
+    assert cold.parallel is not None and puts == [cold.cache_key]
+    key, warm = api.lookup(config, cache)
+    assert key == cold.cache_key and warm.cached and warm.parallel is None
+    assert warm.to_json_bytes() == cold.to_json_bytes()
+    harness.clear_cache()

@@ -178,7 +178,7 @@ class TestRunFacade:
         assert not (tmp_path / "never").exists()
 
     def test_rejects_all(self):
-        with pytest.raises(ValueError, match="single experiment"):
+        with pytest.raises(ValueError, match="unknown experiment 'all'"):
             api.run(api.RunConfig(experiment="all"))
 
     def test_seq_time_cached(self, tiny_ep, tmp_path):

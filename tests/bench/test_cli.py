@@ -328,7 +328,7 @@ class TestMaskingCommands:
                     checkpoint_every=0.01)
 
     def test_mask_requires_tmk(self):
-        with pytest.raises(SystemExit, match="requires --system tmk"):
+        with pytest.raises(SystemExit, match="requires system='tmk'"):
             cmd_run("fig01", "pvm", 2, "bench", ft_mode="mask")
 
     def test_mask_rejects_sanitizer(self):
@@ -337,7 +337,7 @@ class TestMaskingCommands:
                     race_check="report")
 
     def test_mask_rejects_bad_replicas(self):
-        with pytest.raises(SystemExit, match="bad --replicas"):
+        with pytest.raises(SystemExit, match="replicas must be >= 1"):
             cmd_run("fig01", "tmk", 2, "bench", ft_mode="mask", replicas=0)
 
     def test_main_run_with_mask_flags(self, tiny_ep, capsys):

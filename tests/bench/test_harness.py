@@ -53,8 +53,8 @@ class TestCaching:
             EpParams.tiny(), EpParams.tiny(), exp.size_note)
         harness.EXPERIMENTS["fig01"] = tiny
         try:
-            first = harness.run_cached("fig01", "tmk", 2)
-            second = harness.run_cached("fig01", "tmk", 2)
+            first = harness.run_cached(api.RunConfig("fig01", "tmk", 2))
+            second = harness.run_cached(api.RunConfig("fig01", "tmk", 2))
             assert first is second
         finally:
             harness.EXPERIMENTS["fig01"] = exp
@@ -80,7 +80,7 @@ class TestCaching:
             EpParams.tiny(), EpParams.tiny(), exp.size_note)
         harness.EXPERIMENTS["fig01"] = tiny
         try:
-            run = harness.run_cached("fig01", "pvm", 2)
+            run = harness.run_cached(api.RunConfig("fig01", "pvm", 2))
             assert run.result is not None
         finally:
             harness.EXPERIMENTS["fig01"] = exp

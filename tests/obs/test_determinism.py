@@ -13,6 +13,7 @@ trusting any profile:
 import numpy as np
 import pytest
 
+from repro.api import RunConfig
 from repro.apps import base
 from repro.bench import harness
 from repro.obs import ObsConfig
@@ -72,7 +73,8 @@ def test_all_configs_unperturbed_tmk_and_pvm():
     by comparing each observed run against a plain one."""
     for exp_id, exp in harness.EXPERIMENTS.items():
         for system in ("tmk", "pvm"):
-            observed = harness.run_cached(exp_id, system, 4, "tiny", obs=OBS)
+            observed = harness.run_cached(
+                RunConfig(exp_id, system, 4, "tiny", obs=OBS))
             plain = base.run_parallel(exp.app, system, 4, exp.tiny_params)
             assert observed.time == plain.time, (exp_id, system)
             assert stats_key(observed) == stats_key(plain), (exp_id, system)

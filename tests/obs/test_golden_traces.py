@@ -21,6 +21,7 @@ import pathlib
 
 import pytest
 
+from repro.api import RunConfig
 from repro.bench import harness
 from repro.obs import ObsConfig
 
@@ -30,7 +31,8 @@ OBS = ObsConfig(timeline=True, profile=True)
 
 
 def fingerprint(exp_id: str, system: str) -> dict:
-    run = harness.run_cached(exp_id, system, NPROCS, "tiny", obs=OBS)
+    run = harness.run_cached(
+        RunConfig(exp_id, system, NPROCS, "tiny", obs=OBS))
     return {
         "digest": run.timeline.digest(),
         "time_us": round(run.time * 1e6, 3),

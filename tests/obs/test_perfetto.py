@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import RunConfig
 from repro.bench import harness
 from repro.obs import (ObsConfig, Timeline, to_chrome_trace,
                        validate_chrome_trace, write_chrome_trace)
@@ -111,7 +112,7 @@ class TestValidator:
 def test_real_run_exports_valid_trace(tmp_path):
     """Acceptance: a simulated run's exported trace passes validation
     and survives a JSON round trip."""
-    run = harness.run_cached("fig02", "tmk", 4, "tiny", obs=OBS)
+    run = harness.run_cached(RunConfig("fig02", "tmk", 4, "tiny", obs=OBS))
     path = tmp_path / "sor.json"
     write_chrome_trace(run.timeline, str(path), label="SOR-Zero tmk x4")
     loaded = json.loads(path.read_text())
@@ -125,8 +126,8 @@ def test_real_run_exports_valid_trace(tmp_path):
 
 def test_capped_run_still_valid():
     run_id = ("fig08", "tmk", 4)
-    run = harness.run_cached(*run_id, "tiny",
-                             obs=ObsConfig(timeline=True, cap=64))
+    run = harness.run_cached(RunConfig(
+        *run_id, "tiny", obs=ObsConfig(timeline=True, cap=64)))
     trace = to_chrome_trace(run.timeline)
     assert validate_chrome_trace(trace) == []
     assert trace["otherData"]["dropped_events"] > 0

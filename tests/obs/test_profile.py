@@ -8,6 +8,7 @@ nothing but the assertion itself).
 
 import pytest
 
+from repro.api import RunConfig
 from repro.apps import base
 from repro.bench import harness
 from repro.obs import (BUCKETS, MechanismAttribution, ObsConfig, TimeProfiler,
@@ -129,7 +130,7 @@ class TestBuildProfile:
 @pytest.mark.parametrize("exp_id", ["fig02", "fig06", "fig08"])
 def test_buckets_sum_to_measured(exp_id, system):
     """Acceptance: per-processor buckets sum to measured time (+-1us)."""
-    run = harness.run_cached(exp_id, system, 4, "tiny", obs=OBS)
+    run = harness.run_cached(RunConfig(exp_id, system, 4, "tiny", obs=OBS))
     profile = build_profile(run)
     assert len(profile.processors) == 4
     for proc in profile.processors:
@@ -147,9 +148,9 @@ def test_buckets_sum_to_measured(exp_id, system):
 
 def test_tmk_mechanism_attribution_consistent():
     from repro.analysis import AnalysisConfig
-    run = harness.run_cached("fig02", "tmk", 4, "tiny",
-                             analysis=AnalysisConfig(false_sharing=True),
-                             obs=OBS)
+    run = harness.run_cached(RunConfig(
+        "fig02", "tmk", 4, "tiny",
+        analysis=AnalysisConfig(false_sharing=True), obs=OBS))
     profile = build_profile(run, label="SOR-Zero")
     mech = profile.mechanisms
     assert isinstance(mech, MechanismAttribution)
@@ -167,7 +168,7 @@ def test_tmk_mechanism_attribution_consistent():
 
 
 def test_pvm_has_no_mechanism_section():
-    run = harness.run_cached("fig02", "pvm", 4, "tiny", obs=OBS)
+    run = harness.run_cached(RunConfig("fig02", "pvm", 4, "tiny", obs=OBS))
     profile = build_profile(run)
     assert profile.mechanisms is None
     assert "stall-on-data" not in render_profile(profile)
