@@ -250,21 +250,10 @@ class RunResult:
         import hashlib
         return '"' + hashlib.sha256(self.to_json_bytes()).hexdigest() + '"'
 
+    # The serialized fields are the ``compare=True`` ones, both ways.
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "experiment": self.experiment,
-            "system": self.system,
-            "nprocs": self.nprocs,
-            "preset": self.preset,
-            "time": self.time,
-            "seq_time": self.seq_time,
-            "messages": self.messages,
-            "kbytes": self.kbytes,
-            "link_utilization": self.link_utilization,
-            "recovery": self.recovery,
-            "replication": self.replication,
-        }
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self) if f.compare}
 
     def to_json_bytes(self) -> bytes:
         """Canonical encoding (the unit of byte-identity comparisons)."""
@@ -277,21 +266,13 @@ class RunResult:
             raise ValueError(
                 f"RunResult schema {data.get('schema_version')!r} != "
                 f"{RESULT_SCHEMA_VERSION}")
-        return cls(
-            experiment=data["experiment"],
-            system=data["system"],
-            nprocs=data["nprocs"],
-            preset=data["preset"],
-            time=data["time"],
-            seq_time=data["seq_time"],
-            messages=data["messages"],
-            kbytes=data["kbytes"],
-            link_utilization=data.get("link_utilization", 0.0),
-            recovery=data.get("recovery"),
-            replication=data.get("replication"),
-            cached=cached,
-            cache_key=cache_key,
-        )
+        # A required field missing from ``data`` is a KeyError, which
+        # :func:`lookup` reads as a miss.
+        return cls(**{f.name: (data[f.name]
+                               if f.default is dataclasses.MISSING
+                               else data.get(f.name, f.default))
+                      for f in dataclasses.fields(cls) if f.compare},
+                   cached=cached, cache_key=cache_key)
 
 
 # ----------------------------------------------------------------------

@@ -30,13 +30,14 @@ the paper's full problem sizes (slow).
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 __all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.apps.base import SYSTEMS
+    from repro.bench.harness import PRESETS
     parser = argparse.ArgumentParser(
         prog="repro",
         description="TreadMarks vs PVM on a simulated network of "
@@ -67,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment configuration")
     run.add_argument("experiment", help="experiment id (fig01..fig12)")
-    run.add_argument("--system", choices=("tmk", "pvm"), default="tmk")
+    run.add_argument("--system", choices=SYSTEMS, default="tmk")
     run.add_argument("--nprocs", type=int, default=8)
-    run.add_argument("--preset", choices=("bench", "paper"), default="bench")
+    run.add_argument("--preset", choices=PRESETS, default="bench")
     run.add_argument("--race-check", choices=("off", "report", "strict"),
                      default="off",
                      help="happens-before race detection (tmk only): "
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="runtime to explore ('scabd' = TreadMarks "
                              "programs over SC-ABD quorum replication)")
     verify.add_argument("--nprocs", type=int, default=3)
-    verify.add_argument("--preset", choices=("tiny", "bench", "paper"),
+    verify.add_argument("--preset", choices=PRESETS,
                         default="tiny")
     verify.add_argument("--schedules", type=int, default=25,
                         help="schedules to explore (default 25)")
@@ -139,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="experiment ids (fig01..fig12), or 'all'")
     sweep.add_argument("--systems", default="tmk,pvm",
                        help="comma-separated systems (default: tmk,pvm)")
-    sweep.add_argument("--nprocs", default="8",
+    sweep.add_argument("--nprocs", type=nprocs_list, default=(8,),
                        help="comma-separated processor counts (default: 8)")
-    sweep.add_argument("--preset", choices=("tiny", "bench", "paper"),
+    sweep.add_argument("--preset", choices=PRESETS,
                        default="bench")
     sweep.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: the CPU count)")
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser("figure", help="render one paper figure")
     figure.add_argument("experiment", help="experiment id (fig01..fig12)")
-    figure.add_argument("--nprocs", default="1,2,4,8",
+    figure.add_argument("--nprocs", type=nprocs_list, default=(1, 2, 4, 8),
                         help="comma-separated processor counts")
     figure.add_argument("--preset", choices=("bench", "paper"),
                         default="bench")
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--system", choices=("tmk", "pvm", "both"),
                          default="both")
     profile.add_argument("--nprocs", type=int, default=8)
-    profile.add_argument("--preset", choices=("tiny", "bench", "paper"),
+    profile.add_argument("--preset", choices=PRESETS,
                          default="tiny")
     return parser
 
@@ -252,6 +253,16 @@ def checkpoint_interval(text: str) -> float:
         raise _argparse.ArgumentTypeError(
             f"checkpoint interval must be >= 0, got {value}")
     return value
+
+
+def nprocs_list(text: str) -> Tuple[int, ...]:
+    """argparse type for ``--nprocs N,N,...``."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"malformed processor counts {text!r}: expected comma-separated "
+            "integers (e.g. 1,2,4,8)")
 
 
 def fault_plan(loss_rate: float, fault_seed: int,
@@ -456,16 +467,15 @@ def cmd_verify(experiment: Optional[str], system: str = "tmk",
     return text
 
 
-def cmd_sweep(experiments: List[str], systems: str, nprocs: str,
-              preset: str, jobs: Optional[int], no_cache: bool,
+def cmd_sweep(experiments: List[str], systems: str,
+              nprocs: Tuple[int, ...], preset: str, jobs: Optional[int], no_cache: bool,
               cache_dir: Optional[str],
               json_out: Optional[str] = None) -> str:
     from repro.bench import sweep as sweep_mod
     system_list = tuple(s.strip() for s in systems.split(",") if s.strip())
-    counts = tuple(int(v) for v in nprocs.split(","))
     try:
         configs = sweep_mod.sweep_configs(experiments, systems=system_list,
-                                          nprocs=counts, preset=preset)
+                                          nprocs=nprocs, preset=preset)
     except ValueError as exc:
         raise SystemExit(str(exc))
     if jobs is None:
@@ -517,7 +527,8 @@ def cmd_serve(host: str, port: int, workers: int, queue_depth: int,
     return 0
 
 
-def cmd_figure(experiment: str, nprocs: str, preset: str) -> str:
+def cmd_figure(experiment: str, nprocs: Tuple[int, ...],
+               preset: str) -> str:
     from repro import api
     from repro.bench import harness
     from repro.bench.figures import render_figure
@@ -525,12 +536,11 @@ def cmd_figure(experiment: str, nprocs: str, preset: str) -> str:
         exp = harness.experiment(experiment)
     except ValueError as exc:
         raise SystemExit(str(exc))
-    counts = tuple(int(v) for v in nprocs.split(","))
-    tmk = api.speedup_series(experiment, "tmk", counts, preset)
-    pvm = api.speedup_series(experiment, "pvm", counts, preset)
+    tmk = api.speedup_series(experiment, "tmk", nprocs, preset)
+    pvm = api.speedup_series(experiment, "pvm", nprocs, preset)
     return render_figure(
         f"Figure {exp.figure}: {exp.label} "
-        f"({harness.size_string(exp, preset)})", counts, tmk, pvm)
+        f"({harness.size_string(exp, preset)})", nprocs, tmk, pvm)
 
 
 def cmd_table(which: str, preset: str) -> str:
@@ -543,13 +553,15 @@ def cmd_table(which: str, preset: str) -> str:
 def cmd_trace(app: str, nprocs: int, limit: int, faults=None,
               perfetto: Optional[str] = None) -> str:
     from repro.apps import base
+    from repro.bench import harness
     from repro.sim.trace import Trace
 
-    spec = base.get_app(app)
-    params_module = sys.modules[spec.sequential.__module__]
-    params_cls = next(v for k, v in vars(params_module).items()
-                      if k.endswith("Params"))
-    params = params_cls.tiny()
+    try:
+        spec = base.get_app(app)
+    except KeyError as exc:
+        raise SystemExit(exc.args[0])
+    params = next(exp.tiny_params for exp in harness.EXPERIMENTS.values()
+                  if exp.app == app)
     trace = Trace(enabled=True)
     obs = None
     if perfetto is not None:

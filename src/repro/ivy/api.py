@@ -35,7 +35,7 @@ class IvySystem(DsmSystem):
 
 
 class Ivy(DsmEndpoint):
-    """Per-processor IVY endpoint; interface-compatible with ``Tmk``."""
+    """Per-processor IVY endpoint."""
 
     def __init__(self, proc: "Processor", system: IvySystem) -> None:
         super().__init__(proc, system)
@@ -43,36 +43,10 @@ class Ivy(DsmEndpoint):
         self.locks = IvyLocks(proc, self.core)
         self.barriers = IvyBarrier(proc, self.core)
 
-    @property
-    def nprocs(self) -> int:
-        return self.proc.cluster.nprocs
-
-    # ------------------------------------------------------------------
-    def barrier(self, bid: int):
-        yield from self.barriers.barrier(bid)
-
-    def lock_acquire(self, lock: int):
-        yield from self.locks.acquire(lock)
-
-    def lock_release(self, lock: int):
-        yield from self.locks.release(lock)
-
-    # ------------------------------------------------------------------
-    @property
-    def fault_count(self) -> int:
-        return self.core.read_faults + self.core.write_faults
-
 
 def attach_ivy(cluster: "Cluster",
                config: Optional[IvyConfig] = None) -> List[Ivy]:
-    """Create one :class:`Ivy` endpoint per processor.
-
-    Sets ``proc.tmk`` (the attribute the applications use) so the same
-    application code runs on either DSM.
-    """
+    """Create one :class:`Ivy` endpoint per processor (sets ``proc.tmk``,
+    so the same application code runs on either DSM)."""
     system = IvySystem(cluster, config if config is not None else IvyConfig())
-    endpoints = []
-    for proc in cluster.procs:
-        proc.tmk = Ivy(proc, system)
-        endpoints.append(proc.tmk)
-    return endpoints
+    return system.attach(Ivy)

@@ -1,15 +1,25 @@
-"""The IVY page-ownership protocol core.
+"""The single-writer page directory, and IVY's ownership transfer over it.
 
-One :class:`IvyCore` per processor.  Pages live in one of three local
-states -- INVALID, READ, WRITE -- and each page has a fixed *manager*
-(page number modulo processors) that serializes requests, tracks the
-owner and the copyset, and orchestrates invalidations.
+:class:`DirectoryCore` is the sequentially-consistent protocol both SC
+runtimes run.  Pages live in one of three local states -- INVALID, READ,
+WRITE -- and each page has a fixed *manager* (page number modulo
+application processors) that serializes requests one at a time: a
+faulting processor sends a request, the manager queues it, serves the
+head of the queue (invalidating other copies before a write grant), the
+requester installs the page and reports done, and the manager moves on.
+What "serve" and "install" move is the data plane, and that is all a
+runtime adds:
+
+* :class:`IvyCore` (here) keeps the data with an *owner*: the manager
+  tracks owner and copyset and forwards the request to the owner, who
+  ships the whole page.  Write transfers always ship the full page
+  (Li's original elides the data on an upgrade-in-place; we keep the one
+  case that is unconditionally safe: the owner upgrading its own copy).
+* :class:`repro.scabd.core.ScAbdCore` keeps the data in a replica quorum:
+  the manager tracks a version tag, writers flush, readers quorum-read.
 
 All protocol work happens at runtime level (message handlers); the
-faulting application thread blocks on a mailbox until its page arrives.
-Write transfers always ship the full page (Li's original elides the data
-on an upgrade-in-place; we keep the one case that is unconditionally
-safe: the owner upgrading its own read copy).
+faulting application thread blocks on a mailbox until its grant arrives.
 """
 
 from __future__ import annotations
@@ -20,14 +30,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set
 import numpy as np
 
 from repro.sim.engine import YIELD
-from repro.sim.network import Delivery, UdpChannel
-from repro.tmk.pages import PageTable
+from repro.sim.network import Delivery
+from repro.tmk.sharedmem import DsmCore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Processor
-    from repro.ivy.api import IvySystem
+    from repro.tmk.sharedmem import DsmSystem
 
-__all__ = ["IvyCore"]
+__all__ = ["DirectoryCore", "DirectoryEntry", "IvyCore"]
 
 INVALID, READ, WRITE = 0, 1, 2
 
@@ -38,77 +48,97 @@ CAT_INVALIDATE = "ivy_invalidate"  # manager -> copyset member
 CAT_INV_ACK = "ivy_inv_ack"        # member -> manager
 CAT_DONE = "ivy_done"              # faulting proc -> manager (next in queue)
 
-_REQ_BYTES = 32
-_CTL_BYTES = 16
+REQ_BYTES = 32
+CTL_BYTES = 16
 
 
 @dataclass
-class _PageManagerState:
+class DirectoryEntry:
     """Manager-side bookkeeping for one page."""
 
-    owner: int
+    #: Processors holding a valid (READ or WRITE) copy.
     copyset: Set[int]
     busy: bool = False
     queue: List[tuple] = field(default_factory=list)
-    #: In-flight invalidation acks for the current write request.
+    #: In-flight invalidation/demotion acks for the current request.
     awaiting_acks: int = 0
+    #: The request being served: ``(kind, page, requester, box)``.
     current: Optional[tuple] = None
 
 
-class IvyCore:
-    """Per-processor IVY state machine and page server."""
+class DirectoryCore(DsmCore):
+    """Per-processor page states, fault path and manager-side queue.
 
-    def __init__(self, proc: "Processor", system: "IvySystem") -> None:
-        self.proc = proc
-        self.system = system
-        self.pid = proc.pid
-        self.nprocs = proc.cluster.nprocs
-        self.cost = proc.cluster.cost
-        #: Reuse the paged memory holder; the valid bit means "readable".
-        self.pt = PageTable(system.config.segment_bytes, self.cost.page_size)
-        #: Local access state per page (INVALID/READ/WRITE).
+    A runtime names its messages (``cat_request``/``cat_grant``/
+    ``cat_done``), its labels, and supplies :meth:`_new_entry`,
+    :meth:`_serve` and :meth:`_install`.
+    """
+
+    prefers_piecewise_writes = True
+
+    #: Message categories: faulting proc -> manager, grant -> faulting
+    #: proc, faulting proc -> manager (serve the next request).
+    cat_request: str
+    cat_grant: str
+    cat_done: str
+    #: ``name`` appears in error text, ``label`` in trace kinds and
+    #: mailbox labels, ``manager_role`` in what a blocked thread waits on.
+    name: str
+    label: str
+    manager_role: str
+
+    def __init__(self, proc: "Processor", system: "DsmSystem") -> None:
+        super().__init__(proc, system)
+        #: Local access state per page (INVALID/READ/WRITE); the page
+        #: table's valid bit is unused.
         self.state = np.full(self.pt.npages, READ, dtype=np.int8)
-        self.udp = UdpChannel(proc.cluster.net, system="ivy")
         #: Manager-side state for the pages this processor manages.
-        self.managed: Dict[int, _PageManagerState] = {}
-        #: Multi-page stores go page piece by page piece (see
-        #: SharedArray.write): holding many contended pages at once can
-        #: livelock under single-writer semantics.
-        self.prefers_piecewise_writes = True
+        self.directory: Dict[int, DirectoryEntry] = {}
 
         # Diagnostics.
         self.read_faults = 0
         self.write_faults = 0
-        self.pages_sent = 0
         self.invalidations = 0
-        #: Optional protocol invariant monitor (repro.verify.invariants):
-        #: receives install/invalidate/demote/grant/barrier events; never
-        #: charges time or messages.
-        self.monitor = None
 
-        proc.register(CAT_REQUEST, self._on_request)
-        proc.register(CAT_FETCH, self._on_fetch)
-        proc.register(CAT_PAGE, self._on_page)
-        proc.register(CAT_INVALIDATE, self._on_invalidate)
-        proc.register(CAT_INV_ACK, self._on_inv_ack)
-        proc.register(CAT_DONE, self._on_done)
+        proc.register(self.cat_request, self._on_request)
+        proc.register(self.cat_grant, self._on_grant)
+        proc.register(self.cat_done, self._on_done)
 
-    # ------------------------------------------------------------------
+    @property
+    def fault_count(self) -> int:
+        return self.read_faults + self.write_faults
+
     def manager_of(self, page: int) -> int:
-        return page % self.nprocs
+        return page % self.system.nclients
 
-    def _managed(self, page: int) -> _PageManagerState:
-        state = self.managed.get(page)
-        if state is None:
-            # Initially the manager owns the page and everyone has a
-            # (zero-filled) read copy.
-            state = _PageManagerState(owner=self.pid,
-                                      copyset=set(range(self.nprocs)))
-            self.managed[page] = state
-        return state
+    def _entry(self, page: int) -> DirectoryEntry:
+        entry = self.directory.get(page)
+        if entry is None:
+            # Initially everyone has a (zero-filled) read copy.
+            entry = self.directory[page] = self._new_entry(
+                set(range(self.system.nclients)))
+        return entry
 
     # ------------------------------------------------------------------
-    # Application-facing access checks (same interface SharedArray uses)
+    # What a runtime supplies
+    # ------------------------------------------------------------------
+    def _new_entry(self, copyset: Set[int]) -> DirectoryEntry:
+        """The manager's initial record for a page."""
+        raise NotImplementedError
+
+    def _serve(self, page: int, entry: DirectoryEntry, at: float) -> None:
+        """Manager side: serve ``entry.current``, the request at the head
+        of the queue -- clear the way (invalidate, demote), then
+        :meth:`_send_grant`.  Handler context: must not block."""
+        raise NotImplementedError
+
+    def _install(self, page: int, detail):
+        """Faulting side (generator, may block): make the local copy
+        current, given the grant's runtime-specific ``detail``."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Application-facing access checks
     # ------------------------------------------------------------------
     def ensure_valid_runs(self, runs):
         yield from self._ensure(runs, want_write=False)
@@ -138,8 +168,8 @@ class IvyCore:
             if clean:
                 return
         raise RuntimeError(
-            f"P{self.pid}: IVY access over {len(pages)} pages livelocked "
-            "under page contention (1000 acquisition rounds)")
+            f"P{self.pid}: {self.name} access over {len(pages)} pages "
+            "livelocked under page contention (1000 acquisition rounds)")
 
     # ------------------------------------------------------------------
     # Faulting side
@@ -152,142 +182,194 @@ class IvyCore:
         else:
             self.read_faults += 1
         proc.compute(self.cost.fault_cpu)
-        proc.trace("ivy_fault",
+        proc.trace(f"{self.label}_fault",
                    f"page={page} {'write' if want_write else 'read'}")
         box = proc.mailbox()
         manager = self.manager_of(page)
-        box.waiting_on = f"P{manager} (page manager)"
+        box.waiting_on = f"P{manager} ({self.manager_role})"
         request = ("write" if want_write else "read", page, self.pid, box)
         if manager == self.pid:
             self._enqueue(request, at=proc.now)
         else:
-            t = self.udp.send(self.pid, manager, CAT_REQUEST, request,
-                              _REQ_BYTES, t_ready=proc.now)
+            t = self.udp.send(self.pid, manager, self.cat_request, request,
+                              REQ_BYTES, t_ready=proc.now)
             proc.set_now(t)
-        payload = yield from box.wait(f"ivy page {page}")
-        data, granted_write = payload
-        if data is not None:
-            view = self.pt.page_view(page)
-            view[:] = np.frombuffer(data, dtype=np.uint8)
-            proc.compute(self.cost.copy_cost(self.cost.page_size))
+        granted_write, detail = yield from box.wait(
+            f"{self.label} page {page}")
+        yield from self._install(page, detail)
         self.state[page] = WRITE if granted_write else READ
         if self.monitor is not None:
             self.monitor.on_install(self.pid, page, granted_write, proc.now)
         # Tell the manager the transfer completed so it can serve the
         # next queued request for this page.
         if manager == self.pid:
-            self._finish(page)
+            self._finish(page, at=proc.now)
         else:
-            t = self.udp.send(self.pid, manager, CAT_DONE, page,
-                              _CTL_BYTES, t_ready=proc.now)
+            t = self.udp.send(self.pid, manager, self.cat_done, page,
+                              CTL_BYTES, t_ready=proc.now)
             proc.set_now(t)
 
-    def _on_page(self, delivery: Delivery) -> None:
-        box, payload = delivery.payload
-        box.put(payload, delivery.arrival + delivery.recv_cpu)
+    def _on_grant(self, delivery: Delivery) -> None:
+        box, grant = delivery.payload
+        box.put(grant, delivery.arrival + delivery.recv_cpu)
+
+    def _drop_copy(self, page: int, at: float) -> None:
+        self.state[page] = INVALID
+        self.invalidations += 1
+        if self.monitor is not None:
+            self.monitor.on_invalidate(self.pid, page, at)
+
+    def _interrupt(self, delivery: Delivery) -> float:
+        """Charge a handler's receive + interrupt CPU; returns the time
+        its reaction can leave."""
+        service = delivery.recv_cpu + self.cost.interrupt_cpu
+        self.proc.charge_service(service)
+        return delivery.arrival + service
 
     # ------------------------------------------------------------------
     # Manager side
     # ------------------------------------------------------------------
     def _on_request(self, delivery: Delivery) -> None:
-        service = delivery.recv_cpu + self.cost.interrupt_cpu
-        self.proc.charge_service(service)
-        self._enqueue(delivery.payload, at=delivery.arrival + service)
+        self._enqueue(delivery.payload, at=self._interrupt(delivery))
 
     def _enqueue(self, request: tuple, at: float) -> None:
         page = request[1]
-        state = self._managed(page)
-        state.queue.append(request)
-        if not state.busy:
+        entry = self._entry(page)
+        entry.queue.append(request)
+        if not entry.busy:
             self._start_next(page, at)
 
     def _start_next(self, page: int, at: float) -> None:
-        state = self._managed(page)
-        if not state.queue:
-            state.busy = False
+        entry = self._entry(page)
+        if not entry.queue:
+            entry.busy = False
             return
-        state.busy = True
-        state.current = state.queue.pop(0)
-        kind, _, requester, box = state.current
+        entry.busy = True
+        entry.current = entry.queue.pop(0)
+        self._serve(page, entry, at)
+
+    def _send_grant(self, requester: int, box, write: bool, detail,
+                    nbytes: int, at: float) -> None:
+        """Wake the requester's fault with ``(write, detail)``."""
+        grant = (write, detail)
+        if requester == self.pid:
+            # Granted at the requester itself: no message at all.
+            box.put(grant, at)
+            return
+        t = self.udp.send(self.pid, requester, self.cat_grant, (box, grant),
+                          nbytes, t_ready=at)
+        self.proc.charge_service(max(0.0, t - at))
+
+    def _on_done(self, delivery: Delivery) -> None:
+        self._finish(delivery.payload, at=self._interrupt(delivery))
+
+    def _finish(self, page: int, at: float) -> None:
+        entry = self._entry(page)
+        entry.current = None
+        entry.busy = False
+        self._start_next(page, at)
+
+
+@dataclass
+class _OwnedPage(DirectoryEntry):
+    #: Who holds the current data; starts at the manager.
+    owner: int = field(kw_only=True)
+
+
+class IvyCore(DirectoryCore):
+    """IVY: the page's data travels with its ownership."""
+
+    wire_system = "ivy"
+    cat_request, cat_grant, cat_done = CAT_REQUEST, CAT_PAGE, CAT_DONE
+    name, label, manager_role = "IVY", "ivy", "page manager"
+
+    def __init__(self, proc: "Processor", system: "DsmSystem") -> None:
+        super().__init__(proc, system)
+        self.pages_sent = 0
+        proc.register(CAT_FETCH, self._on_fetch)
+        proc.register(CAT_INVALIDATE, self._on_invalidate)
+        proc.register(CAT_INV_ACK, self._on_inv_ack)
+
+    def _new_entry(self, copyset: Set[int]) -> _OwnedPage:
+        return _OwnedPage(copyset, owner=self.pid)
+
+    def _install(self, page: int, data: Optional[bytes]):
+        if data is not None:
+            view = self.pt.page_view(page)
+            view[:] = np.frombuffer(data, dtype=np.uint8)
+            self.proc.compute(self.cost.copy_cost(self.cost.page_size))
+        yield from ()
+
+    # ------------------------------------------------------------------
+    # Manager side
+    # ------------------------------------------------------------------
+    def _serve(self, page: int, entry: _OwnedPage, at: float) -> None:
+        kind, _, requester, box = entry.current
         if kind == "read":
-            state.copyset.add(requester)
+            entry.copyset.add(requester)
             self._transfer(page, requester, box, write=False, at=at)
             return
         # Write: invalidate every other copy first.
-        targets = sorted(state.copyset - {requester})
-        state.copyset = {requester}
-        if targets:
-            state.awaiting_acks = len(targets)
-            t = at
-            for member in targets:
-                if member == self.pid:
-                    self._local_invalidate(page)
-                    state.awaiting_acks -= 1
-                    continue
-                t = self.udp.send(self.pid, member, CAT_INVALIDATE,
-                                  page, _CTL_BYTES, t_ready=t)
-            if state.awaiting_acks == 0:
-                self._transfer(page, requester, box, write=True, at=t)
-            return
-        self._transfer(page, requester, box, write=True, at=at)
-
-    def _local_invalidate(self, page: int) -> None:
-        self.state[page] = INVALID
-        self.invalidations += 1
-        if self.monitor is not None:
-            self.monitor.on_invalidate(self.pid, page, self.proc.now)
+        targets = sorted(entry.copyset - {requester})
+        entry.copyset = {requester}
+        entry.awaiting_acks = len(targets)
+        t = at
+        for member in targets:
+            if member == self.pid:
+                self._drop_copy(page, self.proc.now)
+                entry.awaiting_acks -= 1
+                continue
+            t = self.udp.send(self.pid, member, CAT_INVALIDATE,
+                              page, CTL_BYTES, t_ready=t)
+        if entry.awaiting_acks == 0:
+            self._transfer(page, requester, box, write=True, at=t)
 
     def _on_invalidate(self, delivery: Delivery) -> None:
         page = delivery.payload
         service = delivery.recv_cpu + self.cost.interrupt_cpu
-        self._local_invalidate(page)
+        self._drop_copy(page, self.proc.now)
         manager = self.manager_of(page)
         t_ready = delivery.arrival + service
         t = self.udp.send(self.pid, manager, CAT_INV_ACK, page,
-                          _CTL_BYTES, t_ready=t_ready)
+                          CTL_BYTES, t_ready=t_ready)
         self.proc.charge_service(service + (t - t_ready))
 
     def _on_inv_ack(self, delivery: Delivery) -> None:
         page = delivery.payload
-        service = delivery.recv_cpu + self.cost.interrupt_cpu
-        self.proc.charge_service(service)
-        state = self._managed(page)
-        state.awaiting_acks -= 1
-        if state.awaiting_acks == 0 and state.current is not None:
-            _, _, requester, box = state.current
-            self._transfer(page, requester, box, write=True,
-                           at=delivery.arrival + service)
+        at = self._interrupt(delivery)
+        entry = self._entry(page)
+        entry.awaiting_acks -= 1
+        if entry.awaiting_acks == 0 and entry.current is not None:
+            _, _, requester, box = entry.current
+            self._transfer(page, requester, box, write=True, at=at)
 
     def _transfer(self, page: int, requester: int, box, write: bool,
                   at: float) -> None:
         """Route the page (and, for writes, its ownership) to the
         requester; the manager's bookkeeping is already updated."""
-        state = self._managed(page)
-        owner = state.owner
+        entry = self._entry(page)
+        owner = entry.owner
         if write:
-            state.owner = requester
+            entry.owner = requester
         if self.monitor is not None:
             self.monitor.on_grant(self.pid, page,
                                   "write" if write else "read", requester,
-                                  owner, frozenset(state.copyset), at)
+                                  owner, frozenset(entry.copyset), at)
         if owner == requester:
             # Upgrade in place: the owner's copy is current -- the manager
             # sends just the grant, no page data.
-            self._deliver_page(requester, box, page, data=False,
-                               write=write, at=at)
+            self._send_grant(requester, box, write, None, CTL_BYTES, at)
         elif owner == self.pid:
             self._serve_page(page, requester, box, write=write, at=at)
         else:
             self.udp.send(self.pid, owner, CAT_FETCH,
                           (page, requester, box, write),
-                          _REQ_BYTES, t_ready=at)
+                          REQ_BYTES, t_ready=at)
 
     def _on_fetch(self, delivery: Delivery) -> None:
         page, requester, box, write = delivery.payload
-        service = delivery.recv_cpu + self.cost.interrupt_cpu
-        self.proc.charge_service(service)
         self._serve_page(page, requester, box, write=write,
-                         at=delivery.arrival + service)
+                         at=self._interrupt(delivery))
 
     def _serve_page(self, page: int, requester: int, box, write: bool,
                     at: float) -> None:
@@ -295,36 +377,10 @@ class IvyCore:
         data = bytes(self.pt.page_view(page).tobytes())
         self.pages_sent += 1
         if write:
-            self._local_invalidate(page)
+            self._drop_copy(page, self.proc.now)
         elif self.state[page] == WRITE:
             self.state[page] = READ
             if self.monitor is not None:
                 self.monitor.on_demote(self.pid, page, at)
-        self._deliver_page(requester, box, page, data=True,
-                           write=write, at=at, payload=data)
-
-    def _deliver_page(self, requester: int, box, page: int,
-                      data: bool, write: bool, at: float,
-                      payload: Optional[bytes] = None) -> None:
-        """Send the page/grant from this processor to the requester."""
-        body = (payload if data else None, write)
-        nbytes = (self.cost.page_size if data else 0) + _CTL_BYTES
-        if requester == self.pid:
-            # Local upgrade at the manager/owner: no message at all.
-            box.put(body, at)
-            return
-        t = self.udp.send(self.pid, requester, CAT_PAGE, (box, body),
-                          nbytes, t_ready=at)
-        self.proc.charge_service(max(0.0, t - at))
-
-    def _on_done(self, delivery: Delivery) -> None:
-        service = delivery.recv_cpu + self.cost.interrupt_cpu
-        self.proc.charge_service(service)
-        self._finish(delivery.payload,
-                     at=delivery.arrival + service)
-
-    def _finish(self, page: int, at: Optional[float] = None) -> None:
-        state = self._managed(page)
-        state.current = None
-        state.busy = False
-        self._start_next(page, at if at is not None else self.proc.now)
+        self._send_grant(requester, box, write, data,
+                         self.cost.page_size + CTL_BYTES, at)

@@ -1,4 +1,4 @@
-"""Synchronization for the IVY runtime.
+"""Synchronization for the sequentially-consistent runtimes (IVY, SC-ABD).
 
 Under sequential consistency, locks and barriers are *pure*
 synchronization -- they carry no write notices, no vector timestamps, no
@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.obs.core import B_STALL_SYNC
 from repro.sim.engine import Block, YIELD
 from repro.sim.network import Delivery
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Processor
-    from repro.ivy.core import IvyCore
+    from repro.ivy.core import DirectoryCore
 
 __all__ = ["IvyBarrier", "IvyLocks"]
 
@@ -31,6 +32,16 @@ _SYNC_BYTES = 32
 _LOCAL_CPU = 5e-6
 
 
+def _sync_stall(proc: "Processor", kind: str, detail: str, body):
+    """Run the generator ``body`` as one ``stall_sync`` span."""
+    obs = proc.obs
+    if obs is not None:
+        obs.begin(proc.now, proc.pid, kind, B_STALL_SYNC, detail)
+    yield from body
+    if obs is not None:
+        obs.end(proc.now, proc.pid)
+
+
 @dataclass
 class _LockState:
     owns: bool = False
@@ -42,15 +53,14 @@ class _LockState:
 class IvyLocks:
     """Static-manager forwarding locks (no consistency piggyback)."""
 
-    def __init__(self, proc: "Processor", core: "IvyCore",
-                 nprocs: Optional[int] = None) -> None:
+    def __init__(self, proc: "Processor", core: "DirectoryCore") -> None:
         self.proc = proc
         self.core = core
         self.pid = proc.pid
-        #: Participant count; defaults to the whole cluster.  The SC-ABD
-        #: layer passes its client count so lock managers land on
-        #: application ranks, never on page-replica servers.
-        self.nprocs = nprocs if nprocs is not None else proc.cluster.nprocs
+        #: Managers span only the application ranks: one on an SC-ABD
+        #: replica server could crash and be masked, which would strand
+        #: the synchronization state with it.
+        self.nprocs = core.system.nclients
         self.cost = proc.cluster.cost
         self._last_requester: Dict[int, int] = {}
         self._state: Dict[int, _LockState] = {}
@@ -67,6 +77,10 @@ class IvyLocks:
         return state
 
     def acquire(self, lock: int):
+        return _sync_stall(self.proc, "lock_acquire", f"lock={lock}",
+                           self._acquire(lock))
+
+    def _acquire(self, lock: int):
         proc = self.proc
         yield YIELD
         state = self._lock_state(lock)
@@ -155,12 +169,11 @@ class IvyLocks:
 class IvyBarrier:
     """Centralized barrier, 2*(n-1) messages, no write notices."""
 
-    def __init__(self, proc: "Processor", core: "IvyCore",
-                 nprocs: Optional[int] = None) -> None:
+    def __init__(self, proc: "Processor", core: "DirectoryCore") -> None:
         self.proc = proc
         self.core = core
         self.pid = proc.pid
-        self.nprocs = nprocs if nprocs is not None else proc.cluster.nprocs
+        self.nprocs = core.system.nclients
         self.cost = proc.cluster.cost
         self.manager = 0
         self._arrivals: Dict[int, List[Tuple[int, float]]] = {}
@@ -171,6 +184,10 @@ class IvyBarrier:
         proc.register(CAT_BAR_DEPART, self._on_departure)
 
     def barrier(self, bid: int):
+        return _sync_stall(self.proc, "barrier", f"bid={bid}",
+                           self._barrier(bid))
+
+    def _barrier(self, bid: int):
         proc = self.proc
         yield YIELD
         proc.compute(_LOCAL_CPU)

@@ -1,10 +1,9 @@
 """The SC-ABD runtime facade.
 
-Mirrors :mod:`repro.ivy.api`: ``attach_scabd`` gives every *application*
-processor a ``proc.tmk`` endpoint exposing exactly the interface the
-TreadMarks applications use (``barrier``, ``lock_acquire``/
-``lock_release``, ``shared_array``), so every ``tmk_main`` in
-:mod:`repro.apps` runs unmodified under quorum replication.  The last
+``attach_scabd`` gives every *application* processor the ``proc.tmk``
+endpoint (:class:`~repro.tmk.sharedmem.DsmEndpoint`) the TreadMarks
+applications use, so every ``tmk_main`` in :mod:`repro.apps` runs
+unmodified under quorum replication.  The last
 ``replicas`` processors of the cluster become dedicated page-replica
 servers: they never run the application function (their main body is an
 idle daemon loop; all replica work happens in message handlers) and are
@@ -18,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.obs.core import B_STALL_SYNC
 from repro.sim.engine import Block
 from repro.scabd.config import ReplicationConfig
 from repro.scabd.core import ScAbdCore, ScAbdReplica
@@ -74,6 +72,7 @@ class ScAbdSystem(DsmSystem):
                 f"{replication.replicas} replica servers and still have "
                 "an application processor")
         self.replication = replication
+        #: Replica servers are invisible to the programming model.
         self.nclients = nclients
         #: Pids of the dedicated page-replica servers.
         self.replica_pids: Tuple[int, ...] = tuple(
@@ -134,52 +133,13 @@ class ScAbdSystem(DsmSystem):
 
 
 class ScAbd(DsmEndpoint):
-    """Per-client SC-ABD endpoint; interface-compatible with ``Tmk``."""
+    """Per-client SC-ABD endpoint."""
 
     def __init__(self, proc: "Processor", system: ScAbdSystem) -> None:
         super().__init__(proc, system)
         self.core = ScAbdCore(proc, system)
-        # Sync managers span only the client ranks: a lock manager or
-        # barrier master on a replica server could crash and be masked,
-        # which would strand the synchronization state with it.
-        self.locks = IvyLocks(proc, self.core, nprocs=system.nclients)
-        self.barriers = IvyBarrier(proc, self.core, nprocs=system.nclients)
-
-    @property
-    def nprocs(self) -> int:
-        """The *application* processor count: replica servers are
-        invisible to the programming model, so work partitioning and
-        barrier membership never include them."""
-        return self.system.nclients
-
-    # ------------------------------------------------------------------
-    def barrier(self, bid: int):
-        proc = self.proc
-        obs = proc.obs
-        if obs is not None:
-            obs.begin(proc.now, proc.pid, "barrier", B_STALL_SYNC,
-                      f"bid={bid}")
-        yield from self.barriers.barrier(bid)
-        if obs is not None:
-            obs.end(proc.now, proc.pid)
-
-    def lock_acquire(self, lock: int):
-        proc = self.proc
-        obs = proc.obs
-        if obs is not None:
-            obs.begin(proc.now, proc.pid, "lock_acquire", B_STALL_SYNC,
-                      f"lock={lock}")
-        yield from self.locks.acquire(lock)
-        if obs is not None:
-            obs.end(proc.now, proc.pid)
-
-    def lock_release(self, lock: int):
-        yield from self.locks.release(lock)
-
-    # ------------------------------------------------------------------
-    @property
-    def fault_count(self) -> int:
-        return self.core.read_faults + self.core.write_faults
+        self.locks = IvyLocks(proc, self.core)
+        self.barriers = IvyBarrier(proc, self.core)
 
 
 def _replica_main(proc: "Processor"):
@@ -207,12 +167,7 @@ def attach_scabd(cluster: "Cluster", config: Optional[ScAbdConfig] = None,
                          config if config is not None else ScAbdConfig(),
                          replication if replication is not None
                          else ReplicationConfig())
-    endpoints = []
-    for pid in range(system.nclients):
-        proc = cluster.procs[pid]
-        proc.tmk = ScAbd(proc, system)
-        endpoints.append(proc.tmk)
-    system.endpoints = endpoints
+    endpoints = system.endpoints = system.attach(ScAbd)
     for pid in system.replica_pids:
         proc = cluster.procs[pid]
         proc.main_override = _replica_main

@@ -276,7 +276,7 @@ class ReproServer:
         return value
 
     @staticmethod
-    def _nprocs_list(request: Request) -> Tuple[str, List[int]]:
+    def _nprocs_list(request: Request) -> List[int]:
         raw = request.query.get("nprocs", "1,2,4,8")
         try:
             counts = [int(v) for v in raw.split(",") if v.strip()]
@@ -284,7 +284,7 @@ class ReproServer:
             counts = []
         if not counts or max(counts) > _MAX_NPROCS:
             raise _BadRequest(f"bad nprocs list {raw!r}")
-        return raw, counts
+        return counts
 
     @staticmethod
     def _choice(request: Request, name: str, default: str,
@@ -487,7 +487,7 @@ class ReproServer:
         query = request.query
         system = query.get("system", "tmk")
         preset = query.get("preset", "bench")
-        _, nprocs_list = self._nprocs_list(request)
+        nprocs_list = self._nprocs_list(request)
         for n in nprocs_list:
             self._admit(request, system=system, nprocs=n, preset=preset)
         return await self._compute_uncached(request, {
@@ -497,12 +497,12 @@ class ReproServer:
     async def _figure_endpoint(self, request: Request) -> Response:
         preset = self._choice(request, "preset", "bench",
                               ("bench", "paper"))
-        nprocs_csv, nprocs_list = self._nprocs_list(request)
+        nprocs_list = self._nprocs_list(request)
         for n in nprocs_list:
             self._admit(request, system="tmk", nprocs=n, preset=preset)
         return await self._compute_uncached(request, {
             "kind": "figure", "experiment": request.query["experiment"],
-            "nprocs_csv": nprocs_csv, "preset": preset})
+            "nprocs_list": nprocs_list, "preset": preset})
 
     async def _profile_endpoint(self, request: Request) -> Response:
         system = self._choice(request, "system", "both",

@@ -105,8 +105,8 @@ def serve_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
         return {"body": body, "content_type": "application/json"}
     if kind == "figure":
         from repro.cli import cmd_figure
-        text = cmd_figure(payload["experiment"], payload["nprocs_csv"],
-                          payload["preset"])
+        text = cmd_figure(payload["experiment"],
+                          tuple(payload["nprocs_list"]), payload["preset"])
         return {"body": text, "content_type": "text/plain"}
     if kind == "profile":
         from repro.cli import cmd_profile

@@ -121,34 +121,9 @@ class Tmk(DsmEndpoint):
         }[system.config.barrier_kind]
         self.barriers = barrier_cls(proc, self.core, system)
 
-    @property
-    def nprocs(self) -> int:
-        return self.proc.cluster.nprocs
-
-    # ------------------------------------------------------------------
-    # Synchronization
-    # ------------------------------------------------------------------
-    def barrier(self, bid: int):
-        """Stall until every processor reaches barrier ``bid``."""
-        yield from self.barriers.barrier(bid)
-
-    def lock_acquire(self, lock: int):
-        yield from self.locks.acquire(lock)
-
-    def lock_release(self, lock: int):
-        yield from self.locks.release(lock)
-
-    @property
-    def fault_count(self) -> int:
-        return self.core.fault_count
-
 
 def attach_tmk(cluster: "Cluster",
                config: Optional[TmkConfig] = None) -> List[Tmk]:
     """Create one :class:`Tmk` endpoint per processor (sets ``proc.tmk``)."""
     system = TmkSystem(cluster, config if config is not None else TmkConfig())
-    endpoints = []
-    for proc in cluster.procs:
-        proc.tmk = Tmk(proc, system)
-        endpoints.append(proc.tmk)
-    return endpoints
+    return system.attach(Tmk)

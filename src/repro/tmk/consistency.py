@@ -36,14 +36,14 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.obs.core import B_PROTOCOL, B_STALL_DATA, B_WIRE
 from repro.sim.engine import YIELD
-from repro.sim.network import Delivery, UdpChannel
+from repro.sim.network import Delivery
 from repro.tmk.diffs import Diff, coalesce, make_diffs
 from repro.tmk.intervals import (IntervalId, IntervalRecord, dominant_writers,
                                  vc_max)
-from repro.tmk.pages import PageTable
 from repro.tmk.protocol import (CAT_DIFF_REQUEST, CAT_DIFF_RESPONSE,
                                 CAT_ERC_NOTICE, DiffRequest, DiffResponse,
                                 ErcNotice)
+from repro.tmk.sharedmem import DsmCore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Processor
@@ -68,17 +68,12 @@ def _union_bytes(diffs: List[Diff]) -> int:
     return total
 
 
-class LrcCore:
+class LrcCore(DsmCore):
     """Per-processor LRC state machine and diff server."""
 
     def __init__(self, proc: "Processor", system: "TmkSystem") -> None:
-        self.proc = proc
-        self.system = system
-        self.pid = proc.pid
+        super().__init__(proc, system)
         self.nprocs = proc.cluster.nprocs
-        self.cost = proc.cluster.cost
-        self.pt = PageTable(system.config.segment_bytes, self.cost.page_size)
-        self.udp = UdpChannel(proc.cluster.net, system="tmk")
         #: The page-op kernel backend (repro.kernels); host-side speed
         #: only -- every backend is byte-identical to the pure reference.
         self.kernels = proc.cluster.kernels
@@ -108,14 +103,6 @@ class LrcCore:
         self.fault_wait_time = 0.0
         #: Faults avoided because a grant piggybacked the needed diffs.
         self.piggyback_hits = 0
-        #: Optional observer (repro.analysis): receives access and
-        #: diff-application events.  Never charges time or messages.
-        self.sanitizer = None
-        #: Optional protocol invariant monitor (repro.verify.invariants):
-        #: receives interval-close / merge / barrier events and raises
-        #: InvariantViolation on a broken protocol rule.  Never charges
-        #: time or messages.
-        self.monitor = None
 
         self.eager = system.config.protocol == "eager"
         proc.register(CAT_DIFF_REQUEST, self._on_diff_request)

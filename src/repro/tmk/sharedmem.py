@@ -19,15 +19,18 @@ synchronization.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro.sim.network import UdpChannel
+from repro.tmk.pages import PageTable
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster, Processor
-    from repro.tmk.api import Tmk
 
-__all__ = ["DsmEndpoint", "DsmSystem", "SharedArray", "SharedHeap"]
+__all__ = ["DsmCore", "DsmEndpoint", "DsmSystem", "SharedArray",
+           "SharedHeap"]
 
 
 class SharedHeap:
@@ -89,7 +92,7 @@ class SharedHeap:
 class SharedArray:
     """A typed window into the shared segment with page-fault semantics."""
 
-    def __init__(self, tmk: "Tmk", addr: int, shape: Tuple[int, ...],
+    def __init__(self, tmk: "DsmEndpoint", addr: int, shape: Tuple[int, ...],
                  dtype: np.dtype) -> None:
         self.tmk = tmk
         self.addr = addr
@@ -105,10 +108,6 @@ class SharedArray:
         self._itemsize = self.dtype.itemsize
         self._row_bytes = (self._view.strides[0] if self._ndim
                            else self._itemsize)
-        # Per-core capability lookups (runs_all_valid etc.) memoized on
-        # the core object's identity -- the core never changes mid-run,
-        # but the sanitizer can attach later, so that one stays dynamic.
-        self._core_caps: Tuple[Any, ...] = (None, None, None, False)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -287,27 +286,14 @@ class SharedArray:
         """
         return self._read(key, racy=True)
 
-    def _core_capabilities(self, core: Any) -> Tuple[Any, ...]:
-        """(core, runs_all_valid, runs_all_writable, piecewise) memoized
-        on the core's identity."""
-        caps = self._core_caps
-        if caps[0] is not core:
-            caps = self._core_caps = (
-                core,
-                getattr(core, "runs_all_valid", None),
-                getattr(core, "runs_all_writable", None),
-                getattr(core, "prefers_piecewise_writes", False))
-        return caps
-
     def _read(self, key: Any, racy: bool):
         runs = self._touched_runs(key)
         core = self.tmk.core
         # Fast path (LRC only): a synchronous all-valid check skips the
         # per-run generator chain for the fault-free common case.
-        check = self._core_capabilities(core)[1]
-        if check is None or not check(runs):
+        if not core.runs_all_valid(runs):
             yield from core.ensure_valid_runs(runs)
-        sanitizer = getattr(core, "sanitizer", None)
+        sanitizer = core.sanitizer
         if sanitizer is not None:
             sanitizer.on_access(core, runs, write=False, racy=racy)
         view = self._view[key]
@@ -337,23 +323,22 @@ class SharedArray:
     def write(self, key: Any, values: Any):
         """Write access: validates + twins every covered page, then stores.
 
-        Single-writer cores (IVY) set ``prefers_piecewise_writes``: a
+        Single-writer cores (IVY, SC-ABD) set ``prefers_piecewise_writes``: a
         multi-page store is then performed page piece by page piece, each
         under momentary ownership -- like real per-store traps -- because
         holding many contended pages simultaneously can livelock.
         """
         runs = self._touched_runs(key)
         core = self.tmk.core
-        _, _, check, piecewise = self._core_capabilities(core)
-        sanitizer = getattr(core, "sanitizer", None)
+        sanitizer = core.sanitizer
         if sanitizer is not None:
             sanitizer.on_access(core, runs, write=True)
-        if piecewise:
+        if core.prefers_piecewise_writes:
             done = yield from self._piecewise_write(self._normalize(key),
                                                     runs, values)
             if done:
                 return
-        if check is None or not check(runs):
+        if not core.runs_all_writable(runs):
             yield from core.ensure_writable_runs(runs)
         self._view[key] = values
 
@@ -397,13 +382,12 @@ class SharedArray:
         """Read-modify-write: ``self[key] += values`` with full fault checks."""
         runs = self._touched_runs(key)
         core = self.tmk.core
-        check = self._core_capabilities(core)[2]
-        sanitizer = getattr(core, "sanitizer", None)
+        sanitizer = core.sanitizer
         if sanitizer is not None:
             # A read-modify-write conflicts with everything a write does
             # (prior reads and writes alike), so one write event suffices.
             sanitizer.on_access(core, runs, write=True)
-        if check is None or not check(runs):
+        if not core.runs_all_writable(runs):
             yield from core.ensure_writable_runs(runs)
         self._view[key] += values
 
@@ -425,7 +409,8 @@ class SharedArray:
 
 class DsmSystem:
     """Cluster-global state every page-based runtime starts from: the
-    shared heap layout (``config`` carries ``segment_bytes``)."""
+    shared heap layout (``config`` carries ``segment_bytes``) and the
+    number of application processors."""
 
     def __init__(self, cluster: "Cluster", config: Any) -> None:
         if config.segment_bytes % cluster.cost.page_size:
@@ -433,15 +418,79 @@ class DsmSystem:
         self.cluster = cluster
         self.config = config
         self.heap = SharedHeap(config.segment_bytes, cluster.cost.page_size)
+        #: Processors 0 .. nclients-1 run the application and take part
+        #: in synchronization and page management (SC-ABD appends its
+        #: replica servers after them).
+        self.nclients = cluster.nprocs
+
+    def attach(self, endpoint_cls: type) -> List[Any]:
+        """One ``endpoint_cls`` per application processor, set as
+        ``proc.tmk`` -- the attribute the applications use, whichever
+        runtime is attached."""
+        endpoints = []
+        for proc in self.cluster.procs[:self.nclients]:
+            proc.tmk = endpoint_cls(proc, self)
+            endpoints.append(proc.tmk)
+        return endpoints
+
+
+class DsmCore:
+    """One processor's consistency protocol, as :class:`SharedArray` and
+    the endpoint see it: the paged copy of the shared segment, the
+    channel its messages go out on, and the access checks.
+
+    A protocol implements :meth:`ensure_valid_runs` and
+    :meth:`ensure_writable_runs` (generators; they fault pages in and may
+    block).  Everything else is optional and declared here with the
+    default that means "no fast path".
+    """
+
+    #: Stats system the protocol's own traffic is accounted under.
+    wire_system = "tmk"
+    #: True makes ``SharedArray.write`` store a multi-page selection page
+    #: piece by page piece, each under momentary ownership -- what a
+    #: single-writer protocol needs, because holding many contended pages
+    #: at once can livelock.
+    prefers_piecewise_writes = False
+
+    def __init__(self, proc: "Processor", system: DsmSystem) -> None:
+        self.proc = proc
+        self.system = system
+        self.pid = proc.pid
+        self.cost = proc.cluster.cost
+        self.pt = PageTable(system.config.segment_bytes, self.cost.page_size)
+        self.udp = UdpChannel(proc.cluster.net, system=self.wire_system)
+        #: Optional observer (repro.analysis): receives access and
+        #: diff-application events.  Never charges time or messages.
+        self.sanitizer = None
+        #: Optional protocol invariant monitor (repro.verify.invariants):
+        #: raises InvariantViolation on a broken protocol rule.  Never
+        #: charges time or messages.
+        self.monitor = None
+
+    def runs_all_valid(self, runs) -> bool:
+        """Synchronous check that a read of ``runs`` cannot fault; False
+        sends the access through :meth:`ensure_valid_runs`."""
+        return False
+
+    def runs_all_writable(self, runs) -> bool:
+        """As :meth:`runs_all_valid`, for a store."""
+        return False
+
+    def ensure_valid_runs(self, runs):
+        raise NotImplementedError
+
+    def ensure_writable_runs(self, runs):
+        raise NotImplementedError
 
 
 class DsmEndpoint:
-    """The part of ``proc.tmk`` that is the same on every page-based
-    runtime (TreadMarks, IVY, SC-ABD): identity, allocation, and the
-    wait-time diagnostics.  Subclasses supply ``core``, ``locks`` and
-    ``barriers`` plus whatever differs (``nprocs``, ``fault_count``,
-    the synchronization calls)."""
+    """``proc.tmk`` on every page-based runtime (TreadMarks, IVY,
+    SC-ABD): identity, allocation, synchronization and the diagnostics.
+    A runtime's subclass only builds its ``core``, ``locks`` and
+    ``barriers``."""
 
+    core: DsmCore
     locks: Any
     barriers: Any
 
@@ -453,6 +502,12 @@ class DsmEndpoint:
     @property
     def pid(self) -> int:
         return self.proc.pid
+
+    @property
+    def nprocs(self) -> int:
+        """The *application* processor count: work partitioning and
+        barrier membership never include service processors."""
+        return self.system.nclients
 
     def malloc(self, nbytes: int, align: int | None = None) -> int:
         """Raw shared allocation; returns the segment address."""
@@ -474,6 +529,24 @@ class DsmEndpoint:
             arr = SharedArray(self, addr, tuple(shape), np.dtype(dtype))
             self._arrays[name] = arr
         return arr
+
+    # ------------------------------------------------------------------
+    # Synchronization
+    # ------------------------------------------------------------------
+    def barrier(self, bid: int):
+        """Stall until every processor reaches barrier ``bid``."""
+        yield from self.barriers.barrier(bid)
+
+    def lock_acquire(self, lock: int):
+        yield from self.locks.acquire(lock)
+
+    def lock_release(self, lock: int):
+        yield from self.locks.release(lock)
+
+    # ------------------------------------------------------------------
+    @property
+    def fault_count(self) -> int:
+        return self.core.fault_count
 
     @property
     def lock_wait_time(self) -> float:

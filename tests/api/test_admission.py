@@ -36,8 +36,9 @@ CRASH_7 = FaultPlan(crash_at=((7, 0.5),))
 
 #: (id, RunConfig kwargs, message, ``repro run`` argv or None, /run query
 #: or None) -- None where the surface cannot spell the request (argparse
-#: ``choices`` stop an unknown system/preset before ``cmd_run``; the
-#: serve query has no fault/analysis parameters).
+#: ``choices``, which are ``apps.base.SYSTEMS`` and ``harness.PRESETS``
+#: themselves, stop an unknown system/preset before ``cmd_run``; the serve
+#: query has no fault/analysis parameters).
 REJECTED = [
     ("unknown-experiment", dict(experiment="nope"),
      f"unknown experiment 'nope'; try: {KNOWN}",
@@ -115,6 +116,38 @@ def test_rejected_by_cli(argv, message):
     assert str(exc.value) == message
 
 
+#: Requests only the CLI can spell; argparse (exit status 2, message on
+#: stderr) or the command itself (``SystemExit(message)``) classifies them.
+CLI_REJECTED = [
+    ("unknown-trace-app", ["trace", "nope"],
+     "unknown app 'nope'; available: ['barnes_hut', 'ep', 'fft3d', 'ilink', "
+     "'is', 'qsort', 'sor', 'tsp', 'water']"),
+    ("sweep-nprocs-not-a-number", ["sweep", "fig01", "--nprocs", "x"],
+     "argument --nprocs: malformed processor counts 'x'"),
+    ("figure-nprocs-not-a-list", ["figure", "fig01", "--nprocs", "1,a"],
+     "argument --nprocs: malformed processor counts '1,a'"),
+    ("unknown-system", ["run", "fig02", "--system", "mpi"],
+     "argument --system: invalid choice: 'mpi'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [pytest.param(*row[1:], id=row[0]) for row in CLI_REJECTED])
+def test_cli_only_requests_are_classified(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code not in (0, None)
+    assert message in str(exc.value.code) + capsys.readouterr().err
+
+
+def test_cli_runs_every_system_runconfig_admits(capsys):
+    assert main(["run", "fig02", "--system", "ivy", "--nprocs", "2",
+                 "--preset", "tiny"]) == 0
+    assert "SOR-Zero / ivy / 2 processors (tiny preset)" in \
+        capsys.readouterr().out
+
+
 def test_rejected_by_serve(tmp_path):
     expected = {query: message for _, _, message, _, query in REJECTED
                 if query is not None}
@@ -172,6 +205,56 @@ def test_to_json_and_cache_key_bytes_are_the_parents(monkeypatch):
         "801eb430a9e255e6f72e5e6ed88777dfab836d7e68fda9a7ce376cc4063c25e9"
     assert api.cache_key(ALL_OPTIONS) == \
         "d0f56e884db6e0bf9059355e913151dd99bdcb0acdc0167c98fa290fe05c805e"
+
+
+RESULT_CONFIGS = {
+    "fault-free": api.RunConfig("fig02", "tmk", 2, "tiny"),
+    "recovered": api.RunConfig(
+        "fig02", "tmk", 2, "tiny", faults=FaultPlan(crash_at=((1, 0.05),)),
+        recovery=RecoveryConfig(checkpoint_interval=0.02)),
+    "masked": api.RunConfig(
+        "fig02", "tmk", 2, "tiny", faults=FaultPlan(crash_at=((2, 0.05),)),
+        replication=ReplicationConfig(3)),
+}
+
+#: sha256 of ``to_json_bytes()`` (= the ETag) and of the stored cache
+#: file, recorded with the hand-listed ``to_json``/``from_json``.
+RESULT_PINS = {
+    "fault-free":
+        ("1ba8a56957516d6eed0983f0da56cae0a41118866eaa83d261d5de80efd92b0a",
+         "d2b0fc118085bcaa724ff09f4b595ea755aa60a3bd8877b6043ec01ad55f855d"),
+    "recovered":
+        ("e887cc23140f7905cae076ff48702e91715d0de81ba8ab9a4f0cb839a39e2572",
+         "02668f2792e6699856a8691764b45d580068ab5b2e4b1accd5c82083692a60f4"),
+    "masked":
+        ("840d728b4eb23a7f136a8eaccdc00890a8c0f1e4b653b370beeee5c1b40fb8c0",
+         "984398df2a740089f431bb4a17b19ffdb3e6057fb1c88ee48b1e89acc1fe822e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_PINS))
+def test_result_bytes_etag_and_stored_record_are_the_parents(
+        name, tmp_path, monkeypatch):
+    monkeypatch.setattr(api, "source_fingerprint", lambda: "pinned")
+    json_sha, file_sha = RESULT_PINS[name]
+    cold = api.run(RESULT_CONFIGS[name], cache=ResultCache(tmp_path))
+    assert (cold.recovery is not None) == (name == "recovered")
+    assert (cold.replication is not None) == (name == "masked")
+    assert hashlib.sha256(cold.to_json_bytes()).hexdigest() == json_sha
+    assert cold.etag == f'"{json_sha}"'
+    stored, = (p for p in tmp_path.rglob("*") if p.is_file())
+    assert hashlib.sha256(stored.read_bytes()).hexdigest() == file_sha
+    _, warm = api.lookup(RESULT_CONFIGS[name], ResultCache(tmp_path))
+    assert warm == cold and warm.cached and warm.parallel is None
+
+
+def test_result_from_another_schema_or_missing_a_field_is_refused():
+    record = api.run(RESULT_CONFIGS["fault-free"], use_cache=False).to_json()
+    with pytest.raises(ValueError, match="RunResult schema 1 != 2"):
+        api.RunResult.from_json(dict(record, schema_version=1))
+    del record["time"]
+    with pytest.raises(KeyError):
+        api.RunResult.from_json(record)
 
 
 def test_all_options_round_trip_through_the_wire():

@@ -33,7 +33,7 @@ class TestParser:
     def test_figure_nprocs_string(self):
         args = build_parser().parse_args(
             ["figure", "fig03", "--nprocs", "1,8"])
-        assert args.nprocs == "1,8"
+        assert args.nprocs == (1, 8)
 
     def test_crash_spec_parses(self):
         args = build_parser().parse_args(
@@ -102,7 +102,7 @@ class TestParser:
         args = build_parser().parse_args(["sweep", "all"])
         assert args.experiment == ["all"]
         assert (args.systems, args.nprocs, args.preset) == \
-            ("tmk,pvm", "8", "bench")
+            ("tmk,pvm", (8,), "bench")
         assert args.jobs is None and not args.no_cache
         assert args.cache_dir is None and args.json is None
 
@@ -112,6 +112,7 @@ class TestParser:
              "--nprocs", "2,4", "--preset", "tiny", "--jobs", "3",
              "--no-cache", "--json", "out.json"])
         assert args.experiment == ["fig01", "fig02"]
+        assert args.nprocs == (2, 4)
         assert args.jobs == 3 and args.no_cache
         assert args.json == "out.json"
 
@@ -149,7 +150,7 @@ class TestCommands:
             cmd_run("fig99", "tmk", 2, "bench")
 
     def test_figure_renders_both_curves(self, tiny_ep):
-        text = cmd_figure("fig01", "1,2", "bench")
+        text = cmd_figure("fig01", (1, 2), "bench")
         assert "TMK" in text and "PVM" in text
 
     def test_tables(self, tiny_ep):
@@ -189,7 +190,7 @@ class TestCommands:
 
     def test_sweep_serial_and_json_report(self, tiny_ep, tmp_path):
         out = tmp_path / "sweep.json"
-        text = cmd_sweep(["fig01"], "tmk,pvm", "2", "bench", jobs=1,
+        text = cmd_sweep(["fig01"], "tmk,pvm", (2,), "bench", jobs=1,
                          no_cache=False, cache_dir=str(tmp_path / "cache"),
                          json_out=str(out))
         assert "fig01" in text and "cache hits" in text
@@ -198,13 +199,13 @@ class TestCommands:
         assert len(report["runs"]) == 2
         assert report["cache_hits"] == 0
         # Re-sweep: everything served from the cache just written.
-        text = cmd_sweep(["fig01"], "tmk,pvm", "2", "bench", jobs=1,
+        text = cmd_sweep(["fig01"], "tmk,pvm", (2,), "bench", jobs=1,
                          no_cache=False, cache_dir=str(tmp_path / "cache"))
         assert "2/2 cache hits" in text
 
     def test_sweep_unknown_experiment(self):
         with pytest.raises(SystemExit, match="unknown experiment"):
-            cmd_sweep(["fig99"], "tmk", "2", "tiny", jobs=1,
+            cmd_sweep(["fig99"], "tmk", (2,), "tiny", jobs=1,
                       no_cache=True, cache_dir=None)
 
     def test_main_sweep_dispatch(self, tiny_ep, tmp_path, capsys):

@@ -14,6 +14,7 @@ from repro.apps.tsp import TspParams
 from repro.apps.water import WaterParams
 from repro.ivy.api import IvyConfig, attach_ivy
 from repro.sim.cluster import Cluster
+from tests.ivy.directory_cases import DirectoryProtocolCases, verified_run
 
 
 def ivy_run(fn, nprocs=4, segment=1 << 19):
@@ -22,35 +23,10 @@ def ivy_run(fn, nprocs=4, segment=1 << 19):
     return cluster.run(fn), cluster
 
 
-class TestProtocolBasics:
-    def test_read_fetches_from_owner(self):
-        def main(proc):
-            tmk = proc.tmk
-            data = tmk.shared_array("d", (512,), np.int64)
-            if tmk.pid == 0:
-                yield from data.write(slice(0, 512), 7)
-            yield from tmk.barrier(0)
-            return int((yield from data.get(100)))
-
-        res, _ = ivy_run(main, nprocs=3)
-        assert res.results == [7, 7, 7]
-
-    def test_write_invalidates_all_copies(self):
-        def main(proc):
-            tmk = proc.tmk
-            data = tmk.shared_array("d", (512,), np.int64)
-            yield from data.read(slice(0, 512))          # everyone caches a copy
-            yield from tmk.barrier(0)
-            if tmk.pid == 1:
-                yield from data.write(slice(0, 512), 5)       # invalidates the others
-            yield from tmk.barrier(1)
-            return int((yield from data.get(0))), int(proc.tmk.core.state[
-                data.addr // 4096])
-
-        res, cluster = ivy_run(main, nprocs=4)
-        assert all(v == 5 for v, _ in res.results)
-        total_inv = sum(p.tmk.core.invalidations for p in cluster.procs)
-        assert total_inv >= 3
+class TestProtocolBasics(DirectoryProtocolCases):
+    def run(self, fn, nprocs):
+        res, cluster = ivy_run(fn, nprocs=nprocs)
+        return res.results, cluster.procs
 
     def test_whole_pages_move(self):
         """IVY ships 4-KB pages where TreadMarks ships word diffs."""
@@ -116,20 +92,13 @@ class TestApplications:
         ("ilink", IlinkParams.tiny()),
     ])
     def test_apps_verify_on_ivy(self, name, params):
-        spec = base.get_app(name)
-        seq = base.run_sequential(spec, params)
         for nprocs in (2, 5):
-            par = base.run_parallel(spec, "ivy", nprocs, params)
-            assert spec.verify(par.result, seq.result), (name, nprocs)
+            verified_run(name, params, "ivy", nprocs)
 
     def test_fft_strided_writes_do_not_livelock(self):
         """The transpose's interlocking multi-page writes are served page
         piece by page piece (momentary ownership per store)."""
-        spec = base.get_app("fft3d")
-        p = FftParams.tiny()
-        seq = base.run_sequential(spec, p)
-        par = base.run_parallel(spec, "ivy", 8, p)
-        assert spec.verify(par.result, seq.result)
+        verified_run("fft3d", FftParams.tiny(), "ivy", 8)
 
 
 class TestConsistencyModelDifference:

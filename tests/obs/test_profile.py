@@ -6,9 +6,12 @@ a microsecond (they sum *exactly* by construction; the tolerance covers
 nothing but the assertion itself).
 """
 
+import hashlib
+import json
+
 import pytest
 
-from repro.api import RunConfig
+from repro.api import ReplicationConfig, RunConfig
 from repro.apps import base
 from repro.bench import harness
 from repro.obs import (BUCKETS, MechanismAttribution, ObsConfig, TimeProfiler,
@@ -144,6 +147,41 @@ def test_buckets_sum_to_measured(exp_id, system):
     assert profiler.mark_time == run.cluster.measure_from
     assert max(profiler.finish) == max(run.cluster.finish_times)
     assert max(profiler.finish) - profiler.mark_time >= run.time - 1e-12
+
+
+def test_ivy_sync_stalls_are_attributed():
+    """``IvyLocks``/``IvyBarrier`` open the ``stall_sync`` spans
+    themselves, so a plain IVY run shows its lock and barrier stalls (it
+    read 0.0 while only the SC-ABD endpoint wrapped them)."""
+    run = harness.run_cached(RunConfig("fig06", "ivy", 3, "tiny",
+                                       obs=ObsConfig(profile=True)))
+    for proc in build_profile(run).processors:
+        assert proc.buckets["stall_sync"] > 0
+        assert abs(proc.total - proc.measured) < 1e-6
+
+
+#: sha256 of every processor's window buckets, recorded while the spans
+#: were still opened by ``ScAbd.barrier``/``lock_acquire`` overrides.
+REPLICATED_BUCKETS = {
+    ("fig02", 3):
+        "816092b1a00b0d1eb5ae68d6df9664bbbe19de1fbda4bd7a763e87f459c9993d",
+    ("fig06", 3):
+        "3678425e486dcf75ee9626ad982194a89c1f946fa70c8961b1ebc8e970277ef0",
+    # One client: the local-lock and single-processor-barrier exits.
+    ("fig06", 1):
+        "a6e6042a1e29834d9041f4a08473074c877caf0973a7ddd21962335b7f1dc1a7",
+}
+
+
+@pytest.mark.parametrize("exp_id,nprocs", sorted(REPLICATED_BUCKETS))
+def test_replicated_buckets_unchanged(exp_id, nprocs):
+    run = harness.run_cached(RunConfig(
+        exp_id, "tmk", nprocs, "tiny", obs=ObsConfig(profile=True),
+        replication=ReplicationConfig(3)))
+    buckets = [run.profiler.window_buckets(pid) for pid in range(nprocs + 3)]
+    digest = hashlib.sha256(
+        json.dumps(buckets, sort_keys=True).encode()).hexdigest()
+    assert digest == REPLICATED_BUCKETS[(exp_id, nprocs)]
 
 
 def test_tmk_mechanism_attribution_consistent():

@@ -22,6 +22,7 @@ from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.faults import FaultPlan
 from repro.sim.recovery import NodeFailure
 from repro.sim.trace import Trace
+from tests.ivy.directory_cases import DirectoryProtocolCases, verified_run
 
 
 def scabd_run(fn, nclients=3, replicas=3, segment=1 << 19, faults=None,
@@ -61,20 +62,12 @@ class TestReplicationConfig:
                          ReplicationConfig(replicas=3))
 
 
-class TestProtocolBasics:
-    def test_read_fetches_committed_copy(self):
-        def main(proc):
-            tmk = proc.tmk
-            data = tmk.shared_array("d", (512,), np.int64)
-            if tmk.pid == 0:
-                yield from data.write(slice(0, 512), 7)
-            yield from tmk.barrier(0)
-            return int((yield from data.get(100)))
-
-        res, cluster = scabd_run(main, nclients=3, replicas=3)
-        assert res.results[:3] == [7, 7, 7]
+class TestProtocolBasics(DirectoryProtocolCases):
+    def run(self, fn, nprocs):
+        res, cluster = scabd_run(fn, nclients=nprocs, replicas=3)
         # Replica servers run no application code and return nothing.
-        assert res.results[3:] == [None, None, None]
+        assert res.results[nprocs:] == [None, None, None]
+        return res.results[:nprocs], cluster.procs[:nprocs]
 
     def test_replicas_invisible_to_programming_model(self):
         def main(proc):
@@ -83,23 +76,6 @@ class TestProtocolBasics:
         res, cluster = scabd_run(main, nclients=2, replicas=3)
         assert res.results[:2] == [2, 2]
         assert cluster.procs[0].tmk.system.replica_pids == (2, 3, 4)
-
-    def test_write_invalidates_all_copies(self):
-        def main(proc):
-            tmk = proc.tmk
-            data = tmk.shared_array("d", (512,), np.int64)
-            yield from data.read(slice(0, 512))          # everyone caches a copy
-            yield from tmk.barrier(0)
-            if tmk.pid == 1:
-                yield from data.write(slice(0, 512), 5)       # invalidates the others
-            yield from tmk.barrier(1)
-            return int((yield from data.get(0)))
-
-        res, cluster = scabd_run(main, nclients=3, replicas=3)
-        assert res.results[:3] == [5, 5, 5]
-        total_inv = sum(p.tmk.core.invalidations
-                        for p in cluster.procs[:3])
-        assert total_inv >= 1
 
     def test_page_data_moves_through_quorums(self):
         def main(proc):
@@ -154,11 +130,8 @@ class TestHarness:
         ("tsp", TspParams.tiny()),
     ])
     def test_apps_verify_under_replication(self, app, params):
-        spec = base.get_app(app)
-        seq = base.run_sequential(spec, params)
-        par = base.run_parallel(spec, "tmk", 4, params,
-                                replication=ReplicationConfig(replicas=3))
-        assert spec.verify(par.result, seq.result)
+        par = verified_run(app, params, "tmk", 4,
+                           replication=ReplicationConfig(replicas=3))
         assert par.replication is not None
         assert par.replication.replicas == 3
         assert par.replication.masked_failures == 0
@@ -292,11 +265,15 @@ class TestFailureMasking:
         repl = ReplicationConfig(3)
         clean = base.run_parallel(spec, "tmk", 4, TspParams.tiny(),
                                   replication=repl)
-        plan = _crash_plan((5, 0.5 * clean.cluster.elapsed))
-        masked = base.run_parallel(spec, "tmk", 4, TspParams.tiny(),
-                                   replication=repl, faults=plan)
-        assert masked.result == clean.result
-        assert masked.replication.masked_nodes == [5]
+        crash = ((5, 0.5 * clean.cluster.elapsed),)
+        # The crash alone, then with message loss on top of it.
+        for plan in (FaultPlan(crash_at=crash),
+                     FaultPlan(seed=7, loss=0.01, crash_at=crash)):
+            masked = base.run_parallel(spec, "tmk", 4, TspParams.tiny(),
+                                       replication=repl, faults=plan)
+            assert masked.result == clean.result
+            assert masked.replication.masked_nodes == [5]
+            assert masked.recovery is None
 
     def test_masking_survives_loss_on_top_of_the_crash(self):
         clean = self._sor_run()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.tmk.sharedmem import SharedHeap
+from repro.sim.cluster import Cluster
+from repro.tmk.api import TmkConfig
+from repro.tmk.sharedmem import DsmCore, DsmEndpoint, DsmSystem, SharedHeap
 
 
 class TestSharedHeap:
@@ -257,6 +259,72 @@ class TestReadOnlyViews:
             return bool(view.flags.writeable)
 
         assert tmk_run(main).results[0] is False
+
+
+class _RecordingCore(DsmCore):
+    """The declared contract and nothing else: both ``ensure_*`` hooks,
+    every optional capability left at its default."""
+
+    def __init__(self, proc, system):
+        super().__init__(proc, system)
+        self.valid_calls = []
+        self.writable_calls = []
+
+    def ensure_valid_runs(self, runs):
+        self.valid_calls.append(list(runs))
+        yield from ()
+
+    def ensure_writable_runs(self, runs):
+        self.writable_calls.append(list(runs))
+        yield from ()
+
+
+class _RecordingEndpoint(DsmEndpoint):
+    def __init__(self, proc, system):
+        super().__init__(proc, system)
+        self.core = _RecordingCore(proc, system)
+
+
+class TestDeclaredCoreContract:
+    def _run(self, main):
+        cluster = Cluster(1)
+        DsmSystem(cluster, TmkConfig(segment_bytes=1 << 16)).attach(
+            _RecordingEndpoint)
+        return cluster.run(main).results[0]
+
+    def test_defaults_send_every_access_through_ensure(self):
+        def main(proc):
+            core = proc.tmk.core
+            arr = proc.tmk.shared_array("a", (1024,), np.float64)
+            yield from arr.write(slice(500, 530), np.arange(30.0))
+            yield from arr.add(slice(500, 502), 10.0)
+            yield from arr.set(3, 4.0)
+            got = (yield from arr.read(slice(498, 504))).copy()
+            one = yield from arr.get(3)
+            return got, one, core.valid_calls, core.writable_calls
+
+        got, one, valid, writable = self._run(main)
+        assert got.tolist() == [0.0, 0.0, 10.0, 11.0, 2.0, 3.0]
+        assert one == 4.0
+        # No fast path: each access asked the core once, with its byte runs.
+        assert valid == [[(498 * 8, 48)], [(3 * 8, 8)]]
+        assert writable == [[(4000, 240)], [(4000, 16)], [(24, 8)]]
+
+    def test_piecewise_preference_is_read_at_every_write(self):
+        def main(proc):
+            core = proc.tmk.core
+            arr = proc.tmk.shared_array("a", (1024,), np.float64)
+            yield from arr.write(slice(500, 530), 1.0)      # crosses a page
+            atomic = len(core.writable_calls)
+            core.prefers_piecewise_writes = True   # after creation and use
+            yield from arr.write(slice(500, 530), 2.0)
+            image = (yield from arr.read()).copy()
+            return atomic, core.writable_calls[atomic:], image
+
+        atomic, pieces, image = self._run(main)
+        assert atomic == 1
+        assert pieces == [[(4000, 96)], [(4096, 144)]]
+        assert image[500:530].tolist() == [2.0] * 30 and image.sum() == 60.0
 
 
 class TestPiecewiseWrite:
