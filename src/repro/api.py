@@ -30,6 +30,7 @@ disk cache for later summary-level readers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -296,8 +297,22 @@ def cache_key(config: RunConfig) -> str:
     Covers the experiment id and its resolved parameters, the system,
     the processor count, the preset, the fault/recovery/analysis/obs
     options, the cost-model constants in effect, the result schema
-    version, and the source fingerprint of ``src/repro/``.
+    version, and the fingerprint of the source this process imported.
+
+    Memoised on exactly those inputs, so a repeated config costs a dict
+    probe.  Configs that compare equal are one run and share a slot:
+    ``FaultPlan(loss=0)`` and ``FaultPlan(loss=0.0)`` encode differently
+    but both get the key of whichever this process saw first.
     """
+    return _key_for(config, _params_repr(config.experiment, config.preset),
+                    source_fingerprint())
+
+
+# Bounded: a long-lived caller sweeping fault seeds must not grow for life.
+@functools.lru_cache(maxsize=4096)
+def _key_for(config: RunConfig, params: str, source: str) -> str:
+    """The derivation itself; ``params`` and ``source`` are the two
+    inputs of a key that are not fields of ``config``."""
     cost = config.cost if config.cost is not None else CostModel.paper_testbed()
     config_material = config.to_json()
     # Key on the *resolved* cost constants only, so an explicit default
@@ -307,9 +322,9 @@ def cache_key(config: RunConfig) -> str:
         "kind": "run",
         "schema_version": RESULT_SCHEMA_VERSION,
         "config": config_material,
-        "params": _params_repr(config.experiment, config.preset),
+        "params": params,
         "cost": _jsonify(cost),
-        "source": source_fingerprint(),
+        "source": source,
     }
     return cache_key_from_material(material)
 

@@ -13,7 +13,11 @@ Keys are content-addressed: ``cache_key_from_material`` hashes the
 canonical JSON encoding of the full key material, which includes a
 *source-tree fingerprint* of ``src/repro/`` -- editing any simulator
 source file invalidates every cached result (the safe default for a
-research harness: no stale numbers after a protocol change).
+research harness: no stale numbers after a protocol change).  The
+fingerprint is of the source *the process imported*: it is taken once,
+on first use, so a long-lived process keeps filing what its pre-edit
+code computes under the pre-edit key, and the next process to start
+sees the edit.
 
 Layout: ``<dir>/<key[:2]>/<key>.json`` -- sharded by key prefix so no
 single directory grows unboundedly under concurrent writers -- written
@@ -34,7 +38,6 @@ import json
 import os
 import pathlib
 import tempfile
-import threading
 from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
@@ -57,17 +60,14 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-#: Memoized fingerprint: (stat stamp of the source tree, digest).  The
-#: stamp is the sorted tuple of (relative path, mtime_ns, size) for
-#: every ``.py`` file -- a cheap ``stat`` pass.  Hashing the file
-#: *contents* (hundreds of KB) happens only when the stamp changes, so
-#: a long-lived server process pays one ``stat`` sweep per lookup
-#: instead of a full rehash, yet still picks up source edits (unlike
-#: the previous once-per-process ``lru_cache``, which a server would
-#: have to restart to invalidate).  ``tools/bench_serve.py`` reports
-#: the measured per-request saving in ``BENCH_serve.json``.
-_FINGERPRINT_LOCK = threading.Lock()
-_FINGERPRINT_MEMO: Optional[Tuple[Tuple[Tuple[str, int, int], ...], str]] = None
+#: Digest of the source tree this process runs, taken on first use and
+#: kept for the life of the process.  A process goes on executing the
+#: modules it imported however the files change underneath it, so
+#: re-reading the tree per lookup would file pre-edit results under a
+#: post-edit key; a fresh process (every CLI invocation, every spawned
+#: sweep or serve worker) hashes the tree it imports.  No lock: racing
+#: first callers compute the same digest and the assignment is atomic.
+_FINGERPRINT: Optional[str] = None
 
 
 def _source_files() -> list:
@@ -88,19 +88,17 @@ def _source_stamp() -> Tuple[Tuple[str, int, int], ...]:
 
 
 def source_fingerprint() -> str:
-    """SHA-256 over every ``.py`` file under ``src/repro/`` (path + bytes).
+    """SHA-256 over every ``.py`` file under ``src/repro/`` (path + bytes)
+    as this process found them on first use; later calls touch no file.
 
-    Memoized per process, keyed on the (path, mtime, size) set: repeat
-    lookups cost one ``stat`` pass, and the full content hash is only
-    recomputed after an actual source edit -- a cost constant, a
-    protocol change, a bug fix -- which then changes the fingerprint
-    and therefore every cache key derived from it.
+    A source edit -- a cost constant, a protocol change, a bug fix --
+    changes the fingerprint, and every cache key derived from it, of
+    the next process to start (restart ``repro serve`` to pick it up).
     """
-    global _FINGERPRINT_MEMO
+    global _FINGERPRINT
+    if _FINGERPRINT is not None:
+        return _FINGERPRINT
     stamp = _source_stamp()
-    with _FINGERPRINT_LOCK:
-        if _FINGERPRINT_MEMO is not None and _FINGERPRINT_MEMO[0] == stamp:
-            return _FINGERPRINT_MEMO[1]
     digest = hashlib.sha256()
     for path, rel in _source_files():
         try:
@@ -112,12 +110,11 @@ def source_fingerprint() -> str:
         digest.update(data)
         digest.update(b"\0")
     value = digest.hexdigest()
-    # Only memoize if the tree is unchanged since the stamp was taken:
-    # an edit landing mid-hash would otherwise pin the *new* stamp to a
-    # digest of mixed old/new content until the next mtime change.
+    # Keep the digest only if the tree did not change while it was
+    # being read: an edit landing mid-hash yields a digest of mixed
+    # old/new content, which names no tree; the next call hashes again.
     if _source_stamp() == stamp:
-        with _FINGERPRINT_LOCK:
-            _FINGERPRINT_MEMO = (stamp, value)
+        _FINGERPRINT = value
     return value
 
 

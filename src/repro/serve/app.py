@@ -24,7 +24,8 @@ injected it (marked ``X-Repro-Injected``).
 
 Conditional requests: 200 responses carry a strong ``ETag`` over the
 canonical result bytes -- the same bytes every byte-identity guarantee
-in this repo is stated over -- and ``If-None-Match`` yields a 304.
+in this repo is stated over -- and an ``If-None-Match`` that names it
+(alone, ``W/``-prefixed, in a list, or as ``*``) yields a 304.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bench.cache import ResultCache, canonical_json, default_cache_dir
+from repro.bench.cache import (ResultCache, canonical_json,
+                               default_cache_dir, source_fingerprint)
 from repro.kernels import get_backend
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
@@ -67,6 +69,15 @@ class _StaleEntry:
 
 def _etag_for(body: bytes) -> str:
     return '"' + hashlib.sha256(body).hexdigest() + '"'
+
+
+def _none_match(header: Optional[str], etag: str) -> bool:
+    """``If-None-Match`` against ``etag`` (RFC 9110 section 13.1.2):
+    ``*`` or a comma-separated list, compared weakly (``W/`` ignored)."""
+    if header is None:
+        return False
+    return header == etag or header.strip() == "*" or any(
+        tag.strip().removeprefix("W/") == etag for tag in header.split(","))
 
 
 def _json_body(value: Any) -> bytes:
@@ -213,6 +224,7 @@ class ReproServer:
             "inflight": self.pool.inflight,
             "flights": len(self.flights),
             "kernels": get_backend().name,
+            "source": source_fingerprint()[:12],
         }), headers=[("X-Repro-Served", "ops")])
 
     def _metrics_response(self) -> Response:
@@ -342,7 +354,7 @@ class ReproServer:
         headers = [("ETag", etag),
                    ("X-Repro-Served", classification),
                    ("X-Repro-Cache", cache_state)]
-        if request.headers.get("if-none-match") == etag:
+        if _none_match(request.headers.get("if-none-match"), etag):
             self.metrics["not_modified"] += 1
             return Response(status=304, headers=headers)
         self.metrics[classification] += 1

@@ -248,6 +248,32 @@ def test_result_bytes_etag_and_stored_record_are_the_parents(
     assert warm == cold and warm.cached and warm.parallel is None
 
 
+#: ``api.cache_key`` hex recorded at the parent (un-memoised, four JSON
+#: encodings per call) with the fingerprint held at ``"pinned"``.
+KEY_PINS = {
+    "fault-free":
+        "ee1b620c96b94308e07365adc399fd7de63d61357c22bf7c6454db3fa4dd6747",
+    "faulted":
+        "63f73c50bbc3022a37c3d7771f880580fe5fa90df3f5ae10927ad587227e747e",
+    "recovered":
+        "9acb16528e6ce8883865f255a5e70945beb7b2567830f062b43893e5e4185733",
+    "masked":
+        "61ceda794ea630c120d1c7c62b1e8bbfedee53f83303542ae903b940d23e5936",
+}
+
+
+KEY_CONFIGS = dict(RESULT_CONFIGS, faulted=api.RunConfig(
+    "fig02", "tmk", 2, "tiny", faults=FaultPlan(seed=7, loss=0.01)))
+
+
+@pytest.mark.parametrize("name", sorted(KEY_PINS))
+def test_memoised_cache_key_hex_is_the_parents(name, monkeypatch):
+    monkeypatch.setattr(api, "source_fingerprint", lambda: "pinned")
+    config = KEY_CONFIGS[name]
+    assert api.cache_key(config) == KEY_PINS[name]  # computed ...
+    assert api.cache_key(config) == KEY_PINS[name]  # ... and from the memo
+
+
 def test_result_from_another_schema_or_missing_a_field_is_refused():
     record = api.run(RESULT_CONFIGS["fault-free"], use_cache=False).to_json()
     with pytest.raises(ValueError, match="RunResult schema 1 != 2"):

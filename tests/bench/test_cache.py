@@ -1,7 +1,13 @@
 """Tests for the persistent result cache and its key derivation."""
 
+import dataclasses
 import json
+import os
+import pathlib
 import random
+import shutil
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 
@@ -336,39 +342,136 @@ class TestConcurrentWriters:
             assert set(final) == {"worker", "seq", "blob"}
 
 
-class TestFingerprintMemo:
-    def test_memo_hits_on_unchanged_tree(self):
-        with cache_mod._FINGERPRINT_LOCK:
-            cache_mod._FINGERPRINT_MEMO = None
-        first = source_fingerprint()
-        assert cache_mod._FINGERPRINT_MEMO is not None
-        memo_before = cache_mod._FINGERPRINT_MEMO
-        assert source_fingerprint() == first
-        assert cache_mod._FINGERPRINT_MEMO is memo_before  # no rehash
+def _forbid(what):
+    def raiser(*args, **kwargs):
+        raise AssertionError(f"{what} on a path that must not need it")
+    return raiser
 
-    def test_memo_invalidated_by_stamp_change(self, monkeypatch):
-        with cache_mod._FINGERPRINT_LOCK:
-            cache_mod._FINGERPRINT_MEMO = None
+
+class TestFingerprintMemo:
+    """The fingerprint names the code this process runs: one hash, on
+    first use, kept for the life of the process."""
+
+    def test_memo_hits_on_unchanged_tree(self, monkeypatch):
+        monkeypatch.setattr(cache_mod, "_FINGERPRINT", None)
         first = source_fingerprint()
-        # Pretend a source file changed: the stamp no longer matches,
-        # so the content hash must be recomputed (same tree -> same
-        # digest, but via the slow path).
-        real_stamp = cache_mod._source_stamp
-        monkeypatch.setattr(cache_mod, "_source_stamp",
-                            lambda: real_stamp() + (("fake.py", 0, 0),))
+        assert cache_mod._FINGERPRINT == first
+        # The second call does no I/O at all: not a walk, not a stat.
+        monkeypatch.setattr(cache_mod, "_source_files",
+                            _forbid("source tree walked"))
         assert source_fingerprint() == first
-        assert cache_mod._FINGERPRINT_MEMO[0][-1] == ("fake.py", 0, 0)
 
     def test_no_memo_when_tree_changes_mid_hash(self, monkeypatch):
-        # An edit landing between the stat pass and the content hash
-        # would pair the new stamp with a digest of mixed old/new
-        # content; that inconsistent pair must not be memoized.
-        with cache_mod._FINGERPRINT_LOCK:
-            cache_mod._FINGERPRINT_MEMO = None
+        # An edit landing while the files are being read yields a digest
+        # of mixed old/new content, which names no tree: it is returned
+        # to that one caller but not kept, and the next call hashes again.
+        monkeypatch.setattr(cache_mod, "_FINGERPRINT", None)
         real_stamp = cache_mod._source_stamp
-        stamps = iter([real_stamp() + (("edited.py", 0, 0),),
-                       real_stamp()])
-        monkeypatch.setattr(cache_mod, "_source_stamp",
-                            lambda: next(stamps))
-        source_fingerprint()
-        assert cache_mod._FINGERPRINT_MEMO is None
+        stamps = iter([real_stamp() + (("edited.py", 0, 0),), real_stamp()])
+        monkeypatch.setattr(cache_mod, "_source_stamp", lambda: next(stamps))
+        torn = source_fingerprint()
+        assert cache_mod._FINGERPRINT is None
+        monkeypatch.setattr(cache_mod, "_source_stamp", real_stamp)
+        assert source_fingerprint() == torn  # nothing was really edited
+        assert cache_mod._FINGERPRINT == torn
+
+    def test_pre_edit_code_is_never_filed_under_a_post_edit_key(
+            self, tmp_path):
+        """A live process keeps executing the modules it imported, so an
+        on-disk edit must not move its fingerprint or its keys (it would
+        file pre-edit results where a restarted server finds them as
+        current); the next process over the edited tree sees the edit."""
+        package = pathlib.Path(cache_mod.__file__).resolve().parents[1]
+        shutil.copytree(package, tmp_path / "src" / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        script = (
+            "import sys\n"
+            "from repro import api\n"
+            "cfg = api.RunConfig('fig01', 'tmk', 2, 'tiny')\n"
+            "print(api.source_fingerprint(), api.cache_key(cfg))\n"
+            "for path in sys.argv[1:]:\n"
+            "    with open(path, 'a') as fh:\n"
+            "        fh.write('# edited\\n')\n"
+            "print(api.source_fingerprint(), api.cache_key(cfg))\n")
+
+        def fresh_process(*edit):
+            out = subprocess.run(
+                [sys.executable, "-c", script, *edit], check=True,
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(tmp_path / "src")))
+            first, second = (line.split() for line in out.stdout.splitlines())
+            return first, second
+
+        before, after = fresh_process(
+            str(tmp_path / "src" / "repro" / "sim" / "costmodel.py"))
+        assert after == before
+        restarted, again = fresh_process()
+        assert restarted == again
+        assert restarted[0] != before[0] and restarted[1] != before[1]
+
+
+class TestHitPathDerivesNothingTwice:
+    """A repeated config costs a dict probe: no source walk, no cost
+    model, no JSON encoding of the key material."""
+
+    BASE = TestCacheKeyInvalidation.BASE
+
+    @pytest.fixture(autouse=True)
+    def _empty_key_memo(self):
+        api._key_for.cache_clear()
+        yield
+        api._key_for.cache_clear()
+
+    def test_lookup_hits_walk_nothing_and_build_no_cost_model(
+            self, tiny_ep, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        cold = api.run(api.RunConfig(experiment="fig01", nprocs=2),
+                       cache=cache)
+        assert api.lookup(api.RunConfig(experiment="fig01", nprocs=2),
+                          cache)[1] == cold
+        monkeypatch.setattr(cache_mod, "_source_files",
+                            _forbid("source tree walked"))
+        monkeypatch.setattr(CostModel, "paper_testbed",
+                            _forbid("cost model rebuilt"))
+        for _ in range(100):
+            key, hit = api.lookup(
+                api.RunConfig(experiment="fig01", nprocs=2), cache)
+            assert key == cold.cache_key and hit == cold and hit.cached
+        assert cache.hits == 101
+
+    def test_memoised_key_still_follows_every_input(self, monkeypatch):
+        cfg = api.RunConfig(**self.BASE)
+        base = api.cache_key(cfg)
+        assert api.cache_key(cfg) == base
+        assert api._key_for.cache_info().hits == 1
+        # An explicit default cost model is another config, same key.
+        assert api.cache_key(api.RunConfig(
+            cost=CostModel.paper_testbed(), **self.BASE)) == base
+        # Parameters swapped in under the same experiment id.
+        exp = harness.EXPERIMENTS["fig01"]
+        with monkeypatch.context() as swap:
+            swap.setitem(harness.EXPERIMENTS, "fig01", dataclasses.replace(
+                exp, tiny_params=EpParams(log2_pairs=9)))
+            swapped = api.cache_key(cfg)
+        assert swapped != base
+        # The fingerprint is read through the module global on each call.
+        with monkeypatch.context() as edit:
+            edit.setattr(api, "source_fingerprint", lambda: "f" * 64)
+            assert api.cache_key(cfg) not in (base, swapped)
+        assert api.cache_key(cfg) == base
+
+    def test_equal_configs_are_one_run_and_share_a_key(self):
+        """``0 == 0.0`` and the simulator cannot tell them apart, but
+        they encode differently: apart, each has its own key; together,
+        the second gets the key of the first (as ``harness.run_cached``
+        already hands it the first's result)."""
+        as_int = api.RunConfig(faults=FaultPlan(seed=1, loss=0), **self.BASE)
+        as_float = api.RunConfig(faults=FaultPlan(seed=1, loss=0.0),
+                                 **self.BASE)
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        int_key = api.cache_key(as_int)
+        assert api.cache_key(as_float) == int_key
+        api._key_for.cache_clear()
+        float_key = api.cache_key(as_float)
+        assert float_key != int_key
+        assert api.cache_key(as_int) == float_key

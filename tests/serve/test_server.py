@@ -11,6 +11,7 @@ fresh -> coalesced -> stale-degraded (``Degraded:`` header) -> shed.
 import asyncio
 import json
 
+from repro.bench import cache as cache_mod
 from repro.serve import ReproServer, ServeConfig
 from repro.serve.http import read_response, render_request
 
@@ -66,7 +67,11 @@ class TestOpsEndpoints:
         async def scenario(server):
             health = await fetch(server, "/healthz")
             assert health.status == 200
-            assert json.loads(health.body)["status"] == "ok"
+            body = json.loads(health.body)
+            assert body["status"] == "ok"
+            # Which code this server runs (it keeps its fingerprint for
+            # life, so a mismatch with the tree means "restart me").
+            assert body["source"] == cache_mod.source_fingerprint()[:12]
             metrics = await fetch(server, "/metrics")
             data = json.loads(metrics.body)
             assert data["breaker_state"] == "closed"
@@ -160,6 +165,45 @@ class TestServingLadder:
             direct = api.run(config, use_cache=False)
             assert cold.body == direct.to_json_bytes()
             assert etag == direct.etag
+
+        serve(scenario, tmp_path)
+
+    def test_if_none_match_is_a_weak_list_comparison(self, tmp_path):
+        """RFC 9110 section 13.1.2: the tag alone, ``W/``-prefixed, in a
+        list, or ``*`` all name the entity; a list without it does not."""
+        async def scenario(server):
+            etag = (await fetch(server, TINY_RUN)).header("ETag")
+            other = '"' + "0" * 64 + '"'
+            for header, status in [(etag, 304),
+                                   (f"W/{etag}", 304),
+                                   (f"{other}, W/{etag}", 304),
+                                   ("*", 304),
+                                   (f"{other}, W/{other}", 200)]:
+                response = await fetch(server, TINY_RUN,
+                                       {"If-None-Match": header})
+                assert response.status == status, header
+                assert response.header("ETag") == etag
+                assert bool(response.body) == (status == 200), header
+
+        serve(scenario, tmp_path)
+
+    def test_warm_run_derives_nothing_twice(self, tmp_path, monkeypatch):
+        """After one hit, a warm ``GET /run`` neither walks the source
+        tree nor rebuilds the cost model to find its cache key."""
+        from repro.sim.costmodel import CostModel
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("derived again on the warm path")
+
+        async def scenario(server):
+            cold = await fetch(server, TINY_RUN)
+            assert (await fetch(server, TINY_RUN)).body == cold.body
+            monkeypatch.setattr(cache_mod, "_source_files", forbidden)
+            monkeypatch.setattr(CostModel, "paper_testbed", forbidden)
+            warm = await fetch(server, TINY_RUN)
+            assert warm.status == 200
+            assert warm.header("X-Repro-Cache") == "hit"
+            assert warm.body == cold.body
 
         serve(scenario, tmp_path)
 

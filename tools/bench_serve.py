@@ -22,18 +22,21 @@ of the degradation ladder:
 
 The report carries p50/p99 latency (overall and per response class),
 counts by classification, server-side counters from ``/metrics``, and
-four hard assertions (nonzero exit on failure):
+eleven hard assertions (nonzero exit on failure), among them:
 
-1. zero corrupt cache entries after the chaos load
-   (``ResultCache.validate()``);
-2. no 5xx anywhere except responses marked ``X-Repro-Injected``;
-3. every response classifiable via ``X-Repro-Served``;
-4. the served ``/run`` bytes are byte-identical to a direct
-   ``repro.api.run`` computation.
+* zero corrupt cache entries after the chaos load
+  (``ResultCache.validate()``);
+* no 5xx anywhere except responses marked ``X-Repro-Injected``;
+* every response classifiable via ``X-Repro-Served``;
+* the served ``/run`` bytes are byte-identical to a direct
+  ``repro.api.run`` computation;
+* the server's ``/healthz`` ``source`` is this tool's own
+  ``source_fingerprint()[:12]`` -- same tree, same digest, in two
+  processes.
 
-It also times ``source_fingerprint()`` cold (full content hash) vs
-memoized (stat-only pass), documenting what the mtime-keyed memo saves
-on every cache lookup.
+It also times what a cache lookup pays to find its key: the source
+fingerprint's one full hash in a fresh process against a repeat call,
+and ``api.cache_key`` computed against memoised.
 
 Run:  python tools/bench_serve.py [--out BENCH_serve.json] [--hot N]
 """
@@ -42,6 +45,7 @@ import argparse
 import asyncio
 import json
 import os
+import pathlib
 import re
 import statistics
 import subprocess
@@ -49,7 +53,8 @@ import sys
 import tempfile
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+sys.path.insert(0, SRC)
 
 from repro.serve.http import read_response, render_request  # noqa: E402
 
@@ -196,28 +201,46 @@ async def drive(client, hot_requests):
     obs["run_sample"] = {"status": sample.status, "body": sample.body}
     metrics = await client.get("/metrics")
     obs["metrics"] = json.loads(metrics.body)
+    health = await client.get("/healthz")
+    obs["server_source"] = json.loads(health.body).get("source")
     return obs
 
 
 def bench_fingerprint():
-    """Satellite measurement: what the mtime-keyed memo saves per lookup."""
-    from repro.bench import cache as cache_mod
-    with cache_mod._FINGERPRINT_LOCK:
-        cache_mod._FINGERPRINT_MEMO = None  # force one full-content hash
+    """What a lookup pays to derive its key, first time and every time
+    after (public surface only; the first-use hash needs a process that
+    has not fingerprinted yet, so it runs in a fresh one)."""
+    import repro
+    from repro import api
+    first_use = subprocess.run(
+        [sys.executable, "-c",
+         "import time\n"
+         "from repro.bench.cache import source_fingerprint\n"
+         "started = time.perf_counter()\n"
+         "digest = source_fingerprint()\n"
+         "print(digest, time.perf_counter() - started)\n"],
+        env=dict(os.environ, PYTHONPATH=SRC), check=True,
+        capture_output=True, text=True).stdout.split()
+    assert first_use[0] == api.source_fingerprint()
+
+    def per_call_us(fn, rounds=2000):
+        started = time.perf_counter()
+        for _ in range(rounds):
+            fn()
+        return round((time.perf_counter() - started) / rounds * 1e6, 2)
+
+    config = api.RunConfig(experiment="fig12", system="pvm", nprocs=3,
+                           preset="tiny")  # a key nothing above asked for
     started = time.perf_counter()
-    cold_fp = cache_mod.source_fingerprint()
-    cold = time.perf_counter() - started
-    rounds = 50
-    started = time.perf_counter()
-    for _ in range(rounds):
-        warm_fp = cache_mod.source_fingerprint()
-    warm = (time.perf_counter() - started) / rounds
-    assert warm_fp == cold_fp
+    api.cache_key(config)
+    key_first = time.perf_counter() - started
     return {
-        "files_hashed": len(cache_mod._source_files()),
-        "cold_full_hash_ms": round(cold * 1000, 3),
-        "memoized_stat_pass_us": round(warm * 1e6, 2),
-        "speedup": round(cold / warm, 1) if warm else None,
+        "files_hashed": sum(1 for _ in pathlib.Path(
+            repro.__file__).parent.rglob("*.py")),
+        "first_use_hash_ms": round(float(first_use[1]) * 1000, 3),
+        "repeat_call_us": per_call_us(api.source_fingerprint),
+        "cache_key_first_us": round(key_first * 1e6, 2),
+        "cache_key_repeat_us": per_call_us(lambda: api.cache_key(config)),
     }
 
 
@@ -231,8 +254,7 @@ def check_byte_identity(obs, cache_dir):
 
 
 def start_server(cache_dir):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
          "--chaos", "--workers", "2", "--queue-depth", "8",
@@ -269,7 +291,7 @@ def main():
             proc.terminate()
             proc.wait(timeout=10)
 
-        from repro.bench.cache import ResultCache
+        from repro.bench.cache import ResultCache, source_fingerprint
         cache_state = ResultCache(cache_dir).validate()
 
     counts = {}
@@ -313,7 +335,7 @@ def main():
             "cache_quarantined": metrics.get("cache_quarantined"),
         },
         "cache_state": cache_state,
-        "fingerprint_memo": bench_fingerprint(),
+        "key_derivation": bench_fingerprint(),
         "assertions": {},
     }
 
@@ -347,6 +369,9 @@ def main():
               for s, mark in obs["crash_statuses"]),
           obs["crash_statuses"])
     check("served_bytes_match_direct_api", byte_identical, "bytes differ")
+    own_source = source_fingerprint()[:12]
+    check("server_runs_this_source", obs["server_source"] == own_source,
+          f"/healthz source {obs['server_source']!r} != {own_source!r}")
 
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
