@@ -8,15 +8,15 @@ but loses little work at a crash; a long (or infinite) interval is free
 until the crash, which then throws away everything since the start.
 
 Every recovered run must still produce results identical to the
-fault-free one on both systems -- ``run_cached`` verifies each against
+fault-free one on both systems -- ``api.run`` verifies each against
 the sequential run, and the recovery ledger reports where the overhead
 went (detection latency, lost work re-executed, checkpoint restore).
 """
 
 from _common import PRESET, emit
 
+from repro import api
 from repro.api import RunConfig
-from repro.bench import harness
 from repro.sim.faults import FaultPlan
 from repro.sim.recovery import RecoveryConfig
 
@@ -32,14 +32,7 @@ def _recovery(interval):
 
 
 def test_ablation_checkpoint(benchmark, capsys):
-    seq = harness.seq_time("fig02", PRESET)  # SOR-Zero: barrier-heavy
-
-    benchmark.pedantic(
-        lambda: harness.run_cached(RunConfig(
-            "fig02", "tmk", NPROCS, PRESET, faults=CRASH,
-            recovery=_recovery(INTERVALS[1]))),
-        rounds=1, iterations=1)
-
+    seq = api.seq_time("fig02", PRESET)  # SOR-Zero: barrier-heavy
     rows = [
         f"Ablation: checkpoint interval under a crash "
         f"(SOR-Zero, {NPROCS} processors, node 3 dies at t=2.0)",
@@ -50,13 +43,18 @@ def test_ablation_checkpoint(benchmark, capsys):
     ]
     runs = {}
     for system in ("tmk", "pvm"):
-        clean = harness.run_cached(RunConfig("fig02", system, NPROCS, PRESET))
-        rows.append(f"{system:>8}{'none':>7}{seq / clean.time:>9.2f}"
+        clean = api.run(RunConfig("fig02", system, NPROCS, PRESET))
+        rows.append(f"{system:>8}{'none':>7}{clean.speedup:>9.2f}"
                     f"{'-':>8}{'-':>9}{'-':>8}{'-':>10}")
         for interval in INTERVALS:
-            run = harness.run_cached(RunConfig(
-                "fig02", system, NPROCS, PRESET, faults=CRASH,
-                recovery=_recovery(interval)))
+            config = RunConfig("fig02", system, NPROCS, PRESET, faults=CRASH,
+                               recovery=_recovery(interval))
+            if (system, interval) == ("tmk", INTERVALS[1]):
+                run = benchmark.pedantic(
+                    lambda: api.run(config, want_parallel=True),
+                    rounds=1, iterations=1).parallel
+            else:
+                run = api.run(config, want_parallel=True).parallel
             runs[(system, interval)] = run
             report = run.recovery
             ckpt = run.stats.recovery().get("checkpoint")

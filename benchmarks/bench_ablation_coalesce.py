@@ -10,6 +10,7 @@ compiler integration; ``TmkConfig.coalesce_diffs`` implements it.
 
 from _common import PRESET, emit
 
+from repro import api
 from repro.apps import base
 from repro.api import RunConfig
 from repro.bench import harness
@@ -21,7 +22,7 @@ def test_ablation_diff_coalescing(benchmark, capsys):
     params = harness.params_for(exp, PRESET)
     spec = base.get_app(exp.app)
 
-    default = harness.run_cached(RunConfig("fig05", "tmk", 8, PRESET))
+    default = api.run(RunConfig("fig05", "tmk", 8, PRESET))
     coalesced = benchmark.pedantic(
         lambda: base.run_parallel(
             exp.app, "tmk", 8, params,
@@ -29,20 +30,20 @@ def test_ablation_diff_coalescing(benchmark, capsys):
                                  coalesce_diffs=True)),
         rounds=1, iterations=1)
 
-    seq = harness.seq_time("fig05", PRESET)
+    seq = default.seq_time
     report = "\n".join([
         "Ablation: diff coalescing on IS-Large (TreadMarks, 8 processors)",
         "",
         f"{'variant':<22}{'messages':>10}{'KB':>10}{'speedup':>9}",
         "-" * 51,
-        f"{'accumulated (paper)':<22}{default.total_messages():>10d}"
-        f"{default.total_kbytes():>10.0f}{seq / default.time:>9.2f}",
+        f"{'accumulated (paper)':<22}{default.messages:>10d}"
+        f"{default.kbytes:>10.0f}{default.speedup:>9.2f}",
         f"{'coalesced (fix)':<22}{coalesced.total_messages():>10d}"
         f"{coalesced.total_kbytes():>10.0f}{seq / coalesced.time:>9.2f}",
     ])
     emit(capsys, "ablation_coalesce", report)
 
-    assert coalesced.total_kbytes() < 0.5 * default.total_kbytes(), \
+    assert coalesced.total_kbytes() < 0.5 * default.kbytes, \
         "coalescing should remove most of the accumulated diff data"
     assert coalesced.time < default.time, \
         "coalescing should speed up IS-Large"

@@ -10,6 +10,7 @@ not they will ever touch the data).
 
 from _common import PRESET, emit
 
+from repro import api
 from repro.apps import base
 from repro.api import RunConfig
 from repro.bench import harness
@@ -28,8 +29,7 @@ def test_ablation_eager_release_consistency(benchmark, capsys):
         exp = harness.EXPERIMENTS[exp_id]
         params = harness.params_for(exp, PRESET)
         spec = base.get_app(exp.app)
-        seq = harness.seq_time(exp_id, PRESET)
-        lazy = harness.run_cached(RunConfig(exp_id, "tmk", 8, PRESET))
+        lazy = api.run(RunConfig(exp_id, "tmk", 8, PRESET))
         config = TmkConfig(segment_bytes=spec.segment_bytes,
                            protocol="eager")
         if exp_id == "fig08":
@@ -41,13 +41,14 @@ def test_ablation_eager_release_consistency(benchmark, capsys):
         else:
             eager = base.run_parallel(exp.app, "tmk", 8, params,
                                       tmk_config=config)
-        for label, run in (("lazy", lazy), ("eager", eager)):
-            rows.append(f"{exp.label:<13}{label:<8}"
-                        f"{run.total_messages():>10d}"
-                        f"{run.total_kbytes():>10.0f}"
-                        f"{seq / run.time:>9.2f}")
+        for label, messages, kbytes, time in (
+                ("lazy", lazy.messages, lazy.kbytes, lazy.time),
+                ("eager", eager.total_messages(), eager.total_kbytes(),
+                 eager.time)):
+            rows.append(f"{exp.label:<13}{label:<8}{messages:>10d}"
+                        f"{kbytes:>10.0f}{lazy.seq_time / time:>9.2f}")
     emit(capsys, "ablation_eager", "\n".join(rows))
 
     lazy, eager = water_pair
-    assert eager.total_messages() > 1.5 * lazy.total_messages(), \
+    assert eager.total_messages() > 1.5 * lazy.messages, \
         "eager releases must broadcast far more messages"

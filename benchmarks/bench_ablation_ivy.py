@@ -10,7 +10,7 @@ lazy notices remove almost all of it.
 
 from _common import PRESET, emit
 
-from repro.apps import base
+from repro import api
 from repro.api import RunConfig
 from repro.bench import harness
 
@@ -25,21 +25,21 @@ def test_ablation_ivy_vs_treadmarks(benchmark, capsys):
     water_pair = None
     for exp_id in ("fig08", "fig03"):  # Water-288 and SOR-NonZero (DRF)
         exp = harness.EXPERIMENTS[exp_id]
-        params = harness.params_for(exp, PRESET)
-        seq = harness.seq_time(exp_id, PRESET)
-        tmk = harness.run_cached(RunConfig(exp_id, "tmk", 8, PRESET))
+        tmk = api.run(RunConfig(exp_id, "tmk", 8, PRESET))
+        ivy_config = RunConfig(exp_id, "ivy", 8, PRESET)
         if exp_id == "fig08":
+            # The timed unit always simulates (and stores its record).
             ivy = benchmark.pedantic(
-                lambda: base.run_parallel(exp.app, "ivy", 8, params),
+                lambda: api.run(ivy_config, want_parallel=True),
                 rounds=1, iterations=1)
             water_pair = (tmk, ivy)
         else:
-            ivy = base.run_parallel(exp.app, "ivy", 8, params)
+            ivy = api.run(ivy_config)
         for label, run in (("TreadMarks", tmk), ("IVY (SC)", ivy)):
             rows.append(f"{exp.label:<13}{label:<12}"
-                        f"{run.total_messages():>10d}"
-                        f"{run.total_kbytes():>10.0f}"
-                        f"{seq / run.time:>9.2f}")
+                        f"{run.messages:>10d}"
+                        f"{run.kbytes:>10.0f}"
+                        f"{run.speedup:>9.2f}")
     rows += ["",
              "Note: IS and similar TreadMarks programs that re-read shared",
              "data after a barrier while a faster processor already started",
@@ -49,7 +49,7 @@ def test_ablation_ivy_vs_treadmarks(benchmark, capsys):
     emit(capsys, "ablation_ivy", "\n".join(rows))
 
     tmk, ivy = water_pair
-    assert ivy.total_kbytes() > tmk.total_kbytes(), \
+    assert ivy.kbytes > tmk.kbytes, \
         "whole-page transfers must move more data than diffs"
     assert ivy.time > tmk.time, \
         "page ping-pong must cost IVY time on Water's shared pages"

@@ -15,8 +15,8 @@ the run gets slower, never wrong.
 
 from _common import PRESET, emit
 
+from repro import api
 from repro.api import RunConfig
-from repro.bench import harness
 from repro.sim.faults import FaultPlan
 
 NPROCS = 8
@@ -30,13 +30,7 @@ def _plan(loss):
 
 
 def test_ablation_loss(benchmark, capsys):
-    seq = harness.seq_time("fig02", PRESET)  # SOR-Zero: barrier-heavy
-
-    benchmark.pedantic(
-        lambda: harness.run_cached(RunConfig(
-            "fig02", "tmk", NPROCS, PRESET, faults=_plan(LOSS_RATES[-1]))),
-        rounds=1, iterations=1)
-
+    seq = api.seq_time("fig02", PRESET)  # SOR-Zero: barrier-heavy
     rows = [
         f"Ablation: datagram loss on SOR-Zero ({NPROCS} processors)",
         "",
@@ -47,8 +41,14 @@ def test_ablation_loss(benchmark, capsys):
     runs = {}
     for system in ("tmk", "pvm"):
         for loss in LOSS_RATES:
-            run = harness.run_cached(RunConfig(
-                "fig02", system, NPROCS, PRESET, faults=_plan(loss)))
+            config = RunConfig("fig02", system, NPROCS, PRESET,
+                               faults=_plan(loss))
+            if (system, loss) == ("tmk", LOSS_RATES[-1]):
+                run = benchmark.pedantic(
+                    lambda: api.run(config, want_parallel=True),
+                    rounds=1, iterations=1).parallel
+            else:
+                run = api.run(config, want_parallel=True).parallel
             runs[(system, loss)] = run
             rel = run.stats.reliability(system)
             retrans = rel.get("retransmit")
@@ -64,7 +64,7 @@ def test_ablation_loss(benchmark, capsys):
         clean = runs[(system, 0.0)]
         for loss in LOSS_RATES[1:]:
             lossy = runs[(system, loss)]
-            # run_cached verified each result against the sequential run;
+            # api.run verified each result against the sequential run;
             # the lossy run must also not be faster than the clean one.
             assert lossy.time >= clean.time
             retrans = lossy.stats.reliability(system).get("retransmit")

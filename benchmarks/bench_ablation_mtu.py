@@ -9,42 +9,37 @@ further; growing it has diminishing returns.
 
 from _common import PRESET, emit
 
-from repro.apps import base
-from repro.bench import harness
+from repro import api
+from repro.api import RunConfig
 from repro.sim.costmodel import CostModel
-from repro.tmk.api import TmkConfig
 
 
-def _run(params, spec, mtu):
-    return base.run_parallel(
-        "is", "tmk", 8, params,
-        cost=CostModel.paper_testbed().variant(udp_mtu=mtu),
-        tmk_config=TmkConfig(segment_bytes=spec.segment_bytes))
+def _config(mtu):
+    # IS-Large: bulk diff traffic.
+    return RunConfig("fig05", "tmk", 8, PRESET,
+                     cost=CostModel.paper_testbed().variant(udp_mtu=mtu))
 
 
 def test_ablation_udp_mtu(benchmark, capsys):
-    exp = harness.EXPERIMENTS["fig05"]  # IS-Large: bulk diff traffic
-    params = harness.params_for(exp, PRESET)
-    spec = base.get_app(exp.app)
-    seq = harness.seq_time("fig05", PRESET)
-
-    small = benchmark.pedantic(lambda: _run(params, spec, 1500),
-                               rounds=1, iterations=1)
+    # The timed unit always simulates (and stores its record).
+    small = benchmark.pedantic(
+        lambda: api.run(_config(1500), want_parallel=True),
+        rounds=1, iterations=1)
     rows = [
         "Ablation: TreadMarks UDP MTU on IS-Large (8 processors)",
         "",
         f"{'MTU':>8}{'messages':>10}{'KB':>10}{'speedup':>9}",
         "-" * 37,
-        f"{1500:>8d}{small.total_messages():>10d}"
-        f"{small.total_kbytes():>10.0f}{seq / small.time:>9.2f}",
+        f"{1500:>8d}{small.messages:>10d}"
+        f"{small.kbytes:>10.0f}{small.speedup:>9.2f}",
     ]
     results = {1500: small}
     for mtu in (8192, 32768):
-        run = _run(params, spec, mtu)
+        run = api.run(_config(mtu))
         results[mtu] = run
-        rows.append(f"{mtu:>8d}{run.total_messages():>10d}"
-                    f"{run.total_kbytes():>10.0f}{seq / run.time:>9.2f}")
-    emit(capsys, "ablation_mtu", rows := "\n".join(rows))
+        rows.append(f"{mtu:>8d}{run.messages:>10d}"
+                    f"{run.kbytes:>10.0f}{run.speedup:>9.2f}")
+    emit(capsys, "ablation_mtu", "\n".join(rows))
 
-    assert results[1500].total_messages() > 3 * results[8192].total_messages()
+    assert results[1500].messages > 3 * results[8192].messages
     assert results[1500].time > results[8192].time

@@ -13,6 +13,7 @@ diff-request round trips, false sharing, diff accumulation).
 
 from _common import PRESET, emit
 
+from repro import api
 from repro.analysis import AnalysisConfig
 from repro.api import RunConfig
 from repro.bench import harness
@@ -21,14 +22,17 @@ from repro.obs import ObsConfig, build_profile, render_profile
 
 
 def test_analysis_time_decomposition(benchmark, capsys):
-    benchmark.pedantic(
-        lambda: harness.run_cached(RunConfig("fig06", "tmk", 8, PRESET)),
-        rounds=1, iterations=1)
     reports = []
     shares = {}
     for exp_id in ("fig06", "fig02", "fig05"):
         exp = harness.EXPERIMENTS[exp_id]
-        run = harness.run_cached(RunConfig(exp_id, "tmk", 8, PRESET))
+        config = RunConfig(exp_id, "tmk", 8, PRESET)
+        if exp_id == "fig06":
+            run = benchmark.pedantic(
+                lambda: api.run(config, want_parallel=True),
+                rounds=1, iterations=1).parallel
+        else:
+            run = api.run(config, want_parallel=True).parallel
         breakdown = decompose(run)
         shares[exp_id] = breakdown
         reports.append(render_breakdown(
@@ -53,17 +57,19 @@ def test_causal_breakdown_all_configs(benchmark, capsys):
     """The causal-analysis report: all twelve configs, both systems."""
     obs = ObsConfig(profile=True)
     fs = AnalysisConfig(false_sharing=True)
-    benchmark.pedantic(
-        lambda: harness.run_cached(RunConfig(
-            "fig08", "tmk", 8, PRESET, analysis=fs, obs=obs)),
-        rounds=1, iterations=1)
     reports = []
     profiles = {}
     for exp_id, exp in harness.EXPERIMENTS.items():
         for system in ("tmk", "pvm"):
             analysis = fs if system == "tmk" else None
-            run = harness.run_cached(RunConfig(
-                exp_id, system, 8, PRESET, analysis=analysis, obs=obs))
+            config = RunConfig(exp_id, system, 8, PRESET, analysis=analysis,
+                               obs=obs)
+            if (exp_id, system) == ("fig08", "tmk"):
+                run = benchmark.pedantic(
+                    lambda: api.run(config, want_parallel=True),
+                    rounds=1, iterations=1).parallel
+            else:
+                run = api.run(config, want_parallel=True).parallel
             profile = build_profile(
                 run, label=f"{exp.label} ({PRESET}, 8 procs)")
             profiles[(exp_id, system)] = profile

@@ -23,8 +23,11 @@ examples.  The facade collapses all of that into two types and one call:
 Results served from disk carry only the summary record
 (``result.parallel is None``); pass ``want_parallel=True`` when live
 artifacts (stats buckets, endpoints, sanitizer, profiler) are needed --
-the run then executes in-process (memoized) and still populates the
-disk cache for later summary-level readers.
+the run then executes in-process and still populates the disk cache for
+later summary-level readers.  :func:`run` is the only runner of a
+``RunConfig`` and the disk store the only cache of runs: the caller owns
+a live result, and nothing in the process keeps a finished simulation
+alive.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.races import AnalysisConfig
-from repro.apps.base import check_options
+from repro.apps import base
+from repro.bench import harness
 from repro.bench.cache import (ResultCache, cache_key_from_material,
                                canonical_json, default_cache,
                                source_fingerprint)
@@ -163,15 +167,14 @@ class RunConfig:
         processes) builds a ``RunConfig`` and only translates this
         ``ValueError``; nothing below re-derives any of it.
         """
-        from repro.bench import harness
         harness.experiment(self.experiment)
         if self.preset not in harness.PRESETS:
             raise ValueError(f"preset must be one of {harness.PRESETS}, "
                              f"got {self.preset!r}")
         if self.nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {self.nprocs}")
-        check_options(self.system, self.analysis, self.recovery,
-                      self.replication)
+        base.check_options(self.system, self.analysis, self.recovery,
+                           self.replication)
         # Replica servers are pids nprocs .. nprocs+replicas-1, appended
         # after the application ranks, and are legitimate crash targets.
         replicas = self.replication.replicas if self.replication else 0
@@ -286,7 +289,6 @@ def _params_repr(experiment: str, preset: str) -> str:
     labels but different parameters (e.g. a test that swaps in a tiny
     parameterization) can never collide.
     """
-    from repro.bench import harness
     exp = harness.EXPERIMENTS[experiment]
     return repr(harness.params_for(exp, preset))
 
@@ -355,9 +357,8 @@ def run(config: RunConfig, *, use_cache: bool = True,
       is None).  Cached records were verified against the sequential
       program when first computed.
     * On a miss (or with ``want_parallel=True``, which always executes),
-      runs the simulation in-process via the bench harness -- memoized
-      per process, and every parallel result is verified against the
-      sequential run -- then stores the record for future sessions.
+      runs the simulation in-process, verifies its result against the
+      sequential run, and stores the record for future sessions.
     """
     store = (cache if cache is not None else default_cache()) \
         if use_cache else None
@@ -391,9 +392,22 @@ def lookup(config: RunConfig, cache: Optional[ResultCache] = None
 
 def _execute(config: RunConfig, store: Optional[ResultCache],
              key: Optional[str]) -> RunResult:
-    from repro.bench import harness
-    par = harness.run_cached(config)
-    seq = harness.seq_time(config.experiment, config.preset)
+    """Run, verify against the sequential oracle, record.  Every parallel
+    run is a correctness check -- lossy and crash/recovery runs included,
+    whose results must match the fault-free ones."""
+    exp = harness.EXPERIMENTS[config.experiment]
+    # A new run option is one RunConfig field plus one keyword here.
+    par = base.run_parallel(
+        exp.app, config.system, config.nprocs,
+        harness.params_for(exp, config.preset), cost=config.cost,
+        faults=config.faults, analysis=config.analysis,
+        recovery=config.recovery, obs=config.obs,
+        replication=config.replication, invariants=config.invariants)
+    seq = harness._seq(config.experiment, config.preset)
+    if not base.get_app(exp.app).verify(par.result, seq.result):
+        raise AssertionError(
+            f"{config.experiment} ({config.system}, {config.nprocs} "
+            "procs): parallel result does not match the sequential run")
     recovery = None
     if par.recovery is not None:
         report = par.recovery
@@ -426,7 +440,7 @@ def _execute(config: RunConfig, store: Optional[ResultCache],
         nprocs=config.nprocs,
         preset=config.preset,
         time=par.time,
-        seq_time=seq,
+        seq_time=seq.time,
         messages=par.total_messages(),
         kbytes=par.total_kbytes(),
         link_utilization=par.cluster.link_utilization,
@@ -454,8 +468,7 @@ def seq_time(experiment: str, preset: str = "bench", *,
         payload = store.get(key)
         if payload is not None and isinstance(payload.get("time"), float):
             return payload["time"]
-    from repro.bench import harness
-    time = harness.seq_time(experiment, preset)
+    time = harness._seq(experiment, preset).time
     if store is not None:
         store.put(key, {"time": time})
     return time

@@ -1,7 +1,8 @@
 """Experiment harness reproducing the paper's tables and figures.
 
 * :mod:`repro.bench.harness` -- the registry of the paper's 12 experiment
-  configurations and the live, memoized runners.
+  configurations and their sequential-oracle memo (runs execute through
+  :func:`repro.api.run`).
 * :mod:`repro.bench.tables` -- Table 1 (sequential times) and Table 2
   (messages and data at 8 processors) renderers.
 * :mod:`repro.bench.figures` -- ASCII speedup curves in the style of the
@@ -14,8 +15,7 @@
 """
 
 from repro.bench.cache import ResultCache, default_cache
-from repro.bench.harness import (EXPERIMENTS, Experiment, clear_cache,
-                                 run_cached, seq_time)
+from repro.bench.harness import EXPERIMENTS, Experiment, clear_cache
 from repro.bench.figures import render_figure
 from repro.bench.paper import EXPECTATIONS, Expectation, check_experiment
 from repro.bench.sweep import SweepReport, SweepRun, run_sweep, sweep_configs
@@ -35,8 +35,6 @@ __all__ = [
     "render_figure",
     "render_table1",
     "render_table2",
-    "run_cached",
     "run_sweep",
-    "seq_time",
     "sweep_configs",
 ]

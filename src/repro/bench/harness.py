@@ -1,4 +1,4 @@
-"""Experiment registry and cached runners.
+"""Experiment registry and the sequential-oracle memo.
 
 The paper evaluates nine applications, three of them with two input sets,
 giving twelve configurations (Figures 1-12 plus Tables 1 and 2).  Each
@@ -6,8 +6,10 @@ giving twelve configurations (Figures 1-12 plus Tables 1 and 2).  Each
 run the whole grid in minutes of host time) and the ``paper`` preset (the
 published problem size).
 
-Runs are memoized per process so Table 2 and the figures share the
-8-processor runs.
+Runs execute through :func:`repro.api.run` and are shared through its
+on-disk result cache; the only thing kept in-process is each
+experiment's sequential run (the oracle every parallel run is checked
+against), so a figure runs it once, not once per processor count.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-# Module object only (for the ``run_cached`` annotation): repro.api
-# imports this package, so its names are looked up at call time.
-from repro import api
 from repro.apps import base
 from repro.apps.barnes_hut import BhParams
 from repro.apps.ep import EpParams
@@ -35,8 +34,6 @@ __all__ = [
     "PRESETS",
     "clear_cache",
     "experiment",
-    "run_cached",
-    "seq_time",
 ]
 
 #: The processor counts the paper's figures sweep.
@@ -147,20 +144,13 @@ def size_string(exp: Experiment, preset: str = "bench") -> str:
 
 
 # ----------------------------------------------------------------------
-# Cached runners
+# Sequential oracle (at most 12 experiments x 3 presets)
 # ----------------------------------------------------------------------
 _SEQ_CACHE: Dict[Tuple[str, str], base.SeqResult] = {}
-_PAR_CACHE: Dict[api.RunConfig, base.ParallelResult] = {}
 
 
 def clear_cache() -> None:
     _SEQ_CACHE.clear()
-    _PAR_CACHE.clear()
-
-
-def seq_time(exp_id: str, preset: str = "bench") -> float:
-    """Sequential virtual time (the Table 1 number)."""
-    return _seq(exp_id, preset).time
 
 
 def _seq(exp_id: str, preset: str) -> base.SeqResult:
@@ -169,32 +159,3 @@ def _seq(exp_id: str, preset: str) -> base.SeqResult:
         exp = EXPERIMENTS[exp_id]
         _SEQ_CACHE[key] = base.run_sequential(exp.app, params_for(exp, preset))
     return _SEQ_CACHE[key]
-
-
-def run_cached(config: api.RunConfig) -> base.ParallelResult:
-    """One parallel run, memoized in-process by its (frozen) config, with
-    its result verified against the sequential version (every bench run
-    is also a correctness check -- including lossy and crash/recovery
-    runs, whose results must match the fault-free ones).
-
-    This is the *live* runner: it returns the full ParallelResult with
-    stats buckets, endpoints, sanitizer, and profiler attached.  Most
-    callers want :func:`repro.api.run` instead, which reads through the
-    persistent on-disk cache and returns the versioned summary record.
-    """
-    if config not in _PAR_CACHE:
-        exp = EXPERIMENTS[config.experiment]
-        # A new run option is one RunConfig field plus one keyword here.
-        result = base.run_parallel(
-            exp.app, config.system, config.nprocs,
-            params_for(exp, config.preset), cost=config.cost,
-            faults=config.faults, analysis=config.analysis,
-            recovery=config.recovery, obs=config.obs,
-            replication=config.replication, invariants=config.invariants)
-        seq = _seq(config.experiment, config.preset)
-        if not base.get_app(exp.app).verify(result.result, seq.result):
-            raise AssertionError(
-                f"{config.experiment} ({config.system}, {config.nprocs} "
-                "procs): parallel result does not match the sequential run")
-        _PAR_CACHE[config] = result
-    return _PAR_CACHE[config]

@@ -435,13 +435,19 @@ def cmd_verify(experiment: Optional[str], system: str = "tmk",
         raise SystemExit("nothing to do: give an experiment id and/or "
                          "--lint")
     if experiment is not None:
+        from repro import api
+        from repro.scabd import ReplicationConfig
         from repro.verify import explore_app
-        try:
-            exp = harness.experiment(experiment)
-            params = harness.params_for(exp, preset)
+        scabd = system == "scabd"
+        try:  # admission only: the explorer runs below the door
+            api.RunConfig(experiment, "tmk" if scabd else system, nprocs,
+                          preset,
+                          replication=ReplicationConfig() if scabd else None)
         except ValueError as exc:
             raise SystemExit(str(exc))
-        report = explore_app(exp.app, system, nprocs, params, mode=mode,
+        exp = harness.EXPERIMENTS[experiment]
+        report = explore_app(exp.app, system, nprocs,
+                             harness.params_for(exp, preset), mode=mode,
                              schedules=schedules, seed=seed,
                              max_flips=max_flips, invariants=invariants)
         sections.append(report.summary())
@@ -533,11 +539,13 @@ def cmd_figure(experiment: str, nprocs: Tuple[int, ...],
     from repro.bench import harness
     from repro.bench.figures import render_figure
     try:
-        exp = harness.experiment(experiment)
+        curves = [[api.RunConfig(experiment, system, n, preset)
+                   for n in nprocs] for system in ("tmk", "pvm")]
     except ValueError as exc:
         raise SystemExit(str(exc))
-    tmk = api.speedup_series(experiment, "tmk", nprocs, preset)
-    pvm = api.speedup_series(experiment, "pvm", nprocs, preset)
+    tmk, pvm = ([api.run(config).speedup for config in curve]
+                for curve in curves)
+    exp = harness.EXPERIMENTS[experiment]
     return render_figure(
         f"Figure {exp.figure}: {exp.label} "
         f"({harness.size_string(exp, preset)})", nprocs, tmk, pvm)
@@ -552,6 +560,7 @@ def cmd_table(which: str, preset: str) -> str:
 
 def cmd_trace(app: str, nprocs: int, limit: int, faults=None,
               perfetto: Optional[str] = None) -> str:
+    from repro import api
     from repro.apps import base
     from repro.bench import harness
     from repro.sim.trace import Trace
@@ -560,15 +569,18 @@ def cmd_trace(app: str, nprocs: int, limit: int, faults=None,
         spec = base.get_app(app)
     except KeyError as exc:
         raise SystemExit(exc.args[0])
-    params = next(exp.tiny_params for exp in harness.EXPERIMENTS.values()
-                  if exp.app == app)
+    exp = next(exp for exp in harness.EXPERIMENTS.values() if exp.app == app)
+    try:  # admission only: RunConfig cannot carry a Trace
+        api.RunConfig(exp.exp_id, "tmk", nprocs, "tiny", faults=faults)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     trace = Trace(enabled=True)
     obs = None
     if perfetto is not None:
         from repro.obs import ObsConfig
         obs = ObsConfig(timeline=True)
-    run = base.run_parallel(spec, "tmk", nprocs, params, trace=trace,
-                            faults=faults, obs=obs)
+    run = base.run_parallel(spec, "tmk", nprocs, exp.tiny_params,
+                            trace=trace, faults=faults, obs=obs)
     header = f"TreadMarks protocol trace: {app} (tiny preset, " \
              f"{nprocs} processors, first {limit} events)"
     text = header + "\n\n" + trace.format(limit=limit)
@@ -604,7 +616,7 @@ def cmd_profile(experiment: str, system: str, nprocs: int,
                 raise SystemExit(str(exc))
             label = harness.EXPERIMENTS[exp_id].label
             profile = build_profile(
-                harness.run_cached(config),
+                api.run(config, want_parallel=True).parallel,
                 label=f"{label} ({preset}, {nprocs} procs)")
             sections.append(render_profile(profile))
     return "\n\n".join(sections)

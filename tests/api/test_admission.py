@@ -3,15 +3,15 @@
 One table of rejected requests; every surface that can express a row --
 ``RunConfig(...)``, ``RunConfig.from_json(...)``, ``repro run ...`` and
 ``GET /run?...`` -- must fail with the *same* message (``ValueError`` /
-``SystemExit`` / 400).  Plus the pins that keep the single spelling
-honest: ``to_json()`` bytes and cache keys recorded at the parent commit
-(hand-written codec, 11-parameter ``run_cached``), and the one-parameter
-``run_cached`` signature.
+``SystemExit`` / 400).  Verbs that run below the door (``figure``,
+``trace``, ``verify``) build the ``RunConfig`` of every point first and
+report its message the same way.  Plus the pins that keep the single
+spelling honest: ``to_json()`` bytes and cache keys recorded before the
+codec was derived from the dataclass.
 """
 
 import asyncio
 import hashlib
-import inspect
 import json
 
 import pytest
@@ -128,6 +128,18 @@ CLI_REJECTED = [
      "argument --nprocs: malformed processor counts '1,a'"),
     ("unknown-system", ["run", "fig02", "--system", "mpi"],
      "argument --system: invalid choice: 'mpi'"),
+    ("figure-nprocs-zero", ["figure", "fig01", "--nprocs", "0,2"],
+     "nprocs must be >= 1, got 0"),
+    ("trace-nprocs-zero", ["trace", "sor", "--nprocs", "0"],
+     "nprocs must be >= 1, got 0"),
+    ("trace-crash-node-beyond-nprocs",
+     ["trace", "sor", "--nprocs", "2", "--crash", "5@0.1"],
+     "crash node 5 out of range: the run has 2 processors"),
+    ("verify-nprocs-zero", ["verify", "fig02", "--nprocs", "0"],
+     "nprocs must be >= 1, got 0"),
+    ("verify-scabd-nprocs-zero",
+     ["verify", "fig02", "--system", "scabd", "--nprocs", "0"],
+     "nprocs must be >= 1, got 0"),
 ]
 
 
@@ -286,11 +298,6 @@ def test_result_from_another_schema_or_missing_a_field_is_refused():
 def test_all_options_round_trip_through_the_wire():
     wire = json.loads(json.dumps(ALL_OPTIONS.to_json()))
     assert api.RunConfig.from_json(wire) == ALL_OPTIONS
-
-
-def test_run_cached_takes_exactly_the_config():
-    assert list(inspect.signature(harness.run_cached).parameters) == \
-        ["config"]
 
 
 def test_cold_run_puts_once_and_lookup_finds_it(tmp_path, monkeypatch):

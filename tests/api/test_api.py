@@ -1,11 +1,14 @@
 """Tests for the repro.api facade: RunConfig, RunResult, run()."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from repro import api
 from repro.analysis import AnalysisConfig
+from repro.apps import base
 from repro.apps.ep import EpParams
 from repro.bench import harness
 from repro.bench.cache import ResultCache
@@ -158,7 +161,7 @@ class TestRunFacade:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("simulated on a warm cache")
 
-        monkeypatch.setattr(harness, "run_cached", boom)
+        monkeypatch.setattr(base, "run_parallel", boom)
         assert api.run(cfg, cache=cache).cached
 
     def test_want_parallel_executes_and_matches(self, tiny_ep, tmp_path):
@@ -168,6 +171,23 @@ class TestRunFacade:
         live = api.run(cfg, cache=cache, want_parallel=True)
         assert live.parallel is not None
         assert live.to_json_bytes() == summary.to_json_bytes()
+
+    def test_want_parallel_executes_every_call(self, tiny_ep, tmp_path):
+        cache = ResultCache(tmp_path)
+        cfg = api.RunConfig(experiment="fig01", nprocs=2)
+        first = api.run(cfg, cache=cache, want_parallel=True)
+        second = api.run(cfg, cache=cache, want_parallel=True)
+        assert not first.cached and not second.cached
+        assert first.parallel is not second.parallel
+        assert first.to_json_bytes() == second.to_json_bytes()
+
+    def test_finished_run_is_not_kept_alive(self, tiny_ep, tmp_path):
+        result = api.run(api.RunConfig(experiment="fig01", nprocs=2),
+                         cache=ResultCache(tmp_path))
+        parallel = weakref.ref(result.parallel)
+        del result
+        gc.collect()
+        assert parallel() is None, "something in-process holds the run"
 
     def test_use_cache_false_leaves_directory_empty(self, tiny_ep, tmp_path,
                                                     monkeypatch):

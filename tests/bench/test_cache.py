@@ -463,8 +463,7 @@ class TestHitPathDerivesNothingTwice:
     def test_equal_configs_are_one_run_and_share_a_key(self):
         """``0 == 0.0`` and the simulator cannot tell them apart, but
         they encode differently: apart, each has its own key; together,
-        the second gets the key of the first (as ``harness.run_cached``
-        already hands it the first's result)."""
+        the second gets the key of the first."""
         as_int = api.RunConfig(faults=FaultPlan(seed=1, loss=0), **self.BASE)
         as_float = api.RunConfig(faults=FaultPlan(seed=1, loss=0.0),
                                  **self.BASE)

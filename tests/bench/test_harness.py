@@ -1,5 +1,6 @@
 """Tests for the experiment harness (registry, caching, series)."""
 
+import dataclasses
 import typing
 
 import pytest
@@ -8,6 +9,7 @@ from repro import api
 from repro.apps import base
 from repro.apps.ep import EpParams
 from repro.bench import harness
+from repro.bench.cache import ResultCache
 
 
 class TestRegistry:
@@ -45,7 +47,7 @@ class TestCaching:
     def teardown_method(self):
         harness.clear_cache()
 
-    def test_repeat_run_is_cached(self):
+    def test_repeat_run_is_cached(self, tmp_path):
         # Swap in a tiny parameterization so the test is fast.
         exp = harness.EXPERIMENTS["fig01"]
         tiny = harness.Experiment(
@@ -53,9 +55,11 @@ class TestCaching:
             EpParams.tiny(), EpParams.tiny(), exp.size_note)
         harness.EXPERIMENTS["fig01"] = tiny
         try:
-            first = harness.run_cached(api.RunConfig("fig01", "tmk", 2))
-            second = harness.run_cached(api.RunConfig("fig01", "tmk", 2))
-            assert first is second
+            cache = ResultCache(tmp_path)
+            first = api.run(api.RunConfig("fig01", "tmk", 2), cache=cache)
+            second = api.run(api.RunConfig("fig01", "tmk", 2), cache=cache)
+            assert not first.cached and second.cached  # a disk hit
+            assert second.to_json_bytes() == first.to_json_bytes()
         finally:
             harness.EXPERIMENTS["fig01"] = exp
 
@@ -73,20 +77,21 @@ class TestCaching:
         finally:
             harness.EXPERIMENTS["fig01"] = exp
 
-    def test_run_cached_verifies_results(self):
+    def test_run_cached_verifies_results(self, monkeypatch):
         exp = harness.EXPERIMENTS["fig01"]
-        tiny = harness.Experiment(
+        monkeypatch.setitem(harness.EXPERIMENTS, "fig01", harness.Experiment(
             exp.exp_id, exp.label, exp.app, exp.figure,
-            EpParams.tiny(), EpParams.tiny(), exp.size_note)
-        harness.EXPERIMENTS["fig01"] = tiny
-        try:
-            run = harness.run_cached(api.RunConfig("fig01", "pvm", 2))
-            assert run.result is not None
-        finally:
-            harness.EXPERIMENTS["fig01"] = exp
+            EpParams.tiny(), EpParams.tiny(), exp.size_note))
+        config = api.RunConfig("fig01", "pvm", 2)
+        live = api.run(config, use_cache=False, want_parallel=True)
+        assert live.parallel.result is not None
+        # The live path checks every result against the sequential run.
+        monkeypatch.setitem(base.APPS, "ep", dataclasses.replace(
+            base.APPS["ep"], verify=lambda parallel, sequential: False))
+        with pytest.raises(AssertionError, match="does not match"):
+            api.run(config, use_cache=False, want_parallel=True)
 
 
-@pytest.mark.parametrize("fn", [harness.run_cached, base.run_parallel,
-                                api.run])
+@pytest.mark.parametrize("fn", [base.run_parallel, api.run])
 def test_signature_annotations_resolve(fn):
     assert typing.get_type_hints(fn)

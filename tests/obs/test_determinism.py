@@ -67,13 +67,13 @@ def test_disabled_config_is_a_no_op():
     assert run.timeline is None and run.profiler is None
 
 
-def test_all_configs_unperturbed_tmk_and_pvm():
+def test_all_configs_unperturbed_tmk_and_pvm(live_run):
     """Acceptance: with observability off the stats of every config are
     identical to the observed run's -- checked across all twelve configs
     by comparing each observed run against a plain one."""
     for exp_id, exp in harness.EXPERIMENTS.items():
         for system in ("tmk", "pvm"):
-            observed = harness.run_cached(
+            observed = live_run(
                 RunConfig(exp_id, system, 4, "tiny", obs=OBS))
             plain = base.run_parallel(exp.app, system, 4, exp.tiny_params)
             assert observed.time == plain.time, (exp_id, system)

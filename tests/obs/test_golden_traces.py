@@ -30,9 +30,8 @@ NPROCS = 4
 OBS = ObsConfig(timeline=True, profile=True)
 
 
-def fingerprint(exp_id: str, system: str) -> dict:
-    run = harness.run_cached(
-        RunConfig(exp_id, system, NPROCS, "tiny", obs=OBS))
+def fingerprint(live_run, exp_id: str, system: str) -> dict:
+    run = live_run(RunConfig(exp_id, system, NPROCS, "tiny", obs=OBS))
     return {
         "digest": run.timeline.digest(),
         "time_us": round(run.time * 1e6, 3),
@@ -41,8 +40,8 @@ def fingerprint(exp_id: str, system: str) -> dict:
     }
 
 
-def all_fingerprints() -> dict:
-    return {f"{exp_id}/{system}": fingerprint(exp_id, system)
+def all_fingerprints(live_run) -> dict:
+    return {f"{exp_id}/{system}": fingerprint(live_run, exp_id, system)
             for exp_id in harness.EXPERIMENTS
             for system in ("tmk", "pvm")}
 
@@ -75,8 +74,8 @@ def diff_lines(golden: dict, actual: dict) -> list:
     return lines
 
 
-def test_golden_traces():
-    actual = all_fingerprints()
+def test_golden_traces(live_run):
+    actual = all_fingerprints(live_run)
     if os.environ.get("REPRO_UPDATE_GOLDEN"):
         GOLDEN_PATH.write_text(json.dumps(actual, indent=1, sort_keys=True)
                                + "\n")

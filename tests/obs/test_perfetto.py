@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.api import RunConfig
-from repro.bench import harness
 from repro.obs import (ObsConfig, Timeline, to_chrome_trace,
                        validate_chrome_trace, write_chrome_trace)
 
@@ -109,10 +108,10 @@ class TestValidator:
         assert any("ts" in e for e in errors)
 
 
-def test_real_run_exports_valid_trace(tmp_path):
+def test_real_run_exports_valid_trace(tmp_path, live_run):
     """Acceptance: a simulated run's exported trace passes validation
     and survives a JSON round trip."""
-    run = harness.run_cached(RunConfig("fig02", "tmk", 4, "tiny", obs=OBS))
+    run = live_run(RunConfig("fig02", "tmk", 4, "tiny", obs=OBS))
     path = tmp_path / "sor.json"
     write_chrome_trace(run.timeline, str(path), label="SOR-Zero tmk x4")
     loaded = json.loads(path.read_text())
@@ -124,9 +123,9 @@ def test_real_run_exports_valid_trace(tmp_path):
         assert kind in kinds, f"missing {kind} spans"
 
 
-def test_capped_run_still_valid():
+def test_capped_run_still_valid(live_run):
     run_id = ("fig08", "tmk", 4)
-    run = harness.run_cached(RunConfig(
+    run = live_run(RunConfig(
         *run_id, "tiny", obs=ObsConfig(timeline=True, cap=64)))
     trace = to_chrome_trace(run.timeline)
     assert validate_chrome_trace(trace) == []

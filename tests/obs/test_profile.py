@@ -131,9 +131,9 @@ class TestBuildProfile:
 
 @pytest.mark.parametrize("system", ["tmk", "pvm"])
 @pytest.mark.parametrize("exp_id", ["fig02", "fig06", "fig08"])
-def test_buckets_sum_to_measured(exp_id, system):
+def test_buckets_sum_to_measured(exp_id, system, live_run):
     """Acceptance: per-processor buckets sum to measured time (+-1us)."""
-    run = harness.run_cached(RunConfig(exp_id, system, 4, "tiny", obs=OBS))
+    run = live_run(RunConfig(exp_id, system, 4, "tiny", obs=OBS))
     profile = build_profile(run)
     assert len(profile.processors) == 4
     for proc in profile.processors:
@@ -149,12 +149,12 @@ def test_buckets_sum_to_measured(exp_id, system):
     assert max(profiler.finish) - profiler.mark_time >= run.time - 1e-12
 
 
-def test_ivy_sync_stalls_are_attributed():
+def test_ivy_sync_stalls_are_attributed(live_run):
     """``IvyLocks``/``IvyBarrier`` open the ``stall_sync`` spans
     themselves, so a plain IVY run shows its lock and barrier stalls (it
     read 0.0 while only the SC-ABD endpoint wrapped them)."""
-    run = harness.run_cached(RunConfig("fig06", "ivy", 3, "tiny",
-                                       obs=ObsConfig(profile=True)))
+    run = live_run(RunConfig("fig06", "ivy", 3, "tiny",
+                             obs=ObsConfig(profile=True)))
     for proc in build_profile(run).processors:
         assert proc.buckets["stall_sync"] > 0
         assert abs(proc.total - proc.measured) < 1e-6
@@ -174,8 +174,8 @@ REPLICATED_BUCKETS = {
 
 
 @pytest.mark.parametrize("exp_id,nprocs", sorted(REPLICATED_BUCKETS))
-def test_replicated_buckets_unchanged(exp_id, nprocs):
-    run = harness.run_cached(RunConfig(
+def test_replicated_buckets_unchanged(exp_id, nprocs, live_run):
+    run = live_run(RunConfig(
         exp_id, "tmk", nprocs, "tiny", obs=ObsConfig(profile=True),
         replication=ReplicationConfig(3)))
     buckets = [run.profiler.window_buckets(pid) for pid in range(nprocs + 3)]
@@ -184,9 +184,9 @@ def test_replicated_buckets_unchanged(exp_id, nprocs):
     assert digest == REPLICATED_BUCKETS[(exp_id, nprocs)]
 
 
-def test_tmk_mechanism_attribution_consistent():
+def test_tmk_mechanism_attribution_consistent(live_run):
     from repro.analysis import AnalysisConfig
-    run = harness.run_cached(RunConfig(
+    run = live_run(RunConfig(
         "fig02", "tmk", 4, "tiny",
         analysis=AnalysisConfig(false_sharing=True), obs=OBS))
     profile = build_profile(run, label="SOR-Zero")
@@ -205,8 +205,8 @@ def test_tmk_mechanism_attribution_consistent():
     assert "stall-on-data attribution" in text
 
 
-def test_pvm_has_no_mechanism_section():
-    run = harness.run_cached(RunConfig("fig02", "pvm", 4, "tiny", obs=OBS))
+def test_pvm_has_no_mechanism_section(live_run):
+    run = live_run(RunConfig("fig02", "pvm", 4, "tiny", obs=OBS))
     profile = build_profile(run)
     assert profile.mechanisms is None
     assert "stall-on-data" not in render_profile(profile)

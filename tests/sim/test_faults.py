@@ -83,7 +83,8 @@ class TestFaultPlanDecisions:
             FaultPlan(rto=0.0)
 
     def test_plan_is_hashable(self):
-        # run_cached keys its memo on the plan.
+        # A plan is a field of the frozen RunConfig, which the
+        # ``api.cache_key`` memo hashes.
         plan = FaultPlan(seed=1, loss=0.1, categories=frozenset({"m"}),
                          slow_nodes={0: 1e-3})
         assert hash(plan) == hash(FaultPlan(seed=1, loss=0.1,

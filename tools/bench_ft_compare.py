@@ -11,6 +11,9 @@ quorum masking -- across crash counts (0, 1, 2) and message-loss rates
 * the recovery ledger (rollbacks, lost work, overhead) or the
   replication ledger (masked crashes, detection latency, quorum traffic).
 
+Every scenario is a ``RunConfig`` run through ``repro.api.run``, so every
+completed run is also checked against the sequential program.
+
 The report also checks the headline claims of the masking mode:
 
 * a quorum-minority replica crash under ``mask`` completes with a result
@@ -24,7 +27,6 @@ Run:  python tools/bench_ft_compare.py [--out BENCH_ft.json]
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -37,93 +39,56 @@ LOSS_RATES = (0.0, 0.01)
 APPS = {"sor": "fig02", "tsp": "fig06"}
 
 
-def fingerprint(value):
-    """Structural sha-256 of an application result (arrays by bytes)."""
-    import numpy as np
-    h = hashlib.sha256()
-
-    def feed(v):
-        if isinstance(v, np.ndarray):
-            h.update(b"ndarray")
-            h.update(str(v.dtype).encode())
-            h.update(str(v.shape).encode())
-            h.update(np.ascontiguousarray(v).tobytes())
-        elif isinstance(v, (list, tuple)):
-            h.update(f"seq:{len(v)}".encode())
-            for item in v:
-                feed(item)
-        elif isinstance(v, dict):
-            h.update(f"dict:{len(v)}".encode())
-            for k in sorted(v):
-                h.update(repr(k).encode())
-                feed(v[k])
-        else:
-            h.update(repr(v).encode())
-
-    feed(value)
-    return h.hexdigest()
-
-
-def one_run(app, params, faults=None, recovery=None, replication=None):
-    """One parallel run; returns the scenario record + the live result."""
-    from repro.apps import base
+def one_run(exp_id, faults=None, recovery=None, replication=None):
+    """One verified run; returns the scenario record + the live result."""
+    from repro import api
     from repro.sim.recovery import NodeFailure
+    from repro.verify.explorer import fingerprint
+    config = api.RunConfig(exp_id, "tmk", NPROCS, "tiny", faults=faults,
+                           recovery=recovery, replication=replication)
     try:
-        par = base.run_parallel(app, "tmk", NPROCS, params, faults=faults,
-                                recovery=recovery, replication=replication)
+        result = api.run(config, use_cache=False, want_parallel=True)
     except NodeFailure as failure:
         return {"completed": False, "abort": str(failure)}, None
     record = {
         "completed": True,
-        "time": round(par.time, 6),
-        "result_fingerprint": fingerprint(par.result),
-        "messages": par.total_messages(),
+        "time": round(result.time, 6),
+        "result_fingerprint": fingerprint(result.parallel.result),
+        "messages": result.messages,
     }
-    if par.recovery is not None:
-        rep = par.recovery
-        record["rollback"] = {
-            "recoveries": rep.recoveries,
-            "failed_nodes": list(rep.failed_nodes),
-            "detection_latency": round(rep.detection_latency, 6),
-            "lost_work": round(rep.lost_work, 6),
-            "restore_time": round(rep.restore_time, 6),
-            "restored_bytes": rep.restored_bytes,
-            "overhead_time": round(rep.overhead_time, 6),
-        }
-    if par.replication is not None:
-        rep = par.replication
-        record["replication"] = {
-            "replicas": rep.replicas,
-            "f_max": rep.f_max,
-            "masked_failures": rep.masked_failures,
-            "masked_nodes": rep.masked_nodes,
-            "detection_latency": round(rep.detection_latency, 6),
-            "quorum_reads": rep.quorum_reads,
-            "quorum_writes": rep.quorum_writes,
-            "quorum_messages": rep.messages,
-            "quorum_kbytes": round(rep.bytes / 1024.0, 1),
-        }
-    return record, par
+    # The RunResult ledgers, under this report's key names and rounding.
+    if result.recovery is not None:
+        rollback = dict(result.recovery)
+        for name in ("detection_latency", "lost_work", "restore_time",
+                     "overhead_time"):
+            rollback[name] = round(rollback[name], 6)
+        record["rollback"] = rollback
+    if result.replication is not None:
+        replication = dict(result.replication)
+        replication["detection_latency"] = round(
+            replication["detection_latency"], 6)
+        replication["quorum_messages"] = replication.pop("messages")
+        replication["quorum_kbytes"] = round(
+            replication.pop("bytes") / 1024.0, 1)
+        record["replication"] = replication
+    return record, result.parallel
 
 
 def bench_app(name, exp_id):
-    from repro.bench import harness
     from repro.scabd import ReplicationConfig
     from repro.sim.faults import FaultPlan
     from repro.sim.recovery import RecoveryConfig
 
-    exp = harness.EXPERIMENTS[exp_id]
-    params = harness.params_for(exp, "tiny")
     repl3 = ReplicationConfig(replicas=REPLICAS)
     repl5 = ReplicationConfig(replicas=5)
 
     # Probe the two fault-free executions: their elapsed times place the
     # crashes mid-run, and their fingerprints are the identity baselines.
-    noft_rec, noft = one_run(exp.app, params)
+    noft_rec, noft = one_run(exp_id)
     elapsed = noft.cluster.elapsed
-    mask_rec, mask_clean = one_run(exp.app, params, replication=repl3)
+    mask_rec, mask_clean = one_run(exp_id, replication=repl3)
     mask_elapsed = mask_clean.cluster.elapsed
-    mask5_rec, mask5_clean = one_run(exp.app, params, replication=repl5)
+    mask5_rec, mask5_clean = one_run(exp_id, replication=repl5)
     checkpoint = RecoveryConfig(checkpoint_interval=0.25 * elapsed)
 
     def crash(*nodes_times, loss=0.0):
@@ -144,33 +109,33 @@ def bench_app(name, exp_id):
     add("noft", 0.0, [], noft_rec, None)
     add("mask", 0.0, [], mask_rec, noft_rec)
     for loss in LOSS_RATES[1:]:
-        rec, _ = one_run(exp.app, params, faults=FaultPlan(seed=7, loss=loss))
+        rec, _ = one_run(exp_id, faults=FaultPlan(seed=7, loss=loss))
         add("noft", loss, [], rec, noft_rec)
 
     # --- single-node crash, both strategies, both loss rates ----------
     for loss in LOSS_RATES:
         node, t = 1, round(0.5 * elapsed, 6)
-        rec, _ = one_run(exp.app, params, faults=crash((node, t), loss=loss),
+        rec, _ = one_run(exp_id, faults=crash((node, t), loss=loss),
                          recovery=checkpoint)
         add("rollback", loss, [[node, t]], rec, noft_rec)
         node, t = NPROCS, round(0.5 * mask_elapsed, 6)  # first replica pid
-        rec, _ = one_run(exp.app, params, faults=crash((node, t), loss=loss),
+        rec, _ = one_run(exp_id, faults=crash((node, t), loss=loss),
                          replication=repl3)
         add("mask", loss, [[node, t]], rec, mask_rec)
 
     # --- double crash ------------------------------------------------
     double_app = [[1, round(0.4 * elapsed, 6)], [2, round(0.7 * elapsed, 6)]]
-    rec, _ = one_run(exp.app, params,
+    rec, _ = one_run(exp_id,
                      faults=crash(*[tuple(c) for c in double_app]),
                      recovery=checkpoint)
     add("rollback", 0.0, double_app, rec, noft_rec)
     double_repl = [[NPROCS, round(0.4 * mask_elapsed, 6)],
                    [NPROCS + 1, round(0.7 * mask_elapsed, 6)]]
-    rec, _ = one_run(exp.app, params,
+    rec, _ = one_run(exp_id,
                      faults=crash(*[tuple(c) for c in double_repl]),
                      replication=repl3)
     add("mask", 0.0, double_repl, rec, mask_rec)  # majority dead: aborts
-    rec, _ = one_run(exp.app, params,
+    rec, _ = one_run(exp_id,
                      faults=crash(*[tuple(c) for c in double_repl]),
                      replication=repl5)
     entry = add("mask", 0.0, double_repl, rec, mask5_rec)

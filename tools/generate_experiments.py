@@ -145,7 +145,7 @@ def main(out_path="EXPERIMENTS.md"):
             f"*Paper:* {PAPER_CLAIMS[exp_id]}",
             "",
             f"*Measured* ({harness.size_string(exp)}; sequential "
-            f"{harness.seq_time(exp_id):.2f} s):",
+            f"{api.seq_time(exp_id):.2f} s):",
             "",
             "```",
             render_series_table(nprocs, tmk, pvm),
