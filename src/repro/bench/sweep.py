@@ -3,17 +3,20 @@
 The full evaluation is 24 independent runs (12 experiments x tmk/pvm) per
 processor count, and each run is a deterministic single-threaded
 simulation -- an embarrassingly parallel workload.  :func:`run_sweep`
-fans a list of :class:`repro.api.RunConfig` across worker *processes*
-(``concurrent.futures.ProcessPoolExecutor`` with the ``spawn`` start
-method, so workers never inherit interpreter state from the parent).
+submits a list of :class:`repro.api.RunConfig` to the spawn worker pool
+``repro serve`` uses too (:mod:`repro.bench.pool`), driving its asyncio
+``run`` through ``asyncio.run``; ``jobs <= 1`` runs in-process.
 
 Workers exchange only JSON: each receives one serialized config, executes
 it through :func:`repro.api.run` (which consults and populates the shared
 on-disk result cache -- writes are atomic, so concurrent workers are
-safe), and returns the serialized :class:`~repro.api.RunResult`.  Because
-the simulator is bit-for-bit deterministic and results are canonically
-encoded, a parallel sweep is byte-identical to a serial one -- a property
-``tests/bench/test_sweep.py`` asserts over the whole grid.
+safe), and returns the canonical :class:`~repro.api.RunResult` bytes or
+the error it raised.  A worker that dies takes the pool's crash policy:
+every run it took down is re-run alone, so only the run that kills its
+worker twice is reported as an error.  Because the simulator is
+bit-for-bit deterministic and results are canonically encoded, a
+parallel sweep is byte-identical to a serial one, errors included -- a
+property ``tests/bench/test_sweep.py`` asserts over the whole grid.
 
 ``repro sweep`` is the CLI entry point; :func:`sweep_configs` builds the
 standard grids it offers.
@@ -21,11 +24,10 @@ standard grids it offers.
 
 from __future__ import annotations
 
+import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.bench.cache import ResultCache
@@ -73,9 +75,9 @@ def sweep_configs(experiments: Optional[Sequence[str]] = None,
 class SweepRun:
     """One run of a sweep: a result, or a recorded per-run error.
 
-    A worker process dying (``BrokenProcessPool``) or raising no longer
-    kills the whole sweep: the failed run carries ``error`` (and
-    ``result is None``) while every other run completes normally.
+    A run that raises, or whose worker process dies, does not kill the
+    sweep: the failed run carries ``error`` (and ``result is None``)
+    while every other run completes normally.
     """
 
     config: RunConfig
@@ -160,29 +162,11 @@ class SweepReport:
 
 
 # ----------------------------------------------------------------------
-# Workers
+# Execution
 # ----------------------------------------------------------------------
-def _sweep_worker(config_json: Dict[str, Any], cache_dir: Optional[str],
-                  use_cache: bool) -> Dict[str, Any]:
-    """Execute one run in a worker process; everything crossing the
-    process boundary is JSON (ParallelResult holds live simulator state
-    and cannot -- and should not -- be pickled)."""
-    from repro.api import RunConfig, run
-    if cache_dir is not None:
-        os.environ["REPRO_CACHE_DIR"] = cache_dir
-    if os.environ.get("REPRO_SWEEP_CHAOS") == config_json.get("experiment"):
-        # Test hook: simulate the worker process dying mid-run.  An env
-        # var (not a monkeypatch) because spawn workers inherit the
-        # parent's environment but none of its interpreter state.
-        os._exit(1)
-    config = RunConfig.from_json(config_json)
-    started = time.perf_counter()
-    result = run(config, use_cache=use_cache)
-    return {
-        "result": result.to_json(),
-        "cached": result.cached,
-        "wall_seconds": time.perf_counter() - started,
-    }
+def _failed(config: RunConfig, message: str) -> SweepRun:
+    return SweepRun(config=config, result=None, cached=False,
+                    wall_seconds=0.0, error=message)
 
 
 def _run_serial(configs: Sequence[RunConfig], use_cache: bool,
@@ -191,12 +175,48 @@ def _run_serial(configs: Sequence[RunConfig], use_cache: bool,
     runs = []
     for config in configs:
         started = time.perf_counter()
-        result = run(config, use_cache=use_cache, cache=cache)
+        try:
+            result = run(config, use_cache=use_cache, cache=cache)
+        except Exception as exc:  # reads as a worker's TaskError
+            runs.append(_failed(config, f"{type(exc).__name__}: {exc}"))
+            continue
         result.parallel = None  # summary-level parity with worker results
         runs.append(SweepRun(config=config, result=result,
                              cached=result.cached,
                              wall_seconds=time.perf_counter() - started))
     return runs
+
+
+def _run_parallel(configs: Sequence[RunConfig], jobs: int,
+                  cache_dir: Optional[str],
+                  use_cache: bool) -> List[SweepRun]:
+    # Imported here so the serial path (and every grid that imports
+    # repro.bench) never loads asyncio or multiprocessing.
+    import asyncio
+
+    from repro.api import RunResult
+    from repro.bench.pool import TaskError, WorkerCrash, WorkerPool
+
+    async def one(pool: WorkerPool, config: RunConfig) -> SweepRun:
+        try:
+            out = await pool.run({"kind": "run", "config": config.to_json(),
+                                  "use_cache": use_cache})
+        except (TaskError, WorkerCrash) as exc:
+            return _failed(config, str(exc))
+        result = RunResult.from_json(json.loads(out["body"]),
+                                     cached=out["cached"])
+        return SweepRun(config=config, result=result, cached=result.cached,
+                        wall_seconds=out["wall_seconds"])
+
+    async def sweep() -> List[SweepRun]:
+        pool = WorkerPool(jobs, cache_dir=cache_dir)
+        try:
+            return list(await asyncio.gather(
+                *(one(pool, config) for config in configs)))
+        finally:
+            pool.shutdown()
+
+    return asyncio.run(sweep())
 
 
 def run_sweep(configs: Iterable[RunConfig], jobs: int = 1, *,
@@ -205,8 +225,9 @@ def run_sweep(configs: Iterable[RunConfig], jobs: int = 1, *,
     """Run every config, using up to ``jobs`` worker processes.
 
     Report order always matches input order regardless of completion
-    order, so serial and parallel sweeps produce identical reports.
-    With ``jobs <= 1`` everything runs in the calling process (no pool).
+    order, so serial and parallel sweeps produce identical reports --
+    a run that raises is the same per-run error either way.  With
+    ``jobs <= 1`` everything runs in the calling process.
     """
     configs = list(configs)
     jobs = min(max(1, jobs), len(configs)) if configs else 1
@@ -216,72 +237,7 @@ def run_sweep(configs: Iterable[RunConfig], jobs: int = 1, *,
     started = time.perf_counter()
     if jobs <= 1:
         runs = _run_serial(configs, use_cache, cache)
-        return SweepReport(runs=runs, jobs=1,
-                           wall_seconds=time.perf_counter() - started)
-    payloads = [c.to_json() for c in configs]
-    runs = _run_parallel(configs, payloads, jobs, cache_dir, use_cache)
+    else:
+        runs = _run_parallel(configs, jobs, cache_dir, use_cache)
     return SweepReport(runs=runs, jobs=jobs,
                        wall_seconds=time.perf_counter() - started)
-
-
-def _success_run(config: RunConfig, out: Dict[str, Any]) -> SweepRun:
-    from repro.api import RunResult
-    return SweepRun(config=config,
-                    result=RunResult.from_json(out["result"],
-                                               cached=out["cached"]),
-                    cached=out["cached"],
-                    wall_seconds=out["wall_seconds"])
-
-
-def _error_run(config: RunConfig, message: str) -> SweepRun:
-    return SweepRun(config=config, result=None, cached=False,
-                    wall_seconds=0.0, error=message)
-
-
-def _run_parallel(configs: Sequence[RunConfig],
-                  payloads: Sequence[Dict[str, Any]], jobs: int,
-                  cache_dir: Optional[str],
-                  use_cache: bool) -> List[SweepRun]:
-    """The submit-based parallel path, resilient to worker death.
-
-    A worker process dying breaks the *whole* executor: every pending
-    future raises ``BrokenProcessPool``, guilty and innocent alike.
-    Rather than letting that kill the sweep, each affected run is
-    retried in its own single-worker pool -- isolation guarantees a
-    repeat crash implicates exactly that run, which is then recorded as
-    a per-run error while everything else completes normally.
-    """
-    from concurrent.futures.process import BrokenProcessPool
-    outcomes: List[Optional[SweepRun]] = [None] * len(configs)
-    broken: List[int] = []
-    with ProcessPoolExecutor(max_workers=jobs,
-                             mp_context=get_context("spawn")) as pool:
-        futures = {i: pool.submit(_sweep_worker, payloads[i], cache_dir,
-                                  use_cache)
-                   for i in range(len(configs))}
-        for i, future in futures.items():
-            try:
-                out = future.result()
-            except BrokenProcessPool:
-                broken.append(i)  # collateral or guilty: retry isolated
-            except Exception as exc:  # worker raised, pool still healthy
-                outcomes[i] = _error_run(
-                    configs[i], f"{type(exc).__name__}: {exc}")
-            else:
-                outcomes[i] = _success_run(configs[i], out)
-    for i in broken:
-        with ProcessPoolExecutor(
-                max_workers=1, mp_context=get_context("spawn")) as solo:
-            try:
-                out = solo.submit(_sweep_worker, payloads[i], cache_dir,
-                                  use_cache).result()
-            except BrokenProcessPool:
-                outcomes[i] = _error_run(
-                    configs[i],
-                    "worker process died (twice; once in isolation)")
-            except Exception as exc:
-                outcomes[i] = _error_run(
-                    configs[i], f"{type(exc).__name__}: {exc}")
-            else:
-                outcomes[i] = _success_run(configs[i], out)
-    return [run for run in outcomes if run is not None]

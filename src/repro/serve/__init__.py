@@ -2,26 +2,19 @@
 
 ``repro serve`` turns the single-process evaluation pipeline into a
 service that stays correct and responsive when traffic is hostile:
-per-request deadlines propagated into a bounded worker pool,
-single-flight coalescing of identical cold requests, load shedding with
-``Retry-After``, a circuit breaker over worker crashes, and graceful
+per-request deadlines propagated into a bounded worker pool (the spawn
+pool ``repro sweep`` uses, :mod:`repro.bench.pool`, which re-runs a task
+a worker death took down alone), single-flight coalescing of identical
+cold requests, load shedding with ``Retry-After``, and graceful
 degradation to header-marked stale results.  See DESIGN.md §5i.
 """
 
 from repro.serve.app import ReproServer
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
-from repro.serve.pool import (DeadlineExceeded, PoolSaturated, WorkerCrash,
-                              WorkerPool)
 from repro.serve.singleflight import SingleFlight
 
 __all__ = [
-    "CircuitBreaker",
-    "DeadlineExceeded",
-    "PoolSaturated",
     "ReproServer",
     "ServeConfig",
     "SingleFlight",
-    "WorkerCrash",
-    "WorkerPool",
 ]

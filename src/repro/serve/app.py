@@ -10,9 +10,9 @@ header) as exactly one of:
 * ``coalesced`` -- rode an identical in-flight computation
   (single-flight);
 * ``stale-degraded`` -- a last-known-good response served because the
-  circuit breaker is open, the pool is saturated, or the deadline
-  cannot admit a cold run; **always** marked with a ``Degraded:``
-  header so a degraded answer can never masquerade as a fresh one;
+  pool is saturated, the deadline passed, or the request's own run
+  killed its worker; **always** marked with a ``Degraded:`` header so a
+  degraded answer can never masquerade as a fresh one;
 * ``shed`` -- refused (429 + ``Retry-After``) because every degradation
   rung above was unavailable.
 
@@ -39,13 +39,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.cache import (ResultCache, canonical_json,
                                default_cache_dir, source_fingerprint)
+from repro.bench.pool import (DeadlineExceeded, PoolSaturated, TaskError,
+                              WorkerCrash, WorkerPool)
 from repro.kernels import get_backend
-from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
 from repro.serve.http import (HttpError, Request, Response, read_request,
                               render_response)
-from repro.serve.pool import (DeadlineExceeded, PoolSaturated, WorkerCrash,
-                              WorkerPool)
 from repro.serve.singleflight import SingleFlight
 
 __all__ = ["ReproServer"]
@@ -85,7 +84,7 @@ def _json_body(value: Any) -> bytes:
 
 
 class ReproServer:
-    """One serving instance (listener + pool + breaker + stale store)."""
+    """One serving instance (listener + pool + stale store)."""
 
     def __init__(self, config: ServeConfig,
                  cache_dir: Optional[str] = None) -> None:
@@ -93,14 +92,8 @@ class ReproServer:
         self.cache_dir = (str(cache_dir) if cache_dir is not None
                           else str(default_cache_dir()))
         self.cache = ResultCache(self.cache_dir)
-        self.pool = WorkerPool(
-            config.workers, config.queue_depth,
-            retry_limit=config.retry_limit,
-            backoff_base=config.backoff_base,
-            backoff_cap=config.backoff_cap,
-            cache_dir=self.cache_dir)
-        self.breaker = CircuitBreaker(config.breaker_threshold,
-                                      config.breaker_cooldown)
+        self.pool = WorkerPool(config.workers, config.queue_depth,
+                               cache_dir=self.cache_dir)
         self.flights = SingleFlight()
         self._stale: "OrderedDict[str, _StaleEntry]" = OrderedDict()
         self.metrics: Counter = Counter()
@@ -220,7 +213,6 @@ class ReproServer:
     def _healthz(self) -> Response:
         return Response(status=200, body=_json_body({
             "status": "ok",
-            "breaker": self.breaker.state,
             "inflight": self.pool.inflight,
             "flights": len(self.flights),
             "kernels": get_backend().name,
@@ -232,10 +224,7 @@ class ReproServer:
         counters.update({
             "coalesced": self.flights.coalesced,
             "worker_crashes": self.pool.crashes,
-            "worker_retries": self.pool.retries,
             "expired_in_queue": self.pool.expired_in_queue,
-            "breaker_opens": self.breaker.opens,
-            "breaker_state": self.breaker.state,
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
             "cache_quarantined": self.cache.quarantined,
@@ -256,7 +245,7 @@ class ReproServer:
             ms = float(raw)
         except ValueError:
             raise _BadRequest(f"bad deadline_ms {raw!r}")
-        if ms <= 0:
+        if not ms > 0:  # NaN included: it would slip past the ceiling
             raise _BadRequest(f"deadline_ms must be > 0, got {raw}")
         return min(ms / 1000.0, self.config.max_deadline)
 
@@ -334,9 +323,6 @@ class ReproServer:
     # ------------------------------------------------------------------
     # The degradation ladder
     # ------------------------------------------------------------------
-    def _stale_get(self, logical: str) -> Optional[_StaleEntry]:
-        return self._stale.get(logical)
-
     def _stale_put(self, logical: str, body: bytes, content_type: str,
                    etag: str) -> None:
         self._stale[logical] = _StaleEntry(
@@ -363,7 +349,7 @@ class ReproServer:
 
     def _degrade_or_shed(self, logical: str, reason: str) -> Response:
         """The bottom half of the ladder: stale-degraded, else shed."""
-        stale = self._stale_get(logical)
+        stale = self._stale.get(logical)
         if stale is not None:
             age = time.monotonic() - stale.stored_at
             self.metrics["degraded"] += 1
@@ -386,7 +372,7 @@ class ReproServer:
     async def _compute(self, request: Request, logical: str,
                        flight_key: str, payload: Dict[str, Any],
                        deadline_s: float) -> Response:
-        """Run the cold path through the full resilience stack."""
+        """Run the cold path: coalesce, admit, wait under the deadline."""
         deadline_at = time.monotonic() + deadline_s
         payload = dict(payload)
         payload["deadline"] = time.time() + deadline_s
@@ -398,8 +384,6 @@ class ReproServer:
             task = self.flights.join(flight_key)
             created = False
         else:
-            if not self.breaker.allow():
-                return self._degrade_or_shed(logical, "breaker_open")
             try:
                 self.pool.acquire_slot()
             except PoolSaturated:
@@ -415,8 +399,8 @@ class ReproServer:
             return self._degrade_or_shed(logical, "deadline")
         except DeadlineExceeded:
             return self._degrade_or_shed(logical, "deadline")
-        except WorkerCrash as exc:
-            if exc.injected:
+        except WorkerCrash:
+            if inject == "crash":
                 self.metrics["injected_errors"] += 1
                 return Response(
                     status=500,
@@ -424,9 +408,11 @@ class ReproServer:
                     headers=[("X-Repro-Injected", "crash"),
                              ("X-Repro-Served", "error")])
             return self._degrade_or_shed(logical, "worker_crash")
-        except (ValueError, KeyError) as exc:
-            # The worker rejected the request's parameters.
-            raise _BadRequest(str(exc))
+        except TaskError as exc:
+            if exc.type in ("ValueError", "KeyError"):
+                # The worker rejected the request's parameters.
+                raise _BadRequest(exc.message)
+            raise
         body = data["body"].encode()
         classification = "fresh" if created else "coalesced"
         return self._respond_fresh(request, logical, body,
@@ -449,20 +435,7 @@ class ReproServer:
     async def _run_flight(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """The leader's computation (shared by every coalesced waiter)."""
         try:
-            data = await self.pool.run_task(payload)
-        except WorkerCrash:
-            self.breaker.record_failure()
-            raise
-        except BaseException:
-            # Indeterminate outcome (expired while queued, parameters
-            # rejected, flight cancelled): no verdict on worker health,
-            # but a half-open probe must be handed back or the breaker
-            # wedges with the probe spent forever.
-            self.breaker.release_probe()
-            raise
-        else:
-            self.breaker.record_success()
-            return data
+            return await self.pool.run(payload)
         finally:
             self.pool.release_slot()
 

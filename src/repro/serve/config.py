@@ -2,8 +2,9 @@
 
 One frozen dataclass holds every tunable of the resilient HTTP service:
 the listen address, the worker-pool shape (processes + admission queue),
-the failure policy (deadlines, retry/backoff, circuit breaker), and the
-degradation policy (stale store size, Retry-After hint).  The CLI
+the deadlines, and the degradation policy (stale store size, Retry-After
+hint).  What a worker death does is not a setting: the pool's one crash
+policy (:mod:`repro.bench.pool`) re-runs the task alone.  The CLI
 (``repro serve``) and the chaos benchmark construct one of these; tests
 construct tighter ones (one worker, zero queue) to force each branch of
 the degradation ladder deterministically.
@@ -42,25 +43,10 @@ class ServeConfig:
     #: Hard ceiling on any client-requested deadline.
     max_deadline: float = 300.0
 
-    # -- transient-failure policy --------------------------------------
-    #: Retries after a *transient* worker death (the pool broke under a
-    #: request that did not itself inject a crash) before giving up.
-    retry_limit: int = 3
-    #: Jittered exponential backoff between retries: attempt ``n``
-    #: sleeps ``uniform(0, min(backoff_cap, backoff_base * 2**n))``.
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
-
-    # -- circuit breaker ------------------------------------------------
-    #: Consecutive worker crashes that trip the breaker open.
-    breaker_threshold: int = 3
-    #: Seconds the breaker stays open before a half-open probe.
-    breaker_cooldown: float = 5.0
-
     # -- graceful degradation ------------------------------------------
     #: Last-known-good responses kept in memory per logical request
-    #: (serves ``Degraded: stale`` answers while the breaker is open or
-    #: a deadline cannot admit a cold run).
+    #: (serves ``Degraded: stale`` answers when the pool is saturated, a
+    #: deadline passes, or a request's own run kills its worker).
     stale_capacity: int = 256
     #: ``Retry-After`` seconds attached to shed (429) responses.
     retry_after: float = 1.0
@@ -80,9 +66,3 @@ class ServeConfig:
                 f"queue_depth must be >= 0, got {self.queue_depth}")
         if self.default_deadline <= 0 or self.max_deadline <= 0:
             raise ValueError("deadlines must be > 0")
-        if self.retry_limit < 0:
-            raise ValueError(
-                f"retry_limit must be >= 0, got {self.retry_limit}")
-        if self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be >= 1, got "
-                             f"{self.breaker_threshold}")

@@ -9,6 +9,8 @@ import pytest
 
 from repro.api import RunConfig
 from repro.bench import harness
+from repro.scabd import ReplicationConfig
+from repro.sim import FaultPlan
 from repro.bench.sweep import (SweepReport, SweepRun, default_jobs,
                                run_sweep, sweep_configs)
 from repro.kernels import get_backend
@@ -83,42 +85,45 @@ class TestSweepExecution:
         assert data["wall_seconds"] >= 0
 
 
+def _without_walls(report):
+    data = report.to_json()
+    data.pop("wall_seconds")
+    data.pop("jobs")
+    for run in data["runs"]:
+        run.pop("wall_seconds")
+    return data
+
+
 class TestWorkerCrashRecovery:
-    """A crashed worker becomes a per-run error, not a dead sweep."""
+    """A run that raises becomes a per-run error, not a dead sweep -- the
+    same error in-process and in a worker (the worker-death half of the
+    policy is pinned in ``test_pool.py``)."""
 
-    def test_crash_recorded_and_sweep_continues(self, tmp_path,
-                                                monkeypatch):
-        # The chaos hook is an env var because spawn workers inherit
-        # the environment but not interpreter state (monkeypatched
-        # module globals never reach them).
-        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "fig02")
-        configs = sweep_configs(["fig01", "fig02", "fig03"],
-                                systems=("tmk",), nprocs=(2,),
-                                preset="tiny")
-        report = run_sweep(configs, jobs=2, cache_dir=str(tmp_path))
-        assert len(report.runs) == 3
-        assert report.errors == 1
-        by_exp = {r.config.experiment: r for r in report.runs}
-        crashed = by_exp["fig02"]
-        assert not crashed.ok and crashed.result is None
-        assert "died" in crashed.error
-        assert crashed.to_json()["result"] is None
-        # The innocent runs completed despite sharing the broken pool.
-        assert by_exp["fig01"].ok and by_exp["fig03"].ok
-        # And the report still renders / serializes.
+    #: fig02 loses its only replica set's node 0 before any checkpoint:
+    #: unrecoverable, so the run raises ``NodeFailure``.
+    CONFIGS = [RunConfig("fig02", "tmk", 2, "tiny",
+                         replication=ReplicationConfig(),
+                         faults=FaultPlan(crash_at=((0, 0.001),))),
+               RunConfig("fig01", "tmk", 2, "tiny")]
+
+    @pytest.fixture(scope="class")
+    def serial(self, tmp_path_factory):
+        return run_sweep(self.CONFIGS, jobs=1,
+                         cache_dir=str(tmp_path_factory.mktemp("serial")))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_crash_recorded_and_sweep_continues(self, jobs, serial,
+                                                tmp_path):
+        report = run_sweep(self.CONFIGS, jobs=jobs, cache_dir=str(tmp_path))
+        assert report.jobs == jobs and report.errors == 1
+        failed, innocent = report.runs
+        assert not failed.ok and failed.result is None
+        assert failed.error.startswith("NodeFailure: node 0 crashed at")
+        assert failed.to_json()["result"] is None
+        assert innocent.ok
         text = report.render()
-        assert "ERROR" in text and "1 error(s)" in text
-        assert report.to_json()["errors"] == 1
-
-    def test_serial_sweep_unaffected_by_chaos_env(self, tmp_path,
-                                                  monkeypatch):
-        # The hook lives in the worker-process entry point; serial
-        # sweeps never cross a process boundary.
-        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "fig01")
-        configs = sweep_configs(["fig01"], systems=("tmk",), nprocs=(2,),
-                                preset="tiny")
-        report = run_sweep(configs, jobs=1, cache_dir=str(tmp_path))
-        assert report.errors == 0 and report.runs[0].ok
+        assert "ERROR: NodeFailure" in text and "1 error(s)" in text
+        assert _without_walls(report) == _without_walls(serial)
 
 
 class TestParallelByteIdentity:

@@ -2,8 +2,8 @@
 
 A real :class:`ReproServer` on an ephemeral port, driven through the
 repo's own HTTP client helpers.  The config is deliberately tight (one
-worker, tiny queue, 1-failure breaker, injection enabled) so every rung
-of the degradation ladder is reachable deterministically:
+worker, tiny queue, injection enabled) so every rung of the degradation
+ladder is reachable deterministically:
 
 fresh -> coalesced -> stale-degraded (``Degraded:`` header) -> shed.
 """
@@ -11,19 +11,17 @@ fresh -> coalesced -> stale-degraded (``Degraded:`` header) -> shed.
 import asyncio
 import json
 
+from repro import api
 from repro.bench import cache as cache_mod
 from repro.serve import ReproServer, ServeConfig
-from repro.serve.http import read_response, render_request
+from repro.serve.http import Request, read_response, render_request
 
 TINY_RUN = "/run?experiment=fig01&system=tmk&nprocs=2&preset=tiny"
 
 
 def make_config(**overrides):
     defaults = dict(port=0, workers=1, queue_depth=2,
-                    default_deadline=60.0, retry_limit=1,
-                    backoff_base=0.01, backoff_cap=0.05,
-                    breaker_threshold=1, breaker_cooldown=30.0,
-                    allow_injection=True)
+                    default_deadline=60.0, allow_injection=True)
     defaults.update(overrides)
     return ServeConfig(**defaults)
 
@@ -74,7 +72,7 @@ class TestOpsEndpoints:
             assert body["source"] == cache_mod.source_fingerprint()[:12]
             metrics = await fetch(server, "/metrics")
             data = json.loads(metrics.body)
-            assert data["breaker_state"] == "closed"
+            assert data["worker_crashes"] == 0
             assert metrics.header("X-Repro-Served") == "ops"
 
         serve(scenario, tmp_path)
@@ -100,6 +98,7 @@ class TestOpsEndpoints:
                            "/run?experiment=fig99",
                            "/run?experiment=fig01&system=mpi",
                            "/run?experiment=fig01&deadline_ms=-5",
+                           "/run?experiment=fig01&deadline_ms=nan",
                            "/run?experiment=fig01&nprocs=9999",
                            "/trace?app=water&nprocs=0",
                            "/trace?app=water&limit=-3",
@@ -109,6 +108,11 @@ class TestOpsEndpoints:
                 response = await fetch(server, target)
                 assert response.status == 400, target
                 assert response.header("X-Repro-Served") == "rejected"
+            # An infinite deadline is admitted, clamped to the ceiling.
+            unbounded = Request("GET", "/run", "/run",
+                                {"deadline_ms": "inf"}, {})
+            assert server._deadline_seconds(unbounded) == \
+                server.config.max_deadline
 
         serve(scenario, tmp_path)
 
@@ -225,53 +229,62 @@ class TestServingLadder:
 
     def test_injected_crash_is_the_only_5xx(self, tmp_path):
         async def scenario(server):
+            warm = await fetch(server, TINY_RUN)
             crashed = await fetch(server, TINY_RUN + "&inject=crash")
             assert crashed.status == 500
             assert crashed.header("X-Repro-Injected") == "crash"
-            assert server.breaker.state == "open"
-            # An innocent cold request under the open breaker with no
-            # stale copy is shed -- a 429, never a 5xx.
-            shed = await fetch(
-                server, "/figure?experiment=fig02&nprocs=1,2&preset=bench")
-            assert shed.status == 429
-            assert shed.header("X-Repro-Served") == "shed"
-            assert shed.header("Retry-After") is not None
-            assert shed.header("X-Repro-Reason") == "breaker_open"
+            # The warm path needs no worker; a cold request after the
+            # crash gets a rebuilt pool -- neither sees a 5xx.
+            again = await fetch(server, TINY_RUN)
+            assert again.status == 200
+            assert again.header("X-Repro-Cache") == "hit"
+            assert again.body == warm.body
+            cold = await fetch(
+                server, "/run?experiment=fig01&system=pvm&nprocs=2"
+                        "&preset=tiny")
+            assert cold.status == 200
+            assert cold.header("X-Repro-Served") == "fresh"
+            assert cold.header("X-Repro-Cache") == "miss"
 
         serve(scenario, tmp_path)
 
-    def test_stale_degraded_when_breaker_open(self, tmp_path):
+    def test_crash_spares_a_request_sharing_the_pool(self, tmp_path):
+        """One worker death, two tasks in flight: the innocent is re-run
+        alone and answers fresh; the guilty one alone gets the 500."""
+        speedup = ("/speedup?experiment=fig01&system=tmk&nprocs=1,2"
+                   "&preset=tiny")
+
         async def scenario(server):
-            target = ("/speedup?experiment=fig01&system=tmk&nprocs=1,2"
-                      "&preset=tiny")
+            innocent, crashed = await asyncio.gather(
+                fetch(server, speedup + "&inject=slow:0.5"),
+                fetch(server, TINY_RUN + "&inject=crash"))
+            assert crashed.status == 500
+            assert crashed.header("X-Repro-Injected") == "crash"
+            assert innocent.status == 200
+            assert innocent.header("X-Repro-Served") == "fresh"
+            assert innocent.body == cache_mod.canonical_json({
+                "experiment": "fig01", "system": "tmk", "nprocs": [1, 2],
+                "preset": "tiny",
+                "speedups": api.speedup_series("fig01", "tmk", [1, 2],
+                                               "tiny", use_cache=False),
+            }).encode()
+            metrics = json.loads((await fetch(server, "/metrics")).body)
+            assert metrics["worker_crashes"] == 1
+
+        serve(scenario, tmp_path, workers=2)
+
+    def test_stale_degraded_on_deadline(self, tmp_path):
+        async def scenario(server):
+            target = "/figure?experiment=fig01&nprocs=1,2&preset=bench"
             fresh = await fetch(server, target)
             assert fresh.status == 200
-            crashed = await fetch(server, TINY_RUN + "&inject=crash")
-            assert crashed.status == 500
-            assert server.breaker.state == "open"
-
-            degraded = await fetch(server, target)
+            degraded = await fetch(server, target + "&deadline_ms=1")
             assert degraded.status == 200
             assert degraded.header("X-Repro-Served") == "stale-degraded"
             marker = degraded.header("Degraded")
             assert marker is not None and "stale" in marker
-            assert "reason=breaker_open" in marker
+            assert "reason=deadline" in marker
             assert degraded.body == fresh.body  # complete, last-known-good
-
-        serve(scenario, tmp_path)
-
-    def test_run_warm_path_survives_open_breaker(self, tmp_path):
-        async def scenario(server):
-            warm = await fetch(server, TINY_RUN)
-            assert warm.status == 200
-            crashed = await fetch(server, TINY_RUN + "&inject=crash")
-            assert crashed.status == 500
-            # /run results live in the disk cache; serving them needs no
-            # worker, so the open breaker does not degrade them.
-            again = await fetch(server, TINY_RUN)
-            assert again.status == 200
-            assert again.header("X-Repro-Served") == "fresh"
-            assert again.header("X-Repro-Cache") == "hit"
 
         serve(scenario, tmp_path)
 
@@ -284,42 +297,20 @@ class TestServingLadder:
             assert response.status == 429
             assert response.header("X-Repro-Served") == "shed"
             assert response.header("X-Repro-Reason") == "deadline"
-
-        serve(scenario, tmp_path)
-
-    def test_half_open_probe_survives_indeterminate_outcome(self, tmp_path):
-        """A probe whose flight ends without a health verdict must not
-        wedge the breaker half-open with the probe spent forever."""
-
-        async def scenario(server):
-            crashed = await fetch(server, TINY_RUN + "&inject=crash")
-            assert crashed.status == 500
-            assert server.breaker.state == "open"
-            await asyncio.sleep(0.15)  # cooldown elapses
-            assert server.breaker.state == "half-open"
-            # The probe request's deadline is unmeetable: its flight
-            # ends in a timeout/expiry, not success or WorkerCrash.
-            probe = await fetch(
-                server,
-                "/profile?experiment=fig04&system=tmk&nprocs=2"
-                "&preset=tiny&deadline_ms=1")
-            assert probe.status == 429
-            # Wait for the abandoned probe flight to land, then a cold
-            # request must still be admitted (probe re-armed or breaker
-            # closed), compute fresh, and leave the breaker closed.
+            # The abandoned flight hands its slot back: once it lands, the
+            # same request is admitted and computed.
             for _ in range(200):
                 if server.pool.inflight == 0:
                     break
                 await asyncio.sleep(0.05)
             again = await fetch(
                 server,
-                "/profile?experiment=fig04&system=tmk&nprocs=2"
+                "/profile?experiment=fig03&system=tmk&nprocs=2"
                 "&preset=tiny")
             assert again.status == 200
             assert again.header("X-Repro-Served") == "fresh"
-            assert server.breaker.state == "closed"
 
-        serve(scenario, tmp_path, breaker_cooldown=0.1)
+        serve(scenario, tmp_path)
 
     def test_saturation_sheds_not_hangs(self, tmp_path):
         async def scenario(server):
@@ -349,9 +340,7 @@ class TestServerMetrics:
             assert crashed.status == 500
             metrics = json.loads((await fetch(server, "/metrics")).body)
             assert metrics["fresh"] >= 2
-            assert metrics["worker_crashes"] >= 1
+            assert metrics["worker_crashes"] == 1
             assert metrics["injected_errors"] == 1
-            assert metrics["breaker_opens"] == 1
-            assert metrics["breaker_state"] == "open"
 
         serve(scenario, tmp_path)

@@ -12,13 +12,16 @@ of the degradation ladder:
   injected ``slow:`` fault, so exactly one computes and the rest ride
   the single flight;
 * **worker kills** -- ``inject=crash`` requests that ``os._exit`` the
-  worker mid-task (the injecting request gets its 500 back, innocents
-  are retried in a rebuilt pool);
-* **degradation** -- the circuit breaker is tripped by repeated crashes
-  and a previously-warmed key is re-requested, which must come back
-  ``200`` + ``Degraded:`` header (stale-degraded), while a cold key
-  under the open breaker must be shed (``429`` + ``Retry-After``);
-* **deadline shedding** -- a cold request with a 1 ms deadline.
+  worker mid-task (the pool re-runs each task the death took down
+  alone, so only the injecting request gets a 500 back);
+* **degradation** -- a previously-warmed ``/figure`` re-requested with a
+  1 ms deadline must come back ``200`` + ``Degraded: ...
+  reason=deadline`` (stale-degraded);
+* **saturation shedding** -- ``workers + queue_depth + 1`` concurrent
+  distinct slow requests: at least one must be shed (``429`` +
+  ``Retry-After``, reason ``queue_full``);
+* **deadline shedding** -- a cold request with a 1 ms deadline (``429``,
+  reason ``deadline``).
 
 The report carries p50/p99 latency (overall and per response class),
 counts by classification, server-side counters from ``/metrics``, and
@@ -47,6 +50,7 @@ import json
 import os
 import pathlib
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -66,6 +70,9 @@ HOT_TARGETS = [
 ]
 #: Cold /run keys for the mixed burst (never warmed, never repeated).
 COLD_TEMPLATE = "/run?experiment={exp}&system={sys}&nprocs={np}&preset=tiny"
+#: The server's pool shape (``start_server``): one more distinct slow
+#: request than it has slots must shed.
+WORKERS, QUEUE_DEPTH = 2, 8
 
 
 class Client:
@@ -165,25 +172,31 @@ async def drive(client, hot_requests):
     # -- Phase 4: worker kills (injected crashes, sequential) ----------
     crash = "/run?experiment=fig01&system=tmk&nprocs=4&preset=tiny&inject=crash"
     crash_statuses = []
-    for _ in range(3):  # == breaker threshold: this trips it open
+    for _ in range(3):
         response = await client.get(crash)
         crash_statuses.append((response.status,
                                response.header("X-Repro-Injected")))
     obs["crash_statuses"] = crash_statuses
 
-    # -- Phase 5: degradation under the open breaker -------------------
-    degraded = await client.get(HOT_TARGETS[3])  # warmed in phase 1
+    # -- Phase 5: degradation -- a warm key past its deadline ----------
+    degraded = await client.get(HOT_TARGETS[3] + "&deadline_ms=1")
     obs["degraded"] = {
         "status": degraded.status,
         "served": degraded.header("X-Repro-Served"),
         "header": degraded.header("Degraded"),
     }
-    shed = await client.get(
-        "/figure?experiment=fig12&nprocs=1,2&preset=bench")  # cold, no stale
+
+    # -- Phase 5b: saturation -- one more distinct slow run than slots -
+    responses = await asyncio.gather(*[
+        client.get(f"/trace?app=water&nprocs=2&limit={5 + i}"
+                   "&inject=slow:0.5")
+        for i in range(WORKERS + QUEUE_DEPTH + 1)])
+    shed = [r for r in responses if r.status == 429] or responses
     obs["shed"] = {
-        "status": shed.status,
-        "served": shed.header("X-Repro-Served"),
-        "retry_after": shed.header("Retry-After"),
+        "status": shed[0].status,
+        "served": shed[0].header("X-Repro-Served"),
+        "reason": shed[0].header("X-Repro-Reason"),
+        "retry_after": shed[0].header("Retry-After"),
     }
 
     # -- Phase 6: deadline shedding on a cold key ----------------------
@@ -257,7 +270,8 @@ def start_server(cache_dir):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--chaos", "--workers", "2", "--queue-depth", "8",
+         "--chaos", "--workers", str(WORKERS),
+         "--queue-depth", str(QUEUE_DEPTH),
          "--cache-dir", cache_dir],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
@@ -288,8 +302,10 @@ def main():
             load_wall = time.perf_counter() - started
             byte_identical = check_byte_identity(obs, cache_dir)
         finally:
-            proc.terminate()
-            proc.wait(timeout=10)
+            # SIGINT, not SIGTERM: the server's shutdown path stops its
+            # worker pool; a terminated server orphans its workers.
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=30)
 
         from repro.bench.cache import ResultCache, source_fingerprint
         cache_state = ResultCache(cache_dir).validate()
@@ -326,8 +342,6 @@ def main():
         "server_metrics": {
             "coalesced": metrics.get("coalesced"),
             "worker_crashes": metrics.get("worker_crashes"),
-            "worker_retries": metrics.get("worker_retries"),
-            "breaker_opens": metrics.get("breaker_opens"),
             "degraded": metrics.get("degraded"),
             "shed": metrics.get("shed"),
             "not_modified": metrics.get("not_modified"),
@@ -355,14 +369,15 @@ def main():
           metrics.get("coalesced"))
     check("degradation_observed",
           obs["degraded"]["served"] == "stale-degraded"
-          and obs["degraded"]["header"] is not None,
+          and "reason=deadline" in (obs["degraded"]["header"] or ""),
           obs["degraded"])
     check("shedding_observed",
           obs["shed"]["status"] == 429
+          and obs["shed"]["reason"] == "queue_full"
           and obs["shed"]["retry_after"] is not None, obs["shed"])
-    check("deadline_enforced", obs["deadline"]["status"] in (200, 429)
-          and obs["deadline"]["served"] in ("stale-degraded", "shed"),
-          obs["deadline"])
+    check("deadline_enforced", obs["deadline"]["status"] == 429
+          and obs["deadline"]["served"] == "shed"
+          and obs["deadline"]["reason"] == "deadline", obs["deadline"])
     check("conditional_304_observed", not_modified >= 1, not_modified)
     check("injected_crashes_surfaced",
           all(s == 500 and mark == "crash"
