@@ -34,9 +34,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import types
 import typing
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.analysis.races import AnalysisConfig
 from repro.apps import base
@@ -52,14 +54,20 @@ from repro.sim.faults import FaultPlan
 from repro.sim.recovery import RecoveryConfig
 
 __all__ = [
+    "Leaf",
     "RESULT_SCHEMA_VERSION",
     "RunConfig",
     "RunResult",
     "cache_key",
+    "crash_spec",
+    "from_leaves",
+    "leaves",
     "lookup",
     "messages_at",
+    "nprocs_list",
     "run",
     "seq_time",
+    "simulate",
     "speedup_series",
 ]
 
@@ -70,13 +78,164 @@ RESULT_SCHEMA_VERSION = 2
 
 
 # ----------------------------------------------------------------------
-# JSON helpers for the frozen config dataclasses
+# The field table: one walk of a config dataclass, kept for the process
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _fields(cls: type) -> Tuple[Tuple[str, Any, Any], ...]:
+    """``(name, hint, default)`` per field of a config dataclass, with
+    ``Optional[X]`` unwrapped to ``X``; hints resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if typing.get_origin(hint) is typing.Union:
+            hint = next(a for a in typing.get_args(hint)
+                        if a is not type(None))
+        out.append((f.name, hint, f.default))
+    return tuple(out)
+
+
+class Leaf(typing.NamedTuple):
+    """One scalar field of a config, named by its dotted path (``nprocs``,
+    ``faults.loss``, ``cost.udp_mtu``): the same entry spells a CLI flag
+    (``--faults.loss 0.01``) and a query parameter (``?faults.loss=0.01``).
+    """
+
+    name: str
+    hint: Any
+    #: ``dataclasses.MISSING`` for a required field.
+    default: Any
+    #: Text -> value, raising ``ValueError``; ``None``: no text spelling.
+    parse: Optional[Callable[[str], Any]]
+    choices: Optional[Tuple[str, ...]]
+
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _scalar(kind: type) -> Callable[[str], Any]:
+    def parse(text: str) -> Any:
+        try:
+            return _BOOLS[text.strip().lower()] if kind is bool \
+                else kind(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"expected {kind.__name__}, got {text!r}") \
+                from None
+    return parse
+
+
+def _parser_for(hint: Any) -> Optional[Callable[[str], Any]]:
+    """The converter a type hint implies: a scalar as itself, a
+    ``frozenset[str]`` or a flat tuple comma-separated; ``None`` (no
+    spelling) for anything else, such as a tuple of tuples."""
+    scalars = (int, float, str, bool)
+    if hint in scalars:
+        return _scalar(hint)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is frozenset and args == (str,):
+        return lambda text: frozenset(
+            filter(None, (item.strip() for item in text.split(","))))
+    if origin is not tuple or not all(a in scalars or a is ...
+                                      for a in args):
+        return None
+
+    def parse(text: str) -> Tuple[Any, ...]:
+        parts = text.split(",")
+        kinds = [args[0]] * len(parts) if args[-1] is ... else args
+        if len(parts) != len(kinds):
+            raise ValueError(f"expected {len(kinds)} comma-separated "
+                             f"values, got {text!r}")
+        return tuple(_scalar(k)(part) for k, part in zip(kinds, parts))
+    return parse
+
+
+def crash_spec(text: str) -> Tuple[Tuple[int, float], ...]:
+    """``NODE@TIME[,NODE@TIME...]`` -> ``faults.crash_at`` entries (the
+    syntax only: ``FaultPlan`` and ``RunConfig`` judge the values)."""
+    out = []
+    for item in text.split(","):
+        node, sep, time = item.partition("@")
+        try:
+            if not sep:
+                raise ValueError
+            out.append((int(node), float(time)))
+        except ValueError:
+            raise ValueError(
+                f"malformed crash spec {item!r}: expected NODE@TIME "
+                "(e.g. 2@0.5 kills node 2 at t=0.5 virtual seconds)")
+    return tuple(out)
+
+
+def nprocs_list(text: str) -> Tuple[int, ...]:
+    """``N,N,...``: the processor counts of a figure, sweep or speedup
+    series (a verb's own parameter, not a field)."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"malformed processor counts {text!r}: expected comma-separated "
+            "integers (e.g. 1,2,4,8)")
+
+
+#: The leaves whose spelling the type hint does not imply.  ``system`` and
+#: ``preset`` get their choices from the tuples ``RunConfig`` checks.
+_CHOICES = {"system": base.SYSTEMS, "preset": harness.PRESETS}
+_PARSERS = {"faults.crash_at": crash_spec}
+
+
+@functools.lru_cache(maxsize=None)
+def leaves(cls: type) -> Mapping[str, Leaf]:
+    """Every leaf of config dataclass ``cls`` by dotted name, in field
+    order; built once per class per process (``RunConfig`` has 68)."""
+    table: Dict[str, Leaf] = {}
+
+    def walk(cls: type, prefix: str) -> None:
+        for name, hint, default in _fields(cls):
+            if dataclasses.is_dataclass(hint):
+                walk(hint, f"{prefix}{name}.")
+                continue
+            name = prefix + name
+            table[name] = Leaf(name, hint, default,
+                               _PARSERS.get(name, _parser_for(hint)),
+                               _CHOICES.get(name))
+    walk(cls, "")
+    return types.MappingProxyType(table)
+
+
+def from_leaves(cls: type, values: Mapping[str, Any]) -> Any:
+    """Build ``cls`` from ``{leaf name: value}``.  A nested group stays at
+    its default (``None``) unless one of its leaves is given; then it is
+    built from those leaves over its own defaults."""
+    top: Dict[str, Any] = {}
+    groups: Dict[str, Dict[str, Any]] = {}
+    for name, value in values.items():
+        if "." in name:
+            head, _, rest = name.partition(".")
+            groups.setdefault(head, {})[rest] = value
+        else:
+            top[name] = value
+    for name in _required(cls):
+        if name not in top:
+            raise ValueError(f"missing {name}")
+    if groups:
+        hints = {name: hint for name, hint, _ in _fields(cls)}
+        for head, group in groups.items():
+            top[head] = from_leaves(hints[head], group)
+    return cls(**top)
+
+
+@functools.lru_cache(maxsize=None)
+def _required(cls: type) -> Tuple[str, ...]:
+    return tuple(name for name, _, default in _fields(cls)
+                 if default is dataclasses.MISSING)
+
+
 def _jsonify(value: Any) -> Any:
     """Dataclass/tuple/frozenset -> plain JSON-encodable structures."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonify(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+        return {name: _jsonify(getattr(value, name))
+                for name, _, _ in _fields(type(value))}
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, (tuple, list)):
@@ -91,27 +250,26 @@ def _retuple(value: Any) -> Any:
     return value
 
 
-def _from_json(hint: Any, value: Any) -> Any:
-    """One JSON value back to what the field's type hint says."""
-    if value is None:
-        return None
-    if typing.get_origin(hint) is typing.Union:  # Optional[X]
-        hint = next(a for a in typing.get_args(hint) if a is not type(None))
-    if dataclasses.is_dataclass(hint):
-        return _dataclass_from_json(hint, value)
-    if typing.get_origin(hint) is frozenset:
-        return frozenset(value)
-    if hint in (int, bool):
-        return hint(value)
-    return _retuple(value)
-
-
 def _dataclass_from_json(cls: type, data: Dict[str, Any]) -> Any:
     """Rebuild ``cls`` from its :func:`_jsonify` form: fields absent from
     ``data`` keep their defaults, keys that are not fields are ignored."""
-    hints = typing.get_type_hints(cls)
-    return cls(**{f.name: _from_json(hints[f.name], data[f.name])
-                  for f in dataclasses.fields(cls) if f.name in data})
+    kwargs = {}
+    for name, hint, _ in _fields(cls):
+        if name not in data:
+            continue
+        value = data[name]
+        if value is None:
+            pass
+        elif dataclasses.is_dataclass(hint):
+            value = _dataclass_from_json(hint, value)
+        elif typing.get_origin(hint) is frozenset:
+            value = frozenset(value)
+        elif hint in (int, bool):
+            value = hint(value)
+        else:
+            value = _retuple(value)
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -187,8 +345,8 @@ class RunConfig:
                        if replicas else ""))
 
     # ------------------------------------------------------------------
-    # Both directions derive from ``dataclasses.fields`` and the type
-    # hints: a new option is a new field, nothing to list here.
+    # Both directions, the CLI flags and the query parameters derive from
+    # the field table: a new option is a new field, nothing to list here.
     def to_json(self) -> Dict[str, Any]:
         return _jsonify(self)
 
@@ -390,19 +548,28 @@ def lookup(config: RunConfig, cache: Optional[ResultCache] = None
     return key, None
 
 
+def simulate(config: RunConfig, *, trace: Optional[Any] = None) -> Any:
+    """The one ``RunConfig`` -> ``base.run_parallel`` mapping, uncached
+    and unverified: :func:`run` and ``repro trace`` (which adds a protocol
+    ``trace``) both execute through it, so no field can be dropped."""
+    exp = harness.EXPERIMENTS[config.experiment]
+    # A new run option is one RunConfig field plus one keyword here.
+    return base.run_parallel(
+        exp.app, config.system, config.nprocs,
+        harness.params_for(exp, config.preset), cost=config.cost,
+        faults=config.faults, analysis=config.analysis,
+        recovery=config.recovery, obs=config.obs,
+        replication=config.replication, invariants=config.invariants,
+        trace=trace)
+
+
 def _execute(config: RunConfig, store: Optional[ResultCache],
              key: Optional[str]) -> RunResult:
     """Run, verify against the sequential oracle, record.  Every parallel
     run is a correctness check -- lossy and crash/recovery runs included,
     whose results must match the fault-free ones."""
     exp = harness.EXPERIMENTS[config.experiment]
-    # A new run option is one RunConfig field plus one keyword here.
-    par = base.run_parallel(
-        exp.app, config.system, config.nprocs,
-        harness.params_for(exp, config.preset), cost=config.cost,
-        faults=config.faults, analysis=config.analysis,
-        recovery=config.recovery, obs=config.obs,
-        replication=config.replication, invariants=config.invariants)
+    par = simulate(config)
     seq = harness._seq(config.experiment, config.preset)
     if not base.get_app(exp.app).verify(par.result, seq.result):
         raise AssertionError(

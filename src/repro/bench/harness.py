@@ -34,6 +34,7 @@ __all__ = [
     "PRESETS",
     "clear_cache",
     "experiment",
+    "experiment_of_app",
 ]
 
 #: The processor counts the paper's figures sweep.
@@ -124,6 +125,13 @@ def experiment(exp_id: str) -> Experiment:
     except KeyError:
         raise ValueError(f"unknown experiment {exp_id!r}; "
                          f"try: {', '.join(EXPERIMENTS)}") from None
+
+
+def experiment_of_app(app: str) -> str:
+    """The first experiment running ``app`` (what ``trace APP`` runs);
+    ``KeyError`` with the "unknown app" message otherwise."""
+    base.get_app(app)
+    return next(exp.exp_id for exp in EXPERIMENTS.values() if exp.app == app)
 
 
 def params_for(exp: Experiment, preset: str = "bench") -> Any:

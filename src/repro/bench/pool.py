@@ -30,6 +30,7 @@ unpickle (an exception with a custom constructor cannot).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -80,7 +81,8 @@ def work(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one task; JSON in, JSON out, errors included.
 
     ``kind`` selects the computation (``run``, ``speedup``, ``figure``,
-    ``profile``, ``trace``).  Returns ``{"body", "content_type",
+    ``profile``, ``trace``) over ``config``, a ``RunConfig`` as JSON,
+    plus the kind's own keys.  Returns ``{"body", "content_type",
     "wall_seconds"}`` (plus ``cached`` for ``run``), the expired marker,
     or ``{"error", "type"}``.
     """
@@ -104,39 +106,35 @@ def work(payload: Dict[str, Any]) -> Dict[str, Any]:
 def _compute(payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro import api
     from repro.bench.cache import canonical_json
+    from repro.cli import cmd_figure, cmd_profile, cmd_trace
     kind = payload["kind"]
+    if kind not in ("run", "speedup", "figure", "profile", "trace"):
+        raise ValueError(f"unknown task kind {kind!r}")
+    config = api.RunConfig.from_json(payload["config"])
+    if kind == "profile":
+        return {"body": cmd_profile(
+                    config.experiment,
+                    "both" if payload["both"] else config.system,
+                    config.nprocs, config.preset),
+                "content_type": "text/plain"}
     if kind == "run":
-        result = api.run(api.RunConfig.from_json(payload["config"]),
-                         use_cache=payload.get("use_cache", True))
+        result = api.run(config, use_cache=payload.get("use_cache", True))
         return {"body": result.to_json_bytes().decode(),
                 "content_type": "application/json",
                 "cached": result.cached}
     if kind == "speedup":
-        series = api.speedup_series(
-            payload["experiment"], payload["system"],
-            payload["nprocs_list"], payload["preset"])
         body = canonical_json({
-            "experiment": payload["experiment"],
-            "system": payload["system"],
+            "experiment": config.experiment,
+            "system": config.system,
             "nprocs": payload["nprocs_list"],
-            "preset": payload["preset"],
-            "speedups": series,
+            "preset": config.preset,
+            "speedups": [
+                api.run(dataclasses.replace(config, nprocs=n)).speedup
+                for n in payload["nprocs_list"]],
         })
         return {"body": body, "content_type": "application/json"}
-    if kind == "figure":
-        from repro.cli import cmd_figure
-        text = cmd_figure(payload["experiment"],
-                          tuple(payload["nprocs_list"]), payload["preset"])
-    elif kind == "profile":
-        from repro.cli import cmd_profile
-        text = cmd_profile(payload["experiment"], payload["system"],
-                           payload["nprocs"], payload["preset"])
-    elif kind == "trace":
-        from repro.cli import cmd_trace
-        text = cmd_trace(payload["app"], payload["nprocs"],
-                         payload["limit"])
-    else:
-        raise ValueError(f"unknown task kind {kind!r}")
+    text = (cmd_figure(config, tuple(payload["nprocs_list"]))
+            if kind == "figure" else cmd_trace(config, payload["limit"]))
     return {"body": text, "content_type": "text/plain"}
 
 

@@ -1,286 +1,190 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands::
+Commands: ``list``, ``run EXP``, ``sweep EXP..``, ``serve``, ``figure
+EXP``, ``table1``/``table2``, ``verify [EXP]``, ``trace APP`` and
+``profile EXP`` (``repro <command> -h`` for each).  Everything prints to
+stdout.
 
-    list                       the twelve experiment configurations
-    run EXP [options]          one simulated run, with stats + breakdown
-    sweep EXP.. [options]      the whole run grid, fanned across CPU cores
-                               through the persistent result cache
-                               (``repro sweep all --jobs 8``)
-    serve [options]            HTTP service over the result cache with
-                               deadlines, backpressure, coalescing, and
-                               graceful degradation (``repro serve``)
-    figure EXP [options]       a paper figure (speedup curves)
-    table1 / table2 [options]  the paper's tables
-    verify [EXP] [options]     protocol verification: explore tie-break
-                               schedules of one experiment (deadlocks,
-                               invariant violations, result divergence)
-                               and/or run the protocol lints (--lint)
-    trace APP [options]        a traced TreadMarks run (protocol timeline);
-                               ``--perfetto OUT.json`` exports a Chrome/
-                               Perfetto trace of the same run
-    profile EXP [options]      span-based time attribution: where each
-                               processor's time went, and (TreadMarks) how
-                               much each of the paper's four mechanisms cost
-
-Everything prints to stdout; all commands accept ``--preset paper`` for
-the paper's full problem sizes (slow).
+A run is spelled once, by ``RunConfig``'s fields: every verb that runs
+one takes a flag per field, named by its dotted path and parsed by
+:func:`repro.api.leaves` -- ``--nprocs 4``, ``--faults.loss 0.01``,
+``--recovery.checkpoint_interval 0.25``, ``--replication.mode mask`` --
+exactly as ``repro serve`` takes ``?faults.loss=0.01``.  A group of
+fields stays off unless one of its flags is given.  ``repro serve``'s own
+flags are ``ServeConfig``'s fields, by the same walk.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional, Tuple
+import dataclasses
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-__all__ = ["build_parser", "main"]
+__all__ = ["add_fields", "build_parser", "config_of", "main"]
+
+
+def _arg_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """A converter as an argparse ``type``: its message, not argparse's."""
+    def convert(text: str) -> Any:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
+
+
+def add_fields(parser: argparse.ArgumentParser, cls: type,
+               names: Optional[Iterable[str]] = None, **defaults: Any) -> None:
+    """One ``--<leaf>`` flag per leaf of config dataclass ``cls`` (or of
+    ``names``), spelled and parsed by :func:`repro.api.leaves`.
+
+    A top-level flag defaults to its field's default (or ``defaults``);
+    a nested one is absent unless given, so its group stays ``None``.  A
+    bool flag alone means true; ``--invariants false`` also parses.
+    """
+    from repro import api
+    wanted = None if names is None else set(names)
+    for leaf in api.leaves(cls).values():
+        if leaf.parse is None or (wanted is not None
+                                  and leaf.name not in wanted):
+            continue
+        flags = ["--" + leaf.name]
+        kwargs: dict = dict(dest=leaf.name, type=_arg_type(leaf.parse),
+                            choices=leaf.choices,
+                            metavar=None if leaf.choices
+                            else leaf.name.rpartition(".")[2].upper())
+        if leaf.name == "faults.crash_at":
+            # The one flag that keeps a second, shorter spelling.
+            flags.append("--crash")
+            kwargs.update(action="extend", metavar="NODE@TIME")
+        elif leaf.hint is bool:
+            kwargs.update(nargs="?", const=True)
+        default = defaults.get(leaf.name, leaf.default)
+        kwargs["help"] = f"(default {default})"
+        kwargs["default"] = argparse.SUPPRESS if "." in leaf.name \
+            else default
+        parser.add_argument(*flags, **kwargs)
+
+
+def config_of(args: argparse.Namespace, cls: Optional[type] = None,
+              **fixed: Any) -> Any:
+    """The config (``RunConfig`` unless ``cls``) a parsed command line
+    spells: every leaf flag present, then ``fixed``.  A config its own
+    validator rejects exits with that message."""
+    from repro import api
+    cls = cls or api.RunConfig
+    table = api.leaves(cls)
+    values = {name: value for name, value in vars(args).items()
+              if name in table}
+    values.update(fixed)
+    try:
+        return api.from_leaves(cls, values)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.apps.base import SYSTEMS
-    from repro.bench.harness import PRESETS
+    from repro import api
+    from repro.serve.config import ServeConfig
     parser = argparse.ArgumentParser(
         prog="repro",
         description="TreadMarks vs PVM on a simulated network of "
                     "workstations (Lu et al., SC '95 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
+    nprocs_list = _arg_type(api.nprocs_list)
+    # Every RunConfig leaf but the experiment, which is a positional.
+    fields = [name for name in api.leaves(api.RunConfig)
+              if name != "experiment"]
 
     sub.add_parser("list", help="list the experiment configurations")
 
-    def add_fault_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--loss-rate", type=float, default=0.0,
-                       help="probability each message/segment is dropped "
-                            "(enables the user-level reliability protocol)")
-        p.add_argument("--fault-seed", type=int, default=0,
-                       help="seed of the deterministic fault schedule")
-        p.add_argument("--fault-category", default=None,
-                       help="comma-separated message categories to fault "
-                            "(default: all)")
-        p.add_argument("--crash", action="append", type=crash_spec,
-                       default=None, metavar="NODE@TIME",
-                       help="permanently crash NODE at virtual TIME "
-                            "seconds (repeatable); the run detects the "
-                            "failure and recovers per --ft-mode")
-        p.add_argument("--checkpoint-interval", type=checkpoint_interval,
-                       default=0.0, metavar="SECONDS",
-                       help="coordinated checkpoint spacing in virtual "
-                            "seconds (0 = disabled; recovery then "
-                            "restarts from the beginning)")
-
-    run = sub.add_parser("run", help="run one experiment configuration")
+    run = sub.add_parser("run", help="one run, with stats and breakdown")
     run.add_argument("experiment", help="experiment id (fig01..fig12)")
-    run.add_argument("--system", choices=SYSTEMS, default="tmk")
-    run.add_argument("--nprocs", type=int, default=8)
-    run.add_argument("--preset", choices=PRESETS, default="bench")
-    run.add_argument("--race-check", choices=("off", "report", "strict"),
-                     default="off",
-                     help="happens-before race detection (tmk only): "
-                          "'report' collects findings, 'strict' fails the "
-                          "run at the first race")
-    run.add_argument("--false-sharing-report", action="store_true",
-                     help="print the per-page false-sharing analysis "
-                          "(tmk only)")
-    run.add_argument("--ft-mode", choices=("rollback", "mask"),
-                     default="rollback",
-                     help="fault-tolerance strategy for --crash: "
-                          "'rollback' (checkpoint + re-execute, the "
-                          "default) or 'mask' (SC-ABD quorum replication; "
-                          "tmk only -- minority replica crashes are "
-                          "absorbed with no rollback at all)")
-    run.add_argument("--replicas", type=int, default=3, metavar="N",
-                     help="page-replica servers in --ft-mode mask "
-                          "(N replicas mask up to (N-1)//2 crashes; "
-                          "default 3)")
-    run.add_argument("--invariants", action="store_true",
-                     help="attach the runtime protocol-invariant monitors "
-                          "(repro.verify): a broken coherence rule aborts "
-                          "the run with the violated rule and both events")
-    add_fault_flags(run)
+    add_fields(run, api.RunConfig, fields)
 
     verify = sub.add_parser(
-        "verify",
-        help="verify the protocols: explore tie-break schedules of one "
-             "experiment (invariants on, results compared across "
-             "schedules), and/or run the protocol-implementation lints")
+        "verify", help="explore tie-break schedules of one experiment "
+                       "(deadlocks, invariants, divergence) and/or lint "
+                       "the protocols")
     verify.add_argument("experiment", nargs="?", default=None,
-                        help="experiment id (fig01..fig12); omit to run "
-                             "only --lint")
+                        help="experiment id; omit to run only --lint")
+    # The explorer's runtimes, not RunConfig.system: 'scabd' is a runtime
+    # to explore (TreadMarks programs over SC-ABD quorum replication).
     verify.add_argument("--system", choices=("tmk", "ivy", "pvm", "scabd"),
-                        default="tmk",
-                        help="runtime to explore ('scabd' = TreadMarks "
-                             "programs over SC-ABD quorum replication)")
-    verify.add_argument("--nprocs", type=int, default=3)
-    verify.add_argument("--preset", choices=PRESETS,
-                        default="tiny")
-    verify.add_argument("--schedules", type=int, default=25,
-                        help="schedules to explore (default 25)")
+                        default="tmk", help="runtime to explore")
+    add_fields(verify, api.RunConfig, ("nprocs", "preset"), nprocs=3,
+               preset="tiny")
+    verify.add_argument("--schedules", type=int, default=25)
     verify.add_argument("--mode", choices=("random", "dfs"),
                         default="random",
-                        help="'random': seeded random walks (replayable "
-                             "by seed); 'dfs': systematic bounded-"
+                        help="seeded random walks, or systematic bounded-"
                              "preemption enumeration")
     verify.add_argument("--seed", type=int, default=0,
-                        help="first random-walk seed (mode=random)")
+                        help="first random-walk seed")
     verify.add_argument("--max-flips", type=int, default=2,
-                        help="preemption bound for mode=dfs (default 2)")
-    verify.add_argument("--no-invariants", action="store_true",
-                        help="explore schedules without the runtime "
-                             "invariant monitors")
+                        help="preemption bound of --mode dfs")
+    verify.add_argument("--no-invariants", action="store_true")
     verify.add_argument("--lint", action="store_true",
-                        help="also run the protocol-implementation lints "
-                             "(PRT001-PRT008)")
+                        help="also run the protocol lints (PRT001-PRT008)")
     verify.add_argument("--lint-paths", default="src/repro",
-                        help="comma-separated paths for --lint "
-                             "(default: src/repro)")
+                        help="comma-separated paths for --lint")
 
     sweep = sub.add_parser(
-        "sweep",
-        help="run many configurations in parallel worker processes, "
-             "reading and populating the persistent result cache")
+        "sweep", help="the run grid in parallel worker processes, through "
+                      "the persistent result cache")
     sweep.add_argument("experiment", nargs="+",
                        help="experiment ids (fig01..fig12), or 'all'")
     sweep.add_argument("--systems", default="tmk,pvm",
-                       help="comma-separated systems (default: tmk,pvm)")
+                       help="comma-separated systems")
     sweep.add_argument("--nprocs", type=nprocs_list, default=(8,),
-                       help="comma-separated processor counts (default: 8)")
-    sweep.add_argument("--preset", choices=PRESETS,
-                       default="bench")
+                       help="comma-separated processor counts")
+    add_fields(sweep, api.RunConfig, ("preset",))
     sweep.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: the CPU count)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="ignore and do not populate the result cache")
-    sweep.add_argument("--cache-dir", default=None,
-                       help="result cache directory (default: "
-                            "$REPRO_CACHE_DIR or <repo>/.repro_cache)")
+    sweep.add_argument("--no-cache", action="store_true")
     sweep.add_argument("--json", metavar="OUT.json", default=None,
-                       help="also write the full sweep report as JSON")
+                       help="also write the sweep report as JSON")
 
     serve = sub.add_parser(
-        "serve",
-        help="serve run/speedup/figure/profile/trace over HTTP through "
-             "the result cache, with deadlines, backpressure, and "
-             "graceful degradation (see DESIGN.md §5i)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8095,
-                       help="listen port (0 = pick an ephemeral port; "
-                            "the resolved port is printed)")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="worker processes for cold runs (default 2)")
-    serve.add_argument("--queue-depth", type=int, default=8,
-                       help="admitted requests beyond the worker count "
-                            "before shedding with 429 (default 8)")
-    serve.add_argument("--deadline-ms", type=float, default=30000.0,
-                       help="default per-request deadline in ms "
-                            "(clients override with ?deadline_ms=)")
-    serve.add_argument("--cache-dir", default=None,
-                       help="result cache directory (default: "
-                            "$REPRO_CACHE_DIR or <repo>/.repro_cache)")
-    serve.add_argument("--chaos", action="store_true",
-                       help="honor ?inject=crash / ?inject=slow:SECONDS "
-                            "fault-injection requests (benchmarks and "
-                            "tests only)")
+        "serve", help="serve run/speedup/figure/profile/trace over HTTP "
+                      "through the result cache (DESIGN.md §5i)")
+    add_fields(serve, ServeConfig)
+    for verb in (sweep, serve):
+        verb.add_argument("--cache-dir", default=None,
+                          help="default: $REPRO_CACHE_DIR or "
+                               "<repo>/.repro_cache")
 
-    figure = sub.add_parser("figure", help="render one paper figure")
+    figure = sub.add_parser(
+        "figure", help="one paper figure: both systems' speedup curves")
     figure.add_argument("experiment", help="experiment id (fig01..fig12)")
     figure.add_argument("--nprocs", type=nprocs_list, default=(1, 2, 4, 8),
                         help="comma-separated processor counts")
-    figure.add_argument("--preset", choices=("bench", "paper"),
-                        default="bench")
+    add_fields(figure, api.RunConfig,
+               [name for name in fields if name not in ("system", "nprocs")])
 
     for name, help_text in (("table1", "sequential times (Table 1)"),
                             ("table2", "messages and data (Table 2)")):
-        table = sub.add_parser(name, help=help_text)
-        table.add_argument("--preset", choices=("bench", "paper"),
-                           default="bench")
+        add_fields(sub.add_parser(name, help=help_text), api.RunConfig,
+                   ("preset",))
 
-    trace = sub.add_parser("trace",
-                           help="run an app under TreadMarks with the "
-                                "protocol trace enabled")
+    trace = sub.add_parser("trace", help="one run of an app with the "
+                                         "protocol trace on")
     trace.add_argument("app", help="application name (e.g. sor, is, tsp)")
-    trace.add_argument("--nprocs", type=int, default=2)
     trace.add_argument("--limit", type=int, default=60,
                        help="max trace lines to print")
     trace.add_argument("--perfetto", metavar="OUT.json", default=None,
-                       help="also write the run's span timeline as "
-                            "Chrome/Perfetto trace-event JSON (open with "
-                            "ui.perfetto.dev or chrome://tracing)")
-    add_fault_flags(trace)
+                       help="also write the span timeline as Chrome/"
+                            "Perfetto trace-event JSON")
+    add_fields(trace, api.RunConfig, fields, nprocs=2, preset="tiny")
 
     profile = sub.add_parser(
-        "profile",
-        help="time-attribution profile (compute/wire/protocol/stalls "
-             "per processor, plus TreadMarks mechanism costs)")
+        "profile", help="time attribution per processor, plus TreadMarks "
+                        "mechanism costs; tmk and pvm unless --system")
     profile.add_argument("experiment",
                          help="experiment id (fig01..fig12) or 'all'")
-    profile.add_argument("--system", choices=("tmk", "pvm", "both"),
-                         default="both")
-    profile.add_argument("--nprocs", type=int, default=8)
-    profile.add_argument("--preset", choices=PRESETS,
-                         default="tiny")
+    add_fields(profile, api.RunConfig, ("system", "nprocs", "preset"),
+               system="both", preset="tiny")
     return parser
-
-
-def crash_spec(text: str):
-    """argparse type for ``--crash NODE@TIME``."""
-    import argparse as _argparse
-    node_s, sep, time_s = text.partition("@")
-    try:
-        if not sep:
-            raise ValueError
-        node, time = int(node_s), float(time_s)
-    except ValueError:
-        raise _argparse.ArgumentTypeError(
-            f"malformed crash spec {text!r}: expected NODE@TIME "
-            "(e.g. 2@0.5 kills node 2 at t=0.5 virtual seconds)")
-    if node < 0:
-        raise _argparse.ArgumentTypeError(
-            f"crash node must be >= 0, got {node}")
-    if time < 0:
-        raise _argparse.ArgumentTypeError(
-            f"crash time must be >= 0, got {time}")
-    return (node, time)
-
-
-def checkpoint_interval(text: str) -> float:
-    """argparse type for ``--checkpoint-interval SECONDS``."""
-    import argparse as _argparse
-    try:
-        value = float(text)
-    except ValueError:
-        raise _argparse.ArgumentTypeError(
-            f"malformed checkpoint interval {text!r}: expected a number "
-            "of virtual seconds")
-    if value < 0:
-        raise _argparse.ArgumentTypeError(
-            f"checkpoint interval must be >= 0, got {value}")
-    return value
-
-
-def nprocs_list(text: str) -> Tuple[int, ...]:
-    """argparse type for ``--nprocs N,N,...``."""
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"malformed processor counts {text!r}: expected comma-separated "
-            "integers (e.g. 1,2,4,8)")
-
-
-def fault_plan(loss_rate: float, fault_seed: int,
-               fault_category: Optional[str], crash=None):
-    """Build a :class:`~repro.sim.faults.FaultPlan` from the CLI flags
-    (``None`` when no faults were requested)."""
-    if not loss_rate and not crash:
-        return None
-    from repro.sim.faults import FaultPlan
-    categories = None
-    if fault_category:
-        categories = frozenset(c.strip() for c in fault_category.split(",")
-                               if c.strip())
-    try:
-        return FaultPlan(seed=fault_seed, loss=loss_rate,
-                         categories=categories, crash_at=tuple(crash or ()))
-    except ValueError as exc:  # e.g. two --crash entries for one node
-        raise SystemExit(f"bad fault plan: {exc}")
 
 
 # ----------------------------------------------------------------------
@@ -305,36 +209,14 @@ def cmd_list() -> str:
     return "\n".join(rows)
 
 
-def cmd_run(experiment: str, system: str, nprocs: int, preset: str,
-            faults=None, race_check: str = "off",
-            false_sharing: bool = False,
-            checkpoint_every: float = 0.0,
-            ft_mode: str = "rollback", replicas: int = 3,
-            invariants: bool = False) -> str:
+def cmd_run(config: Any) -> str:
+    """One run of ``config`` (a ``RunConfig``) with its full report."""
     from repro import api
     from repro.bench import harness
     from repro.bench.analysis import decompose, render_breakdown
-    from repro.sim.recovery import NodeFailure, RecoveryConfig
-    analysis = replication = recovery = None
-    if race_check != "off" or false_sharing:
-        from repro.analysis import AnalysisConfig
-        analysis = AnalysisConfig(race_check=race_check,
-                                  false_sharing=false_sharing)
-    if checkpoint_every:
-        recovery = RecoveryConfig(checkpoint_interval=checkpoint_every)
-    try:
-        if ft_mode == "mask":
-            from repro.scabd import ReplicationConfig
-            replication = ReplicationConfig(replicas=replicas)
-        # RunConfig is the validator: flags only translate into it.
-        config = api.RunConfig(experiment=experiment, system=system,
-                               nprocs=nprocs, preset=preset, faults=faults,
-                               analysis=analysis, recovery=recovery,
-                               replication=replication,
-                               invariants=invariants)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    exp = harness.EXPERIMENTS[experiment]
+    from repro.sim.recovery import NodeFailure
+    system, replication = config.system, config.replication
+    exp = harness.EXPERIMENTS[config.experiment]
     try:
         # want_parallel: the report below needs the live run (stats
         # buckets, sanitizer, mechanism breakdown), not just the summary.
@@ -343,18 +225,19 @@ def cmd_run(experiment: str, system: str, nprocs: int, preset: str,
         if replication is not None:
             raise SystemExit(
                 f"unmaskable failure: {failure}\n"
-                f"(hint: {replicas} replicas mask up to "
-                f"{(replicas - 1) // 2} *replica* crashes; an application-"
+                f"(hint: {replication.replicas} replicas mask up to "
+                f"{replication.f_max} *replica* crashes; an application-"
                 "rank crash or one dead replica too many aborts the run "
-                "-- use --ft-mode rollback with --checkpoint-interval to "
-                "survive those)")
+                "-- drop --replication.* and use "
+                "--recovery.checkpoint_interval to survive those)")
         raise SystemExit(f"unrecoverable failure: {failure}\n"
-                         "(hint: --checkpoint-interval bounds the work "
-                         "lost per crash; multiple crashes within one "
+                         "(hint: --recovery.checkpoint_interval bounds the "
+                         "work lost per crash; multiple crashes within one "
                          "checkpoint interval cannot be recovered)")
     run = result.parallel
     rows = [
-        f"{exp.label} / {system} / {nprocs} processors ({preset} preset)",
+        f"{exp.label} / {system} / {config.nprocs} processors "
+        f"({config.preset} preset)",
         kernels_line(),
         "",
         f"sequential time   {result.seq_time:10.2f} virtual s",
@@ -366,9 +249,10 @@ def cmd_run(experiment: str, system: str, nprocs: int, preset: str,
         "",
         run.stats.summary(system),
     ]
-    if faults is not None:
+    if config.faults is not None:
         rel = run.stats.reliability(system)
-        rows += ["", f"fault plan: loss={faults.loss} seed={faults.seed}"]
+        rows += ["", f"fault plan: loss={config.faults.loss} "
+                     f"seed={config.faults.seed}"]
         for category in ("drop", "retransmit", "dup_suppress", "ack"):
             counter = rel.get(category)
             if counter is not None:
@@ -410,9 +294,9 @@ def cmd_run(experiment: str, system: str, nprocs: int, preset: str,
         rows += ["", render_breakdown(exp.label, decompose(run))]
     if run.sanitizer is not None:
         rows += ["", run.sanitizer.summary()]
-        if race_check != "off":
+        if config.analysis.race_check != "off":
             rows += ["", run.sanitizer.race_report()]
-        if false_sharing:
+        if config.analysis.false_sharing:
             rows += ["", run.sanitizer.false_sharing_report()]
     return "\n".join(rows)
 
@@ -498,28 +382,21 @@ def cmd_sweep(experiments: List[str], systems: str,
     return text
 
 
-def cmd_serve(host: str, port: int, workers: int, queue_depth: int,
-              deadline_ms: float, cache_dir: Optional[str],
-              chaos: bool) -> int:
-    """Run the serving layer until interrupted (prints the bound URL)."""
+def cmd_serve(config: Any, cache_dir: Optional[str]) -> int:
+    """Run the serving layer (``config``: a ``ServeConfig``) until
+    interrupted; prints the bound URL."""
     import asyncio
 
-    from repro.serve import ReproServer, ServeConfig
-    try:
-        config = ServeConfig(host=host, port=port, workers=workers,
-                             queue_depth=queue_depth,
-                             default_deadline=deadline_ms / 1000.0,
-                             allow_injection=chaos)
-    except ValueError as exc:
-        raise SystemExit(f"bad serve configuration: {exc}")
+    from repro.serve import ReproServer
 
     async def _main() -> None:
         server = ReproServer(config, cache_dir=cache_dir)
         await server.start()
         print(f"serving on http://{config.host}:{server.port} "
-              f"(workers={workers}, queue={queue_depth}, "
+              f"(workers={config.workers}, queue={config.queue_depth}, "
               f"cache={server.cache_dir}, {kernels_line()}"
-              + (", chaos injection ENABLED" if chaos else "") + ")",
+              + (", chaos injection ENABLED" if config.allow_injection
+                 else "") + ")",
               flush=True)
         try:
             await server.serve_forever()
@@ -533,22 +410,22 @@ def cmd_serve(host: str, port: int, workers: int, queue_depth: int,
     return 0
 
 
-def cmd_figure(experiment: str, nprocs: Tuple[int, ...],
-               preset: str) -> str:
+def cmd_figure(config: Any, nprocs: Tuple[int, ...]) -> str:
+    """Both systems' speedup curves of ``config`` over ``nprocs``."""
     from repro import api
     from repro.bench import harness
     from repro.bench.figures import render_figure
     try:
-        curves = [[api.RunConfig(experiment, system, n, preset)
+        curves = [[dataclasses.replace(config, system=system, nprocs=n)
                    for n in nprocs] for system in ("tmk", "pvm")]
     except ValueError as exc:
         raise SystemExit(str(exc))
-    tmk, pvm = ([api.run(config).speedup for config in curve]
+    tmk, pvm = ([api.run(point).speedup for point in curve]
                 for curve in curves)
-    exp = harness.EXPERIMENTS[experiment]
+    exp = harness.EXPERIMENTS[config.experiment]
     return render_figure(
         f"Figure {exp.figure}: {exp.label} "
-        f"({harness.size_string(exp, preset)})", nprocs, tmk, pvm)
+        f"({harness.size_string(exp, config.preset)})", nprocs, tmk, pvm)
 
 
 def cmd_table(which: str, preset: str) -> str:
@@ -558,36 +435,31 @@ def cmd_table(which: str, preset: str) -> str:
     return tables.render_table2(preset=preset)
 
 
-def cmd_trace(app: str, nprocs: int, limit: int, faults=None,
-              perfetto: Optional[str] = None) -> str:
+_SYSTEM_NAMES = {"tmk": "TreadMarks", "pvm": "PVM", "ivy": "IVY"}
+
+
+def cmd_trace(config: Any, limit: int, perfetto: Optional[str] = None) -> str:
+    """``config`` run once with the protocol trace on: through the same
+    mapping as every other run (:func:`repro.api.simulate`), uncached."""
     from repro import api
-    from repro.apps import base
     from repro.bench import harness
+    from repro.obs import ObsConfig
     from repro.sim.trace import Trace
 
-    try:
-        spec = base.get_app(app)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0])
-    exp = next(exp for exp in harness.EXPERIMENTS.values() if exp.app == app)
-    try:  # admission only: RunConfig cannot carry a Trace
-        api.RunConfig(exp.exp_id, "tmk", nprocs, "tiny", faults=faults)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    trace = Trace(enabled=True)
-    obs = None
     if perfetto is not None:
-        from repro.obs import ObsConfig
-        obs = ObsConfig(timeline=True)
-    run = base.run_parallel(spec, "tmk", nprocs, exp.tiny_params,
-                            trace=trace, faults=faults, obs=obs)
-    header = f"TreadMarks protocol trace: {app} (tiny preset, " \
-             f"{nprocs} processors, first {limit} events)"
+        config = dataclasses.replace(config, obs=dataclasses.replace(
+            config.obs or ObsConfig(), timeline=True))
+    trace = Trace(enabled=True)
+    run = api.simulate(config, trace=trace)
+    app = harness.EXPERIMENTS[config.experiment].app
+    header = (f"{_SYSTEM_NAMES[config.system]} protocol trace: {app} "
+              f"({config.preset} preset, {config.nprocs} processors, "
+              f"first {limit} events)")
     text = header + "\n\n" + trace.format(limit=limit)
     if perfetto is not None:
         from repro.obs import write_chrome_trace
         write_chrome_trace(run.timeline, perfetto,
-                           label=f"{app} tmk x{nprocs}")
+                           label=f"{app} {config.system} x{config.nprocs}")
         text += (f"\n\nPerfetto trace "
                  f"({len(run.timeline.events)} events) -> {perfetto}")
     return text
@@ -627,14 +499,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list":
         print(cmd_list())
     elif args.command == "run":
-        plan = fault_plan(args.loss_rate, args.fault_seed, args.fault_category,
-                          crash=args.crash)
-        print(cmd_run(args.experiment, args.system, args.nprocs, args.preset,
-                      faults=plan, race_check=args.race_check,
-                      false_sharing=args.false_sharing_report,
-                      checkpoint_every=args.checkpoint_interval,
-                      ft_mode=args.ft_mode, replicas=args.replicas,
-                      invariants=args.invariants))
+        print(cmd_run(config_of(args)))
     elif args.command == "verify":
         print(cmd_verify(args.experiment, system=args.system,
                          nprocs=args.nprocs, preset=args.preset,
@@ -647,17 +512,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                         args.preset, args.jobs, args.no_cache,
                         args.cache_dir, json_out=args.json))
     elif args.command == "serve":
-        return cmd_serve(args.host, args.port, args.workers,
-                         args.queue_depth, args.deadline_ms,
-                         args.cache_dir, args.chaos)
+        from repro.serve.config import ServeConfig
+        return cmd_serve(config_of(args, ServeConfig), args.cache_dir)
     elif args.command == "figure":
-        print(cmd_figure(args.experiment, args.nprocs, args.preset))
+        # The list's first count stands in for the field until each point
+        # replaces it.
+        print(cmd_figure(config_of(args, nprocs=args.nprocs[0]),
+                         args.nprocs))
     elif args.command in ("table1", "table2"):
         print(cmd_table(args.command, args.preset))
     elif args.command == "trace":
-        plan = fault_plan(args.loss_rate, args.fault_seed, args.fault_category,
-                          crash=args.crash)
-        print(cmd_trace(args.app, args.nprocs, args.limit, faults=plan,
+        from repro.bench import harness
+        try:
+            experiment = harness.experiment_of_app(args.app)
+        except KeyError as exc:
+            raise SystemExit(exc.args[0])
+        print(cmd_trace(config_of(args, experiment=experiment), args.limit,
                         perfetto=args.perfetto))
     elif args.command == "profile":
         print(cmd_profile(args.experiment, args.system, args.nprocs,

@@ -31,11 +31,13 @@ in this repo is stated over -- and an ``If-None-Match`` that names it
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import functools
 import hashlib
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.bench.cache import (ResultCache, canonical_json,
                                default_cache_dir, source_fingerprint)
@@ -49,8 +51,9 @@ from repro.serve.singleflight import SingleFlight
 
 __all__ = ["ReproServer"]
 
-#: Largest cluster one request may ask for (the server's own ceiling;
-#: everything else about a run's validity is ``RunConfig``'s call).
+#: Largest cluster one request may ask for, replica servers included (the
+#: server's own ceiling; everything else about a run's validity is
+#: ``RunConfig``'s call).
 _MAX_NPROCS = 64
 
 
@@ -196,16 +199,8 @@ class ReproServer:
             return self._healthz()
         if path == "/metrics":
             return self._metrics_response()
-        if path == "/run":
-            return await self._run_endpoint(request)
-        if path == "/speedup":
-            return await self._speedup_endpoint(request)
-        if path == "/figure":
-            return await self._figure_endpoint(request)
-        if path == "/profile":
-            return await self._profile_endpoint(request)
-        if path == "/trace":
-            return await self._trace_endpoint(request)
+        if path in ("/run", "/speedup", "/figure", "/profile", "/trace"):
+            return await getattr(self, f"_{path[1:]}_endpoint")(request)
         return Response(status=404,
                         body=_json_body({"error": f"no route {path}"}),
                         headers=[("X-Repro-Served", "rejected")])
@@ -260,58 +255,51 @@ class ReproServer:
         return inject
 
     @staticmethod
-    def _int_param(request: Request, name: str, default: int, *,
-                   minimum: Optional[int] = None,
-                   maximum: int = 100000) -> int:
-        raw = request.query.get(name)
-        if raw is None:
-            return default
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _BadRequest(f"bad {name} {raw!r}")
-        if minimum is not None and value < minimum:
-            raise _BadRequest(f"{name} must be >= {minimum}, got {value}")
-        if value > maximum:
-            raise _BadRequest(f"{name} must be <= {maximum}, got {value}")
-        return value
-
-    @staticmethod
-    def _nprocs_list(request: Request) -> List[int]:
-        raw = request.query.get("nprocs", "1,2,4,8")
-        try:
-            counts = [int(v) for v in raw.split(",") if v.strip()]
-        except ValueError:
-            counts = []
-        if not counts or max(counts) > _MAX_NPROCS:
-            raise _BadRequest(f"bad nprocs list {raw!r}")
-        return counts
-
-    @staticmethod
-    def _choice(request: Request, name: str, default: str,
-                choices: Tuple[str, ...]) -> str:
-        """An endpoint's own narrowing of a parameter (``/figure`` has no
-        tiny preset, ``/profile`` takes ``system=both``)."""
-        value = request.query.get(name, default)
-        if value not in choices:
-            raise _BadRequest(
-                f"{name} must be one of {', '.join(choices)}; got {value!r}")
-        return value
-
-    @staticmethod
-    def _admit(request: Request, *, system: str, nprocs: int,
-               preset: str) -> Any:
-        """The request's run point as a ``RunConfig`` -- the validator.
-        Its ``ValueError`` is the 400 body; nothing is re-derived here."""
+    def _config(request: Request, *, verb: Tuple[str, ...] = (),
+                only: Optional[FrozenSet[str]] = None,
+                **defaults: Any) -> Any:
+        """The request's ``RunConfig``: every query parameter named after
+        a leaf (``nprocs``, ``faults.loss``) over ``defaults``, converted
+        and validated exactly as the CLI's flags are.  ``verb`` names the
+        endpoint's own parameters; a leaf outside ``only`` is refused,
+        never dropped.  Every message is the 400 body."""
         from repro import api
-        experiment = request.query.get("experiment")
-        if not experiment:
-            raise _BadRequest("missing ?experiment=")
+        table = api.leaves(api.RunConfig)
+        values = dict(defaults)
+        for name, text in request.query.items():
+            if name in verb or name not in table:
+                continue
+            if only is not None and name not in only:
+                raise _BadRequest(f"{request.path} does not take {name}")
+            try:
+                values[name] = table[name].parse(text)
+            except ValueError as exc:
+                raise _BadRequest(f"bad {name}: {exc}")
         try:
-            return api.RunConfig(experiment=experiment, system=system,
-                                 nprocs=nprocs, preset=preset)
+            config = api.from_leaves(api.RunConfig, values)
         except ValueError as exc:
             raise _BadRequest(str(exc))
+        replicas = config.replication.replicas if config.replication else 0
+        if config.nprocs + replicas > _MAX_NPROCS:
+            raise _BadRequest(
+                f"nprocs + replication.replicas must be <= {_MAX_NPROCS}, "
+                f"got {config.nprocs + replicas}")
+        return config
+
+    def _series(self, request: Request, **defaults: Any
+                ) -> Tuple[Any, List[int]]:
+        """``?nprocs=N,N,...`` endpoints: the config at the largest count
+        (the ceiling's case), and every count admitted on its own."""
+        from repro import api
+        try:
+            counts = api.nprocs_list(request.query.get("nprocs", "1,2,4,8"))
+            config = self._config(request, verb=("nprocs",),
+                                  nprocs=max(counts), **defaults)
+            for n in counts:
+                dataclasses.replace(config, nprocs=n)
+        except ValueError as exc:
+            raise _BadRequest(str(exc))
+        return config, list(counts)
 
     @staticmethod
     def _logical_key(request: Request) -> str:
@@ -412,6 +400,13 @@ class ReproServer:
             if exc.type in ("ValueError", "KeyError"):
                 # The worker rejected the request's parameters.
                 raise _BadRequest(exc.message)
+            if exc.type in ("NodeFailure", "TransportError", "RaceError",
+                            "EngineDeadlock"):
+                # The run fails as the request configured it (more crashes
+                # than it can survive, a link that drops every retry, the
+                # watchdog ending a retransmission storm): deterministic,
+                # so the client's to fix, not a 5xx.
+                raise _BadRequest(str(exc))
             raise
         body = data["body"].encode()
         classification = "fresh" if created else "coalesced"
@@ -420,10 +415,12 @@ class ReproServer:
                                    classification=classification,
                                    cache_state="miss")
 
-    async def _compute_uncached(self, request: Request,
-                                payload: Dict[str, Any]) -> Response:
-        """Endpoints with no disk-cache read of their own: the cold path,
-        coalesced and degraded by the logical request."""
+    async def _compute_uncached(self, request: Request, kind: str,
+                                config: Any, **extra: Any) -> Response:
+        """Endpoints with no disk-cache read of their own: a ``kind`` task
+        over ``config`` on the cold path, coalesced and degraded by the
+        logical request."""
+        payload = {"kind": kind, "config": config.to_json(), **extra}
         deadline_s = self._deadline_seconds(request)
         inject = self._injection(request)
         if inject is not None:
@@ -444,12 +441,7 @@ class ReproServer:
     # ------------------------------------------------------------------
     async def _run_endpoint(self, request: Request) -> Response:
         from repro import api
-        query = request.query
-        config = self._admit(
-            request, system=query.get("system", "tmk"),
-            nprocs=self._int_param(request, "nprocs", 8,
-                                   maximum=_MAX_NPROCS),
-            preset=query.get("preset", "bench"))
+        config = self._config(request)
         deadline_s = self._deadline_seconds(request)
         inject = self._injection(request)
         logical = self._logical_key(request)
@@ -469,48 +461,47 @@ class ReproServer:
                                    deadline_s)
 
     async def _speedup_endpoint(self, request: Request) -> Response:
-        query = request.query
-        system = query.get("system", "tmk")
-        preset = query.get("preset", "bench")
-        nprocs_list = self._nprocs_list(request)
-        for n in nprocs_list:
-            self._admit(request, system=system, nprocs=n, preset=preset)
-        return await self._compute_uncached(request, {
-            "kind": "speedup", "experiment": query["experiment"],
-            "system": system, "nprocs_list": nprocs_list, "preset": preset})
+        config, counts = self._series(request)
+        return await self._compute_uncached(request, "speedup", config,
+                                            nprocs_list=counts)
 
     async def _figure_endpoint(self, request: Request) -> Response:
-        preset = self._choice(request, "preset", "bench",
-                              ("bench", "paper"))
-        nprocs_list = self._nprocs_list(request)
-        for n in nprocs_list:
-            self._admit(request, system="tmk", nprocs=n, preset=preset)
-        return await self._compute_uncached(request, {
-            "kind": "figure", "experiment": request.query["experiment"],
-            "nprocs_list": nprocs_list, "preset": preset})
+        # A figure draws both systems: ``system`` is the endpoint's own.
+        config, counts = self._series(request, only=_all_leaves("system"))
+        return await self._compute_uncached(request, "figure", config,
+                                            nprocs_list=counts)
 
     async def _profile_endpoint(self, request: Request) -> Response:
-        system = self._choice(request, "system", "both",
-                              ("tmk", "pvm", "both"))
-        nprocs = self._int_param(request, "nprocs", 8, maximum=_MAX_NPROCS)
-        preset = request.query.get("preset", "tiny")
-        self._admit(request, system="tmk" if system == "both" else system,
-                    nprocs=nprocs, preset=preset)
-        return await self._compute_uncached(request, {
-            "kind": "profile", "experiment": request.query["experiment"],
-            "system": system, "nprocs": nprocs, "preset": preset})
+        # Both systems unless ``system`` is given, as on the CLI.
+        config = self._config(request, only=_PROFILED, preset="tiny")
+        return await self._compute_uncached(
+            request, "profile", config, both="system" not in request.query)
 
     async def _trace_endpoint(self, request: Request) -> Response:
-        app = request.query.get("app")
-        if not app:
-            raise _BadRequest("missing ?app=")
-        from repro.apps import base
+        from repro.bench import harness
         try:
-            base.get_app(app)
-        except (KeyError, ValueError) as exc:
-            raise _BadRequest(str(exc))
-        nprocs = self._int_param(request, "nprocs", 2, minimum=1,
-                                 maximum=_MAX_NPROCS)
-        limit = self._int_param(request, "limit", 60, minimum=1)
-        return await self._compute_uncached(request, {
-            "kind": "trace", "app": app, "nprocs": nprocs, "limit": limit})
+            experiment = harness.experiment_of_app(
+                request.query.get("app", ""))
+        except KeyError as exc:
+            raise _BadRequest(exc.args[0])
+        limit = request.query.get("limit", "60")
+        if not limit.isdigit() or int(limit) < 1:
+            raise _BadRequest(f"limit must be an integer >= 1, "
+                              f"got {limit!r}")
+        config = self._config(request, verb=("app", "limit"),
+                              only=_all_leaves("experiment"),
+                              experiment=experiment, nprocs=2,
+                              preset="tiny")
+        return await self._compute_uncached(request, "trace", config,
+                                            limit=int(limit))
+
+
+#: The fields ``/profile`` varies; the profiler sets ``obs``/``analysis``.
+_PROFILED = frozenset(("experiment", "system", "nprocs", "preset"))
+
+
+@functools.lru_cache(maxsize=None)
+def _all_leaves(*but: str) -> FrozenSet[str]:
+    """Every ``RunConfig`` leaf except ``but`` (an endpoint's own)."""
+    from repro import api
+    return frozenset(api.leaves(api.RunConfig)).difference(but)

@@ -4,8 +4,9 @@ One frozen dataclass holds every tunable of the resilient HTTP service:
 the listen address, the worker-pool shape (processes + admission queue),
 the deadlines, and the degradation policy (stale store size, Retry-After
 hint).  What a worker death does is not a setting: the pool's one crash
-policy (:mod:`repro.bench.pool`) re-runs the task alone.  The CLI
-(``repro serve``) and the chaos benchmark construct one of these; tests
+policy (:mod:`repro.bench.pool`) re-runs the task alone.  ``repro serve``
+takes one flag per field (``--queue_depth 8``, ``--allow_injection``),
+derived like ``RunConfig``'s; the chaos benchmark and tests
 construct tighter ones (one worker, zero queue) to force each branch of
 the degradation ladder deterministically.
 """
@@ -64,5 +65,5 @@ class ServeConfig:
         if self.queue_depth < 0:
             raise ValueError(
                 f"queue_depth must be >= 0, got {self.queue_depth}")
-        if self.default_deadline <= 0 or self.max_deadline <= 0:
+        if not (self.default_deadline > 0 and self.max_deadline > 0):
             raise ValueError("deadlines must be > 0")

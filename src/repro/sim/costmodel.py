@@ -12,9 +12,13 @@ All times are virtual seconds; all sizes are bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 __all__ = ["CostModel"]
+
+#: Constants a size divides by: a zero page or MTU is no testbed at all.
+_SIZES = ("page_size", "udp_mtu", "tcp_segment")
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,21 @@ class CostModel:
     pack_item_cpu: float = 5e-9
     #: Fixed cost of pvm_initsend / buffer setup.
     initsend_cpu: float = 20e-6
+
+    def __post_init__(self) -> None:
+        """Sizes >= 1, bandwidth > 0, every other constant finite and >= 0
+        (``not x >= 0`` so that NaN is refused too)."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _SIZES:
+                if not value >= 1:
+                    raise ValueError(f"{f.name} must be >= 1, got {value!r}")
+            elif f.name == "bandwidth":
+                if not value > 0:
+                    raise ValueError(f"bandwidth must be > 0, got {value!r}")
+            elif not (value >= 0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{f.name} must be finite and >= 0, got {value!r}")
 
     # ------------------------------------------------------------------
     # Derived helpers

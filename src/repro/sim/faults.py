@@ -30,6 +30,7 @@ simulator.
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -125,8 +126,16 @@ class FaultPlan:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p!r}")
-        if self.rto <= 0 or self.tcp_rto <= 0 or self.rto_backoff < 1.0:
+        # ``not x >= 0`` rather than ``x < 0``: NaN fails every comparison.
+        if not (self.rto > 0 and self.tcp_rto > 0 and self.rto_backoff >= 1):
             raise ValueError("timeouts must be positive, backoff >= 1")
+        lo, hi = self.delay_range
+        if not (0.0 <= lo <= hi < math.inf
+                and 0.0 <= self.reorder_delay < math.inf
+                and self.ack_bytes >= 0):
+            raise ValueError(
+                "delay_range must be 0 <= lo <= hi, reorder_delay >= 0 "
+                "(both finite) and ack_bytes >= 0")
         if self.retry_cap < 1:
             raise ValueError("retry_cap must be at least 1")
         if isinstance(self.categories, (list, set, tuple)):
@@ -152,7 +161,7 @@ class FaultPlan:
                                tuple(sorted(self.crash_at)))
         seen = set()
         for node, t in self.crash_at:
-            if node < 0 or t < 0.0:
+            if node < 0 or not t >= 0.0:
                 raise ValueError(
                     f"crash spec must be (node >= 0, time >= 0), "
                     f"got ({node!r}, {t!r})")

@@ -105,13 +105,15 @@ class RecoveryConfig:
     max_recoveries: int = 3
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval < 0:
+        # ``not x >= 0`` rather than ``x < 0``: NaN fails every comparison.
+        if not self.checkpoint_interval >= 0:
             raise ValueError("checkpoint_interval must be >= 0")
-        if self.heartbeat_interval <= 0 or self.lease_timeout <= 0:
+        if not (self.heartbeat_interval > 0 and self.lease_timeout > 0):
             raise ValueError("heartbeat_interval/lease_timeout must be > 0")
-        if self.checkpoint_bandwidth <= 0 or self.restore_bandwidth <= 0:
+        if not (self.checkpoint_bandwidth > 0
+                and self.restore_bandwidth > 0):
             raise ValueError("checkpoint/restore bandwidth must be > 0")
-        if self.max_recoveries < 0:
+        if not self.max_recoveries >= 0:
             raise ValueError("max_recoveries must be >= 0")
 
 

@@ -150,7 +150,7 @@ class MessageStats:
         They live under the ``"replication"`` pseudo-system -- like
         ``"recovery"`` and ``"analysis"`` -- so the paper's per-system
         wire totals stay untouched; all empty unless the cluster runs in
-        failure-masking (``--ft-mode mask``) replication mode.
+        failure-masking (``--replication.mode mask``) replication mode.
         """
         return self.by_category("replication")
 

@@ -1,9 +1,11 @@
 """A run is admitted once: ``RunConfig`` is the only validator.
 
-One table of rejected requests; every surface that can express a row --
-``RunConfig(...)``, ``RunConfig.from_json(...)``, ``repro run ...`` and
-``GET /run?...`` -- must fail with the *same* message (``ValueError`` /
-``SystemExit`` / 400).  Verbs that run below the door (``figure``,
+One table of rejected requests; every surface -- ``RunConfig(...)``,
+``RunConfig.from_json(...)``, ``repro run ...`` and ``GET /run?...`` --
+must fail with the *same* message (``ValueError`` / ``SystemExit`` /
+400).  Flags and query parameters are both derived from ``RunConfig``'s
+fields (``--faults.loss`` / ``?faults.loss=``), and one test walks every
+leaf to show the two spell each field alike.  Verbs that run below the door (``figure``,
 ``trace``, ``verify``) build the ``RunConfig`` of every point first and
 report its message the same way.  Plus the pins that keep the single
 spelling honest: ``to_json()`` bytes and cache keys recorded before the
@@ -13,6 +15,8 @@ codec was derived from the dataclass.
 import asyncio
 import hashlib
 import json
+import typing
+from urllib.parse import urlencode
 
 import pytest
 
@@ -22,11 +26,11 @@ from repro.apps.ep import EpParams
 from repro.bench import harness
 from repro.bench.cache import ResultCache, canonical_json
 from repro.bench.sweep import sweep_configs
-from repro.cli import main
+from repro.cli import build_parser, config_of, main
 from repro.obs import ObsConfig
 from repro.scabd import ReplicationConfig
 from repro.serve import ReproServer, ServeConfig
-from repro.serve.http import read_response, render_request
+from repro.serve.http import read_request, read_response, render_request
 from repro.sim.costmodel import CostModel
 from repro.sim.faults import FaultPlan
 from repro.sim.recovery import RecoveryConfig
@@ -34,11 +38,11 @@ from repro.sim.recovery import RecoveryConfig
 KNOWN = ", ".join(f"fig{n:02d}" for n in range(1, 13))
 CRASH_7 = FaultPlan(crash_at=((7, 0.5),))
 
-#: (id, RunConfig kwargs, message, ``repro run`` argv or None, /run query
-#: or None) -- None where the surface cannot spell the request (argparse
-#: ``choices``, which are ``apps.base.SYSTEMS`` and ``harness.PRESETS``
-#: themselves, stop an unknown system/preset before ``cmd_run``; the serve
-#: query has no fault/analysis parameters).
+#: (id, RunConfig kwargs, message, ``repro run`` argv or None, /run query)
+#: -- argv is None only where argparse ``choices`` (which are
+#: ``apps.base.SYSTEMS`` and ``harness.PRESETS`` themselves) stop an
+#: unknown system/preset before ``RunConfig``.  A group given as a dict
+#: is one its own constructor refuses (see :func:`construct`).
 REJECTED = [
     ("unknown-experiment", dict(experiment="nope"),
      f"unknown experiment 'nope'; try: {KNOWN}",
@@ -56,35 +60,68 @@ REJECTED = [
      dict(experiment="fig02", system="pvm",
           analysis=AnalysisConfig(race_check="strict")),
      "the sanitizer requires system='tmk', got 'pvm'",
-     ["fig02", "--system", "pvm", "--race-check", "strict"], None),
+     ["fig02", "--system", "pvm", "--analysis.race_check", "strict"],
+     "experiment=fig02&system=pvm&analysis.race_check=strict"),
     ("replication-on-pvm",
      dict(experiment="fig02", system="pvm",
           replication=ReplicationConfig()),
      "replication (failure masking) requires system='tmk', got 'pvm'",
-     ["fig02", "--system", "pvm", "--ft-mode", "mask"], None),
+     ["fig02", "--system", "pvm", "--replication.mode", "mask"],
+     "experiment=fig02&system=pvm&replication.mode=mask"),
     ("replication-with-sanitizer",
      dict(experiment="fig02", replication=ReplicationConfig(),
           analysis=AnalysisConfig(false_sharing=True)),
      "the sanitizer cannot run under quorum replication",
-     ["fig02", "--ft-mode", "mask", "--false-sharing-report"], None),
+     ["fig02", "--replication.mode", "mask", "--analysis.false_sharing"],
+     "experiment=fig02&replication.mode=mask&analysis.false_sharing=true"),
     ("replication-with-checkpointing",
      dict(experiment="fig02", replication=ReplicationConfig(),
           recovery=RecoveryConfig(checkpoint_interval=0.25)),
      "masking and rollback are alternatives: replication cannot be "
      "combined with checkpointing (checkpoint_interval > 0)",
-     ["fig02", "--ft-mode", "mask", "--checkpoint-interval", "0.25"], None),
+     ["fig02", "--replication.mode", "mask",
+      "--recovery.checkpoint_interval", "0.25"],
+     "experiment=fig02&replication.mode=mask"
+     "&recovery.checkpoint_interval=0.25"),
     ("crash-node-beyond-nprocs",
      dict(experiment="fig02", nprocs=4, faults=CRASH_7),
      "crash node 7 out of range: the run has 4 processors",
-     ["fig02", "--nprocs", "4", "--crash", "7@0.5"], None),
+     ["fig02", "--nprocs", "4", "--crash", "7@0.5"],
+     "experiment=fig02&nprocs=4&faults.crash_at=7@0.5"),
     ("crash-node-beyond-replicas",
      dict(experiment="fig02", nprocs=4, faults=CRASH_7,
           replication=ReplicationConfig(replicas=3)),
      "crash node 7 out of range: the run has 7 processors "
      "(4 application + 3 replica)",
-     ["fig02", "--nprocs", "4", "--crash", "7@0.5", "--ft-mode", "mask"],
-     None),
+     ["fig02", "--nprocs", "4", "--crash", "7@0.5",
+      "--replication.replicas", "3"],
+     "experiment=fig02&nprocs=4&faults.crash_at=7@0.5"
+     "&replication.replicas=3"),
+    ("cost-page-size-zero",
+     dict(experiment="fig02", cost=dict(page_size=0)),
+     "page_size must be >= 1, got 0",
+     ["fig02", "--cost.page_size", "0"],
+     "experiment=fig02&cost.page_size=0"),
+    ("checkpoint-interval-nan",
+     dict(experiment="fig02",
+          recovery=dict(checkpoint_interval=float("nan"))),
+     "checkpoint_interval must be >= 0",
+     ["fig02", "--recovery.checkpoint_interval", "nan"],
+     "experiment=fig02&recovery.checkpoint_interval=nan"),
 ]
+
+GROUPS = {"faults": FaultPlan, "recovery": RecoveryConfig,
+          "analysis": AnalysisConfig, "obs": ObsConfig, "cost": CostModel,
+          "replication": ReplicationConfig}
+
+
+def construct(kwargs):
+    """``RunConfig(**kwargs)`` by hand, a dict group built by its own
+    constructor first (which may be the one that refuses)."""
+    return api.RunConfig(**{
+        name: GROUPS[name](**value) if isinstance(value, dict) else value
+        for name, value in kwargs.items()})
+
 
 ROWS = pytest.mark.parametrize(
     "kwargs, message, argv, query",
@@ -94,7 +131,7 @@ ROWS = pytest.mark.parametrize(
 @ROWS
 def test_rejected_at_construction(kwargs, message, argv, query):
     with pytest.raises(ValueError) as exc:
-        api.RunConfig(**kwargs)
+        construct(kwargs)
     assert str(exc.value) == message
 
 
@@ -160,10 +197,9 @@ def test_cli_runs_every_system_runconfig_admits(capsys):
         capsys.readouterr().out
 
 
-def test_rejected_by_serve(tmp_path):
-    expected = {query: message for _, _, message, _, query in REJECTED
-                if query is not None}
-
+def _served_400s(tmp_path, expected):
+    """``GET /run?<query>`` for each ``{query: message}``: a 400 carrying
+    exactly that message, from a live server that runs nothing."""
     async def scenario():
         server = ReproServer(ServeConfig(port=0, workers=1),
                              cache_dir=str(tmp_path))
@@ -181,8 +217,77 @@ def test_rejected_by_serve(tmp_path):
         finally:
             await server.stop()
 
-    assert len(expected) == 4
     asyncio.run(scenario())
+
+
+def test_rejected_by_serve(tmp_path):
+    expected = {query: message for _, _, message, _, query in REJECTED
+                if query is not None}
+    assert len(expected) == len(REJECTED)
+    _served_400s(tmp_path, expected)
+
+
+def _served_config(query):
+    """What ``GET /run?<query>`` admits, parsed by the server's own
+    request reader and parameter table."""
+    async def parse():
+        reader = asyncio.StreamReader()
+        reader.feed_data(render_request("GET", "/run?" + query))
+        reader.feed_eof()
+        return ReproServer._config(await read_request(reader))
+    return asyncio.run(parse())
+
+
+def test_serve_ceiling_counts_replica_servers(tmp_path):
+    # 60 application ranks alone fit; 5 replica servers on top do not.
+    assert _served_config("experiment=fig02&nprocs=60").nprocs == 60
+    _served_400s(tmp_path, {
+        "experiment=fig02&nprocs=60&replication.replicas=5":
+            "nprocs + replication.replicas must be <= 64, got 65"})
+
+
+#: The leaves no text spells (tuples of tuples).  A new field with no
+#: spelling must be listed here; every other leaf is tested below.
+UNSPELLED = {"faults.slow_nodes", "faults.crash_windows"}
+
+
+def _sample(leaf):
+    """One valid, non-default text per leaf, derived from its hint."""
+    special = {"experiment": "fig03", "faults.crash_at": "1@0.5"}
+    if leaf.name in special:
+        return special[leaf.name]
+    if leaf.choices:
+        return next(c for c in leaf.choices if c != leaf.default)
+    if leaf.hint is bool:
+        return str(not leaf.default).lower()
+    if leaf.hint is int:
+        return str((leaf.default or 1) + 1)
+    if leaf.hint is float:
+        return str((leaf.default or 0.25) * 2)
+    if leaf.hint is str:
+        return leaf.default
+    if typing.get_origin(leaf.hint) is frozenset:
+        return "diff_req,lock_req"
+    return ",".join(str(0.25 * (i + 1))
+                    for i in range(len(typing.get_args(leaf.hint))))
+
+
+def test_every_leaf_is_spelled_alike_by_flag_and_query():
+    table = api.leaves(api.RunConfig)
+    assert {name for name, leaf in table.items() if leaf.parse is None} \
+        == UNSPELLED
+    bare = api.RunConfig("fig02")
+    for name, leaf in table.items():
+        if name in UNSPELLED:
+            continue
+        text = _sample(leaf)
+        # ``experiment`` is the CLI's positional; every other leaf a flag.
+        argv = [text] if name == "experiment" else \
+            ["fig02", f"--{name}", text]
+        flag = config_of(build_parser().parse_args(["run", *argv]))
+        query = _served_config(urlencode({"experiment": "fig02",
+                                          name: text}))
+        assert flag == query != bare, name
 
 
 # ----------------------------------------------------------------------

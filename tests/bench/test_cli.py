@@ -2,11 +2,26 @@
 
 import pytest
 
+from repro import api
 from repro.apps.ep import EpParams
 from repro.bench import harness
 from repro.cli import (build_parser, cmd_figure, cmd_list, cmd_profile,
-                       cmd_run, cmd_sweep, cmd_table, cmd_trace, main)
+                       cmd_run, cmd_sweep, cmd_table, cmd_trace, config_of,
+                       main)
 from repro.kernels import get_backend
+from repro.scabd import ReplicationConfig
+from repro.sim.faults import FaultPlan
+
+
+def run_config(*argv):
+    """The ``RunConfig`` that ``repro run ARGV`` spells."""
+    return config_of(build_parser().parse_args(["run", *argv]))
+
+
+def trace_config(*argv):
+    """``repro trace sor ARGV``'s config (sor's experiment is fig02)."""
+    return config_of(build_parser().parse_args(["trace", "sor", *argv]),
+                     experiment="fig02")
 
 
 @pytest.fixture
@@ -36,58 +51,60 @@ class TestParser:
         assert args.nprocs == (1, 8)
 
     def test_crash_spec_parses(self):
-        args = build_parser().parse_args(
-            ["run", "fig01", "--crash", "1@0.5", "--crash", "2@1.5"])
-        assert args.crash == [(1, 0.5), (2, 1.5)]
+        config = run_config("fig01", "--crash", "1@0.5", "--crash", "2@1.5")
+        assert config.faults == FaultPlan(crash_at=((1, 0.5), (2, 1.5)))
+        assert run_config("fig01", "--faults.crash_at", "1@0.5,2@1.5") == \
+            config
 
     @pytest.mark.parametrize("bad", ["1", "@0.5", "1@", "x@0.5", "1@y",
                                      "-1@0.5", "1@-0.5"])
     def test_crash_spec_rejects_malformed(self, bad, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig01", "--crash", bad])
-        assert "crash" in capsys.readouterr().err
+        # Syntax fails in argparse (stderr); a negative node or time
+        # parses and FaultPlan refuses it (the exit message).
+        with pytest.raises(SystemExit) as exc:
+            run_config("fig01", "--crash", bad)
+        assert exc.value.code not in (0, None)
+        assert "crash" in str(exc.value.code) + capsys.readouterr().err
 
     def test_ft_mode_defaults_to_rollback(self):
-        args = build_parser().parse_args(["run", "fig01"])
-        assert (args.ft_mode, args.replicas) == ("rollback", 3)
+        # No replication group unless one of its fields is given.
+        config = run_config("fig01")
+        assert config.replication is None and config.recovery is None
 
     def test_ft_mode_mask_and_replicas_parse(self):
-        args = build_parser().parse_args(
-            ["run", "fig01", "--ft-mode", "mask", "--replicas", "5"])
-        assert (args.ft_mode, args.replicas) == ("mask", 5)
+        config = run_config("fig01", "--replication.mode", "mask",
+                            "--replication.replicas", "5")
+        assert config.replication == ReplicationConfig(replicas=5)
 
-    def test_ft_mode_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig01", "--ft-mode", "retry"])
-        assert "ft-mode" in capsys.readouterr().err
+    def test_ft_mode_rejects_unknown(self):
+        with pytest.raises(SystemExit, match="unknown replication mode"):
+            run_config("fig01", "--replication.mode", "retry")
 
     def test_crash_occurrences_order_deterministically(self):
         # However the --crash flags are ordered on the command line, the
         # plan normalizes them, so equivalent invocations share one cache
         # key and one schedule.
-        from repro.cli import fault_plan
-        a = fault_plan(0.0, 0, None, crash=[(2, 0.7), (1, 0.5)])
-        b = fault_plan(0.0, 0, None, crash=[(1, 0.5), (2, 0.7)])
-        assert a.crash_at == ((1, 0.5), (2, 0.7))
+        a = run_config("fig01", "--crash", "2@0.7", "--crash", "1@0.5")
+        b = run_config("fig01", "--crash", "1@0.5", "--crash", "2@0.7")
+        assert a.faults.crash_at == ((1, 0.5), (2, 0.7))
         assert a == b and hash(a) == hash(b)
 
     def test_checkpoint_interval_parses(self):
-        args = build_parser().parse_args(
-            ["run", "fig01", "--checkpoint-interval", "0.25"])
-        assert args.checkpoint_interval == 0.25
+        config = run_config("fig01", "--recovery.checkpoint_interval", "0.25")
+        assert config.recovery.checkpoint_interval == 0.25
 
     @pytest.mark.parametrize("bad", ["-0.1", "soon"])
     def test_checkpoint_interval_rejects(self, bad, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "fig01", "--checkpoint-interval", bad])
-        assert "checkpoint interval" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_config("fig01", "--recovery.checkpoint_interval", bad)
+        assert "checkpoint_interval" in \
+            str(exc.value.code) + capsys.readouterr().err
 
     def test_trace_accepts_crash_flags(self):
-        args = build_parser().parse_args(
-            ["trace", "sor", "--crash", "1@0.5",
-             "--checkpoint-interval", "0.1"])
-        assert args.crash == [(1, 0.5)]
+        config = trace_config("--crash", "1@0.5",
+                              "--recovery.checkpoint_interval", "0.1")
+        assert config.faults.crash_at == ((1, 0.5),)
+        assert config.recovery.checkpoint_interval == 0.1
 
     def test_trace_perfetto_flag(self):
         args = build_parser().parse_args(
@@ -134,30 +151,30 @@ class TestCommands:
             assert exp_id in text
 
     def test_run_tmk_includes_breakdown(self, tiny_ep):
-        text = cmd_run("fig01", "tmk", 2, "bench")
+        text = cmd_run(api.RunConfig("fig01", "tmk", 2, "bench"))
         assert "speedup" in text
         assert f"kernels: {get_backend().name}" in text.splitlines()[1]
         assert "Time decomposition" in text
         assert "barrier_arrival" in text
 
     def test_run_pvm_no_breakdown(self, tiny_ep):
-        text = cmd_run("fig01", "pvm", 2, "bench")
+        text = cmd_run(api.RunConfig("fig01", "pvm", 2, "bench"))
         assert "speedup" in text
         assert "Time decomposition" not in text
 
     def test_run_unknown_experiment(self):
         with pytest.raises(SystemExit, match="unknown experiment"):
-            cmd_run("fig99", "tmk", 2, "bench")
+            cmd_run(run_config("fig99"))
 
     def test_figure_renders_both_curves(self, tiny_ep):
-        text = cmd_figure("fig01", (1, 2), "bench")
+        text = cmd_figure(api.RunConfig("fig01"), (1, 2))
         assert "TMK" in text and "PVM" in text
 
     def test_tables(self, tiny_ep):
         assert "Sequential Time" in cmd_table("table1", "bench")
 
     def test_trace_produces_events(self):
-        text = cmd_trace("ep", 2, 20)
+        text = cmd_trace(api.RunConfig("fig01", nprocs=2, preset="tiny"), 20)
         assert "protocol trace" in text
         assert "barrier" in text
 
@@ -165,7 +182,8 @@ class TestCommands:
         import json
         from repro.obs import validate_chrome_trace
         out = tmp_path / "trace.json"
-        text = cmd_trace("ep", 2, 20, perfetto=str(out))
+        text = cmd_trace(api.RunConfig("fig01", nprocs=2, preset="tiny"), 20,
+                         perfetto=str(out))
         assert f"-> {out}" in text
         assert validate_chrome_trace(json.loads(out.read_text())) == []
 
@@ -226,10 +244,9 @@ class TestCommands:
 
 class TestCrashRecoveryCommands:
     def test_run_with_crash_prints_recovery_summary(self, tiny_ep):
-        from repro.cli import fault_plan
-        plan = fault_plan(0.0, 0, None, crash=[(1, 0.005)])
-        text = cmd_run("fig01", "tmk", 2, "bench", faults=plan,
-                       checkpoint_every=0.01)
+        text = cmd_run(run_config("fig01", "--nprocs", "2", "--crash",
+                                  "1@0.005", "--recovery.checkpoint_interval",
+                                  "0.01"))
         assert "crash recovery:" in text
         assert "failures recovered  1" in text
         assert "detection latency" in text
@@ -240,39 +257,39 @@ class TestCrashRecoveryCommands:
         assert "rollback" in text
 
     def test_crash_node_out_of_range(self, tiny_ep):
-        from repro.cli import fault_plan
-        plan = fault_plan(0.0, 0, None, crash=[(7, 0.005)])
         with pytest.raises(SystemExit, match="out of range"):
-            cmd_run("fig01", "tmk", 2, "bench", faults=plan)
+            run_config("fig01", "--nprocs", "2", "--crash", "7@0.005")
 
     def test_duplicate_crash_node_rejected(self):
-        from repro.cli import fault_plan
-        with pytest.raises(SystemExit, match="bad fault plan"):
-            fault_plan(0.0, 0, None, crash=[(1, 0.5), (1, 0.7)])
+        with pytest.raises(SystemExit, match="more than one crash time"):
+            run_config("fig01", "--crash", "1@0.5", "--crash", "1@0.7")
 
     def test_checkpointing_without_crash_runs_clean(self, tiny_ep):
-        text = cmd_run("fig01", "tmk", 2, "bench", checkpoint_every=0.01)
+        text = cmd_run(run_config("fig01", "--nprocs", "2",
+                                  "--recovery.checkpoint_interval", "0.01"))
         assert "speedup" in text
         assert "crash recovery:" in text
         assert "failures recovered  0" in text
 
     def test_unrecoverable_double_crash_aborts_cleanly(self, tiny_ep):
-        from repro.cli import fault_plan
-        plan = fault_plan(0.0, 0, None, crash=[(0, 0.004), (1, 0.005)])
+        config = run_config("fig01", "--nprocs", "2",
+                            "--faults.crash_at", "0@0.004,1@0.005")
         with pytest.raises(SystemExit, match="unrecoverable failure"):
-            cmd_run("fig01", "tmk", 2, "bench", faults=plan)
+            cmd_run(config)
 
     def test_main_run_with_crash_flags(self, tiny_ep, capsys):
         assert main(["run", "fig01", "--nprocs", "2",
                      "--crash", "1@0.005",
-                     "--checkpoint-interval", "0.01"]) == 0
+                     "--recovery.checkpoint_interval", "0.01"]) == 0
         assert "crash recovery:" in capsys.readouterr().out
+
+
+MASK = ("--nprocs", "2", "--replication.mode", "mask")
 
 
 class TestMaskingCommands:
     def test_mask_run_fault_free(self, tiny_ep):
-        text = cmd_run("fig01", "tmk", 2, "bench", ft_mode="mask",
-                       replicas=3)
+        text = cmd_run(run_config("fig01", *MASK))
         assert "failure masking (SC-ABD quorum replication):" in text
         assert "masked failures     0" in text
         assert "quorum reads" in text and "quorum writes" in text
@@ -281,67 +298,95 @@ class TestMaskingCommands:
         assert "Time decomposition" not in text
 
     def test_mask_run_masks_replica_crash(self, tiny_ep):
-        from repro.cli import fault_plan
         # nprocs=2 application ranks; replica servers are pids 2, 3, 4.
-        plan = fault_plan(0.0, 0, None, crash=[(2, 0.005)])
-        text = cmd_run("fig01", "tmk", 2, "bench", faults=plan,
-                       ft_mode="mask", replicas=3)
+        text = cmd_run(run_config("fig01", *MASK, "--crash", "2@0.005"))
         assert "masked failures     1 (nodes [2])" in text
         assert "crash recovery:" not in text  # no rollback machinery ran
 
     def test_mask_quorum_minority_vs_majority(self, tiny_ep):
-        from repro.cli import fault_plan
         # Minority (1 of 3): masked.  Majority (2 of 3): clean abort.
-        minority = fault_plan(0.0, 0, None, crash=[(3, 0.005)])
-        text = cmd_run("fig01", "tmk", 2, "bench", faults=minority,
-                       ft_mode="mask", replicas=3)
+        text = cmd_run(run_config("fig01", *MASK, "--crash", "3@0.005"))
         assert "masked failures     1" in text
-        majority = fault_plan(0.0, 0, None,
-                              crash=[(2, 0.004), (3, 0.005)])
+        majority = run_config("fig01", *MASK, "--crash", "2@0.004",
+                              "--crash", "3@0.005")
         with pytest.raises(SystemExit, match="unmaskable failure"):
-            cmd_run("fig01", "tmk", 2, "bench", faults=majority,
-                    ft_mode="mask", replicas=3)
+            cmd_run(majority)
 
     def test_mask_never_hides_application_crash(self, tiny_ep):
-        from repro.cli import fault_plan
-        plan = fault_plan(0.0, 0, None, crash=[(1, 0.005)])
         with pytest.raises(SystemExit, match="unmaskable failure"):
-            cmd_run("fig01", "tmk", 2, "bench", faults=plan,
-                    ft_mode="mask", replicas=3)
+            cmd_run(run_config("fig01", *MASK, "--crash", "1@0.005"))
 
     def test_mask_crash_range_covers_replica_pids(self, tiny_ep):
-        from repro.cli import fault_plan
         # Node 4 is the last replica of a 2+3 cluster; node 5 is nobody.
-        plan = fault_plan(0.0, 0, None, crash=[(5, 0.005)])
         with pytest.raises(SystemExit,
                            match=r"2 application \+ 3 replica"):
-            cmd_run("fig01", "tmk", 2, "bench", faults=plan,
-                    ft_mode="mask", replicas=3)
+            run_config("fig01", *MASK, "--crash", "5@0.005")
         # ...while the same node is out of range without replication.
-        plan = fault_plan(0.0, 0, None, crash=[(4, 0.005)])
         with pytest.raises(SystemExit, match="out of range"):
-            cmd_run("fig01", "tmk", 2, "bench", faults=plan,
-                    checkpoint_every=0.01)
+            run_config("fig01", "--nprocs", "2", "--crash", "4@0.005",
+                       "--recovery.checkpoint_interval", "0.01")
 
     def test_mask_rejects_checkpointing(self):
         with pytest.raises(SystemExit, match="alternatives"):
-            cmd_run("fig01", "tmk", 2, "bench", ft_mode="mask",
-                    checkpoint_every=0.01)
+            run_config("fig01", *MASK, "--recovery.checkpoint_interval",
+                       "0.01")
 
     def test_mask_requires_tmk(self):
         with pytest.raises(SystemExit, match="requires system='tmk'"):
-            cmd_run("fig01", "pvm", 2, "bench", ft_mode="mask")
+            run_config("fig01", *MASK, "--system", "pvm")
 
     def test_mask_rejects_sanitizer(self):
         with pytest.raises(SystemExit, match="cannot"):
-            cmd_run("fig01", "tmk", 2, "bench", ft_mode="mask",
-                    race_check="report")
+            run_config("fig01", *MASK, "--analysis.race_check", "report")
 
     def test_mask_rejects_bad_replicas(self):
         with pytest.raises(SystemExit, match="replicas must be >= 1"):
-            cmd_run("fig01", "tmk", 2, "bench", ft_mode="mask", replicas=0)
+            run_config("fig01", *MASK, "--replication.replicas", "0")
 
     def test_main_run_with_mask_flags(self, tiny_ep, capsys):
-        assert main(["run", "fig01", "--nprocs", "2", "--ft-mode", "mask",
-                     "--replicas", "3", "--crash", "2@0.005"]) == 0
+        assert main(["run", "fig01", *MASK, "--replication.replicas", "3",
+                     "--crash", "2@0.005"]) == 0
         assert "failure masking" in capsys.readouterr().out
+
+
+class TestDerivedFlags:
+    """Every flag is a field value: nothing is accepted and then dropped."""
+
+    @pytest.mark.parametrize("argv, field, expected", [
+        # One field of a group turns the group on, over its defaults.
+        (["--replication.replicas", "5"], "replication",
+         ReplicationConfig(replicas=5)),
+        (["--faults.seed", "9", "--faults.categories", "diff_req"],
+         "faults", FaultPlan(seed=9, categories=frozenset({"diff_req"}))),
+    ], ids=["replicas-without-mask", "fault-seed-without-loss"])
+    def test_formerly_dropped_flags_reach_the_config(self, argv, field,
+                                                     expected):
+        config = run_config("fig02", "--preset", "tiny", *argv)
+        assert getattr(config, field) == expected
+
+    @pytest.mark.parametrize("text, value", [
+        ("", True), ("true", True), ("1", True), ("false", False),
+        ("off", False)])
+    def test_bool_sets_either_way(self, text, value):
+        argv = ["--invariants"] + ([text] if text else [])
+        assert run_config("fig02", *argv).invariants is value
+
+    def test_trace_and_run_give_run_parallel_the_same_keywords(
+            self, monkeypatch, capsys):
+        from repro.apps import base
+        calls = []
+        real = base.run_parallel
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(base, "run_parallel", spy)
+        argv = ["--nprocs", "2", "--preset", "tiny", "--faults.loss", "0.01",
+                "--recovery.checkpoint_interval", "0.25", "--invariants"]
+        assert main(["trace", "sor", "--limit", "1", *argv]) == 0
+        api.run(run_config("fig02", *argv), use_cache=False)
+        (trace_args, traced), (run_args, ran) = calls
+        assert traced.pop("trace") is not None and ran.pop("trace") is None
+        assert trace_args == run_args and traced == ran
+        assert ran["recovery"].checkpoint_interval == 0.25

@@ -15,6 +15,7 @@ from repro import api
 from repro.bench import cache as cache_mod
 from repro.serve import ReproServer, ServeConfig
 from repro.serve.http import Request, read_response, render_request
+from repro.sim.faults import FaultPlan
 
 TINY_RUN = "/run?experiment=fig01&system=tmk&nprocs=2&preset=tiny"
 
@@ -113,6 +114,29 @@ class TestOpsEndpoints:
                                 {"deadline_ms": "inf"}, {})
             assert server._deadline_seconds(unbounded) == \
                 server.config.max_deadline
+
+        serve(scenario, tmp_path)
+
+    def test_fault_fields_are_query_parameters(self, tmp_path):
+        """``RunConfig``'s nested fields are reachable by their dotted
+        names; a run that fails as configured is the client's 400, and a
+        field an endpoint does not take is refused, not dropped."""
+        async def scenario(server):
+            lossy = await fetch(server, TINY_RUN + "&faults.loss=0.01")
+            assert lossy.status == 200
+            config = api.RunConfig("fig01", "tmk", 2, "tiny",
+                                   faults=FaultPlan(loss=0.01))
+            assert lossy.body == api.run(config).to_json_bytes()
+            doomed = await fetch(
+                server, TINY_RUN + "&faults.crash_at=0@0.0001,1@0.0002")
+            assert doomed.status == 400
+            assert json.loads(doomed.body)["error"].startswith("NodeFailure")
+            for target in ["/figure?experiment=fig01&system=pvm",
+                           "/trace?app=ep&experiment=fig01",
+                           "/profile?experiment=fig01&faults.loss=0.1"]:
+                refused = await fetch(server, target)
+                assert refused.status == 400, target
+                assert "does not take" in json.loads(refused.body)["error"]
 
         serve(scenario, tmp_path)
 

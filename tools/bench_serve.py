@@ -270,8 +270,8 @@ def start_server(cache_dir):
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-         "--chaos", "--workers", str(WORKERS),
-         "--queue-depth", str(QUEUE_DEPTH),
+         "--allow_injection", "--workers", str(WORKERS),
+         "--queue_depth", str(QUEUE_DEPTH),
          "--cache-dir", cache_dir],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
