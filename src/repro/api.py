@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from repro.analysis.races import AnalysisConfig
+from repro.analysis.races import AnalysisConfig, RaceError
 from repro.apps import base
 from repro.bench import harness
 from repro.bench.cache import (ResultCache, cache_key_from_material,
@@ -50,12 +50,14 @@ from repro.kernels import get_backend
 from repro.obs.core import ObsConfig
 from repro.scabd.config import ReplicationConfig
 from repro.sim.costmodel import CostModel
-from repro.sim.faults import FaultPlan
-from repro.sim.recovery import RecoveryConfig
+from repro.sim.engine import EngineDeadlock
+from repro.sim.faults import FaultPlan, TransportError
+from repro.sim.recovery import NodeFailure, RecoveryConfig
 
 __all__ = [
     "Leaf",
     "RESULT_SCHEMA_VERSION",
+    "RUN_FAILURES",
     "RunConfig",
     "RunResult",
     "cache_key",
@@ -526,6 +528,13 @@ def run(config: RunConfig, *, use_cache: bool = True,
         if hit is not None:
             return hit
     return _execute(config, store, key)
+
+
+#: What an admitted run raises when it fails as configured -- more
+#: crashes than it can survive, a link that drops every retry, a strict
+#: race check, the watchdog ending a retransmission storm.  Deterministic,
+#: so the caller's to fix: ``repro serve`` answers 400, the CLI one line.
+RUN_FAILURES = (NodeFailure, TransportError, RaceError, EngineDeadlock)
 
 
 def lookup(config: RunConfig, cache: Optional[ResultCache] = None

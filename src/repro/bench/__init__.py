@@ -10,6 +10,9 @@
 * :mod:`repro.bench.paper` -- the paper's qualitative expectations (who
   wins, by roughly what factor) and checks against measured results.
 * :mod:`repro.bench.sweep` -- the parallel sweep runner (``repro sweep``).
+* :mod:`repro.bench.views` -- the views of a run (figure, profile,
+  trace): one table that generates their CLI verbs, worker-pool task
+  kinds and ``repro serve`` routes.
 * :mod:`repro.bench.cache` -- the persistent content-addressed result
   cache that :func:`repro.api.run` and the sweep read through.
 """

@@ -129,8 +129,11 @@ def experiment(exp_id: str) -> Experiment:
 
 def experiment_of_app(app: str) -> str:
     """The first experiment running ``app`` (what ``trace APP`` runs);
-    ``KeyError`` with the "unknown app" message otherwise."""
-    base.get_app(app)
+    ``ValueError`` with the "unknown app" message otherwise."""
+    try:
+        base.get_app(app)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
     return next(exp.exp_id for exp in EXPERIMENTS.values() if exp.app == app)
 
 

@@ -1,7 +1,8 @@
 """The one worker pool: spawn processes, JSON in and out, one crash policy.
 
 ``repro sweep`` submits N run configs to it, ``repro serve`` one
-computation per admitted request.  Workers are processes
+computation per admitted request: a ``run``, or a view of
+:data:`repro.bench.views.VIEWS` by name.  Workers are processes
 (``ProcessPoolExecutor`` with the ``spawn`` start method, so they inherit
 no interpreter state) and exchange only JSON: :func:`work` takes a
 payload dict and returns a dict -- a failed computation included, as
@@ -30,7 +31,6 @@ unpickle (an exception with a custom constructor cannot).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -80,11 +80,10 @@ def _warmup() -> bool:
 def work(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one task; JSON in, JSON out, errors included.
 
-    ``kind`` selects the computation (``run``, ``speedup``, ``figure``,
-    ``profile``, ``trace``) over ``config``, a ``RunConfig`` as JSON,
-    plus the kind's own keys.  Returns ``{"body", "content_type",
-    "wall_seconds"}`` (plus ``cached`` for ``run``), the expired marker,
-    or ``{"error", "type"}``.
+    ``kind`` is ``run`` or a view name, over ``config`` (a ``RunConfig``
+    as JSON) and, for a view, its ``params``.  Returns ``{"body",
+    "content_type", "wall_seconds"}`` (plus ``cached`` for ``run``), the
+    expired marker, or ``{"error", "type"}``.
     """
     inject = payload.get("inject")
     if inject == "crash":
@@ -96,46 +95,25 @@ def work(payload: Dict[str, Any]) -> Dict[str, Any]:
         time.sleep(float(inject.split(":", 1)[1]))
     started = time.perf_counter()
     try:
-        out = _compute(payload)
+        from repro import api
+        from repro.bench.views import VIEWS
+        kind = payload["kind"]
+        if kind != "run" and kind not in VIEWS:
+            raise ValueError(f"unknown task kind {kind!r}")
+        config = api.RunConfig.from_json(payload["config"])
+        if kind == "run":
+            result = api.run(config, use_cache=payload.get("use_cache", True))
+            out = {"body": result.to_json_bytes().decode(),
+                   "content_type": "application/json",
+                   "cached": result.cached}
+        else:
+            body, content_type = VIEWS[kind].render(config,
+                                                    **payload["params"])
+            out = {"body": body, "content_type": content_type}
     except Exception as exc:
         return {"error": str(exc), "type": type(exc).__name__}
     out["wall_seconds"] = time.perf_counter() - started
     return out
-
-
-def _compute(payload: Dict[str, Any]) -> Dict[str, Any]:
-    from repro import api
-    from repro.bench.cache import canonical_json
-    from repro.cli import cmd_figure, cmd_profile, cmd_trace
-    kind = payload["kind"]
-    if kind not in ("run", "speedup", "figure", "profile", "trace"):
-        raise ValueError(f"unknown task kind {kind!r}")
-    config = api.RunConfig.from_json(payload["config"])
-    if kind == "profile":
-        return {"body": cmd_profile(
-                    config.experiment,
-                    "both" if payload["both"] else config.system,
-                    config.nprocs, config.preset),
-                "content_type": "text/plain"}
-    if kind == "run":
-        result = api.run(config, use_cache=payload.get("use_cache", True))
-        return {"body": result.to_json_bytes().decode(),
-                "content_type": "application/json",
-                "cached": result.cached}
-    if kind == "speedup":
-        body = canonical_json({
-            "experiment": config.experiment,
-            "system": config.system,
-            "nprocs": payload["nprocs_list"],
-            "preset": config.preset,
-            "speedups": [
-                api.run(dataclasses.replace(config, nprocs=n)).speedup
-                for n in payload["nprocs_list"]],
-        })
-        return {"body": body, "content_type": "application/json"}
-    text = (cmd_figure(config, tuple(payload["nprocs_list"]))
-            if kind == "figure" else cmd_trace(config, payload["limit"]))
-    return {"body": text, "content_type": "text/plain"}
 
 
 # ----------------------------------------------------------------------

@@ -1,52 +1,43 @@
-"""The resilient serving layer: ``repro.serve`` over the result cache.
+"""The resilient serving layer: ``repro serve`` over the result cache.
 
-An asyncio HTTP service exposing the repo's evaluation surface --
-``/run``, ``/speedup``, ``/figure``, ``/profile``, ``/trace`` -- over
-:func:`repro.api.run` and the persistent result cache, engineered for
-failure first.  Every response is classifiable (the ``X-Repro-Served``
-header) as exactly one of:
+An asyncio HTTP service exposing ``/run`` and one ``/<view>`` route per
+row of :data:`repro.bench.views.VIEWS` (``/figure``, ``/profile``,
+``/trace``): the table gives each route its fields, its own parameters
+and its 400 refusals, and a view's body is exactly what ``repro <view>``
+prints.  ``/run`` is the one cached route; every other cold computation
+is a task of the worker pool.  The ``X-Repro-Served`` header classifies
+every response as exactly one rung of the degradation ladder (DESIGN.md
+§5i): ``fresh`` (computed now, or from the disk cache), ``coalesced``
+(rode an identical in-flight computation), ``stale-degraded`` (a
+complete last-known-good response, always marked with a ``Degraded:``
+header, when the pool is saturated, the deadline passed or the request's
+own run killed its worker), or ``shed`` (an explicit 429 +
+``Retry-After``, never a hang).  The only 5xx the server originates is
+an *injected* fault surfacing to the request that injected it (marked
+``X-Repro-Injected``).
 
-* ``fresh`` -- computed now, or served from the disk cache;
-* ``coalesced`` -- rode an identical in-flight computation
-  (single-flight);
-* ``stale-degraded`` -- a last-known-good response served because the
-  pool is saturated, the deadline passed, or the request's own run
-  killed its worker; **always** marked with a ``Degraded:`` header so a
-  degraded answer can never masquerade as a fresh one;
-* ``shed`` -- refused (429 + ``Retry-After``) because every degradation
-  rung above was unavailable.
-
-The invariants of the ladder (DESIGN.md §5i): a degraded response is
-always a *complete, previously-correct* result, never a partial one;
-shedding is explicit, never a hang; and the only 5xx the server ever
-originates is an *injected* fault surfacing to the request that
-injected it (marked ``X-Repro-Injected``).
-
-Conditional requests: 200 responses carry a strong ``ETag`` over the
-canonical result bytes -- the same bytes every byte-identity guarantee
-in this repo is stated over -- and an ``If-None-Match`` that names it
-(alone, ``W/``-prefixed, in a list, or as ``*``) yields a 304.
+200 responses carry a strong ``ETag`` over the canonical result bytes;
+an ``If-None-Match`` that names it yields a 304.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-import functools
-import hashlib
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from repro import api
 from repro.bench.cache import (ResultCache, canonical_json,
                                default_cache_dir, source_fingerprint)
 from repro.bench.pool import (DeadlineExceeded, PoolSaturated, TaskError,
                               WorkerCrash, WorkerPool)
+from repro.bench.views import VIEWS, View, admit
 from repro.kernels import get_backend
 from repro.serve.config import ServeConfig
-from repro.serve.http import (HttpError, Request, Response, read_request,
-                              render_response)
+from repro.serve.http import (Request, Response, etag_for, none_match,
+                              serve_connection)
 from repro.serve.singleflight import SingleFlight
 
 __all__ = ["ReproServer"]
@@ -55,6 +46,9 @@ __all__ = ["ReproServer"]
 #: server's own ceiling; everything else about a run's validity is
 #: ``RunConfig``'s call).
 _MAX_NPROCS = 64
+
+#: A run that fails as the request configured it is the client's to fix.
+_RUN_FAILURES = frozenset(exc.__name__ for exc in api.RUN_FAILURES)
 
 
 class _BadRequest(Exception):
@@ -67,19 +61,6 @@ class _StaleEntry:
     content_type: str
     etag: str
     stored_at: float
-
-
-def _etag_for(body: bytes) -> str:
-    return '"' + hashlib.sha256(body).hexdigest() + '"'
-
-
-def _none_match(header: Optional[str], etag: str) -> bool:
-    """``If-None-Match`` against ``etag`` (RFC 9110 section 13.1.2):
-    ``*`` or a comma-separated list, compared weakly (``W/`` ignored)."""
-    if header is None:
-        return False
-    return header == etag or header.strip() == "*" or any(
-        tag.strip().removeprefix("W/") == etag for tag in header.split(","))
 
 
 def _json_body(value: Any) -> bytes:
@@ -110,7 +91,9 @@ class ReproServer:
         if prewarm:
             await self.pool.prewarm()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+            lambda reader, writer: serve_connection(
+                reader, writer, self._dispatch_safely, self._bad_request),
+            self.config.host, self.config.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
@@ -125,46 +108,12 @@ class ReproServer:
             self._server = None
         self.pool.shutdown()
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    writer.write(render_response(
-                        self._error(400, str(exc)), keep_alive=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                response = await self._dispatch_safely(request)
-                keep = request.keep_alive
-                writer.write(render_response(response, keep_alive=keep))
-                await writer.drain()
-                if not keep:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown with the connection open: close quietly.
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
     async def _dispatch_safely(self, request: Request) -> Response:
         self.metrics["requests"] += 1
         try:
             return await self._dispatch(request)
         except _BadRequest as exc:
-            return self._error(400, str(exc))
+            return self._bad_request(str(exc))
         except asyncio.CancelledError:
             raise
         except Exception as exc:
@@ -178,13 +127,10 @@ class ReproServer:
                 body=_json_body({"error": f"internal error: {exc}"}),
                 headers=[("X-Repro-Served", "error")])
 
-    def _error(self, status: int, message: str,
-               headers: Optional[list] = None) -> Response:
-        self.metrics["bad_requests" if status == 400 else "errors"] += 1
-        return Response(status=status,
-                        body=_json_body({"error": message}),
-                        headers=(headers or [])
-                        + [("X-Repro-Served", "rejected")])
+    def _bad_request(self, message: str) -> Response:
+        self.metrics["bad_requests"] += 1
+        return Response(status=400, body=_json_body({"error": message}),
+                        headers=[("X-Repro-Served", "rejected")])
 
     # ------------------------------------------------------------------
     # Routing
@@ -199,8 +145,8 @@ class ReproServer:
             return self._healthz()
         if path == "/metrics":
             return self._metrics_response()
-        if path in ("/run", "/speedup", "/figure", "/profile", "/trace"):
-            return await getattr(self, f"_{path[1:]}_endpoint")(request)
+        if path == "/run" or path[1:] in VIEWS:
+            return await self._serve(request, VIEWS.get(path[1:]))
         return Response(status=404,
                         body=_json_body({"error": f"no route {path}"}),
                         headers=[("X-Repro-Served", "rejected")])
@@ -255,28 +201,35 @@ class ReproServer:
         return inject
 
     @staticmethod
-    def _config(request: Request, *, verb: Tuple[str, ...] = (),
-                only: Optional[FrozenSet[str]] = None,
-                **defaults: Any) -> Any:
-        """The request's ``RunConfig``: every query parameter named after
-        a leaf (``nprocs``, ``faults.loss``) over ``defaults``, converted
-        and validated exactly as the CLI's flags are.  ``verb`` names the
-        endpoint's own parameters; a leaf outside ``only`` is refused,
+    def _admit(request: Request, view: Optional[View] = None
+               ) -> Tuple[Any, Dict[str, Any]]:
+        """The request's ``RunConfig`` (and, for a view, its params): every
+        query parameter named after a leaf (``nprocs``, ``faults.loss``)
+        or a param of the view, converted and validated exactly as the
+        CLI's flags are.  A leaf outside the view's fields is refused,
         never dropped.  Every message is the 400 body."""
-        from repro import api
         table = api.leaves(api.RunConfig)
-        values = dict(defaults)
+        own = {} if view is None else \
+            {p.name: p for p in view.params if p.served}
+        values = {}
         for name, text in request.query.items():
-            if name in verb or name not in table:
+            if name in own:
+                parse = own[name].parse
+            elif name in table:
+                if view is not None and name not in view.fields:
+                    raise _BadRequest(f"{request.path} does not take {name}")
+                parse = table[name].parse
+                if parse is None:  # a tuple of tuples: no text spelling
+                    raise _BadRequest(f"{name} has no query spelling")
+            else:
                 continue
-            if only is not None and name not in only:
-                raise _BadRequest(f"{request.path} does not take {name}")
             try:
-                values[name] = table[name].parse(text)
+                values[name] = parse(text)
             except ValueError as exc:
                 raise _BadRequest(f"bad {name}: {exc}")
         try:
-            config = api.from_leaves(api.RunConfig, values)
+            config, params = (api.from_leaves(api.RunConfig, values), {}) \
+                if view is None else admit(view, values)
         except ValueError as exc:
             raise _BadRequest(str(exc))
         replicas = config.replication.replicas if config.replication else 0
@@ -284,22 +237,7 @@ class ReproServer:
             raise _BadRequest(
                 f"nprocs + replication.replicas must be <= {_MAX_NPROCS}, "
                 f"got {config.nprocs + replicas}")
-        return config
-
-    def _series(self, request: Request, **defaults: Any
-                ) -> Tuple[Any, List[int]]:
-        """``?nprocs=N,N,...`` endpoints: the config at the largest count
-        (the ceiling's case), and every count admitted on its own."""
-        from repro import api
-        try:
-            counts = api.nprocs_list(request.query.get("nprocs", "1,2,4,8"))
-            config = self._config(request, verb=("nprocs",),
-                                  nprocs=max(counts), **defaults)
-            for n in counts:
-                dataclasses.replace(config, nprocs=n)
-        except ValueError as exc:
-            raise _BadRequest(str(exc))
-        return config, list(counts)
+        return config, params
 
     @staticmethod
     def _logical_key(request: Request) -> str:
@@ -323,12 +261,12 @@ class ReproServer:
     def _respond_fresh(self, request: Request, logical: str, body: bytes,
                        content_type: str, *, classification: str,
                        cache_state: str) -> Response:
-        etag = _etag_for(body)
+        etag = etag_for(body)
         self._stale_put(logical, body, content_type, etag)
         headers = [("ETag", etag),
                    ("X-Repro-Served", classification),
                    ("X-Repro-Cache", cache_state)]
-        if _none_match(request.headers.get("if-none-match"), etag):
+        if none_match(request.headers.get("if-none-match"), etag):
             self.metrics["not_modified"] += 1
             return Response(status=304, headers=headers)
         self.metrics[classification] += 1
@@ -359,26 +297,23 @@ class ReproServer:
 
     async def _compute(self, request: Request, logical: str,
                        flight_key: str, payload: Dict[str, Any],
-                       deadline_s: float) -> Response:
+                       deadline_s: float, inject: Optional[str]) -> Response:
         """Run the cold path: coalesce, admit, wait under the deadline."""
         deadline_at = time.monotonic() + deadline_s
-        payload = dict(payload)
         payload["deadline"] = time.time() + deadline_s
-        inject = payload.get("inject")
         if inject:
+            payload["inject"] = inject
             flight_key = f"{flight_key}|inject={inject}"
-        task = self.flights.peek(flight_key)
-        if task is not None:
-            task = self.flights.join(flight_key)
-            created = False
-        else:
+        created = self.flights.peek(flight_key) is None
+        if created:
             try:
                 self.pool.acquire_slot()
             except PoolSaturated:
                 return self._degrade_or_shed(logical, "queue_full")
             task = self.flights.create(
                 flight_key, lambda: self._run_flight(payload))
-            created = True
+        else:
+            task = self.flights.join(flight_key)
         remaining = max(deadline_at - time.monotonic(), 0.001)
         try:
             data = await SingleFlight.wait(task, remaining)
@@ -400,34 +335,14 @@ class ReproServer:
             if exc.type in ("ValueError", "KeyError"):
                 # The worker rejected the request's parameters.
                 raise _BadRequest(exc.message)
-            if exc.type in ("NodeFailure", "TransportError", "RaceError",
-                            "EngineDeadlock"):
-                # The run fails as the request configured it (more crashes
-                # than it can survive, a link that drops every retry, the
-                # watchdog ending a retransmission storm): deterministic,
-                # so the client's to fix, not a 5xx.
+            if exc.type in _RUN_FAILURES:
+                # Deterministic, so the client's to fix, not a 5xx.
                 raise _BadRequest(str(exc))
             raise
-        body = data["body"].encode()
-        classification = "fresh" if created else "coalesced"
-        return self._respond_fresh(request, logical, body,
-                                   data["content_type"],
-                                   classification=classification,
-                                   cache_state="miss")
-
-    async def _compute_uncached(self, request: Request, kind: str,
-                                config: Any, **extra: Any) -> Response:
-        """Endpoints with no disk-cache read of their own: a ``kind`` task
-        over ``config`` on the cold path, coalesced and degraded by the
-        logical request."""
-        payload = {"kind": kind, "config": config.to_json(), **extra}
-        deadline_s = self._deadline_seconds(request)
-        inject = self._injection(request)
-        if inject is not None:
-            payload["inject"] = inject
-        logical = self._logical_key(request)
-        return await self._compute(request, logical, logical, payload,
-                                   deadline_s)
+        return self._respond_fresh(
+            request, logical, data["body"].encode(), data["content_type"],
+            classification="fresh" if created else "coalesced",
+            cache_state="miss")
 
     async def _run_flight(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """The leader's computation (shared by every coalesced waiter)."""
@@ -437,71 +352,29 @@ class ReproServer:
             self.pool.release_slot()
 
     # ------------------------------------------------------------------
-    # Endpoints
+    # Routes
     # ------------------------------------------------------------------
-    async def _run_endpoint(self, request: Request) -> Response:
-        from repro import api
-        config = self._config(request)
+    async def _serve(self, request: Request,
+                     view: Optional[View]) -> Response:
+        """``/run`` (``view`` None) or ``/<view>``: admit, then answer
+        from the disk cache (``/run`` only) or run a task on the pool."""
+        config, params = self._admit(request, view)
         deadline_s = self._deadline_seconds(request)
         inject = self._injection(request)
-        logical = self._logical_key(request)
-        if inject is None:
-            key, result = api.lookup(config, self.cache)
-            if result is not None:
-                return self._respond_fresh(
-                    request, logical, result.to_json_bytes(),
-                    "application/json", classification="fresh",
-                    cache_state="hit")
-        else:
-            key = api.cache_key(config)
-        task_payload = {"kind": "run", "config": config.to_json()}
-        if inject is not None:
-            task_payload["inject"] = inject
-        return await self._compute(request, logical, key, task_payload,
-                                   deadline_s)
-
-    async def _speedup_endpoint(self, request: Request) -> Response:
-        config, counts = self._series(request)
-        return await self._compute_uncached(request, "speedup", config,
-                                            nprocs_list=counts)
-
-    async def _figure_endpoint(self, request: Request) -> Response:
-        # A figure draws both systems: ``system`` is the endpoint's own.
-        config, counts = self._series(request, only=_all_leaves("system"))
-        return await self._compute_uncached(request, "figure", config,
-                                            nprocs_list=counts)
-
-    async def _profile_endpoint(self, request: Request) -> Response:
-        # Both systems unless ``system`` is given, as on the CLI.
-        config = self._config(request, only=_PROFILED, preset="tiny")
-        return await self._compute_uncached(
-            request, "profile", config, both="system" not in request.query)
-
-    async def _trace_endpoint(self, request: Request) -> Response:
-        from repro.bench import harness
-        try:
-            experiment = harness.experiment_of_app(
-                request.query.get("app", ""))
-        except KeyError as exc:
-            raise _BadRequest(exc.args[0])
-        limit = request.query.get("limit", "60")
-        if not limit.isdigit() or int(limit) < 1:
-            raise _BadRequest(f"limit must be an integer >= 1, "
-                              f"got {limit!r}")
-        config = self._config(request, verb=("app", "limit"),
-                              only=_all_leaves("experiment"),
-                              experiment=experiment, nprocs=2,
-                              preset="tiny")
-        return await self._compute_uncached(request, "trace", config,
-                                            limit=int(limit))
-
-
-#: The fields ``/profile`` varies; the profiler sets ``obs``/``analysis``.
-_PROFILED = frozenset(("experiment", "system", "nprocs", "preset"))
-
-
-@functools.lru_cache(maxsize=None)
-def _all_leaves(*but: str) -> FrozenSet[str]:
-    """Every ``RunConfig`` leaf except ``but`` (an endpoint's own)."""
-    from repro import api
-    return frozenset(api.leaves(api.RunConfig)).difference(but)
+        logical = flight = self._logical_key(request)
+        if view is None:
+            # The one cached route: its body is the canonical RunResult
+            # bytes the disk cache and the ETag are defined over.
+            if inject is None:
+                flight, result = api.lookup(config, self.cache)
+                if result is not None:
+                    return self._respond_fresh(
+                        request, logical, result.to_json_bytes(),
+                        "application/json", classification="fresh",
+                        cache_state="hit")
+            else:
+                flight = api.cache_key(config)
+        payload = {"kind": request.path[1:], "config": config.to_json(),
+                   "params": params}
+        return await self._compute(request, logical, flight, payload,
+                                   deadline_s, inject)

@@ -6,18 +6,21 @@ headers, and a body, and keep the connection alive between requests.
 This module is that -- a deliberately small, strict subset of HTTP/1.1
 (no chunked encoding, no pipelining guarantees beyond serial handling,
 bounded header sizes) shared by the server, the chaos load generator,
-and the tests.
+and the tests -- plus the server's keep-alive loop and its strong-ETag
+conditional requests.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
-__all__ = ["HttpError", "Request", "Response", "read_request",
-           "read_response", "render_response", "render_request"]
+__all__ = ["HttpError", "Request", "Response", "etag_for", "none_match",
+           "read_request", "read_response", "render_response",
+           "render_request", "serve_connection"]
 
 #: Bounds that keep a hostile client from ballooning server memory.
 MAX_REQUEST_LINE = 8192
@@ -143,6 +146,55 @@ def render_response(response: Response, *, keep_alive: bool = True) -> bytes:
         lines.append(f"{key}: {value}")
     head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
     return head + body
+
+
+async def serve_connection(reader: asyncio.StreamReader,
+                           writer: asyncio.StreamWriter,
+                           handle: Callable[[Request], Awaitable[Response]],
+                           refuse: Callable[[str], Response]) -> None:
+    """Serve one connection: ``handle`` each request in turn while the
+    client keeps it alive; a malformed request gets ``refuse(message)``
+    and the connection closes."""
+    try:
+        while True:
+            try:
+                request = await read_request(reader)
+            except HttpError as exc:
+                writer.write(render_response(refuse(str(exc)),
+                                             keep_alive=False))
+                await writer.drain()
+                break
+            if request is None:
+                break
+            response = await handle(request)
+            keep = request.keep_alive
+            writer.write(render_response(response, keep_alive=keep))
+            await writer.drain()
+            if not keep:
+                break
+    except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError,
+            asyncio.CancelledError):  # CancelledError: server shutdown
+        pass
+    finally:
+        try:
+            writer.close()
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError, OSError):
+            pass
+
+
+def etag_for(body: bytes) -> str:
+    """The strong ``ETag`` of ``body``: its quoted sha256."""
+    return '"' + hashlib.sha256(body).hexdigest() + '"'
+
+
+def none_match(header: Optional[str], etag: str) -> bool:
+    """``If-None-Match`` against ``etag`` (RFC 9110 section 13.1.2):
+    ``*`` or a comma-separated list, compared weakly (``W/`` ignored)."""
+    if header is None:
+        return False
+    return header == etag or header.strip() == "*" or any(
+        tag.strip().removeprefix("W/") == etag for tag in header.split(","))
 
 
 def render_request(method: str, target: str,

@@ -138,6 +138,19 @@ class FaultPlan:
                 "(both finite) and ack_bytes >= 0")
         if self.retry_cap < 1:
             raise ValueError("retry_cap must be at least 1")
+        # The last retransmit timeout of either transport must be a time:
+        # ``float ** int`` raises OverflowError where ``*`` gives inf.
+        timeouts = (self.rto, self.tcp_rto, self.rto_backoff)
+        try:
+            last = max(self.rto, self.tcp_rto) \
+                * self.rto_backoff ** (self.retry_cap - 1)
+        except OverflowError:
+            last = math.inf
+        if not all(map(math.isfinite, timeouts + (last,))):
+            raise ValueError(
+                "rto, tcp_rto and rto_backoff must be finite, and so must "
+                "the last timeout, max(rto, tcp_rto) * rto_backoff ** "
+                "(retry_cap - 1)")
         if isinstance(self.categories, (list, set, tuple)):
             object.__setattr__(self, "categories",
                                frozenset(self.categories))

@@ -108,6 +108,12 @@ REJECTED = [
      "checkpoint_interval must be >= 0",
      ["fig02", "--recovery.checkpoint_interval", "nan"],
      "experiment=fig02&recovery.checkpoint_interval=nan"),
+    ("retry-cap-overflows-the-backoff",
+     dict(experiment="fig01", faults=dict(loss=1.0, retry_cap=1100)),
+     "rto, tcp_rto and rto_backoff must be finite, and so must the last "
+     "timeout, max(rto, tcp_rto) * rto_backoff ** (retry_cap - 1)",
+     ["fig01", "--faults.loss", "1", "--faults.retry_cap", "1100"],
+     "experiment=fig01&faults.loss=1&faults.retry_cap=1100"),
 ]
 
 GROUPS = {"faults": FaultPlan, "recovery": RecoveryConfig,
@@ -177,6 +183,15 @@ CLI_REJECTED = [
     ("verify-scabd-nprocs-zero",
      ["verify", "fig02", "--system", "scabd", "--nprocs", "0"],
      "nprocs must be >= 1, got 0"),
+    ("run-fails-as-configured",
+     ["run", "fig01", "--preset", "tiny", "--nprocs", "2",
+      "--faults.loss", "1"],
+     "TransportError: P1 -> P0: barrier_arrival seq=0 unacknowledged "
+     "after 12 attempts"),
+    ("trace-limit-zero", ["trace", "sor", "--limit", "0"],
+     "argument --limit: limit must be an integer >= 1, got '0'"),
+    ("trace-limit-negative", ["trace", "sor", "--limit", "-3"],
+     "argument --limit: limit must be an integer >= 1, got '-3'"),
 ]
 
 
@@ -234,7 +249,8 @@ def _served_config(query):
         reader = asyncio.StreamReader()
         reader.feed_data(render_request("GET", "/run?" + query))
         reader.feed_eof()
-        return ReproServer._config(await read_request(reader))
+        config, _ = ReproServer._admit(await read_request(reader))
+        return config
     return asyncio.run(parse())
 
 

@@ -5,9 +5,8 @@ import pytest
 from repro import api
 from repro.apps.ep import EpParams
 from repro.bench import harness
-from repro.cli import (build_parser, cmd_figure, cmd_list, cmd_profile,
-                       cmd_run, cmd_sweep, cmd_table, cmd_trace, config_of,
-                       main)
+from repro.cli import (build_parser, cmd_list, cmd_run, cmd_sweep, cmd_table,
+                       cmd_view, config_of, main)
 from repro.kernels import get_backend
 from repro.scabd import ReplicationConfig
 from repro.sim.faults import FaultPlan
@@ -16,6 +15,11 @@ from repro.sim.faults import FaultPlan
 def run_config(*argv):
     """The ``RunConfig`` that ``repro run ARGV`` spells."""
     return config_of(build_parser().parse_args(["run", *argv]))
+
+
+def view_text(*argv):
+    """What ``repro ARGV`` prints for a view verb (``figure``, ...)."""
+    return cmd_view(build_parser().parse_args(argv))
 
 
 def trace_config(*argv):
@@ -167,14 +171,14 @@ class TestCommands:
             cmd_run(run_config("fig99"))
 
     def test_figure_renders_both_curves(self, tiny_ep):
-        text = cmd_figure(api.RunConfig("fig01"), (1, 2))
+        text = view_text("figure", "fig01", "--nprocs", "1,2")
         assert "TMK" in text and "PVM" in text
 
     def test_tables(self, tiny_ep):
         assert "Sequential Time" in cmd_table("table1", "bench")
 
     def test_trace_produces_events(self):
-        text = cmd_trace(api.RunConfig("fig01", nprocs=2, preset="tiny"), 20)
+        text = view_text("trace", "ep", "--limit", "20")
         assert "protocol trace" in text
         assert "barrier" in text
 
@@ -182,29 +186,31 @@ class TestCommands:
         import json
         from repro.obs import validate_chrome_trace
         out = tmp_path / "trace.json"
-        text = cmd_trace(api.RunConfig("fig01", nprocs=2, preset="tiny"), 20,
-                         perfetto=str(out))
+        text = view_text("trace", "ep", "--limit", "20",
+                         "--perfetto", str(out))
         assert f"-> {out}" in text
         assert validate_chrome_trace(json.loads(out.read_text())) == []
 
     def test_profile_both_systems(self):
-        text = cmd_profile("fig01", "both", 2, "tiny")
+        text = view_text("profile", "fig01", "--nprocs", "2")
         assert text.count("time attribution:") == 2
         assert "[tmk, 2 procs]" in text and "[pvm, 2 procs]" in text
         assert "stall-on-data attribution" in text  # tmk mechanism section
 
     def test_profile_single_system(self):
-        text = cmd_profile("fig01", "pvm", 2, "tiny")
+        text = view_text("profile", "fig01", "--system", "pvm",
+                         "--nprocs", "2")
         assert text.count("time attribution:") == 1
         assert "stall-on-data" not in text
 
     def test_profile_all_covers_every_config(self):
-        text = cmd_profile("all", "tmk", 2, "tiny")
+        text = view_text("profile", "all", "--system", "tmk",
+                         "--nprocs", "2")
         assert text.count("time attribution:") == len(harness.EXPERIMENTS)
 
     def test_profile_unknown_experiment(self):
         with pytest.raises(SystemExit, match="unknown experiment"):
-            cmd_profile("fig99", "both", 2, "tiny")
+            view_text("profile", "fig99", "--nprocs", "2")
 
     def test_sweep_serial_and_json_report(self, tiny_ep, tmp_path):
         out = tmp_path / "sweep.json"

@@ -13,11 +13,13 @@ import json
 
 from repro import api
 from repro.bench import cache as cache_mod
+from repro.cli import build_parser, cmd_view
 from repro.serve import ReproServer, ServeConfig
 from repro.serve.http import Request, read_response, render_request
 from repro.sim.faults import FaultPlan
 
 TINY_RUN = "/run?experiment=fig01&system=tmk&nprocs=2&preset=tiny"
+TINY_FIGURE = "/figure?experiment=fig01&nprocs=1,2&preset=tiny"
 
 
 def make_config(**overrides):
@@ -80,9 +82,10 @@ class TestOpsEndpoints:
 
     def test_unknown_route_and_bad_method(self, tmp_path):
         async def scenario(server):
-            missing = await fetch(server, "/nope")
-            assert missing.status == 404
-            assert missing.header("X-Repro-Served") == "rejected"
+            for path in ("/nope", "/speedup"):
+                missing = await fetch(server, path)
+                assert missing.status == 404
+                assert missing.header("X-Repro-Served") == "rejected"
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port)
             writer.write(render_request("POST", "/run"))
@@ -101,10 +104,11 @@ class TestOpsEndpoints:
                            "/run?experiment=fig01&deadline_ms=-5",
                            "/run?experiment=fig01&deadline_ms=nan",
                            "/run?experiment=fig01&nprocs=9999",
+                           "/run?experiment=fig01&faults.slow_nodes=1",
                            "/trace?app=water&nprocs=0",
                            "/trace?app=water&limit=-3",
-                           "/speedup?experiment=fig01&nprocs=two",
-                           "/speedup?experiment=fig01&nprocs=0,8",
+                           "/figure?experiment=fig01&nprocs=two",
+                           "/figure?experiment=fig01&nprocs=0,8",
                            "/figure?experiment=fig01&nprocs=1,-2"]:
                 response = await fetch(server, target)
                 assert response.status == 400, target
@@ -237,8 +241,7 @@ class TestServingLadder:
 
     def test_identical_cold_requests_coalesce(self, tmp_path):
         async def scenario(server):
-            target = ("/speedup?experiment=fig01&system=tmk&nprocs=1,2"
-                      "&preset=tiny&inject=slow:0.3")
+            target = TINY_FIGURE + "&inject=slow:0.3"
             responses = await asyncio.gather(
                 *[fetch(server, target) for _ in range(4)])
             assert [r.status for r in responses] == [200] * 4
@@ -275,23 +278,17 @@ class TestServingLadder:
     def test_crash_spares_a_request_sharing_the_pool(self, tmp_path):
         """One worker death, two tasks in flight: the innocent is re-run
         alone and answers fresh; the guilty one alone gets the 500."""
-        speedup = ("/speedup?experiment=fig01&system=tmk&nprocs=1,2"
-                   "&preset=tiny")
-
         async def scenario(server):
             innocent, crashed = await asyncio.gather(
-                fetch(server, speedup + "&inject=slow:0.5"),
+                fetch(server, TINY_FIGURE + "&inject=slow:0.5"),
                 fetch(server, TINY_RUN + "&inject=crash"))
             assert crashed.status == 500
             assert crashed.header("X-Repro-Injected") == "crash"
             assert innocent.status == 200
             assert innocent.header("X-Repro-Served") == "fresh"
-            assert innocent.body == cache_mod.canonical_json({
-                "experiment": "fig01", "system": "tmk", "nprocs": [1, 2],
-                "preset": "tiny",
-                "speedups": api.speedup_series("fig01", "tmk", [1, 2],
-                                               "tiny", use_cache=False),
-            }).encode()
+            figure = cmd_view(build_parser().parse_args(
+                ["figure", "fig01", "--nprocs", "1,2", "--preset", "tiny"]))
+            assert innocent.body == figure.encode()
             metrics = json.loads((await fetch(server, "/metrics")).body)
             assert metrics["worker_crashes"] == 1
 

@@ -164,8 +164,7 @@ async def drive(client, hot_requests):
     await asyncio.gather(*tasks)
 
     # -- Phase 3: coalescing -- concurrent identical slow cold flight --
-    slow = ("/speedup?experiment=fig01&system=tmk&nprocs=1,2&preset=tiny"
-            "&inject=slow:0.4")
+    slow = "/figure?experiment=fig01&nprocs=1,2&preset=tiny&inject=slow:0.4"
     responses = await asyncio.gather(*[client.get(slow) for _ in range(6)])
     obs["coalesce_statuses"] = sorted(r.status for r in responses)
 
