@@ -20,14 +20,12 @@ from repro.tmk.api import TmkConfig
 def test_ablation_diff_coalescing(benchmark, capsys):
     exp = harness.EXPERIMENTS["fig05"]  # IS-Large: worst accumulation
     params = harness.params_for(exp, PRESET)
-    spec = base.get_app(exp.app)
 
     default = api.run(RunConfig("fig05", "tmk", 8, PRESET))
     coalesced = benchmark.pedantic(
         lambda: base.run_parallel(
             exp.app, "tmk", 8, params,
-            tmk_config=TmkConfig(segment_bytes=spec.segment_bytes,
-                                 coalesce_diffs=True)),
+            tmk_config=TmkConfig(coalesce_diffs=True)),
         rounds=1, iterations=1)
 
     seq = default.seq_time

@@ -28,10 +28,8 @@ def test_ablation_eager_release_consistency(benchmark, capsys):
     for exp_id in ("fig08", "fig04"):  # Water-288 and IS-Small
         exp = harness.EXPERIMENTS[exp_id]
         params = harness.params_for(exp, PRESET)
-        spec = base.get_app(exp.app)
         lazy = api.run(RunConfig(exp_id, "tmk", 8, PRESET))
-        config = TmkConfig(segment_bytes=spec.segment_bytes,
-                           protocol="eager")
+        config = TmkConfig(protocol="eager")
         if exp_id == "fig08":
             eager = benchmark.pedantic(
                 lambda: base.run_parallel(exp.app, "tmk", 8, params,

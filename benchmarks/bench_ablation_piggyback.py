@@ -30,10 +30,8 @@ def test_ablation_grant_piggybacking(benchmark, capsys):
     for exp_id in ("fig05", "fig06"):  # IS-Large and TSP: migratory data
         exp = harness.EXPERIMENTS[exp_id]
         params = harness.params_for(exp, PRESET)
-        spec = base.get_app(exp.app)
         plain = api.run(RunConfig(exp_id, "tmk", 8, PRESET))
-        config = TmkConfig(segment_bytes=spec.segment_bytes,
-                           piggyback_budget=_BUDGET)
+        config = TmkConfig(piggyback_budget=_BUDGET)
         if exp_id == "fig05":
             boosted = benchmark.pedantic(
                 lambda: base.run_parallel(exp.app, "tmk", 8, params,

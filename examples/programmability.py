@@ -21,7 +21,6 @@ import numpy as np
 from repro.pvm import attach_pvm
 from repro.sim import Cluster
 from repro.tmk import attach_tmk
-from repro.tmk.api import TmkConfig
 
 N1, N2, N3 = 8, 4, 4
 NPROCS = 4
@@ -98,7 +97,7 @@ def main():
     print(textwrap.dedent(inspect.getsource(pvm_transpose)))
 
     cluster = Cluster(NPROCS)
-    attach_tmk(cluster, TmkConfig(segment_bytes=1 << 16))
+    attach_tmk(cluster)
     tmk_blocks = cluster.run(tmk_transpose).results
 
     cluster = Cluster(NPROCS)

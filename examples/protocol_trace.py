@@ -14,13 +14,12 @@ import numpy as np
 from repro.sim import Cluster, ClusterConfig
 from repro.sim.trace import Trace
 from repro.tmk import attach_tmk
-from repro.tmk.api import TmkConfig
 
 
 def main():
     trace = Trace(enabled=True)
     cluster = Cluster(3, config=ClusterConfig(trace=trace))
-    attach_tmk(cluster, TmkConfig(segment_bytes=1 << 16))
+    attach_tmk(cluster)
 
     def program(proc):
         tmk = proc.tmk

@@ -340,5 +340,4 @@ APP = register(AppSpec(
     pvm_main=pvm_main,
     verify=_verify,
     collect=_collect,
-    segment_bytes=1 << 19,
 ))

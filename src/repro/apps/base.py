@@ -25,10 +25,9 @@ from repro.sim.recovery import (NodeFailure, RecoveryConfig, RecoveryReport,
 from repro.sim.stats import MessageStats
 from repro.sim.trace import Trace
 from repro.tmk.api import TmkConfig, attach_tmk
-from repro.ivy.api import IvyConfig, attach_ivy
+from repro.ivy.api import attach_ivy
 from repro.pvm.api import attach_pvm
-from repro.scabd import (ReplicationConfig, ReplicationReport, ScAbdConfig,
-                         attach_scabd)
+from repro.scabd import ReplicationConfig, ReplicationReport, attach_scabd
 from repro.verify.invariants import attach_invariants
 
 __all__ = [
@@ -147,8 +146,6 @@ class AppSpec:
     verify: Callable[[Any, Any], bool]
     #: Extract the canonical result from the per-processor return list.
     collect: Callable[[List[Any]], Any] = staticmethod(lambda results: results[0])
-    #: Shared segment size this app needs under TreadMarks.
-    segment_bytes: int = 1 << 23
 
 
 APPS: Dict[str, AppSpec] = {}
@@ -294,24 +291,18 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
         sanitizer = None
         scabd_system = None
         if mask:
-            endpoints = attach_scabd(
-                cluster, ScAbdConfig(segment_bytes=spec.segment_bytes),
-                replication)
+            endpoints = attach_scabd(cluster, replication)
             scabd_system = endpoints[0].system
             monitor_kind = "scabd"
             main = spec.tmk_main
         elif system == "tmk":
-            config = tmk_config
-            if config is None:
-                config = TmkConfig(segment_bytes=spec.segment_bytes)
-            endpoints = attach_tmk(cluster, config)
+            endpoints = attach_tmk(cluster, tmk_config)
             if analysis is not None:
                 sanitizer = attach_sanitizer(cluster, endpoints, analysis)
             monitor_kind = "tmk"
             main = spec.tmk_main
         elif system == "ivy":
-            endpoints = attach_ivy(
-                cluster, IvyConfig(segment_bytes=spec.segment_bytes))
+            endpoints = attach_ivy(cluster)
             monitor_kind = "ivy"
             main = spec.tmk_main
         else:

@@ -293,5 +293,4 @@ APP = register(AppSpec(
     pvm_main=pvm_main,
     verify=_verify,
     collect=_collect,
-    segment_bytes=1 << 23,
 ))

@@ -278,5 +278,4 @@ APP = register(AppSpec(
     tmk_main=tmk_main,
     pvm_main=pvm_main,
     verify=_verify,
-    segment_bytes=1 << 21,
 ))

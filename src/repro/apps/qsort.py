@@ -327,5 +327,4 @@ APP = register(AppSpec(
     tmk_main=tmk_main,
     pvm_main=pvm_main,
     verify=_verify,
-    segment_bytes=1 << 21,
 ))

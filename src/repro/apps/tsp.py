@@ -611,5 +611,4 @@ APP = register(AppSpec(
     tmk_main=tmk_main,
     pvm_main=pvm_main,
     verify=lambda par, seq: par == seq,
-    segment_bytes=1 << 21,
 ))

@@ -24,9 +24,8 @@ a full page flight each time (false sharing), and every write fault
 pays whole-page transfers where TreadMarks ships word-granular diffs.
 """
 
-from repro.ivy.api import Ivy, IvyConfig, attach_ivy
+from repro.ivy.api import Ivy, attach_ivy
 from repro.ivy.core import IvyCore
 from repro.ivy.sync import IvyBarrier, IvyLocks
 
-__all__ = ["Ivy", "IvyBarrier", "IvyConfig", "IvyCore", "IvyLocks",
-           "attach_ivy"]
+__all__ = ["Ivy", "IvyBarrier", "IvyCore", "IvyLocks", "attach_ivy"]

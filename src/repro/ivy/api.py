@@ -10,8 +10,7 @@ change (``run_parallel(..., system="ivy")``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.ivy.core import IvyCore
 from repro.ivy.sync import IvyBarrier, IvyLocks
@@ -20,33 +19,20 @@ from repro.tmk.sharedmem import DsmEndpoint, DsmSystem
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster, Processor
 
-__all__ = ["Ivy", "IvyConfig", "IvySystem", "attach_ivy"]
-
-
-@dataclass(frozen=True)
-class IvyConfig:
-    """Cluster-wide IVY configuration."""
-
-    segment_bytes: int = 1 << 23
-
-
-class IvySystem(DsmSystem):
-    """Cluster-global IVY state: the shared heap layout."""
+__all__ = ["Ivy", "attach_ivy"]
 
 
 class Ivy(DsmEndpoint):
     """Per-processor IVY endpoint."""
 
-    def __init__(self, proc: "Processor", system: IvySystem) -> None:
+    def __init__(self, proc: "Processor", system: DsmSystem) -> None:
         super().__init__(proc, system)
         self.core = IvyCore(proc, system)
         self.locks = IvyLocks(proc, self.core)
         self.barriers = IvyBarrier(proc, self.core)
 
 
-def attach_ivy(cluster: "Cluster",
-               config: Optional[IvyConfig] = None) -> List[Ivy]:
+def attach_ivy(cluster: "Cluster") -> List[Ivy]:
     """Create one :class:`Ivy` endpoint per processor (sets ``proc.tmk``,
     so the same application code runs on either DSM)."""
-    system = IvySystem(cluster, config if config is not None else IvyConfig())
-    return system.attach(Ivy)
+    return DsmSystem(cluster).attach(Ivy)

@@ -90,8 +90,8 @@ class DirectoryCore(DsmCore):
     def __init__(self, proc: "Processor", system: "DsmSystem") -> None:
         super().__init__(proc, system)
         #: Local access state per page (INVALID/READ/WRITE); the page
-        #: table's valid bit is unused.
-        self.state = np.full(self.pt.npages, READ, dtype=np.int8)
+        #: table's valid bit is unused.  Grown with the heap.
+        self.state = bytearray([READ]) * self.pt.npages
         #: Manager-side state for the pages this processor manages.
         self.directory: Dict[int, DirectoryEntry] = {}
 
@@ -103,6 +103,10 @@ class DirectoryCore(DsmCore):
         proc.register(self.cat_request, self._on_request)
         proc.register(self.cat_grant, self._on_grant)
         proc.register(self.cat_done, self._on_done)
+
+    def grow(self, npages: int) -> None:
+        super().grow(npages)
+        self.state.extend([READ] * (npages - len(self.state)))
 
     @property
     def fault_count(self) -> int:

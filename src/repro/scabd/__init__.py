@@ -9,9 +9,9 @@ only the replication traffic and quorum-wait time added to the measured
 cost.  See DESIGN.md section 5g for the protocol and accounting rules.
 """
 
-from repro.scabd.api import (ReplicationReport, ScAbd, ScAbdConfig,
-                             ScAbdSystem, attach_scabd)
+from repro.scabd.api import (ReplicationReport, ScAbd, ScAbdSystem,
+                             attach_scabd)
 from repro.scabd.config import ReplicationConfig
 
-__all__ = ["ReplicationConfig", "ReplicationReport", "ScAbd", "ScAbdConfig",
-           "ScAbdSystem", "attach_scabd"]
+__all__ = ["ReplicationConfig", "ReplicationReport", "ScAbd", "ScAbdSystem",
+           "attach_scabd"]

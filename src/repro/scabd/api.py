@@ -26,15 +26,7 @@ from repro.tmk.sharedmem import DsmEndpoint, DsmSystem
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster, Processor
 
-__all__ = ["ReplicationReport", "ScAbd", "ScAbdConfig", "ScAbdSystem",
-           "attach_scabd"]
-
-
-@dataclass(frozen=True)
-class ScAbdConfig:
-    """Cluster-wide SC-ABD configuration (heap layout)."""
-
-    segment_bytes: int = 1 << 23
+__all__ = ["ReplicationReport", "ScAbd", "ScAbdSystem", "attach_scabd"]
 
 
 @dataclass
@@ -62,9 +54,9 @@ class ReplicationReport:
 class ScAbdSystem(DsmSystem):
     """Cluster-global SC-ABD state: heap layout, replica set, liveness."""
 
-    def __init__(self, cluster: "Cluster", config: ScAbdConfig,
+    def __init__(self, cluster: "Cluster",
                  replication: ReplicationConfig) -> None:
-        super().__init__(cluster, config)
+        super().__init__(cluster)
         nclients = cluster.nprocs - replication.replicas
         if nclients < 1:
             raise ValueError(
@@ -153,7 +145,7 @@ def _replica_main(proc: "Processor"):
         yield Block("scabd replica idle", None)
 
 
-def attach_scabd(cluster: "Cluster", config: Optional[ScAbdConfig] = None,
+def attach_scabd(cluster: "Cluster",
                  replication: Optional[ReplicationConfig] = None
                  ) -> List[ScAbd]:
     """Attach the SC-ABD runtime: clients + replica servers + detector.
@@ -163,9 +155,7 @@ def attach_scabd(cluster: "Cluster", config: Optional[ScAbdConfig] = None,
     the client endpoints (also set as ``proc.tmk``, the attribute the
     applications use).
     """
-    system = ScAbdSystem(cluster,
-                         config if config is not None else ScAbdConfig(),
-                         replication if replication is not None
+    system = ScAbdSystem(cluster, replication if replication is not None
                          else ReplicationConfig())
     endpoints = system.endpoints = system.attach(ScAbd)
     for pid in system.replica_pids:

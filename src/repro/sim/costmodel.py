@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+from repro.kernels.interface import WORD
+
 __all__ = ["CostModel"]
 
 #: Constants a size divides by: a zero page or MTU is no testbed at all.
@@ -97,13 +99,18 @@ class CostModel:
     initsend_cpu: float = 20e-6
 
     def __post_init__(self) -> None:
-        """Sizes >= 1, bandwidth > 0, every other constant finite and >= 0
-        (``not x >= 0`` so that NaN is refused too)."""
+        """Sizes >= 1, a page a power of two no smaller than the diff word,
+        bandwidth > 0, every other constant finite and >= 0 (``not x >= 0``
+        so that NaN is refused too)."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in _SIZES:
                 if not value >= 1:
                     raise ValueError(f"{f.name} must be >= 1, got {value!r}")
+                if f.name == "page_size" and (value < WORD
+                                              or value & (value - 1)):
+                    raise ValueError(f"page_size must be a power of two "
+                                     f">= {WORD}, got {value!r}")
             elif f.name == "bandwidth":
                 if not value > 0:
                     raise ValueError(f"bandwidth must be > 0, got {value!r}")

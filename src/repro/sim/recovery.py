@@ -338,14 +338,11 @@ class RecoveryManager:
     @staticmethod
     def _tmk_state_bytes(proc: "Processor") -> int:
         """Accounted size of one processor's TreadMarks checkpoint."""
-        tmk = proc.tmk
-        heap = tmk.system.heap
-        page = heap.page_size
-        npages = -(-heap.used // page)
-        pt = tmk.core.pt
-        valid = sum(1 for p in range(npages) if pt.is_valid(p))
+        core = proc.tmk.core
+        pt = core.pt
+        valid = pt.npages - pt.valid.count(0)
         # Valid page images + vector clock + lock/interval table headers.
-        return valid * page + 8 * len(tmk.core.vc) + 64
+        return valid * pt.page_size + 8 * len(core.vc) + 64
 
     # ------------------------------------------------------------------
     # PVM: coordinated timer checkpoints

@@ -24,6 +24,7 @@ from repro.tmk.barrier import (BarrierSubsystem, DisseminationBarrierSubsystem,
 from repro.tmk.consistency import LrcCore
 from repro.tmk.intervals import NoticeIndex
 from repro.tmk.locks import LockSubsystem, McsLockSubsystem
+from repro.tmk.pages import ADDRESS_SPACE
 from repro.tmk.sharedmem import DsmEndpoint, DsmSystem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,8 +37,9 @@ __all__ = ["Tmk", "TmkConfig", "TmkSystem", "attach_tmk"]
 class TmkConfig:
     """Cluster-wide DSM configuration (protocol knobs for ablations)."""
 
-    #: Size of the shared segment each processor mirrors.
-    segment_bytes: int = 1 << 23
+    #: Bytes of address space each processor reserves: the shared heap's
+    #: bound.  Per-page state follows the heap, whatever this is.
+    segment_bytes: int = ADDRESS_SPACE
     #: Ablation: compose accumulated diffs into one before shipping (the
     #: paper's proposed remedy for diff accumulation on migratory data).
     coalesce_diffs: bool = False
@@ -89,7 +91,8 @@ class TmkSystem(DsmSystem):
     """Cluster-global TreadMarks state: heap layout and manager maps."""
 
     def __init__(self, cluster: "Cluster", config: TmkConfig) -> None:
-        super().__init__(cluster, config)
+        super().__init__(cluster, config.segment_bytes)
+        self.config = config
         #: Every write notice of the run, filed once by its creator; each
         #: processor reads it through its own knowledge (host-side only).
         self.notices = NoticeIndex()

@@ -1,9 +1,10 @@
 """Per-processor paged view of the shared address space.
 
-Each processor maps a private copy of the whole shared segment -- demand
-zero, so the host pays (memory and start-up time) only for the pages the
-processor actually touches, not for ``segment_bytes`` -- plus per-page
-state:
+Each processor reserves the shared address space once
+(:data:`ADDRESS_SPACE`, demand zero, so the host pays memory only for the
+pages the processor actually touches) and keeps per-page state for the
+pages the shared heap has handed out so far -- :meth:`PageTable.grow`
+extends it as allocation crosses onto new pages:
 
 * ``valid`` -- the local copy may be read (an invalidated page must fault
   and fetch diffs first);
@@ -31,14 +32,20 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-__all__ = ["PageTable"]
+__all__ = ["ADDRESS_SPACE", "PageTable"]
+
+#: Bytes of address space every processor reserves (the shared heap's
+#: bound): 32x the largest paper-preset heap, fig11's 32 MiB.  Untouched it
+#: costs nothing, but under Linux's heuristic overcommit one mapping larger
+#: than RAM + swap is refused, so it stays well below host RAM.
+ADDRESS_SPACE = 1 << 30
 
 
 def _demand_zero(nbytes: int) -> np.ndarray:
     """``nbytes`` zero bytes the host backs page by page at first touch
     (an anonymous private mapping; the array keeps the mapping alive).
     ``np.zeros`` can memset the whole block when the allocator serves it
-    from the heap -- 128 simulated nodes x a 16 MB segment."""
+    from the heap -- 128 simulated nodes x the whole address space."""
     if not nbytes or not hasattr(mmap, "MAP_ANONYMOUS"):
         return np.zeros(nbytes, dtype=np.uint8)
     return np.frombuffer(
@@ -49,21 +56,34 @@ def _demand_zero(nbytes: int) -> np.ndarray:
 class PageTable:
     """Local memory plus page validity/twin bookkeeping for one processor."""
 
-    def __init__(self, size_bytes: int, page_size: int) -> None:
+    def __init__(self, page_size: int, size_bytes: int = ADDRESS_SPACE) -> None:
         if size_bytes % page_size:
-            raise ValueError("segment size must be a multiple of the page size")
+            raise ValueError(f"page size {page_size} does not divide the "
+                             f"{size_bytes}-byte address space")
         self.page_size = page_size
-        self.npages = size_bytes // page_size
-        #: The processor's private copy of the shared segment.
+        #: The processor's private copy of the shared address space.
         self.mem = _demand_zero(size_bytes)
-        #: One byte per page; truthy = readable.  Kernel ``fault_scan``
-        #: consumes this buffer directly.
-        self.valid = bytearray(b"\x01" * self.npages)
-        # Page views materialize lazily: big segments touch a small
-        # working set, and building thousands of slice views up front
-        # shows up in the per-run setup cost.
-        self._views: List[Optional[np.ndarray]] = [None] * self.npages
+        #: One byte per allocated page; truthy = readable.  Kernel
+        #: ``fault_scan`` consumes this buffer directly.
+        self.valid = bytearray()
+        # Page views materialize lazily: big heaps touch a small working
+        # set, and building thousands of slice views up front shows up in
+        # the per-run setup cost.
+        self._views: List[Optional[np.ndarray]] = []
         self._twins: Dict[int, np.ndarray] = {}
+
+    @property
+    def npages(self) -> int:
+        """Pages the per-page state covers (the heap's, once attached)."""
+        return len(self.valid)
+
+    def grow(self, npages: int) -> None:
+        """Cover pages up to ``npages``: a freshly allocated page is zero
+        on every processor, so it starts readable."""
+        more = npages - len(self.valid)
+        if more > 0:
+            self.valid.extend(b"\x01" * more)
+            self._views.extend([None] * more)
 
     # ------------------------------------------------------------------
     def page_view(self, page: int) -> np.ndarray:

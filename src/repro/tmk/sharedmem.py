@@ -19,12 +19,12 @@ synchronization.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro.sim.network import UdpChannel
-from repro.tmk.pages import PageTable
+from repro.tmk.pages import ADDRESS_SPACE, PageTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster, Processor
@@ -34,24 +34,33 @@ __all__ = ["DsmCore", "DsmEndpoint", "DsmSystem", "SharedArray",
 
 
 class SharedHeap:
-    """Cluster-global allocator for the shared segment (Tmk_malloc).
+    """Cluster-global allocator for the shared address space (Tmk_malloc).
 
     All processors see the same address for the same allocation because
     allocation metadata is global -- the analogue of TreadMarks programs
-    allocating from the master and distributing pointers.
+    allocating from the master and distributing pointers.  Allocation is
+    bump-pointer from address 0 up to ``bound``; each processor's per-page
+    state follows the watermark through the ``on_grow`` callbacks.
     """
 
-    def __init__(self, segment_bytes: int, page_size: int) -> None:
-        self.segment_bytes = segment_bytes
+    def __init__(self, bound: int, page_size: int) -> None:
+        self.bound = bound
         self.page_size = page_size
         self._next = 0
         self._named: Dict[str, Tuple[int, Tuple[int, ...], np.dtype]] = {}
+        #: Called with :attr:`pages` after every allocation.
+        self.on_grow: List[Callable[[int], None]] = []
 
     @property
     def used(self) -> int:
-        """Allocation watermark: bytes of the segment handed out so far
-        (what a checkpoint of the shared state has to cover)."""
+        """Allocation watermark: bytes of the address space handed out so
+        far (what a checkpoint of the shared state has to cover)."""
         return self._next
+
+    @property
+    def pages(self) -> int:
+        """Pages the allocations so far overlap."""
+        return -(-self._next // self.page_size)
 
     def malloc(self, nbytes: int, align: int | None = None) -> int:
         """Allocate ``nbytes``; page-aligned by default.
@@ -64,12 +73,13 @@ class SharedHeap:
         if align < 1:
             raise ValueError("alignment must be positive")
         addr = -(-self._next // align) * align
-        if addr + nbytes > self.segment_bytes:
+        if addr + nbytes > self.bound:
             raise MemoryError(
-                f"shared segment exhausted: need {nbytes} bytes at {addr}, "
-                f"segment is {self.segment_bytes} "
-                "(raise TmkConfig.segment_bytes)")
+                f"shared address space exhausted: need {nbytes} bytes at "
+                f"{addr}, the bound is {self.bound} bytes")
         self._next = addr + nbytes
+        for grow in self.on_grow:
+            grow(self.pages)
         return addr
 
     def named(self, name: str, shape: Tuple[int, ...], dtype: np.dtype,
@@ -409,15 +419,12 @@ class SharedArray:
 
 class DsmSystem:
     """Cluster-global state every page-based runtime starts from: the
-    shared heap layout (``config`` carries ``segment_bytes``) and the
-    number of application processors."""
+    shared heap, bounded by the address space each processor reserves,
+    and the number of application processors."""
 
-    def __init__(self, cluster: "Cluster", config: Any) -> None:
-        if config.segment_bytes % cluster.cost.page_size:
-            raise ValueError("segment size must be a multiple of the page size")
+    def __init__(self, cluster: "Cluster", bound: int = ADDRESS_SPACE) -> None:
         self.cluster = cluster
-        self.config = config
-        self.heap = SharedHeap(config.segment_bytes, cluster.cost.page_size)
+        self.heap = SharedHeap(bound, cluster.cost.page_size)
         #: Processors 0 .. nclients-1 run the application and take part
         #: in synchronization and page management (SC-ABD appends its
         #: replica servers after them).
@@ -436,7 +443,7 @@ class DsmSystem:
 
 class DsmCore:
     """One processor's consistency protocol, as :class:`SharedArray` and
-    the endpoint see it: the paged copy of the shared segment, the
+    the endpoint see it: the paged copy of the shared address space, the
     channel its messages go out on, and the access checks.
 
     A protocol implements :meth:`ensure_valid_runs` and
@@ -458,7 +465,9 @@ class DsmCore:
         self.system = system
         self.pid = proc.pid
         self.cost = proc.cluster.cost
-        self.pt = PageTable(system.config.segment_bytes, self.cost.page_size)
+        self.pt = PageTable(self.cost.page_size, system.heap.bound)
+        self.pt.grow(system.heap.pages)
+        system.heap.on_grow.append(self.grow)
         self.udp = UdpChannel(proc.cluster.net, system=self.wire_system)
         #: Optional observer (repro.analysis): receives access and
         #: diff-application events.  Never charges time or messages.
@@ -467,6 +476,10 @@ class DsmCore:
         #: raises InvariantViolation on a broken protocol rule.  Never
         #: charges time or messages.
         self.monitor = None
+
+    def grow(self, npages: int) -> None:
+        """Extend the per-page state to the heap's ``npages`` pages."""
+        self.pt.grow(npages)
 
     def runs_all_valid(self, runs) -> bool:
         """Synchronous check that a read of ``runs`` cannot fault; False
@@ -510,7 +523,7 @@ class DsmEndpoint:
         return self.system.nclients
 
     def malloc(self, nbytes: int, align: int | None = None) -> int:
-        """Raw shared allocation; returns the segment address."""
+        """Raw shared allocation; returns the shared address."""
         return self.system.heap.malloc(nbytes, align)
 
     def array_at(self, addr: int, shape: Tuple[int, ...],

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import AnalysisConfig, attach_sanitizer
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.trace import Trace
-from repro.tmk.api import TmkConfig, attach_tmk
+from repro.tmk.api import attach_tmk
 
 
 @pytest.fixture
@@ -15,8 +15,7 @@ def san_run():
 
     def runner(fn, nprocs=4, config=None, tmk_config=None):
         cluster = Cluster(nprocs, config=ClusterConfig(trace=Trace()))
-        endpoints = attach_tmk(cluster, tmk_config if tmk_config is not None
-                               else TmkConfig(segment_bytes=1 << 20))
+        endpoints = attach_tmk(cluster, tmk_config)
         sanitizer = attach_sanitizer(
             cluster, endpoints,
             config if config is not None

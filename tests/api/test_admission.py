@@ -102,6 +102,16 @@ REJECTED = [
      "page_size must be >= 1, got 0",
      ["fig02", "--cost.page_size", "0"],
      "experiment=fig02&cost.page_size=0"),
+    ("cost-page-size-not-a-power-of-two",
+     dict(experiment="fig02", cost=dict(page_size=3000)),
+     "page_size must be a power of two >= 4, got 3000",
+     ["fig02", "--cost.page_size", "3000"],
+     "experiment=fig02&cost.page_size=3000"),
+    ("cost-page-size-below-a-word",
+     dict(experiment="fig02", cost=dict(page_size=1)),
+     "page_size must be a power of two >= 4, got 1",
+     ["fig02", "--cost.page_size", "1"],
+     "experiment=fig02&cost.page_size=1"),
     ("checkpoint-interval-nan",
      dict(experiment="fig02",
           recovery=dict(checkpoint_interval=float("nan"))),
@@ -269,7 +279,8 @@ UNSPELLED = {"faults.slow_nodes", "faults.crash_windows"}
 
 def _sample(leaf):
     """One valid, non-default text per leaf, derived from its hint."""
-    special = {"experiment": "fig03", "faults.crash_at": "1@0.5"}
+    special = {"experiment": "fig03", "faults.crash_at": "1@0.5",
+               "cost.page_size": "8192"}  # a page is a power of two
     if leaf.name in special:
         return special[leaf.name]
     if leaf.choices:

@@ -247,6 +247,32 @@ class TestRunFacade:
         assert warm.to_json_bytes() == cold.to_json_bytes()
 
 
+class TestPaperPreset:
+    """The paper's Table 1 sizes run on every DSM runtime: the largest
+    shared heaps (fig11's 32 MiB FFT, fig02's 24 MiB SOR grid) equal the
+    sequential oracle."""
+
+    @pytest.mark.parametrize("experiment, system, replication", [
+        ("fig11", "tmk", None),
+        ("fig11", "ivy", None),
+        ("fig11", "tmk", 3),
+        ("fig02", "tmk", None),
+    ])
+    def test_runs_and_equals_the_oracle(self, experiment, system,
+                                        replication):
+        from repro.scabd import ReplicationConfig
+        config = api.RunConfig(
+            experiment=experiment, system=system, nprocs=2, preset="paper",
+            replication=(ReplicationConfig(replicas=replication)
+                         if replication else None))
+        result = api.run(config, use_cache=False)  # raises unless verified
+        exp = harness.EXPERIMENTS[experiment]
+        oracle = harness._seq(experiment, "paper")
+        assert base.get_app(exp.app).verify(result.parallel.result,
+                                            oracle.result)
+        assert result.seq_time == oracle.time and result.time > 0
+
+
 class TestPackageSurface:
     def test_lazy_exports(self):
         import repro

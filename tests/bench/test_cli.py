@@ -166,6 +166,13 @@ class TestCommands:
         assert "speedup" in text
         assert "Time decomposition" not in text
 
+    def test_run_with_16_mib_pages(self, capsys):
+        """A 16 MiB page: every page-aligned allocation takes a whole one,
+        so SOR's few arrays span 16 MiB pages of address space each."""
+        assert main(["run", "fig02", "--preset", "tiny", "--system", "tmk",
+                     "--nprocs", "2", "--cost.page_size", "16777216"]) == 0
+        assert "speedup" in capsys.readouterr().out
+
     def test_run_unknown_experiment(self):
         with pytest.raises(SystemExit, match="unknown experiment"):
             cmd_run(run_config("fig99"))

@@ -12,14 +12,14 @@ from repro.apps.qsort import QsortParams
 from repro.apps.sor import SorParams
 from repro.apps.tsp import TspParams
 from repro.apps.water import WaterParams
-from repro.ivy.api import IvyConfig, attach_ivy
+from repro.ivy.api import attach_ivy
 from repro.sim.cluster import Cluster
 from tests.ivy.directory_cases import DirectoryProtocolCases, verified_run
 
 
-def ivy_run(fn, nprocs=4, segment=1 << 19):
+def ivy_run(fn, nprocs=4):
     cluster = Cluster(nprocs)
-    attach_ivy(cluster, IvyConfig(segment_bytes=segment))
+    attach_ivy(cluster)
     return cluster.run(fn), cluster
 
 
@@ -133,9 +133,9 @@ class TestConsistencyModelDifference:
         return value
 
     def test_lazy_rc_reads_pre_acquire_value(self):
-        from repro.tmk.api import TmkConfig, attach_tmk
+        from repro.tmk.api import attach_tmk
         cluster = Cluster(2)
-        attach_tmk(cluster, TmkConfig(segment_bytes=1 << 19))
+        attach_tmk(cluster)
         res = cluster.run(self._racy_program)
         # LRC: P1 only has notices for the interval before barrier 0.
         assert res.results[1] == 1

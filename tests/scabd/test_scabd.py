@@ -17,7 +17,7 @@ import pytest
 from repro.apps import base
 from repro.apps.sor import SorParams
 from repro.apps.tsp import TspParams
-from repro.scabd import ReplicationConfig, ScAbdConfig, attach_scabd
+from repro.scabd import ReplicationConfig, attach_scabd
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.faults import FaultPlan
 from repro.sim.recovery import NodeFailure
@@ -25,12 +25,11 @@ from repro.sim.trace import Trace
 from tests.ivy.directory_cases import DirectoryProtocolCases, verified_run
 
 
-def scabd_run(fn, nclients=3, replicas=3, segment=1 << 19, faults=None,
+def scabd_run(fn, nclients=3, replicas=3, faults=None,
               trace=None):
     cluster = Cluster(nclients + replicas, config=ClusterConfig(
         faults=faults, trace=trace))
-    attach_scabd(cluster, ScAbdConfig(segment_bytes=segment),
-                 ReplicationConfig(replicas=replicas))
+    attach_scabd(cluster, ReplicationConfig(replicas=replicas))
     return cluster.run(fn), cluster
 
 
@@ -58,8 +57,7 @@ class TestReplicationConfig:
     def test_cluster_must_fit_clients_and_replicas(self):
         cluster = Cluster(3)
         with pytest.raises(ValueError, match="application processor"):
-            attach_scabd(cluster, ScAbdConfig(segment_bytes=1 << 19),
-                         ReplicationConfig(replicas=3))
+            attach_scabd(cluster, ReplicationConfig(replicas=3))
 
 
 class TestProtocolBasics(DirectoryProtocolCases):

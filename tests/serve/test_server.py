@@ -169,6 +169,20 @@ class TestOpsEndpoints:
         serve(scenario, tmp_path, allow_injection=False)
 
 
+    def test_paper_preset_is_served(self, tmp_path):
+        """The paper preset's largest shared heap, fig11's 32 MiB FFT, is
+        served like any other run."""
+        async def scenario(server):
+            response = await fetch(
+                server, "/run?experiment=fig11&preset=paper&system=tmk"
+                        "&nprocs=2")
+            assert response.status == 200, response.body
+            body = json.loads(response.body)
+            assert (body["experiment"], body["preset"]) == ("fig11", "paper")
+
+        serve(scenario, tmp_path)
+
+
 class TestServingLadder:
     def test_fresh_then_warm_then_304(self, tmp_path):
         async def scenario(server):

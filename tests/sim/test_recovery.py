@@ -20,7 +20,7 @@ from repro.sim.faults import FaultPlan
 from repro.sim.recovery import (Checkpoint, NodeFailure, RecoveryConfig,
                                 RecoveryReport, plan_recovery)
 from repro.sim.trace import Trace
-from repro.tmk.api import TmkConfig, attach_tmk
+from repro.tmk.api import attach_tmk
 from repro.pvm.api import attach_pvm
 
 
@@ -31,7 +31,7 @@ def crash_plan(*crashes):
 def tmk_cluster(nprocs, faults=None, recovery=None):
     cluster = Cluster(nprocs, config=ClusterConfig(
         trace=Trace(), faults=faults, recovery=recovery))
-    attach_tmk(cluster, TmkConfig(segment_bytes=1 << 20))
+    attach_tmk(cluster)
     return cluster
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.trace import Trace
-from repro.tmk.api import TmkConfig, attach_tmk
+from repro.tmk.api import attach_tmk
 
 
 @pytest.fixture
@@ -15,8 +15,7 @@ def tmk_run():
     def runner(fn, nprocs=1, config=None, trace=None, cost=None):
         cluster = Cluster(nprocs, config=ClusterConfig(
             cost=cost, trace=trace if trace is not None else Trace()))
-        attach_tmk(cluster, config if config is not None
-                   else TmkConfig(segment_bytes=1 << 20))
+        attach_tmk(cluster, config)
         return cluster.run(fn)
 
     return runner

@@ -136,7 +136,7 @@ class TestDiffAccumulation:
     def _migratory(self, tmk_run, nprocs, coalesce):
         """Each processor overwrites a 1-page array under a lock, the IS
         pattern; returns total diff-response bytes."""
-        config = TmkConfig(segment_bytes=1 << 20, coalesce_diffs=coalesce)
+        config = TmkConfig(coalesce_diffs=coalesce)
 
         def main(proc):
             tmk = proc.tmk
@@ -164,7 +164,7 @@ class TestDiffAccumulation:
         assert merged < 0.5 * plain
 
     def test_coalesced_result_still_correct(self, tmk_run):
-        config = TmkConfig(segment_bytes=1 << 20, coalesce_diffs=True)
+        config = TmkConfig(coalesce_diffs=True)
 
         def main(proc):
             tmk = proc.tmk

@@ -18,7 +18,7 @@ from repro.tmk.api import TmkConfig, attach_tmk
 
 def run(fn, nprocs=4, **config):
     cluster = Cluster(nprocs)
-    attach_tmk(cluster, TmkConfig(segment_bytes=1 << 19, **config))
+    attach_tmk(cluster, TmkConfig(**config))
     return cluster.run(fn), cluster
 
 

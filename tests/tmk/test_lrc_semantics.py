@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.cluster import Cluster
-from repro.tmk.api import TmkConfig, attach_tmk
+from repro.tmk.api import attach_tmk
 
 
 class TestHappensBeforeChains:
@@ -119,7 +119,7 @@ def test_drf_programs_match_sequential_interpretation(program):
         return np.asarray((yield from data.read(slice(0, cells)))).copy()
 
     cluster = Cluster(nprocs)
-    attach_tmk(cluster, TmkConfig(segment_bytes=1 << 19))
+    attach_tmk(cluster)
     res = cluster.run(main)
 
     # Sequential interpretation.

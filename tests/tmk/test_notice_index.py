@@ -115,8 +115,7 @@ TINY = {"sor": SorParams.tiny(), "is": IsParams.tiny(),
 def run_shadowed(app, nprocs=4, **config):
     spec = base.get_app(app)
     cluster = Cluster(nprocs)
-    endpoints = attach_tmk(cluster, TmkConfig(
-        segment_bytes=spec.segment_bytes, **config))
+    endpoints = attach_tmk(cluster, TmkConfig(**config))
     shadows = [EagerPendingShadow(tmk.core) for tmk in endpoints]
     outcome = cluster.run(spec.tmk_main, args=(TINY[app],))
     seq = base.run_sequential(spec, TINY[app])

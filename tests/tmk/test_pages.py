@@ -4,22 +4,28 @@ import numpy as np
 import pytest
 
 from repro.kernels import get_backend
-from repro.tmk.pages import PageTable
+from repro.tmk.pages import ADDRESS_SPACE, PageTable
+
+
+def table(npages):
+    pt = PageTable(4096)
+    pt.grow(npages)
+    return pt
 
 
 @pytest.fixture
 def pt():
-    return PageTable(8 * 4096, 4096)
+    return table(8)
 
 
 class TestLayout:
     def test_page_count(self, pt):
         assert pt.npages == 8
-        assert pt.mem.size == 8 * 4096
+        assert pt.mem.size == ADDRESS_SPACE
 
     def test_size_must_be_page_multiple(self):
         with pytest.raises(ValueError):
-            PageTable(4097, 4096)
+            PageTable(4097)
 
     def test_page_view_is_a_view(self, pt):
         view = pt.page_view(2)
@@ -39,7 +45,7 @@ class TestDemandZeroBacking:
     must behave like the ``np.zeros`` array it replaced."""
 
     def test_fresh_table_reads_all_zero(self):
-        pt = PageTable(64 * 4096, 4096)
+        pt = table(64)
         assert pt.mem.dtype == np.uint8 and pt.mem.flags.writeable
         assert not pt.mem.any()
         assert not pt.page_view(63).any()
@@ -60,14 +66,28 @@ class TestDemandZeroBacking:
         pt.make_twin(2)
         pt.page_view(2)[100:108] = 9
         runs = kernels.make_diff(pt.page_view(2), pt.twin(2))
-        other = PageTable(8 * 4096, 4096)
+        other = table(8)
         kernels.apply_diff(other.page_view(2), runs)
         assert np.array_equal(other.page_view(2), pt.page_view(2))
 
     def test_empty_segment(self):
-        pt = PageTable(0, 4096)
-        assert pt.npages == 0 and pt.mem.size == 0
+        pt = PageTable(4096)
+        assert pt.npages == 0 and pt.mem.size == ADDRESS_SPACE
         assert pt.invalid_pages() == set() and pt.dirty_pages() == []
+
+
+class TestGrowth:
+    def test_grow_extends_in_place_and_new_pages_are_readable(self, pt):
+        valid = pt.valid
+        pt.invalidate(3)
+        pt.grow(12)
+        assert pt.valid is valid and pt.npages == 12
+        assert pt.invalid_pages() == {3}
+        assert not pt.page_view(11).any()
+
+    def test_grow_never_shrinks(self, pt):
+        pt.grow(2)
+        assert pt.npages == 8
 
 
 class TestValidity:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.ivy.api import attach_ivy
+from repro.scabd import ReplicationConfig, attach_scabd
 from repro.sim.cluster import Cluster
-from repro.tmk.api import TmkConfig
+from repro.tmk.api import attach_tmk
+from repro.tmk.pages import ADDRESS_SPACE
 from repro.tmk.sharedmem import DsmCore, DsmEndpoint, DsmSystem, SharedHeap
 
 
@@ -45,6 +48,70 @@ class TestSharedHeap:
         heap = SharedHeap(1 << 20, 4096)
         with pytest.raises(ValueError):
             heap.malloc(8, align=0)
+
+
+#: 8 MiB: an allocation past it must not need any sizing knob (fig11's
+#: paper preset needs twice this).
+EIGHT_MIB = 1 << 23
+
+
+def attach(runtime, nclients=2):
+    """A fresh cluster with ``runtime`` attached; its client endpoints."""
+    if runtime == "tmk":
+        return attach_tmk(Cluster(nclients))
+    if runtime == "ivy":
+        return attach_ivy(Cluster(nclients))
+    return attach_scabd(Cluster(nclients + 3), ReplicationConfig(replicas=3))
+
+
+def page_state_lengths(endpoint):
+    """Length of every table the endpoint's core keeps per page."""
+    core = endpoint.core
+    lengths = {len(core.pt.valid), len(core.pt._views), core.pt.npages}
+    if hasattr(core, "state"):  # IVY and SC-ABD
+        lengths.add(len(core.state))
+    return lengths
+
+
+@pytest.mark.parametrize("runtime", ["tmk", "ivy", "scabd"])
+class TestHeapSizesItself:
+    """No runtime is told how big its heap is: per-page state follows the
+    allocation watermark and the only bound is the address space."""
+
+    def test_page_state_follows_the_watermark(self, runtime):
+        endpoints = attach(runtime)
+        heap = endpoints[0].system.heap
+        assert all(page_state_lengths(ep) == {0} for ep in endpoints)
+        endpoints[0].malloc(2 * EIGHT_MIB + 1)
+        endpoints[1].malloc(100, align=8)
+        pages = -(-heap.used // heap.page_size)
+        assert pages == heap.pages == 2 * EIGHT_MIB // 4096 + 1
+        assert all(page_state_lengths(ep) == {pages} for ep in endpoints)
+
+    def test_data_past_eight_mib(self, runtime):
+        n = EIGHT_MIB // 8 + 512  # ends a page past 8 MiB
+
+        def main(proc):
+            tmk = proc.tmk
+            arr = tmk.shared_array("big", (n,), np.float64)
+            if tmk.pid == 0:
+                yield from arr.set(n - 1, 42.0)
+            yield from tmk.barrier(0)
+            return float((yield from arr.get(n - 1)))
+
+        endpoints = attach(runtime)
+        cluster = endpoints[0].system.cluster
+        assert cluster.run(main).results[:2] == [42.0, 42.0]
+
+    def test_malloc_past_the_bound_names_it(self, runtime):
+        endpoints = attach(runtime)
+        endpoints[0].malloc(4096)
+        with pytest.raises(MemoryError) as exc:
+            endpoints[1].malloc(ADDRESS_SPACE)
+        assert str(exc.value) == (
+            f"shared address space exhausted: need {ADDRESS_SPACE} bytes "
+            f"at 4096, the bound is {ADDRESS_SPACE} bytes")
+        assert all(page_state_lengths(ep) == {1} for ep in endpoints)
 
 
 class TestSharedArrayAccess:
@@ -288,8 +355,7 @@ class _RecordingEndpoint(DsmEndpoint):
 class TestDeclaredCoreContract:
     def _run(self, main):
         cluster = Cluster(1)
-        DsmSystem(cluster, TmkConfig(segment_bytes=1 << 16)).attach(
-            _RecordingEndpoint)
+        DsmSystem(cluster).attach(_RecordingEndpoint)
         return cluster.run(main).results[0]
 
     def test_defaults_send_every_access_through_ensure(self):
@@ -402,7 +468,7 @@ class TestPiecewiseWrite:
     def test_piecewise_on_ivy_matches_atomic_on_tmk(self, tmk_run):
         """Integration: the same program through the real IVY piecewise
         path produces the same memory image."""
-        from repro.ivy.api import IvyConfig, attach_ivy
+        from repro.ivy.api import attach_ivy
         from repro.sim.cluster import Cluster, ClusterConfig
         from repro.sim.trace import Trace
 
@@ -416,7 +482,7 @@ class TestPiecewiseWrite:
             return (yield from arr.read()).copy()
 
         cluster = Cluster(4, config=ClusterConfig(trace=Trace()))
-        attach_ivy(cluster, IvyConfig(segment_bytes=1 << 20))
+        attach_ivy(cluster)
         ivy_result = cluster.run(main)
         tmk_result = tmk_run(main, nprocs=4)
         expected = np.repeat(np.arange(1.0, 5.0), 256)
