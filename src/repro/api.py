@@ -53,6 +53,7 @@ from repro.sim.costmodel import CostModel
 from repro.sim.engine import EngineDeadlock
 from repro.sim.faults import FaultPlan, TransportError
 from repro.sim.recovery import NodeFailure, RecoveryConfig
+from repro.tmk.pages import ADDRESS_SPACE
 
 __all__ = [
     "Leaf",
@@ -333,6 +334,11 @@ class RunConfig:
                              f"got {self.preset!r}")
         if self.nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {self.nprocs}")
+        if self.cost is not None and self.cost.page_size > ADDRESS_SPACE:
+            raise ValueError(
+                f"page_size must be <= {ADDRESS_SPACE}, the "
+                f"{ADDRESS_SPACE >> 30} GiB address space every processor "
+                f"reserves, got {self.cost.page_size}")
         base.check_options(self.system, self.analysis, self.recovery,
                            self.replication)
         # Replica servers are pids nprocs .. nprocs+replicas-1, appended

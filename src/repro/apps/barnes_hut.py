@@ -23,12 +23,19 @@ Four phases per time step (paper section 3.7):
 
 The first time step is a warm-up and excluded from measurement (the paper
 times the last iterations only).
+
+Host work: every simulated processor would build the same tree and walk
+it for its own costzone.  :func:`shared_walk` builds and walks it once
+per time step for all bodies, in the run's ``Cluster.memo`` keyed by the
+bodies' bytes, and each processor takes its own rows and is charged
+``BUILD_CPU`` per body plus ``INT_CPU`` per interaction of its own
+bodies, as if it had walked alone (DESIGN section 5m).  The sequential
+oracle builds and walks its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
@@ -127,55 +134,45 @@ class OctTree:
         self.dfs_order = np.array(order, dtype=np.int64)
 
 
-@lru_cache(maxsize=8)
-def _cached_tree(pos_bytes: bytes, mass_bytes: bytes,
-                 n: int) -> OctTree:
-    """All processors build identical trees from identical shared data;
-    the simulator deduplicates the host-side work (each simulated
-    processor is still charged the full virtual build cost)."""
-    pos = np.frombuffer(pos_bytes, dtype=np.float64).reshape(n, 3)
-    mass = np.frombuffer(mass_bytes, dtype=np.float64)
-    return OctTree(pos, mass)
-
-
-def make_tree(pos: np.ndarray, mass: np.ndarray) -> OctTree:
-    return _cached_tree(pos.tobytes(), mass.tobytes(), pos.shape[0])
-
-
 def compute_forces(tree: OctTree, pos: np.ndarray, mass: np.ndarray,
-                   targets: np.ndarray) -> Tuple[np.ndarray, int]:
+                   targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Accelerations on ``targets`` via the opening-criterion traversal.
 
-    Returns (accelerations (len(targets), 3), interaction count).
+    Returns (accelerations (len(targets), 3), interactions per target).
+    Each target's sum runs in the tree's DFS order whatever other
+    targets share the walk, so any subset of a walk's rows is
+    byte-identical to walking that subset alone.
     """
     acc = np.zeros((targets.size, 3))
-    interactions = 0
+    counts = np.zeros(targets.size, dtype=np.int64)
     tpos = pos[targets]
 
     def visit(node: int, sel: np.ndarray) -> None:
-        nonlocal interactions
         if sel.size == 0:
             return
-        d = tree.com[node] - tpos[sel]
-        r2 = (d * d).sum(axis=1) + _SOFT
         leaf = tree.leaf_bodies[node]
         if leaf.size > 0:
             # Direct body-body interactions, excluding self.
+            spos = tpos[sel]
+            sids = targets[sel]
             for b in leaf:
-                db = pos[b] - tpos[sel]
+                db = pos[b] - spos
                 rb2 = (db * db).sum(axis=1) + _SOFT
-                notself = targets[sel] != b
+                notself = sids != b
                 contrib = (mass[b] * db / (rb2 ** 1.5)[:, None])
-                acc[sel[notself]] += contrib[notself]
-                interactions += int(notself.sum())
+                rows = sel[notself]
+                acc[rows] += contrib[notself]
+                counts[rows] += 1
             return
+        d = tree.com[node] - tpos[sel]
+        r2 = (d * d).sum(axis=1) + _SOFT
         accept = (tree.size[node] ** 2) < _THETA2 * r2
         hit = sel[accept]
         if hit.size:
             dh = tree.com[node] - tpos[hit]
             rh2 = (dh * dh).sum(axis=1) + _SOFT
             acc[hit] += tree.mass[node] * dh / (rh2 ** 1.5)[:, None]
-            interactions += hit.size
+            counts[hit] += 1
         rest = sel[~accept]
         if rest.size:
             for child in tree.children[node]:
@@ -183,7 +180,29 @@ def compute_forces(tree: OctTree, pos: np.ndarray, mass: np.ndarray,
                     visit(child, rest)
 
     visit(0, np.arange(targets.size))
-    return acc, interactions
+    return acc, counts
+
+
+def shared_walk(proc, pos: np.ndarray, mass: np.ndarray
+                ) -> Tuple[OctTree, np.ndarray, np.ndarray]:
+    """The tree and every body's (acceleration, interaction count) for
+    the bodies ``proc`` holds, built and walked once per run and step.
+
+    Every processor builds the same tree from the same bodies; the first
+    to arrive at a time step does the host work for all of them and
+    leaves it in the run's memo (DESIGN section 5m).  The key is the
+    content, so a processor holding different bodies walks on its own.
+    Each processor is still charged the virtual cost of its own share.
+    """
+    key = (pos.tobytes(), mass.tobytes())
+    memo = proc.cluster.memo
+    entry = memo.get(__name__)
+    if entry is None or entry[0] != key:
+        tree = OctTree(pos, mass)
+        acc, counts = compute_forces(tree, pos, mass,
+                                     np.arange(pos.shape[0]))
+        entry = memo[__name__] = (key, tree, acc, counts)
+    return entry[1:]
 
 
 def costzone_partition(tree: OctTree, pid: int, nprocs: int) -> np.ndarray:
@@ -215,10 +234,10 @@ def sequential(meter, params: BhParams):
     for step in range(params.steps):
         if step == params.warmup:
             meter.mark()
-        tree = make_tree(pos, mass)
+        tree = OctTree(pos, mass)
         meter.compute(params.nbodies * BUILD_CPU)
-        acc, interactions = compute_forces(tree, pos, mass, all_bodies)
-        meter.compute(interactions * INT_CPU)
+        acc, counts = compute_forces(tree, pos, mass, all_bodies)
+        meter.compute(int(counts.sum()) * INT_CPU)
         vel += acc * _DT
         pos = pos + vel * _DT
     return pos
@@ -248,13 +267,13 @@ def tmk_main(proc, params: BhParams):
         pos = np.asarray(pos)
         mass = yield from smass.read(slice(0, n))
         mass = np.asarray(mass)
-        tree = make_tree(pos, mass)
+        tree, all_acc, counts = shared_walk(proc, pos, mass)
         proc.compute(n * BUILD_CPU)
         yield from tmk.barrier(bid); bid += 1
         # Get_my_bodies (costzones) + force computation (no sync).
         mine = costzone_partition(tree, tmk.pid, tmk.nprocs)
-        acc, interactions = compute_forces(tree, pos, mass, mine)
-        proc.compute(interactions * INT_CPU)
+        acc = all_acc[mine]
+        proc.compute(int(counts[mine].sum()) * INT_CPU)
         yield from tmk.barrier(bid); bid += 1
         # Update my (memory-scattered) bodies, run by run -- the per-page
         # access pattern the paper's false-sharing analysis describes.
@@ -298,11 +317,11 @@ def pvm_main(proc, params: BhParams):
     for step in range(params.steps):
         if step == params.warmup and me == 0:
             proc.cluster.start_measurement(proc)
-        tree = make_tree(pos, mass)
+        tree, all_acc, counts = shared_walk(proc, pos, mass)
         proc.compute(n * BUILD_CPU)
         mine = costzone_partition(tree, me, nprocs)
-        acc, interactions = compute_forces(tree, pos, mass, mine)
-        proc.compute(interactions * INT_CPU)
+        acc = all_acc[mine]
+        proc.compute(int(counts[mine].sum()) * INT_CPU)
         vel[mine] += acc * _DT
         pos[mine] += vel[mine] * _DT
         if nprocs > 1:

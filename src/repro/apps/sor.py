@@ -121,7 +121,7 @@ def phase_kernel(src: np.ndarray, lo: int, hi: int,
     right = src[base: base + n_update, 2:]
     new = 0.25 * (up + down + left + right)
     mid = src[base: base + n_update, 1:-1]
-    zeros = mid.size - np.count_nonzero(mid)
+    zeros = mid.size - int(np.count_nonzero(mid))
     cost = mid.size * ELEM_CPU + zeros * ZERO_EXTRA_CPU
     return new, cost
 

@@ -282,6 +282,12 @@ class Cluster:
         #: Host-side observers notified of measurement-window events
         #: (e.g. the DSM sanitizer); they never affect accounting.
         self.observers: List[Any] = []
+        #: Host work every simulated processor would repeat on identical
+        #: inputs, done once per run (DESIGN section 5m): an app files one
+        #: entry under its module name, with the content it was computed
+        #: from.  No runtime reads it, nothing serialises it, and it dies
+        #: with the cluster, so the sequential oracle never shares it.
+        self.memo: Dict[str, Any] = {}
 
     def start_measurement(self, proc: Processor) -> None:
         """Open the measured window: reset traffic stats, mark the clock.

@@ -184,11 +184,13 @@ def dominant_writers(
         cur = latest.get(record.creator)
         if cur is None or record.seq > cur.seq:
             latest[record.creator] = record
-    if len(latest) == 1:
-        # Single writer: it trivially dominates and covers everything
-        # (a creator always holds its own diffs).
-        (w,) = latest
-        return {w: sorted(needed)}
+    # Usually one writer's latest interval follows every other writer's
+    # (a lock chain, a barrier, or a single writer): that writer alone
+    # covers everything.  Only it can have the largest vector-time sum.
+    top = max(latest.values(), key=lambda record: sum(record.vc))
+    if all(record is top or record.precedes(top)
+           for record in latest.values()):
+        return {top.creator: sorted(needed)}
     # Drop writers whose latest interval precedes another writer's latest.
     writers = sorted(latest)
     chosen: List[int] = []

@@ -112,6 +112,12 @@ REJECTED = [
      "page_size must be a power of two >= 4, got 1",
      ["fig02", "--cost.page_size", "1"],
      "experiment=fig02&cost.page_size=1"),
+    ("cost-page-size-above-address-space",
+     dict(experiment="fig01", cost=dict(page_size=1 << 31)),
+     "page_size must be <= 1073741824, the 1 GiB address space every "
+     "processor reserves, got 2147483648",
+     ["fig01", "--cost.page_size", "2147483648"],
+     "experiment=fig01&cost.page_size=2147483648"),
     ("checkpoint-interval-nan",
      dict(experiment="fig02",
           recovery=dict(checkpoint_interval=float("nan"))),

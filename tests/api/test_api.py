@@ -247,6 +247,18 @@ class TestRunFacade:
         assert warm.to_json_bytes() == cold.to_json_bytes()
 
 
+@pytest.mark.parametrize("system", ["tmk", "pvm"])
+@pytest.mark.parametrize("experiment", sorted(harness.EXPERIMENTS))
+def test_virtual_times_are_python_floats(experiment, system):
+    """No numpy scalar leaks into a processor clock (SOR's cost once
+    came from ``np.count_nonzero``)."""
+    result = api.run(api.RunConfig(experiment, system, 2, "tiny"),
+                     use_cache=False)
+    assert type(result.time) is float
+    assert type(result.parallel.time) is float
+    assert type(result.seq_time) is float
+
+
 class TestPaperPreset:
     """The paper's Table 1 sizes run on every DSM runtime: the largest
     shared heaps (fig11's 32 MiB FFT, fig02's 24 MiB SOR grid) equal the

@@ -1,12 +1,17 @@
 """Tests for Barnes-Hut (hierarchical N-body)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.apps import base
+from repro import api
+from repro.apps import barnes_hut, base
 from repro.apps.barnes_hut import (BhParams, OctTree, compute_forces,
                                    contiguous_runs, costzone_partition,
-                                   initial_state, make_tree)
+                                   initial_state, shared_walk)
+from repro.bench import harness
+from repro.sim.cluster import Cluster
 
 
 @pytest.fixture
@@ -31,9 +36,18 @@ class TestTree:
         com = (pos * mass[:, None]).sum(axis=0) / mass.sum()
         assert np.allclose(tree.com[0], com)
 
-    def test_tree_cache_returns_same_object(self, state):
+    def test_shared_walk_is_one_per_run(self, state):
+        """Processors of one run share a walk of the same bodies; another
+        run, or other bodies, walk anew."""
         pos, _, mass = state
-        assert make_tree(pos, mass) is make_tree(pos, mass)
+        procs = Cluster(2).procs
+        tree, acc, counts = shared_walk(procs[0], pos, mass)
+        again = shared_walk(procs[1], pos.copy(), mass.copy())
+        assert all(a is b for a, b in zip(again, (tree, acc, counts)))
+        assert shared_walk(Cluster(2).procs[0], pos, mass)[0] is not tree
+        moved = pos.copy()
+        moved[0, 0] += 1e-12
+        assert shared_walk(procs[0], moved, mass)[0] is not tree
 
 
 class TestForces:
@@ -41,17 +55,22 @@ class TestForces:
         pos, _, mass = state
         tree = OctTree(pos, mass)
         n = pos.shape[0]
-        full, _ = compute_forces(tree, pos, mass, np.arange(n))
-        for pid in range(3):
-            mine = costzone_partition(tree, pid, 3)
-            piece, _ = compute_forces(tree, pos, mass, mine)
-            assert np.allclose(piece, full[mine])
+        full, full_counts = compute_forces(tree, pos, mass, np.arange(n))
+        for nparts in (3, 8):  # uneven costzones
+            total = 0
+            for pid in range(nparts):
+                mine = costzone_partition(tree, pid, nparts)
+                piece, counts = compute_forces(tree, pos, mass, mine)
+                assert piece.tobytes() == full[mine].tobytes()
+                assert counts.tolist() == full_counts[mine].tolist()
+                total += int(counts.sum())
+            assert total == int(full_counts.sum())
 
     def test_interaction_count_positive(self, state):
         pos, _, mass = state
         tree = OctTree(pos, mass)
-        _, interactions = compute_forces(tree, pos, mass, np.arange(8))
-        assert interactions > 0
+        _, counts = compute_forces(tree, pos, mass, np.arange(8))
+        assert (counts > 0).all()
 
     def test_opening_criterion_reduces_work(self):
         """Barnes-Hut does fewer interactions than O(n^2), and the work
@@ -60,7 +79,8 @@ class TestForces:
         for n in (512, 1024):
             pos, _, mass = initial_state(BhParams(nbodies=n, steps=1))
             tree = OctTree(pos, mass)
-            _, counts[n] = compute_forces(tree, pos, mass, np.arange(n))
+            counts[n] = int(compute_forces(tree, pos, mass,
+                                           np.arange(n))[1].sum())
         assert counts[1024] < 0.7 * 1024 * 1023
         # Doubling n must grow work by clearly less than the 4x of n^2.
         assert counts[1024] / counts[512] < 3.5
@@ -117,3 +137,59 @@ class TestPaperBehaviour:
         tmk = base.run_parallel("barnes_hut", "tmk", 4, p)
         pvm = base.run_parallel("barnes_hut", "pvm", 4, p)
         assert tmk.total_messages() > pvm.total_messages()
+
+
+class TestOneWalkPerStep:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The number of bodies of every tree walk, in order."""
+        sizes = []
+        real = barnes_hut.compute_forces
+
+        def counting(tree, pos, mass, targets):
+            sizes.append(targets.size)
+            return real(tree, pos, mass, targets)
+
+        monkeypatch.setattr(barnes_hut, "compute_forces", counting)
+        return sizes
+
+    @pytest.mark.parametrize("system", ["tmk", "pvm"])
+    def test_a_run_walks_once_per_step_and_the_next_walks_again(
+            self, walks, system):
+        params = harness.params_for(harness.EXPERIMENTS["fig10"], "tiny")
+        config = api.RunConfig("fig10", system, 8, "tiny")
+        for _ in range(2):
+            walks.clear()
+            api.simulate(config)
+            assert walks == [params.nbodies] * params.steps
+        walks.clear()
+        base.run_sequential("barnes_hut", params)  # the oracle walks alone
+        assert walks == [params.nbodies] * params.steps
+
+
+#: sha256 of ``RunResult.to_json_bytes()`` for fig10 at the tiny preset,
+#: recorded when every processor still walked the tree for its own
+#: costzone; and of the collected positions, which every run shares.
+FIG10_PINS = {
+    ("tmk", 1): "5859e0125deab61e91d8a0f6803c49db34f3160716340d3ae34147b211a86c61",
+    ("tmk", 3): "c1ad0487286429ad292171888f4a46849f6788082e8a65aa6cfc9be51fdd944b",
+    ("tmk", 8): "2305abd7f6f8e31ca3f78f3a38e859aa6192d5704dff9ed619c91ba85e5ebd39",
+    ("pvm", 1): "0076ae2efa8cd9573ad4cc47dda7212b7042728b210431039682016f9d44aeb9",
+    ("pvm", 3): "ee0a859a05f0edec486ba4f6902d79bc17a6f472d5a8fdf863fb02ec32402029",
+    ("pvm", 8): "ff186bc615d4ce3549e9a64d4858991cc9f47af1c887ad04d438d6f6bfe27aeb",
+    ("ivy", 1): "918d60eb44f0a826198f95a0120b719179bc83e10270de9cad7dad1ef5f700fd",
+    ("ivy", 3): "5bd6a4984d916ce7922b181388be13dd3daecb7e1b2f7bd35c9cd6a743b23f08",
+    ("ivy", 8): "c3045a552b54db3aa132b0fb1256de44b8ef3c3d44b7acee74963bf4b4879172",
+}
+FIG10_POSITIONS = \
+    "10ae854ff870d329d60ac8df6ebc3e40103fbc38895ec626c6938967d4e14235"
+
+
+@pytest.mark.parametrize("system, nprocs", sorted(FIG10_PINS))
+def test_fig10_result_bytes_are_pinned(system, nprocs):
+    result = api.run(api.RunConfig("fig10", system, nprocs, "tiny"),
+                     use_cache=False)
+    assert hashlib.sha256(result.to_json_bytes()).hexdigest() == \
+        FIG10_PINS[system, nprocs]
+    assert hashlib.sha256(result.parallel.result.tobytes()).hexdigest() == \
+        FIG10_POSITIONS

@@ -170,3 +170,68 @@ def test_dominant_writers_minimality(needed):
         for other in chosen:
             if w != other:
                 assert not latest[w].precedes(latest[other])
+
+
+# ----------------------------------------------------------------------
+# The single-dominator fast path answers exactly as the general cover.
+# ----------------------------------------------------------------------
+def general_cover(needed):
+    """``dominant_writers`` as it was before its fast path: drop every
+    writer whose latest interval precedes another's, then give each
+    interval to the lowest-numbered remaining writer that covers it."""
+    latest = {}
+    for record in needed.values():
+        cur = latest.get(record.creator)
+        if cur is None or record.seq > cur.seq:
+            latest[record.creator] = record
+    chosen = [w for w in sorted(latest)
+              if not any(other != w and latest[w].precedes(latest[other])
+                         for other in latest)]
+    assignment = {w: [] for w in chosen}
+    for iid in sorted(needed):
+        w = next(w for w in chosen if covers(latest[w], iid))
+        assignment[w].append(iid)
+    return {w: ids for w, ids in assignment.items() if ids}
+
+
+@st.composite
+def sync_history(draw):
+    """Intervals of 3-8 processors synchronising through one lock (a
+    hand-off chain), barriers, and unsynchronised local intervals."""
+    nprocs = draw(st.integers(3, 8))
+    vcs = [(0,) * nprocs for _ in range(nprocs)]
+    lock = (0,) * nprocs  # vector time of the lock's last release
+    records = {}
+
+    def close(p):
+        seq = vcs[p][p]
+        records[(p, seq)] = rec(p, seq, vcs[p])
+        vcs[p] = vcs[p][:p] + (seq + 1,) + vcs[p][p + 1:]
+
+    for _ in range(draw(st.integers(1, 16))):
+        step = draw(st.sampled_from(["lock", "barrier", "local"]))
+        if step == "barrier":
+            for p in range(nprocs):
+                close(p)
+            merged = vcs[0]
+            for vc in vcs[1:]:
+                merged = vc_max(merged, vc)
+            vcs = [merged] * nprocs
+            continue
+        p = draw(st.integers(0, nprocs - 1))
+        if step == "lock":
+            vcs[p] = vc_max(vcs[p], lock)
+        close(p)
+        if step == "lock":
+            lock = vcs[p]
+    keys = sorted(records)
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1,
+                           max_size=len(keys), unique=True))
+    return {k: records[k] for k in chosen}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sync_history())
+def test_dominant_writers_equals_the_general_cover(needed):
+    got = dominant_writers(needed)
+    assert list(got.items()) == list(general_cover(needed).items())
