@@ -163,10 +163,14 @@ def tmk_main(proc, params: IsParams):
         proc.compute(params.bmax * BUCKET_CPU)
         yield from tmk.lock_release(_LOCK_BUCKETS)
         yield from tmk.barrier(1 + it)
-        # Benign race: ranking uses the barrier-time snapshot while the
-        # next iteration's first updater may already be overwriting the
-        # counts.  Under LRC those writes cannot reach this copy before
-        # the next barrier, so every processor ranks the same values.
+        # A race, benign only under lazy release consistency: ranking
+        # reads the barrier-time counts while the next iteration's first
+        # updater may already be overwriting them.  Under LRC those writes
+        # cannot reach this copy before the next barrier, so every
+        # processor ranks the same values.  Under sequential consistency
+        # (ivy) they can: a fast processor's overwrite invalidates this
+        # copy and a slow processor ranks the partial counts, so fig05's
+        # checksum comes out low at 2-4 processors (ROADMAP item 2(d)).
         buckets = yield from shared.read_racy(slice(0, params.bmax))
         checksum += rank_checksum(buckets, keys)
         proc.compute(rank_cost(params, keys.size))

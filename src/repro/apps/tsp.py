@@ -22,6 +22,14 @@ The optimal tour cost is deterministic and verified against the sequential
 version.  (Pruning against a possibly-stale shared bound makes the *work*
 timing-dependent in principle; the simulator is deterministic, so runs are
 exactly reproducible.)
+
+The same sub-problem -- first city, last city, remaining cities -- reaches
+``recursive_solve`` many times in one run (a bench run meets ~1 200
+distinct ones in ~6 700 calls), and its best completion does not depend
+on the path's cost or the bound.  Every processor of a run therefore
+shares one table of best completions in ``Cluster.memo``, keyed by the
+distance matrix's bytes (DESIGN section 5m); the sequential oracle keeps
+its own.  Each call is still charged its ``k!`` permutations.
 """
 
 from __future__ import annotations
@@ -222,23 +230,6 @@ class TourEngine:
         return None, extensions, extensions * EXTEND_CPU
 
 
-_TABLE_CACHE: dict = {}
-
-
-def _tables(dist: np.ndarray) -> Tuple[list, list]:
-    """Distance matrix as plain ints plus per-city min outgoing edge."""
-    key = dist.tobytes()
-    hit = _TABLE_CACHE.get(key)
-    if hit is None:
-        d = [[int(v) for v in row] for row in dist]
-        min_out = [min(v for j, v in enumerate(row) if j != i)
-                   for i, row in enumerate(d)]
-        if len(_TABLE_CACHE) > 8:
-            _TABLE_CACHE.clear()
-        hit = _TABLE_CACHE[key] = (d, min_out)
-    return hit
-
-
 _PERM_CACHE: dict = {}
 
 
@@ -252,37 +243,66 @@ def _permutations(k: int) -> np.ndarray:
     return perms
 
 
+def best_completion(dist: np.ndarray, first: int, last: int,
+                    rem: Tuple[int, ...]) -> Tuple[int, List[int], int]:
+    """The cheapest way from ``last`` through every city of ``rem`` back
+    to ``first``: one vectorized sweep over all permutations of ``rem``.
+    Returns (completion cost, city order, permutations evaluated); ties go
+    to the first permutation in ``itertools.permutations`` order."""
+    k = len(rem)
+    if k == 0:
+        return int(dist[last, first]), [], 1
+    perms = _permutations(k)
+    seqs = np.array(rem, dtype=np.int64)[perms]         # (k!, k)
+    costs = np.zeros(perms.shape[0], dtype=np.int64)
+    costs += dist[last, seqs[:, 0]]
+    for i in range(k - 1):
+        costs += dist[seqs[:, i], seqs[:, i + 1]]
+    costs += dist[seqs[:, -1], first]
+    win = int(np.argmin(costs))
+    return int(costs[win]), seqs[win].tolist(), perms.shape[0]
+
+
 def recursive_solve(dist: np.ndarray, path: List[int], cost: int,
-                    best: int) -> Tuple[int, Optional[List[int]], int]:
+                    best: int, table: Optional[dict] = None
+                    ) -> Tuple[int, Optional[List[int]], int]:
     """Try all permutations of the remaining cities, as the paper
     describes ("tries all permutations of the remaining nodes
     recursively; it updates the shortest tour if a complete tour is found
     that is shorter than the current best tour").
 
-    The enumeration is evaluated as one vectorized sweep (host-side
-    optimization; the virtual cost charged is per permutation).  Returns
-    (best cost found, best tour or None, permutations evaluated).
+    The best completion of a sub-problem -- (first city, last city,
+    remaining cities) -- does not depend on the path's cost or the bound,
+    so ``table`` keeps it: ``best_completion`` runs only when the table
+    misses (host-side optimization; the virtual cost charged is still
+    per permutation, on every call).  Returns (best cost found, best tour
+    or None, permutations evaluated).
     """
-    n = dist.shape[0]
-    rem = np.array([x for x in range(n) if x not in path], dtype=np.int64)
-    k = rem.size
-    if k == 0:
-        total = cost + int(dist[path[-1], path[0]])
-        if total < best:
-            return total, list(path), 1
-        return best, None, 1
-    perms = _permutations(k)
-    seqs = rem[perms]                                   # (k!, k)
-    costs = np.full(perms.shape[0], cost, dtype=np.int64)
-    costs += dist[path[-1], seqs[:, 0]]
-    for i in range(k - 1):
-        costs += dist[seqs[:, i], seqs[:, i + 1]]
-    costs += dist[seqs[:, -1], path[0]]
-    win = int(np.argmin(costs))
-    nodes = perms.shape[0]
-    if int(costs[win]) < best:
-        return int(costs[win]), list(path) + seqs[win].tolist(), nodes
+    if table is None:
+        table = {}
+    rem = tuple(sorted(set(range(dist.shape[0])).difference(path)))
+    key = (path[0], path[-1], rem)
+    hit = table.get(key)
+    if hit is None:
+        hit = table[key] = best_completion(dist, *key)
+    completion, order, nodes = hit
+    if cost + completion < best:
+        return cost + completion, list(path) + order, nodes
     return best, None, nodes
+
+
+def run_table(proc, dist: np.ndarray) -> Tuple[list, dict]:
+    """The run's distance rows as plain ints and its table of best
+    completions, shared by every processor of ``proc``'s cluster (DESIGN
+    section 5m).  The key is the matrix's bytes, so a processor holding a
+    different matrix never reads completions computed for another."""
+    key = dist.tobytes()
+    memo = proc.cluster.memo
+    entry = memo.get(__name__)
+    if entry is None or entry[0] != key:
+        entry = memo[__name__] = (key, [[int(v) for v in row] for row in dist],
+                                  {})
+    return entry[1:]
 
 
 # ----------------------------------------------------------------------
@@ -294,13 +314,14 @@ def sequential(meter, params: TspParams):
     dist = engine.dist
     best = greedy_tour_cost(dist)
     best_tour: Optional[List[int]] = None
+    table: dict = {}  # the oracle's own, never the run's
     while True:
         tour, _, cost = engine.get_tour(best)
         meter.compute(cost)
         if tour is None:
             break
         path, pcost = tour
-        nbest, ntour, nodes = recursive_solve(dist, path, pcost, best)
+        nbest, ntour, nodes = recursive_solve(dist, path, pcost, best, table)
         meter.compute(nodes * NODE_CPU)
         if nbest < best:
             best, best_tour = nbest, ntour
@@ -421,8 +442,7 @@ class _SharedTourState:
         yield from self.queue.set((0, 0), size + 1)
 
 
-def _tmk_get_tour(tmk, proc, state: _SharedTourState, dist: np.ndarray,
-                  min_out: np.ndarray):
+def _tmk_get_tour(tmk, proc, state: _SharedTourState, d: list):
     """The shared-memory get_tour, guarded by the queue lock."""
     params = state.params
     yield from tmk.lock_acquire(_LOCK_QUEUE)
@@ -443,7 +463,6 @@ def _tmk_get_tour(tmk, proc, state: _SharedTourState, dist: np.ndarray,
             if len(path) > params.threshold:
                 return path, cost
             extensions = 0
-            d, _ = _tables(dist)
             last = path[-1]
             row = d[last]
             rem = [c for c in range(params.ncities) if c not in path]
@@ -463,7 +482,7 @@ def _tmk_get_tour(tmk, proc, state: _SharedTourState, dist: np.ndarray,
 def tmk_main(proc, params: TspParams):
     tmk = proc.tmk
     dist = distance_matrix(params)
-    min_out = min_out_edges(dist)
+    d, table = run_table(proc, dist)
     state = _SharedTourState(tmk, params)
     if tmk.pid == 0:
         yield from state.init_master(dist)
@@ -471,7 +490,7 @@ def tmk_main(proc, params: TspParams):
     if tmk.pid == 0:
         proc.cluster.start_measurement(proc)
     while True:
-        tour = yield from _tmk_get_tour(tmk, proc, state, dist, min_out)
+        tour = yield from _tmk_get_tour(tmk, proc, state, d)
         if tour is None:
             break
         path, cost = tour
@@ -479,7 +498,8 @@ def tmk_main(proc, params: TspParams):
         # (benign race: the definitive check at the update is locked).
         local_best = yield from state.best.get_racy(0)
         local_best = int(local_best)
-        nbest, ntour, nodes = recursive_solve(dist, path, cost, local_best)
+        nbest, ntour, nodes = recursive_solve(dist, path, cost, local_best,
+                                              table)
         proc.compute(nodes * NODE_CPU)
         if nbest < local_best:
             yield from tmk.lock_acquire(_LOCK_BEST)
@@ -506,6 +526,7 @@ def _pvm_master(proc, params: TspParams):
     n = pvm.nprocs
     engine = TourEngine(params)
     dist = engine.dist
+    _, table = run_table(proc, dist)
     best = greedy_tour_cost(dist)
     done_sent = 0
 
@@ -517,7 +538,7 @@ def _pvm_master(proc, params: TspParams):
             if tour is None:
                 return best
             path, pcost = tour
-            nbest, _, nodes = recursive_solve(dist, path, pcost, best)
+            nbest, _, nodes = recursive_solve(dist, path, pcost, best, table)
             proc.compute(nodes * NODE_CPU)
             best = min(best, nbest)
 
@@ -562,7 +583,7 @@ def _pvm_master(proc, params: TspParams):
         yield from compute_polled(proc, cost, poll)
         if tour is not None:
             path, pcost = tour
-            nbest, _, nodes = recursive_solve(dist, path, pcost, best)
+            nbest, _, nodes = recursive_solve(dist, path, pcost, best, table)
             yield from compute_polled(proc, nodes * NODE_CPU, poll)
             best = min(best, nbest)
         else:
@@ -574,6 +595,7 @@ def _pvm_master(proc, params: TspParams):
 def _pvm_slave(proc, params: TspParams):
     pvm = proc.pvm
     dist = distance_matrix(params)
+    _, table = run_table(proc, dist)
     best = greedy_tour_cost(dist)
     while True:
         buf = pvm.initsend()
@@ -586,7 +608,7 @@ def _pvm_slave(proc, params: TspParams):
         header = reply.upkint(3)
         length, cost, best = int(header[0]), int(header[1]), int(header[2])
         path = [int(v) for v in reply.upkint(length)]
-        nbest, _, nodes = recursive_solve(dist, path, cost, best)
+        nbest, _, nodes = recursive_solve(dist, path, cost, best, table)
         proc.compute(nodes * NODE_CPU)
         if nbest < best:
             best = nbest

@@ -25,7 +25,10 @@ Physics is deliberately simplified (soft inverse-square pair force, no
 cutoff bookkeeping, leapfrog update) -- the communication structure, data
 layout and work distribution are what the experiment measures.  Parallel
 positions match the sequential run to floating-point accumulation order
-(verified with allclose).
+(verified with allclose).  ``window_forces`` reads each molecule's window
+as one contiguous slice, or two when it wraps, rather than a ``% n``
+gather; every row receives the same contributions in the same order, so
+the forces are bit-identical to the gathered form.
 """
 
 from __future__ import annotations
@@ -95,16 +98,29 @@ def window_forces(pos: np.ndarray, lo: int, hi: int) -> Tuple[np.ndarray, float]
     """Force contributions of molecules [lo, hi) interacting with the n/2
     molecules following each (wraparound).  Returns (full-length private
     force array, virtual cost)."""
+    # Molecule i's window, rows [i+1, i+1+half) mod n, is one slice of a
+    # row-contiguous copy, or two when it wraps: each force row gets the
+    # arithmetic a `% n` gather gave it, in the same i order, and f keeps
+    # the gathered copy's layout, so f.sum(axis=0) reduces in the same
+    # order and the forces are bit-identical.
+    pos = np.ascontiguousarray(pos)
     n = pos.shape[0]
     half = n // 2
     forces = np.zeros_like(pos)
     for i in range(lo, hi):
-        idx = np.arange(i + 1, i + 1 + half) % n
-        delta = pos[i] - pos[idx]
+        start, end = i + 1, i + 1 + half
+        if end <= n:
+            delta = pos[i] - pos[start:end]
+        else:
+            delta = pos[i] - np.concatenate((pos[start:], pos[:end - n]))
         r2 = (delta ** 2).sum(axis=1) + _SOFT
         f = delta / (r2 ** 2)[:, None]
         forces[i] += f.sum(axis=0)
-        forces[idx] -= f
+        if end <= n:
+            forces[start:end] -= f
+        else:
+            forces[start:] -= f[:n - start]
+            forces[:end - n] -= f[n - start:]
     cost = (hi - lo) * half * PAIR_CPU + (hi - lo) * INTRA_CPU
     return forces, cost
 

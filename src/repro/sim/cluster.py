@@ -285,8 +285,10 @@ class Cluster:
         #: Host work every simulated processor would repeat on identical
         #: inputs, done once per run (DESIGN section 5m): an app files one
         #: entry under its module name, with the content it was computed
-        #: from.  No runtime reads it, nothing serialises it, and it dies
-        #: with the cluster, so the sequential oracle never shares it.
+        #: from (Barnes-Hut its tree walk per time step, TSP its table of
+        #: best completions).  No runtime reads it, nothing serialises it,
+        #: and it dies with the cluster, so the sequential oracle never
+        #: shares it.
         self.memo: Dict[str, Any] = {}
 
     def start_measurement(self, proc: Processor) -> None:

@@ -1,10 +1,12 @@
 """Tests for IS (Integer Sort)."""
 
 import numpy as np
+import pytest
 
 from repro.apps import base
 from repro.apps.is_sort import (IsParams, all_keys, block_keys, count_keys,
                                 rank_checksum)
+from repro.bench import harness
 
 
 class TestKernel:
@@ -80,3 +82,15 @@ class TestPaperBehaviour:
         assert par.result[0] == seq.result[0]
         # Bucket totals equal nkeys exactly once (no accumulation).
         assert sum(par.result[0]) == p.nkeys
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP 2(d): ranking reads the counts after the barrier without a "
+    "lock; under sequential consistency a faster processor's next-"
+    "iteration overwrite reaches that read"))
+def test_sc_runtime_ranks_the_barrier_snapshot():
+    params = harness.params_for(harness.EXPERIMENTS["fig05"], "tiny")
+    seq = base.run_sequential("is", params)
+    par = base.run_parallel("is", "ivy", 2, params)
+    assert par.result[0] == seq.result[0]  # the final buckets agree
+    assert par.result[1] == seq.result[1]  # 20 966 719 against 25 158 837

@@ -1,11 +1,20 @@
 """Tests for TSP (branch-and-bound traveling salesman)."""
 
+import hashlib
 
-from repro.apps import base
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import api
+from repro.apps import base, tsp
 from repro.apps.tsp import (TourEngine, TspParams, distance_matrix,
                             greedy_tour_cost, lower_bound, min_out_edges,
-                            recursive_solve, remaining_slack, _prio,
-                            _prio_bound)
+                            recursive_solve, remaining_slack, run_table,
+                            _permutations, _prio, _prio_bound)
+from repro.bench import harness
+from repro.sim.cluster import Cluster
 
 
 class TestPriorityPacking:
@@ -121,3 +130,114 @@ class TestPaperBehaviour:
         pvm = base.run_parallel("tsp", "pvm", 4, TspParams.tiny())
         assert tmk.total_messages() > 3 * pvm.total_messages()
         assert tmk.total_kbytes() > pvm.total_kbytes()
+
+
+def sweep_solve(dist, path, cost, best):
+    """``recursive_solve`` as it was before the table: one sweep over
+    every permutation per call, the path's cost folded in."""
+    n = dist.shape[0]
+    rem = np.array([x for x in range(n) if x not in path], dtype=np.int64)
+    k = rem.size
+    if k == 0:
+        total = cost + int(dist[path[-1], path[0]])
+        if total < best:
+            return total, list(path), 1
+        return best, None, 1
+    perms = _permutations(k)
+    seqs = rem[perms]
+    costs = np.full(perms.shape[0], cost, dtype=np.int64)
+    costs += dist[path[-1], seqs[:, 0]]
+    for i in range(k - 1):
+        costs += dist[seqs[:, i], seqs[:, i + 1]]
+    costs += dist[seqs[:, -1], path[0]]
+    win = int(np.argmin(costs))
+    nodes = perms.shape[0]
+    if int(costs[win]) < best:
+        return int(costs[win]), list(path) + seqs[win].tolist(), nodes
+    return best, None, nodes
+
+
+class TestCompletionTable:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), ncities=st.integers(6, 10),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_table_solve_equals_the_sweep(self, data, ncities, seed):
+        """Misses and hits alike give the sweep's (best, tour, nodes),
+        whatever the path's cost and the bound."""
+        dist = distance_matrix(TspParams(ncities=ncities, seed=seed))
+        table = {}
+        # Orderings of one visited set share the remaining cities, so the
+        # table sees hits (same last city) and near misses (another one).
+        length = data.draw(st.integers(max(1, ncities - 7), ncities))
+        visited = data.draw(st.permutations(range(1, ncities)))[:length - 1]
+        for _ in range(6):
+            path = [0] + list(data.draw(st.permutations(visited)))
+            cost = data.draw(st.integers(0, 5000))
+            best = data.draw(st.integers(0, 20000))
+            expected = sweep_solve(dist, path, cost, best)
+            assert recursive_solve(dist, path, cost, best, table) == expected
+            assert recursive_solve(dist, path, cost, best) == expected
+
+    def test_one_table_per_run_and_matrix(self):
+        dist = distance_matrix(TspParams.tiny())
+        procs = Cluster(2).procs
+        d, table = run_table(procs[0], dist)
+        assert d == dist.tolist()
+        assert run_table(procs[1], dist.copy())[1] is table
+        assert run_table(Cluster(2).procs[0], dist)[1] is not table
+        other = distance_matrix(TspParams(ncities=9, seed=1))
+        assert run_table(procs[0], other)[1] is not table
+
+
+class TestOneSolvePerSubproblem:
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The sub-problem of every permutation sweep, in order."""
+        keys = []
+        real = tsp.best_completion
+
+        def counting(dist, first, last, rem):
+            keys.append((first, last, rem))
+            return real(dist, first, last, rem)
+
+        monkeypatch.setattr(tsp, "best_completion", counting)
+        return keys
+
+    @pytest.mark.parametrize("system", ["tmk", "pvm"])
+    def test_a_run_sweeps_each_subproblem_once_and_the_next_again(
+            self, sweeps, system):
+        config = api.RunConfig("fig06", system, 8, "tiny")
+        runs = []
+        for _ in range(2):
+            sweeps.clear()
+            api.simulate(config)
+            assert sweeps and len(set(sweeps)) == len(sweeps)
+            runs.append(sorted(sweeps))
+        assert runs[0] == runs[1]
+        sweeps.clear()
+        params = harness.params_for(harness.EXPERIMENTS["fig06"], "tiny")
+        base.run_sequential("tsp", params)  # the oracle sweeps alone
+        assert sweeps and len(set(sweeps)) == len(sweeps)
+
+
+#: sha256 of ``RunResult.to_json_bytes()`` for fig06 at the tiny preset,
+#: recorded when every call still swept all permutations itself.
+FIG06_PINS = {
+    ("tmk", 1): "989f867cb61c86ca3cff1fd4414fe34df1abe1eb7622b439b613a5bc399ed980",
+    ("tmk", 3): "2a3a22031ec1b144f6a126e5d4c96e0089317c9cea2e555409bbdd69276fb481",
+    ("tmk", 8): "956d75bb1d9b5ac42f495d8e9555e8d8f7e78ccf14a553922b2a2296ff41f6fd",
+    ("pvm", 1): "93e506a501347edc4c6c3e20d3cf7f36f39e46fa9d72456060cad5c6480162ce",
+    ("pvm", 3): "98051329fa8f9a7065467a87cf9871506b2ba2a6905d1f28d94f64a7467ff601",
+    ("pvm", 8): "d048674b216ac02410b5db7d4d19fd2977882fb4ba86f4615d7280bed47907c4",
+    ("ivy", 1): "5b490ca47b84ef55b63d2e98bcbc27f119fa4b89c4ce18b0faa9ea2a10a38a3a",
+    ("ivy", 3): "0ce461a7995a7c291ea8a764f1b8810eeece8415b95e818b6ee7e223eaa53982",
+    ("ivy", 8): "35765aa0cd8651f68fc617cc29914cb2ac270aca7726dbe2c74a1bfeb54e6e20",
+}
+
+
+@pytest.mark.parametrize("system, nprocs", sorted(FIG06_PINS))
+def test_fig06_result_bytes_are_pinned(system, nprocs):
+    result = api.run(api.RunConfig("fig06", system, nprocs, "tiny"),
+                     use_cache=False)
+    assert hashlib.sha256(result.to_json_bytes()).hexdigest() == \
+        FIG06_PINS[system, nprocs]
