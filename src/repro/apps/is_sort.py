@@ -86,11 +86,25 @@ def all_keys(params: IsParams) -> np.ndarray:
     return rng.integers(0, params.bmax, size=params.nkeys, dtype=np.int32)
 
 
-def block_keys(params: IsParams, pid: int, nprocs: int) -> np.ndarray:
-    """The contiguous key block owned by ``pid``."""
-    lo = pid * params.nkeys // nprocs
-    hi = (pid + 1) * params.nkeys // nprocs
-    return all_keys(params)[lo:hi]
+def run_keys(proc, params: IsParams) -> np.ndarray:
+    """The full key array, drawn once per run and shared read-only by
+    every processor of ``proc``'s cluster (DESIGN section 5m).  The key
+    is every parameter the draw depends on; the oracle draws its own."""
+    key = (params.seed, params.log2_keys, params.log2_bmax)
+    memo = proc.cluster.memo
+    entry = memo.get(__name__)
+    if entry is None or entry[0] != key:
+        keys = all_keys(params)
+        keys.flags.writeable = False
+        entry = memo[__name__] = (key, keys)
+    return entry[1]
+
+
+def block_keys(keys: np.ndarray, pid: int, nprocs: int) -> np.ndarray:
+    """The contiguous block of the full key array owned by ``pid``."""
+    lo = pid * keys.size // nprocs
+    hi = (pid + 1) * keys.size // nprocs
+    return keys[lo:hi]
 
 
 def count_keys(keys: np.ndarray, bmax: int) -> np.ndarray:
@@ -141,7 +155,7 @@ def tmk_main(proc, params: IsParams):
     shared = tmk.shared_array("is_buckets", (params.bmax,), np.int32)
     # Per-iteration updater counter, on its own page, same lock.
     meta = tmk.shared_array("is_meta", (1,), np.int32)
-    keys = block_keys(params, tmk.pid, tmk.nprocs)
+    keys = block_keys(run_keys(proc, params), tmk.pid, tmk.nprocs)
     yield from tmk.barrier(0)
     if tmk.pid == 0:
         proc.cluster.start_measurement(proc)
@@ -191,7 +205,7 @@ def pvm_main(proc, params: IsParams):
     me, n = pvm.mytid, pvm.nprocs
     if me == 0:
         proc.cluster.start_measurement(proc)
-    keys = block_keys(params, me, n)
+    keys = block_keys(run_keys(proc, params), me, n)
     checksum = 0
     buckets = np.zeros(params.bmax, dtype=np.int32)
     for _ in range(params.iterations):

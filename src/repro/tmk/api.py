@@ -19,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.tmk.barrier import (BarrierSubsystem, DisseminationBarrierSubsystem,
-                               TreeBarrierSubsystem)
+from repro.tmk.barrier import BarrierSubsystem, TreeBarrierSubsystem
 from repro.tmk.consistency import LrcCore
 from repro.tmk.intervals import NoticeIndex
-from repro.tmk.locks import LockSubsystem, McsLockSubsystem
+from repro.tmk.locks import LockSubsystem
 from repro.tmk.pages import ADDRESS_SPACE
 from repro.tmk.sharedmem import DsmEndpoint, DsmSystem
 
@@ -53,38 +52,25 @@ class TmkConfig:
     #: moves only on acquire) or "eager" (Munin-style ERC -- every
     #: release/barrier arrival broadcasts its write notices immediately).
     protocol: str = "lazy"
-    #: Garbage-collect diffs and interval records every this many barrier
-    #: episodes (0 = never, like this TreadMarks version; real TreadMarks
-    #: collects when memory runs low).  Collection forces every processor
-    #: to validate its invalid pages first, as in real TreadMarks.
-    gc_every: int = 0
     #: Barrier topology: "central" (the paper's TreadMarks -- one manager,
-    #: 2(n-1) messages per episode), "tree" (k-ary combining tree --
+    #: 2(n-1) messages per episode) or "tree" (k-ary combining tree --
     #: arrivals merge upward, departures fan downward, O(n) messages but
-    #: O(log n) serial latency at the root), or "dissemination" (butterfly
-    #: exchange, ceil(log2 n) rounds of n messages each, no root at all).
-    #: Results at the default are byte-identical to the seed.
+    #: O(log n) serial latency at the root).
     barrier_kind: str = "central"
-    #: Lock protocol: "static" (the paper's TreadMarks -- static manager,
-    #: request forwarding, O(n)-vector grants through the manager) or
-    #: "mcs" (distributed queue: the manager only swaps a tail pointer;
-    #: the grant travels requester-to-requester, so a contended lock costs
-    #: O(1) manager work instead of a growing forward chain).
-    lock_kind: str = "static"
 
     def __post_init__(self) -> None:
         if self.protocol not in ("lazy", "eager"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.piggyback_budget < 0 or self.gc_every < 0:
-            raise ValueError("piggyback_budget/gc_every must be >= 0")
-        if self.barrier_kind not in ("central", "tree", "dissemination"):
+        if not isinstance(self.coalesce_diffs, bool):
+            raise ValueError("coalesce_diffs must be a bool, got "
+                             f"{self.coalesce_diffs!r}")
+        budget = self.piggyback_budget
+        if isinstance(budget, bool) or not isinstance(budget, int) \
+                or budget < 0:
+            raise ValueError("piggyback_budget must be a non-negative int, "
+                             f"got {budget!r}")
+        if self.barrier_kind not in ("central", "tree"):
             raise ValueError(f"unknown barrier_kind {self.barrier_kind!r}")
-        if self.lock_kind not in ("static", "mcs"):
-            raise ValueError(f"unknown lock_kind {self.lock_kind!r}")
-        if self.barrier_kind != "central" and self.gc_every:
-            raise ValueError(
-                "gc_every requires the central barrier (the GC decision is "
-                "the barrier manager's)")
 
 
 class TmkSystem(DsmSystem):
@@ -96,12 +82,6 @@ class TmkSystem(DsmSystem):
         #: Every write notice of the run, filed once by its creator; each
         #: processor reads it through its own knowledge (host-side only).
         self.notices = NoticeIndex()
-        if (config.barrier_kind == "dissemination"
-                and cluster.recovery is not None
-                and cluster.recovery.config.checkpoint_interval > 0):
-            raise ValueError(
-                "coordinated checkpoints need a barrier with a root to "
-                "decide the cut; use barrier_kind='central' or 'tree'")
 
     def lock_manager(self, lock: int) -> int:
         """Static lock-manager assignment (lock id modulo processors)."""
@@ -114,14 +94,10 @@ class Tmk(DsmEndpoint):
     def __init__(self, proc: "Processor", system: TmkSystem) -> None:
         super().__init__(proc, system)
         self.core = LrcCore(proc, system)
-        lock_cls = (McsLockSubsystem if system.config.lock_kind == "mcs"
-                    else LockSubsystem)
-        self.locks = lock_cls(proc, self.core, system)
-        barrier_cls = {
-            "central": BarrierSubsystem,
-            "tree": TreeBarrierSubsystem,
-            "dissemination": DisseminationBarrierSubsystem,
-        }[system.config.barrier_kind]
+        self.locks = LockSubsystem(proc, self.core, system)
+        barrier_cls = (TreeBarrierSubsystem
+                       if system.config.barrier_kind == "tree"
+                       else BarrierSubsystem)
         self.barriers = barrier_cls(proc, self.core, system)
 
 

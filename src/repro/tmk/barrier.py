@@ -18,15 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import math
-
 from repro.obs.core import B_RECOVERY, B_STALL_SYNC, B_WIRE
 from repro.sim.engine import Block, YIELD
 from repro.sim.network import Delivery
 from repro.tmk.protocol import (CAT_BARRIER_ARRIVAL, CAT_BARRIER_DEPARTURE,
-                                CAT_DISS_ROUND, CAT_TREE_ARRIVAL,
-                                CAT_TREE_DEPARTURE, BarrierArrival,
-                                BarrierDeparture, DissRound, TreeArrival,
+                                CAT_TREE_ARRIVAL, CAT_TREE_DEPARTURE,
+                                BarrierArrival, BarrierDeparture, TreeArrival,
                                 TreeDeparture)
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,8 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.tmk.api import TmkSystem
     from repro.tmk.consistency import LrcCore
 
-__all__ = ["BarrierSubsystem", "DisseminationBarrierSubsystem",
-           "TreeBarrierSubsystem"]
+__all__ = ["BarrierSubsystem", "TreeBarrierSubsystem"]
 
 #: CPU cost of the local bookkeeping at a barrier (no-communication part).
 _LOCAL_BARRIER_CPU = 10e-6
@@ -85,15 +81,8 @@ class BarrierSubsystem:
         #: Diagnostics.
         self.episodes_completed = 0
         self.wait_time = 0.0
-        self.gc_runs = 0
-        #: Manager-side GC state machine (TmkConfig.gc_every).
-        self._gc_every = system.config.gc_every
-        self._episode_count = 0
-        self._gc_floor_next: Optional[Tuple[int, ...]] = None
-        #: Client-side instructions from the last departure:
-        #: (validate_all, drop_below floor, write a checkpoint).
-        self._post_departure: Tuple[bool, Optional[Tuple[int, ...]], bool] = (
-            False, None, False)
+        #: Set by the last departure: write a checkpoint on leaving.
+        self._post_departure = False
         proc.register(CAT_BARRIER_ARRIVAL, self._on_arrival)
         proc.register(CAT_BARRIER_DEPARTURE, self._on_departure)
 
@@ -124,7 +113,7 @@ class BarrierSubsystem:
         self.episodes_completed += 1
         if obs is not None:
             obs.end(proc.now, self.pid)
-        yield from self._run_post_departure()
+        self._run_post_departure()
         if sanitizer is not None:
             sanitizer.on_barrier_depart(self.pid, bid)
         if monitor is not None:
@@ -137,15 +126,10 @@ class BarrierSubsystem:
             return self._manager_arrive(bid, t_arrive)
         return self._client_arrive(bid)
 
-    def _run_post_departure(self):
-        """Execute any GC/checkpoint instruction the departure carried."""
-        validate, floor, checkpoint = self._post_departure
-        self._post_departure = (False, None, False)
-        if validate:
-            yield from self.core.validate_all_pending()
-            self.gc_runs += 1
-        if floor is not None:
-            self.core.drop_below(floor)
+    def _run_post_departure(self) -> None:
+        """Write the checkpoint the departure asked for, if any."""
+        checkpoint = self._post_departure
+        self._post_departure = False
         if checkpoint:
             obs = self.proc.obs
             if obs is not None:
@@ -185,8 +169,7 @@ class BarrierSubsystem:
             proc.set_now(self._departure_wake)
         self.core.merge(departure.records, departure.vc)
         self._last_barrier_vc = departure.vc
-        self._post_departure = (departure.validate_all, departure.drop_below,
-                                departure.checkpoint)
+        self._post_departure = departure.checkpoint
         proc.trace("barrier_depart", f"bid={bid}")
 
     def _on_departure(self, delivery: Delivery) -> None:
@@ -261,19 +244,6 @@ class BarrierSubsystem:
         arrivals = sorted(episode.arrivals, key=lambda a: a[0].pid)
         for arrival, _ in arrivals:
             self.core.merge(arrival.records, arrival.vc)
-        # Garbage-collection state machine: phase 1 (validate) every
-        # gc_every-th episode; phase 2 (drop) on the following one, once
-        # every processor has validated.
-        validate_all = False
-        drop = self._gc_floor_next
-        self._gc_floor_next = None
-        self._episode_count += 1
-        if self._gc_every and self._episode_count % self._gc_every == 0:
-            validate_all = True
-            floor = list(self.core.vc)
-            for arrival, _ in arrivals:
-                floor = [min(a, b) for a, b in zip(floor, arrival.vc)]
-            self._gc_floor_next = tuple(floor)
         # Crash recovery: the manager decides at release time whether this
         # episode opens a coordinated checkpoint (the departure is a
         # consistent cut -- all intervals closed and merged here).
@@ -287,20 +257,18 @@ class BarrierSubsystem:
             records = self.core.records_since(arrival.vc)
             departure = BarrierDeparture(barrier=bid, vc=tuple(self.core.vc),
                                          records=records,
-                                         validate_all=validate_all,
-                                         drop_below=drop,
                                          checkpoint=checkpoint)
             t = self.core.udp.send(
                 self.pid, arrival.pid, CAT_BARRIER_DEPARTURE, departure,
                 departure.nbytes(self.cost, self.nprocs), t_ready=t)
-        # The manager follows the same instructions locally.
-        self._post_departure = (validate_all, drop, checkpoint)
+        # The manager follows the same instruction locally.
+        self._post_departure = checkpoint
         del self._episodes[bid]
         return t
 
 
 # ----------------------------------------------------------------------
-# Scalable variants (TmkConfig.barrier_kind)
+# The scalable topology (TmkConfig.barrier_kind="tree")
 # ----------------------------------------------------------------------
 #: Fan-in of the combining tree (k-ary, rooted at the barrier manager).
 _TREE_ARITY = 4
@@ -323,8 +291,7 @@ class TreeBarrierSubsystem(BarrierSubsystem):
     no-op, so correctness needs no per-member bookkeeping.
 
     The root (processor 0, the barrier manager) still makes the coordinated
-    checkpoint decision, exactly like the central manager.  GC is not
-    supported (validated in :class:`~repro.tmk.api.TmkConfig`).
+    checkpoint decision, exactly like the central manager.
     """
 
     _detail = " tree"
@@ -404,7 +371,7 @@ class TreeBarrierSubsystem(BarrierSubsystem):
             proc.set_now(t)
             if obs is not None:
                 obs.end(proc.now, self.pid)
-            self._post_departure = (False, None, checkpoint)
+            self._post_departure = checkpoint
         else:
             # Interior/leaf: one merged arrival up, then wait for the
             # global departure and fan it down.
@@ -443,7 +410,7 @@ class TreeBarrierSubsystem(BarrierSubsystem):
                     down.nbytes(self.cost, self.nprocs), t_ready=t)
             if t > proc.now:
                 proc.set_now(t)
-            self._post_departure = (False, None, departure.checkpoint)
+            self._post_departure = departure.checkpoint
 
         self._last_barrier_vc = tuple(self.core.vc)
         del self._tree[(bid, episode)]
@@ -477,91 +444,3 @@ class TreeBarrierSubsystem(BarrierSubsystem):
             return
         state["departure"] = departure
         self.proc.unblock(delivery.arrival + delivery.recv_cpu)
-
-
-class DisseminationBarrierSubsystem(BarrierSubsystem):
-    """Butterfly/dissemination barrier (``barrier_kind="dissemination"``).
-
-    ``ceil(log2 n)`` rounds; in round k processor p sends to
-    ``(p + 2^k) mod n`` and waits on ``(p - 2^k) mod n``.  No root, no
-    single hot spot, and the critical path is one message per round --
-    the flattest latency of the three kinds.  The price: every round
-    resends the episode's new interval records (a peer cannot know what
-    its partner already heard), so record traffic is O(n log n) per
-    episode where the tree ships O(n).
-
-    No root also means nobody can decide a coordinated checkpoint or a GC
-    cut -- both are validated away in :class:`~repro.tmk.api.TmkConfig`
-    and :class:`~repro.tmk.api.TmkSystem`.
-    """
-
-    _detail = " dissemination"
-
-    def __init__(self, proc: "Processor", core: "LrcCore",
-                 system: "TmkSystem") -> None:
-        super().__init__(proc, core, system)
-        self._rounds = max(1, math.ceil(math.log2(self.nprocs))) \
-            if self.nprocs > 1 else 0
-        #: bid -> completed-episode counter.
-        self._episode_no: Dict[int, int] = {}
-        #: (bid, episode, round) -> buffered DissRound not yet consumed.
-        self._got: Dict[Tuple[int, int, int], Tuple[DissRound, float]] = {}
-        self._consumed: set = set()
-        #: The (bid, episode, round) key the app thread is blocked on.
-        self._waiting_key: Optional[Tuple[int, int, int]] = None
-        proc.register(CAT_DISS_ROUND, self._on_round)
-
-    def _rendezvous(self, bid: int, t_arrive: float):
-        proc = self.proc
-        obs = proc.obs
-        episode = self._episode_no.get(bid, 0)
-        self._episode_no[bid] = episode + 1
-        n = self.nprocs
-        base_vc = self._last_barrier_vc
-        for k in range(self._rounds):
-            dst = (self.pid + (1 << k)) % n
-            src = (self.pid - (1 << k)) % n
-            msg = DissRound(barrier=bid, episode=episode, round_no=k,
-                            pid=self.pid, vc=tuple(self.core.vc),
-                            records=self.core.records_since(base_vc))
-            if obs is not None:
-                obs.begin(proc.now, self.pid, "send", B_WIRE,
-                          f"diss_round{k}->P{dst}")
-            t_free = self.core.udp.send(
-                self.pid, dst, CAT_DISS_ROUND, msg,
-                msg.nbytes(self.cost, n), t_ready=proc.now)
-            proc.set_now(t_free)
-            if obs is not None:
-                obs.end(proc.now, self.pid)
-            key = (bid, episode, k)
-            got = self._got.pop(key, None)
-            if got is None:
-                self._waiting_key = key
-                yield Block(f"barrier {bid} (dissemination round {k})",
-                            f"P{src} (round partner)")
-                self._waiting_key = None
-                got = self._got.pop(key, None)
-                if got is None:
-                    raise AssertionError(
-                        f"P{self.pid}: woke from dissemination round {k} "
-                        f"of barrier {bid} without its message")
-            incoming, t_seen = got
-            self._consumed.add(key)
-            if t_seen > proc.now:
-                proc.set_now(t_seen)
-            self.core.merge(incoming.records, incoming.vc)
-
-        self._last_barrier_vc = tuple(self.core.vc)
-        proc.trace("barrier_depart", f"bid={bid} dissemination")
-
-    def _on_round(self, delivery: Delivery) -> None:
-        msg: DissRound = delivery.payload
-        service = delivery.recv_cpu + self.cost.interrupt_cpu
-        self.proc.charge_service(service)
-        key = (msg.barrier, msg.episode, msg.round_no)
-        if key in self._got or key in self._consumed:
-            self.proc.trace("dup_suppress", f"diss_round key={key}")
-            return
-        self._got[key] = (msg, delivery.arrival + service)
-        if self._waiting_key == key:
-            self.proc.unblock(delivery.arrival + service)

@@ -82,15 +82,16 @@ class LrcCore(DsmCore):
         #: Vector time: ``vc[p]`` = number of closed intervals of p this
         #: processor has seen (own entry: number of own closed intervals).
         self.vc: List[int] = [0] * self.nprocs
-        #: Known records per creator, contiguous in seq; ``_next[c]`` is
-        #: the first seq of creator c not known, so record ``(c, s)`` is
-        #: ``known[c][s - _next[c]]`` (GC drops from the front).
+        #: Known records per creator, contiguous in seq from 0: record
+        #: ``(c, s)`` is ``known[c][s]``, and ``_next[c]`` (its length) is
+        #: the first seq of creator c not known.
         self.known: List[List[IntervalRecord]] = [[] for _ in range(self.nprocs)]
         self._next: List[int] = [0] * self.nprocs
         #: page -> {writer -> first seq not applied}: with ``_next``, the
         #: window of ``system.notices`` still awaiting a diff fetch.
         self._applied: Dict[int, Dict[int, int]] = defaultdict(dict)
-        #: (interval id, page) -> diff, never evicted (TreadMarks GC elided).
+        #: (interval id, page) -> diff, never evicted: like the paper's
+        #: TreadMarks, this one never collects garbage.
         self.diff_cache: Dict[Tuple[IntervalId, int], Diff] = {}
         #: Locally-created diffs whose creation CPU has not been charged
         #: yet (charged at first service, mirroring lazy diff creation).
@@ -204,9 +205,9 @@ class LrcCore(DsmCore):
         """All known records the holder of ``their_vc`` has not seen."""
         out: List[IntervalRecord] = []
         for records, seen, nxt in zip(self.known, their_vc, self._next):
-            # Seqs are contiguous, so the unseen ones are the last few.
+            # Seqs are contiguous from 0, so the unseen ones are the last few.
             if seen < nxt:
-                out.extend(records[seen - nxt:])
+                out.extend(records[seen:])
         return out
 
     def _pending(self, page: int,
@@ -501,35 +502,6 @@ class LrcCore(DsmCore):
             obs.end(proc.now, self.pid)  # close the diff_request span
 
     # ------------------------------------------------------------------
-    # Garbage collection (TmkConfig.gc_every)
-    # ------------------------------------------------------------------
-    def validate_all_pending(self):
-        """Fault in every invalid page (GC phase 1: once everyone has done
-        this, diffs below the global minimum vector time are dead).
-        Returns the number of pages validated."""
-        pages = sorted(self.pt.invalid_pages())
-        for page in pages:
-            if not self.pt.is_valid(page):
-                yield from self._fault(page)
-        return len(pages)
-
-    def drop_below(self, floor: Tuple[int, ...]) -> int:
-        """GC phase 2: discard diffs and interval records every processor
-        has both seen and applied.  Returns the number of diffs dropped."""
-        dead = [key for key in self.diff_cache
-                if key[0][1] < floor[key[0][0]]]
-        for key in dead:
-            del self.diff_cache[key]
-            self._uncharged.discard(key)
-        for records, nxt, cut in zip(self.known, self._next, floor):
-            # ``records`` holds seqs [nxt - len(records), nxt).
-            del records[:max(0, cut - (nxt - len(records)))]
-        self.system.notices.prune(floor)
-        if self._trace.enabled:
-            self.proc.trace("gc", f"dropped {len(dead)} diffs, floor={floor}")
-        return len(dead)
-
-    # ------------------------------------------------------------------
     # Diff server (interrupt-model handlers)
     # ------------------------------------------------------------------
     def _on_diff_request(self, delivery: Delivery) -> None:
@@ -547,8 +519,7 @@ class LrcCore(DsmCore):
                 create_cpu += (self.cost.diff_create_cpu
                                + self.cost.page_size * self.cost.diff_scan_byte_cpu)
             creator, seq = iid
-            record = self.known[creator][seq - self._next[creator]]
-            entries.append((iid, record.vc, diff))
+            entries.append((iid, self.known[creator][seq].vc, diff))
         covers = None
         if self.system.config.coalesce_diffs and len(entries) > 1:
             # Ablation: compose accumulated diffs before shipping (the

@@ -73,7 +73,6 @@ class NoticeIndex:
         #: lock-based program can be far behind a writer's newest record).
         self._pages: Dict[int, Dict[int, Tuple[List[int],
                                                List[IntervalRecord]]]] = {}
-        self._floor: Sequence[int] = ()
 
     def add(self, record: IntervalRecord) -> None:
         pages = self._pages
@@ -112,17 +111,6 @@ class NoticeIndex:
                 for record in records[start:bisect_left(seqs, hi, start)]:
                     out[record.id] = record
         return out
-
-    def prune(self, floor: Sequence[int]) -> None:
-        """GC: forget records below ``floor`` (applied everywhere).  Every
-        processor drops at the same floor; only the first call works."""
-        if floor == self._floor:
-            return
-        self._floor = floor
-        for by_creator in self._pages.values():
-            for creator, (seqs, records) in by_creator.items():
-                cut = bisect_left(seqs, floor[creator])
-                del seqs[:cut], records[:cut]
 
 
 def vc_max(a: Iterable[int], b: Iterable[int]) -> Tuple[int, ...]:

@@ -30,16 +30,14 @@ from repro.obs.core import B_STALL_SYNC, B_WIRE
 from repro.sim.engine import YIELD
 from repro.sim.network import Delivery
 from repro.tmk.protocol import (CAT_LOCK_FORWARD, CAT_LOCK_GRANT,
-                                CAT_LOCK_REQUEST, CAT_MCS_LINK, CAT_MCS_SWAP,
-                                CAT_MCS_TAIL, LockGrant, LockRequest, McsLink,
-                                McsSwap, McsTail)
+                                CAT_LOCK_REQUEST, LockGrant, LockRequest)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Processor
     from repro.tmk.api import TmkSystem
     from repro.tmk.consistency import LrcCore
 
-__all__ = ["LockSubsystem", "McsLockSubsystem"]
+__all__ = ["LockSubsystem"]
 
 #: CPU cost of an acquire/release that stays local (no messages).
 _LOCAL_LOCK_CPU = 5e-6
@@ -62,14 +60,7 @@ class _HolderState:
 
 
 class LockSubsystem:
-    """Per-processor lock logic (manager + holder + acquirer roles).
-
-    :meth:`acquire` is the one acquire skeleton (local re-acquire fast
-    path, grant merge, the observers' hooks); a protocol supplies
-    :meth:`_request_grant` and its ``_detail`` suffix for span details.
-    """
-
-    _detail = ""
+    """Per-processor lock logic (manager + holder + acquirer roles)."""
 
     def __init__(self, proc: "Processor", core: "LrcCore",
                  system: "TmkSystem") -> None:
@@ -129,25 +120,7 @@ class LockSubsystem:
         t_wait_start = proc.now
         if obs is not None:
             obs.begin(proc.now, self.pid, "lock_acquire", B_STALL_SYNC,
-                      f"lock={lock}{self._detail}")
-        grant: LockGrant = yield from self._request_grant(lock)
-        self.wait_time += proc.now - t_wait_start
-        self.core.merge(grant.records, grant.vc, piggybacked=grant.diffs)
-        state.awaiting = False
-        state.owns = True
-        state.holding = True
-        if obs is not None:
-            obs.end(proc.now, self.pid)
-        proc.trace("lock_acquire",
-                   f"lock={lock} from=P{grant.granter}{self._detail} "
-                   f"notices={sum(len(r.pages) for r in grant.records)}")
-        if self.core.sanitizer is not None:
-            self.core.sanitizer.on_lock_acquired(self.pid, lock, grant)
-
-    def _request_grant(self, lock: int):
-        """Ask for the lock; returns the generator that waits for (and
-        returns) its grant -- the mailbox's own, no frame in between."""
-        proc = self.proc
+                      f"lock={lock}")
         box = proc.mailbox()
         request = LockRequest(lock=lock, requester=self.pid,
                               vc=tuple(self.core.vc), reply=box)
@@ -156,7 +129,6 @@ class LockSubsystem:
             # We manage this lock: route straight to the last requester.
             self._route(request, at=proc.now, charge_thread=True)
         else:
-            obs = proc.obs
             if obs is not None:
                 obs.begin(proc.now, self.pid, "send", B_WIRE,
                           f"lock_request->P{manager}")
@@ -166,7 +138,19 @@ class LockSubsystem:
             proc.set_now(t_free)
             if obs is not None:
                 obs.end(proc.now, self.pid)
-        return box.wait(f"grant of lock {lock}")
+        grant: LockGrant = yield from box.wait(f"grant of lock {lock}")
+        self.wait_time += proc.now - t_wait_start
+        self.core.merge(grant.records, grant.vc, piggybacked=grant.diffs)
+        state.awaiting = False
+        state.owns = True
+        state.holding = True
+        if obs is not None:
+            obs.end(proc.now, self.pid)
+        proc.trace("lock_acquire",
+                   f"lock={lock} from=P{grant.granter} "
+                   f"notices={sum(len(r.pages) for r in grant.records)}")
+        if self.core.sanitizer is not None:
+            self.core.sanitizer.on_lock_acquired(self.pid, lock, grant)
 
     def release(self, lock: int):
         proc = self.proc
@@ -358,156 +342,3 @@ class LockSubsystem:
     def _on_grant(self, delivery: Delivery) -> None:
         box, grant = delivery.payload
         box.put(grant, delivery.arrival + delivery.recv_cpu)
-
-
-class McsLockSubsystem(LockSubsystem):
-    """Distributed-queue locks (``TmkConfig.lock_kind="mcs"``).
-
-    The static protocol ships an O(n)-sized vector time through the
-    manager on every contended acquire (request in, forward out), so a
-    hot lock's manager does O(n)-byte work per acquire and the forward
-    chain is a serial hop through it.  MCS-style queueing makes the
-    manager a pure tail pointer:
-
-    * requester -> manager (``mcs_swap``, constant size): atomically
-      swap the queue tail to the requester;
-    * manager -> requester (``mcs_tail``, constant size): the previous
-      tail -- the requester's predecessor in the queue;
-    * requester -> predecessor (``mcs_link``): enqueue behind it.  This
-      is the only message carrying the vector time, point to point;
-    * predecessor -> requester (the ordinary ``lock_grant``), at its
-      release (or immediately, if it already surrendered the lock).
-
-    One extra constant-size hop versus the static protocol's best case,
-    but the manager's per-acquire cost no longer scales with n, and a
-    convoy on a hot lock hands off neighbor-to-neighbor instead of
-    re-traversing the manager.  ``McsLink`` is shaped like a
-    ``LockRequest`` (lock/requester/vc/reply), so the inherited holder
-    role -- waiter queueing, grant selection, piggybacking, duplicate
-    suppression -- is reused unchanged.
-
-    Local re-acquires, releases, and the grant path are inherited; only
-    the remote-acquire routing differs.  Defaults (``lock_kind="static"``)
-    remain byte-identical to the seed.
-    """
-
-    _detail = " mcs"
-
-    def __init__(self, proc: "Processor", core: "LrcCore",
-                 system: "TmkSystem") -> None:
-        super().__init__(proc, core, system)
-        #: Manager role: lock -> current queue tail (initially the
-        #: manager itself, mirroring the static protocol's ownership).
-        self._tail: Dict[int, int] = {}
-        proc.register(CAT_MCS_SWAP, self._on_swap)
-        proc.register(CAT_MCS_TAIL, self._on_tail)
-        proc.register(CAT_MCS_LINK, self._on_link)
-
-    # ------------------------------------------------------------------
-    def _swap_tail(self, lock: int, requester: int) -> int:
-        """The manager's whole job: swap the tail, return the old one."""
-        assert self.system.lock_manager(lock) == self.pid
-        previous = self._tail.get(lock, self.pid)
-        self._tail[lock] = requester
-        return previous
-
-    # ------------------------------------------------------------------
-    # Application interface (remote-acquire path replaced)
-    # ------------------------------------------------------------------
-    def _request_grant(self, lock: int):
-        proc = self.proc
-        obs = proc.obs
-        manager = self.system.lock_manager(lock)
-        if manager == self.pid:
-            # We manage this lock: the tail swap is a local operation.
-            proc.compute(_LOCAL_LOCK_CPU)
-            predecessor = self._swap_tail(lock, self.pid)
-        else:
-            swap_box = proc.mailbox()
-            swap = McsSwap(lock=lock, requester=self.pid, reply=swap_box)
-            if obs is not None:
-                obs.begin(proc.now, self.pid, "send", B_WIRE,
-                          f"mcs_swap->P{manager}")
-            t_free = self.core.udp.send(
-                self.pid, manager, CAT_MCS_SWAP, swap,
-                swap.nbytes(self.cost), t_ready=proc.now)
-            proc.set_now(t_free)
-            if obs is not None:
-                obs.end(proc.now, self.pid)
-            tail: McsTail = yield from swap_box.wait(
-                f"tail of lock {lock}")
-            predecessor = tail.predecessor
-        if predecessor == self.pid:
-            raise AssertionError(
-                f"P{self.pid}: swapped lock {lock}'s tail but was already "
-                "the tail without owning it")
-
-        grant_box = proc.mailbox()
-        link = McsLink(lock=lock, requester=self.pid,
-                       vc=tuple(self.core.vc), reply=grant_box)
-        if obs is not None:
-            obs.begin(proc.now, self.pid, "send", B_WIRE,
-                      f"mcs_link->P{predecessor}")
-        t_free = self.core.udp.send(
-            self.pid, predecessor, CAT_MCS_LINK, link,
-            link.nbytes(self.cost, self.nprocs), t_ready=proc.now)
-        proc.set_now(t_free)
-        if obs is not None:
-            obs.end(proc.now, self.pid)
-        return (yield from grant_box.wait(f"grant of lock {lock}"))
-
-    # ------------------------------------------------------------------
-    # Crash recovery
-    # ------------------------------------------------------------------
-    def reclaim(self, dead: int) -> list:
-        """Static reclaim plus: any queue whose tail is the dead node is
-        reset to the manager (later swaps would otherwise link acquirers
-        behind a predecessor that will never grant)."""
-        reclaimed = super().reclaim(dead)
-        for lock in sorted(self._tail):
-            if self._tail[lock] != dead:
-                continue
-            self._tail[lock] = self.pid
-            self._lock_state(lock).owns = True
-            if lock not in reclaimed:
-                reclaimed.append(lock)
-            self.proc.trace("lock_reclaim", f"lock={lock} dead=P{dead} mcs")
-        return reclaimed
-
-    # ------------------------------------------------------------------
-    # Manager role
-    # ------------------------------------------------------------------
-    def _on_swap(self, delivery: Delivery) -> None:
-        swap: McsSwap = delivery.payload
-        service = delivery.recv_cpu + self.cost.interrupt_cpu
-        self.proc.charge_service(service)
-        if self._tail.get(swap.lock, self.pid) == swap.requester:
-            # Re-delivered swap: the original reply is in flight (a
-            # requester has at most one acquire outstanding, and its own
-            # tail entry is overwritten before any later acquire links).
-            self.proc.trace("dup_suppress",
-                            f"mcs_swap key={swap.dedup_key()}")
-            return
-        previous = self._swap_tail(swap.lock, swap.requester)
-        reply = McsTail(lock=swap.lock, predecessor=previous)
-        t_ready = delivery.arrival + service
-        t_free = self.core.udp.send(
-            self.pid, swap.requester, CAT_MCS_TAIL, (swap.reply, reply),
-            reply.nbytes(self.cost), t_ready=t_ready)
-        self.proc.charge_service(t_free - t_ready)
-
-    def _on_tail(self, delivery: Delivery) -> None:
-        box, tail = delivery.payload
-        box.put(tail, delivery.arrival + delivery.recv_cpu)
-
-    # ------------------------------------------------------------------
-    # Holder role
-    # ------------------------------------------------------------------
-    def _on_link(self, delivery: Delivery) -> None:
-        link: McsLink = delivery.payload
-        service = delivery.recv_cpu + self.cost.interrupt_cpu
-        self.proc.charge_service(service)
-        # McsLink is LockRequest-shaped; the inherited holder role
-        # (queueing, duplicate suppression, grant) applies as-is.
-        self._holder_receive(link, at=delivery.arrival + service,
-                             charge_thread=False)

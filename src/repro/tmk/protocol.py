@@ -32,12 +32,8 @@ __all__ = [
     "BarrierDeparture",
     "DiffRequest",
     "DiffResponse",
-    "DissRound",
     "LockGrant",
     "LockRequest",
-    "McsLink",
-    "McsSwap",
-    "McsTail",
     "TreeArrival",
     "TreeDeparture",
     "notice_bytes",
@@ -55,12 +51,6 @@ CAT_ERC_NOTICE = "erc_notice"
 #: Tree barrier (TmkConfig.barrier_kind="tree"): combining-tree episodes.
 CAT_TREE_ARRIVAL = "tree_arrival"
 CAT_TREE_DEPARTURE = "tree_departure"
-#: Dissemination barrier (barrier_kind="dissemination"): butterfly rounds.
-CAT_DISS_ROUND = "diss_round"
-#: MCS-style queue locks (TmkConfig.lock_kind="mcs").
-CAT_MCS_SWAP = "mcs_swap"
-CAT_MCS_TAIL = "mcs_tail"
-CAT_MCS_LINK = "mcs_link"
 
 
 def notice_bytes(records: List[IntervalRecord], cost: "CostModel",
@@ -136,17 +126,10 @@ class BarrierDeparture:
     barrier: int
     vc: Tuple[int, ...]
     records: List[IntervalRecord]
-    #: Garbage-collection orchestration (TmkConfig.gc_every > 0): phase 1
-    #: instructs every processor to validate its invalid pages; phase 2
-    #: (the following episode) carries the vector time below which diffs
-    #: and interval records may be discarded.
-    validate_all: bool = False
-    drop_below: Tuple[int, ...] = None  # type: ignore[assignment]
     #: Crash-recovery orchestration: this departure opens a coordinated
     #: checkpoint -- every processor snapshots its state right after
     #: leaving the barrier (the cut is consistent there; DESIGN.md 5d).
-    #: Rides the existing departure like the GC instructions, one flag,
-    #: no extra wire bytes.
+    #: Rides the existing departure as one flag, no extra wire bytes.
     checkpoint: bool = False
 
     def nbytes(self, cost: "CostModel", nprocs: int) -> int:
@@ -212,84 +195,6 @@ class TreeDeparture:
     def nbytes(self, cost: "CostModel", nprocs: int) -> int:
         return (cost.sync_message_bytes + cost.vector_time_bytes * nprocs
                 + notice_bytes(self.records, cost, nprocs))
-
-
-@dataclass
-class DissRound:
-    """Dissemination barrier: one butterfly-round message.
-
-    Round ``k`` goes from position ``p`` to ``(p + 2^k) mod n``; after
-    ``ceil(log2 n)`` rounds every processor has (transitively) heard from
-    every other.  Each round resends everything new since the previous
-    episode -- the butterfly's O(n log n) record traffic is the price of
-    having no root.
-    """
-
-    barrier: int
-    episode: int
-    round_no: int
-    pid: int
-    vc: Tuple[int, ...]
-    records: List[IntervalRecord]
-
-    def nbytes(self, cost: "CostModel", nprocs: int) -> int:
-        return (cost.sync_message_bytes + cost.vector_time_bytes * nprocs
-                + notice_bytes(self.records, cost, nprocs))
-
-    def dedup_key(self) -> Tuple[int, int, int, int]:
-        return (self.barrier, self.episode, self.round_no, self.pid)
-
-
-@dataclass
-class McsSwap:
-    """MCS lock acquirer -> manager: atomically swap the queue tail.
-
-    Constant-size: the vector time does NOT ride through the manager (the
-    point of the MCS variant -- at n=1024 a vector time is ~8 KB and the
-    static protocol ships two copies of it through the manager per
-    acquire).
-    """
-
-    lock: int
-    requester: int
-    reply: "Mailbox"
-
-    def nbytes(self, cost: "CostModel") -> int:
-        return cost.sync_message_bytes
-
-    def dedup_key(self) -> Tuple[int, int]:
-        return (self.lock, self.requester)
-
-
-@dataclass
-class McsTail:
-    """MCS lock manager -> acquirer: the previous queue tail."""
-
-    lock: int
-    predecessor: int
-
-    def nbytes(self, cost: "CostModel") -> int:
-        return cost.sync_message_bytes
-
-
-@dataclass
-class McsLink:
-    """MCS lock acquirer -> predecessor: enqueue behind it.
-
-    Carries the acquirer's vector time once, point to point, so the
-    predecessor can select the write notices for the eventual grant.
-    """
-
-    lock: int
-    requester: int
-    vc: Tuple[int, ...]
-    reply: "Mailbox"
-
-    def nbytes(self, cost: "CostModel", nprocs: int) -> int:
-        return cost.sync_message_bytes + cost.vector_time_bytes * nprocs
-
-    def dedup_key(self) -> Tuple[int, int]:
-        return (self.lock, self.requester)
 
 
 @dataclass

@@ -1,9 +1,13 @@
 """Tests for IS (Integer Sort)."""
 
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.apps import base
+from repro import api
+from repro.apps import base, is_sort
 from repro.apps.is_sort import (IsParams, all_keys, block_keys, count_keys,
                                 rank_checksum)
 from repro.bench import harness
@@ -13,7 +17,7 @@ class TestKernel:
     def test_blocks_partition_the_keys(self):
         p = IsParams.tiny()
         full = all_keys(p)
-        pieces = [block_keys(p, pid, 5) for pid in range(5)]
+        pieces = [block_keys(full, pid, 5) for pid in range(5)]
         assert np.array_equal(np.concatenate(pieces), full)
 
     def test_counts_sum_to_nkeys(self):
@@ -24,9 +28,10 @@ class TestKernel:
     def test_rank_checksum_additive_over_blocks(self):
         """The verification value must decompose over key blocks."""
         p = IsParams.tiny()
-        buckets = count_keys(all_keys(p), p.bmax)
-        total = rank_checksum(buckets, all_keys(p))
-        partial = sum(rank_checksum(buckets, block_keys(p, pid, 4))
+        full = all_keys(p)
+        buckets = count_keys(full, p.bmax)
+        total = rank_checksum(buckets, full)
+        partial = sum(rank_checksum(buckets, block_keys(full, pid, 4))
                       for pid in range(4))
         assert partial == total
 
@@ -82,6 +87,68 @@ class TestPaperBehaviour:
         assert par.result[0] == seq.result[0]
         # Bucket totals equal nkeys exactly once (no accumulation).
         assert sum(par.result[0]) == p.nkeys
+
+
+class TestOneDrawPerRun:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The params of every full key-array draw, in order."""
+        seen = []
+        real = is_sort.all_keys
+
+        def counting(params):
+            seen.append(params)
+            return real(params)
+
+        monkeypatch.setattr(is_sort, "all_keys", counting)
+        return seen
+
+    @pytest.mark.parametrize("system", ["tmk", "pvm"])
+    def test_a_run_draws_once_and_the_next_again(self, draws, system):
+        config = api.RunConfig("fig04", system, 8, "tiny")
+        for _ in range(2):
+            draws.clear()
+            api.simulate(config)
+            assert len(draws) == 1
+        draws.clear()
+        params = harness.params_for(harness.EXPERIMENTS["fig04"], "tiny")
+        base.run_sequential("is", params)
+        assert len(draws) == 1  # the oracle draws its own
+
+    def test_keyed_by_params_and_read_only(self):
+        proc = SimpleNamespace(cluster=SimpleNamespace(memo={}))
+        keys = is_sort.run_keys(proc, IsParams.tiny())
+        assert keys is is_sort.run_keys(proc, IsParams.tiny())
+        with pytest.raises(ValueError):
+            block_keys(keys, 0, 2)[0] = 1  # one processor's block is shared
+        large = IsParams.tiny(large=True)
+        assert np.array_equal(is_sort.run_keys(proc, large), all_keys(large))
+
+
+#: sha256 of ``RunResult.to_json_bytes()`` for fig04/fig05 at the tiny
+#: preset, recorded when every processor still drew the keys itself.
+IS_PINS = {
+    ("fig04", "tmk", 1): "6ffb4c10817ccfdb6a9e0fca5ec28f9489e301a21179f27742e1db1605a4f0cf",
+    ("fig04", "tmk", 3): "3de579e3cfcf53df52cf696fe76d61b321ca2d5de173a562a253ca0ca3524b7f",
+    ("fig04", "tmk", 8): "a34e7ed3c8447cfe6c3326bfad1cfffa95f8e7d01f6855a53fa03855a3b651d9",
+    ("fig04", "pvm", 1): "80b9dd3c5ea44a40bd272cba299d20d47db936a43415d18f3c289dd995d25183",
+    ("fig04", "pvm", 3): "9ca80496afca7301b83ff4b8b81a2bf4f4659fc68ddf883111c7b64f14ec6164",
+    ("fig04", "pvm", 8): "d3028858572402c6e20f4e765d834f238b2a9554501eb2ab3ff85dbb288234fc",
+    ("fig05", "tmk", 1): "0a88c8f5d5b44ee87c4e9fea310cadad79920456f709588766da128f49ce2c7c",
+    ("fig05", "tmk", 3): "c21e75f684b72554dee1c7fc8a11f50f71f86bbed627a4e6c66d2f53a4ab5106",
+    ("fig05", "tmk", 8): "eef3c37ebf6a6727f5c8def408dee69a5b039359c2d64f1f98a3ccadfc781995",
+    ("fig05", "pvm", 1): "5a9fd20b9318f5466746749c13cbd831d34c87161413cd429298636d7904bab6",
+    ("fig05", "pvm", 3): "b1ccd58bc2df8c9761d22d382062ba5885d7d0e1c281b801d7d487cdacbe7bb0",
+    ("fig05", "pvm", 8): "5dde2335045adfe2aa240a58dea481b98fd4274da1897359d4efc6128d05c541",
+}
+
+
+@pytest.mark.parametrize("experiment, system, nprocs", sorted(IS_PINS))
+def test_result_bytes_are_pinned(experiment, system, nprocs):
+    result = api.run(api.RunConfig(experiment, system, nprocs, "tiny"),
+                     use_cache=False)
+    assert hashlib.sha256(result.to_json_bytes()).hexdigest() == \
+        IS_PINS[experiment, system, nprocs]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(

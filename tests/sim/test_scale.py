@@ -4,16 +4,18 @@ The paper stopped at 8 nodes because that is how many DECstations were
 on the ATM switch; cheap continuations let us ask "what would TreadMarks
 versus PVM look like at 64, 256, 1024?".  These tests pin that the
 machinery actually *works* up there -- results still verify against the
-sequential run, wall-clock stays within a CI budget, and the scalable
-barrier variants remain race-clean -- without asserting anything about
-the (interesting, divergent) virtual times themselves; those live in
-``BENCH_scale.json``.
+sequential run, wall-clock stays within a CI budget, and the tree
+barrier remains race-clean.  The (interesting, divergent) virtual times
+live in ``BENCH_scale.json``; ``TestBenchScaleRows`` re-derives its rows
+up to 64 nodes exactly.
 """
 
+import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -66,22 +68,12 @@ class TestScaleSmoke:
         check(result, 64)
         assert wall < BUDGET
 
-    def test_dissemination_barrier_at_scale(self):
-        result, _ = run_scaled(
-            "tmk", 64, tmk_config=TmkConfig(barrier_kind="dissemination"))
-        check(result, 64)
-
-    def test_mcs_locks_at_scale(self):
-        result, _ = run_scaled(
-            "tmk", 64, tmk_config=TmkConfig(lock_kind="mcs"))
-        check(result, 64)
-
 
 class TestBarrierRaceClean:
-    """Strict race checking: the scalable barriers must establish the
-    same happens-before edges as the centralized one."""
+    """Strict race checking: the tree barrier must establish the same
+    happens-before edges as the centralized one."""
 
-    @pytest.mark.parametrize("kind", ("central", "tree", "dissemination"))
+    @pytest.mark.parametrize("kind", ("central", "tree"))
     def test_barrier_race_clean_under_strict(self, kind):
         result = base.run_parallel(
             "sor", "tmk", 8, SorParams.tiny(),
@@ -89,6 +81,43 @@ class TestBarrierRaceClean:
             analysis=AnalysisConfig(race_check="strict"))
         assert result.sanitizer is not None
         assert not result.sanitizer.findings
+
+
+#: ``tools/bench_scale.py``'s report, committed at the repository root.
+REPORT = json.loads(
+    (Path(__file__).resolve().parents[2] / "BENCH_scale.json").read_text())
+
+
+def report_params(nprocs):
+    """``SorParams`` from the report's own shape, e.g. ``"rows=4*nprocs,
+    width=96, iterations=4"``."""
+    kw = {}
+    for item in REPORT["params"].split(","):
+        name, expr = item.strip().split("=")
+        factor, _, var = expr.partition("*")
+        assert var in ("", "nprocs"), expr
+        kw[name] = int(factor) * (nprocs if var else 1)
+    return SorParams(**kw)
+
+
+class TestBenchScaleRows:
+    """Every ``BENCH_scale.json`` row up to 64 nodes, re-derived: virtual
+    time, message count and wire kbytes must equal the recorded ones
+    exactly (the host wall-clock column is a record, not a gate)."""
+
+    @pytest.mark.parametrize(
+        "row", [row for row in REPORT["runs"] if row["nprocs"] <= 64],
+        ids=lambda row: f"{row['system']}-{row['barrier']}-{row['nprocs']}")
+    def test_row_is_rederived_exactly(self, row):
+        nprocs = row["nprocs"]
+        kw = {}
+        if row["system"] == "tmk":
+            kw["tmk_config"] = TmkConfig(barrier_kind=row["barrier"])
+        result = base.run_parallel("sor", row["system"], nprocs,
+                                   report_params(nprocs), **kw)
+        assert (result.time, result.total_messages(),
+                round(result.total_kbytes(), 1)) == (
+            row["time"], row["messages"], row["kbytes"])
 
 
 #: Two back-to-back 256-node runs; prints the process's peak RSS in KB.

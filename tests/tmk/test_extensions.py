@@ -4,10 +4,9 @@
   movement can be piggybacked on the synchronization messages".
 * **protocol="eager"** -- Munin-style eager release consistency, the
   design lazy RC superseded; its extra messages are the reason.
-* **gc_every** -- diff/interval garbage collection (real TreadMarks
-  collects when memory runs low; this version never needs to for the
-  bench sizes, so it is opt-in).
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -44,9 +43,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TmkConfig(piggyback_budget=-1)
 
-    def test_negative_gc_rejected(self):
-        with pytest.raises(ValueError):
-            TmkConfig(gc_every=-2)
+    # A NaN budget would mean "unlimited" (``spent + bytes > nan`` is
+    # never true), and a truthy "no" would switch coalescing on; the
+    # variants the paper does not have are not kinds.
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(piggyback_budget=float("nan")), "piggyback_budget"),
+        (dict(piggyback_budget=float("inf")), "piggyback_budget"),
+        (dict(piggyback_budget=1.5), "piggyback_budget"),
+        (dict(piggyback_budget=True), "piggyback_budget"),
+        (dict(coalesce_diffs="no"), "coalesce_diffs"),
+        (dict(barrier_kind="dissemination"), "unknown barrier_kind"),
+    ], ids=["nan", "inf", "1.5", "True", "coalesce-str", "dissemination"])
+    def test_nonsense_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            TmkConfig(**kwargs)
+
+    def test_fields(self):
+        assert [f.name for f in fields(TmkConfig)] == [
+            "segment_bytes", "coalesce_diffs", "piggyback_budget",
+            "protocol", "barrier_kind"]
 
 
 class TestPiggyback:
@@ -157,57 +172,3 @@ class TestEagerRC:
                 expected[lo: lo + 128] += rnd + 1
         for got in res.results:
             assert np.array_equal(got, expected)
-
-
-class TestGarbageCollection:
-    def test_results_unchanged(self):
-        res, _ = run(migratory_counter(rounds=8), gc_every=2)
-        assert all(r == 32 for r in res.results)
-
-    def test_cache_bounded(self):
-        _, unbounded = run(migratory_counter(rounds=10))
-        _, collected = run(migratory_counter(rounds=10), gc_every=2)
-        size_unbounded = max(len(p.tmk.core.diff_cache)
-                             for p in unbounded.procs)
-        size_collected = max(len(p.tmk.core.diff_cache)
-                             for p in collected.procs)
-        assert size_collected < size_unbounded
-
-    def test_gc_forces_validations(self):
-        """Phase 1 faults in pages that would otherwise stay invalid."""
-        def main(proc):
-            tmk = proc.tmk
-            data = tmk.shared_array("d", (4096,), np.int64)  # 8 pages
-            if tmk.pid == 0:
-                yield from data.write(slice(0, 4096), 1)
-            for it in range(4):
-                yield from tmk.barrier(it)
-            # Nobody ever reads data... except GC validated it.
-            return tmk.core.pt.invalid_pages()
-
-        res, cluster = run(main, nprocs=2, gc_every=2)
-        assert res.results[1] == set()  # all validated by GC
-        assert all(p.tmk.barriers.gc_runs > 0 for p in cluster.procs)
-
-    def test_records_pruned(self):
-        _, unbounded = run(migratory_counter(rounds=10))
-        _, cluster = run(migratory_counter(rounds=10), gc_every=2)
-
-        def known(c):
-            return [sum(map(len, p.tmk.core.known)) for p in c.procs]
-
-        # Pruned below full history, per node and in the shared index.
-        assert max(known(unbounded)) == 10 * cluster.nprocs
-        assert max(known(cluster)) < 10 * cluster.nprocs
-
-        def indexed(c):
-            return sum(len(seqs)
-                       for by_creator in c.procs[0].tmk.system.notices._pages.values()
-                       for seqs, _ in by_creator.values())
-
-        assert indexed(cluster) < indexed(unbounded)
-
-    def test_gc_interacts_with_eager(self):
-        res, _ = run(migratory_counter(rounds=6), gc_every=2,
-                     protocol="eager")
-        assert all(r == 24 for r in res.results)

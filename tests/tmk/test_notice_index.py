@@ -6,8 +6,8 @@ cursor.  The shadow below is the data structure that was deleted -- every
 processor files every page of every newly-learned foreign record into its
 own ``page -> {interval id -> record}`` dict, eagerly, at merge time --
 kept alive here, test-only, to check the derivation against at every
-point the protocol consults it: each fault (before every fetch round),
-each piggyback apply, and each GC ``validate_all_pending``.
+point the protocol consults it: each fault (before every fetch round)
+and each piggyback apply.
 """
 
 import itertools
@@ -30,11 +30,10 @@ class EagerPendingShadow:
         self.core = core
         self.known = {}
         self.pending = {}
-        self.checks = {"fault": 0, "piggyback": 0, "validate": 0}
+        self.checks = {"fault": 0, "piggyback": 0}
         self._in_piggyback = False
         for name in ("close_interval", "merge", "_on_erc_notice", "_pending",
-                     "_apply_piggybacked", "validate_all_pending",
-                     "drop_below"):
+                     "_apply_piggybacked"):
             setattr(core, name, getattr(self, name))
         # Handlers were registered with the unwrapped bound method.
         if core.eager:
@@ -87,16 +86,6 @@ class EagerPendingShadow:
         finally:
             self._in_piggyback = False
 
-    def validate_all_pending(self):
-        assert sorted(self.pending) == sorted(self.core.pt.invalid_pages())
-        self.checks["validate"] += 1
-        return (yield from self._real("validate_all_pending")())
-
-    def drop_below(self, floor):
-        for iid in [i for i in self.known if i[1] < floor[i[0]]]:
-            del self.known[iid]
-        return self._real("drop_below")(floor)
-
     # -- end of run -----------------------------------------------------
     def check_every_page(self):
         core = self.core
@@ -126,13 +115,11 @@ def run_shadowed(app, nprocs=4, **config):
 
 
 MATRIX = [
-    dict(protocol=protocol, gc_every=gc_every, piggyback_budget=budget,
-         barrier_kind=barrier_kind, lock_kind=lock_kind)
-    for protocol, gc_every, budget, barrier_kind, lock_kind
-    in itertools.product(("lazy", "eager"), (0, 2), (0, 1 << 16),
-                         ("central", "tree", "dissemination"),
-                         ("static", "mcs"))
-    if not (gc_every and barrier_kind != "central")  # rejected by TmkConfig
+    dict(protocol=protocol, piggyback_budget=budget,
+         barrier_kind=barrier_kind)
+    for protocol, budget, barrier_kind
+    in itertools.product(("lazy", "eager"), (0, 1 << 16),
+                         ("central", "tree"))
 ]
 
 
@@ -145,10 +132,8 @@ def _id(config):
 def test_derived_pending_equals_eager_filing(app, config):
     shadows = run_shadowed(app, **config)
     checks = {kind: sum(s.checks[kind] for s in shadows)
-              for kind in ("fault", "piggyback", "validate")}
+              for kind in ("fault", "piggyback")}
     assert checks["fault"] > 0
-    if config["gc_every"]:
-        assert checks["validate"] > 0
     if (config["piggyback_budget"] and app == "tsp"
             and config["protocol"] == "lazy"):
         # Lock grants carried diffs.  (Under eager RC the notices beat
@@ -192,12 +177,3 @@ class TestNoticeIndex:
         assert list(index.pending(8, 0, [4, 1, 1], {})) == [(2, 0)]
         index.add(self.rec(2, 1, (7,)))
         assert list(index.pending(7, 0, [4, 1, 2], cursor)) == [(2, 1)]
-
-    def test_prune_keeps_the_window_semantics(self):
-        index = NoticeIndex()
-        for seq in range(6):
-            index.add(self.rec(1, seq, (7,)))
-        before = index.pending(7, 0, [0, 6, 0], {1: 4})
-        index.prune((0, 4, 0))
-        assert index.pending(7, 0, [0, 6, 0], {1: 4}) == before
-        assert index._pages[7][1][0] == [4, 5]
