@@ -16,12 +16,13 @@ Only the three ops numpy wins are defined here.  ``apply_diff`` /
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.kernels import pure
-from repro.kernels.interface import WORD, KernelBackend, Runs
+from repro.kernels.interface import (EMPTY_DIFF, RUN_COUNT, RUN_HEADER, WORD,
+                                     KernelBackend, Runs)
 
 __all__ = ["BACKEND"]
 
@@ -29,31 +30,53 @@ __all__ = ["BACKEND"]
 _SCAN_LOOP_MAX = 8
 
 
-def _runs_from_words(changed: np.ndarray, current: np.ndarray) -> Runs:
-    """Word-index vector -> byte-granular runs over ``current``.
+def _pack_pages(changed: np.ndarray, current: np.ndarray,
+                words_per_page: int, npages: int) -> List[Runs]:
+    """Changed-word indices over ``npages`` concatenated pages -> one
+    encoded diff per page.
 
-    One ``tobytes`` for the whole page, then plain ``bytes`` slicing per
-    run: a bytes slice is several times cheaper than an ndarray slice +
-    ``tobytes``, and the single page-sized memcpy is noise.
+    Run boundaries are numpy arithmetic on the index vector; then one
+    ``tobytes`` for the whole buffer and, per run, a packed header plus
+    a plain ``bytes`` slice (several times cheaper than an ndarray slice
+    + ``tobytes``), joined once per dirty page.
     """
-    gaps = np.flatnonzero(changed[1:] - changed[:-1] > 1)
-    firsts = np.empty(gaps.size + 1, dtype=np.intp)
-    lasts = np.empty(gaps.size + 1, dtype=np.intp)
+    # A run ends at a gap between changed words or at a page boundary.
+    breaks = changed[1:] - changed[:-1] > 1
+    if npages > 1:
+        page_of = changed // words_per_page
+        breaks |= page_of[1:] != page_of[:-1]
+    breaks = np.flatnonzero(breaks)
+    firsts = np.empty(breaks.size + 1, dtype=np.intp)
+    lasts = np.empty(breaks.size + 1, dtype=np.intp)
     firsts[0] = changed[0]
-    firsts[1:] = changed[gaps + 1]
+    firsts[1:] = changed[breaks + 1]
     lasts[-1] = changed[-1]
-    lasts[:-1] = changed[gaps]
+    lasts[:-1] = changed[breaks]
     buf = current.tobytes()
-    return tuple(
-        (first * WORD, buf[first * WORD: last * WORD + WORD])
-        for first, last in zip(firsts.tolist(), lasts.tolist()))
+    page_bytes = words_per_page * WORD
+    header = RUN_HEADER.pack
+    parts_of: List[Optional[list]] = [None] * npages
+    for start, end in zip((firsts * WORD).tolist(),
+                          (lasts * WORD + WORD).tolist()):
+        page = start // page_bytes
+        parts = parts_of[page]
+        if parts is None:
+            parts = parts_of[page] = [b""]  # the count, filled below
+        parts.append(header(start - page * page_bytes, end - start))
+        parts.append(buf[start:end])
+    out: List[Runs] = [EMPTY_DIFF] * npages
+    for page, parts in enumerate(parts_of):
+        if parts is not None:
+            parts[0] = RUN_COUNT.pack(len(parts) // 2)
+            out[page] = b"".join(parts)
+    return out
 
 
 def make_diff(current, twin) -> Runs:
     changed = np.flatnonzero(current.view(np.uint32) != twin.view(np.uint32))
     if changed.size == 0:
-        return ()
-    return _runs_from_words(changed, current)
+        return EMPTY_DIFF
+    return _pack_pages(changed, current, current.size // WORD, 1)[0]
 
 
 def make_diff_batch(currents: Sequence, twins: Sequence) -> List[Runs]:
@@ -62,39 +85,15 @@ def make_diff_batch(currents: Sequence, twins: Sequence) -> List[Runs]:
         return []
     if n == 1:
         return [make_diff(currents[0], twins[0])]
-    words_per_page = currents[0].size // WORD
     # One contiguous buffer pair for the whole batch: the copies are
     # memcpys, and everything after them is one numpy call per step.
     big_cur = np.concatenate(currents)
     big_twin = np.concatenate(twins)
     changed = np.flatnonzero(big_cur.view(np.uint32)
                              != big_twin.view(np.uint32))
-    out: List[Runs] = [()] * n
     if changed.size == 0:
-        return out
-    # Segment the global changed-word vector, forcing a break wherever a
-    # page boundary is crossed so no run spans two pages.
-    page_of = changed // words_per_page
-    breaks = np.flatnonzero((changed[1:] - changed[:-1] > 1)
-                            | (page_of[1:] != page_of[:-1]))
-    firsts = np.empty(breaks.size + 1, dtype=np.intp)
-    lasts = np.empty(breaks.size + 1, dtype=np.intp)
-    firsts[0] = changed[0]
-    firsts[1:] = changed[breaks + 1]
-    lasts[-1] = changed[-1]
-    lasts[:-1] = changed[breaks]
-    pages = (firsts // words_per_page).tolist()
-    buf = big_cur.tobytes()
-    page_bytes = words_per_page * WORD
-    runs_of: List[list] = [[] for _ in range(n)]
-    for first, last, page in zip(firsts.tolist(), lasts.tolist(), pages):
-        start = first * WORD
-        runs_of[page].append((start - page * page_bytes,
-                              buf[start: last * WORD + WORD]))
-    for i, runs in enumerate(runs_of):
-        if runs:
-            out[i] = tuple(runs)
-    return out
+        return [EMPTY_DIFF] * n
+    return _pack_pages(changed, big_cur, currents[0].size // WORD, n)
 
 
 def fault_scan(valid, lo: int, hi: int) -> List[int]:

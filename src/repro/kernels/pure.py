@@ -10,9 +10,12 @@ by reading this file.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Sequence
 
-from repro.kernels.interface import WORD, KernelBackend, Runs
+from repro.kernels.interface import (EMPTY_DIFF, RUN_COUNT, RUN_COUNT_BYTES,
+                                     RUN_HEADER, RUN_HEADER_BYTES, WORD,
+                                     KernelBackend, Runs, pack_runs)
 
 __all__ = ["BACKEND"]
 
@@ -25,7 +28,7 @@ def make_diff(current, twin) -> Runs:
     cur = _as_bytes(current)
     tw = _as_bytes(twin)
     if cur == tw:
-        return ()
+        return EMPTY_DIFF
     runs = []
     start = None
     for off in range(0, len(cur), WORD):
@@ -37,31 +40,46 @@ def make_diff(current, twin) -> Runs:
             start = None
     if start is not None:
         runs.append((start, cur[start:]))
-    return tuple(runs)
+    return pack_runs(runs)
 
 
 def make_diff_batch(currents: Sequence, twins: Sequence) -> List[Runs]:
     return [make_diff(c, t) for c, t in zip(currents, twins)]
 
 
-def apply_diff(page_view, runs: Runs) -> int:
-    view = memoryview(page_view).cast("B")
-    written = 0
-    for offset, data in runs:
-        n = len(data)
-        view[offset: offset + n] = data
-        written += n
-    return written
+def _apply(view: memoryview, packed: Runs) -> int:
+    size = len(packed)
+    limit = len(view)
+    header = RUN_HEADER.unpack_from
+    try:
+        (count,) = RUN_COUNT.unpack_from(packed)
+        pos = RUN_COUNT_BYTES
+        for _ in range(count):
+            offset, length = header(packed, pos)
+            pos += RUN_HEADER_BYTES
+            end = offset + length
+            if offset < 0 or length < 0 or end > limit:
+                raise ValueError("run exceeds page bounds")
+            if pos + length > size:
+                raise ValueError("diff truncated")
+            view[offset:end] = packed[pos:pos + length]
+            pos += length
+    except struct.error:
+        raise ValueError("diff truncated") from None
+    if pos != size:
+        raise ValueError("diff has trailing bytes")
+    return size - RUN_COUNT_BYTES - RUN_HEADER_BYTES * count
 
 
-def apply_diff_batch(page_view, runs_list: Sequence[Runs]) -> int:
+def apply_diff(page_view, packed: Runs) -> int:
+    return _apply(memoryview(page_view).cast("B"), packed)
+
+
+def apply_diff_batch(page_view, packed_list: Sequence[Runs]) -> int:
     view = memoryview(page_view).cast("B")
     written = 0
-    for runs in runs_list:
-        for offset, data in runs:
-            n = len(data)
-            view[offset: offset + n] = data
-            written += n
+    for packed in packed_list:
+        written += _apply(view, packed)
     return written
 
 

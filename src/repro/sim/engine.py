@@ -220,8 +220,9 @@ class SimTask:
 
         Follows the ``yield from`` delegation chain to the frame that
         actually yielded the current effect, e.g.
-        ``"barrier (barrier.py:154)"`` -- the answer to "where is this
-        processor parked?" in deadlock dumps.
+        ``"_client_arrive (barrier.py:N)"``, N being the line that
+        yielded -- the answer to "where is this processor parked?" in
+        deadlock dumps.
         """
         gen = self._gen
         if gen is None or gen.gi_frame is None:
@@ -362,7 +363,7 @@ class Engine:
 
         Each parked continuation additionally names its innermost
         suspended frame, so a deadlock report reads
-        ``P3 ... blocked ... in barrier (barrier.py:154)``.
+        ``P3 ... blocked ... in _client_arrive (barrier.py:N)``.
         """
         parts = []
         for t in self._threads:

@@ -59,6 +59,13 @@ class TmkConfig:
     barrier_kind: str = "central"
 
     def __post_init__(self) -> None:
+        segment = self.segment_bytes
+        # Divisibility by the page size is checked at attach: the page
+        # size is the cost model's, not this config's.
+        if isinstance(segment, bool) or not isinstance(segment, int) \
+                or not 0 < segment <= ADDRESS_SPACE:
+            raise ValueError(f"segment_bytes must be an int in "
+                             f"(0, {ADDRESS_SPACE}], got {segment!r}")
         if self.protocol not in ("lazy", "eager"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if not isinstance(self.coalesce_diffs, bool):

@@ -260,15 +260,12 @@ class LrcCore(DsmCore):
             available = by_page.get(page, {})
             if not set(needed).issubset(available):
                 continue  # some writer's diff missing: fault later
-            view = self.pt.page_view(page)
-            apply_diff = self.kernels.apply_diff
+            packed = []
             cpu = 0.0
             for iid in sorted(needed,
                               key=lambda i: (needed[i].vc, i[0])):
                 diff = available[iid]
-                apply_diff(view, diff.runs)
-                if self.pt.has_twin(page):
-                    apply_diff(self.pt.twin(page), diff.runs)
+                packed.append(diff.packed)
                 self.diff_cache[(iid, page)] = diff
                 self.diffs_applied += 1
                 self.diff_bytes_applied += diff.data_bytes
@@ -276,6 +273,7 @@ class LrcCore(DsmCore):
                     self.sanitizer.on_diff_applied(self.pid, page, diff)
                 cpu += (self.cost.diff_apply_cpu
                         + diff.data_bytes * self.cost.diff_apply_byte_cpu)
+            self._apply_packed(page, packed)
             obs = self.proc.obs
             if obs is not None:
                 obs.begin(self.proc.now, self.pid, "diff_apply", B_PROTOCOL,
@@ -288,6 +286,16 @@ class LrcCore(DsmCore):
             self.piggyback_hits += 1
             if self._trace.enabled:
                 self.proc.trace("piggyback_apply", f"page={page}")
+
+    def _apply_packed(self, page: int, packed: List[bytes]) -> None:
+        """Patch ``page`` with encoded diffs, in list order: one kernel
+        call for the view, and one for the twin when there is one (eager
+        RC can invalidate a dirty page; patching the twin too keeps the
+        eventual local diff free of remote words)."""
+        apply_batch = self.kernels.apply_diff_batch
+        apply_batch(self.pt.page_view(page), packed)
+        if self.pt.has_twin(page):
+            apply_batch(self.pt.twin(page), packed)
 
     # ------------------------------------------------------------------
     # Access faults
@@ -472,20 +480,14 @@ class LrcCore(DsmCore):
             total = sum(diff.data_bytes for diff in diffs)
             obs.note_fetch_round(self.pid, total, _union_bytes(diffs))
 
-        view = self.pt.page_view(page)
-        has_twin = self.pt.has_twin(page)
-        apply_diff = self.kernels.apply_diff
+        packed = []
         cpu = 0.0
         # Apply in an order consistent with happens-before.
         order = (entries if len(entries) == 1
                  else sorted(entries, key=lambda i: (entries[i][0], i[0])))
         for iid in order:
             ivc, diff = entries[iid]
-            apply_diff(view, diff.runs)
-            if has_twin:
-                # Eager RC can invalidate a dirty page; patching the twin
-                # too keeps the eventual local diff free of remote words.
-                apply_diff(self.pt.twin(page), diff.runs)
+            packed.append(diff.packed)
             self.diff_cache[(iid, page)] = diff
             self.diffs_applied += 1
             self.diff_bytes_applied += diff.data_bytes
@@ -493,6 +495,7 @@ class LrcCore(DsmCore):
                 self.sanitizer.on_diff_applied(self.pid, page, diff)
             cpu += (self.cost.diff_apply_cpu
                     + diff.data_bytes * self.cost.diff_apply_byte_cpu)
+        self._apply_packed(page, packed)
         if obs is not None:
             obs.begin(proc.now, self.pid, "diff_apply", B_PROTOCOL,
                       f"page={page} ndiffs={len(entries)}")

@@ -10,8 +10,14 @@ This module is now a thin caller: run detection and patching live in
 :mod:`repro.kernels` behind a frozen pure-function interface with
 interchangeable backends (``pure`` reference, ``numpy`` vectorized,
 optional ``compiled``).  What stays here is the :class:`Diff` value type
-(page number + runs, with the wire accounting precomputed), argument
-validation with the historical error messages, and ``coalesce``.
+(page number + the diff's wire encoding, with the wire accounting
+precomputed), argument validation with the historical error messages,
+and ``coalesce``.
+
+A diff is held as the one ``bytes`` the kernels produce and consume (see
+:mod:`repro.kernels.interface`), not as run objects: every diff is kept
+for the whole run (this TreadMarks never collects garbage), and a tuple
+per run would cost more host memory than the run's own bytes.
 
 Diffs are immutable once created, so the simulator can share one object
 between the creator's cache and every receiver's cache.
@@ -19,12 +25,14 @@ between the creator's cache and every receiver's cache.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.kernels import KernelBackend, get_backend
-from repro.kernels.interface import RUN_HEADER_BYTES, WORD
+from repro.kernels.interface import (RUN_COUNT, RUN_COUNT_BYTES,
+                                     RUN_HEADER_BYTES, WORD, pack_runs,
+                                     unpack_runs)
 
 __all__ = ["Diff", "make_diff", "make_diffs", "coalesce"]
 
@@ -32,30 +40,31 @@ _DEFAULT = get_backend()
 
 
 class Diff:
-    """Modifications to one page: ``runs`` of (byte offset, replacement bytes).
+    """Modifications to one page, in their wire encoding (``packed``).
 
     ``data_bytes`` and ``wire_bytes`` are precomputed at construction --
-    the protocol layer reads them on every request/response, and the old
-    per-read generator expression was measurable in profiles.
+    the protocol layer reads them on every request/response.  The
+    encoding's leading run count makes both O(1).  ``Diff(page, runs)``
+    also accepts ``(byte offset, replacement bytes)`` runs and packs them.
     """
 
-    __slots__ = ("page", "runs", "data_bytes", "wire_bytes")
+    __slots__ = ("page", "packed", "data_bytes", "wire_bytes")
 
     page: int
-    runs: Tuple[Tuple[int, bytes], ...]
+    packed: bytes
     data_bytes: int
     wire_bytes: int
 
-    def __init__(self, page: int, runs: Sequence[Tuple[int, bytes]]) -> None:
-        runs = tuple(runs)
-        data_bytes = 0
-        for _, data in runs:
-            data_bytes += len(data)
+    def __init__(self, page: int,
+                 runs: Union[bytes, Sequence[Tuple[int, bytes]]]) -> None:
+        packed = runs if type(runs) is bytes else pack_runs(runs)
+        (nruns,) = RUN_COUNT.unpack_from(packed)
+        wire_bytes = len(packed) - RUN_COUNT_BYTES
         object.__setattr__(self, "page", page)
-        object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "data_bytes", data_bytes)
-        object.__setattr__(self, "wire_bytes",
-                           data_bytes + RUN_HEADER_BYTES * len(runs))
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "wire_bytes", wire_bytes)
+        object.__setattr__(self, "data_bytes",
+                           wire_bytes - RUN_HEADER_BYTES * nruns)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Diff is immutable; cannot set {name!r}")
@@ -63,21 +72,26 @@ class Diff:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diff):
             return NotImplemented
-        return self.page == other.page and self.runs == other.runs
+        return self.page == other.page and self.packed == other.packed
 
     def __hash__(self) -> int:
-        return hash((self.page, self.runs))
+        return hash((self.page, self.packed))
 
     def __repr__(self) -> str:
         return f"Diff(page={self.page!r}, runs={self.runs!r})"
 
     @property
+    def runs(self) -> Tuple[Tuple[int, bytes], ...]:
+        """The decoded ``((byte offset, replacement bytes), ...)``."""
+        return unpack_runs(self.packed)
+
+    @property
     def is_empty(self) -> bool:
-        return not self.runs
+        return self.wire_bytes == 0
 
     def apply(self, page_view: np.ndarray) -> int:
         """Patch ``page_view`` (uint8, page-sized) in place; returns bytes written."""
-        return _DEFAULT.apply_diff(page_view, self.runs)
+        return _DEFAULT.apply_diff(page_view, self.packed)
 
 
 def make_diff(page: int, current: np.ndarray, twin: np.ndarray,
@@ -117,8 +131,8 @@ def make_diffs(pages: Sequence[int], currents: Sequence[np.ndarray],
         if current.shape != twin.shape or current.size != nbytes:
             return [make_diff(p, c, t, backend=kern)  # ragged batch: per page
                     for p, c, t in zip(pages, currents, twins)]
-    runs_list = kern.make_diff_batch(currents, twins)
-    return [Diff(page, runs) for page, runs in zip(pages, runs_list)]
+    packed = kern.make_diff_batch(currents, twins)
+    return [Diff(page, diff) for page, diff in zip(pages, packed)]
 
 
 def _segment_bounds(idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,14 +161,15 @@ def coalesce(diffs: List[Diff]) -> Diff:
     if any(d.page != page for d in diffs):
         raise ValueError("coalesce of diffs from different pages")
     # Compose on a scratch page: replay all runs, track touched bytes.
+    runs_of = [d.runs for d in diffs]
     size = 0
-    for d in diffs:
-        for offset, data in d.runs:
+    for runs in runs_of:
+        for offset, data in runs:
             size = max(size, offset + len(data))
     scratch = np.zeros(size, dtype=np.uint8)
     touched = np.zeros(size, dtype=bool)
-    for d in diffs:
-        for offset, data in d.runs:
+    for runs in runs_of:
+        for offset, data in runs:
             scratch[offset: offset + len(data)] = np.frombuffer(data, dtype=np.uint8)
             touched[offset: offset + len(data)] = True
     idx = np.flatnonzero(touched)

@@ -2,9 +2,12 @@
 
 The contract (repro.kernels.interface) demands that every backend is
 byte-identical to the ``pure`` reference.  Hypothesis drives random page
-contents through all six operations and compares backends pairwise; the
-explicit cases pin the edges the fuzzer might undersample (empty diff,
-full-page diff, runs touching both word boundaries).
+contents through all six operations and compares backends pairwise --
+for diffs, the packed wire encoding itself; the explicit cases pin the
+edges the fuzzer might undersample (empty diff, full-page diff, runs
+touching both word boundaries).  ``TestPackedContract`` decodes each
+backend's encoding and checks it against the run algorithm as it stood
+when a diff was a tuple of ``(offset, bytes)`` runs.
 """
 
 import numpy as np
@@ -14,6 +17,9 @@ from hypothesis import strategies as st
 
 from repro.kernels import WORD, KernelBackend, get_backend
 from repro.kernels import compiled, numpy_backend, pure
+from repro.kernels.interface import (EMPTY_DIFF, RUN_COUNT_BYTES,
+                                     RUN_HEADER_BYTES, pack_runs, run_count,
+                                     unpack_runs)
 
 PURE = get_backend("pure")
 
@@ -49,8 +55,10 @@ class TestMakeDiffProperties:
     def test_all_backends_match_pure(self, pair):
         current, twin = pair
         expected = PURE.make_diff(_page(current), _page(twin))
+        assert type(expected) is bytes
         for backend in BACKENDS.values():
             got = backend.make_diff(_page(current), _page(twin))
+            assert type(got) is bytes, backend.name
             assert got == expected, backend.name
 
     @settings(max_examples=25, deadline=None)
@@ -72,7 +80,7 @@ class TestMakeDiffProperties:
             patched = bytearray(twin)
             written = backend.apply_diff(patched, runs)
             assert bytes(patched) == current, backend.name
-            assert written == sum(len(data) for _, data in runs)
+            assert written == sum(len(data) for _, data in unpack_runs(runs))
 
     @settings(max_examples=40, deadline=None)
     @given(page_pairs())
@@ -87,14 +95,16 @@ class TestMakeDiffEdges:
     def test_empty_diff(self):
         page = _page(bytes(range(256))[:PAGE_BYTES] * 1)
         for backend in BACKENDS.values():
-            assert backend.make_diff(page, page.copy()) == (), backend.name
+            assert backend.make_diff(page, page.copy()) == EMPTY_DIFF, \
+                backend.name
 
     def test_full_page_diff(self):
         current = _page(b"\xff" * PAGE_BYTES)
         twin = _page(b"\x00" * PAGE_BYTES)
         for backend in BACKENDS.values():
             runs = backend.make_diff(current, twin)
-            assert runs == ((0, b"\xff" * PAGE_BYTES),), backend.name
+            assert runs == pack_runs(((0, b"\xff" * PAGE_BYTES),)), \
+                backend.name
 
     def test_word_boundary_runs(self):
         # Change the first byte of the first word and the last byte of
@@ -108,7 +118,7 @@ class TestMakeDiffEdges:
         for backend in BACKENDS.values():
             runs = backend.make_diff(_page(bytes(current)),
                                      _page(bytes(twin)))
-            assert runs == expected, backend.name
+            assert runs == pack_runs(expected), backend.name
 
     def test_adjacent_words_merge(self):
         twin = bytearray(PAGE_BYTES)
@@ -118,7 +128,8 @@ class TestMakeDiffEdges:
         for backend in BACKENDS.values():
             runs = backend.make_diff(_page(bytes(current)),
                                      _page(bytes(twin)))
-            assert runs == ((4, bytes(current[4:12])),), backend.name
+            assert runs == pack_runs(((4, bytes(current[4:12])),)), \
+                backend.name
 
     def test_empty_batch(self):
         for backend in BACKENDS.values():
@@ -126,7 +137,8 @@ class TestMakeDiffEdges:
 
     def test_apply_batch_in_order(self):
         page = bytearray(PAGE_BYTES)
-        runs_list = [((0, b"\x01" * WORD),), ((0, b"\x02" * WORD),)]
+        runs_list = [pack_runs(((0, b"\x01" * WORD),)),
+                     pack_runs(((0, b"\x02" * WORD),))]
         for backend in BACKENDS.values():
             target = bytearray(page)
             written = backend.apply_diff_batch(target, runs_list)
@@ -198,4 +210,83 @@ class TestCompiledExtension:
     def test_run_out_of_bounds_rejected(self):
         compiled = get_backend("compiled")
         with pytest.raises(ValueError):
-            compiled.apply_diff(bytearray(8), ((4, b"\x00" * 8),))
+            compiled.apply_diff(bytearray(8), pack_runs(((4, b"\x00" * 8),)))
+
+    @pytest.mark.parametrize("cut", [
+        2,                                   # inside the run count
+        RUN_COUNT_BYTES + 5,                 # inside a run header
+        RUN_COUNT_BYTES + RUN_HEADER_BYTES + 3,  # inside a run's data
+    ])
+    def test_truncated_buffer_rejected(self, cut):
+        compiled = get_backend("compiled")
+        packed = pack_runs(((0, b"\x01" * 8),))
+        page = bytearray(16)
+        with pytest.raises(ValueError, match="truncated"):
+            compiled.apply_diff(page, packed[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            compiled.apply_diff_batch(page, [EMPTY_DIFF, packed[:cut]])
+
+    @pytest.mark.parametrize("runs", [
+        ((12, b"\x00" * 8),),               # runs off the end
+        ((16, b"\x00" * 4),),               # starts at the end
+        ((-4, b"\x00" * 4),),               # negative offset
+    ])
+    def test_run_past_page_rejected(self, runs):
+        compiled = get_backend("compiled")
+        with pytest.raises(ValueError, match="page bounds"):
+            compiled.apply_diff(bytearray(16), pack_runs(runs))
+
+    def test_trailing_bytes_rejected(self):
+        compiled = get_backend("compiled")
+        with pytest.raises(ValueError, match="trailing"):
+            compiled.apply_diff(bytearray(16), EMPTY_DIFF + b"\x00")
+
+
+def old_make_diff(current: bytes, twin: bytes):
+    """Word-granular runs as ``((offset, bytes), ...)``: the reference
+    algorithm from before a diff was its wire encoding, kept here so the
+    packed kernels are checked against something they do not share."""
+    runs = []
+    start = None
+    for off in range(0, len(current), WORD):
+        if current[off:off + WORD] != twin[off:off + WORD]:
+            if start is None:
+                start = off
+        elif start is not None:
+            runs.append((start, current[start:off]))
+            start = None
+    if start is not None:
+        runs.append((start, current[start:]))
+    return tuple(runs)
+
+
+class TestPackedContract:
+    """Every backend's encoding decodes to the old tuple algorithm's runs,
+    and its sizes follow from the run count alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(page_pairs(), min_size=1, max_size=4))
+    def test_decodes_to_old_runs(self, pairs):
+        currents = [_page(c) for c, _ in pairs]
+        twins = [_page(t) for _, t in pairs]
+        expected = [old_make_diff(c, t) for c, t in pairs]
+        for backend in BACKENDS.values():
+            single = [backend.make_diff(c, t)
+                      for c, t in zip(currents, twins)]
+            batch = backend.make_diff_batch(currents, twins)
+            for packed in single + list(batch):
+                assert type(packed) is bytes, backend.name
+            assert [unpack_runs(p) for p in single] == expected, backend.name
+            assert [unpack_runs(p) for p in batch] == expected, backend.name
+
+    @settings(max_examples=40, deadline=None)
+    @given(page_pairs())
+    def test_sizes_from_the_count(self, pair):
+        runs = old_make_diff(*pair)
+        packed = PURE.make_diff(_page(pair[0]), _page(pair[1]))
+        wire = len(packed) - RUN_COUNT_BYTES
+        assert run_count(packed) == len(runs)
+        assert wire == sum(RUN_HEADER_BYTES + len(d) for _, d in runs)
+        assert wire - RUN_HEADER_BYTES * len(runs) \
+            == sum(len(d) for _, d in runs)
+        assert pack_runs(runs) == packed

@@ -10,6 +10,7 @@ live in ``BENCH_scale.json``; ``TestBenchScaleRows`` re-derives its rows
 up to 64 nodes exactly.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -28,10 +29,20 @@ from repro.tmk.api import TmkConfig
 #: on a developer laptop; 10x headroom keeps slow CI out of the noise.
 BUDGET = 60.0
 
+ROOT = Path(__file__).resolve().parents[2]
 
-def scale_params(nprocs):
-    """A grid that still gives every processor at least 4 rows."""
-    return SorParams(rows=4 * nprocs, width=96, iterations=4)
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The sweep's grid shape, from the one place it is defined: >= 4 rows
+#: per processor.
+scale_params = _load_tool("bench_scale").scale_params
 
 
 def run_scaled(system, nprocs, **kw):
@@ -84,8 +95,7 @@ class TestBarrierRaceClean:
 
 
 #: ``tools/bench_scale.py``'s report, committed at the repository root.
-REPORT = json.loads(
-    (Path(__file__).resolve().parents[2] / "BENCH_scale.json").read_text())
+REPORT = json.loads((ROOT / "BENCH_scale.json").read_text())
 
 
 def report_params(nprocs):
@@ -98,6 +108,13 @@ def report_params(nprocs):
         assert var in ("", "nprocs"), expr
         kw[name] = int(factor) * (nprocs if var else 1)
     return SorParams(**kw)
+
+
+@pytest.mark.parametrize("nprocs", REPORT["node_counts"])
+def test_report_params_are_the_tools(nprocs):
+    """The report's recorded shape is what ``tools/bench_scale.py`` runs
+    now: a drift fails here, before any regeneration."""
+    assert report_params(nprocs) == scale_params(nprocs)
 
 
 class TestBenchScaleRows:
@@ -120,17 +137,47 @@ class TestBenchScaleRows:
             row["time"], row["messages"], row["kbytes"])
 
 
-#: Two back-to-back 256-node runs; prints the process's peak RSS in KB.
+#: Prints the probe's own peak RSS in KB.  Not ``ru_maxrss``: Linux
+#: carries that across ``exec`` from the spawning process, so under
+#: pytest it reads the test runner's peak, not the probe's.
+_PRINT_PEAK = """
+print([line.split()[1] for line in open("/proc/self/status")
+       if line.startswith("VmHWM:")][0])
+"""
+
+#: Two back-to-back 256-node runs.
 _RSS_PROBE = """
-import gc, resource
+import gc
 from repro.apps import base
 from repro.apps.sor import SorParams
 for _ in range(2):
     base.run_parallel("sor", "tmk", 256,
                       SorParams(rows=1024, width=96, iterations=4))
     gc.collect()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
+""" + _PRINT_PEAK
+
+
+#: SOR on TreadMarks at the bench preset: ~24 000 diffs of ~600 000 runs,
+#: all kept for the run.
+_DIFF_PROBE = """
+from repro.api import RunConfig, run
+run(RunConfig("fig03", system="tmk", nprocs=8, preset="bench"),
+    use_cache=False)
+""" + _PRINT_PEAK
+
+#: The allocator settings ``benchmarks/e2e`` pins: large blocks served
+#: from the heap, never trimmed.
+_BENCH_MALLOC = dict(MALLOC_MMAP_THRESHOLD_=str(32 << 20),
+                     MALLOC_TRIM_THRESHOLD_=str(1 << 40))
+
+
+def _peak_rss_mb(probe):
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **_BENCH_MALLOC)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=4 * BUDGET)
+    return int(out.stdout.split()[-1]) / 1024
 
 
 class TestHostMemory:
@@ -142,15 +189,15 @@ class TestHostMemory:
         pins (large blocks served from the heap, never trimmed): that is
         where a zero-filled heap segment is memset on reuse and the same
         probe peaked at 4.2 GB; it now peaks near 70 MB."""
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src),
-                   MALLOC_MMAP_THRESHOLD_=str(32 << 20),
-                   MALLOC_TRIM_THRESHOLD_=str(1 << 40))
-        out = subprocess.run([sys.executable, "-c", _RSS_PROBE], env=env,
-                             check=True, capture_output=True, text=True,
-                             timeout=4 * BUDGET)
-        peak_mb = int(out.stdout.split()[-1]) / 1024
+        peak_mb = _peak_rss_mb(_RSS_PROBE)
         assert peak_mb < 1024, f"peak RSS {peak_mb:.0f} MB"
+
+    def test_a_diff_costs_its_bytes(self):
+        """Every diff is kept for the run, one ``bytes`` in its wire
+        encoding.  When each run was its own ``(offset, bytes)`` tuple
+        this probe peaked at 254 MB; it now peaks near 170 MB."""
+        peak_mb = _peak_rss_mb(_DIFF_PROBE)
+        assert peak_mb < 210, f"peak RSS {peak_mb:.0f} MB"
 
 
 @pytest.mark.slow

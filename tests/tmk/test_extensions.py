@@ -13,6 +13,7 @@ import pytest
 
 from repro.sim.cluster import Cluster
 from repro.tmk.api import TmkConfig, attach_tmk
+from repro.tmk.pages import ADDRESS_SPACE
 
 
 def run(fn, nprocs=4, **config):
@@ -53,10 +54,27 @@ class TestConfigValidation:
         (dict(piggyback_budget=True), "piggyback_budget"),
         (dict(coalesce_diffs="no"), "coalesce_diffs"),
         (dict(barrier_kind="dissemination"), "unknown barrier_kind"),
-    ], ids=["nan", "inf", "1.5", "True", "coalesce-str", "dissemination"])
+        (dict(segment_bytes=-5), "segment_bytes"),
+        (dict(segment_bytes=0), "segment_bytes"),
+        (dict(segment_bytes=float("nan")), "segment_bytes"),
+        (dict(segment_bytes=True), "segment_bytes"),
+        (dict(segment_bytes=1.5), "segment_bytes"),
+        (dict(segment_bytes=ADDRESS_SPACE + 4096), "segment_bytes"),
+    ], ids=["nan", "inf", "1.5", "True", "coalesce-str", "dissemination",
+            "segment--5", "segment-0", "segment-nan", "segment-True",
+            "segment-1.5", "segment-past-address-space"])
     def test_nonsense_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TmkConfig(**kwargs)
+
+    @pytest.mark.parametrize("nodes", (8, 16, 32, 64, 128))
+    def test_scaled_segments_accepted(self, nodes):
+        # The e2e scale workload sizes SOR's segment to its two colour
+        # arrays (rows = 4 * nodes, width 512) plus 64 KB.
+        segment = 2 * (4 * nodes) * 512 * 8 + (1 << 16)
+        assert TmkConfig(segment_bytes=segment).segment_bytes == segment
+        assert TmkConfig(segment_bytes=ADDRESS_SPACE).segment_bytes \
+            == ADDRESS_SPACE
 
     def test_fields(self):
         assert [f.name for f in fields(TmkConfig)] == [

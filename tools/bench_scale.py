@@ -34,7 +34,7 @@ NODE_COUNTS = (16, 64, 256, 1024)
 
 
 def scale_params(nprocs):
-    """Same shape as tests/sim/test_scale.py: >= 4 rows per processor."""
+    """>= 4 rows per processor; ``tests/sim/test_scale.py`` imports this."""
     from repro.apps.sor import SorParams
     return SorParams(rows=4 * nprocs, width=96, iterations=4)
 
