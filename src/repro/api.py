@@ -2,17 +2,17 @@
 
 Before this module existed, every caller spelled a run differently:
 ``Cluster(...)`` plus ``attach_tmk``/``attach_pvm``/``attach_ivy`` plus a
-growing pile of fault/recovery/sanitizer/observability keyword arguments,
+growing pile of fault/masking/sanitizer/observability keyword arguments,
 each repeated by the CLI, the bench harness, the benchmark suite, and the
 examples.  The facade collapses all of that into two types and one call:
 
 * :class:`RunConfig` -- a frozen, hashable, JSON-round-trippable
   description of one run: which experiment, which system, how many
-  processors, which preset, plus the optional fault plan, crash/checkpoint
-  (recovery) settings, sanitizer (analysis) settings, observability
-  settings, and cost-model override.
+  processors, which preset, plus the optional fault plan (crashes
+  included), failure masking (replication), sanitizer (analysis)
+  settings, observability settings, and cost-model override.
 * :class:`RunResult` -- the versioned result record: measured virtual
-  time, the sequential baseline, message/byte totals, and the recovery
+  time, the sequential baseline, message/byte totals, and the masking
   ledger.  ``to_json()``/``from_json()`` round-trip exactly; the same
   schema is what the persistent result cache stores on disk.
 * :func:`run` -- executes a config (verifying the parallel result against
@@ -52,7 +52,7 @@ from repro.scabd.config import ReplicationConfig
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import EngineDeadlock
 from repro.sim.faults import FaultPlan, TransportError
-from repro.sim.recovery import NodeFailure, RecoveryConfig
+from repro.sim.recovery import NodeFailure
 from repro.tmk.pages import ADDRESS_SPACE
 
 __all__ = [
@@ -190,7 +190,7 @@ _PARSERS = {"faults.crash_at": crash_spec}
 @functools.lru_cache(maxsize=None)
 def leaves(cls: type) -> Mapping[str, Leaf]:
     """Every leaf of config dataclass ``cls`` by dotted name, in field
-    order; built once per class per process (``RunConfig`` has 68)."""
+    order; built once per class per process (``RunConfig`` has 59)."""
     table: Dict[str, Leaf] = {}
 
     def walk(cls: type, prefix: str) -> None:
@@ -295,8 +295,6 @@ class RunConfig:
     preset: str = "bench"
     #: Deterministic network fault schedule (loss, delay, crashes, ...).
     faults: Optional[FaultPlan] = None
-    #: Crash recovery: checkpoint interval, failure detector, rollback.
-    recovery: Optional[RecoveryConfig] = None
     #: DSM sanitizer: race detection and false-sharing analysis (tmk only).
     analysis: Optional[AnalysisConfig] = None
     #: Observability: span timeline and/or time-attribution profiler.
@@ -304,8 +302,8 @@ class RunConfig:
     #: Hardware cost-model override (``None`` = the paper's testbed).
     cost: Optional[CostModel] = None
     #: SC-ABD failure masking: replicate pages on a quorum of dedicated
-    #: servers so minority crashes are absorbed without rollback
-    #: (tmk only; an alternative to checkpointing, not an addition).
+    #: servers so minority crashes are absorbed (tmk only).  Without it
+    #: a crash ends the run with ``NodeFailure``.
     replication: Optional[ReplicationConfig] = None
     #: Attach the runtime protocol-invariant monitors
     #: (``repro.verify.invariants``); a broken coherence rule raises
@@ -339,8 +337,7 @@ class RunConfig:
                 f"page_size must be <= {ADDRESS_SPACE}, the "
                 f"{ADDRESS_SPACE >> 30} GiB address space every processor "
                 f"reserves, got {self.cost.page_size}")
-        base.check_options(self.system, self.analysis, self.recovery,
-                           self.replication)
+        base.check_options(self.system, self.analysis, self.replication)
         # Replica servers are pids nprocs .. nprocs+replicas-1, appended
         # after the application ranks, and are legitimate crash targets.
         replicas = self.replication.replicas if self.replication else 0
@@ -387,8 +384,6 @@ class RunResult:
     messages: int
     kbytes: float
     link_utilization: float = 0.0
-    #: Crash-recovery ledger summary (``None`` for fault-free runs).
-    recovery: Optional[Dict[str, Any]] = None
     #: Quorum-replication ledger summary (``None`` unless the run used
     #: the SC-ABD failure-masking mode).
     replication: Optional[Dict[str, Any]] = None
@@ -463,7 +458,7 @@ def cache_key(config: RunConfig) -> str:
     """Content-addressed key for one run.
 
     Covers the experiment id and its resolved parameters, the system,
-    the processor count, the preset, the fault/recovery/analysis/obs
+    the processor count, the preset, the fault/replication/analysis/obs
     options, the cost-model constants in effect, the result schema
     version, and the fingerprint of the source this process imported.
 
@@ -572,8 +567,7 @@ def simulate(config: RunConfig, *, trace: Optional[Any] = None) -> Any:
     return base.run_parallel(
         exp.app, config.system, config.nprocs,
         harness.params_for(exp, config.preset), cost=config.cost,
-        faults=config.faults, analysis=config.analysis,
-        recovery=config.recovery, obs=config.obs,
+        faults=config.faults, analysis=config.analysis, obs=config.obs,
         replication=config.replication, invariants=config.invariants,
         trace=trace)
 
@@ -581,7 +575,7 @@ def simulate(config: RunConfig, *, trace: Optional[Any] = None) -> Any:
 def _execute(config: RunConfig, store: Optional[ResultCache],
              key: Optional[str]) -> RunResult:
     """Run, verify against the sequential oracle, record.  Every parallel
-    run is a correctness check -- lossy and crash/recovery runs included,
+    run is a correctness check -- lossy and masked-crash runs included,
     whose results must match the fault-free ones."""
     exp = harness.EXPERIMENTS[config.experiment]
     par = simulate(config)
@@ -590,18 +584,6 @@ def _execute(config: RunConfig, store: Optional[ResultCache],
         raise AssertionError(
             f"{config.experiment} ({config.system}, {config.nprocs} "
             "procs): parallel result does not match the sequential run")
-    recovery = None
-    if par.recovery is not None:
-        report = par.recovery
-        recovery = {
-            "recoveries": report.recoveries,
-            "failed_nodes": list(report.failed_nodes),
-            "detection_latency": report.detection_latency,
-            "lost_work": report.lost_work,
-            "restore_time": report.restore_time,
-            "restored_bytes": report.restored_bytes,
-            "overhead_time": report.overhead_time,
-        }
     replication = None
     if par.replication is not None:
         rep = par.replication
@@ -626,7 +608,6 @@ def _execute(config: RunConfig, store: Optional[ResultCache],
         messages=par.total_messages(),
         kbytes=par.total_kbytes(),
         link_utilization=par.cluster.link_utilization,
-        recovery=recovery,
         replication=replication,
         parallel=par,
     )

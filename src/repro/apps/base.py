@@ -20,8 +20,6 @@ from repro.obs.core import ObsConfig
 from repro.sim.cluster import Cluster, ClusterConfig, ClusterResult, Processor
 from repro.sim.costmodel import CostModel
 from repro.sim.faults import FaultPlan
-from repro.sim.recovery import (NodeFailure, RecoveryConfig, RecoveryReport,
-                                plan_recovery)
 from repro.sim.stats import MessageStats
 from repro.sim.trace import Trace
 from repro.tmk.api import TmkConfig, attach_tmk
@@ -115,9 +113,6 @@ class ParallelResult:
     #: The run's protocol-invariant monitor (repro.verify.invariants),
     #: when ``invariants=True`` was requested.
     invariant_monitor: Optional[Any] = None
-    #: Crash-recovery ledger (None unless a recovery config was given or
-    #: the fault plan scheduled a permanent crash).
-    recovery: Optional[RecoveryReport] = None
     #: Quorum-replication ledger (None unless the run used the SC-ABD
     #: failure-masking mode).
     replication: Optional[ReplicationReport] = None
@@ -170,7 +165,6 @@ def get_app(name: str) -> AppSpec:
 # ----------------------------------------------------------------------
 def check_options(system: str,
                   analysis: Optional[AnalysisConfig] = None,
-                  recovery: Optional[RecoveryConfig] = None,
                   replication: Optional[ReplicationConfig] = None) -> None:
     """Which run options combine -- stated once, for every surface.
 
@@ -190,10 +184,6 @@ def check_options(system: str,
                 f"{option} requires system='tmk', got {system!r}")
     if masking and sanitizing:
         raise ValueError("the sanitizer cannot run under quorum replication")
-    if masking and recovery is not None and recovery.checkpoint_interval > 0:
-        raise ValueError(
-            "masking and rollback are alternatives: replication cannot be "
-            "combined with checkpointing (checkpoint_interval > 0)")
 
 
 def run_sequential(app: AppSpec | str, params: Any) -> SeqResult:
@@ -211,7 +201,6 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
                  trace: Optional[Trace] = None,
                  faults: Optional[FaultPlan] = None,
                  analysis: Optional[AnalysisConfig] = None,
-                 recovery: Optional[RecoveryConfig] = None,
                  obs: Optional[ObsConfig] = None,
                  replication: Optional[ReplicationConfig] = None,
                  scheduler: Optional[Any] = None,
@@ -228,26 +217,20 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
     check needs the LRC synchronization events); it observes but never
     charges, so accounting is identical with or without it.
 
-    ``recovery`` configures checkpointing and the failure detector; the
-    cluster defaults it on (detection only) when the fault plan schedules
-    a permanent crash.  When a crash is detected mid-run, the run rolls
-    back and re-executes with the failed rank restarted on a spare host
-    (the deterministic simulator makes restore-and-replay equivalent to
-    a fresh run), the recovery cost is added to the measured time, and
-    the final result is bit-identical to the fault-free run.  Returns
-    the application result, the measured virtual time, and the message
-    statistics.
+    A permanent crash in ``faults`` (``FaultPlan.crash_at``) installs
+    the cluster's lease-based failure detector, which ends the run with
+    ``NodeFailure`` once the dead node's lease expires -- unless
+    ``replication`` masks it.  Returns the application result, the
+    measured virtual time, and the message statistics.
 
-    ``replication`` selects the SC-ABD failure-*masking* mode instead
+    ``replication`` selects the SC-ABD failure-*masking* mode
     (``system`` must be ``"tmk"``): the cluster grows by
     ``replication.replicas`` dedicated page-replica servers, page data
     moves through majority quorums, and the crash of a replica minority
-    is absorbed without any rollback -- the result stays bit-identical
-    to the fault-free run and only the quorum traffic (the
-    ``"replication"`` stats system) and quorum waits are added.  Masking
-    and rollback are alternatives: with ``replication`` set there are no
-    checkpoints, and an unmaskable crash (an application rank, or one
-    replica too many) aborts the run with ``NodeFailure``.
+    is absorbed -- the result stays bit-identical to the fault-free run
+    and only the quorum traffic (the ``"replication"`` stats system) and
+    quorum waits are added.  An unmaskable crash (an application rank,
+    or one replica too many) still ends the run with ``NodeFailure``.
 
     ``scheduler`` overrides the engine's tie-break policy among ready
     threads at equal virtual time (see ``repro.verify.schedule``); the
@@ -270,75 +253,49 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
     if engine != "coro":
         raise ValueError(f"engine must be 'coro', got {engine!r}")
     spec = get_app(app) if isinstance(app, str) else app
-    check_options(system, analysis, recovery, replication)
+    check_options(system, analysis, replication)
     if analysis is not None and not analysis.enabled:
         analysis = None
     if obs is not None and not obs.enabled:
         obs = None
     mask = replication is not None
-    report = None
-    plan = faults
-    while True:
-        total_procs = nprocs + (replication.replicas if mask else 0)
-        cluster = Cluster(total_procs, config=ClusterConfig(
-            cost=cost, trace=trace, faults=plan, recovery=recovery, obs=obs,
-            scheduler=scheduler, kernels=kernels))
-        if report is None and cluster.recovery is not None and not mask:
-            # Given, or defaulted by the cluster for a scheduled crash;
-            # either way the re-executions below keep the same detector.
-            recovery = cluster.recovery.config
-            report = RecoveryReport()
-        sanitizer = None
-        scabd_system = None
-        if mask:
-            endpoints = attach_scabd(cluster, replication)
-            scabd_system = endpoints[0].system
-            monitor_kind = "scabd"
-            main = spec.tmk_main
-        elif system == "tmk":
-            endpoints = attach_tmk(cluster, tmk_config)
-            if analysis is not None:
-                sanitizer = attach_sanitizer(cluster, endpoints, analysis)
-            monitor_kind = "tmk"
-            main = spec.tmk_main
-        elif system == "ivy":
-            endpoints = attach_ivy(cluster)
-            monitor_kind = "ivy"
-            main = spec.tmk_main
-        else:
-            endpoints = attach_pvm(cluster, route=pvm_route)
-            monitor_kind = "pvm"
-            main = spec.pvm_main
-        monitor = None
-        if invariants:
-            monitor = attach_invariants(cluster, endpoints, monitor_kind)
-        try:
-            outcome = cluster.run(main, args=(params,))
-            break
-        except NodeFailure as failure:
-            if report is None:
-                # Masking mode (or no recovery at all): there is no
-                # checkpoint to roll back to, so an unmaskable crash
-                # surfaces to the caller as a clean abort.
-                raise
-            # Survivors roll back to the failure's last checkpoint and
-            # re-execute; deterministically equivalent to this re-run.
-            plan = plan_recovery(failure, plan, cluster.recovery.config,
-                                 report)
+    total_procs = nprocs + (replication.replicas if mask else 0)
+    cluster = Cluster(total_procs, config=ClusterConfig(
+        cost=cost, trace=trace, faults=faults, obs=obs,
+        scheduler=scheduler, kernels=kernels))
+    sanitizer = None
+    scabd_system = None
+    if mask:
+        endpoints = attach_scabd(cluster, replication)
+        scabd_system = endpoints[0].system
+        monitor_kind = "scabd"
+        main = spec.tmk_main
+    elif system == "tmk":
+        endpoints = attach_tmk(cluster, tmk_config)
+        if analysis is not None:
+            sanitizer = attach_sanitizer(cluster, endpoints, analysis)
+        monitor_kind = "tmk"
+        main = spec.tmk_main
+    elif system == "ivy":
+        endpoints = attach_ivy(cluster)
+        monitor_kind = "ivy"
+        main = spec.tmk_main
+    else:
+        endpoints = attach_pvm(cluster, route=pvm_route)
+        monitor_kind = "pvm"
+        main = spec.pvm_main
+    monitor = None
+    if invariants:
+        monitor = attach_invariants(cluster, endpoints, monitor_kind)
+    outcome = cluster.run(main, args=(params,))
     if sanitizer is not None:
         sanitizer.finish(outcome.stats)
-    time = outcome.measured
-    if report is not None and report.recoveries:
-        time += report.overhead_time
-        outcome.stats.record("recovery", "rollback",
-                             messages=report.recoveries,
-                             nbytes=report.restored_bytes)
     # Replica servers return nothing; the application's results (and its
     # endpoints) are the first ``nprocs`` entries.
     app_procs = cluster.procs[:nprocs]
     return ParallelResult(
         result=spec.collect(outcome.results[:nprocs]),
-        time=time,
+        time=outcome.measured,
         stats=outcome.stats,
         cluster=outcome,
         nprocs=nprocs,
@@ -347,7 +304,6 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
                    for proc in app_procs],
         sanitizer=sanitizer,
         invariant_monitor=monitor,
-        recovery=report,
         replication=(scabd_system.report() if scabd_system is not None
                      else None),
         timeline=cluster.obs.timeline if cluster.obs is not None else None,

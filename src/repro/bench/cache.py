@@ -1,7 +1,7 @@
 """Persistent, content-addressed result cache.
 
 Experiment results are pure functions of (experiment parameters, system,
-processor count, fault/recovery/analysis/observability options, cost-model
+processor count, fault/replication/analysis/observability options, cost-model
 constants, and the simulator's source code): the simulator is
 deterministic, so a result computed once is valid until any of those
 inputs changes.  This module stores one JSON document per cache key under

@@ -85,8 +85,8 @@ def _buckets(counters: Mapping[str, Any]) -> List[str]:
 
 def report(config: api.RunConfig, result: api.RunResult) -> str:
     """``repro run``'s text: the summary ``/run`` serves, then what only
-    the live run (``result.parallel``) has -- stats buckets, fault,
-    recovery and masking ledgers, tmk's mechanism breakdown, sanitizer."""
+    the live run (``result.parallel``) has -- stats buckets, fault and
+    masking ledgers, tmk's mechanism breakdown, sanitizer."""
     from repro.bench.analysis import decompose, render_breakdown
     exp = harness.EXPERIMENTS[config.experiment]
     run, system = result.parallel, config.system
@@ -107,18 +107,6 @@ def report(config: api.RunConfig, result: api.RunResult) -> str:
             if category in rel:
                 rows.append(f"  {category:<16} {rel[category].messages:>10d}"
                             f" msgs {rel[category].bytes / 1024.0:>12.1f} KB")
-    if run.recovery is not None:
-        rec = run.recovery
-        rows += ["", "crash recovery:",
-                 f"  failures recovered  {rec.recoveries}"
-                 + (f" (nodes {rec.failed_nodes})" if rec.failed_nodes
-                    else ""),
-                 f"  detection latency   {rec.detection_latency * 1e3:10.2f} ms",
-                 f"  lost work re-run    {rec.lost_work:10.4f} virtual s",
-                 f"  checkpoint restore  {rec.restore_time * 1e3:10.2f} ms "
-                 f"({rec.restored_bytes / 1024.0:.1f} KB)",
-                 f"  total overhead      {rec.overhead_time:10.4f} virtual s"]
-        rows += _buckets(run.stats.recovery())
     if run.replication is not None:
         rep = run.replication
         rows += ["", "failure masking (SC-ABD quorum replication):",

@@ -9,8 +9,10 @@ returns (``repro <command> -h`` for each).  Everything prints to stdout.
 A run is spelled once, by ``RunConfig``'s fields: every verb that runs
 one takes a flag per field, named by its dotted path and parsed by
 :func:`repro.api.leaves` -- ``--nprocs 4``, ``--faults.loss 0.01``,
-``--recovery.checkpoint_interval 0.25``, ``--replication.mode mask`` --
-exactly as ``repro serve`` takes ``?faults.loss=0.01``.  A group of
+``--crash 1@0.5``, ``--replication.mode mask`` -- exactly as ``repro
+serve`` takes ``?faults.loss=0.01``.  A run that fails as configured
+(``api.RUN_FAILURES``: an unmasked crash, a link that drops every retry,
+...) prints one line and exits non-zero.  A group of
 fields stays off unless one of its flags is given.  ``repro serve``'s own
 flags are ``ServeConfig``'s fields, by the same walk.
 """
@@ -193,26 +195,9 @@ def cmd_run(config: Any) -> str:
     """One run of ``config`` (a ``RunConfig``) with its full report."""
     from repro import api
     from repro.bench.views import report
-    from repro.sim.recovery import NodeFailure
-    replication = config.replication
-    try:
-        # want_parallel: the report needs the live run (stats buckets,
-        # sanitizer, mechanism breakdown), not just the summary.
-        result = api.run(config, want_parallel=True)
-    except NodeFailure as failure:
-        if replication is not None:
-            raise SystemExit(
-                f"unmaskable failure: {failure}\n"
-                f"(hint: {replication.replicas} replicas mask up to "
-                f"{replication.f_max} *replica* crashes; an application-"
-                "rank crash or one dead replica too many aborts the run "
-                "-- drop --replication.* and use "
-                "--recovery.checkpoint_interval to survive those)")
-        raise SystemExit(f"unrecoverable failure: {failure}\n"
-                         "(hint: --recovery.checkpoint_interval bounds the "
-                         "work lost per crash; multiple crashes within one "
-                         "checkpoint interval cannot be recovered)")
-    return report(config, result)
+    # want_parallel: the report needs the live run (stats buckets,
+    # sanitizer, mechanism breakdown), not just the summary.
+    return report(config, api.run(config, want_parallel=True))
 
 
 def cmd_verify(experiment: Optional[str], system: str = "tmk",

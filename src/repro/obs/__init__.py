@@ -10,7 +10,7 @@ message counts into the same causal story:
   ``diff_request`` -> ``wire`` -> ``diff_apply``, ...), zero overhead
   when disabled, with an optional ring-buffer cap;
 * :mod:`repro.obs.profile` -- exclusive per-processor time buckets
-  (compute, wire, protocol, stall-on-sync, stall-on-data, recovery)
+  (compute, wire, protocol, stall-on-sync, stall-on-data, replication)
   that sum to each processor's measured time, plus the attribution of
   TreadMarks stall time to the paper's four mechanisms;
 * :mod:`repro.obs.perfetto` -- Chrome/Perfetto ``trace.json`` export
@@ -19,9 +19,8 @@ message counts into the same causal story:
   call and the :class:`ObsConfig` knob that enables it.
 """
 
-from repro.obs.core import (BUCKETS, B_COMPUTE, B_PROTOCOL, B_RECOVERY,
-                            B_STALL_DATA, B_STALL_SYNC, B_WIRE, Obs,
-                            ObsConfig)
+from repro.obs.core import (BUCKETS, B_COMPUTE, B_PROTOCOL, B_STALL_DATA,
+                            B_STALL_SYNC, B_WIRE, Obs, ObsConfig)
 from repro.obs.perfetto import (to_chrome_trace, validate_chrome_trace,
                                 write_chrome_trace)
 from repro.obs.profile import (MechanismAttribution, ProcessorProfile,
@@ -33,7 +32,6 @@ __all__ = [
     "BUCKETS",
     "B_COMPUTE",
     "B_PROTOCOL",
-    "B_RECOVERY",
     "B_STALL_DATA",
     "B_STALL_SYNC",
     "B_WIRE",

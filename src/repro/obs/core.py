@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.obs.profile import TimeProfiler
+from repro.obs.profile import (BUCKETS, B_COMPUTE, B_PROTOCOL,
+                               B_REPLICATION, B_STALL_DATA, B_STALL_SYNC,
+                               B_WIRE, TimeProfiler)
 from repro.obs.timeline import Timeline
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,7 +34,6 @@ __all__ = [
     "BUCKETS",
     "B_COMPUTE",
     "B_PROTOCOL",
-    "B_RECOVERY",
     "B_REPLICATION",
     "B_STALL_DATA",
     "B_STALL_SYNC",
@@ -40,21 +41,6 @@ __all__ = [
     "Obs",
     "ObsConfig",
 ]
-
-# ----------------------------------------------------------------------
-# Exclusive time buckets (see DESIGN.md section 5e for definitions)
-# ----------------------------------------------------------------------
-B_COMPUTE = "compute"          #: application computation
-B_WIRE = "wire"                #: sender-side CPU + occupancy putting bytes out
-B_PROTOCOL = "protocol"        #: runtime-library CPU (service, twins, diffs,
-#: pack/unpack)
-B_STALL_SYNC = "stall_sync"    #: blocked on synchronization (locks, barriers)
-B_STALL_DATA = "stall_data"    #: blocked on data (page faults, pvm_recv)
-B_RECOVERY = "recovery"        #: checkpoint writes and rollback overhead
-B_REPLICATION = "replication"  #: blocked on SC-ABD quorum reads/writes
-
-BUCKETS = (B_COMPUTE, B_WIRE, B_PROTOCOL, B_STALL_SYNC, B_STALL_DATA,
-           B_RECOVERY, B_REPLICATION)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
+    "BUCKETS",
+    "B_COMPUTE",
+    "B_PROTOCOL",
+    "B_REPLICATION",
+    "B_STALL_DATA",
+    "B_STALL_SYNC",
+    "B_WIRE",
     "MechanismAttribution",
     "ProcessorProfile",
     "RunProfile",
@@ -40,12 +47,20 @@ __all__ = [
     "render_profile",
 ]
 
-# Duplicated from repro.obs.core to avoid a circular import (core
-# imports this module); core re-exports these as the public names.
-_B_COMPUTE = "compute"
-_B_PROTOCOL = "protocol"
-_BUCKETS = ("compute", "wire", "protocol", "stall_sync", "stall_data",
-            "recovery", "replication")
+# ----------------------------------------------------------------------
+# Exclusive time buckets (see DESIGN.md section 5e for definitions);
+# repro.obs.core re-exports them for the runtime layers.
+# ----------------------------------------------------------------------
+B_COMPUTE = "compute"          #: application computation
+B_WIRE = "wire"                #: sender-side CPU + occupancy putting bytes out
+B_PROTOCOL = "protocol"        #: runtime-library CPU (service, twins, diffs,
+#: pack/unpack)
+B_STALL_SYNC = "stall_sync"    #: blocked on synchronization (locks, barriers)
+B_STALL_DATA = "stall_data"    #: blocked on data (page faults, pvm_recv)
+B_REPLICATION = "replication"  #: blocked on SC-ABD quorum reads/writes
+
+BUCKETS = (B_COMPUTE, B_WIRE, B_PROTOCOL, B_STALL_SYNC, B_STALL_DATA,
+           B_REPLICATION)
 
 _MECH_KEYS = ("request_time", "accum_time", "diff_requests", "accum_bytes")
 
@@ -64,7 +79,7 @@ class TimeProfiler:
         self.nprocs = nprocs
         self.cost = cost
         self.buckets: List[Dict[str, float]] = [
-            {b: 0.0 for b in _BUCKETS} for _ in range(nprocs)]
+            {b: 0.0 for b in BUCKETS} for _ in range(nprocs)]
         self.accounted: List[float] = [0.0] * nprocs
         #: Innermost-last stack of open-span buckets, per processor.
         self.stacks: List[List[str]] = [[] for _ in range(nprocs)]
@@ -73,7 +88,7 @@ class TimeProfiler:
         #: Snapshots taken at the opening of the measured window.
         self.baseline_clock: List[float] = [0.0] * nprocs
         self.baseline_buckets: List[Dict[str, float]] = [
-            {b: 0.0 for b in _BUCKETS} for _ in range(nprocs)]
+            {b: 0.0 for b in BUCKETS} for _ in range(nprocs)]
         self.baseline_mech: List[Dict[str, float]] = [
             {k: 0.0 for k in _MECH_KEYS} for _ in range(nprocs)]
         #: Run-level measured-window start (the marking processor's clock).
@@ -87,7 +102,7 @@ class TimeProfiler:
     # ------------------------------------------------------------------
     def _context(self, pid: int) -> str:
         stack = self.stacks[pid]
-        return stack[-1] if stack else _B_COMPUTE
+        return stack[-1] if stack else B_COMPUTE
 
     def _settle(self, pid: int, now: float) -> None:
         """Charge the uncharged clock gap (block/wake jumps) to the
@@ -115,14 +130,14 @@ class TimeProfiler:
         The hottest hook (once per compute() call), hence the inlined
         stack lookup."""
         stack = self.stacks[pid]
-        self.buckets[pid][stack[-1] if stack else _B_COMPUTE] += dt
+        self.buckets[pid][stack[-1] if stack else B_COMPUTE] += dt
         self.accounted[pid] += dt
 
     def on_service(self, pid: int, dt: float) -> None:
         """Interrupt-style charge (handler/reliability context): always
         protocol time, never the span stack -- the victim's app thread
         may be mid-span in an unrelated stall."""
-        self.buckets[pid][_B_PROTOCOL] += dt
+        self.buckets[pid][B_PROTOCOL] += dt
         self.accounted[pid] += dt
 
     # ------------------------------------------------------------------
@@ -186,7 +201,7 @@ class TimeProfiler:
     # ------------------------------------------------------------------
     def window_buckets(self, pid: int) -> Dict[str, float]:
         base = self.baseline_buckets[pid]
-        return {b: self.buckets[pid][b] - base.get(b, 0.0) for b in _BUCKETS}
+        return {b: self.buckets[pid][b] - base.get(b, 0.0) for b in BUCKETS}
 
     def window_measured(self, pid: int) -> float:
         return self.finish[pid] - self.baseline_clock[pid]
@@ -241,7 +256,7 @@ class RunProfile:
     mechanisms: Optional[MechanismAttribution] = None
 
     def bucket_totals(self) -> Dict[str, float]:
-        totals = {b: 0.0 for b in _BUCKETS}
+        totals = {b: 0.0 for b in BUCKETS}
         for proc in self.processors:
             for bucket, value in proc.buckets.items():
                 totals[bucket] += value
@@ -316,17 +331,17 @@ def render_profile(profile: RunProfile) -> str:
     title = profile.label or f"{profile.system} x {profile.nprocs}"
     lines.append(f"time attribution: {title} [{profile.system}, "
                  f"{profile.nprocs} procs]")
-    header = "  pid   measured" + "".join(f" {b:>10}" for b in _BUCKETS)
+    header = "  pid   measured" + "".join(f" {b:>10}" for b in BUCKETS)
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
     for proc in profile.processors:
         row = f"  P{proc.pid:<3} {_ms(proc.measured)}"
-        row += "".join(f" {_ms(proc.buckets[b])}" for b in _BUCKETS)
+        row += "".join(f" {_ms(proc.buckets[b])}" for b in BUCKETS)
         lines.append(row)
     totals = profile.bucket_totals()
     grand = sum(p.measured for p in profile.processors)
     row = f"  sum  {_ms(grand)}"
-    row += "".join(f" {_ms(totals[b])}" for b in _BUCKETS)
+    row += "".join(f" {_ms(totals[b])}" for b in BUCKETS)
     lines.append(row)
     lines.append("  (all times in ms; buckets are exclusive and sum to "
                  "measured)")

@@ -237,14 +237,6 @@ class Pvm:
         """Messages sitting in the inbox (diagnostics)."""
         return len(self._inbox)
 
-    def inflight_bytes(self) -> int:
-        """User bytes of received-but-unconsumed messages.
-
-        A coordinated PVM checkpoint must log these along with the
-        process state -- they are in flight on the cut.
-        """
-        return sum(m.nbytes for m in self._inbox)
-
 
 def attach_pvm(cluster: "Cluster", route: str = "direct") -> List[Pvm]:
     """Create one :class:`Pvm` endpoint per processor (sets ``proc.pvm``)."""
@@ -253,8 +245,4 @@ def attach_pvm(cluster: "Cluster", route: str = "direct") -> List[Pvm]:
     for proc in cluster.procs:
         proc.pvm = Pvm(proc, route=route, daemons=daemons)
         endpoints.append(proc.pvm)
-    if cluster.recovery is not None:
-        # PVM has no global barrier to align on; checkpoints are driven
-        # by a coordinated timer (no-op when the interval is 0).
-        cluster.recovery.start_coordinated_checkpoints()
     return endpoints

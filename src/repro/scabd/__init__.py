@@ -1,12 +1,12 @@
 """SC-ABD: a failure-masking, quorum-replicated DSM mode.
 
-Instead of paying for a crash after the fact (checkpoint/rollback,
-:mod:`repro.sim.recovery`), this package *masks* it: every shared page is
-replicated on a set of dedicated page-replica servers and all page data
-moves through ABD-style majority quorums, so the crash of a minority of
-replicas leaves the run unaffected -- same result bytes, no rollback,
-only the replication traffic and quorum-wait time added to the measured
-cost.  See DESIGN.md section 5g for the protocol and accounting rules.
+Without it, the failure detector (:mod:`repro.sim.recovery`) ends a run
+with ``NodeFailure`` at the first crash.  This package *masks* a crash
+instead: every shared page is replicated on a set of dedicated
+page-replica servers and all page data moves through ABD-style majority
+quorums, so the crash of a minority of replicas leaves the run
+unaffected -- same result bytes, only the replication traffic and
+quorum-wait time added to the measured cost.  See DESIGN.md section 5g for the protocol and accounting rules.
 """
 
 from repro.scabd.api import (ReplicationReport, ScAbd, ScAbdSystem,

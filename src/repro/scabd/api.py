@@ -35,7 +35,7 @@ class ReplicationReport:
 
     replicas: int
     f_max: int
-    #: Replica crashes absorbed without rollback, in masking order.
+    #: Replica crashes absorbed, in masking order.
     masked_nodes: List[int] = field(default_factory=list)
     #: Sum over masked crashes of (detect time - crash time): how long
     #: each dead replica kept receiving (futile) quorum traffic.
@@ -91,7 +91,7 @@ class ScAbdSystem(DsmSystem):
         forms and the run proceeds untouched.  An application-rank crash,
         or one dead replica too many, returns False and the shared
         detector declares :class:`~repro.sim.recovery.NodeFailure` as
-        usual (clean abort -- this mode has no rollback to fall back on).
+        usual (a clean abort of the run).
         """
         if node not in self.replica_pids:
             return False

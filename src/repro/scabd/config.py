@@ -20,9 +20,9 @@ class ReplicationConfig:
     #: up to ``(replicas - 1) // 2`` crashes (1 of 3, 2 of 5, ...).
     replicas: int = 3
     #: Fault-tolerance strategy this config selects.  Only ``"mask"``
-    #: exists today (rollback is expressed by *omitting* the
-    #: replication config and using ``RecoveryConfig`` instead); the
-    #: field is kept explicit so cached mask-mode results can never be
+    #: exists (omitting the replication config means no fault
+    #: tolerance: a crash ends the run with ``NodeFailure``); the field
+    #: is kept explicit so cached mask-mode results can never be
     #: confused with anything else.
     mode: str = "mask"
 

@@ -25,7 +25,10 @@ exactly the latest committed version and ABD's write-back phase is
 unnecessary (see DESIGN.md section 5g).  The crash of a minority of
 replicas is therefore *masked*: quorums still form, and the shared
 failure detector (:class:`~repro.sim.recovery.RecoveryManager`) merely
-marks the dead replica so future quorum traffic skips it.
+marks the dead replica so future quorum traffic skips it.  Any other
+crash -- an application rank, or one replica past ``f_max`` -- is not
+masked, and the detector ends the run with
+:class:`~repro.sim.recovery.NodeFailure`.
 
 Accounting: home/control traffic is charged to the DSM's own wire totals
 (the run's ``tmk`` column), replica traffic to the ``"replication"``

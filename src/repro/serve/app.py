@@ -47,6 +47,9 @@ __all__ = ["ReproServer"]
 #: ``RunConfig``'s call).
 _MAX_NPROCS = 64
 
+#: The server's own query parameters (how to serve, not what to run).
+_SERVER_PARAMS = frozenset({"deadline_ms", "inject"})
+
 #: A run that fails as the request configured it is the client's to fix.
 _RUN_FAILURES = frozenset(exc.__name__ for exc in api.RUN_FAILURES)
 
@@ -206,8 +209,9 @@ class ReproServer:
         """The request's ``RunConfig`` (and, for a view, its params): every
         query parameter named after a leaf (``nprocs``, ``faults.loss``)
         or a param of the view, converted and validated exactly as the
-        CLI's flags are.  A leaf outside the view's fields is refused,
-        never dropped.  Every message is the 400 body."""
+        CLI's flags are.  A leaf outside the view's fields, or a name that
+        is neither, is refused, never dropped.  Every message is the 400
+        body."""
         table = api.leaves(api.RunConfig)
         own = {} if view is None else \
             {p.name: p for p in view.params if p.served}
@@ -221,8 +225,10 @@ class ReproServer:
                 parse = table[name].parse
                 if parse is None:  # a tuple of tuples: no text spelling
                     raise _BadRequest(f"{name} has no query spelling")
-            else:
+            elif name in _SERVER_PARAMS:
                 continue
+            else:
+                raise _BadRequest(f"unknown parameter {name}")
             try:
                 values[name] = parse(text)
             except ValueError as exc:
@@ -241,9 +247,8 @@ class ReproServer:
 
     @staticmethod
     def _logical_key(request: Request) -> str:
-        skip = {"deadline_ms", "inject"}
         items = sorted((k, v) for k, v in request.query.items()
-                       if k not in skip)
+                       if k not in _SERVER_PARAMS)
         return request.path + "?" + "&".join(f"{k}={v}" for k, v in items)
 
     # ------------------------------------------------------------------

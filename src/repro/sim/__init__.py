@@ -13,8 +13,8 @@ paper's physical testbed (8 HP-735 workstations on a 100 Mbit/s FDDI ring):
 * :mod:`repro.sim.faults` -- deterministic fault injection (drop /
   duplicate / reorder / delay, slow nodes, transient partitions,
   permanent crashes) plus the user-level reliability protocol parameters.
-* :mod:`repro.sim.recovery` -- crash recovery: lease-based failure
-  detection, coordinated checkpointing, and rollback cost accounting.
+* :mod:`repro.sim.recovery` -- crash detection: the lease-based failure
+  detector that ends a run with ``NodeFailure`` or lets SC-ABD mask it.
 * :mod:`repro.sim.stats` -- message/byte accounting mirroring the paper's
   Table 2 methodology.
 """
@@ -25,13 +25,10 @@ from repro.sim.engine import (Engine, EngineDeadlock, SimAborted, SimTask,
 from repro.sim.cluster import Cluster, ClusterConfig, Processor
 from repro.sim.faults import FaultDecision, FaultPlan, TransportError
 from repro.sim.network import Network, TcpChannel, UdpChannel
-from repro.sim.recovery import (Checkpoint, NodeFailure, RecoveryConfig,
-                                RecoveryManager, RecoveryReport,
-                                plan_recovery)
+from repro.sim.recovery import NodeFailure, RecoveryManager
 from repro.sim.stats import MessageStats, StatKey
 
 __all__ = [
-    "Checkpoint",
     "CostModel",
     "Cluster",
     "ClusterConfig",
@@ -43,9 +40,7 @@ __all__ = [
     "Network",
     "NodeFailure",
     "Processor",
-    "RecoveryConfig",
     "RecoveryManager",
-    "RecoveryReport",
     "SimAborted",
     "SimTask",
     "StatKey",
@@ -53,5 +48,4 @@ __all__ = [
     "ThreadKilled",
     "TransportError",
     "UdpChannel",
-    "plan_recovery",
 ]

@@ -17,7 +17,7 @@ from repro.sim.costmodel import CostModel
 from repro.sim.engine import Block, Engine, SimTask
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Delivery, Network
-from repro.sim.recovery import RecoveryConfig, RecoveryManager
+from repro.sim.recovery import RecoveryManager
 from repro.sim.stats import MessageStats
 from repro.sim.trace import Trace
 
@@ -203,11 +203,6 @@ class ClusterConfig:
     trace: Optional[Trace] = None
     #: Deterministic network fault schedule (None = perfect medium).
     faults: Optional[FaultPlan] = None
-    #: Failure detector / checkpoint configuration.  ``None`` still gets
-    #: a detection-only default when the fault plan schedules a permanent
-    #: crash, so a crashed run surfaces ``NodeFailure`` instead of
-    #: hanging the barrier until the watchdog trips.
-    recovery: Optional[RecoveryConfig] = None
     #: Observability: span timeline and/or time-attribution profiler
     #: (``None`` or all-off = the historical zero-overhead paths).
     obs: Optional[ObsConfig] = None
@@ -262,15 +257,13 @@ class Cluster:
                 proc._profiler = self.obs.profiler
             self.net.obs = self.obs
             self.engine.obs = self.obs
-        #: Crash/checkpoint orchestration; None when neither a recovery
-        #: config nor a permanent crash is in play (zero overhead).
+        #: Crash injection and the failure detector; None unless the
+        #: fault plan schedules a permanent crash (zero overhead), so a
+        #: crashed run surfaces ``NodeFailure`` instead of hanging a
+        #: barrier until the watchdog trips.
         self.recovery: Optional[RecoveryManager] = None
-        recovery_cfg = config.recovery
-        if (recovery_cfg is None and self.faults is not None
-                and self.faults.crash_at):
-            recovery_cfg = RecoveryConfig()
-        if recovery_cfg is not None:
-            self.recovery = RecoveryManager(self, recovery_cfg)
+        if self.faults is not None and self.faults.crash_at:
+            self.recovery = RecoveryManager(self)
         #: Pids of service processors (replica servers): they host daemon
         #: threads, never run the application function, and are excluded
         #: from the elapsed-time measurement (their quorum work is charged

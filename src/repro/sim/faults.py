@@ -8,7 +8,7 @@ that drops, duplicates, reorders, and delays traffic -- plus per-node
 "slow node" handicaps, *transient partitions* (a node unreachable for a
 bounded window, then back), and *permanent crashes* (a node dies at a
 virtual time and never returns; see :mod:`repro.sim.recovery` for the
-failure detector and rollback machinery built on top).
+failure detector built on top).
 
 Determinism
 -----------
@@ -103,10 +103,10 @@ class FaultPlan:
     #: Permanent crashes, ``(node, t)``: at virtual time ``t`` the node's
     #: process dies -- its simulated thread is killed at its next runtime
     #: operation and every message sent at ``time >= t`` to or from it is
-    #: dropped, forever.  At most one entry per node.  Requires the
-    #: cluster's recovery layer (installed automatically) to turn the
-    #: resulting silence into a :class:`~repro.sim.recovery.NodeFailure`
-    #: instead of a watchdog hang.
+    #: dropped, forever.  At most one entry per node.  The cluster's
+    #: failure detector (installed automatically) turns the resulting
+    #: silence into a :class:`~repro.sim.recovery.NodeFailure` instead
+    #: of a watchdog hang.
     crash_at: Tuple[Tuple[int, float], ...] = ()
 
     # -- user-level reliability protocol parameters ---------------------
@@ -201,13 +201,6 @@ class FaultPlan:
             if crashed == node:
                 return t
         return None
-
-    def without_crash(self, node: int) -> "FaultPlan":
-        """A copy of the plan with ``node``'s permanent crash removed
-        (the failed rank has been restarted on a spare host)."""
-        from dataclasses import replace
-        return replace(self, crash_at=tuple(
-            (n, t) for n, t in self.crash_at if n != node))
 
     def partition_clear_time(self, src: int, dst: int,
                              now: float) -> Optional[float]:

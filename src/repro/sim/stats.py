@@ -132,12 +132,11 @@ class MessageStats:
         return dict(self._by_pair)
 
     def recovery(self) -> Dict[str, Counter]:
-        """The crash-recovery buckets (``heartbeat``, ``marker``,
-        ``checkpoint``, ``rollback``).
+        """The failure detector's bucket (``heartbeat``).
 
-        They live under the ``"recovery"`` pseudo-system so the paper's
-        per-system wire totals stay untouched; all empty on a run with no
-        crashes scheduled and checkpointing disabled.
+        It lives under the ``"recovery"`` pseudo-system so the paper's
+        per-system wire totals stay untouched; empty on a run with no
+        crash scheduled.
         """
         return self.by_category("recovery")
 

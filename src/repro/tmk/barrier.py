@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.obs.core import B_RECOVERY, B_STALL_SYNC, B_WIRE
+from repro.obs.core import B_STALL_SYNC, B_WIRE
 from repro.sim.engine import Block, YIELD
 from repro.sim.network import Delivery
 from repro.tmk.protocol import (CAT_BARRIER_ARRIVAL, CAT_BARRIER_DEPARTURE,
@@ -81,8 +81,6 @@ class BarrierSubsystem:
         #: Diagnostics.
         self.episodes_completed = 0
         self.wait_time = 0.0
-        #: Set by the last departure: write a checkpoint on leaving.
-        self._post_departure = False
         proc.register(CAT_BARRIER_ARRIVAL, self._on_arrival)
         proc.register(CAT_BARRIER_DEPARTURE, self._on_departure)
 
@@ -113,7 +111,6 @@ class BarrierSubsystem:
         self.episodes_completed += 1
         if obs is not None:
             obs.end(proc.now, self.pid)
-        self._run_post_departure()
         if sanitizer is not None:
             sanitizer.on_barrier_depart(self.pid, bid)
         if monitor is not None:
@@ -125,18 +122,6 @@ class BarrierSubsystem:
         if self.pid == _MANAGER:
             return self._manager_arrive(bid, t_arrive)
         return self._client_arrive(bid)
-
-    def _run_post_departure(self) -> None:
-        """Write the checkpoint the departure asked for, if any."""
-        checkpoint = self._post_departure
-        self._post_departure = False
-        if checkpoint:
-            obs = self.proc.obs
-            if obs is not None:
-                obs.begin(self.proc.now, self.pid, "checkpoint", B_RECOVERY)
-            self.proc.cluster.recovery.tmk_write_checkpoint(self.proc)
-            if obs is not None:
-                obs.end(self.proc.now, self.pid)
 
     # ------------------------------------------------------------------
     # Client side
@@ -169,7 +154,6 @@ class BarrierSubsystem:
             proc.set_now(self._departure_wake)
         self.core.merge(departure.records, departure.vc)
         self._last_barrier_vc = departure.vc
-        self._post_departure = departure.checkpoint
         proc.trace("barrier_depart", f"bid={bid}")
 
     def _on_departure(self, delivery: Delivery) -> None:
@@ -244,25 +228,14 @@ class BarrierSubsystem:
         arrivals = sorted(episode.arrivals, key=lambda a: a[0].pid)
         for arrival, _ in arrivals:
             self.core.merge(arrival.records, arrival.vc)
-        # Crash recovery: the manager decides at release time whether this
-        # episode opens a coordinated checkpoint (the departure is a
-        # consistent cut -- all intervals closed and merged here).
-        recovery = self.proc.cluster.recovery
-        checkpoint = (recovery is not None
-                      and recovery.tmk_checkpoint_due(t_release))
-        if checkpoint:
-            recovery.note_checkpoint(t_release)
         t = t_release
         for arrival, _ in arrivals:
             records = self.core.records_since(arrival.vc)
             departure = BarrierDeparture(barrier=bid, vc=tuple(self.core.vc),
-                                         records=records,
-                                         checkpoint=checkpoint)
+                                         records=records)
             t = self.core.udp.send(
                 self.pid, arrival.pid, CAT_BARRIER_DEPARTURE, departure,
                 departure.nbytes(self.cost, self.nprocs), t_ready=t)
-        # The manager follows the same instruction locally.
-        self._post_departure = checkpoint
         del self._episodes[bid]
         return t
 
@@ -289,9 +262,6 @@ class TreeBarrierSubsystem(BarrierSubsystem):
     Departures select ``records_since(subtree min vc)`` -- a superset of
     what any subtree member lacks; merging a known record again is a
     no-op, so correctness needs no per-member bookkeeping.
-
-    The root (processor 0, the barrier manager) still makes the coordinated
-    checkpoint decision, exactly like the central manager.
     """
 
     _detail = " tree"
@@ -347,15 +317,8 @@ class TreeBarrierSubsystem(BarrierSubsystem):
             min_vc = list(own_vc)
 
         if self._parent is None:
-            # Root: global knowledge is complete; decide the checkpoint
-            # and fan the departure down.
-            t_release = proc.now
-            recovery = proc.cluster.recovery
-            checkpoint = (recovery is not None
-                          and recovery.tmk_checkpoint_due(t_release))
-            if checkpoint:
-                recovery.note_checkpoint(t_release)
-            t = t_release
+            # Root: global knowledge is complete; fan the departure down.
+            t = proc.now
             if obs is not None:
                 obs.begin(proc.now, self.pid, "send", B_WIRE,
                           f"tree_departures bid={bid}")
@@ -363,15 +326,13 @@ class TreeBarrierSubsystem(BarrierSubsystem):
                 arrival = state["arrivals"][child]
                 departure = TreeDeparture(
                     barrier=bid, episode=episode, vc=tuple(self.core.vc),
-                    records=self.core.records_since(arrival.min_vc),
-                    checkpoint=checkpoint)
+                    records=self.core.records_since(arrival.min_vc))
                 t = self.core.udp.send(
                     self.pid, child, CAT_TREE_DEPARTURE, departure,
                     departure.nbytes(self.cost, self.nprocs), t_ready=t)
             proc.set_now(t)
             if obs is not None:
                 obs.end(proc.now, self.pid)
-            self._post_departure = checkpoint
         else:
             # Interior/leaf: one merged arrival up, then wait for the
             # global departure and fan it down.
@@ -403,14 +364,12 @@ class TreeBarrierSubsystem(BarrierSubsystem):
                 arrival = state["arrivals"][child]
                 down = TreeDeparture(
                     barrier=bid, episode=episode, vc=departure.vc,
-                    records=self.core.records_since(arrival.min_vc),
-                    checkpoint=departure.checkpoint)
+                    records=self.core.records_since(arrival.min_vc))
                 t = self.core.udp.send(
                     self.pid, child, CAT_TREE_DEPARTURE, down,
                     down.nbytes(self.cost, self.nprocs), t_ready=t)
             if t > proc.now:
                 proc.set_now(t)
-            self._post_departure = departure.checkpoint
 
         self._last_barrier_vc = tuple(self.core.vc)
         del self._tree[(bid, episode)]

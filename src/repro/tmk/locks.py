@@ -170,35 +170,6 @@ class LockSubsystem:
             self._grant(request, t_ready=proc.now, charge_thread=True)
 
     # ------------------------------------------------------------------
-    # Crash recovery
-    # ------------------------------------------------------------------
-    def reclaim(self, dead: int) -> list:
-        """Reclaim every lock this processor manages whose request chain
-        ends at the crashed processor ``dead``.
-
-        Without this, the manager would keep forwarding acquire requests
-        to the dead node forever (the forwards are silently dropped), so
-        an orphaned lock could never be acquired again.  Reclaiming
-        resets the chain to the manager itself -- the recovery analogue
-        of the manager re-issuing the lock token.  Any request from the
-        dead node still queued behind a held lock is discarded.  Returns
-        the reclaimed lock ids.
-        """
-        reclaimed = []
-        for lock, last in list(self._last_requester.items()):
-            if last != dead:
-                continue
-            self._last_requester[lock] = self.pid
-            state = self._lock_state(lock)
-            state.owns = True
-            reclaimed.append(lock)
-            self.proc.trace("lock_reclaim", f"lock={lock} dead=P{dead}")
-        for state in self._state.values():
-            if state.waiter is not None and state.waiter.requester == dead:
-                state.waiter = None
-        return reclaimed
-
-    # ------------------------------------------------------------------
     # Manager role
     # ------------------------------------------------------------------
     def _on_request(self, delivery: Delivery) -> None:

@@ -126,11 +126,6 @@ class BarrierDeparture:
     barrier: int
     vc: Tuple[int, ...]
     records: List[IntervalRecord]
-    #: Crash-recovery orchestration: this departure opens a coordinated
-    #: checkpoint -- every processor snapshots its state right after
-    #: leaving the barrier (the cut is consistent there; DESIGN.md 5d).
-    #: Rides the existing departure as one flag, no extra wire bytes.
-    checkpoint: bool = False
 
     def nbytes(self, cost: "CostModel", nprocs: int) -> int:
         return (cost.sync_message_bytes + cost.vector_time_bytes * nprocs
@@ -188,9 +183,6 @@ class TreeDeparture:
     episode: int
     vc: Tuple[int, ...]
     records: List[IntervalRecord]
-    #: Root's checkpoint decision, riding the departure like the central
-    #: barrier's flag (the departure is the same consistent cut).
-    checkpoint: bool = False
 
     def nbytes(self, cost: "CostModel", nprocs: int) -> int:
         return (cost.sync_message_bytes + cost.vector_time_bytes * nprocs

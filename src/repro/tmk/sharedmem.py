@@ -54,7 +54,7 @@ class SharedHeap:
     @property
     def used(self) -> int:
         """Allocation watermark: bytes of the address space handed out so
-        far (what a checkpoint of the shared state has to cover)."""
+        far."""
         return self._next
 
     @property

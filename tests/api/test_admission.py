@@ -33,7 +33,6 @@ from repro.serve import ReproServer, ServeConfig
 from repro.serve.http import read_request, read_response, render_request
 from repro.sim.costmodel import CostModel
 from repro.sim.faults import FaultPlan
-from repro.sim.recovery import RecoveryConfig
 
 KNOWN = ", ".join(f"fig{n:02d}" for n in range(1, 13))
 CRASH_7 = FaultPlan(crash_at=((7, 0.5),))
@@ -74,15 +73,6 @@ REJECTED = [
      "the sanitizer cannot run under quorum replication",
      ["fig02", "--replication.mode", "mask", "--analysis.false_sharing"],
      "experiment=fig02&replication.mode=mask&analysis.false_sharing=true"),
-    ("replication-with-checkpointing",
-     dict(experiment="fig02", replication=ReplicationConfig(),
-          recovery=RecoveryConfig(checkpoint_interval=0.25)),
-     "masking and rollback are alternatives: replication cannot be "
-     "combined with checkpointing (checkpoint_interval > 0)",
-     ["fig02", "--replication.mode", "mask",
-      "--recovery.checkpoint_interval", "0.25"],
-     "experiment=fig02&replication.mode=mask"
-     "&recovery.checkpoint_interval=0.25"),
     ("crash-node-beyond-nprocs",
      dict(experiment="fig02", nprocs=4, faults=CRASH_7),
      "crash node 7 out of range: the run has 4 processors",
@@ -118,12 +108,6 @@ REJECTED = [
      "processor reserves, got 2147483648",
      ["fig01", "--cost.page_size", "2147483648"],
      "experiment=fig01&cost.page_size=2147483648"),
-    ("checkpoint-interval-nan",
-     dict(experiment="fig02",
-          recovery=dict(checkpoint_interval=float("nan"))),
-     "checkpoint_interval must be >= 0",
-     ["fig02", "--recovery.checkpoint_interval", "nan"],
-     "experiment=fig02&recovery.checkpoint_interval=nan"),
     ("retry-cap-overflows-the-backoff",
      dict(experiment="fig01", faults=dict(loss=1.0, retry_cap=1100)),
      "rto, tcp_rto and rto_backoff must be finite, and so must the last "
@@ -132,8 +116,7 @@ REJECTED = [
      "experiment=fig01&faults.loss=1&faults.retry_cap=1100"),
 ]
 
-GROUPS = {"faults": FaultPlan, "recovery": RecoveryConfig,
-          "analysis": AnalysisConfig, "obs": ObsConfig, "cost": CostModel,
+GROUPS = {"faults": FaultPlan, "analysis": AnalysisConfig, "obs": ObsConfig, "cost": CostModel,
           "replication": ReplicationConfig}
 
 
@@ -208,6 +191,9 @@ CLI_REJECTED = [
      "argument --limit: limit must be an integer >= 1, got '0'"),
     ("trace-limit-negative", ["trace", "sor", "--limit", "-3"],
      "argument --limit: limit must be an integer >= 1, got '-3'"),
+    ("checkpoint-interval-unknown",
+     ["run", "fig02", "--recovery.checkpoint_interval", "0.25"],
+     "unrecognized arguments: --recovery.checkpoint_interval 0.25"),
 ]
 
 
@@ -325,6 +311,7 @@ def test_every_leaf_is_spelled_alike_by_flag_and_query():
 
 # ----------------------------------------------------------------------
 # One spelling: pins recorded at the parent commit (8869607)
+# (values as recorded, less the retired ``recovery`` member)
 # ----------------------------------------------------------------------
 ALL_OPTIONS = api.RunConfig(
     experiment="fig02", system="tmk", nprocs=3, preset="tiny",
@@ -332,7 +319,6 @@ ALL_OPTIONS = api.RunConfig(
                      categories=frozenset({"diff_req", "lock_req"}),
                      window=(0.0, 1.5), slow_nodes=((1, 2.0),),
                      crash_at=((1, 0.5),)),
-    recovery=RecoveryConfig(checkpoint_interval=0.25),
     analysis=AnalysisConfig(race_check="report", false_sharing=True),
     obs=ObsConfig(timeline=True, cap=64),
     cost=CostModel(udp_mtu=1500),
@@ -350,18 +336,15 @@ def test_to_json_and_cache_key_bytes_are_the_parents(monkeypatch):
     configs = sweep_configs() + [ALL_OPTIONS]
     assert len(configs) == 25
     assert _sha256(canonical_json(c.to_json()) for c in configs) == \
-        "bf6130194fe730d4cc9ac804300a7c97a91d5c37e54ff5995fdd00a0f074c1a5"
+        "38ce039676f1ea34026eb76ae2027a1d598cc52165efc83cc72a160ee53cf584"
     assert _sha256(api.cache_key(c) for c in configs) == \
-        "801eb430a9e255e6f72e5e6ed88777dfab836d7e68fda9a7ce376cc4063c25e9"
+        "7686b9f315f656197bc5a48bf972463b4252be124cca7c83060fa53e63d3b5dc"
     assert api.cache_key(ALL_OPTIONS) == \
-        "d0f56e884db6e0bf9059355e913151dd99bdcb0acdc0167c98fa290fe05c805e"
+        "7d2bd7ec0ee6a2728c0839928fbb49b40b09e5f26dcf43fa176efbbb12c2980d"
 
 
 RESULT_CONFIGS = {
     "fault-free": api.RunConfig("fig02", "tmk", 2, "tiny"),
-    "recovered": api.RunConfig(
-        "fig02", "tmk", 2, "tiny", faults=FaultPlan(crash_at=((1, 0.05),)),
-        recovery=RecoveryConfig(checkpoint_interval=0.02)),
     "masked": api.RunConfig(
         "fig02", "tmk", 2, "tiny", faults=FaultPlan(crash_at=((2, 0.05),)),
         replication=ReplicationConfig(3)),
@@ -371,14 +354,11 @@ RESULT_CONFIGS = {
 #: file, recorded with the hand-listed ``to_json``/``from_json``.
 RESULT_PINS = {
     "fault-free":
-        ("1ba8a56957516d6eed0983f0da56cae0a41118866eaa83d261d5de80efd92b0a",
-         "d2b0fc118085bcaa724ff09f4b595ea755aa60a3bd8877b6043ec01ad55f855d"),
-    "recovered":
-        ("e887cc23140f7905cae076ff48702e91715d0de81ba8ab9a4f0cb839a39e2572",
-         "02668f2792e6699856a8691764b45d580068ab5b2e4b1accd5c82083692a60f4"),
+        ("36a886d314e0ff9525f42d78c3a1e611d926787b42dcd766b27572036ba05247",
+         "306c58fa793c9696a18c6e7ee851a0c3c799bf18f2fa56815e0a58a9558077ed"),
     "masked":
-        ("840d728b4eb23a7f136a8eaccdc00890a8c0f1e4b653b370beeee5c1b40fb8c0",
-         "984398df2a740089f431bb4a17b19ffdb3e6057fb1c88ee48b1e89acc1fe822e"),
+        ("58bc9212f6c097d3c48b491a5a87bff54d88d63c84f3feffcd61ec5697a8ba64",
+         "cfbda462ff764bffec084220e65d07a8da5d0d4142d1626a7f8ffde04c680bdd"),
 }
 
 
@@ -388,7 +368,6 @@ def test_result_bytes_etag_and_stored_record_are_the_parents(
     monkeypatch.setattr(api, "source_fingerprint", lambda: "pinned")
     json_sha, file_sha = RESULT_PINS[name]
     cold = api.run(RESULT_CONFIGS[name], cache=ResultCache(tmp_path))
-    assert (cold.recovery is not None) == (name == "recovered")
     assert (cold.replication is not None) == (name == "masked")
     assert hashlib.sha256(cold.to_json_bytes()).hexdigest() == json_sha
     assert cold.etag == f'"{json_sha}"'
@@ -402,13 +381,11 @@ def test_result_bytes_etag_and_stored_record_are_the_parents(
 #: encodings per call) with the fingerprint held at ``"pinned"``.
 KEY_PINS = {
     "fault-free":
-        "ee1b620c96b94308e07365adc399fd7de63d61357c22bf7c6454db3fa4dd6747",
+        "62d8adae594346d56c749376be947710b5777f30a59c063fc90f5a55148b9125",
     "faulted":
-        "63f73c50bbc3022a37c3d7771f880580fe5fa90df3f5ae10927ad587227e747e",
-    "recovered":
-        "9acb16528e6ce8883865f255a5e70945beb7b2567830f062b43893e5e4185733",
+        "81feea5743eacf98c8fc3d3126bd35fe8f2c3c29a468db73f20caa44648ec90d",
     "masked":
-        "61ceda794ea630c120d1c7c62b1e8bbfedee53f83303542ae903b940d23e5936",
+        "2e955c8060de91e7705cafb3801692402f3c7818900f7866d5d0a2e2132044a4",
 }
 
 

@@ -15,7 +15,6 @@ from repro.bench.cache import ResultCache
 from repro.obs import ObsConfig
 from repro.sim.costmodel import CostModel
 from repro.sim.faults import FaultPlan
-from repro.sim.recovery import RecoveryConfig
 
 
 @pytest.fixture
@@ -69,7 +68,6 @@ class TestRunConfig:
             faults=FaultPlan(seed=7, loss=0.1,
                              categories=frozenset({"diff_req", "lock_req"}),
                              crash_at=((1, 0.5),)),
-            recovery=RecoveryConfig(checkpoint_interval=0.25),
             analysis=AnalysisConfig(race_check="report", false_sharing=True),
             obs=ObsConfig(timeline=True),
             cost=CostModel(),
@@ -99,10 +97,6 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="sanitizer"):
             api.RunConfig(experiment="fig01",
                           analysis=AnalysisConfig(race_check="report"),
-                          replication=ReplicationConfig())
-        with pytest.raises(ValueError, match="alternatives"):
-            api.RunConfig(experiment="fig01",
-                          recovery=RecoveryConfig(checkpoint_interval=0.25),
                           replication=ReplicationConfig())
 
     def test_json_survives_wire_encoding(self):
@@ -216,20 +210,6 @@ class TestRunFacade:
         msgs, kb = api.messages_at("fig01", "pvm", 2, cache=cache)
         assert msgs > 0 and kb > 0
 
-    def test_recovery_summary_round_trips(self, tiny_ep, tmp_path):
-        cache = ResultCache(tmp_path)
-        cfg = api.RunConfig(
-            experiment="fig01", nprocs=2,
-            faults=FaultPlan(seed=0, crash_at=((1, 0.005),)),
-            recovery=RecoveryConfig(checkpoint_interval=0.01))
-        cold = api.run(cfg, cache=cache)
-        assert cold.recovery is not None
-        assert cold.recovery["recoveries"] == 1
-        warm = api.run(cfg, cache=cache)
-        assert warm.cached
-        assert warm.to_json_bytes() == cold.to_json_bytes()
-
-
     def test_replication_summary_round_trips(self, tiny_ep, tmp_path):
         from repro.scabd import ReplicationConfig
         cache = ResultCache(tmp_path)
@@ -241,7 +221,6 @@ class TestRunFacade:
         assert cold.replication is not None
         assert cold.replication["masked_failures"] == 1
         assert cold.replication["masked_nodes"] == [2]
-        assert cold.recovery is None
         warm = api.run(cfg, cache=cache)
         assert warm.cached
         assert warm.to_json_bytes() == cold.to_json_bytes()

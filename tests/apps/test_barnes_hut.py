@@ -170,16 +170,17 @@ class TestOneWalkPerStep:
 #: sha256 of ``RunResult.to_json_bytes()`` for fig10 at the tiny preset,
 #: recorded when every processor still walked the tree for its own
 #: costzone; and of the collected positions, which every run shares.
+#: Values as recorded, less the retired ``"recovery": null`` member.
 FIG10_PINS = {
-    ("tmk", 1): "5859e0125deab61e91d8a0f6803c49db34f3160716340d3ae34147b211a86c61",
-    ("tmk", 3): "c1ad0487286429ad292171888f4a46849f6788082e8a65aa6cfc9be51fdd944b",
-    ("tmk", 8): "2305abd7f6f8e31ca3f78f3a38e859aa6192d5704dff9ed619c91ba85e5ebd39",
-    ("pvm", 1): "0076ae2efa8cd9573ad4cc47dda7212b7042728b210431039682016f9d44aeb9",
-    ("pvm", 3): "ee0a859a05f0edec486ba4f6902d79bc17a6f472d5a8fdf863fb02ec32402029",
-    ("pvm", 8): "ff186bc615d4ce3549e9a64d4858991cc9f47af1c887ad04d438d6f6bfe27aeb",
-    ("ivy", 1): "918d60eb44f0a826198f95a0120b719179bc83e10270de9cad7dad1ef5f700fd",
-    ("ivy", 3): "5bd6a4984d916ce7922b181388be13dd3daecb7e1b2f7bd35c9cd6a743b23f08",
-    ("ivy", 8): "c3045a552b54db3aa132b0fb1256de44b8ef3c3d44b7acee74963bf4b4879172",
+    ("tmk", 1): "ec6823f2cf0cf0e52f4b16ea95e1913e456d8c30b5925c88063fd57c979dd69a",
+    ("tmk", 3): "b1fafb4f3f3f3ef0116d5d77229ebc2ae19664152f1105b3d0528965778c6862",
+    ("tmk", 8): "e6180ae0eb1388a2f8dced051d51092ead590f27d78e608fc0da5c52c0b0382d",
+    ("pvm", 1): "4292a0fc51add9069dbc1b748ab569bbbcfe7fcc3465bdec0b78e0afeee8ebca",
+    ("pvm", 3): "28ee5e789d72d7e5613ea1342d7a8e2051aecdff820a57006edfc1de1dc59929",
+    ("pvm", 8): "31f8813713c0a3a3d9ab8f3f0ae8baae70a5e9db37e74d04bc508753a7a0036a",
+    ("ivy", 1): "5f15070bf7997f8dbf07cffd5954c1d7fd14f01254c754be2e527b0e442d0a9c",
+    ("ivy", 3): "958994dbea25691941759c39b63350c84b76ea5d0cb5b837f0c36488a60580e1",
+    ("ivy", 8): "b024523d23848ded33b683ba8690b79195bd0ba1b84955b22c36bdc43f794f0f",
 }
 FIG10_POSITIONS = \
     "10ae854ff870d329d60ac8df6ebc3e40103fbc38895ec626c6938967d4e14235"

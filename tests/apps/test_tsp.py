@@ -222,16 +222,17 @@ class TestOneSolvePerSubproblem:
 
 #: sha256 of ``RunResult.to_json_bytes()`` for fig06 at the tiny preset,
 #: recorded when every call still swept all permutations itself.
+#: Values as recorded, less the retired ``"recovery": null`` member.
 FIG06_PINS = {
-    ("tmk", 1): "989f867cb61c86ca3cff1fd4414fe34df1abe1eb7622b439b613a5bc399ed980",
-    ("tmk", 3): "2a3a22031ec1b144f6a126e5d4c96e0089317c9cea2e555409bbdd69276fb481",
-    ("tmk", 8): "956d75bb1d9b5ac42f495d8e9555e8d8f7e78ccf14a553922b2a2296ff41f6fd",
-    ("pvm", 1): "93e506a501347edc4c6c3e20d3cf7f36f39e46fa9d72456060cad5c6480162ce",
-    ("pvm", 3): "98051329fa8f9a7065467a87cf9871506b2ba2a6905d1f28d94f64a7467ff601",
-    ("pvm", 8): "d048674b216ac02410b5db7d4d19fd2977882fb4ba86f4615d7280bed47907c4",
-    ("ivy", 1): "5b490ca47b84ef55b63d2e98bcbc27f119fa4b89c4ce18b0faa9ea2a10a38a3a",
-    ("ivy", 3): "0ce461a7995a7c291ea8a764f1b8810eeece8415b95e818b6ee7e223eaa53982",
-    ("ivy", 8): "35765aa0cd8651f68fc617cc29914cb2ac270aca7726dbe2c74a1bfeb54e6e20",
+    ("tmk", 1): "f8b33d289726914eadaa0f74475edd875383466c31c848a3da0e4bd376634d82",
+    ("tmk", 3): "816344293b5e7f2f80492468fd61eae58cfdfc81bd427e42a78bdf365bb8ac12",
+    ("tmk", 8): "ec5b82136710c8b1410f91141fdff38c1b33c3136c3202c3315c9de5f4796bd0",
+    ("pvm", 1): "b9bd21c2861015e97ad044ffa92e277ee74e032a93ce27d49da7a686e77cad3e",
+    ("pvm", 3): "2e4b8092da78683d81a3ffe8c77e388b2899473a0ed544d43c5118daedc127bc",
+    ("pvm", 8): "46f28ad7c54690d496d08df762645ac7161fd4155d2b01da785c8d41376f280a",
+    ("ivy", 1): "f8e65be8544049669ae5eda3fb58f3ba9ff20921f76ff9431acb1d563976fbe8",
+    ("ivy", 3): "aa1b8c8d93c81a6a9f160b09abd779bb5d1e4da1400075f6a758487062e6bbba",
+    ("ivy", 8): "0535611b46377a9f91fe22b068a66ad19a1ef5679c23da968a86c648bee837b6",
 }
 
 

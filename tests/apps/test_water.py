@@ -140,25 +140,26 @@ class TestPaperBehaviour:
 #: sha256 of ``RunResult.to_json_bytes()`` for fig08 (288 molecules) and
 #: fig09 (1728) at the tiny preset, recorded when the force window was
 #: still gathered with fancy indexing.
+#: Values as recorded, less the retired ``"recovery": null`` member.
 WATER_PINS = {
-    ("fig08", "tmk", 1): "91d4c7bab99394901ca6181d2c010e83ba1d1e0dd5410d12c277d70a93dfaacc",
-    ("fig08", "tmk", 3): "42288c6a7bd43d0480fc7bcab7a64442c127a0f329c4f8ec8f459497e406a5f3",
-    ("fig08", "tmk", 8): "82987c6d51b0a780eb99b21cf463784bef4ac701b7e0b2b8327e7192230f6d8b",
-    ("fig08", "pvm", 1): "e2a993ef0956e122c041385a243f8aff1705a58a39e3780ea43dee28cf3483ab",
-    ("fig08", "pvm", 3): "298cf8834f6626e99efd140c208e2a3833273ab4ae81d1a543353ab0cbe09fd0",
-    ("fig08", "pvm", 8): "89f62c78c88dadd8eb9c362bba77be2b354cac95d348f9209ad5766a81453835",
-    ("fig08", "ivy", 1): "4017f56736eb44002781bd0eb3f4ec834ed79a4eef9abc762a1f9f3071b0c2a3",
-    ("fig08", "ivy", 3): "f55a071507f14873ef5838f88a3576b0ea9c3a5cc47c5bf60035591d3d44b8b8",
-    ("fig08", "ivy", 8): "c85a18ed949f3fe064bc3f46be2f9e85d989a297157b198e6dcc807354d47a14",
-    ("fig09", "tmk", 1): "08ab51e3a3cdb1fb8f426ec6b09eb469594f689d0a3bb2d364275e56c4a5cdf1",
-    ("fig09", "tmk", 3): "a325c502352d443caa75d36cea955b637077a48824840b7818b3e1260649f7ea",
-    ("fig09", "tmk", 8): "2710735f27ab3db92ba1002b9a6c71fde2b1a6ccb7124ad87842f75ee14952da",
-    ("fig09", "pvm", 1): "2573ea3f106c2fbbe930c3a6bee9995a270917939e6c1fe2115202fe284ff7de",
-    ("fig09", "pvm", 3): "5f0e2953e281e486173e6a5cee2622327351fb023c3e891741a70cac66a7b29e",
-    ("fig09", "pvm", 8): "ef88fb8d42fe1a7d99325bf93b86410a1fb466efbe86a976caf4c5b04d020d13",
-    ("fig09", "ivy", 1): "48c819d954ca5fe1f5f0b17ef0c16254849a7079dceae55b03b7783253979b9b",
-    ("fig09", "ivy", 3): "e70757317400f4c314a8423a7a0e7c086478f04bbf97cc0f47023f2dbda54923",
-    ("fig09", "ivy", 8): "ad9e5ca474247aec18c786a371f5f65347ee6b2973229915cda3fa6df36a4493",
+    ("fig08", "tmk", 1): "c83c72a20f95f48829f0b6e00b267cffd06426813d871f2f3a3d6adbcbde8d32",
+    ("fig08", "tmk", 3): "b80f89b97f74bbf879af33a52fb999431c26cc62bbeeec946c30980dd0d65e61",
+    ("fig08", "tmk", 8): "1e5ba6a9ef6eb301912c5f5a6ca38243f08830499228738ddf95a64ae1824d57",
+    ("fig08", "pvm", 1): "1db3c08af86825b11f596d9f10f905759bb41b242c04d629da3775b151484b5a",
+    ("fig08", "pvm", 3): "20d914188da119f4700f040e4158c6ff0f39d26a8bd51fccb3eda46d269f5fe9",
+    ("fig08", "pvm", 8): "be9b1421d3efb9afbf7473eb36f6f7b944231230617eee01d8d2e09f78bc6ea4",
+    ("fig08", "ivy", 1): "6edc0a608edee9d1a0b34fbefc9590dd7f6476a8c02fb01cc4c1bed2eefff107",
+    ("fig08", "ivy", 3): "25b8e79437fb5f314ab850add3d88440b56e6761011ab840b0f32a7775576091",
+    ("fig08", "ivy", 8): "59115e943a612046ae5962bd69ac56cd5f9bc79bf80b6e03323ad4ee659bac2c",
+    ("fig09", "tmk", 1): "2f60f7a34f2097e5c5f555639dc468de577eeaa357765ddbdaffda1b1841e85b",
+    ("fig09", "tmk", 3): "78196f331d4552627020147b0f03c81972b8e7f0877f2e25e9555ac143210b4b",
+    ("fig09", "tmk", 8): "bbd77d301303cee904e3d6a3aaa4586b63e917c08e10eca15e88a963bd7c44a9",
+    ("fig09", "pvm", 1): "f6a0462bca0927adae81a755e3e490f3bce64a674a2255b6f3d064ca7898edd3",
+    ("fig09", "pvm", 3): "0d6b534339fc49212fd64eb30018db3dbc8ec2ad187d16956762313b6f15a143",
+    ("fig09", "pvm", 8): "11249731b17f4bf4ed3beaf98ec6997f2c5048c7d9f06adc331d58ae5cf99574",
+    ("fig09", "ivy", 1): "9906e39469ca5276b7967e98c412b368513e943e8049be2ca939f94c1642f3e4",
+    ("fig09", "ivy", 3): "cee7407e8ef8f0bd7eeddb22894ea44390d1a0024ff2feb66dc2155939b11230",
+    ("fig09", "ivy", 8): "1350e72134109fc14a1927e6fce9a1e0e91582741b1d809c224553bf4c30ae1e",
 }
 
 

@@ -144,30 +144,23 @@ class TestCacheKeyInvalidation:
 
     def test_replication_config_invalidates(self):
         from repro.scabd import ReplicationConfig
-        from repro.sim.recovery import RecoveryConfig
         base = api.cache_key(api.RunConfig(**self.BASE))
         mask3 = api.cache_key(api.RunConfig(
             replication=ReplicationConfig(replicas=3), **self.BASE))
         mask5 = api.cache_key(api.RunConfig(
             replication=ReplicationConfig(replicas=5), **self.BASE))
-        rollback = api.cache_key(api.RunConfig(
-            recovery=RecoveryConfig(checkpoint_interval=0.01), **self.BASE))
-        assert len({base, mask3, mask5, rollback}) == 4
+        assert len({base, mask3, mask5}) == 3
 
-    def test_mask_and_rollback_results_never_collide(self):
-        """The same crash survived two different ways (masked vs rolled
-        back) produces different overheads: one cache entry each."""
+    def test_masked_and_unmasked_crash_keys_never_collide(self):
+        """The same crash masked (a result) and unmasked (a
+        ``NodeFailure``) are two configs: one cache key each."""
         from repro.scabd import ReplicationConfig
-        from repro.sim.recovery import RecoveryConfig
         plan = FaultPlan(seed=0, crash_at=((3, 0.01),))
         mask = api.cache_key(api.RunConfig(
             faults=plan, replication=ReplicationConfig(replicas=3),
             **self.BASE))
-        rollback = api.cache_key(api.RunConfig(
-            faults=plan, recovery=RecoveryConfig(checkpoint_interval=0.01),
-            **self.BASE))
-        detect_only = api.cache_key(api.RunConfig(faults=plan, **self.BASE))
-        assert len({mask, rollback, detect_only}) == 3
+        unmasked = api.cache_key(api.RunConfig(faults=plan, **self.BASE))
+        assert mask != unmasked
 
     def test_experiment_params_invalidate(self, monkeypatch):
         """Same (experiment, preset) labels, different parameters -> a

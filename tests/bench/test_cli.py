@@ -70,10 +70,9 @@ class TestParser:
         assert exc.value.code not in (0, None)
         assert "crash" in str(exc.value.code) + capsys.readouterr().err
 
-    def test_ft_mode_defaults_to_rollback(self):
+    def test_ft_mode_defaults_to_none(self):
         # No replication group unless one of its fields is given.
-        config = run_config("fig01")
-        assert config.replication is None and config.recovery is None
+        assert run_config("fig01").replication is None
 
     def test_ft_mode_mask_and_replicas_parse(self):
         config = run_config("fig01", "--replication.mode", "mask",
@@ -93,22 +92,9 @@ class TestParser:
         assert a.faults.crash_at == ((1, 0.5), (2, 0.7))
         assert a == b and hash(a) == hash(b)
 
-    def test_checkpoint_interval_parses(self):
-        config = run_config("fig01", "--recovery.checkpoint_interval", "0.25")
-        assert config.recovery.checkpoint_interval == 0.25
-
-    @pytest.mark.parametrize("bad", ["-0.1", "soon"])
-    def test_checkpoint_interval_rejects(self, bad, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_config("fig01", "--recovery.checkpoint_interval", bad)
-        assert "checkpoint_interval" in \
-            str(exc.value.code) + capsys.readouterr().err
-
     def test_trace_accepts_crash_flags(self):
-        config = trace_config("--crash", "1@0.5",
-                              "--recovery.checkpoint_interval", "0.1")
+        config = trace_config("--crash", "1@0.5")
         assert config.faults.crash_at == ((1, 0.5),)
-        assert config.recovery.checkpoint_interval == 0.1
 
     def test_trace_perfetto_flag(self):
         args = build_parser().parse_args(
@@ -256,19 +242,6 @@ class TestCommands:
 
 
 class TestCrashRecoveryCommands:
-    def test_run_with_crash_prints_recovery_summary(self, tiny_ep):
-        text = cmd_run(run_config("fig01", "--nprocs", "2", "--crash",
-                                  "1@0.005", "--recovery.checkpoint_interval",
-                                  "0.01"))
-        assert "crash recovery:" in text
-        assert "failures recovered  1" in text
-        assert "detection latency" in text
-        assert "total overhead" in text
-        # Stats come from the final (recovered) execution: it checkpoints
-        # and charges the rollback, but schedules no crash -> no heartbeat.
-        assert "checkpoint" in text
-        assert "rollback" in text
-
     def test_crash_node_out_of_range(self, tiny_ep):
         with pytest.raises(SystemExit, match="out of range"):
             run_config("fig01", "--nprocs", "2", "--crash", "7@0.005")
@@ -277,24 +250,18 @@ class TestCrashRecoveryCommands:
         with pytest.raises(SystemExit, match="more than one crash time"):
             run_config("fig01", "--crash", "1@0.5", "--crash", "1@0.7")
 
-    def test_checkpointing_without_crash_runs_clean(self, tiny_ep):
-        text = cmd_run(run_config("fig01", "--nprocs", "2",
-                                  "--recovery.checkpoint_interval", "0.01"))
-        assert "speedup" in text
-        assert "crash recovery:" in text
-        assert "failures recovered  0" in text
-
     def test_unrecoverable_double_crash_aborts_cleanly(self, tiny_ep):
-        config = run_config("fig01", "--nprocs", "2",
-                            "--faults.crash_at", "0@0.004,1@0.005")
-        with pytest.raises(SystemExit, match="unrecoverable failure"):
-            cmd_run(config)
+        with pytest.raises(SystemExit, match="^NodeFailure: node 0 crashed"):
+            main(["run", "fig01", "--nprocs", "2",
+                  "--faults.crash_at", "0@0.004,1@0.005"])
 
     def test_main_run_with_crash_flags(self, tiny_ep, capsys):
-        assert main(["run", "fig01", "--nprocs", "2",
-                     "--crash", "1@0.005",
-                     "--recovery.checkpoint_interval", "0.01"]) == 0
-        assert "crash recovery:" in capsys.readouterr().out
+        # Without masking a crash ends the run: one line, non-zero exit.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig01", "--nprocs", "2", "--crash", "1@0.005"])
+        assert exc.value.code == ("NodeFailure: node 1 crashed at "
+                                  "t=0.005000, detected at t=0.060000")
+        assert capsys.readouterr().out == ""
 
 
 MASK = ("--nprocs", "2", "--replication.mode", "mask")
@@ -314,20 +281,18 @@ class TestMaskingCommands:
         # nprocs=2 application ranks; replica servers are pids 2, 3, 4.
         text = cmd_run(run_config("fig01", *MASK, "--crash", "2@0.005"))
         assert "masked failures     1 (nodes [2])" in text
-        assert "crash recovery:" not in text  # no rollback machinery ran
 
     def test_mask_quorum_minority_vs_majority(self, tiny_ep):
         # Minority (1 of 3): masked.  Majority (2 of 3): clean abort.
         text = cmd_run(run_config("fig01", *MASK, "--crash", "3@0.005"))
         assert "masked failures     1" in text
-        majority = run_config("fig01", *MASK, "--crash", "2@0.004",
-                              "--crash", "3@0.005")
-        with pytest.raises(SystemExit, match="unmaskable failure"):
-            cmd_run(majority)
+        with pytest.raises(SystemExit, match="^NodeFailure: node 3 crashed"):
+            main(["run", "fig01", *MASK, "--crash", "2@0.004",
+                  "--crash", "3@0.005"])
 
     def test_mask_never_hides_application_crash(self, tiny_ep):
-        with pytest.raises(SystemExit, match="unmaskable failure"):
-            cmd_run(run_config("fig01", *MASK, "--crash", "1@0.005"))
+        with pytest.raises(SystemExit, match="^NodeFailure: node 1 crashed"):
+            main(["run", "fig01", *MASK, "--crash", "1@0.005"])
 
     def test_mask_crash_range_covers_replica_pids(self, tiny_ep):
         # Node 4 is the last replica of a 2+3 cluster; node 5 is nobody.
@@ -336,13 +301,7 @@ class TestMaskingCommands:
             run_config("fig01", *MASK, "--crash", "5@0.005")
         # ...while the same node is out of range without replication.
         with pytest.raises(SystemExit, match="out of range"):
-            run_config("fig01", "--nprocs", "2", "--crash", "4@0.005",
-                       "--recovery.checkpoint_interval", "0.01")
-
-    def test_mask_rejects_checkpointing(self):
-        with pytest.raises(SystemExit, match="alternatives"):
-            run_config("fig01", *MASK, "--recovery.checkpoint_interval",
-                       "0.01")
+            run_config("fig01", "--nprocs", "2", "--crash", "4@0.005")
 
     def test_mask_requires_tmk(self):
         with pytest.raises(SystemExit, match="requires system='tmk'"):
@@ -396,10 +355,10 @@ class TestDerivedFlags:
 
         monkeypatch.setattr(base, "run_parallel", spy)
         argv = ["--nprocs", "2", "--preset", "tiny", "--faults.loss", "0.01",
-                "--recovery.checkpoint_interval", "0.25", "--invariants"]
+                "--invariants"]
         assert main(["trace", "sor", "--limit", "1", *argv]) == 0
         api.run(run_config("fig02", *argv), use_cache=False)
         (trace_args, traced), (run_args, ran) = calls
         assert traced.pop("trace") is not None and ran.pop("trace") is None
         assert trace_args == run_args and traced == ran
-        assert ran["recovery"].checkpoint_interval == 0.25
+        assert ran["faults"] == FaultPlan(loss=0.01)

@@ -99,8 +99,8 @@ class TestWorkerCrashRecovery:
     same error in-process and in a worker (the worker-death half of the
     policy is pinned in ``test_pool.py``)."""
 
-    #: fig02 loses its only replica set's node 0 before any checkpoint:
-    #: unrecoverable, so the run raises ``NodeFailure``.
+    #: fig02 loses application rank 0, which masking cannot absorb, so
+    #: the run raises ``NodeFailure``.
     CONFIGS = [RunConfig("fig02", "tmk", 2, "tiny",
                          replication=ReplicationConfig(),
                          faults=FaultPlan(crash_at=((0, 0.001),))),

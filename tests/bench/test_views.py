@@ -3,7 +3,8 @@
 
 The test walks the table, so a new view is covered by its own row's
 ``example`` query with no edit here.  The pins are the sha256 of each
-body as it was served before the table existed.
+body as it was served before the table existed (``profile`` less the
+retired ``recovery`` column).
 """
 
 import asyncio
@@ -20,7 +21,7 @@ PINS = {
     "figure":
         "45aa84f96ee2e22ecd6f0e8ce9c68bf9511ab2e1b523d3f68be7b633a5b8b843",
     "profile":
-        "bbf898ec5b9abb0b02ba65a514d5e2d2adae326794cf8960a7e73857ee674c13",
+        "1239f342b4610c46a5d956481ee65b0dbab4bdfab8eea0b50e18daec6b8882d9",
     "trace":
         "0d1396173bc2477da7cf404c66ea030119e55bb4cb4ae8fde08435ce8c86f918",
 }

@@ -105,6 +105,8 @@ class TestOpsEndpoints:
                            "/run?experiment=fig01&deadline_ms=nan",
                            "/run?experiment=fig01&nprocs=9999",
                            "/run?experiment=fig01&faults.slow_nodes=1",
+                           "/run?experiment=fig01"
+                           "&recovery.checkpoint_interval=0.25",
                            "/trace?app=water&nprocs=0",
                            "/trace?app=water&limit=-3",
                            "/figure?experiment=fig01&nprocs=two",

@@ -7,13 +7,13 @@ thread backend is gone; what it produced lives on in
 ``golden_engine.json``, recorded at the last commit that still had it
 (with ``engine="threads"``), and the one remaining engine must keep
 reproducing it: same event-by-event protocol trace, same virtual times,
-same message traffic, same application answers, same recovery and
-replication ledgers, same scheduler choice points, same ``RunResult``
+same message traffic, same application answers, same replication
+ledger, same scheduler choice points, same ``RunResult``
 bytes.
 
 The axes: sor / is / water-288 across tmk / pvm / ivy / scabd; loss +
-duplication faults (the reliability layer's timers); a client crash with
-checkpoint rollback; a masked quorum-replica crash; the tie-break hook
+duplication faults (the reliability layer's timers); a masked
+quorum-replica crash; the tie-break hook
 under ``RecordingScheduler`` and ``RandomWalkScheduler(11)``; and the
 versioned cache record of fig01/tmk/4/tiny.
 
@@ -31,8 +31,7 @@ import numpy as np
 import pytest
 
 import repro.api as api
-from repro.api import (FaultPlan, RecoveryConfig, ReplicationConfig,
-                       RunConfig)
+from repro.api import FaultPlan, ReplicationConfig, RunConfig
 from repro.apps import base
 from repro.apps.is_sort import IsParams
 from repro.apps.sor import SorParams
@@ -54,7 +53,7 @@ SYSTEMS = ("tmk", "pvm", "ivy", "scabd")
 
 EXPECTED_KEYS = (
     {f"matrix/{app}/{system}" for app in APPS for system in SYSTEMS}
-    | {"faults/tmk", "faults/pvm", "recovery/rollback", "recovery/masked",
+    | {"faults/tmk", "faults/pvm", "recovery/masked",
        "scheduler/recording", "scheduler/random_walk_11",
        "run_record/fig01/tmk/4/tiny"})
 
@@ -107,8 +106,6 @@ def run_fingerprint(result, trace, stats_system) -> dict:
             for category, counter
             in result.stats.by_category(stats_system).items()},
         "result_sha256": result_hash(result.result),
-        "recovery": (None if result.recovery is None
-                     else dict(vars(result.recovery))),
         "replication": (None if result.replication is None
                         else dict(vars(result.replication))),
     }
@@ -182,24 +179,12 @@ class TestFaults:
 
 
 class TestRecovery:
-    def test_rollback_recovery_byte_identical(self):
-        """A client crash, detection, and checkpoint rollback replay
-        exactly as recorded."""
-        actual = fingerprint(
-            "sor", "tmk", SorParams.bench(),
-            faults=FaultPlan(crash_at=((1, 1.0),)),
-            recovery=RecoveryConfig(checkpoint_interval=0.2))
-        assert actual["recovery"]["recoveries"] == 1
-        assert actual["recovery"]["failed_nodes"] == [1]
-        check_golden("recovery/rollback", actual)
-
     def test_masked_replica_crash_byte_identical(self):
-        """Killing a quorum replica (pid >= nclients) is absorbed without
-        rollback -- exactly as recorded."""
+        """Killing a quorum replica (pid >= nclients) is absorbed --
+        exactly as recorded."""
         actual = fingerprint(
             "sor", "scabd", SorParams.tiny(),
             faults=FaultPlan(crash_at=((NPROCS, 0.02),)))
-        assert actual["recovery"] is None
         assert actual["replication"]["masked_nodes"] == [NPROCS]
         check_golden("recovery/masked", actual)
 

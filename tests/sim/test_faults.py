@@ -150,13 +150,6 @@ class TestPermanentCrashes:
         assert plan.crash_time(2) == 0.5
         assert plan.crash_time(0) is None
 
-    def test_without_crash(self):
-        plan = FaultPlan(loss=0.1, crash_at=((1, 0.25), (2, 0.5)))
-        survivor = plan.without_crash(1)
-        assert survivor.crash_at == ((2, 0.5),)
-        assert survivor.loss == 0.1  # the rest of the plan is preserved
-        assert plan.crash_at == ((1, 0.25), (2, 0.5))  # original untouched
-
     def test_permanent_drop_is_inclusive_and_forever(self):
         plan = FaultPlan(crash_at=((1, 0.5),))
         assert not plan.decide(1, 0, "m", seq=0, attempt=0, now=0.499).drop

@@ -1,24 +1,22 @@
-"""Crash-recovery tests: detection, checkpointing, rollback.
+"""Crash-detection tests: the engine's kill path and the failure detector.
 
-Covers the failure detector (crash before / inside / after a barrier,
-crash while holding each statically-managed lock), the rollback path
-(recovered runs bit-identical to fault-free ones on both systems), the
-double-crash abort, and the zero-overhead guarantee when nothing is
-scheduled.
+Covers the engine-level kill semantics, the lease-based failure detector
+(crash before / inside / after a barrier, crash while holding each
+statically-managed lock, a PVM receive from a dead node), the
+zero-overhead guarantee when no crash is scheduled, and the classified
+failure an unmasked crash ends ``api.run`` with on every runtime.
 """
 
-import numpy as np
 import pytest
 
-from repro.apps import base
-from repro.apps.sor import SorParams
-from repro.apps.tsp import TspParams
-from repro.apps.water import WaterParams
+from repro import api
+from repro.bench.cache import ResultCache
+from repro.scabd import ReplicationConfig
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.engine import YIELD, Block, Engine, ThreadKilled
-from repro.sim.faults import FaultPlan
-from repro.sim.recovery import (Checkpoint, NodeFailure, RecoveryConfig,
-                                RecoveryReport, plan_recovery)
+from repro.sim.faults import FaultPlan, TransportError
+from repro.sim.recovery import (HEARTBEAT_INTERVAL, LEASE_TIMEOUT,
+                                NodeFailure)
 from repro.sim.trace import Trace
 from repro.tmk.api import attach_tmk
 from repro.pvm.api import attach_pvm
@@ -28,9 +26,9 @@ def crash_plan(*crashes):
     return FaultPlan(crash_at=tuple(crashes))
 
 
-def tmk_cluster(nprocs, faults=None, recovery=None):
+def tmk_cluster(nprocs, faults=None):
     cluster = Cluster(nprocs, config=ClusterConfig(
-        trace=Trace(), faults=faults, recovery=recovery))
+        trace=Trace(), faults=faults))
     attach_tmk(cluster)
     return cluster
 
@@ -118,9 +116,8 @@ class TestFailureDetector:
         failure = info.value
         assert failure.failed == 1
         assert failure.crash_time == pytest.approx(2e-3)
-        lease = cluster.recovery.config.lease_timeout
-        hb = cluster.recovery.config.heartbeat_interval
-        assert lease <= failure.detect_time - failure.crash_time <= lease + 2 * hb
+        latency = failure.detect_time - failure.crash_time
+        assert 0 <= latency - LEASE_TIMEOUT <= 2 * HEARTBEAT_INTERVAL
 
     def test_crash_inside_barrier_detected(self):
         # P1 computes less, so it is blocked inside the episode when killed.
@@ -167,9 +164,10 @@ class TestFailureDetector:
         assert cluster.stats.total("recovery").messages == hb.messages
 
     def test_monitor_only_installed_with_crashes(self):
-        cluster = tmk_cluster(2, recovery=RecoveryConfig())
+        cluster = tmk_cluster(2, faults=FaultPlan(loss=0.0))
         outcome = cluster.run(self._barrier_app)
         assert outcome.results == [0, 1]
+        assert cluster.recovery is None
         assert cluster.stats.recovery() == {}
 
 
@@ -199,225 +197,6 @@ class TestCrashHoldingLock:
             cluster.run(app)
         assert info.value.failed == 1
 
-    def test_survivor_lock_state_reclaimed_on_declare(self):
-        def app(proc):
-            tmk = proc.tmk
-            if proc.pid == 1:
-                yield from tmk.lock_acquire(0)
-                proc.compute(1.0)
-                yield from tmk.lock_release(0)
-            else:
-                proc.compute(1.0)
-
-        cluster = tmk_cluster(2, faults=crash_plan((1, 0.1)))
-        with pytest.raises(NodeFailure):
-            cluster.run(app)
-        manager = cluster.procs[0].tmk.locks
-        assert manager._last_requester[0] == 0  # chain no longer ends at P1
-        assert manager._lock_state(0).owns
-
-
-# ----------------------------------------------------------------------
-# Rollback recovery end to end
-# ----------------------------------------------------------------------
-class TestRollbackRecovery:
-    def test_sor_tmk_crash_positions(self):
-        params = SorParams.bench()
-        clean = base.run_parallel("sor", "tmk", 4, params)
-        # Early (before the first barrier episode), mid-run, and late.
-        for t_crash in (1e-3, 0.05, 2.0):
-            run = base.run_parallel("sor", "tmk", 4, params,
-                                    faults=crash_plan((1, t_crash)))
-            assert run.recovery is not None
-            assert run.recovery.recoveries == 1
-            assert run.recovery.failed_nodes == [1]
-            assert np.array_equal(run.result, clean.result)
-            assert run.time > clean.time  # overhead was charged
-            assert run.time == pytest.approx(
-                clean.time + run.recovery.overhead_time, rel=0.2)
-
-    def test_checkpoint_bounds_lost_work(self):
-        params = SorParams.bench()
-        bare = base.run_parallel("sor", "tmk", 4, params,
-                                 faults=crash_plan((1, 2.0)))
-        ckpt = base.run_parallel("sor", "tmk", 4, params,
-                                 faults=crash_plan((1, 2.0)),
-                                 recovery=RecoveryConfig(
-                                     checkpoint_interval=0.2))
-        # Without checkpoints, all 2.0s of pre-crash work is lost;
-        # with them, only the tail since the last barrier checkpoint.
-        assert bare.recovery.lost_work == pytest.approx(2.0)
-        assert ckpt.recovery.lost_work < bare.recovery.lost_work
-        assert ckpt.recovery.restored_bytes > 0
-        assert ckpt.recovery.restore_time > 0
-        assert ckpt.stats.recovery()["checkpoint"].messages > 0
-
-    def test_pvm_coordinated_checkpoints(self):
-        params = SorParams.bench()
-        run = base.run_parallel("sor", "pvm", 4, params,
-                                faults=crash_plan((2, 1.0)),
-                                recovery=RecoveryConfig(
-                                    checkpoint_interval=0.25))
-        assert run.recovery.recoveries == 1
-        assert run.recovery.lost_work < 1.0
-        buckets = run.stats.recovery()
-        assert buckets["marker"].messages > 0
-        assert buckets["checkpoint"].bytes > 0
-
-    def test_double_crash_within_interval_aborts_cleanly(self):
-        params = SorParams.bench()
-        with pytest.raises(NodeFailure):
-            base.run_parallel("sor", "tmk", 4, params,
-                              faults=crash_plan((1, 0.05), (2, 0.06)))
-
-    def test_two_crashes_in_separate_intervals_recover(self):
-        params = SorParams.bench()
-        clean = base.run_parallel("sor", "tmk", 4, params)
-        run = base.run_parallel("sor", "tmk", 4, params,
-                                faults=crash_plan((1, 1.0), (2, 4.0)),
-                                recovery=RecoveryConfig(
-                                    checkpoint_interval=0.2))
-        assert run.recovery.recoveries == 2
-        assert sorted(run.recovery.failed_nodes) == [1, 2]
-        assert np.array_equal(run.result, clean.result)
-
-    def test_max_recoveries_cap(self):
-        params = SorParams.bench()
-        with pytest.raises(NodeFailure):
-            base.run_parallel("sor", "tmk", 4, params,
-                              faults=crash_plan((1, 1.0), (2, 4.0)),
-                              recovery=RecoveryConfig(
-                                  checkpoint_interval=0.2,
-                                  max_recoveries=1))
-
-
-def _same(a, b):
-    """Structural bit-equality across ndarrays and nested containers."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    if isinstance(a, (list, tuple)):
-        return (isinstance(b, (list, tuple)) and len(a) == len(b)
-                and all(_same(x, y) for x, y in zip(a, b)))
-    return a == b
-
-
-# ----------------------------------------------------------------------
-# Property check: recovered == fault-free on both systems
-# ----------------------------------------------------------------------
-class TestRecoveredResultsIdentical:
-    CASES = [("sor", SorParams.bench()),
-             ("tsp", TspParams.bench()),
-             ("water", WaterParams.bench_288())]
-
-    @pytest.mark.parametrize("system", ["tmk", "pvm"])
-    @pytest.mark.parametrize("app,params", CASES,
-                             ids=[c[0] for c in CASES])
-    def test_identical_results_and_figure_data(self, app, params, system):
-        config = RecoveryConfig(checkpoint_interval=0.5)
-        clean = base.run_parallel(app, system, 4, params)
-        baseline = base.run_parallel(app, system, 4, params, recovery=config)
-        run = base.run_parallel(app, system, 4, params,
-                                faults=crash_plan((1, 0.02)),
-                                recovery=config)
-        assert run.recovery.recoveries == 1
-        assert _same(run.result, clean.result)
-        assert _same(run.result, baseline.result)
-        # Figure data (speedup input) differs from the checkpointing
-        # baseline only by the charged recovery overhead -- the
-        # underlying re-execution is identical.
-        assert run.time == pytest.approx(
-            baseline.time + run.recovery.overhead_time)
-
-
-# ----------------------------------------------------------------------
-# Zero-overhead guarantees
-# ----------------------------------------------------------------------
-class TestZeroOverhead:
-    def test_detection_only_config_is_byte_identical(self):
-        params = SorParams.bench()
-        plain = base.run_parallel("sor", "tmk", 4, params)
-        detect = base.run_parallel("sor", "tmk", 4, params,
-                                   recovery=RecoveryConfig())
-        assert detect.time == plain.time
-        assert detect.stats.total("tmk").messages == \
-            plain.stats.total("tmk").messages
-        assert detect.stats.total("tmk").bytes == plain.stats.total("tmk").bytes
-        assert detect.stats.recovery() == {}
-
-    def test_checkpointing_stays_out_of_wire_totals(self):
-        params = SorParams.bench()
-        plain = base.run_parallel("sor", "tmk", 4, params)
-        ckpt = base.run_parallel("sor", "tmk", 4, params,
-                                 recovery=RecoveryConfig(
-                                     checkpoint_interval=0.2))
-        # Checkpoint writes cost virtual time but send no tmk messages.
-        assert ckpt.stats.total("tmk").messages == \
-            plain.stats.total("tmk").messages
-        assert ckpt.stats.total("tmk").bytes == plain.stats.total("tmk").bytes
-        assert ckpt.stats.recovery()["checkpoint"].messages > 0
-        assert ckpt.time > plain.time
-        assert np.array_equal(ckpt.result, plain.result)
-
-
-# ----------------------------------------------------------------------
-# plan_recovery unit behavior
-# ----------------------------------------------------------------------
-class TestPlanRecovery:
-    def _failure(self, node=1, crash=1.0, detect=1.06, checkpoint=None):
-        return NodeFailure(failed=node, crash_time=crash, detect_time=detect,
-                           checkpoint=checkpoint)
-
-    def test_ledger_arithmetic(self):
-        config = RecoveryConfig(restore_bandwidth=1e6)
-        report = RecoveryReport()
-        ckpt = Checkpoint(epoch=3, time=0.75, nbytes=500_000, writers=4)
-        plan = crash_plan((1, 1.0))
-        new_plan = plan_recovery(self._failure(checkpoint=ckpt), plan,
-                                 config, report)
-        assert new_plan.crash_at == ()
-        assert report.recoveries == 1
-        assert report.detection_latency == pytest.approx(0.06)
-        assert report.lost_work == pytest.approx(0.25)
-        assert report.restore_time == pytest.approx(0.5)
-        assert report.restored_bytes == 500_000
-        assert report.overhead_time == pytest.approx(0.06 + 0.25 + 0.5)
-        assert report.last_restored_time == 0.75
-
-    def test_no_checkpoint_restarts_from_zero(self):
-        report = RecoveryReport()
-        plan_recovery(self._failure(), crash_plan((1, 1.0)),
-                      RecoveryConfig(), report)
-        assert report.lost_work == pytest.approx(1.0)
-        assert report.restore_time == 0.0
-        assert report.last_restored_time == 0.0
-
-    def test_second_failure_without_progress_is_unrecoverable(self):
-        report = RecoveryReport()
-        config = RecoveryConfig()
-        plan_recovery(self._failure(node=1), crash_plan((1, 1.0), (2, 1.0)),
-                      config, report)
-        with pytest.raises(NodeFailure):
-            plan_recovery(self._failure(node=2), crash_plan((2, 1.0)),
-                          config, report)
-
-    def test_retry_budget(self):
-        report = RecoveryReport()
-        config = RecoveryConfig(max_recoveries=0)
-        with pytest.raises(NodeFailure):
-            plan_recovery(self._failure(), crash_plan((1, 1.0)),
-                          config, report)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RecoveryConfig(checkpoint_interval=-1.0)
-        with pytest.raises(ValueError):
-            RecoveryConfig(lease_timeout=0.0)
-        with pytest.raises(ValueError):
-            RecoveryConfig(checkpoint_bandwidth=0.0)
-        with pytest.raises(ValueError):
-            RecoveryConfig(max_recoveries=-1)
-
-
 # ----------------------------------------------------------------------
 # PVM-side detection (no barriers involved)
 # ----------------------------------------------------------------------
@@ -439,3 +218,50 @@ class TestPvmDetection:
         with pytest.raises(NodeFailure) as info:
             cluster.run(app)
         assert info.value.failed == 1
+
+
+# ----------------------------------------------------------------------
+# Through the facade: an unmasked crash is a classified failure
+# ----------------------------------------------------------------------
+#: (system, nprocs, crashes, replication, what the run raises).  PVM's
+#: TCP gives up on the dead peer before the lease expires.
+UNMASKED = [(system, nprocs, ((1, 0.01),), None, raised)
+            for system, raised in (("tmk", NodeFailure),
+                                   ("ivy", NodeFailure),
+                                   ("pvm", TransportError))
+            for nprocs in (2, 3, 4)]
+UNMASKED.append(("tmk", 2, ((2, 0.01), (3, 0.02)), ReplicationConfig(3),
+                 NodeFailure))
+
+
+@pytest.mark.parametrize(
+    "system, nprocs, crashes, replication, raised", UNMASKED,
+    ids=[f"{case[0]}-{case[1]}" + ("-replica-majority" if case[3] else "")
+         for case in UNMASKED])
+def test_unmasked_crash_is_a_classified_failure(
+        system, nprocs, crashes, replication, raised, tmp_path,
+        monkeypatch):
+    """An application-rank crash on every runtime, and a replica-majority
+    crash under masking, end the run with one of ``api.RUN_FAILURES``
+    within a lease plus a heartbeat of the last crash (not at the
+    watchdog), and leave nothing in the cache."""
+    engines = []
+    init = Engine.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        engines.append(self)
+
+    monkeypatch.setattr(Engine, "__init__", spy)
+    cache = ResultCache(tmp_path)
+    config = api.RunConfig("fig02", system, nprocs, "tiny",
+                           faults=FaultPlan(crash_at=crashes),
+                           replication=replication)
+    with pytest.raises(api.RUN_FAILURES) as info:
+        api.run(config, cache=cache)
+    assert type(info.value) is raised
+    engine, = engines
+    last_crash = max(t for _, t in crashes)
+    assert engine.horizon <= last_crash + LEASE_TIMEOUT + HEARTBEAT_INTERVAL
+    assert cache.stores == 0
+    assert not any(tmp_path.iterdir())

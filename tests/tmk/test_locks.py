@@ -180,71 +180,3 @@ class TestNoticePiggybacking:
         res = tmk_run(main, nprocs=2)
         # No new writes since the first fault: no further diff requests.
         assert res.results == [0, 0]
-
-
-class TestOrphanedLockReclaim:
-    """Crash recovery: a lock whose request chain ends at a dead node is
-    reclaimable by its manager instead of being forwarded into the void
-    forever (see repro.sim.recovery)."""
-
-    def test_reclaim_resets_chain_to_manager(self, tmk_run):
-        def main(proc):
-            tmk = proc.tmk
-            if tmk.pid == 1:
-                yield from tmk.lock_acquire(0)  # chain at the manager now ends at P1
-                yield from tmk.lock_release(0)
-            yield from tmk.barrier(0)
-            reclaimed = []
-            if tmk.pid == 0:  # manager declares P1 dead
-                reclaimed = tmk.locks.reclaim(1)
-            yield from tmk.barrier(1)
-            if tmk.pid == 2:
-                yield from tmk.lock_acquire(0)  # must not be forwarded to "dead" P1
-                yield from tmk.lock_release(0)
-            yield from tmk.barrier(2)
-            return reclaimed
-
-        res = tmk_run(main, nprocs=3)
-        assert res.results[0] == [0]
-        # Both acquires were granted straight by the manager: with the
-        # chain still pointing at P1, P2's request would have needed a
-        # forward (and, with P1 really dead, would have hung forever).
-        assert res.stats.get("tmk", "lock_forward").messages == 0
-        assert res.stats.get("tmk", "lock_request").messages == 2
-        assert res.stats.get("tmk", "lock_grant").messages == 2
-
-    def test_reclaim_ignores_live_chains(self, tmk_run):
-        def main(proc):
-            tmk = proc.tmk
-            if tmk.pid == 1:
-                yield from tmk.lock_acquire(0)
-                yield from tmk.lock_release(0)
-            yield from tmk.barrier(0)
-            if tmk.pid == 0:
-                return tmk.locks.reclaim(2)  # P2 never touched lock 0
-            return None
-
-        res = tmk_run(main, nprocs=3)
-        assert res.results[0] == []
-
-    def test_reclaim_discards_queued_request_from_dead_node(self, tmk_run):
-        """A request from the dead node queued behind a held lock must be
-        dropped, or the next release would grant to a corpse.  (The dead
-        node's request is planted directly: really sending one would
-        block its thread forever on the dropped grant.)"""
-        def main(proc):
-            tmk = proc.tmk
-            if tmk.pid == 0:
-                from repro.tmk.protocol import LockRequest
-                yield from tmk.lock_acquire(0)
-                state = tmk.locks._lock_state(0)
-                state.waiter = LockRequest(
-                    lock=0, requester=1, vc=tuple(tmk.core.vc),
-                    reply=proc.mailbox())
-                tmk.locks.reclaim(1)
-                assert state.waiter is None
-                yield from tmk.lock_release(0)
-            yield from tmk.barrier(0)
-
-        res = tmk_run(main, nprocs=2)
-        assert res.stats.get("tmk", "lock_grant").messages == 0

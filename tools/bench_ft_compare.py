@@ -1,27 +1,29 @@
 #!/usr/bin/env python
-"""Compare the fault-tolerance strategies; emit BENCH_ft.json.
+"""Compare no fault tolerance with SC-ABD masking; emit BENCH_ft.json.
 
-Runs SOR (fig02) and TSP (fig06) on 4 application processors under three
-regimes -- no fault tolerance, checkpoint/rollback recovery, and SC-ABD
-quorum masking -- across crash counts (0, 1, 2) and message-loss rates
-(0, 1%), and records for each scenario:
+Runs SOR (fig02) and TSP (fig06) on 4 application processors under two
+regimes -- no fault tolerance and SC-ABD quorum masking -- across crash
+counts (0, 1, 2) and message-loss rates (0, 1%), and records for each
+scenario:
 
 * whether the run completed, its measured virtual time, and a structural
   fingerprint of the application result (sha-256 over array bytes);
-* the recovery ledger (rollbacks, lost work, overhead) or the
-  replication ledger (masked crashes, detection latency, quorum traffic).
+* the replication ledger (masked crashes, detection latency, quorum
+  traffic), or the classified error (``api.RUN_FAILURES``) an aborted
+  run raised.
 
 Every scenario is a ``RunConfig`` run through ``repro.api.run``, so every
 completed run is also checked against the sequential program.
 
-The report also checks the headline claims of the masking mode:
+The report also checks its headline claims (:func:`check`, which tier-1
+re-runs over the committed JSON):
 
 * a quorum-minority replica crash under ``mask`` completes with a result
-  byte-identical to the fault-free run and **zero** rollback events;
-* the same single-node-crash scenario under ``rollback`` shows nonzero
-  recovery overhead (lost work re-executed, checkpoints restored);
-* an unmaskable crash (replica majority) aborts cleanly instead of
-  producing a wrong result.
+  byte-identical to the fault-free run (so do two replica crashes with 5
+  replicas);
+* an unmaskable crash (replica majority) and an unmasked application-rank
+  crash (``noft``) abort with a classified error instead of producing a
+  wrong result.
 
 Run:  python tools/bench_ft_compare.py [--out BENCH_ft.json]
 """
@@ -39,30 +41,24 @@ LOSS_RATES = (0.0, 0.01)
 APPS = {"sor": "fig02", "tsp": "fig06"}
 
 
-def one_run(exp_id, faults=None, recovery=None, replication=None):
+def one_run(exp_id, faults=None, replication=None):
     """One verified run; returns the scenario record + the live result."""
     from repro import api
-    from repro.sim.recovery import NodeFailure
     from repro.verify.explorer import fingerprint
     config = api.RunConfig(exp_id, "tmk", NPROCS, "tiny", faults=faults,
-                           recovery=recovery, replication=replication)
+                           replication=replication)
     try:
         result = api.run(config, use_cache=False, want_parallel=True)
-    except NodeFailure as failure:
-        return {"completed": False, "abort": str(failure)}, None
+    except api.RUN_FAILURES as failure:
+        return {"completed": False, "error": type(failure).__name__,
+                "abort": str(failure)}, None
     record = {
         "completed": True,
         "time": round(result.time, 6),
         "result_fingerprint": fingerprint(result.parallel.result),
         "messages": result.messages,
     }
-    # The RunResult ledgers, under this report's key names and rounding.
-    if result.recovery is not None:
-        rollback = dict(result.recovery)
-        for name in ("detection_latency", "lost_work", "restore_time",
-                     "overhead_time"):
-            rollback[name] = round(rollback[name], 6)
-        record["rollback"] = rollback
+    # The RunResult ledger, under this report's key names and rounding.
     if result.replication is not None:
         replication = dict(result.replication)
         replication["detection_latency"] = round(
@@ -77,7 +73,6 @@ def one_run(exp_id, faults=None, recovery=None, replication=None):
 def bench_app(name, exp_id):
     from repro.scabd import ReplicationConfig
     from repro.sim.faults import FaultPlan
-    from repro.sim.recovery import RecoveryConfig
 
     repl3 = ReplicationConfig(replicas=REPLICAS)
     repl5 = ReplicationConfig(replicas=5)
@@ -88,8 +83,7 @@ def bench_app(name, exp_id):
     elapsed = noft.cluster.elapsed
     mask_rec, mask_clean = one_run(exp_id, replication=repl3)
     mask_elapsed = mask_clean.cluster.elapsed
-    mask5_rec, mask5_clean = one_run(exp_id, replication=repl5)
-    checkpoint = RecoveryConfig(checkpoint_interval=0.25 * elapsed)
+    mask5_rec, _ = one_run(exp_id, replication=repl5)
 
     def crash(*nodes_times, loss=0.0):
         return FaultPlan(seed=7, loss=loss, crash_at=tuple(nodes_times))
@@ -112,23 +106,17 @@ def bench_app(name, exp_id):
         rec, _ = one_run(exp_id, faults=FaultPlan(seed=7, loss=loss))
         add("noft", loss, [], rec, noft_rec)
 
-    # --- single-node crash, both strategies, both loss rates ----------
+    # --- single-node crash, both regimes, both loss rates -------------
     for loss in LOSS_RATES:
-        node, t = 1, round(0.5 * elapsed, 6)
-        rec, _ = one_run(exp_id, faults=crash((node, t), loss=loss),
-                         recovery=checkpoint)
-        add("rollback", loss, [[node, t]], rec, noft_rec)
+        node, t = 1, round(0.5 * elapsed, 6)  # an application rank
+        rec, _ = one_run(exp_id, faults=crash((node, t), loss=loss))
+        add("noft", loss, [[node, t]], rec, noft_rec)
         node, t = NPROCS, round(0.5 * mask_elapsed, 6)  # first replica pid
         rec, _ = one_run(exp_id, faults=crash((node, t), loss=loss),
                          replication=repl3)
         add("mask", loss, [[node, t]], rec, mask_rec)
 
-    # --- double crash ------------------------------------------------
-    double_app = [[1, round(0.4 * elapsed, 6)], [2, round(0.7 * elapsed, 6)]]
-    rec, _ = one_run(exp_id,
-                     faults=crash(*[tuple(c) for c in double_app]),
-                     recovery=checkpoint)
-    add("rollback", 0.0, double_app, rec, noft_rec)
+    # --- double replica crash ----------------------------------------
     double_repl = [[NPROCS, round(0.4 * mask_elapsed, 6)],
                    [NPROCS + 1, round(0.7 * mask_elapsed, 6)]]
     rec, _ = one_run(exp_id,
@@ -153,6 +141,8 @@ def bench_app(name, exp_id):
 
 def check(report):
     """The claims BENCH_ft.json exists to document; returns problems."""
+    from repro import api
+    classified = {exc.__name__ for exc in api.RUN_FAILURES}
     problems = []
     for app, data in report["apps"].items():
         by_mode = {}
@@ -162,22 +152,21 @@ def check(report):
         masked = by_mode[("mask", 1, 0.0, REPLICAS)][0]
         if not (masked.get("completed")
                 and masked.get("identical_to_fault_free")
-                and masked["replication"]["masked_failures"] == 1
-                and "rollback" not in masked):
+                and masked["replication"]["masked_failures"] == 1):
             problems.append(f"{app}: masked crash not clean/identical")
-        rolled = by_mode[("rollback", 1, 0.0, REPLICAS)][0]
-        if not (rolled.get("completed")
-                and rolled["rollback"]["recoveries"] >= 1
-                and rolled["rollback"]["overhead_time"] > 0):
-            problems.append(f"{app}: rollback crash shows no overhead")
-        majority = by_mode[("mask", 2, 0.0, REPLICAS)][0]
-        if majority.get("completed"):
-            problems.append(f"{app}: replica-majority crash did not abort")
         masked2 = by_mode[("mask", 2, 0.0, 5)][0]
         if not (masked2.get("completed")
                 and masked2.get("identical_to_fault_free")
                 and masked2["replication"]["masked_failures"] == 2):
             problems.append(f"{app}: 5-replica double crash not masked")
+        for label, key in (("replica-majority", ("mask", 2, 0.0, REPLICAS)),
+                           ("unmasked application-rank",
+                            ("noft", 1, 0.0, REPLICAS))):
+            aborted = by_mode[key][0]
+            if (aborted.get("completed")
+                    or aborted.get("error") not in classified):
+                problems.append(f"{app}: {label} crash did not abort with "
+                                "a classified error")
     return problems
 
 
@@ -188,6 +177,7 @@ def main():
     args = parser.parse_args()
 
     report = {
+        "command": "python tools/bench_ft_compare.py",
         "environment": {"cpu_count": os.cpu_count(),
                         "python": sys.version.split()[0]},
         "preset": "tiny",
