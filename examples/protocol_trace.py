@@ -17,7 +17,7 @@ from repro.tmk import attach_tmk
 
 
 def main():
-    trace = Trace(enabled=True)
+    trace = Trace()
     cluster = Cluster(3, config=ClusterConfig(trace=trace))
     attach_tmk(cluster)
 

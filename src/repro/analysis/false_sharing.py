@@ -1,4 +1,4 @@
-"""False-sharing analysis from the sanitizer's access/diff event stream.
+"""False-sharing analysis from the access/diff events of a TreadMarks run.
 
 The paper attributes part of TreadMarks' extra traffic to *false sharing*
 (mechanism (c)): two processors write disjoint bytes of the same page, so
@@ -16,8 +16,9 @@ receiver never touches.  This module turns that prose into numbers:
   that page were moved only because of page granularity -- they are the
   falsely-shared diff bytes the report charges to the page.
 
-The tracker is fed by :class:`repro.analysis.races.Sanitizer`; it holds
-host-side state only and never perturbs the simulation.
+The tracker subscribes to the cluster's event stream
+(:mod:`repro.sim.trace`) beside the race sanitizer, which reads its
+report; it holds host-side state only and never perturbs the simulation.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.sim.trace import Subscriber
 from repro.tmk.diffs import Diff
 
 __all__ = ["ByteSet", "FalseSharingTracker", "PageSharing"]
@@ -126,7 +128,7 @@ class PageSharing:
         return out
 
 
-class FalseSharingTracker:
+class FalseSharingTracker(Subscriber):
     """Aggregates the access/diff event stream into per-page sharing."""
 
     def __init__(self, page_size: int) -> None:
@@ -142,7 +144,8 @@ class FalseSharingTracker:
     # ------------------------------------------------------------------
     # Event stream
     # ------------------------------------------------------------------
-    def on_access(self, pid: int, runs, write: bool) -> None:
+    def on_access(self, pid: int, runs, write: bool, racy: bool,
+                  time: float) -> None:
         size = self.page_size
         for start, nbytes in runs:
             end = start + nbytes
@@ -162,7 +165,8 @@ class FalseSharingTracker:
                     writes.add(pos, piece_end)
                 pos = piece_end
 
-    def on_diff_applied(self, pid: int, page: int, diff: Diff) -> None:
+    def on_diff_applied(self, pid: int, page: int, diff: Diff,
+                        time: float) -> None:
         sharing = self._page(page)
         fetched = sharing.fetched.get(pid)
         if fetched is None:
@@ -172,6 +176,12 @@ class FalseSharingTracker:
             fetched.add(base + offset, base + offset + len(data))
         sharing.fetched_bytes[pid] = (sharing.fetched_bytes.get(pid, 0)
                                       + diff.data_bytes)
+
+    def on_measurement_start(self, time: float) -> None:
+        """The app opened its measured window: restart accumulation so
+        the report reflects steady-state sharing, not the master's
+        initialization writes."""
+        self._pages = {}
 
     # ------------------------------------------------------------------
     # Queries and report

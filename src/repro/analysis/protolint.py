@@ -31,9 +31,14 @@ produce hangs or non-reproducible runs rather than crashes:
 * **PRT008** -- iteration directly over a set expression (``set(...)``,
   a set literal, a set comprehension) in protocol code; set order is
   insertion/hash dependent -- sort first.
+* **PRT009** -- the protocol event stream (:mod:`repro.sim.trace`) out of
+  step with its vocabulary: an event of ``VOCABULARY`` that nothing emits
+  (no ``<...>.events.<name>(...)`` call), or an ``on_*`` method of a
+  ``Subscriber`` class that names no event (the stream would never call
+  it) or takes a different number of arguments than the event passes.
 
-The exhaustiveness pair (PRT001/PRT002) is aggregated across *all*
-linted files: categories are resolved through each module's own
+The exhaustiveness checks (PRT001/PRT002, PRT009) aggregate across
+*all* linted files: categories are resolved through each module's own
 constant table (module-level ``ALL_CAPS = "literal"`` assignments), and
 a send whose category cannot be resolved statically (a forwarded
 variable) is simply skipped.  The determinism checks (PRT005--PRT008)
@@ -103,6 +108,15 @@ class _ModuleFacts:
         self.sends: List[Tuple[str, ast.AST]] = []
         #: (category value, finding-site node) for every register call.
         self.registers: List[Tuple[str, ast.AST]] = []
+        #: Event name -> (its key node in a module-level ``VOCABULARY``,
+        #: its argument names, or None if not a tuple of literals).
+        self.vocabulary: Dict[str, Tuple[ast.AST,
+                                         Optional[Tuple[str, ...]]]] = {}
+        #: Names called as ``<...>.events.<name>(...)``, or looked up as
+        #: ``<...>.events.consumer("<name>")``: the emits.
+        self.emits: Set[str] = set()
+        #: class name -> (base names, its ``on_*`` methods).
+        self.classes: Dict[str, Tuple[List[str], List[ast.FunctionDef]]] = {}
 
     def resolve(self, expr: ast.expr) -> Optional[str]:
         if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
@@ -122,11 +136,37 @@ def _collect_facts(tree: ast.Module, path: str) -> _ModuleFacts:
                     and isinstance(stmt.value, ast.Constant)
                     and isinstance(stmt.value.value, str)):
                 facts.consts[target.id] = stmt.value.value
+        target = stmt.target if isinstance(stmt, ast.AnnAssign) else (
+            stmt.targets[0] if isinstance(stmt, ast.Assign)
+            and len(stmt.targets) == 1 else None)
+        if (isinstance(target, ast.Name) and target.id == "VOCABULARY"
+                and isinstance(stmt.value, ast.Dict)):
+            for key, value in zip(stmt.value.keys, stmt.value.values):
+                if isinstance(key, ast.Constant) and isinstance(key.value,
+                                                                str):
+                    args = None
+                    if isinstance(value, ast.Tuple) and all(
+                            isinstance(e, ast.Constant) for e in value.elts):
+                        args = tuple(e.value for e in value.elts)
+                    facts.vocabulary[key.value] = (key, args)
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            bases = [_attr_chain(b) or "" for b in node.bases]
+            handlers = [m for m in node.body
+                        if isinstance(m, ast.FunctionDef)
+                        and m.name.startswith("on_")]
+            facts.classes[node.name] = ([b.rpartition(".")[2]
+                                         for b in bases], handlers)
         if not isinstance(node, ast.Call) or \
                 not isinstance(node.func, ast.Attribute):
             continue
         attr = node.func.attr
+        receiver = _attr_chain(node.func.value)
+        if receiver is not None and receiver.rpartition(".")[2] == "events":
+            if attr != "consumer":
+                facts.emits.add(attr)
+            elif node.args and isinstance(node.args[0], ast.Constant):
+                facts.emits.add(node.args[0].value)
         if attr in _SEND_ATTRS and len(node.args) >= 4:
             value = facts.resolve(node.args[2])
             if value is not None:
@@ -300,6 +340,57 @@ def _lint_determinism(tree: ast.Module, path: str,
 
 
 # ----------------------------------------------------------------------
+# PRT009: the event stream against its vocabulary
+# ----------------------------------------------------------------------
+def _lint_event_stream(all_facts: List[_ModuleFacts],
+                       findings: List[LintFinding]) -> None:
+    vocabulary = {name: (facts, node, args) for facts in all_facts
+                  for name, (node, args) in facts.vocabulary.items()}
+    if not vocabulary:
+        return
+
+    def report(facts: _ModuleFacts, node: ast.AST, message: str) -> None:
+        findings.append(LintFinding(path=facts.path, line=node.lineno,
+                                    col=node.col_offset, code="PRT009",
+                                    message=message))
+
+    emitted = set().union(*(facts.emits for facts in all_facts))
+    for name, (facts, node, _) in vocabulary.items():
+        if name not in emitted:
+            report(facts, node, f"event {name!r} is in the vocabulary but "
+                                "nothing emits it")
+    bases = {cls: info[0] for facts in all_facts
+             for cls, info in facts.classes.items()}
+
+    def subscribes(cls: str, seen: Set[str]) -> bool:
+        if cls == "Subscriber":
+            return True
+        seen.add(cls)
+        return any(subscribes(base, seen) for base in bases.get(cls, ())
+                   if base not in seen)
+
+    for facts in all_facts:
+        for cls, (_, handlers) in facts.classes.items():
+            if not subscribes(cls, set()):
+                continue
+            for method in handlers:
+                event = vocabulary.get(method.name[3:])
+                if event is None:
+                    report(facts, method,
+                           f"{cls}.{method.name} names no vocabulary event; "
+                           "the stream never calls it")
+                    continue
+                args = event[2]
+                taken = len(method.args.args) - 1
+                if (args is not None and method.args.vararg is None
+                        and taken != len(args)):
+                    report(facts, method,
+                           f"{cls}.{method.name} takes {taken} arguments; "
+                           f"event {method.name[3:]!r} passes {len(args)} "
+                           f"({', '.join(args)})")
+
+
+# ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
 def lint_sources(sources: Dict[str, str]) -> List[LintFinding]:
@@ -334,6 +425,7 @@ def lint_sources(sources: Dict[str, str]) -> List[LintFinding]:
                     message=f"handler registered for category {value!r} "
                             "but nothing ever sends it; dead protocol "
                             "surface (renamed constant?)"))
+    _lint_event_stream(all_facts, findings)
     findings.sort(key=lambda f: (f.path, f.line, f.col))
     return findings
 

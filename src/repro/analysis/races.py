@@ -24,8 +24,10 @@ with traces.
 
 State is FastTrack-like, held per *byte range* in a shadow map of
 disjoint segments: the last write epoch plus a read set of one epoch per
-processor.  Every ``SharedArray.read``/``write``/``add`` reports its
-touched byte runs here (the same runs that drive fault/twin behaviour),
+processor.  The sanitizer subscribes to the cluster's event stream
+(:mod:`repro.sim.trace`): every ``SharedArray.read``/``write``/``add``
+emits its touched byte runs (the same runs that drive fault/twin
+behaviour) as an ``access`` event,
 tagged with the caller's source location and the processor's most recent
 synchronization operation, so a finding names both access sites, the
 page, and the nearest synchronization on each side.
@@ -40,8 +42,8 @@ The sanitizer is observational only: it never calls ``compute`` or sends
 messages, so message/byte/time accounting is identical with it attached.
 Intentionally unsynchronized accesses (e.g. TSP's stale best-bound
 pruning) are annotated in the application with ``read_racy``/``get_racy``
-and are exempt from the happens-before check (they still feed the
-false-sharing analyzer).
+and are exempt from the happens-before check (the false-sharing tracker,
+a subscriber of its own, still counts them).
 """
 
 from __future__ import annotations
@@ -55,12 +57,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.false_sharing import FalseSharingTracker
+from repro.sim.trace import Subscriber
 from repro.tmk.intervals import access_seen
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.cluster import Cluster
-    from repro.tmk.consistency import LrcCore
-    from repro.tmk.diffs import Diff
 
 __all__ = [
     "AnalysisConfig",
@@ -214,19 +215,22 @@ _SKIP_FRAGMENTS = tuple(
 )
 
 
-class Sanitizer:
-    """Cluster-global access observer: race checks + false-sharing feed.
+class Sanitizer(Subscriber):
+    """Cluster-global race check over the TreadMarks event stream.
 
-    One instance per simulated run, shared by every processor's core (the
-    happens-before check compares accesses *across* processors).
+    One instance per simulated run, observing every processor (the
+    happens-before check compares accesses *across* processors);
+    ``cores`` are the processors' ``LrcCore`` objects, whose vector time
+    names each access's interval.
     """
 
     def __init__(self, cluster: "Cluster", config: AnalysisConfig,
-                 heap=None) -> None:
+                 cores, heap=None, fs=None) -> None:
         self.config = config
         self.cluster = cluster
         self.page_size = cluster.cost.page_size
         self.nprocs = cluster.nprocs
+        self._cores = cores
         self._heap = heap
         self._shadow = _ShadowMap()
         self._last_sync: List[str] = ["<program start>"] * cluster.nprocs
@@ -250,31 +254,28 @@ class Sanitizer:
         #: Event counters (reported via MessageStats.record_event at finish).
         self.accesses_checked = 0
         self.runs_checked = 0
-        self.fs = None
-        if config.false_sharing:
-            self.fs = FalseSharingTracker(self.page_size)
+        #: The run's false-sharing tracker (a subscriber of its own), for
+        #: the reports; None unless ``config.false_sharing``.
+        self.fs = fs
         self._check = config.race_check != "off"
         self._strict = config.race_check == "strict"
 
     # ------------------------------------------------------------------
-    # Event stream (called from the tmk layer; observational only)
+    # Event stream (emitted by the tmk layer; observational only)
     # ------------------------------------------------------------------
-    def on_access(self, core: "LrcCore", runs, write: bool,
-                  racy: bool = False) -> None:
+    def on_access(self, pid: int, runs, write: bool, racy: bool,
+                  time: float) -> None:
         """One ``SharedArray`` access: ``runs`` are the touched byte
         ranges, exactly as reported to the fault layer."""
         if not runs:
             return
         self.accesses_checked += 1
         self.runs_checked += len(runs)
-        if self.fs is not None:
-            self.fs.on_access(core.pid, runs, write)
         if not self._check or racy:
             return
-        pid = core.pid
         svc = self._svc[pid]
         record = AccessRecord(pid=pid, seq=svc[pid],
-                              interval=(pid, core.vc[pid]),
+                              interval=(pid, self._cores[pid].vc[pid]),
                               site=self._call_site(),
                               sync=self._last_sync[pid], write=write)
         for start, nbytes in runs:
@@ -300,21 +301,23 @@ class Sanitizer:
             if s > vc[i]:
                 vc[i] = s
 
-    def on_lock_release(self, pid: int, lock: int) -> None:
+    def on_lock_release(self, pid: int, lock: int, time: float) -> None:
         """``pid`` released ``lock``: publish, and remember the snapshot
         for the grant that will carry this release to the next holder."""
         self._lock_snapshot[(pid, lock)] = self._publish(pid)
         self.note_sync(pid, f"lock_release({lock})")
 
-    def on_grant_send(self, grant, granter: int, lock: int) -> None:
-        """A grant is leaving ``granter``: attach the snapshot of its last
-        release of ``lock`` (None if it never released it -- the initial
-        owner granting a never-acquired lock creates no HB edge)."""
-        snapshot = self._lock_snapshot.get((granter, lock))
+    def on_lock_grant(self, pid: int, lock: int, requester: int, grant,
+                      time: float) -> None:
+        """A grant left ``pid``: attach the snapshot of its last release
+        of ``lock`` (None if it never released it -- the initial owner
+        granting a never-acquired lock creates no HB edge)."""
+        snapshot = self._lock_snapshot.get((pid, lock))
         if snapshot is not None:
             self._grant_snapshot[id(grant)] = snapshot
 
-    def on_lock_acquired(self, pid: int, lock: int, grant=None) -> None:
+    def on_lock_acquired(self, pid: int, lock: int, grant,
+                         time: float) -> None:
         """``pid`` holds ``lock``; join the granting release's snapshot
         (no-op for the free local re-acquire: program order suffices)."""
         if grant is not None:
@@ -323,7 +326,7 @@ class Sanitizer:
                 self._join(pid, snapshot)
         self.note_sync(pid, f"lock_acquire({lock})")
 
-    def on_barrier_arrive(self, pid: int, bid: int) -> None:
+    def on_barrier_arrive(self, pid: int, bid: int, time: float) -> None:
         """``pid`` arrived at barrier ``bid``: publish into the episode's
         accumulator.  The engine is cooperative and every thread arrives
         before any departs, so the accumulator is complete by first use."""
@@ -339,7 +342,8 @@ class Sanitizer:
                 if s > acc[i]:
                     acc[i] = s
 
-    def on_barrier_depart(self, pid: int, bid: int) -> None:
+    def on_barrier_release(self, pid: int, bid: int, role: str,
+                           time: float) -> None:
         """``pid`` left barrier ``bid``: join every arrival's snapshot."""
         count = self._barrier_departs.get(bid, 0)
         self._barrier_departs[bid] = count + 1
@@ -348,20 +352,6 @@ class Sanitizer:
         if (count + 1) % self.nprocs == 0:
             del self._barrier_acc[key]
         self.note_sync(pid, f"barrier({bid})")
-
-    def on_diff_applied(self, pid: int, page: int, diff: "Diff") -> None:
-        """Processor ``pid`` patched ``page`` with ``diff`` during a fault
-        (or a piggybacked grant): feeds the false-sharing analyzer."""
-        if self.fs is not None:
-            self.fs.on_diff_applied(pid, page, diff)
-
-    def on_measurement_start(self) -> None:
-        """The app opened its measured window: restart false-sharing
-        accumulation so the report reflects steady-state sharing, not the
-        master's initialization writes.  Race state is kept -- pre-window
-        accesses can still race with post-window ones."""
-        if self.fs is not None:
-            self.fs = FalseSharingTracker(self.page_size)
 
     # ------------------------------------------------------------------
     # Happens-before check (FastTrack-style epochs per shadow cell)
@@ -470,15 +460,19 @@ class Sanitizer:
 
 def attach_sanitizer(cluster: "Cluster", endpoints,
                      config: AnalysisConfig) -> Sanitizer:
-    """Attach one sanitizer to every TreadMarks endpoint of a cluster.
+    """Subscribe a sanitizer (and, if configured, a false-sharing
+    tracker) to a TreadMarks cluster's event stream.
 
     ``endpoints`` is the list returned by ``attach_tmk``.  Only the
     TreadMarks runtime carries the vector timestamps the happens-before
     check needs; attaching to PVM or IVY runs is a caller error.
     """
-    heap = endpoints[0].system.heap if endpoints else None
-    sanitizer = Sanitizer(cluster, config, heap=heap)
-    for tmk in endpoints:
-        tmk.core.sanitizer = sanitizer
-    cluster.observers.append(sanitizer)
+    fs = None
+    if config.false_sharing:
+        fs = FalseSharingTracker(cluster.cost.page_size)
+        cluster.subscribe(fs)
+    sanitizer = Sanitizer(cluster, config, [tmk.core for tmk in endpoints],
+                          heap=endpoints[0].system.heap if endpoints else None,
+                          fs=fs)
+    cluster.subscribe(sanitizer)
     return sanitizer

@@ -286,7 +286,7 @@ def run_parallel(app: AppSpec | str, system: str, nprocs: int, params: Any,
         main = spec.pvm_main
     monitor = None
     if invariants:
-        monitor = attach_invariants(cluster, endpoints, monitor_kind)
+        monitor = attach_invariants(cluster, monitor_kind, nprocs)
     outcome = cluster.run(main, args=(params,))
     if sanitizer is not None:
         sanitizer.finish(outcome.stats)

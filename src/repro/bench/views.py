@@ -181,7 +181,7 @@ def _trace(config: api.RunConfig, app: str, limit: int,
     if perfetto is not None:
         config = dataclasses.replace(config, obs=dataclasses.replace(
             config.obs or ObsConfig(), timeline=True))
-    trace = Trace(enabled=True)
+    trace = Trace()
     run = api.simulate(config, trace=trace)
     name = {"tmk": "TreadMarks", "pvm": "PVM", "ivy": "IVY"}[config.system]
     text = (f"{name} protocol trace: {app} ({config.preset} preset, "

@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="preemption bound of --mode dfs")
     verify.add_argument("--no-invariants", action="store_true")
     verify.add_argument("--lint", action="store_true",
-                        help="also run the protocol lints (PRT001-PRT008)")
+                        help="also run the protocol lints (PRT001-PRT009)")
     verify.add_argument("--lint-paths", default="src/repro",
                         help="comma-separated paths for --lint")
 

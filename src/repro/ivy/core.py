@@ -81,8 +81,8 @@ class DirectoryCore(DsmCore):
     cat_request: str
     cat_grant: str
     cat_done: str
-    #: ``name`` appears in error text, ``label`` in trace kinds and
-    #: mailbox labels, ``manager_role`` in what a blocked thread waits on.
+    #: ``name`` appears in error text, ``label`` in ``page_fault`` events
+    #: and mailbox labels, ``manager_role`` in what a blocked thread waits on.
     name: str
     label: str
     manager_role: str
@@ -186,8 +186,9 @@ class DirectoryCore(DsmCore):
         else:
             self.read_faults += 1
         proc.compute(self.cost.fault_cpu)
-        proc.trace(f"{self.label}_fault",
-                   f"page={page} {'write' if want_write else 'read'}")
+        events = proc.events
+        if events is not None:
+            events.page_fault(self.pid, page, want_write, self.label, proc.now)
         box = proc.mailbox()
         manager = self.manager_of(page)
         box.waiting_on = f"P{manager} ({self.manager_role})"
@@ -202,8 +203,8 @@ class DirectoryCore(DsmCore):
             f"{self.label} page {page}")
         yield from self._install(page, detail)
         self.state[page] = WRITE if granted_write else READ
-        if self.monitor is not None:
-            self.monitor.on_install(self.pid, page, granted_write, proc.now)
+        if events is not None:
+            events.install(self.pid, page, granted_write, proc.now)
         # Tell the manager the transfer completed so it can serve the
         # next queued request for this page.
         if manager == self.pid:
@@ -220,8 +221,8 @@ class DirectoryCore(DsmCore):
     def _drop_copy(self, page: int, at: float) -> None:
         self.state[page] = INVALID
         self.invalidations += 1
-        if self.monitor is not None:
-            self.monitor.on_invalidate(self.pid, page, at)
+        if self.proc.events is not None:
+            self.proc.events.invalidate(self.pid, page, at)
 
     def _interrupt(self, delivery: Delivery) -> float:
         """Charge a handler's receive + interrupt CPU; returns the time
@@ -355,10 +356,10 @@ class IvyCore(DirectoryCore):
         owner = entry.owner
         if write:
             entry.owner = requester
-        if self.monitor is not None:
-            self.monitor.on_grant(self.pid, page,
-                                  "write" if write else "read", requester,
-                                  owner, frozenset(entry.copyset), at)
+        if self.proc.events is not None:
+            self.proc.events.grant(self.pid, page,
+                                   "write" if write else "read", requester,
+                                   owner, frozenset(entry.copyset), at)
         if owner == requester:
             # Upgrade in place: the owner's copy is current -- the manager
             # sends just the grant, no page data.
@@ -384,7 +385,7 @@ class IvyCore(DirectoryCore):
             self._drop_copy(page, self.proc.now)
         elif self.state[page] == WRITE:
             self.state[page] = READ
-            if self.monitor is not None:
-                self.monitor.on_demote(self.pid, page, at)
+            if self.proc.events is not None:
+                self.proc.events.demote(self.pid, page, at)
         self._send_grant(requester, box, write, data,
                          self.cost.page_size + CTL_BYTES, at)

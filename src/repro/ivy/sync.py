@@ -193,9 +193,9 @@ class IvyBarrier:
         proc.compute(_LOCAL_CPU)
         if self.nprocs == 1:
             return
-        monitor = self.core.monitor
-        if monitor is not None:
-            monitor.on_barrier_arrive(self.pid, bid, proc.now)
+        events = proc.events
+        if events is not None:
+            events.barrier_arrive(self.pid, bid, proc.now)
         t0 = proc.now
         if self.pid == self.manager:
             arrivals = self._arrivals.setdefault(bid, [])
@@ -217,8 +217,8 @@ class IvyBarrier:
                         f"P{self.manager} (barrier manager)")
             self._waiting = False
         self.wait_time += proc.now - t0
-        if monitor is not None:
-            monitor.on_barrier_depart(self.pid, bid, proc.now)
+        if events is not None:
+            events.barrier_depart(self.pid, bid, proc.now)
 
     def _on_arrival(self, delivery: Delivery) -> None:
         bid, pid = delivery.payload

@@ -71,9 +71,6 @@ class Pvm:
         self._tcp = TcpChannel(proc.cluster.net, system="pvm")
         self._inbox: List[_Arrived] = []
         self._wait_spec: Optional[Tuple[int, int]] = None
-        #: Optional protocol invariant monitor (repro.verify.invariants):
-        #: receives per-arrival events (per-pair FIFO ordering checks).
-        self.monitor = None
         proc.register(_CATEGORY, self._on_message)
 
     # ------------------------------------------------------------------
@@ -163,9 +160,9 @@ class Pvm:
         msg = _Arrived(src=delivery.src, tag=tag, segments=segments, fmt=fmt,
                        nbytes=delivery.user_bytes, arrival=delivery.arrival,
                        recv_cpu=delivery.recv_cpu + extra)
-        if self.monitor is not None:
-            self.monitor.on_message(delivery.src, self.proc.pid, tag,
-                                    delivery.arrival)
+        if self.proc.events is not None:
+            self.proc.events.message(delivery.src, self.proc.pid, tag,
+                                     delivery.arrival)
         self._inbox.append(msg)
         if self._wait_spec is not None and self._matches(msg, *self._wait_spec):
             self._wait_spec = None

@@ -204,8 +204,8 @@ class ScAbdCore(DirectoryCore):
         self.state[page] = READ if demote else INVALID
         if not demote:
             self.invalidations += 1
-        if self.monitor is not None:
-            self.monitor.on_flush_start(self.pid, page, new_tag, demote, at)
+        if self.proc.events is not None:
+            self.proc.events.flush_start(self.pid, page, new_tag, demote, at)
         live = self.system.live_replicas()
         need = self.system.replication.majority
         assert len(live) >= need, "quorum write with a dead majority"
@@ -230,8 +230,8 @@ class ScAbdCore(DirectoryCore):
         if flush.count < flush.need:
             return
         del self._flush[page]
-        if self.monitor is not None:
-            self.monitor.on_flush_complete(self.pid, page, tag, at)
+        if self.proc.events is not None:
+            self.proc.events.flush_complete(self.pid, page, tag, at)
         home = self.manager_of(page)
         if home == self.pid:
             self._home_ack(page, flush.tag, at)
@@ -294,8 +294,8 @@ class ScAbdCore(DirectoryCore):
         entry = self._entry(page)
         old_tag = entry.tag
         entry.tag = max(entry.tag, new_tag)
-        if self.monitor is not None:
-            self.monitor.on_home_tag(self.pid, page, old_tag, entry.tag, at)
+        if self.proc.events is not None:
+            self.proc.events.home_tag(self.pid, page, old_tag, entry.tag, at)
         entry.awaiting_acks -= 1
         if entry.awaiting_acks == 0 and entry.current is not None:
             self._complete_grant(page, at)
@@ -314,11 +314,11 @@ class ScAbdCore(DirectoryCore):
         else:
             entry.copyset.add(requester)
             entry.writer = None
-        if self.monitor is not None:
-            self.monitor.on_home_grant(self.pid, page, kind, requester,
-                                       entry.writer,
-                                       frozenset(entry.copyset),
-                                       entry.tag, at)
+        if self.proc.events is not None:
+            self.proc.events.home_grant(self.pid, page, kind, requester,
+                                        entry.writer,
+                                        frozenset(entry.copyset),
+                                        entry.tag, at)
         self._send_grant(requester, box, kind == "write", entry.tag,
                          CTL_BYTES, at)
 
@@ -342,8 +342,6 @@ class ScAbdReplica:
                                    system=REPLICATION_SYSTEM)
         #: page -> (tag, bytes).  A missing page is (0, zeros), implicit.
         self.store: Dict[int, Tuple[int, bytes]] = {}
-        #: Optional protocol invariant monitor (set by attach_invariants).
-        self.monitor = None
         proc.register(CAT_QREAD, self._on_qread)
         proc.register(CAT_QWRITE, self._on_qwrite)
 
@@ -364,11 +362,11 @@ class ScAbdReplica:
         stored = self.store.get(page)
         if stored is None or tag > stored[0]:
             self.store[page] = (tag, data)
-        if self.monitor is not None:
+        if self.proc.events is not None:
             prev_tag = 0 if stored is None else stored[0]
-            self.monitor.on_replica_store(self.pid, page, prev_tag, tag,
-                                          self.store[page][0],
-                                          delivery.arrival)
+            self.proc.events.replica_store(self.pid, page, prev_tag, tag,
+                                           self.store[page][0],
+                                           delivery.arrival)
         t_ready = delivery.arrival + service
         t = self.udp_repl.send(self.pid, writer, CAT_QWRITE_ACK,
                                (page, tag), CTL_BYTES, t_ready=t_ready)

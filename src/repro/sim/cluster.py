@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.obs.core import Obs, ObsConfig
+from repro.obs.core import B_WIRE, Obs, ObsConfig
 from repro.sim.costmodel import CostModel
 from repro.sim.engine import Block, Engine, SimTask
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Delivery, Network
 from repro.sim.recovery import RecoveryManager
 from repro.sim.stats import MessageStats
-from repro.sim.trace import Trace
+from repro.sim.trace import Events, Subscriber, Trace
 
 __all__ = ["Cluster", "ClusterConfig", "ClusterResult", "Mailbox",
            "Processor"]
@@ -88,6 +88,9 @@ class Processor:
         #: Observability facade (repro.obs), or None when disabled; the
         #: runtime layers test this pointer before recording anything.
         self.obs: Optional[Obs] = None
+        #: The cluster's protocol event stream (repro.sim.trace), or None
+        #: while nothing subscribes; every emit site tests this pointer.
+        self.events: Optional[Events] = None
         #: Direct reference to the time profiler (None unless profiling):
         #: the clock primitives below are the simulator's hottest path, so
         #: they skip the facade and pay one attribute test when obs is off.
@@ -155,9 +158,18 @@ class Processor:
     def mailbox(self) -> Mailbox:
         return Mailbox(self)
 
-    def trace(self, kind: str, detail: str = "") -> None:
-        self.cluster.trace.record(self.now if self.thread else 0.0,
-                                  self.pid, kind, detail)
+    def send(self, chan: Any, dst: int, category: str, payload: Any,
+             nbytes: int) -> None:
+        """Send one message from this processor's thread, charging the
+        send CPU, inside an obs ``send`` span."""
+        obs = self.obs
+        if obs is not None:
+            obs.begin(self.now, self.pid, "send", B_WIRE,
+                      f"{category}->P{dst}")
+        self.set_now(chan.send(self.pid, dst, category, payload, nbytes,
+                               t_ready=self.now))
+        if obs is not None:
+            obs.end(self.now, self.pid)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Processor {self.pid}>"
@@ -200,6 +212,7 @@ class ClusterConfig:
     """
 
     cost: Optional[CostModel] = None
+    #: Protocol trace, subscribed to the event stream (None = no trace).
     trace: Optional[Trace] = None
     #: Deterministic network fault schedule (None = perfect medium).
     faults: Optional[FaultPlan] = None
@@ -220,10 +233,8 @@ class ClusterConfig:
 class Cluster:
     """``nprocs`` simulated workstations on one FDDI ring.
 
-    Construct with ``Cluster(nprocs, config=ClusterConfig(...))``.  (The
-    pre-:class:`ClusterConfig` spelling -- ``cost=``/``trace=``/``faults=``
-    passed directly -- was deprecated in v1.1 and has been removed; most
-    callers want the :func:`repro.api.run` facade anyway.)
+    Construct with ``Cluster(nprocs, config=ClusterConfig(...))``; most
+    callers want the :func:`repro.api.run` facade instead.
     """
 
     def __init__(self, nprocs: int,
@@ -236,7 +247,6 @@ class Cluster:
         self.nprocs = nprocs
         self.cost = (config.cost if config.cost is not None
                      else CostModel.paper_testbed())
-        self.trace = config.trace if config.trace is not None else Trace()
         self.faults = config.faults
         #: Resolved page-op kernel backend shared by every processor.
         from repro.kernels import get_backend
@@ -245,7 +255,7 @@ class Cluster:
                              scheduler=config.scheduler)
         self.stats = MessageStats()
         self.net = Network(self.engine, self.cost, self.stats,
-                           faults=self.faults, trace=self.trace)
+                           faults=self.faults)
         self.net.attach(self._dispatch, self._charge_service)
         self.procs = [Processor(self, pid) for pid in range(nprocs)]
         #: Observability facade; None unless the config enables it.
@@ -272,9 +282,6 @@ class Cluster:
         self._measure_from = 0.0
         self._measure_until: Optional[float] = None
         self._frozen_stats: Optional[MessageStats] = None
-        #: Host-side observers notified of measurement-window events
-        #: (e.g. the DSM sanitizer); they never affect accounting.
-        self.observers: List[Any] = []
         #: Host work every simulated processor would repeat on identical
         #: inputs, done once per run (DESIGN section 5m): an app files one
         #: entry under its module name, with the content it was computed
@@ -283,6 +290,36 @@ class Cluster:
         #: and it dies with the cluster, so the sequential oracle never
         #: shares it.
         self.memo: Dict[str, Any] = {}
+        #: The protocol event stream (repro.sim.trace); None until the
+        #: first :meth:`subscribe`.
+        self.events: Optional[Events] = None
+        #: The page-based cores that mirror the stream's ``access``
+        #: handler (:meth:`mirror_access`).
+        self._access_mirrors: List[Any] = []
+        if config.trace is not None:
+            self.subscribe(config.trace)
+
+    def subscribe(self, subscriber: Subscriber) -> None:
+        """Join ``subscriber`` to the protocol event stream, which the
+        first subscriber creates and every processor and the network
+        mirror.  Subscribers observe; they never charge time or send."""
+        if self.events is None:
+            self.events = Events()
+            for proc in self.procs:
+                proc.events = self.events
+            self.net.events = self.net.link.events = self.events
+        self.events.subscribe(subscriber)
+        for core in self._access_mirrors:
+            core.emit_access = self.events.consumer("access")
+
+    def mirror_access(self, core: Any) -> None:
+        """Keep ``core.emit_access`` the stream's ``access`` handler, or
+        None while no subscriber consumes accesses: every shared read and
+        write tests that one attribute, and a run that only traces or
+        monitors pays nothing per access."""
+        self._access_mirrors.append(core)
+        core.emit_access = (None if self.events is None
+                            else self.events.consumer("access"))
 
     def start_measurement(self, proc: Processor) -> None:
         """Open the measured window: reset traffic stats, mark the clock.
@@ -292,8 +329,8 @@ class Cluster:
         """
         self._measure_from = proc.now
         self.stats.reset()
-        for observer in self.observers:
-            observer.on_measurement_start()
+        if self.events is not None:
+            self.events.measurement_start(proc.now)
         if self.obs is not None:
             self.obs.on_measurement_start(self.procs, proc.now)
 
@@ -311,8 +348,10 @@ class Cluster:
         if proc.thread is not None and proc.thread.killed:
             # A message sent before the destination crashed, arriving
             # after: the dead host processes nothing.
-            self.trace.record(delivery.arrival, delivery.dst, "drop",
-                              f"dead node, category={delivery.category}")
+            if self.events is not None:
+                self.events.drop(delivery.dst,
+                                 f"dead node, category={delivery.category}",
+                                 delivery.arrival)
             return
         proc.deliver(delivery)
 

@@ -34,9 +34,10 @@ When the :class:`~repro.sim.cluster.Cluster` installs an *active*
 
 Both paths account the new machinery under dedicated stats categories
 (:data:`CAT_RETRANSMIT`, :data:`CAT_DROP`, :data:`CAT_DUP`, :data:`CAT_ACK`)
-and, when tracing is enabled, as ``drop`` / ``retransmit`` /
-``dup_suppress`` trace events.  With no plan (or an inactive one) the
-original fault-free code paths run unchanged, byte for byte.
+and emit it as ``drop`` / ``retransmit`` / ``partition_hold`` /
+``dup_suppress`` events (:mod:`repro.sim.trace`).  With no plan (or an
+inactive one) the original fault-free code paths run unchanged, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from repro.sim.faults import FaultPlan, TransportError
 from repro.sim.stats import MessageStats
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.trace import Trace
+    from repro.sim.trace import Events
 
 __all__ = [
     "CAT_ACK",
@@ -102,8 +103,8 @@ class Link:
         self.busy_until = 0.0
         #: Total time the medium has been occupied (for utilization reports).
         self.occupied = 0.0
-        #: Optional trace hook for over-commitment diagnostics.
-        self.trace: Optional["Trace"] = None
+        #: The cluster's event stream (over-commitment diagnostics).
+        self.events: Optional["Events"] = None
 
     def transmit(self, ready: float, frame_bytes: int) -> float:
         """Put one frame on the ring; returns its arrival time."""
@@ -143,8 +144,8 @@ class Link:
                       f"elapsed (ratio {ratio:.3f})")
             warnings.warn(f"FDDI ring over-committed: {detail}",
                           RuntimeWarning, stacklevel=2)
-            if self.trace is not None:
-                self.trace.record(elapsed, -1, "link_overcommit", detail)
+            if self.events is not None:
+                self.events.link_overcommit(detail, elapsed)
         return min(1.0, ratio)
 
 
@@ -168,16 +169,16 @@ class Network:
     """The ring plus delivery plumbing shared by both transports."""
 
     def __init__(self, engine: Engine, cost: CostModel, stats: MessageStats,
-                 faults: Optional[FaultPlan] = None,
-                 trace: Optional["Trace"] = None) -> None:
+                 faults: Optional[FaultPlan] = None) -> None:
         self.engine = engine
         self.cost = cost
         self.stats = stats
         self.link = Link(cost)
-        self.link.trace = trace
         #: Active fault plan, or None for the perfect fault-free medium.
         self.faults = faults if faults is not None and faults.active else None
-        self.trace = trace
+        #: The cluster's event stream (repro.sim.trace) or None; set by
+        #: ``Cluster.subscribe``.
+        self.events: Optional["Events"] = None
         #: Observability facade (repro.obs.core.Obs) or None; set by the
         #: cluster so transmissions appear as complete wire spans.
         self.obs: Optional[Any] = None
@@ -204,10 +205,6 @@ class Network:
     def _charge_cpu(self, pid: int, dt: float) -> None:
         if self._charge is not None and dt > 0:
             self._charge(pid, dt)
-
-    def _trace(self, time: float, pid: int, kind: str, detail: str) -> None:
-        if self.trace is not None:
-            self.trace.record(time, pid, kind, detail)
 
     def _post_delivery(self, delivery: Delivery) -> None:
         if self._deliver is None:
@@ -273,9 +270,11 @@ class Network:
         if verdict.drop:
             self.stats.record(pending.system, CAT_DROP, messages=fragments,
                               nbytes=0)
-            self._trace(t, pending.src, "drop",
-                        f"{pending.category} seq={pending.seq} "
-                        f"dst=P{pending.dst} attempt={pending.attempts}")
+            if self.events is not None:
+                self.events.drop(pending.src,
+                                 f"{pending.category} seq={pending.seq} "
+                                 f"dst=P{pending.dst} "
+                                 f"attempt={pending.attempts}", t)
         else:
             arrival = last_arrival + verdict.delay
             self.engine.post(arrival,
@@ -307,9 +306,10 @@ class Network:
             # timer until the window heals instead of burning the retry
             # budget into a spurious TransportError: the peer is known to
             # come back, so the protocol waits it out (attempts unchanged).
-            self._trace(t_fire, pending.src, "partition_hold",
-                        f"{pending.category} seq={pending.seq} "
-                        f"dst=P{pending.dst} until={t_clear:.6f}")
+            if self.events is not None:
+                self.events.partition_hold(
+                    pending.src, f"{pending.category} seq={pending.seq} "
+                    f"dst=P{pending.dst} until={t_clear:.6f}", t_fire)
             self.engine.post(t_clear,
                              lambda tc=t_clear: self._udp_retransmit(
                                  pending, tc))
@@ -329,9 +329,10 @@ class Network:
         wire_bytes = pending.nbytes + fragments * cost.udp_header_bytes
         self.stats.record(pending.system, CAT_RETRANSMIT, messages=fragments,
                           nbytes=wire_bytes, src=pending.src, dst=pending.dst)
-        self._trace(t_fire, pending.src, "retransmit",
-                    f"{pending.category} seq={pending.seq} "
-                    f"dst=P{pending.dst} attempt={pending.attempts + 1}")
+        if self.events is not None:
+            self.events.retransmit(
+                pending.src, f"{pending.category} seq={pending.seq} "
+                f"dst=P{pending.dst} attempt={pending.attempts + 1}", t_fire)
         t_done = self._udp_attempt(pending, t_fire)
         # The retransmit is driven by a timer interrupt: its CPU time is
         # stolen from whatever the sender was doing, like SIGIO service.
@@ -346,9 +347,10 @@ class Network:
         buf = self._recv_buf.setdefault(pair, {})
         if pending.seq < nxt or pending.seq in buf:
             self.stats.record(pending.system, CAT_DUP, messages=1, nbytes=0)
-            self._trace(arrival, pending.dst, "dup_suppress",
-                        f"{pending.category} seq={pending.seq} "
-                        f"src=P{pending.src}")
+            if self.events is not None:
+                self.events.dup_suppress(
+                    pending.dst, f"{pending.category} seq={pending.seq} "
+                    f"src=P{pending.src}", arrival)
             return
         buf[pending.seq] = (pending, arrival)
         while nxt in buf:
@@ -378,8 +380,10 @@ class Network:
                               seq=ack_seq, attempt=0, now=t_ready)
         if verdict.drop:
             self.stats.record(pending.system, CAT_DROP, messages=1, nbytes=0)
-            self._trace(t, pending.dst, "drop",
-                        f"ack seq={pending.seq} dst=P{pending.src}")
+            if self.events is not None:
+                self.events.drop(pending.dst,
+                                 f"ack seq={pending.seq} dst=P{pending.src}",
+                                 t)
             return
         key = (pending.src, pending.dst, pending.seq)
         self.engine.post(arrival + verdict.delay,
@@ -536,26 +540,28 @@ class TcpChannel:
             if attempt > 0:
                 net.stats.record(self.system, CAT_RETRANSMIT, messages=1,
                                  nbytes=frame, src=src, dst=dst)
-                net._trace(t_retry, src, "retransmit",
-                           f"tcp {category} seg={seq} dst=P{dst} "
-                           f"attempt={attempt + 1}")
+                if net.events is not None:
+                    net.events.retransmit(
+                        src, f"tcp {category} seg={seq} dst=P{dst} "
+                        f"attempt={attempt + 1}", t_retry)
             if verdict.duplicate and not verdict.drop:
                 # The kernel discards duplicate segments silently.
                 net.stats.record(self.system, CAT_DUP, messages=1, nbytes=0)
             if not verdict.drop:
                 return arrival + verdict.delay
             net.stats.record(self.system, CAT_DROP, messages=1, nbytes=0)
-            net._trace(t_retry, src, "drop",
-                       f"tcp {category} seg={seq} dst=P{dst} "
-                       f"attempt={attempt + 1}")
+            if net.events is not None:
+                net.events.drop(src, f"tcp {category} seg={seq} dst=P{dst} "
+                                f"attempt={attempt + 1}", t_retry)
             t_clear = plan.partition_clear_time(src, dst, t_now)
             if t_clear is not None:
                 # The drop came from a transient partition, not congestion:
                 # the kernel keeps retransmitting after the window heals,
                 # and the wait does not count against the give-up cap.
-                net._trace(t_now, src, "partition_hold",
-                           f"tcp {category} seg={seq} dst=P{dst} "
-                           f"until={t_clear:.6f}")
+                if net.events is not None:
+                    net.events.partition_hold(
+                        src, f"tcp {category} seg={seq} dst=P{dst} "
+                        f"until={t_clear:.6f}", t_now)
                 t_retry = max(t_clear, t_retry)
                 arrival = net.link.transmit_background(t_retry, frame)
                 continue

@@ -100,8 +100,9 @@ class RecoveryManager:
         proc = self.cluster.procs[node]
         if proc.thread is None:
             return
-        if self.cluster.engine.kill(proc.thread, t):
-            self.cluster.trace.record(t, node, "node_crash", f"t={t:.6f}")
+        events = self.cluster.events
+        if self.cluster.engine.kill(proc.thread, t) and events is not None:
+            events.node_crash(node, t)
 
     # ------------------------------------------------------------------
     # Failure detector
@@ -149,11 +150,13 @@ class RecoveryManager:
                 # no declaration; monitoring continues so a *second*
                 # crash can still be judged against the quorum.
                 self._handled.add(node)
-                self.cluster.trace.record(t_detect, node, "node_masked",
-                                          f"crashed_at={t_crash:.6f}")
+                events = self.cluster.events
+                if events is not None:
+                    events.node_masked(node, t_crash, t_detect)
                 return
         self._declared = True
-        self.cluster.trace.record(t_detect, node, "node_failure",
-                                  f"crashed_at={t_crash:.6f}")
+        events = self.cluster.events
+        if events is not None:
+            events.node_failure(node, t_crash, t_detect)
         raise NodeFailure(failed=node, crash_time=t_crash,
                           detect_time=t_detect)

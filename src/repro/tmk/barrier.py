@@ -56,8 +56,9 @@ class BarrierSubsystem:
     """Per-processor barrier logic.
 
     :meth:`barrier` is the one episode skeleton (release at arrival,
-    acquire at departure, the observers' hooks); a topology supplies
-    :meth:`_rendezvous` and its ``_detail`` suffix for span details.
+    acquire at departure, the arrive/release events); a topology supplies
+    :meth:`_rendezvous`, its ``_detail`` suffix for span details and the
+    ``role`` its ``barrier_release`` events name.
     """
 
     _detail = ""
@@ -70,6 +71,7 @@ class BarrierSubsystem:
         self.pid = proc.pid
         self.cost = proc.cluster.cost
         self.nprocs = proc.cluster.nprocs
+        self.role = "manager" if self.pid == _MANAGER else "client"
         #: The manager's vector time as of the last departure -- the
         #: client's estimate of what the manager already knows.
         self._last_barrier_vc: Tuple[int, ...] = (0,) * self.nprocs
@@ -100,21 +102,16 @@ class BarrierSubsystem:
         if obs is not None:
             obs.begin(proc.now, self.pid, "barrier", B_STALL_SYNC,
                       f"bid={bid}{self._detail}")
-        sanitizer = self.core.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_barrier_arrive(self.pid, bid)
-        monitor = self.core.monitor
-        if monitor is not None:
-            monitor.on_barrier_arrive(self.pid, bid, proc.now)
+        events = proc.events
+        if events is not None:
+            events.barrier_arrive(self.pid, bid, proc.now)
         yield from self._rendezvous(bid, t_arrive)
         self.wait_time += proc.now - t_arrive
         self.episodes_completed += 1
         if obs is not None:
             obs.end(proc.now, self.pid)
-        if sanitizer is not None:
-            sanitizer.on_barrier_depart(self.pid, bid)
-        if monitor is not None:
-            monitor.on_barrier_depart(self.pid, bid, proc.now)
+        if events is not None:
+            events.barrier_release(self.pid, bid, self.role, proc.now)
 
     def _rendezvous(self, bid: int, t_arrive: float):
         """Meet every other processor and merge what they wrote; returns
@@ -131,16 +128,8 @@ class BarrierSubsystem:
         records = self.core.records_since(self._last_barrier_vc)
         arrival = BarrierArrival(barrier=bid, pid=self.pid,
                                  vc=tuple(self.core.vc), records=records)
-        obs = proc.obs
-        if obs is not None:
-            obs.begin(proc.now, self.pid, "send", B_WIRE,
-                      f"barrier_arrival->P{_MANAGER}")
-        t_free = self.core.udp.send(
-            self.pid, _MANAGER, CAT_BARRIER_ARRIVAL, arrival,
-            arrival.nbytes(self.cost, self.nprocs), t_ready=proc.now)
-        proc.set_now(t_free)
-        if obs is not None:
-            obs.end(proc.now, self.pid)
+        proc.send(self.core.udp, _MANAGER, CAT_BARRIER_ARRIVAL, arrival,
+                  arrival.nbytes(self.cost, self.nprocs))
         self._waiting = True
         yield Block(f"barrier {bid}",
                     f"P{_MANAGER} (barrier manager)")
@@ -154,14 +143,20 @@ class BarrierSubsystem:
             proc.set_now(self._departure_wake)
         self.core.merge(departure.records, departure.vc)
         self._last_barrier_vc = departure.vc
-        proc.trace("barrier_depart", f"bid={bid}")
+
+    def _dup_suppress(self, category: str, name: str, value) -> None:
+        """A re-delivered ``category`` message was ignored (fault plans
+        only); the detail is rendered only when something subscribes."""
+        if self.proc.events is not None:
+            self.proc.events.dup_suppress(
+                self.pid, f"{category} {name}={value}", self.proc.now)
 
     def _on_departure(self, delivery: Delivery) -> None:
         if not self._waiting:
             # A re-delivered departure after the client already left the
             # barrier; its contents were merged the first time.
-            self.proc.trace("dup_suppress",
-                            f"barrier_departure bid={delivery.payload.barrier}")
+            self._dup_suppress("barrier_departure", "bid",
+                               delivery.payload.barrier)
             return
         self._departure = delivery.payload
         self._departure_wake = delivery.arrival + delivery.recv_cpu
@@ -195,7 +190,6 @@ class BarrierSubsystem:
                         "remaining barrier arrivals")
             self._waiting = False
         self._last_barrier_vc = tuple(self.core.vc)
-        proc.trace("barrier_release", f"bid={bid}")
 
     def _on_arrival(self, delivery: Delivery) -> None:
         arrival: BarrierArrival = delivery.payload
@@ -206,7 +200,7 @@ class BarrierSubsystem:
         if key in episode.seen:
             # Re-delivered arrival (each processor arrives once per
             # episode): counting it twice would release the barrier early.
-            self.proc.trace("dup_suppress", f"barrier_arrival key={key}")
+            self._dup_suppress("barrier_arrival", "key", key)
             return
         episode.seen.add(key)
         obs = self.proc.obs
@@ -269,6 +263,7 @@ class TreeBarrierSubsystem(BarrierSubsystem):
     def __init__(self, proc: "Processor", core: "LrcCore",
                  system: "TmkSystem") -> None:
         super().__init__(proc, core, system)
+        self.role = "tree"
         self._parent: Optional[int] = (
             (self.pid - 1) // _TREE_ARITY if self.pid != _MANAGER else None)
         first = _TREE_ARITY * self.pid + 1
@@ -340,15 +335,8 @@ class TreeBarrierSubsystem(BarrierSubsystem):
                 barrier=bid, episode=episode, pid=self.pid,
                 vc=tuple(self.core.vc), min_vc=tuple(min_vc),
                 records=self.core.records_since(self._last_barrier_vc))
-            if obs is not None:
-                obs.begin(proc.now, self.pid, "send", B_WIRE,
-                          f"tree_arrival->P{self._parent}")
-            t_free = self.core.udp.send(
-                self.pid, self._parent, CAT_TREE_ARRIVAL, up,
-                up.nbytes(self.cost, self.nprocs), t_ready=proc.now)
-            proc.set_now(t_free)
-            if obs is not None:
-                obs.end(proc.now, self.pid)
+            proc.send(self.core.udp, self._parent, CAT_TREE_ARRIVAL, up,
+                      up.nbytes(self.cost, self.nprocs))
             state["waiting_departure"] = True
             yield Block(f"barrier {bid} (tree departure)",
                         f"P{self._parent} (tree parent)")
@@ -373,7 +361,6 @@ class TreeBarrierSubsystem(BarrierSubsystem):
 
         self._last_barrier_vc = tuple(self.core.vc)
         del self._tree[(bid, episode)]
-        proc.trace("barrier_depart", f"bid={bid} tree")
 
     # -- handlers ------------------------------------------------------
     def _on_tree_arrival(self, delivery: Delivery) -> None:
@@ -382,7 +369,7 @@ class TreeBarrierSubsystem(BarrierSubsystem):
         self.proc.charge_service(service)
         key = arrival.dedup_key()
         if key in self._seen_arrivals:
-            self.proc.trace("dup_suppress", f"tree_arrival key={key}")
+            self._dup_suppress("tree_arrival", "key", key)
             return
         self._seen_arrivals.add(key)
         state = self._tree_state(arrival.barrier, arrival.episode)
@@ -397,9 +384,7 @@ class TreeBarrierSubsystem(BarrierSubsystem):
         state = self._tree.get((departure.barrier, departure.episode))
         if (state is None or not state["waiting_departure"]
                 or state["departure"] is not None):
-            self.proc.trace(
-                "dup_suppress",
-                f"tree_departure bid={departure.barrier}")
+            self._dup_suppress("tree_departure", "bid", departure.barrier)
             return
         state["departure"] = departure
         self.proc.unblock(delivery.arrival + delivery.recv_cpu)

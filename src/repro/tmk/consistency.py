@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.obs.core import B_PROTOCOL, B_STALL_DATA, B_WIRE
+from repro.obs.core import B_PROTOCOL, B_STALL_DATA
 from repro.sim.engine import YIELD
 from repro.sim.network import Delivery
 from repro.tmk.diffs import Diff, coalesce, make_diffs
@@ -77,7 +77,6 @@ class LrcCore(DsmCore):
         #: The page-op kernel backend (repro.kernels); host-side speed
         #: only -- every backend is byte-identical to the pure reference.
         self.kernels = proc.cluster.kernels
-        self._trace = proc.cluster.trace
 
         #: Vector time: ``vc[p]`` = number of closed intervals of p this
         #: processor has seen (own entry: number of own closed intervals).
@@ -140,14 +139,12 @@ class LrcCore(DsmCore):
             # *contents* are pinned here; see the eager-creation note in
             # the module docstring.)
             self._uncharged.add((record.id, page))
-        if self.monitor is not None:
-            self.monitor.on_interval_close(self.pid, record, tuple(dirty),
-                                           self.proc.now)
+        events = self.proc.events
+        if events is not None:
+            events.interval_close(self.pid, record, dirty, self.proc.now)
         self._learn(record)
         self.system.notices.add(record)
         self.vc[self.pid] = seq + 1
-        if self._trace.enabled:
-            self.proc.trace("interval_close", f"seq={seq} pages={list(dirty)}")
         obs = self.proc.obs
         if obs is not None:
             obs.instant(self.proc.now, self.pid, "interval_close",
@@ -160,20 +157,10 @@ class LrcCore(DsmCore):
         """Eager RC: push this interval's write notices to everyone now
         (Munin-style), instead of waiting for the next acquire."""
         notice = ErcNotice(record=record, creator_count=self.vc[self.pid])
-        proc = self.proc
-        obs = proc.obs
         for peer in range(self.nprocs):
-            if peer == self.pid:
-                continue
-            if obs is not None:
-                obs.begin(proc.now, self.pid, "send", B_WIRE,
-                          f"erc_notice->P{peer}")
-            t_free = self.udp.send(self.pid, peer, CAT_ERC_NOTICE, notice,
-                                   notice.nbytes(self.cost, self.nprocs),
-                                   t_ready=proc.now)
-            proc.set_now(t_free)
-            if obs is not None:
-                obs.end(proc.now, self.pid)
+            if peer != self.pid:
+                self.proc.send(self.udp, peer, CAT_ERC_NOTICE, notice,
+                               notice.nbytes(self.cost, self.nprocs))
 
     def _on_erc_notice(self, delivery: Delivery) -> None:
         notice: ErcNotice = delivery.payload
@@ -234,15 +221,18 @@ class LrcCore(DsmCore):
         pages whose entire pending set it satisfies are patched and
         revalidated on the spot, saving the later fault round trip.
         """
-        vc_before = tuple(self.vc)
         learn, pid = self._learn, self.pid
         fresh = [r for r in records if learn(r) and r.creator != pid]
         for record in fresh:
             self.pt.invalidate_pages(record.pages, self.eager)
-        self.vc = list(vc_max(self.vc, their_vc))
-        if self.monitor is not None:
-            self.monitor.on_merge(self.pid, records, their_vc, vc_before,
-                                  tuple(self.vc), self.proc.now)
+        vc_before = self.vc
+        self.vc = list(vc_max(vc_before, their_vc))
+        events = self.proc.events
+        if events is not None:
+            # ``vc`` is rebound, never mutated here: the old list is the
+            # before-image.
+            events.merge(pid, records, their_vc, tuple(vc_before),
+                         tuple(self.vc), self.proc.now)
         if piggybacked:
             self._apply_piggybacked(
                 {page for record in fresh for page in record.pages},
@@ -250,6 +240,7 @@ class LrcCore(DsmCore):
 
     def _apply_piggybacked(self, pages: set, piggybacked: Dict) -> None:
         """Patch and revalidate pages fully satisfied by grant data."""
+        events = self.proc.events
         by_page: Dict[int, Dict] = {}
         for (iid, page), diff in piggybacked.items():
             by_page.setdefault(page, {})[iid] = diff
@@ -269,8 +260,8 @@ class LrcCore(DsmCore):
                 self.diff_cache[(iid, page)] = diff
                 self.diffs_applied += 1
                 self.diff_bytes_applied += diff.data_bytes
-                if self.sanitizer is not None:
-                    self.sanitizer.on_diff_applied(self.pid, page, diff)
+                if events is not None:
+                    events.diff_applied(self.pid, page, diff, self.proc.now)
                 cpu += (self.cost.diff_apply_cpu
                         + diff.data_bytes * self.cost.diff_apply_byte_cpu)
             self._apply_packed(page, packed)
@@ -284,8 +275,8 @@ class LrcCore(DsmCore):
             self._pending(page, take=True)
             self.pt.validate(page)
             self.piggyback_hits += 1
-            if self._trace.enabled:
-                self.proc.trace("piggyback_apply", f"page={page}")
+            if events is not None:
+                events.piggyback_apply(self.pid, page, self.proc.now)
 
     def _apply_packed(self, page: int, packed: List[bytes]) -> None:
         """Patch ``page`` with encoded diffs, in list order: one kernel
@@ -412,8 +403,9 @@ class LrcCore(DsmCore):
         """One request/response/apply round for a page's pending notices."""
         proc = self.proc
         obs = proc.obs
-        if self._trace.enabled:
-            proc.trace("page_fault", f"page={page} intervals={sorted(needed)}")
+        events = proc.events
+        if events is not None:
+            events.diff_fetch(self.pid, page, needed, proc.now)
         if obs is not None:
             obs.begin(proc.now, self.pid, "diff_request", B_STALL_DATA,
                       f"page={page} intervals={len(needed)}")
@@ -439,15 +431,9 @@ class LrcCore(DsmCore):
             request = DiffRequest(page=page, wanted=wanted,
                                   requester=self.pid, reply=box)
             if obs is not None:
-                obs.begin(proc.now, self.pid, "send", B_WIRE,
-                          f"diff_request->P{writer}")
                 obs.note_diff_request(self.pid, request.nbytes(self.cost))
-            t_free = self.udp.send(self.pid, writer, CAT_DIFF_REQUEST,
-                                   request, request.nbytes(self.cost),
-                                   t_ready=proc.now)
-            proc.set_now(t_free)
-            if obs is not None:
-                obs.end(proc.now, self.pid)
+            proc.send(self.udp, writer, CAT_DIFF_REQUEST, request,
+                      request.nbytes(self.cost))
             boxes.append(box)
 
         entries: Dict[IntervalId, Tuple[Tuple[int, ...], Diff]] = {}
@@ -491,8 +477,8 @@ class LrcCore(DsmCore):
             self.diff_cache[(iid, page)] = diff
             self.diffs_applied += 1
             self.diff_bytes_applied += diff.data_bytes
-            if self.sanitizer is not None:
-                self.sanitizer.on_diff_applied(self.pid, page, diff)
+            if events is not None:
+                events.diff_applied(self.pid, page, diff, proc.now)
             cpu += (self.cost.diff_apply_cpu
                     + diff.data_bytes * self.cost.diff_apply_byte_cpu)
         self._apply_packed(page, packed)
@@ -546,10 +532,10 @@ class LrcCore(DsmCore):
             obs.serve(delivery.arrival, t_free - delivery.arrival, self.pid,
                       "serve_diff",
                       f"page={request.page} to=P{request.requester}")
-        if self._trace.enabled:
-            self.proc.trace("diff_served",
-                            f"page={request.page} to=P{request.requester} "
-                            f"ndiffs={len(entries)}")
+        events = self.proc.events
+        if events is not None:
+            events.diff_served(self.pid, request.page, request.requester,
+                               len(entries), self.proc.now)
 
     def _on_diff_response(self, delivery: Delivery) -> None:
         box, response = delivery.payload

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.obs.core import B_STALL_SYNC, B_WIRE
+from repro.obs.core import B_STALL_SYNC
 from repro.sim.engine import YIELD
 from repro.sim.network import Delivery
 from repro.tmk.protocol import (CAT_LOCK_FORWARD, CAT_LOCK_GRANT,
@@ -108,12 +108,11 @@ class LockSubsystem:
             state.holding = True
             proc.compute(_LOCAL_LOCK_CPU)
             self.local_acquires += 1
-            proc.trace("lock_acquire", f"lock={lock} local")
             if obs is not None:
                 obs.instant(proc.now, self.pid, "lock_local",
                             f"lock={lock}")
-            if self.core.sanitizer is not None:
-                self.core.sanitizer.on_lock_acquired(self.pid, lock)
+            if proc.events is not None:
+                proc.events.lock_acquired(self.pid, lock, None, proc.now)
             return
 
         state.awaiting = True
@@ -129,15 +128,8 @@ class LockSubsystem:
             # We manage this lock: route straight to the last requester.
             self._route(request, at=proc.now, charge_thread=True)
         else:
-            if obs is not None:
-                obs.begin(proc.now, self.pid, "send", B_WIRE,
-                          f"lock_request->P{manager}")
-            t_free = self.core.udp.send(
-                self.pid, manager, CAT_LOCK_REQUEST, request,
-                request.nbytes(self.cost, self.nprocs), t_ready=proc.now)
-            proc.set_now(t_free)
-            if obs is not None:
-                obs.end(proc.now, self.pid)
+            proc.send(self.core.udp, manager, CAT_LOCK_REQUEST, request,
+                      request.nbytes(self.cost, self.nprocs))
         grant: LockGrant = yield from box.wait(f"grant of lock {lock}")
         self.wait_time += proc.now - t_wait_start
         self.core.merge(grant.records, grant.vc, piggybacked=grant.diffs)
@@ -146,11 +138,8 @@ class LockSubsystem:
         state.holding = True
         if obs is not None:
             obs.end(proc.now, self.pid)
-        proc.trace("lock_acquire",
-                   f"lock={lock} from=P{grant.granter} "
-                   f"notices={sum(len(r.pages) for r in grant.records)}")
-        if self.core.sanitizer is not None:
-            self.core.sanitizer.on_lock_acquired(self.pid, lock, grant)
+        if proc.events is not None:
+            proc.events.lock_acquired(self.pid, lock, grant, proc.now)
 
     def release(self, lock: int):
         proc = self.proc
@@ -161,9 +150,8 @@ class LockSubsystem:
         self.core.close_interval()
         state.holding = False
         proc.compute(_LOCAL_LOCK_CPU)
-        proc.trace("lock_release", f"lock={lock}")
-        if self.core.sanitizer is not None:
-            self.core.sanitizer.on_lock_release(self.pid, lock)
+        if proc.events is not None:
+            proc.events.lock_release(self.pid, lock, proc.now)
         if state.waiter is not None:
             request, state.waiter = state.waiter, None
             state.owns = False
@@ -191,8 +179,10 @@ class LockSubsystem:
             # A re-delivered request for a lock we already routed to this
             # requester: idempotent no-op (the original is in flight).
             self.proc.charge_service(service)
-            self.proc.trace("dup_suppress",
-                            f"lock_request key={request.dedup_key()}")
+            if self.proc.events is not None:
+                self.proc.events.dup_suppress(
+                    self.pid, f"lock_request key={request.dedup_key()}",
+                    self.proc.now)
             return
         self._last_requester[lock] = request.requester
         if target == self.pid:
@@ -236,14 +226,18 @@ class LockSubsystem:
             if state.waiter is not None:
                 if state.waiter.dedup_key() == request.dedup_key():
                     # Re-delivered forward of the request already queued.
-                    self.proc.trace("dup_suppress",
-                                    f"lock_forward key={request.dedup_key()}")
+                    if self.proc.events is not None:
+                        self.proc.events.dup_suppress(
+                            self.pid,
+                            f"lock_forward key={request.dedup_key()}",
+                            self.proc.now)
                     return
                 raise AssertionError(
                     f"P{self.pid}: two waiters for lock {request.lock}")
             state.waiter = request
-            self.proc.trace("lock_queued",
-                            f"lock={request.lock} waiter=P{request.requester}")
+            if self.proc.events is not None:
+                self.proc.events.lock_queued(self.pid, request.lock,
+                                             request.requester, self.proc.now)
         else:
             state.owns = False
             self._grant(request, t_ready=at, charge_thread=charge_thread)
@@ -254,27 +248,25 @@ class LockSubsystem:
         grant = LockGrant(lock=request.lock, granter=self.pid,
                           vc=tuple(self.core.vc), records=records,
                           diffs=self._piggyback(records))
-        if self.core.sanitizer is not None:
-            self.core.sanitizer.on_grant_send(grant, self.pid, request.lock)
-        obs = self.proc.obs
-        if obs is not None and charge_thread:
-            obs.begin(t_ready, self.pid, "send", B_WIRE,
-                      f"lock_grant->P{request.requester}")
-        t_free = self.core.udp.send(
-            self.pid, request.requester, CAT_LOCK_GRANT,
-            (request.reply, grant), grant.nbytes(self.cost, self.nprocs),
-            t_ready=t_ready)
+        proc = self.proc
+        payload = (request.reply, grant)
+        nbytes = grant.nbytes(self.cost, self.nprocs)
         if charge_thread:
-            self.proc.set_now(t_free)
-            if obs is not None:
-                obs.end(t_free, self.pid)
+            # Thread context: ``t_ready`` is this thread's clock.
+            proc.send(self.core.udp, request.requester, CAT_LOCK_GRANT,
+                      payload, nbytes)
         else:
-            self.proc.charge_service(t_free - t_ready)
-            if obs is not None:
-                obs.serve(t_ready, t_free - t_ready, self.pid, "serve_grant",
-                          f"lock={request.lock} to=P{request.requester}")
-        self.proc.trace("lock_grant",
-                        f"lock={request.lock} to=P{request.requester}")
+            t_free = self.core.udp.send(
+                self.pid, request.requester, CAT_LOCK_GRANT, payload,
+                nbytes, t_ready=t_ready)
+            proc.charge_service(t_free - t_ready)
+            if proc.obs is not None:
+                proc.obs.serve(t_ready, t_free - t_ready, self.pid,
+                               "serve_grant", f"lock={request.lock} "
+                               f"to=P{request.requester}")
+        if proc.events is not None:
+            proc.events.lock_grant(self.pid, request.lock, request.requester,
+                                   grant, proc.now)
 
     def _piggyback(self, records) -> Optional[Dict]:
         """The paper's future-work optimization: attach, within the

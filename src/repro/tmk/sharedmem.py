@@ -303,9 +303,9 @@ class SharedArray:
         # per-run generator chain for the fault-free common case.
         if not core.runs_all_valid(runs):
             yield from core.ensure_valid_runs(runs)
-        sanitizer = core.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_access(core, runs, write=False, racy=racy)
+        emit_access = core.emit_access
+        if emit_access is not None:
+            emit_access(core.pid, runs, False, racy, core.proc.now)
         view = self._view[key]
         if isinstance(view, np.ndarray):
             view = view.view()
@@ -340,9 +340,9 @@ class SharedArray:
         """
         runs = self._touched_runs(key)
         core = self.tmk.core
-        sanitizer = core.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_access(core, runs, write=True)
+        emit_access = core.emit_access
+        if emit_access is not None:
+            emit_access(core.pid, runs, True, False, core.proc.now)
         if core.prefers_piecewise_writes:
             done = yield from self._piecewise_write(self._normalize(key),
                                                     runs, values)
@@ -392,11 +392,11 @@ class SharedArray:
         """Read-modify-write: ``self[key] += values`` with full fault checks."""
         runs = self._touched_runs(key)
         core = self.tmk.core
-        sanitizer = core.sanitizer
-        if sanitizer is not None:
+        emit_access = core.emit_access
+        if emit_access is not None:
             # A read-modify-write conflicts with everything a write does
             # (prior reads and writes alike), so one write event suffices.
-            sanitizer.on_access(core, runs, write=True)
+            emit_access(core.pid, runs, True, False, core.proc.now)
         if not core.runs_all_writable(runs):
             yield from core.ensure_writable_runs(runs)
         self._view[key] += values
@@ -469,13 +469,10 @@ class DsmCore:
         self.pt.grow(system.heap.pages)
         system.heap.on_grow.append(self.grow)
         self.udp = UdpChannel(proc.cluster.net, system=self.wire_system)
-        #: Optional observer (repro.analysis): receives access and
-        #: diff-application events.  Never charges time or messages.
-        self.sanitizer = None
-        #: Optional protocol invariant monitor (repro.verify.invariants):
-        #: raises InvariantViolation on a broken protocol rule.  Never
-        #: charges time or messages.
-        self.monitor = None
+        #: The event stream's ``access`` handler, or None while nothing
+        #: consumes accesses (kept by ``Cluster.mirror_access``).
+        self.emit_access = None
+        proc.cluster.mirror_access(self)
 
     def grow(self, npages: int) -> None:
         """Extend the per-page state to the heap's ``npages`` pages."""

@@ -1,13 +1,13 @@
 """Runtime protocol-invariant monitors.
 
-Each DSM runtime exposes a ``monitor`` attachment point on its core (the
-same guarded-call idiom as the tmk sanitizer): when a monitor is attached,
-the protocol calls back at its key transitions -- interval close and merge
-for tmk, copy install / invalidate / grant for IVY and SC-ABD, quorum
-store for the SC-ABD replicas, barrier arrive/depart for all of them --
-and the monitor checks the protocol's correctness rules *as the run
-executes*.  A broken rule raises :class:`InvariantViolation` naming the
-protocol, the rule, and the two events that conflict.
+A monitor subscribes to the cluster's event stream
+(:mod:`repro.sim.trace`) and consumes the events of one runtime's key
+transitions -- interval close and merge for tmk, copy install /
+invalidate / grant for IVY and SC-ABD, quorum store for the SC-ABD
+replicas, per-arrival delivery for PVM, barrier arrive/depart for the
+DSMs -- checking the protocol's correctness rules *as the run executes*.
+A broken rule raises :class:`InvariantViolation` naming the protocol, the
+rule, and the two events that conflict.
 
 Monitors are pure observers: they never charge virtual time, send
 messages, or mutate protocol state, so an invariant-checked run computes
@@ -37,11 +37,14 @@ Checked rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Set, Tuple
+
+from repro.sim.trace import Subscriber
 
 __all__ = [
     "InvariantViolation",
     "IvyInvariantMonitor",
+    "MONITORS",
     "ProtocolEvent",
     "PvmOrderMonitor",
     "ScAbdInvariantMonitor",
@@ -125,8 +128,8 @@ class _BarrierEpisodes:
             del self._departed[bid]
 
 
-class _Monitor:
-    """Base: a cluster observer that also tracks barrier episodes."""
+class _Monitor(Subscriber):
+    """Base: an event-stream subscriber that also tracks barrier episodes."""
 
     protocol = "dsm"
 
@@ -136,9 +139,6 @@ class _Monitor:
         #: Count of events observed (diagnostics / test sanity).
         self.events_checked = 0
 
-    def on_measurement_start(self) -> None:
-        """Cluster.observers protocol: nothing to reset."""
-
     def on_barrier_arrive(self, pid: int, bid: int, time: float) -> None:
         self.events_checked += 1
         self.barriers.arrive(pid, bid, time)
@@ -146,6 +146,11 @@ class _Monitor:
     def on_barrier_depart(self, pid: int, bid: int, time: float) -> None:
         self.events_checked += 1
         self.barriers.depart(pid, bid, time)
+
+    def on_barrier_release(self, pid: int, bid: int, role: str,
+                           time: float) -> None:
+        """A departure from a TreadMarks (LRC) barrier."""
+        self.on_barrier_depart(pid, bid, time)
 
 
 class TmkInvariantMonitor(_Monitor):
@@ -432,40 +437,20 @@ class PvmOrderMonitor(_Monitor):
         self._last[(src, dst)] = ev
 
 
-def attach_invariants(cluster, endpoints, system: str):
-    """Attach the right monitor to every endpoint of a running cluster.
+#: The monitor of each system; constructed with the number of
+#: application processors.
+MONITORS: Dict[str, type] = {
+    "tmk": TmkInvariantMonitor,
+    "ivy": IvyInvariantMonitor,
+    "scabd": ScAbdInvariantMonitor,
+    "pvm": PvmOrderMonitor,
+}
 
-    ``system`` is one of ``"tmk"``, ``"ivy"``, ``"pvm"``, ``"scabd"``.
-    One shared monitor instance observes all endpoints (the engine runs
-    one simulated thread at a time, so shared state is safe); it is also
-    appended to ``cluster.observers``.  Returns the monitor.
-    """
-    if system == "tmk":
-        monitor: _Monitor = TmkInvariantMonitor(cluster.nprocs)
-        for endpoint in endpoints:
-            endpoint.core.monitor = monitor
-    elif system == "ivy":
-        monitor = IvyInvariantMonitor(cluster.nprocs)
-        for endpoint in endpoints:
-            endpoint.core.monitor = monitor
-    elif system == "scabd":
-        nclients = endpoints[0].system.nclients
-        monitor = ScAbdInvariantMonitor(nclients)
-        for endpoint in endpoints:
-            endpoint.core.monitor = monitor
-        for replica in endpoints[0].system.replicas:
-            replica.monitor = monitor
-    elif system == "pvm":
-        monitor = PvmOrderMonitor(cluster.nprocs)
-        for endpoint in endpoints:
-            endpoint.monitor = monitor
-    else:
-        raise ValueError(f"unknown system for invariant monitoring: "
-                         f"{system!r}")
-    cluster.observers.append(monitor)
+
+def attach_invariants(cluster, system: str, nclients: int) -> _Monitor:
+    """Subscribe ``system``'s monitor (one of :data:`MONITORS`) to a
+    cluster's event stream; ``nclients`` is the number of application
+    processors.  Returns the monitor."""
+    monitor: _Monitor = MONITORS[system](nclients)
+    cluster.subscribe(monitor)
     return monitor
-
-
-# Late import note: List is referenced only in annotations of older
-# Python versions; keep the import explicit for 3.10 compatibility.
-_ = List

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.analysis import AnalysisConfig, attach_sanitizer
-from repro.sim.cluster import Cluster, ClusterConfig
-from repro.sim.trace import Trace
+from repro.sim.cluster import Cluster
 from repro.tmk.api import attach_tmk
 
 
@@ -14,7 +13,7 @@ def san_run():
     attached; returns ``(sanitizer, ClusterResult)``."""
 
     def runner(fn, nprocs=4, config=None, tmk_config=None):
-        cluster = Cluster(nprocs, config=ClusterConfig(trace=Trace()))
+        cluster = Cluster(nprocs)
         endpoints = attach_tmk(cluster, tmk_config)
         sanitizer = attach_sanitizer(
             cluster, endpoints,

@@ -75,7 +75,7 @@ class TestTracker:
     def test_access_clipped_to_pages(self):
         tr = FalseSharingTracker(page_size=100)
         # One run spanning three pages.
-        tr.on_access(0, [(50, 200)], write=True)
+        tr.on_access(0, [(50, 200)], True, False, 0.0)
         assert sorted(tr._pages) == [0, 1, 2]
         assert tr._pages[0].writes[0].runs() == [(50, 100)]
         assert tr._pages[1].writes[0].runs() == [(100, 200)]
@@ -83,17 +83,17 @@ class TestTracker:
 
     def test_reads_touch_but_do_not_write(self):
         tr = FalseSharingTracker(page_size=100)
-        tr.on_access(1, [(0, 10)], write=False)
+        tr.on_access(1, [(0, 10)], False, False, 0.0)
         assert 1 in tr._pages[0].touched
         assert 1 not in tr._pages[0].writes
         assert tr.shared_pages() == []
 
     def test_true_vs_false_sharing_classification(self):
         tr = FalseSharingTracker(page_size=100)
-        tr.on_access(0, [(0, 50)], write=True)
-        tr.on_access(1, [(50, 50)], write=True)   # disjoint: false sharing
-        tr.on_access(0, [(100, 20)], write=True)
-        tr.on_access(1, [(110, 20)], write=True)  # overlap: true sharing
+        tr.on_access(0, [(0, 50)], True, False, 0.0)
+        tr.on_access(1, [(50, 50)], True, False, 0.0)   # disjoint: false sharing
+        tr.on_access(0, [(100, 20)], True, False, 0.0)
+        tr.on_access(1, [(110, 20)], True, False, 0.0)  # overlap: true sharing
         assert tr.shared_pages() == [0, 1]
         assert tr.falsely_shared_pages() == [0]
         assert tr._pages[1].write_overlap() == 10
@@ -101,9 +101,9 @@ class TestTracker:
     def test_diff_bytes_outside_touched_are_false(self):
         tr = FalseSharingTracker(page_size=100)
         # P1 only ever touches bytes [0,50) of page 0 ...
-        tr.on_access(1, [(0, 50)], write=False)
+        tr.on_access(1, [(0, 50)], False, False, 0.0)
         # ... but applies a diff covering [40,80): 30 bytes are false.
-        tr.on_diff_applied(1, 0, Diff(page=0, runs=[(40, b"\0" * 40)]))
+        tr.on_diff_applied(1, 0, Diff(page=0, runs=[(40, b"\0" * 40)]), 0.0)
         assert tr.false_bytes_by_page() == {0: 30}
         assert tr.total_false_bytes() == 30
         assert tr.total_diff_bytes() == 40
@@ -111,16 +111,16 @@ class TestTracker:
     def test_refetch_counts_multiplicity_but_not_uniqueness(self):
         tr = FalseSharingTracker(page_size=100)
         diff = Diff(page=0, runs=[(0, b"\0" * 10)])
-        tr.on_diff_applied(2, 0, diff)
-        tr.on_diff_applied(2, 0, diff)
+        tr.on_diff_applied(2, 0, diff, 0.0)
+        tr.on_diff_applied(2, 0, diff, 0.0)
         assert tr.total_diff_bytes() == 20          # with multiplicity
         assert tr._pages[0].fetched[2].total() == 10  # unique bytes
 
     def test_report_lists_pages_and_totals(self):
         tr = FalseSharingTracker(page_size=100)
-        tr.on_access(0, [(0, 50)], write=True)
-        tr.on_access(1, [(50, 50)], write=True)
-        tr.on_diff_applied(0, 0, Diff(page=0, runs=[(50, b"\0" * 50)]))
+        tr.on_access(0, [(0, 50)], True, False, 0.0)
+        tr.on_access(1, [(50, 50)], True, False, 0.0)
+        tr.on_diff_applied(0, 0, Diff(page=0, runs=[(50, b"\0" * 50)]), 0.0)
         report = tr.report(array_name=lambda addr: f"a@{addr}")
         assert "falsely shared (no overlap)   1" in report
         assert "falsely-shared diff bytes     50" in report

@@ -1,4 +1,4 @@
-"""Protocol-implementation lint (PRT001-PRT008)."""
+"""Protocol-implementation lint (PRT001-PRT009)."""
 
 from pathlib import Path
 
@@ -200,6 +200,98 @@ def f(peers):
               "    return time.time() + random.random()\n"
         assert lint_source(src, "src/repro/bench/fake.py") == []
         assert lint_source(src, "tools/fake.py") == []
+
+
+class TestEventStream:
+    VOCABULARY = '''
+VOCABULARY = {
+    "lock_release": ("pid", "lock", "time"),
+    "barrier_arrive": ("pid", "bid", "time"),
+}
+'''
+    EMITTERS = '''
+class Locks:
+    def release(self, lock):
+        if self.proc.events is not None:
+            self.proc.events.lock_release(self.pid, lock, self.proc.now)
+class Barrier:
+    def barrier(self, bid):
+        events = proc.events
+        if events is not None:
+            events.barrier_arrive(self.pid, bid, proc.now)
+'''
+
+    def test_emitted_and_subscribed_vocabulary_is_clean(self):
+        subscriber = '''
+class Base(Subscriber):
+    def on_barrier_arrive(self, pid, bid, time):
+        pass
+class Monitor(Base):
+    def on_lock_release(self, pid, lock, time):
+        pass
+'''
+        assert lint_sources({"src/repro/sim/trace.py": self.VOCABULARY,
+                             "src/repro/tmk/x.py": self.EMITTERS,
+                             "src/repro/verify/m.py": subscriber}) == []
+
+    def test_event_nothing_emits(self):
+        emitters = self.EMITTERS.replace("events.barrier_arrive",
+                                         "events.barrier_arive")
+        findings = lint_sources({"src/repro/sim/trace.py": self.VOCABULARY,
+                                 "src/repro/tmk/x.py": emitters})
+        assert codes(findings) == ["PRT009"]
+        assert "'barrier_arrive'" in findings[0].message
+        assert findings[0].path == "src/repro/sim/trace.py"
+
+    def test_subscriber_method_names_no_event(self):
+        """Inherited subscribers count; other classes' on_* do not."""
+        subscriber = '''
+class Base(Subscriber):
+    pass
+class Monitor(Base):
+    def on_lock_grant(self, pid, lock, requester, grant, time):
+        pass
+class Profiler:
+    def on_advance(self, pid, dt):
+        pass
+'''
+        findings = lint_sources({"src/repro/sim/trace.py": self.VOCABULARY,
+                                 "src/repro/tmk/x.py": self.EMITTERS,
+                                 "src/repro/verify/m.py": subscriber})
+        assert codes(findings) == ["PRT009"]
+        assert "Monitor.on_lock_grant" in findings[0].message
+
+    def test_subscriber_method_takes_other_arguments(self):
+        """A handler whose arity drifted from its event's is flagged."""
+        subscriber = '''
+class Monitor(Subscriber):
+    def on_lock_release(self, pid, lock):
+        pass
+    def on_barrier_arrive(self, *args):
+        pass
+'''
+        findings = lint_sources({"src/repro/sim/trace.py": self.VOCABULARY,
+                                 "src/repro/tmk/x.py": self.EMITTERS,
+                                 "src/repro/verify/m.py": subscriber})
+        assert codes(findings) == ["PRT009"]
+        assert "Monitor.on_lock_release takes 2 arguments" in \
+            findings[0].message
+        assert "(pid, lock, time)" in findings[0].message
+
+    def test_consumer_lookup_counts_as_emit(self):
+        emitters = self.EMITTERS.replace(
+            "events.barrier_arrive(self.pid, bid, proc.now)",
+            "events.consumer(\"barrier_arrive\")(self.pid, bid, proc.now)")
+        assert lint_sources({"src/repro/sim/trace.py": self.VOCABULARY,
+                             "src/repro/tmk/x.py": emitters}) == []
+
+    def test_no_vocabulary_no_check(self):
+        src = '''
+class Monitor(Subscriber):
+    def on_anything(self):
+        pass
+'''
+        assert lint_source(src, "src/repro/verify/m.py") == []
 
 
 class TestRepoIsClean:

@@ -35,7 +35,7 @@ def _same(a, b):
 
 
 def run_one(app, params, kernels):
-    trace = Trace(enabled=True)
+    trace = Trace()
     result = base.run_parallel(app, "tmk", NPROCS, params, trace=trace,
                                kernels=kernels)
     return result, trace

@@ -1,11 +1,6 @@
-"""Timeline recording, span matching, and the ring-buffer cap.
-
-The flat ``repro.sim.trace.Trace`` gained the same cap; its test lives
-here next to the Timeline one so the two stay in sync.
-"""
+"""Timeline recording, span matching, and the ring-buffer cap."""
 
 from repro.obs import Timeline, TimelineEvent
-from repro.sim.trace import Trace
 
 
 class TestRecording:
@@ -86,28 +81,6 @@ class TestTimelineCap:
             tl.instant(float(i), 0, "tick")
         assert len(tl.events) == 1000
         assert tl.dropped_events == 0
-
-
-class TestTraceCap:
-    def test_cap_drops_oldest(self):
-        trace = Trace(enabled=True, cap=5)
-        for i in range(12):
-            trace.record(float(i), 0, "ev", str(i))
-        assert len(trace.events) == 5
-        assert trace.dropped_events == 7
-        assert [e.detail for e in trace.events] == [str(i) for i in range(7, 12)]
-
-    def test_uncapped_trace_unchanged(self):
-        trace = Trace(enabled=True)
-        for i in range(100):
-            trace.record(float(i), 0, "ev")
-        assert len(trace.events) == 100
-        assert trace.dropped_events == 0
-
-    def test_disabled_trace_ignores_cap(self):
-        trace = Trace(enabled=False, cap=3)
-        trace.record(0.0, 0, "ev")
-        assert trace.events == [] and trace.dropped_events == 0
 
 
 def test_capped_run_records_drop_count():

@@ -183,7 +183,7 @@ class TestFailureMasking:
     def test_minority_replica_crash_is_masked(self):
         clean = self._sor_run()
         t_crash = 0.5 * clean.cluster.elapsed
-        trace = Trace(enabled=True)
+        trace = Trace()
         masked = self._sor_run(faults=_crash_plan((4, t_crash)), trace=trace)
         # Byte-identical result, not merely "verifies": masking replays
         # nothing and loses nothing.
@@ -241,7 +241,7 @@ class TestFailureMasking:
         # Aim the crash at the instant a writer starts flushing: the
         # trace of the fault-free run tells us when a write fault (and
         # with it the quorum-write round it triggers) is in flight.
-        probe_trace = Trace(enabled=True)
+        probe_trace = Trace()
         clean = self._sor_run(trace=probe_trace)
         write_faults = [e for e in probe_trace.of_kind("scabd_fault")
                         if "write" in e.detail

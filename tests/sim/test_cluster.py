@@ -145,19 +145,22 @@ class TestMeasurementWindow:
 
 class TestTrace:
     def test_trace_disabled_by_default(self):
+        """With no subscriber there is no event stream at all."""
         cluster = Cluster(1)
-        cluster.run(lambda proc: proc.trace("k", "d"))
-        assert cluster.trace.events == []
+        assert cluster.events is None
+        assert all(proc.events is None for proc in cluster.procs)
 
     def test_trace_records_when_enabled(self):
-        trace = Trace(enabled=True)
+        trace = Trace()
         cluster = Cluster(1, config=ClusterConfig(trace=trace))
-        cluster.run(lambda proc: proc.trace("kind", "detail"))
+        cluster.run(lambda proc: proc.events.lock_release(proc.pid, 3,
+                                                          proc.now))
         assert len(trace.events) == 1
-        assert trace.events[0].kind == "kind"
+        assert trace.events[0].kind == "lock_release"
+        assert trace.events[0].detail == "lock=3"
 
     def test_of_kind_filter_and_format(self):
-        trace = Trace(enabled=True)
+        trace = Trace()
         trace.record(0.1, 0, "a", "first")
         trace.record(0.2, 1, "b", "second")
         assert len(trace.of_kind("a")) == 1
@@ -170,7 +173,7 @@ class TestLegacyKwargs:
 
     def test_legacy_kwargs_rejected(self):
         with pytest.raises(TypeError):
-            Cluster(1, trace=Trace(enabled=True))
+            Cluster(1, trace=Trace())
         with pytest.raises(TypeError):
             Cluster(1, cost=None, faults=None)
 

@@ -297,7 +297,7 @@ class TestPartitionHold:
     """
 
     def _udp_one_send(self, plan):
-        trace = Trace(enabled=True)
+        trace = Trace()
         cluster = Cluster(2, config=ClusterConfig(faults=plan, trace=trace))
         udp = UdpChannel(cluster.net)
         inbox = []
@@ -383,7 +383,7 @@ class TestPartitionHold:
     def test_tcp_partition_holds_initial_segment(self):
         # Partition covers the very first transmission: the kernel parks
         # the segment until the heal; zero attempts charged.
-        trace = Trace(enabled=True)
+        trace = Trace()
         plan = FaultPlan(seed=2, crash_windows=((1, 0.0, 50e-3),),
                          retry_cap=3)
         cluster = Cluster(2, config=ClusterConfig(faults=plan, trace=trace))
@@ -408,7 +408,7 @@ class TestPartitionHold:
         # 20ms RTO retry then lands inside a 2ms-100ms partition.  Without
         # the hold, retries at 20/40ms burn retry_cap=3 into a spurious
         # connection reset; with it the segment waits out the window.
-        trace = Trace(enabled=True)
+        trace = Trace()
         plan = FaultPlan(seed=2, loss=1.0, window=(0.0, 1e-3),
                          crash_windows=((1, 2e-3, 100e-3),),
                          retry_cap=3, tcp_rto=20e-3)

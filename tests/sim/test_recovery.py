@@ -17,7 +17,6 @@ from repro.sim.engine import YIELD, Block, Engine, ThreadKilled
 from repro.sim.faults import FaultPlan, TransportError
 from repro.sim.recovery import (HEARTBEAT_INTERVAL, LEASE_TIMEOUT,
                                 NodeFailure)
-from repro.sim.trace import Trace
 from repro.tmk.api import attach_tmk
 from repro.pvm.api import attach_pvm
 
@@ -27,8 +26,7 @@ def crash_plan(*crashes):
 
 
 def tmk_cluster(nprocs, faults=None):
-    cluster = Cluster(nprocs, config=ClusterConfig(
-        trace=Trace(), faults=faults))
+    cluster = Cluster(nprocs, config=ClusterConfig(faults=faults))
     attach_tmk(cluster)
     return cluster
 

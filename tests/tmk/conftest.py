@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.cluster import Cluster, ClusterConfig
-from repro.sim.trace import Trace
 from repro.tmk.api import attach_tmk
 
 
@@ -14,7 +13,7 @@ def tmk_run():
 
     def runner(fn, nprocs=1, config=None, trace=None, cost=None):
         cluster = Cluster(nprocs, config=ClusterConfig(
-            cost=cost, trace=trace if trace is not None else Trace()))
+            cost=cost, trace=trace))
         attach_tmk(cluster, config)
         return cluster.run(fn)
 

@@ -86,7 +86,7 @@ class TestRemoteAcquire:
 
     def test_release_is_silent(self, tmk_run):
         """With nobody waiting, a release sends nothing."""
-        trace = Trace(enabled=True)
+        trace = Trace()
 
         def main(proc):
             tmk = proc.tmk

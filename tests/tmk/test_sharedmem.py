@@ -469,8 +469,7 @@ class TestPiecewiseWrite:
         """Integration: the same program through the real IVY piecewise
         path produces the same memory image."""
         from repro.ivy.api import attach_ivy
-        from repro.sim.cluster import Cluster, ClusterConfig
-        from repro.sim.trace import Trace
+        from repro.sim.cluster import Cluster
 
         def main(proc):
             tmk = proc.tmk
@@ -481,7 +480,7 @@ class TestPiecewiseWrite:
             yield from tmk.barrier(1)
             return (yield from arr.read()).copy()
 
-        cluster = Cluster(4, config=ClusterConfig(trace=Trace()))
+        cluster = Cluster(4)
         attach_ivy(cluster)
         ivy_result = cluster.run(main)
         tmk_result = tmk_run(main, nprocs=4)

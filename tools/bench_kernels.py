@@ -11,8 +11,11 @@ when the extension is built) across the six frozen page-ops:
 * **dense**  -- one long contiguous dirty region per page (SOR-like
   boundary-row writes).
 
-The report is cross-backend evidence (which ops each backend wins), not
-a gate: host time is compared only by ``benchmarks/e2e/run.py``.
+Each op is timed ``REPEATS`` times (``--rounds`` rounds each); the
+report gives the median per-page time and the interquartile range of
+the repeats, so a number comes with its spread.  It is cross-backend
+evidence (which ops each backend wins), not a gate: host time is
+compared only by ``benchmarks/e2e/run.py``.
 
 Run:   python tools/bench_kernels.py [--out BENCH_kernels.json]
 """
@@ -20,6 +23,7 @@ Run:   python tools/bench_kernels.py [--out BENCH_kernels.json]
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -27,6 +31,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 PAGE_SIZE = 4096
 PAGES = 64
+#: Timed passes per op; the report gives their median and IQR.
+REPEATS = 5
 
 
 def build_workload(kind, rng):
@@ -88,7 +94,13 @@ def bench_backend(backend, currents, twins, rounds):
         backend.fault_scan(valid, 0, 256)
     out["fault_scan_us"] = (time.perf_counter() - started) / total * 1e6
 
-    return {op: round(us, 3) for op, us in out.items()}
+    return out
+
+
+def summarize(samples):
+    """Median and interquartile range of one op's repeats (us/page)."""
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median_us": round(median, 3), "iqr_us": round(q3 - q1, 3)}
 
 
 def measure(rounds):
@@ -103,9 +115,13 @@ def measure(rounds):
         backend = get_backend(name)
         if backend.name != name:
             continue  # compiled unbuilt: resolves to numpy, skip the dup
-        backends[name] = {
-            kind: bench_backend(backend, currents, twins, rounds)
-            for kind, (currents, twins) in workloads.items()}
+        backends[name] = {}
+        for kind, (currents, twins) in workloads.items():
+            passes = [bench_backend(backend, currents, twins, rounds)
+                      for _ in range(REPEATS)]
+            backends[name][kind] = {
+                op.removesuffix("_us"): summarize([p[op] for p in passes])
+                for op in passes[0]}
     return backends
 
 
@@ -122,6 +138,7 @@ def main():
         "page_size": PAGE_SIZE,
         "pages": PAGES,
         "rounds": args.rounds,
+        "repeats": REPEATS,
         "backends": measure(args.rounds),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
